@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short race bench bench-gate check staticcheck smoke sweep figures figures-paper cover clean
+.PHONY: all build test test-short race bench check staticcheck smoke sweep figures figures-paper cover clean
 
 all: build test
 
@@ -44,15 +44,17 @@ test-short:
 race:
 	go test -race ./...
 
-# Regenerate the checked-in bench trajectory: the Go micro-benchmarks
+# Run the measurements that are not tests: the Go micro-benchmarks
 # (BenchmarkRouterDrain et al., stdout only), the online-engine drain
 # (1M jobs at the full profile plus the streamed replay profiles, 1M
 # to 25M jobs from an on-disk trace), the sharded-router drain, and
-# the multi-seed sweep grid. Leaves exactly BENCH_engine.json,
-# BENCH_router.json and BENCH_sweep.json behind — commit them with the
-# PR so the bench-gate has a baseline to compare against. Each profile
-# runs in its own forked subprocess so peak_rss_bytes is per profile,
-# not process-lifetime. The replay traces are generated on first use
+# the multi-seed sweep grid. Only BENCH_sweep.json is a committed
+# artifact (its JCT aggregates are deterministic); the drain reports
+# are wall-clock numbers of this machine and are git-ignored —
+# regressions are judged by the BENCHMARK.json pipeline (bench/), which
+# runs parent and change on the same box. Each profile runs in its own
+# forked subprocess so peak_rss_bytes is per profile, not
+# process-lifetime. The replay traces are generated on first use
 # (replay-25m.trace is ~9 GB) and reused afterwards.
 bench:
 	go test -bench=. -benchmem -run '^$$' ./...
@@ -60,21 +62,6 @@ bench:
 	go run ./cmd/dollymp-bench -drain router -o BENCH_router.json
 	go run ./cmd/dollymp-bench -sweep -o BENCH_sweep.json
 	go run ./cmd/dollymp-bench -drain engine -profiles short -cpuprofile engine-short.cpu.pprof -o /dev/null
-
-# Re-run the short drain profiles — including the 2000-server engine
-# profile and the streamed replay-1m profile (generating its trace on
-# first use) — and fail if jobs/s dropped or peak RSS rose more than
-# 10% against the committed baselines (what CI's bench-gate job runs).
-# Every profile runs in a forked subprocess, so the gated peak RSS is
-# per profile. The engine run also captures per-profile CPU pprofs so
-# a regression is diagnosable from the CI artifact alone. Fresh
-# reports, profiles and the generated trace are kept for artifact
-# upload and removed by `make clean`.
-bench-gate:
-	go run ./cmd/dollymp-bench -drain engine -profiles short,short-2k,replay-1m -cpuprofile engine-short.cpu.pprof -o BENCH_engine.fresh.json
-	go run ./cmd/dollymp-bench -drain router -profiles short -o BENCH_router.fresh.json
-	go run ./cmd/dollymp-bench -gate -baseline BENCH_engine.json -fresh BENCH_engine.fresh.json
-	go run ./cmd/dollymp-bench -gate -baseline BENCH_router.json -fresh BENCH_router.fresh.json
 
 # Regenerate every paper figure (quick scale; use figures-paper for
 # evaluation-scale job counts).
@@ -88,9 +75,9 @@ cover:
 	go test -coverprofile=cover.out ./...
 	go tool cover -func=cover.out | tail -1
 
-# Remove generated-but-uncommitted artifacts. The committed BENCH_*.json
-# baselines are deliberately NOT cleaned; *.fresh.json are the
-# bench-gate's throwaway comparison runs, *.trace the generated replay
-# traces (multi-GB at the 10M/25M scales; regenerated on next use).
+# Remove generated-but-uncommitted artifacts: the drain reports, pprof
+# files, and the generated replay traces (multi-GB at the 10M/25M
+# scales; regenerated on next use). The committed BENCH_sweep.json is
+# deliberately NOT cleaned.
 clean:
-	rm -f cover.out *.fresh.json cpu.pprof mem.pprof *.pprof *.trace *.trace.tmp
+	rm -f cover.out BENCH_engine.json BENCH_router.json cpu.pprof mem.pprof *.pprof *.trace *.trace.tmp

@@ -1,14 +1,15 @@
 package main
 
-// The drain benchmarks behind the checked-in bench trajectory:
-// `-drain engine` drives the online engine through a large injected
-// workload (the full profile is a 1M-job drain), `-drain router`
-// pushes jobs through the sharded service core end to end, and `-gate`
-// compares a fresh run against the committed BENCH_engine.json /
-// BENCH_router.json baseline, failing on regression. jobs/s and peak
-// RSS are the tracked series; clock_slots is deterministic and doubles
-// as a cross-run sanity check that the simulated schedule itself did
-// not drift.
+// The drain benchmarks, the scale harness: `-drain engine` drives the
+// online engine through a large injected workload (the full profile is
+// a 1M-job drain, the replay profiles stream 1M–25M jobs from disk) and
+// `-drain router` pushes jobs through the sharded service core end to
+// end. jobs/s and peak RSS are the reported series; clock_slots is
+// deterministic and doubles as a cross-run sanity check that the
+// simulated schedule itself did not drift. Regressions are judged by
+// the BENCHMARK.json pipeline (bench/), which runs parent and change on
+// one machine — these reports are not compared against committed
+// numbers.
 
 import (
 	"context"
@@ -39,8 +40,7 @@ type drainOptions struct {
 	// traceDir is where replay profiles find (or generate) their
 	// streamed trace files.
 	traceDir string
-	// cpuprofile/memprofile capture pprof data over the measured drains —
-	// the diagnosable artifact CI uploads alongside the bench-gate result.
+	// cpuprofile/memprofile capture pprof data over the measured drains.
 	// Under isolation each per-profile child writes its own, with the
 	// profile name inserted before the extension.
 	cpuprofile string
@@ -55,9 +55,8 @@ type drainOptions struct {
 	jsonOut io.Writer
 }
 
-// drainProfile fixes one measurement's scale. Profiles are named so the
-// CI gate can re-run `short` alone and compare it against the committed
-// baseline's entry of the same name.
+// drainProfile fixes one measurement's scale. Profiles are named so
+// -profiles can re-run a subset.
 type drainProfile struct {
 	name   string
 	jobs   int
@@ -440,99 +439,4 @@ func writeJSON(path string, v interface{}, stdout io.Writer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// gateOptions carries the -gate flag group.
-type gateOptions struct {
-	baseline  string
-	fresh     string
-	tolerance float64
-}
-
-// runGateMode compares a fresh drain report against the committed
-// baseline: for every profile present in the fresh report, jobs/s must
-// not drop more than tolerance below the baseline and peak RSS must not
-// rise more than tolerance above it. A regression is an error — CI
-// fails the build.
-func runGateMode(opts gateOptions, stdout io.Writer) error {
-	if opts.baseline == "" || opts.fresh == "" {
-		return fmt.Errorf("-gate requires -baseline and -fresh")
-	}
-	if opts.tolerance <= 0 || opts.tolerance >= 1 {
-		return fmt.Errorf("-tolerance %v out of (0,1)", opts.tolerance)
-	}
-	base, err := readDrainReport(opts.baseline)
-	if err != nil {
-		return err
-	}
-	fresh, err := readDrainReport(opts.fresh)
-	if err != nil {
-		return err
-	}
-	if base.Area != fresh.Area {
-		return fmt.Errorf("area mismatch: baseline %q vs fresh %q", base.Area, fresh.Area)
-	}
-	baseByProfile := make(map[string]drainRun, len(base.Runs))
-	for _, r := range base.Runs {
-		baseByProfile[r.Profile] = r
-	}
-	var regressions []string
-	compared := 0
-	for _, fr := range fresh.Runs {
-		br, ok := baseByProfile[fr.Profile]
-		if !ok {
-			return fmt.Errorf("baseline %s has no %q profile to compare against", opts.baseline, fr.Profile)
-		}
-		compared++
-		fmt.Fprintf(stdout, "%s/%s: jobs/s %.0f -> %.0f (%+.1f%%)",
-			fresh.Area, fr.Profile, br.JobsPerSec, fr.JobsPerSec,
-			100*(fr.JobsPerSec/br.JobsPerSec-1))
-		if fr.JobsPerSec < br.JobsPerSec*(1-opts.tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s/%s jobs/s regressed %.0f -> %.0f (more than %.0f%%)",
-				fresh.Area, fr.Profile, br.JobsPerSec, fr.JobsPerSec, 100*opts.tolerance))
-		}
-		if br.PeakRSSBytes > 0 && fr.PeakRSSBytes > 0 {
-			fmt.Fprintf(stdout, ", peak RSS %d -> %d (%+.1f%%)",
-				br.PeakRSSBytes, fr.PeakRSSBytes,
-				100*(float64(fr.PeakRSSBytes)/float64(br.PeakRSSBytes)-1))
-			if float64(fr.PeakRSSBytes) > float64(br.PeakRSSBytes)*(1+opts.tolerance) {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s/%s peak RSS regressed %d -> %d bytes (more than %.0f%%)",
-					fresh.Area, fr.Profile, br.PeakRSSBytes, fr.PeakRSSBytes, 100*opts.tolerance))
-			}
-		}
-		fmt.Fprintln(stdout)
-		if br.ClockSlots != 0 && fr.ClockSlots != br.ClockSlots {
-			// Not a perf gate: the simulated schedule itself changed, so
-			// the jobs/s comparison is between different workloads.
-			regressions = append(regressions, fmt.Sprintf(
-				"%s/%s clock drifted %d -> %d slots: the benchmark workload or engine semantics changed; regenerate the baseline deliberately",
-				fresh.Area, fr.Profile, br.ClockSlots, fr.ClockSlots))
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("fresh report %s has no runs", opts.fresh)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("bench gate failed:\n  %s", strings.Join(regressions, "\n  "))
-	}
-	fmt.Fprintf(stdout, "bench gate passed: %d profile(s) within %.0f%% of %s\n",
-		compared, 100*opts.tolerance, opts.baseline)
-	return nil
-}
-
-func readDrainReport(path string) (*drainReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r drainReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != drainSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, drainSchema)
-	}
-	return &r, nil
 }

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -64,85 +60,5 @@ func TestRouterDrainSmoke(t *testing.T) {
 	}
 	if run.Jobs != 64 || run.ClockSlots <= 0 || run.JobsPerSec <= 0 {
 		t.Fatalf("implausible run %+v", run)
-	}
-}
-
-func writeReport(t *testing.T, dir, name string, r drainReport) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := writeJSON(path, &r, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func gateReport(runs ...drainRun) drainReport {
-	return drainReport{Schema: drainSchema, Area: "engine", Runs: runs}
-}
-
-// TestGate exercises the regression gate: pass within tolerance, fail
-// on jobs/s drop, fail on RSS growth, fail on simulated-clock drift,
-// and tolerate an absent RSS field.
-func TestGate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", gateReport(
-		drainRun{Profile: "short", Jobs: 100, ClockSlots: 42, JobsPerSec: 1000, PeakRSSBytes: 1 << 30}))
-
-	gate := func(fresh drainRun) error {
-		var out bytes.Buffer
-		return runGateMode(gateOptions{
-			baseline:  base,
-			fresh:     writeReport(t, dir, "fresh.json", gateReport(fresh)),
-			tolerance: 0.10,
-		}, &out)
-	}
-
-	if err := gate(drainRun{Profile: "short", Jobs: 100, ClockSlots: 42, JobsPerSec: 950, PeakRSSBytes: 1 << 30}); err != nil {
-		t.Errorf("5%% slowdown within tolerance must pass: %v", err)
-	}
-	if err := gate(drainRun{Profile: "short", Jobs: 100, ClockSlots: 42, JobsPerSec: 800, PeakRSSBytes: 1 << 30}); err == nil || !strings.Contains(err.Error(), "jobs/s regressed") {
-		t.Errorf("20%% slowdown must fail the gate, got %v", err)
-	}
-	if err := gate(drainRun{Profile: "short", Jobs: 100, ClockSlots: 42, JobsPerSec: 1000, PeakRSSBytes: 2 << 30}); err == nil || !strings.Contains(err.Error(), "peak RSS regressed") {
-		t.Errorf("2x RSS must fail the gate, got %v", err)
-	}
-	if err := gate(drainRun{Profile: "short", Jobs: 100, ClockSlots: 41, JobsPerSec: 1000, PeakRSSBytes: 1 << 30}); err == nil || !strings.Contains(err.Error(), "clock drifted") {
-		t.Errorf("simulated-clock drift must fail the gate, got %v", err)
-	}
-	// RSS absent on either side: the RSS check is skipped, not failed.
-	if err := gate(drainRun{Profile: "short", Jobs: 100, ClockSlots: 42, JobsPerSec: 1000}); err != nil {
-		t.Errorf("absent RSS must not fail the gate: %v", err)
-	}
-	// A fresh profile missing from the baseline is an error, not a skip.
-	if err := gate(drainRun{Profile: "full", Jobs: 100, ClockSlots: 42, JobsPerSec: 1000}); err == nil {
-		t.Error("profile missing from baseline must fail")
-	}
-}
-
-func TestGateRejectsBadInputs(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := runGateMode(gateOptions{tolerance: 0.1}, &out); err == nil {
-		t.Error("missing paths must be rejected")
-	}
-	base := writeReport(t, dir, "b.json", gateReport(drainRun{Profile: "short", JobsPerSec: 1}))
-	if err := runGateMode(gateOptions{baseline: base, fresh: base, tolerance: 0}, &out); err == nil {
-		t.Error("zero tolerance must be rejected")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"nope/v0"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runGateMode(gateOptions{baseline: bad, fresh: base, tolerance: 0.1}, &out); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("wrong schema must be rejected, got %v", err)
-	}
-	other := writeReport(t, dir, "o.json", drainReport{Schema: drainSchema, Area: "router",
-		Runs: []drainRun{{Profile: "short", JobsPerSec: 1}}})
-	if err := runGateMode(gateOptions{baseline: other, fresh: base, tolerance: 0.1}, &out); err == nil || !strings.Contains(err.Error(), "area mismatch") {
-		t.Errorf("area mismatch must be rejected, got %v", err)
-	}
-	empty := writeReport(t, dir, "e.json", gateReport())
-	if err := runGateMode(gateOptions{baseline: base, fresh: empty, tolerance: 0.1}, &out); err == nil || !strings.Contains(err.Error(), "no runs") {
-		t.Errorf("empty fresh report must be rejected, got %v", err)
 	}
 }

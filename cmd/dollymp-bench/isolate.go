@@ -2,11 +2,10 @@ package main
 
 // Per-profile peak-RSS isolation. VmHWM (rss.go) is a process-lifetime
 // high-water mark, so a multi-profile drain run in one process reports
-// the same peak for every profile after the largest one — the bug the
-// committed BENCH_engine.json used to exhibit (full and short-2k
-// byte-identical). The fix: the parent re-execs itself once per
-// profile, so each measurement is taken in a process whose lifetime is
-// exactly one profile. Where re-exec is unavailable the parent falls
+// the same peak for every profile after the largest one (full and
+// short-2k came out byte-identical). The fix: the parent re-execs
+// itself once per profile, so each measurement is taken in a process
+// whose lifetime is exactly one profile. Where re-exec is unavailable the parent falls
 // back to returning freed heap to the OS and resetting VmHWM between
 // profiles (runDrainMode), which is close but still floored at
 // whatever the previous profile left resident.

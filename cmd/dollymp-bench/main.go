@@ -140,13 +140,7 @@ func main() {
 		drainArea = flag.String("drain", "", "run a drain benchmark instead of figures: engine (online-engine job drain) or router (sharded service drain)")
 		profiles  = flag.String("profiles", "", "comma-separated drain profiles to run (short,full,...; default all; replay-1m/10m/25m stream a trace from disk)")
 		traceDir  = flag.String("trace-dir", ".", "directory holding (or receiving generated) replay traces for the replay-* profiles")
-
-		gateMode = flag.Bool("gate", false, "compare a fresh drain report against a committed baseline and fail on regression")
-		gateOpts gateOptions
 	)
-	flag.StringVar(&gateOpts.baseline, "baseline", "", "committed drain report for -gate (e.g. BENCH_engine.json)")
-	flag.StringVar(&gateOpts.fresh, "fresh", "", "freshly generated drain report for -gate")
-	flag.Float64Var(&gateOpts.tolerance, "tolerance", 0.10, "allowed fractional regression for -gate (jobs/s down or peak RSS up)")
 	flag.StringVar(&opts.schedulers, "sweep-schedulers", "", "comma-separated scheduler names for -sweep (default capacity,tetris,dollymp2; see internal/experiments.SweepSchedulerNames)")
 	flag.IntVar(&opts.seeds, "sweep-seeds", 0, "number of replication seeds for -sweep (default 8)")
 	flag.Uint64Var(&opts.seedBase, "sweep-seed-base", 0, "first seed of the replication range (default: scale seed)")
@@ -161,8 +155,6 @@ func main() {
 
 	var err error
 	switch {
-	case *gateMode:
-		err = runGateMode(gateOpts, os.Stdout)
 	case *drainArea != "":
 		// -o defaults to the sweep path; a drain run writes
 		// BENCH_<area>.json unless the user set -o explicitly.

@@ -133,8 +133,10 @@ func (g *Gateway) Stop() {
 }
 
 // aliveMembers snapshots the live member list, rotated so successive
-// calls start at successive members (round-robin for submissions).
-func (g *Gateway) aliveMembers(rotate bool) []*memberState {
+// calls start at successive members (round-robin for submissions). It
+// hands out the immutable manifest rows, not the prober's state, so
+// callers cannot read what probeOnce writes.
+func (g *Gateway) aliveMembers(rotate bool) []Member {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := len(g.members)
@@ -143,26 +145,42 @@ func (g *Gateway) aliveMembers(rotate bool) []*memberState {
 		start = g.rr % n
 		g.rr++
 	}
-	out := make([]*memberState, 0, n)
+	out := make([]Member, 0, n)
 	for i := 0; i < n; i++ {
 		m := g.members[(start+i)%n]
 		if m.alive {
-			out = append(out, m)
+			out = append(out, m.Member)
 		}
 	}
 	return out
 }
 
-// memberForResidue returns the member owning a global residue class.
-func (g *Gateway) memberForResidue(res int) *memberState {
-	i := g.cfg.Manifest.OwnerOf(res)
-	if i < 0 {
-		return nil
-	}
+// jobCandidates lists the members that may hold a job of global residue
+// class res, in lookup order: the class's owner first, then every other
+// live member (a takeover moves jobs off their residue class). Members
+// the prober holds dead are left out. Like aliveMembers, the list is
+// built under mu from immutable manifest rows.
+func (g *Gateway) jobCandidates(res int) []Member {
+	owner := g.cfg.Manifest.OwnerOf(res)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.members[i]
+	out := make([]Member, 0, len(g.members))
+	if owner >= 0 && g.members[owner].alive {
+		out = append(out, g.members[owner].Member)
+	}
+	for i, m := range g.members {
+		if i != owner && m.alive {
+			out = append(out, m.Member)
+		}
+	}
+	return out
 }
+
+// AdmissionSnapshot implements admission.SnapshotProvider: the gateway
+// is stateless and owns no queue, so its edge policy sees the zero
+// Snapshot (QueueCap 0 = unknown capacity, which pressure-gated
+// policies treat as always-enforce).
+func (g *Gateway) AdmissionSnapshot() admission.Snapshot { return admission.Snapshot{} }
 
 // Handler returns the gateway's HTTP surface: the member /v1 routes
 // proxied or federated, plus GET /v1/federation for membership state.
@@ -221,22 +239,11 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, j := range jobs {
-			d := p.Admit(r.Context(), j, admission.Snapshot{})
-			if d.Admit {
-				continue
+			err := service.ChargeAdmission(r.Context(), p, g, j, func() { g.denied.Add(int64(len(jobs))) })
+			if err != nil {
+				service.WriteSubmitError(w, err, nil, len(jobs))
+				return
 			}
-			g.denied.Add(int64(len(jobs)))
-			service.SetRetryAfter(w, d.RetryAfter)
-			writeJSON(w, http.StatusTooManyRequests, service.ErrorResponse{
-				Error: service.APIError{
-					Code:         service.CodeAdmissionDenied,
-					Message:      service.ErrAdmissionDenied.Error(),
-					Reason:       d.Reason,
-					RetryAfterMS: d.RetryAfter.Milliseconds(),
-				},
-				Rejected: len(jobs),
-			})
-			return
 		}
 	}
 	live := g.aliveMembers(true)
@@ -263,23 +270,7 @@ func (g *Gateway) job(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("bad job id %q", r.PathValue("id")))
 		return
 	}
-	res := (int(id) - 1) % g.cfg.Manifest.Shards
-	owner := g.memberForResidue(res)
-	tried := map[string]bool{}
-	if owner != nil && owner.alive {
-		tried[owner.Name] = true
-		if resp, err := g.client.Get(owner.URL + "/v1/jobs/" + strconv.FormatInt(id, 10)); err == nil {
-			if resp.StatusCode == http.StatusOK {
-				passThrough(w, resp)
-				return
-			}
-			resp.Body.Close()
-		}
-	}
-	for _, m := range g.aliveMembers(false) {
-		if tried[m.Name] {
-			continue
-		}
+	for _, m := range g.jobCandidates((int(id) - 1) % g.cfg.Manifest.Shards) {
 		resp, err := g.client.Get(m.URL + "/v1/jobs/" + strconv.FormatInt(id, 10))
 		if err != nil {
 			continue
@@ -293,26 +284,16 @@ func (g *Gateway) job(w http.ResponseWriter, r *http.Request) {
 	service.WriteError(w, http.StatusNotFound, service.CodeNotFound, fmt.Sprintf("no job %d", id))
 }
 
-// relayed is a member's own non-200 answer, kept so the gateway can
-// pass it through verbatim when no member produced data — a bad query
-// gets the member's 400 envelope, not a bogus 502.
-type relayed struct {
-	status int
-	body   []byte
-}
-
-func (rl *relayed) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(rl.status)
-	_, _ = w.Write(rl.body)
-}
-
-// fanOut GETs path on every live member and hands each successful
-// response body to collect. Returns how many members answered 200 and,
-// when any member answered with an error status, the first such reply.
-func (g *Gateway) fanOut(path string, collect func(m *memberState, body []byte) error) (int, *relayed, error) {
-	n := 0
-	var rl *relayed
+// federate GETs path on every live member and hands each 200 body to
+// collect, in member order. It reports whether the caller has a merged
+// view to write; when it does not, federate has already answered: 502
+// if a body could not be folded or no member was reachable, or — when
+// members answered but none with data — the first member's own error
+// reply verbatim, so a bad query gets the member's 400 envelope, not a
+// bogus 502.
+func (g *Gateway) federate(w http.ResponseWriter, path string, collect func(body []byte) error) bool {
+	answered, errStatus := 0, 0
+	var errBody []byte
 	for _, m := range g.aliveMembers(false) {
 		resp, err := g.client.Get(m.URL + path)
 		if err != nil {
@@ -324,17 +305,29 @@ func (g *Gateway) fanOut(path string, collect func(m *memberState, body []byte) 
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			if rl == nil {
-				rl = &relayed{status: resp.StatusCode, body: body}
+			if errStatus == 0 {
+				errStatus, errBody = resp.StatusCode, body
 			}
 			continue
 		}
-		if err := collect(m, body); err != nil {
-			return n, rl, fmt.Errorf("federation: %s from %s: %w", path, m.Name, err)
+		if err := collect(body); err != nil {
+			service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable,
+				fmt.Sprintf("federation: %s from %s: %v", path, m.Name, err))
+			return false
 		}
-		n++
+		answered++
 	}
-	return n, rl, nil
+	switch {
+	case answered > 0:
+		return true
+	case errStatus != 0:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(errStatus)
+		_, _ = w.Write(errBody)
+	default:
+		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, "no live member reachable")
+	}
+	return false
 }
 
 // listJobs federates GET /v1/jobs: the same filter is forwarded to
@@ -354,7 +347,7 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		q = "?" + r.URL.RawQuery
 	}
-	n, rl, err := g.fanOut("/v1/jobs"+q, func(_ *memberState, body []byte) error {
+	if !g.federate(w, "/v1/jobs"+q, func(body []byte) error {
 		var p page
 		if err := json.Unmarshal(body, &p); err != nil {
 			return err
@@ -363,17 +356,7 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 		merged.Total += p.Total
 		merged.Limit = p.Limit
 		return nil
-	})
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, err.Error())
-		return
-	}
-	if n == 0 {
-		if rl != nil {
-			rl.write(w)
-			return
-		}
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, "no live member reachable")
+	}) {
 		return
 	}
 	if merged.Jobs == nil {
@@ -388,7 +371,7 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 // deployment's table. Shards owned by a dead member are simply absent.
 func (g *Gateway) shards(w http.ResponseWriter, r *http.Request) {
 	var rows []service.ShardStatus
-	n, rl, err := g.fanOut("/v1/shards", func(_ *memberState, body []byte) error {
+	if !g.federate(w, "/v1/shards", func(body []byte) error {
 		var p struct {
 			Shards []service.ShardStatus `json:"shards"`
 		}
@@ -397,17 +380,7 @@ func (g *Gateway) shards(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, p.Shards...)
 		return nil
-	})
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, err.Error())
-		return
-	}
-	if n == 0 {
-		if rl != nil {
-			rl.write(w)
-			return
-		}
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, "no live member reachable")
+	}) {
 		return
 	}
 	if rows == nil {
@@ -417,60 +390,19 @@ func (g *Gateway) shards(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]service.ShardStatus{"shards": rows})
 }
 
-// cluster federates GET /v1/cluster (and its /v1/status alias): counts
-// and queue depths sum, the clock is the frontier max, utilization is
-// recomputed over the union of servers, and journal status aggregates.
+// cluster federates GET /v1/cluster (and its /v1/status alias) by the
+// merge rules of service.ClusterSnapshot.Add over the members' views.
 func (g *Gateway) cluster(w http.ResponseWriter, r *http.Request) {
 	agg := service.ClusterSnapshot{Shards: g.cfg.Manifest.Shards}
-	var usedCPU, usedMem, capCPU, capMem int64
-	n, rl, err := g.fanOut("/v1/cluster", func(_ *memberState, body []byte) error {
+	if !g.federate(w, "/v1/cluster", func(body []byte) error {
 		var snap service.ClusterSnapshot
 		if err := json.Unmarshal(body, &snap); err != nil {
 			return err
 		}
-		if agg.Scheduler == "" {
-			agg.Scheduler = snap.Scheduler
-		}
-		if snap.Clock > agg.Clock {
-			agg.Clock = snap.Clock
-		}
-		agg.ActiveJobs += snap.ActiveJobs
-		agg.PendingArrival += snap.PendingArrival
-		agg.QueueDepth += snap.QueueDepth
-		agg.Draining = agg.Draining || snap.Draining
-		agg.Jobs.Add(snap.Jobs)
-		if snap.Journal != nil {
-			if agg.Journal == nil {
-				agg.Journal = &service.JournalStatus{}
-			}
-			agg.Journal.Add(*snap.Journal)
-		}
-		for _, srv := range snap.Servers {
-			usedCPU += srv.UsedCPU
-			usedMem += srv.UsedMem
-			capCPU += srv.CPUMilli
-			capMem += srv.MemMiB
-		}
-		agg.Servers = append(agg.Servers, snap.Servers...)
+		agg.Add(snap)
 		return nil
-	})
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, err.Error())
+	}) {
 		return
-	}
-	if n == 0 {
-		if rl != nil {
-			rl.write(w)
-			return
-		}
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, "no live member reachable")
-		return
-	}
-	if capCPU > 0 {
-		agg.UtilizationCPU = float64(usedCPU) / float64(capCPU)
-	}
-	if capMem > 0 {
-		agg.UtilizationMem = float64(usedMem) / float64(capMem)
 	}
 	writeJSON(w, http.StatusOK, agg)
 }
@@ -481,33 +413,19 @@ func (g *Gateway) cluster(w http.ResponseWriter, r *http.Request) {
 // reflects every decision point a submission can hit.
 func (g *Gateway) admission(w http.ResponseWriter, r *http.Request) {
 	agg := service.AdmissionStatus{Policy: "none"}
-	n, rl, err := g.fanOut("/v1/admission", func(_ *memberState, body []byte) error {
+	if !g.federate(w, "/v1/admission", func(body []byte) error {
 		var st service.AdmissionStatus
 		if err := json.Unmarshal(body, &st); err != nil {
 			return err
 		}
 		agg.Add(st)
 		return nil
-	})
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, err.Error())
+	}) {
 		return
 	}
-	if n == 0 {
-		if rl != nil {
-			rl.write(w)
-			return
-		}
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, "no live member reachable")
-		return
-	}
-	if p := g.cfg.Admission; p != nil {
-		stats := p.Stats()
-		own := service.AdmissionStatus{Policy: p.Name(), Denied: g.denied.Load(), Stats: &stats}
-		own.Add(agg)
-		agg = own
-	}
-	writeJSON(w, http.StatusOK, agg)
+	own := service.AdmissionStatusOf(g.cfg.Admission, g.denied.Load())
+	own.Add(agg)
+	writeJSON(w, http.StatusOK, own)
 }
 
 // MemberStatus is one row of GET /v1/federation.
@@ -585,7 +503,7 @@ func (g *Gateway) ready(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) metrics(w http.ResponseWriter, r *http.Request) {
 	var out bytes.Buffer
 	seen := map[string]bool{}
-	n, rl, err := g.fanOut("/metrics", func(_ *memberState, body []byte) error {
+	if !g.federate(w, "/metrics", func(body []byte) error {
 		for _, line := range bytes.Split(body, []byte("\n")) {
 			if len(line) == 0 {
 				continue
@@ -605,17 +523,7 @@ func (g *Gateway) metrics(w http.ResponseWriter, r *http.Request) {
 			out.WriteByte('\n')
 		}
 		return nil
-	})
-	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, err.Error())
-		return
-	}
-	if n == 0 {
-		if rl != nil {
-			rl.write(w)
-			return
-		}
-		service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, "no live member reachable")
+	}) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -263,8 +263,28 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: APIError{Code: code, Message: msg}})
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	WriteError(w, status, code, msg)
+// WriteSubmitError maps a failed submission to its envelope and writes
+// it, with ids and rejected describing the partially accepted batch
+// around it: queue-full and admission denials are retryable 429s
+// carrying the retry hint (header and retry_after_ms), a drain is a
+// 503, anything else is the job's own fault. Exported so the federation
+// gateway's edge denials are byte-identical to a member's.
+func WriteSubmitError(w http.ResponseWriter, err error, ids []workload.JobID, rejected int) {
+	status, e := http.StatusBadRequest, APIError{Code: CodeInvalidArgument, Message: err.Error()}
+	var denied *AdmissionError
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		status, e.Code = http.StatusTooManyRequests, CodeQueueFull
+		e.RetryAfterMS = DefaultQueueFullRetry.Milliseconds()
+		SetRetryAfter(w, DefaultQueueFullRetry)
+	case errors.As(err, &denied):
+		status, e.Code, e.Reason = http.StatusTooManyRequests, CodeAdmissionDenied, denied.Reason
+		e.RetryAfterMS = denied.RetryAfter.Milliseconds()
+		SetRetryAfter(w, denied.RetryAfter)
+	case errors.Is(err, ErrStopped):
+		status, e.Code = http.StatusServiceUnavailable, CodeDraining
+	}
+	writeJSON(w, status, ErrorResponse{Error: e, IDs: ids, Rejected: rejected})
 }
 
 type handler struct{ api API }
@@ -272,59 +292,22 @@ type handler struct{ api API }
 func (h handler) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("read body: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("read body: %v", err))
 		return
 	}
 	jobs, err := trace.DecodeSubmission(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
 		return
 	}
 	ids := make([]workload.JobID, 0, len(jobs))
 	for i, j := range jobs {
 		id, err := h.api.SubmitNowait(j)
-		var denied *AdmissionError
-		switch {
-		case err == nil:
-			ids = append(ids, id)
-		case errors.Is(err, ErrQueueFull):
-			SetRetryAfter(w, DefaultQueueFullRetry)
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-				Error: APIError{
-					Code: CodeQueueFull, Message: err.Error(),
-					RetryAfterMS: DefaultQueueFullRetry.Milliseconds(),
-				},
-				IDs:      ids,
-				Rejected: len(jobs) - i,
-			})
-			return
-		case errors.As(err, &denied):
-			SetRetryAfter(w, denied.RetryAfter)
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-				Error: APIError{
-					Code: CodeAdmissionDenied, Message: err.Error(),
-					Reason:       denied.Reason,
-					RetryAfterMS: denied.RetryAfter.Milliseconds(),
-				},
-				IDs:      ids,
-				Rejected: len(jobs) - i,
-			})
-			return
-		case errors.Is(err, ErrStopped):
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
-				Error:    APIError{Code: CodeDraining, Message: err.Error()},
-				IDs:      ids,
-				Rejected: len(jobs) - i,
-			})
-			return
-		default:
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{
-				Error:    APIError{Code: CodeInvalidArgument, Message: err.Error()},
-				IDs:      ids,
-				Rejected: len(jobs) - i,
-			})
+		if err != nil {
+			WriteSubmitError(w, err, ids, len(jobs)-i)
 			return
 		}
+		ids = append(ids, id)
 	}
 	writeJSON(w, http.StatusAccepted, submitResponse{IDs: ids})
 }
@@ -334,7 +317,7 @@ func (h handler) listJobs(w http.ResponseWriter, r *http.Request) {
 	var f JobFilter
 	if st := q.Get("state"); st != "" {
 		if !ValidState(JobState(st)) {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument,
+			WriteError(w, http.StatusBadRequest, CodeInvalidArgument,
 				fmt.Sprintf("unknown state %q (valid: queued, admitted, running, completed)", st))
 			return
 		}
@@ -343,7 +326,7 @@ func (h handler) listJobs(w http.ResponseWriter, r *http.Request) {
 	f.Tenant = q.Get("tenant")
 	limit, err := queryInt(q.Get("limit"), DefaultJobsLimit)
 	if err != nil || limit < 1 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad limit %q", q.Get("limit")))
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad limit %q", q.Get("limit")))
 		return
 	}
 	if limit > MaxJobsLimit {
@@ -351,7 +334,7 @@ func (h handler) listJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	offset, err := queryInt(q.Get("offset"), 0)
 	if err != nil || offset < 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad offset %q", q.Get("offset")))
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad offset %q", q.Get("offset")))
 		return
 	}
 	jobs := h.api.Jobs(f)
@@ -378,12 +361,12 @@ func queryInt(s string, def int) (int, error) {
 func (h handler) job(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad job id %q", r.PathValue("id")))
+		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad job id %q", r.PathValue("id")))
 		return
 	}
 	info, ok := h.api.Job(workload.JobID(id))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no job %d", id))
+		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no job %d", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -403,11 +386,11 @@ func (h handler) admission(w http.ResponseWriter, r *http.Request) {
 
 func (h handler) health(w http.ResponseWriter, r *http.Request) {
 	if err := h.api.Err(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, CodeInternal, fmt.Sprintf("scheduling loop failed: %v", err))
+		WriteError(w, http.StatusServiceUnavailable, CodeInternal, fmt.Sprintf("scheduling loop failed: %v", err))
 		return
 	}
 	if h.api.Draining() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -415,17 +398,17 @@ func (h handler) health(w http.ResponseWriter, r *http.Request) {
 
 func (h handler) ready(w http.ResponseWriter, r *http.Request) {
 	if err := h.api.Err(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, CodeInternal, fmt.Sprintf("scheduling loop failed: %v", err))
+		WriteError(w, http.StatusServiceUnavailable, CodeInternal, fmt.Sprintf("scheduling loop failed: %v", err))
 		return
 	}
 	if h.api.Draining() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
 	}
 	if !h.api.Ready() {
 		// Alive but not serving yet: journal replay or takeover absorption
 		// still running, scheduling loops not started.
-		writeError(w, http.StatusServiceUnavailable, CodeNotReady, "not ready")
+		WriteError(w, http.StatusServiceUnavailable, CodeNotReady, "not ready")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -1,0 +1,317 @@
+package service
+
+// The write side: every way a job enters this service's admission queue
+// — external submission, the donation API the shard rebalancer drives,
+// and (in restore.go) journal replay — goes through enqueueLocked, so
+// the ordering that makes intake crash-safe and race-free is stated
+// once.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"dollymp/internal/admission"
+	"dollymp/internal/journal"
+	"dollymp/internal/workload"
+)
+
+// ErrQueueFull is returned by SubmitNowait when the admission queue is
+// at capacity; the caller should retry later (HTTP 429).
+var ErrQueueFull = errors.New("service: admission queue full")
+
+// ErrStopped is returned by Submit after Stop has begun: the service is
+// draining and accepts no new work.
+var ErrStopped = errors.New("service: stopped")
+
+// ErrAdmissionDenied is the sentinel every *AdmissionError unwraps to:
+// the edge admission policy refused the job before it reached the
+// queue. Unlike ErrQueueFull this is a policy decision, not a capacity
+// fact — the HTTP layer maps it to 429 admission_denied so clients can
+// distinguish "the system chose not to take you" from "the queue is
+// physically full".
+var ErrAdmissionDenied = errors.New("service: admission denied")
+
+// AdmissionError carries the policy's denial verdict: the
+// machine-readable reason and the server's retry hint, both surfaced in
+// the HTTP error envelope. It unwraps to ErrAdmissionDenied.
+type AdmissionError struct {
+	// Reason is the policy's denial reason (admission.Reason*).
+	Reason string
+	// RetryAfter is the server's hint for when retrying is worth it;
+	// zero means immediately.
+	RetryAfter time.Duration
+}
+
+func (e *AdmissionError) Error() string {
+	if e.Reason == "" {
+		return ErrAdmissionDenied.Error()
+	}
+	return fmt.Sprintf("%s (%s)", ErrAdmissionDenied.Error(), e.Reason)
+}
+
+// Unwrap makes errors.Is(err, ErrAdmissionDenied) work.
+func (e *AdmissionError) Unwrap() error { return ErrAdmissionDenied }
+
+// ChargeAdmission is the edge-admission step every decision point — a
+// directly-driven service, the shard router, the federation gateway —
+// runs on an external submission: the job is validated first, so a
+// malformed submission never burns admission budget; then the policy
+// (nil means unpoliced) is charged exactly once against the pressure
+// view snap reports. A denial is counted through denied and returned as
+// *AdmissionError.
+func ChargeAdmission(ctx context.Context, p admission.Policy, snap admission.SnapshotProvider, j *workload.Job, denied func()) error {
+	if j == nil {
+		return errors.New("service: nil job")
+	}
+	if err := j.Validate(); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	if p == nil {
+		return nil
+	}
+	d := p.Admit(ctx, j, snap.AdmissionSnapshot())
+	if d.Admit {
+		return nil
+	}
+	denied()
+	return &AdmissionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
+}
+
+// Submit validates a job and enqueues it, waiting for queue space if the
+// admission queue is full: the cancellable-queue-wait entry point. It
+// returns ctx.Err() if the context expires first and ErrStopped once a
+// drain begins. Use SubmitNowait for immediate-backpressure (429)
+// semantics.
+func (s *Service) Submit(ctx context.Context, j *workload.Job) (workload.JobID, error) {
+	if err := s.precheck(ctx, j); err != nil {
+		return 0, err
+	}
+	for {
+		// Grab the admission broadcast channel before trying: any admit
+		// after this point closes admitCh, so a full-queue failure below
+		// cannot miss the wakeup that frees space.
+		s.mu.RLock()
+		wait := s.admitCh
+		s.mu.RUnlock()
+		id, err := s.submit(j, false)
+		if !errors.Is(err, ErrQueueFull) {
+			return id, err
+		}
+		select {
+		case <-wait:
+		case <-s.stopCh:
+			return 0, ErrStopped
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	}
+}
+
+// SubmitNowait validates a job, assigns it a fresh ID (any
+// caller-provided ID is overwritten — the service owns its ID space),
+// and enqueues it. It never blocks: a full queue returns ErrQueueFull.
+// The service takes ownership of the job. The stopping check and the
+// enqueue happen under one critical section, so a job accepted here is
+// always seen by the drain — Stop never strands an accepted job.
+func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
+	if err := s.precheck(context.Background(), j); err != nil {
+		return 0, err
+	}
+	return s.submit(j, true)
+}
+
+// precheck runs what precedes any queue interaction: validation, then
+// the admission policy, charged exactly once per external submission
+// attempt — Submit's queue-space retry loop calls submit directly, so
+// waiting out a full queue does not burn extra admission budget.
+func (s *Service) precheck(ctx context.Context, j *workload.Job) error {
+	return ChargeAdmission(ctx, s.cfg.Admission, s, j, func() {
+		s.mu.Lock()
+		s.counts.Denied++
+		s.mDenied.Inc()
+		s.mu.Unlock()
+	})
+}
+
+// enqueueLocked is the one step by which a job — already carrying its
+// ID — enters this service's admission queue, and it owns the whole
+// discipline; the caller holds mu and brings only its own precondition.
+//
+//   - Fullness is checked first: ErrQueueFull leaves no trace.
+//   - The spec is journaled (and so marshalled) before the job is
+//     visible anywhere: the channel send hands j to the loop, which
+//     rewrites its arrival outside mu, and a job the journal refused
+//     must not run. A journal failure has already failed the service
+//     (journalLocked) when it is returned.
+//   - The lifecycle record is registered before the send: the loop may
+//     admit the job immediately.
+//   - The send cannot block — space was checked and every sender
+//     serializes on mu — and Counts.Submitted and the outstanding task
+//     volume move in the same critical section, so Load never sees a
+//     queue entry without its accounting.
+//
+// The returned sequence is durable only after a Commit covering it; 0
+// when journaling is off. The submission metric is the caller's: a
+// migrated job was already counted where it first arrived.
+func (s *Service) enqueueLocked(j *workload.Job, op journal.Op) (seq uint64, err error) {
+	if len(s.subCh) == cap(s.subCh) {
+		return 0, ErrQueueFull
+	}
+	j.Arrival = 0 // clamped to the live clock at injection
+	info := queuedInfo(j)
+	if seq, err = s.journalLocked(journal.Record{Op: op, ID: j.ID, Job: j}); err != nil {
+		return 0, err
+	}
+	s.jobs[j.ID] = info
+	s.subCh <- j
+	s.counts.Submitted++
+	s.tasksOut += int64(info.Tasks)
+	return seq, nil
+}
+
+// submit assigns an ID and enqueues a prechecked job. Callers must have
+// run precheck first.
+func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, error) {
+	s.mu.Lock()
+	if s.stopping {
+		s.mu.Unlock()
+		return 0, ErrStopped
+	}
+	id := s.nextID
+	j.ID = id
+	seq, err := s.enqueueLocked(j, journal.OpSubmitted)
+	if err != nil {
+		if countReject && errors.Is(err, ErrQueueFull) {
+			// Counter and count move inside one critical section, so a
+			// /metrics scrape never disagrees with /v1 accounting.
+			s.counts.Rejected++
+			s.mRejected.Inc()
+		}
+		s.mu.Unlock()
+		return 0, err
+	}
+	// The ID is taken only now: a refused job leaves the allocator alone.
+	s.nextID += workload.JobID(s.cfg.IDStride)
+	s.mSubmitted.Inc()
+	s.mu.Unlock()
+	if s.cfg.Journal != nil {
+		// Group-commit outside the lock: the submission is acknowledged
+		// only once its record is on disk, and concurrent submitters
+		// share one fsync. The job is already queued; if the disk
+		// refuses, the service fails loudly rather than keep accepting
+		// work it cannot promise to remember.
+		if err := s.cfg.Journal.Commit(seq); err != nil {
+			err = fmt.Errorf("service: journal submit %d: %w", id, err)
+			s.fail(err)
+			return 0, err
+		}
+	}
+	return id, nil
+}
+
+// StealQueued removes and returns up to max still-queued jobs — the
+// work-stealing donation path. Only jobs sitting in the admission queue
+// are stealable: once the loop has admitted a job into its engine it is
+// owned by that engine for good. The extraction runs entirely under mu
+// (queue receive, lifecycle-record removal, accounting), so it respects
+// the single-writer contract — the engine is never touched — and a
+// racing admit simply wins the job: each queue entry goes to exactly
+// one of the loop or the thief. A draining service donates nothing; its
+// own loop is already committed to finishing the queue.
+//
+// The caller (the shard rebalancer) takes ownership of the returned
+// jobs and must re-home every one of them via InjectQueued; the jobs
+// keep their assigned IDs.
+func (s *Service) StealQueued(max int) []*workload.Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopping {
+		return nil
+	}
+	var out []*workload.Job
+steal:
+	for len(out) < max {
+		select {
+		case j := <-s.subCh:
+			if info := s.jobs[j.ID]; info != nil {
+				s.tasksOut -= int64(info.Tasks)
+				delete(s.jobs, j.ID)
+				// Decrement only alongside a removed lifecycle record:
+				// a queue entry with no record was already accounted
+				// away (a pathological double-steal), and decrementing
+				// again would skew the deployment-wide Submitted
+				// invariant negative.
+				s.counts.Submitted--
+			}
+			// A failed append fails the service; the job still leaves
+			// with the thief, who must re-home it.
+			_, _ = s.journalLocked(journal.Record{Op: journal.OpStolen, ID: j.ID})
+			out = append(out, j)
+		default:
+			break steal // queue empty (or the loop drained the rest first)
+		}
+	}
+	if len(out) > 0 {
+		// The steal freed queue space: wake blocked Submit waiters just
+		// like an admission does.
+		s.wakeLocked()
+	}
+	return out
+}
+
+// InjectQueued accepts migrated jobs that already carry IDs from
+// another shard's residue class — the receiving half of the donation
+// path. Jobs are enqueued exactly like a fresh submission except that
+// the service does not assign IDs and does not bump the submission
+// metric (the job was already counted where it first arrived;
+// Counts.Submitted moves shard-to-shard so the deployment-wide sum is
+// invariant). The injected record carries the full spec so this shard's
+// segment replays alone; durability rides the next fsync — replay
+// dedupes against the donor's segment either way. Returns how many jobs
+// were accepted, always a prefix of jobs — a full queue, a draining
+// service or a journal failure stops the intake and the caller re-homes
+// the rest.
+func (s *Service) InjectQueued(jobs []*workload.Job) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopping {
+		return 0
+	}
+	for n, j := range jobs {
+		if _, err := s.enqueueLocked(j, journal.OpInjected); err != nil {
+			return n
+		}
+	}
+	return len(jobs)
+}
+
+// ForceRequeue puts stolen jobs back even on a draining service — the
+// last-resort leg of a migration whose every candidate target started
+// draining mid-flight. The router's Stop quiesces the rebalancer before
+// any shard drains, so this path is unreachable in the router
+// lifecycle; it exists so a direct per-shard Stop racing a migration
+// surfaces loudly instead of silently dropping accepted jobs: a job
+// that cannot be requeued (queue refilled, journal refused it, or the
+// loop already took its drain-exit decision) fails the service. A
+// draining-but-running loop still finishes its queue, so requeued jobs
+// complete; the loop-exit decision and this enqueue share mu, so the
+// loop either sees the refilled queue and keeps draining or had already
+// exited and the requeue is refused.
+func (s *Service) ForceRequeue(jobs []*workload.Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var stranded []workload.JobID
+	for _, j := range jobs {
+		if !s.loopExited {
+			if _, err := s.enqueueLocked(j, journal.OpInjected); err == nil {
+				continue
+			}
+		}
+		stranded = append(stranded, j.ID)
+	}
+	if len(stranded) > 0 {
+		s.failLocked(fmt.Errorf("service: %d migrated jobs could not be requeued (first: %d)", len(stranded), stranded[0]))
+	}
+}

@@ -28,10 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dollymp/internal/admission"
 	"dollymp/internal/cluster"
@@ -41,43 +39,6 @@ import (
 	"dollymp/internal/sim"
 	"dollymp/internal/workload"
 )
-
-// ErrQueueFull is returned by SubmitNowait when the admission queue is
-// at capacity; the caller should retry later (HTTP 429).
-var ErrQueueFull = errors.New("service: admission queue full")
-
-// ErrStopped is returned by Submit after Stop has begun: the service is
-// draining and accepts no new work.
-var ErrStopped = errors.New("service: stopped")
-
-// ErrAdmissionDenied is the sentinel every *AdmissionError unwraps to:
-// the edge admission policy refused the job before it reached the
-// queue. Unlike ErrQueueFull this is a policy decision, not a capacity
-// fact — the HTTP layer maps it to 429 admission_denied so clients can
-// distinguish "the system chose not to take you" from "the queue is
-// physically full".
-var ErrAdmissionDenied = errors.New("service: admission denied")
-
-// AdmissionError carries the policy's denial verdict: the
-// machine-readable reason and the server's retry hint, both surfaced in
-// the HTTP error envelope. It unwraps to ErrAdmissionDenied.
-type AdmissionError struct {
-	// Reason is the policy's denial reason (admission.Reason*).
-	Reason string
-	// RetryAfter is the server's hint for when retrying is worth it;
-	// zero means immediately.
-	RetryAfter time.Duration
-}
-
-func (e *AdmissionError) Error() string {
-	if e.Reason == "" {
-		return ErrAdmissionDenied.Error()
-	}
-	return fmt.Sprintf("%s (%s)", ErrAdmissionDenied.Error(), e.Reason)
-}
-
-// Unwrap makes errors.Is(err, ErrAdmissionDenied) work.
-func (e *AdmissionError) Unwrap() error { return ErrAdmissionDenied }
 
 // ErrNotDrained is returned by Result while the scheduling loop is
 // still running — a Stop whose context expired leaves the loop alive,
@@ -142,184 +103,6 @@ type Config struct {
 // DefaultQueueCap is the admission-queue bound when Config.QueueCap is 0.
 const DefaultQueueCap = 1024
 
-// JobState labels a job's position in the service lifecycle.
-type JobState string
-
-// Lifecycle states, in order.
-const (
-	StateQueued    JobState = "queued"
-	StateAdmitted  JobState = "admitted"
-	StateRunning   JobState = "running"
-	StateCompleted JobState = "completed"
-)
-
-// ValidState reports whether s names a lifecycle state (the HTTP layer
-// validates ?state= filters with it). The empty string is not valid.
-func ValidState(s JobState) bool {
-	switch s {
-	case StateQueued, StateAdmitted, StateRunning, StateCompleted:
-		return true
-	}
-	return false
-}
-
-// JobInfo is the externally visible record of one submitted job. Slot
-// fields are -1 until the lifecycle reaches them.
-type JobInfo struct {
-	ID   workload.JobID `json:"id"`
-	Name string         `json:"name"`
-	App  string         `json:"app"`
-	// Tenant is the submitter label the job carried, if any — the key
-	// per-tenant admission decisions and ?tenant= filters use.
-	Tenant     string   `json:"tenant,omitempty"`
-	State      JobState `json:"state"`
-	Tasks      int            `json:"tasks"`
-	Arrival    int64          `json:"arrival_slot"`
-	FirstStart int64          `json:"first_start_slot"`
-	Finish     int64          `json:"finish_slot"`
-	// Flowtime is finish − arrival in slots: the job's JCT, the
-	// paper's primary metric, stamped at completion.
-	Flowtime int64 `json:"flowtime_slots"`
-}
-
-// JobFilter selects jobs for Jobs. The zero value selects everything.
-type JobFilter struct {
-	// State keeps only jobs in that lifecycle state; empty keeps all.
-	State JobState
-	// Tenant keeps only jobs with that tenant label; empty keeps all.
-	// (There is no way to select specifically tenant-less jobs — the
-	// empty string means "no filter", matching ?tenant= semantics.)
-	Tenant string
-}
-
-// Counts summarizes the service's job accounting.
-type Counts struct {
-	Submitted int64 `json:"submitted"`
-	Admitted  int64 `json:"admitted"`
-	Completed int64 `json:"completed"`
-	Rejected  int64 `json:"rejected"`
-	// Denied counts submissions refused by the edge admission policy
-	// (never assigned an ID); Rejected counts queue-full backpressure.
-	// omitempty keeps policy-less deployments' JSON unchanged.
-	Denied int64 `json:"denied,omitempty"`
-}
-
-// Add accumulates other into c (the router sums per-shard counts).
-func (c *Counts) Add(other Counts) {
-	c.Submitted += other.Submitted
-	c.Admitted += other.Admitted
-	c.Completed += other.Completed
-	c.Rejected += other.Rejected
-	c.Denied += other.Denied
-}
-
-// Load is a shard's routing signal: how much accepted-but-unfinished
-// work it holds. The router compares loads lexicographically — queue
-// depth first (jobs not even admitted yet), then outstanding task
-// volume (admitted work still running).
-type Load struct {
-	// QueueDepth is the number of jobs waiting in the admission queue.
-	QueueDepth int
-	// Jobs is submitted − completed: accepted jobs not yet finished.
-	Jobs int64
-	// Tasks is the outstanding task volume: total tasks of accepted,
-	// unfinished jobs.
-	Tasks int64
-}
-
-// Less orders loads lexicographically by (queue depth, outstanding
-// tasks, outstanding jobs): the power-of-two-choices comparison.
-func (l Load) Less(other Load) bool {
-	if l.QueueDepth != other.QueueDepth {
-		return l.QueueDepth < other.QueueDepth
-	}
-	if l.Tasks != other.Tasks {
-		return l.Tasks < other.Tasks
-	}
-	return l.Jobs < other.Jobs
-}
-
-// ShardStatus is one scheduling loop's slice of a /v1/shards response.
-type ShardStatus struct {
-	Shard      int    `json:"shard"`
-	QueueDepth int    `json:"queue_depth"`
-	ActiveJobs int    `json:"active_jobs"`
-	Clock      int64  `json:"clock_slots"`
-	Draining   bool   `json:"draining"`
-	Jobs       Counts `json:"jobs"`
-	// ReplayedJobs counts jobs restored from this shard's journal at
-	// startup (0 when journaling is off or the journal was empty).
-	ReplayedJobs int64 `json:"replayed_jobs,omitempty"`
-}
-
-// JournalStatus is the recovery-state slice of a status response:
-// whether intake is journaled, what this process has written, and what
-// the startup replay recovered.
-type JournalStatus struct {
-	Enabled bool `json:"enabled"`
-	// Records counts journal records appended by this process.
-	Records int64 `json:"records_written"`
-	// ReplayedRecords counts intact records scanned at startup.
-	ReplayedRecords int64 `json:"replayed_records"`
-	// ReplayedJobs counts jobs restored at startup (completed history
-	// plus re-enqueued unfinished work); ReplayedPending is the
-	// re-enqueued subset.
-	ReplayedJobs    int64 `json:"replayed_jobs"`
-	ReplayedPending int64 `json:"replayed_pending"`
-	// TruncatedBytes counts torn-tail bytes dropped at startup.
-	TruncatedBytes int64 `json:"truncated_bytes"`
-	// Segments and StaleSegments describe the journal directory of a
-	// sharded deployment: segments in use by this topology, and
-	// leftover segments of a previous one replayed read-only. Both are
-	// 0 for a single journaled service.
-	Segments      int `json:"segments,omitempty"`
-	StaleSegments int `json:"stale_segments,omitempty"`
-}
-
-// Add accumulates other into js (the router sums per-shard status).
-func (js *JournalStatus) Add(other JournalStatus) {
-	js.Enabled = js.Enabled || other.Enabled
-	js.Records += other.Records
-	js.ReplayedRecords += other.ReplayedRecords
-	js.ReplayedJobs += other.ReplayedJobs
-	js.ReplayedPending += other.ReplayedPending
-	js.TruncatedBytes += other.TruncatedBytes
-	js.Segments += other.Segments
-	js.StaleSegments += other.StaleSegments
-}
-
-// ServerInfo is one server's slice of a cluster snapshot.
-type ServerInfo struct {
-	ID       int     `json:"id"`
-	Name     string  `json:"name"`
-	Rack     int     `json:"rack"`
-	Speed    float64 `json:"speed"`
-	CPUMilli int64   `json:"cpu_milli"`
-	MemMiB   int64   `json:"mem_mib"`
-	UsedCPU  int64   `json:"used_cpu_milli"`
-	UsedMem  int64   `json:"used_mem_mib"`
-	Failed   bool    `json:"failed"`
-}
-
-// ClusterSnapshot is a consistent read of cluster and queue state, taken
-// by the scheduling loop after each step.
-type ClusterSnapshot struct {
-	Scheduler      string       `json:"scheduler"`
-	Shards         int          `json:"shards"`
-	Clock          int64        `json:"clock_slots"`
-	ActiveJobs     int          `json:"active_jobs"`
-	PendingArrival int          `json:"pending_arrivals"`
-	QueueDepth     int          `json:"queue_depth"`
-	Draining       bool         `json:"draining"`
-	Jobs           Counts       `json:"jobs"`
-	UtilizationCPU float64      `json:"utilization_cpu"`
-	UtilizationMem float64      `json:"utilization_mem"`
-	Servers        []ServerInfo `json:"servers"`
-	// Journal exposes recovery state; nil when journaling is off, so
-	// the snapshot of an unjournaled service is unchanged.
-	Journal *JournalStatus `json:"journal,omitempty"`
-}
-
 // Service is the online scheduling daemon core. Create with New, start
 // with Start, submit with Submit or SubmitNowait, stop with Stop.
 type Service struct {
@@ -335,15 +118,15 @@ type Service struct {
 	mu         sync.RWMutex
 	stopping   bool // guarded by mu: serializes Submit against drain exit
 	loopExited bool // guarded by mu: the loop took its drain-exit decision
-	jobs     map[workload.JobID]*JobInfo
-	nextID   workload.JobID
-	counts   Counts
-	tasksOut int64 // outstanding task volume of accepted, unfinished jobs
-	clock    int64
-	snap     ClusterSnapshot
-	err      error
-	admitCh  chan struct{} // closed+replaced on every admit: queue-space broadcast
-	jnlStat  JournalStatus // guarded by mu; zero when cfg.Journal is nil
+	jobs       map[workload.JobID]*JobInfo
+	nextID     workload.JobID
+	counts     Counts
+	tasksOut   int64 // outstanding task volume of accepted, unfinished jobs
+	clock      int64
+	snap       ClusterSnapshot
+	err        error
+	admitCh    chan struct{} // closed+replaced on every admit: queue-space broadcast
+	jnlStat    JournalStatus // guarded by mu; zero when cfg.Journal is nil
 
 	reg        *metrics.Registry
 	mSubmitted *metrics.Counter
@@ -353,13 +136,13 @@ type Service struct {
 	// mDenied is nil unless cfg.Admission is set (registering it
 	// unconditionally would change the exposition of policy-less
 	// deployments); only the admission-deny path increments it.
-	mDenied *metrics.Counter
-	mQueue     *metrics.Gauge
-	mActive    *metrics.Gauge
-	mClock     *metrics.Gauge
-	mUtilCPU   *metrics.Gauge
-	mUtilMem   *metrics.Gauge
-	mJCT       *metrics.Histogram
+	mDenied  *metrics.Counter
+	mQueue   *metrics.Gauge
+	mActive  *metrics.Gauge
+	mClock   *metrics.Gauge
+	mUtilCPU *metrics.Gauge
+	mUtilMem *metrics.Gauge
+	mJCT     *metrics.Histogram
 
 	// Journal metrics; nil when cfg.Journal is nil (registering them
 	// unconditionally would change the exposition of an unjournaled
@@ -465,740 +248,25 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	return s.reg.Write(w)
 }
 
-// Submit validates a job and enqueues it, waiting for queue space if the
-// admission queue is full: the cancellable-queue-wait entry point. It
-// returns ctx.Err() if the context expires first and ErrStopped once a
-// drain begins. Use SubmitNowait for immediate-backpressure (429)
-// semantics.
-func (s *Service) Submit(ctx context.Context, j *workload.Job) (workload.JobID, error) {
-	if err := s.precheck(ctx, j); err != nil {
-		return 0, err
-	}
-	for {
-		// Grab the admission broadcast channel before trying: any admit
-		// after this point closes admitCh, so a full-queue failure below
-		// cannot miss the wakeup that frees space.
-		s.mu.RLock()
-		wait := s.admitCh
-		s.mu.RUnlock()
-		id, err := s.submit(j, false)
-		if !errors.Is(err, ErrQueueFull) {
-			return id, err
-		}
-		select {
-		case <-wait:
-		case <-s.stopCh:
-			return 0, ErrStopped
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-}
-
-// SubmitNowait validates a job, assigns it a fresh ID (any
-// caller-provided ID is overwritten — the service owns its ID space),
-// and enqueues it. It never blocks: a full queue returns ErrQueueFull.
-// The service takes ownership of the job. The stopping check and the
-// enqueue happen under one critical section, so a job accepted here is
-// always seen by the drain — Stop never strands an accepted job.
-func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
-	if err := s.precheck(context.Background(), j); err != nil {
-		return 0, err
-	}
-	return s.submit(j, true)
-}
-
-// precheck runs the validations that precede any queue interaction:
-// structural job validation, then the admission policy. The policy is
-// charged exactly once per external submission attempt — Submit's
-// queue-space retry loop below calls submit directly, so waiting out a
-// full queue does not burn extra admission budget.
-func (s *Service) precheck(ctx context.Context, j *workload.Job) error {
-	if j == nil {
-		return fmt.Errorf("service: nil job")
-	}
-	if err := j.Validate(); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	p := s.cfg.Admission
-	if p == nil {
-		return nil
-	}
-	if d := p.Admit(ctx, j, s.AdmissionSnapshot()); !d.Admit {
-		s.mu.Lock()
-		s.counts.Denied++
-		s.mDenied.Inc()
-		s.mu.Unlock()
-		return &AdmissionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
-	}
-	return nil
-}
-
-// submit assigns an ID and enqueues a prechecked job. Callers must have
-// run precheck first.
-func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, error) {
-	s.mu.Lock()
-	if s.stopping {
-		s.mu.Unlock()
-		return 0, ErrStopped
-	}
-	id := s.nextID
-	s.nextID += workload.JobID(s.cfg.IDStride)
-	j.ID = id
-	j.Arrival = 0 // clamped to the live clock at injection
-	info := &JobInfo{
-		ID: id, Name: j.Name, App: j.App, Tenant: j.Tenant, State: StateQueued,
-		Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-	}
-	if len(s.subCh) == cap(s.subCh) {
-		s.nextID -= workload.JobID(s.cfg.IDStride)
-		if countReject {
-			// Counter and count move inside one critical section, so a
-			// /metrics scrape never disagrees with /v1 accounting.
-			s.counts.Rejected++
-			s.mRejected.Inc()
-		}
-		s.mu.Unlock()
-		return 0, ErrQueueFull
-	}
-	// Journal (and so marshal) the spec BEFORE the job becomes visible on
-	// the channel: the send transfers ownership of j to the loop, which
-	// rewrites its arrival outside mu.
-	seq, jerr := s.journalLocked(journal.Record{Op: journal.OpSubmitted, ID: id, Job: j})
-	if jerr != nil {
-		s.nextID -= workload.JobID(s.cfg.IDStride)
-		s.mu.Unlock()
-		s.fail(jerr)
-		return 0, jerr
-	}
-	// The job must be fully stamped and registered before it becomes
-	// visible on the channel: the loop may admit it immediately.
-	s.jobs[id] = info
-	s.subCh <- j // space checked above; every sender serializes on mu
-	s.counts.Submitted++
-	s.tasksOut += int64(info.Tasks)
-	s.mSubmitted.Inc()
-	s.mu.Unlock()
-	if s.cfg.Journal != nil {
-		// Group-commit outside the lock: the submission is acknowledged
-		// only once its record is on disk, and concurrent submitters
-		// share one fsync. The job is already queued; if the disk
-		// refuses, the service fails loudly rather than keep accepting
-		// work it cannot promise to remember.
-		if err := s.cfg.Journal.Commit(seq); err != nil {
-			err = fmt.Errorf("service: journal submit %d: %w", id, err)
-			s.fail(err)
-			return 0, err
-		}
-	}
-	return id, nil
-}
-
 // journalLocked appends one record to the configured journal (a no-op
 // returning 0 when journaling is off). Callers hold mu, which gives the
 // journal the same total order as the in-memory lifecycle; the record
-// is durable only after a Commit covering seq. The returned error is
-// for the caller to surface after releasing mu — fail locks mu itself.
+// is durable only after a Commit covering seq. A failed append fails
+// the service here, in the same critical section — the durability
+// contract is broken — so callers only decide what to skip.
 func (s *Service) journalLocked(rec journal.Record) (seq uint64, err error) {
 	if s.cfg.Journal == nil {
 		return 0, nil
 	}
 	seq, err = s.cfg.Journal.Append(rec)
 	if err != nil {
-		return 0, fmt.Errorf("service: journal %s %d: %w", rec.Op, rec.ID, err)
+		err = fmt.Errorf("service: journal %s %d: %w", rec.Op, rec.ID, err)
+		s.failLocked(err)
+		return 0, err
 	}
 	s.jnlStat.Records++
 	s.mJnlRecords.Inc()
 	return seq, nil
-}
-
-// StealQueued removes and returns up to max still-queued jobs — the
-// work-stealing donation path. Only jobs sitting in the admission queue
-// are stealable: once the loop has admitted a job into its engine it is
-// owned by that engine for good. The extraction runs entirely under mu
-// (queue receive, lifecycle-record removal, accounting), so it respects
-// the single-writer contract — the engine is never touched — and a
-// racing admit simply wins the job: each queue entry goes to exactly
-// one of the loop or the thief. A draining service donates nothing; its
-// own loop is already committed to finishing the queue.
-//
-// The caller (the shard rebalancer) takes ownership of the returned
-// jobs and must re-home every one of them via InjectQueued; the jobs
-// keep their assigned IDs.
-func (s *Service) StealQueued(max int) []*workload.Job {
-	if max <= 0 {
-		return nil
-	}
-	var jerr error
-	defer func() {
-		if jerr != nil {
-			s.fail(jerr)
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopping {
-		return nil
-	}
-	var out []*workload.Job
-	for len(out) < max {
-		select {
-		case j := <-s.subCh:
-			if info := s.jobs[j.ID]; info != nil {
-				s.tasksOut -= int64(info.Tasks)
-				delete(s.jobs, j.ID)
-				// Decrement only alongside a removed lifecycle record:
-				// a queue entry with no record was already accounted
-				// away (a pathological double-steal), and decrementing
-				// again would skew the deployment-wide Submitted
-				// invariant negative.
-				s.counts.Submitted--
-			}
-			if _, err := s.journalLocked(journal.Record{Op: journal.OpStolen, ID: j.ID}); err != nil && jerr == nil {
-				jerr = err
-			}
-			out = append(out, j)
-		default:
-			// Queue empty (or the loop drained the rest first).
-			goto drained
-		}
-	}
-drained:
-	if len(out) > 0 {
-		// The steal freed queue space: wake blocked Submit waiters just
-		// like an admission does.
-		close(s.admitCh)
-		s.admitCh = make(chan struct{})
-	}
-	return out
-}
-
-// InjectQueued accepts migrated jobs that already carry IDs from
-// another shard's residue class — the receiving half of the donation
-// path. Jobs are registered and enqueued exactly like a fresh
-// submission except that the service does not assign IDs and does not
-// bump the submission metric (the job was already counted where it
-// first arrived; Counts.Submitted moves shard-to-shard so the
-// deployment-wide sum is invariant). Returns how many jobs were
-// accepted, always a prefix of jobs — a full queue or a draining
-// service stops the intake and the caller re-homes the rest.
-func (s *Service) InjectQueued(jobs []*workload.Job) int {
-	var jerr error
-	defer func() {
-		if jerr != nil {
-			s.fail(jerr)
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopping {
-		return 0
-	}
-	n := 0
-	for _, j := range jobs {
-		info := &JobInfo{
-			ID: j.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		if len(s.subCh) == cap(s.subCh) {
-			return n
-		}
-		// The injected record carries the full spec so this shard's
-		// segment replays alone; durability rides the next fsync —
-		// replay dedupes against the donor's segment either way. Marshal
-		// before the send: the loop owns j once it is on the channel.
-		if _, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: j.ID, Job: j}); err != nil && jerr == nil {
-			jerr = err
-		}
-		// Register before the send: the loop may admit immediately.
-		s.jobs[j.ID] = info
-		s.subCh <- j // space checked above; every sender serializes on mu
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-		n++
-	}
-	return n
-}
-
-// ForceRequeue puts stolen jobs back even on a draining service — the
-// last-resort leg of a migration whose every candidate target started
-// draining mid-flight. The router's Stop quiesces the rebalancer before
-// any shard drains, so this path is unreachable in the router
-// lifecycle; it exists so a direct per-shard Stop racing a migration
-// surfaces loudly instead of silently dropping accepted jobs: a job
-// that cannot be requeued (queue refilled, or the loop already took its
-// drain-exit decision) fails the service. A draining-but-running loop
-// still finishes its queue, so requeued jobs complete; the loop-exit
-// decision and this enqueue share mu, so the loop either sees the
-// refilled queue and keeps draining or had already exited and the
-// requeue is refused.
-func (s *Service) ForceRequeue(jobs []*workload.Job) {
-	s.mu.Lock()
-	var stranded []workload.JobID
-	var jerr error
-	for _, j := range jobs {
-		if s.loopExited {
-			stranded = append(stranded, j.ID)
-			continue
-		}
-		info := &JobInfo{
-			ID: j.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		if len(s.subCh) == cap(s.subCh) {
-			stranded = append(stranded, j.ID)
-			continue
-		}
-		if _, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: j.ID, Job: j}); err != nil && jerr == nil {
-			jerr = err
-		}
-		s.jobs[j.ID] = info
-		s.subCh <- j // space checked above; every sender serializes on mu
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-	}
-	s.mu.Unlock()
-	if jerr != nil {
-		s.fail(jerr)
-	}
-	if len(stranded) > 0 {
-		s.fail(fmt.Errorf("service: %d migrated jobs could not be requeued (first: %d)", len(stranded), stranded[0]))
-	}
-}
-
-// Restore seeds the service from replayed journal state; it must run
-// after New and before Start. Completed jobs come back as lifecycle
-// history (record, counts, and JCT observation — so counters stay
-// consistent with /v1 across a restart); unfinished jobs are
-// re-enqueued exactly like a fresh submission, keeping their IDs. The
-// engine is single-use, so replay re-injects through the admission
-// queue rather than resurrecting engine state: a previously admitted
-// job restarts from queued, its original arrival slot and partial
-// progress intentionally gone. Restored IDs advance the ID allocator
-// past them so new submissions never collide. records and truncated
-// are the segment-scan stats for status reporting.
-//
-// Re-enqueued jobs are re-journaled as `injected` records (and synced
-// before Restore returns), so a segment inherited from a different
-// shard topology can be retired: the job's spec now lives in this
-// shard's own segment.
-func (s *Service) Restore(jobs []*journal.ReplayJob, records, truncated int64) error {
-	if s.started.Load() {
-		return errors.New("service: Restore after Start")
-	}
-	s.mu.Lock()
-	var seq uint64
-	for _, rj := range jobs {
-		if rj.ID < 1 || s.jobs[rj.ID] != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("service: replayed job %d is invalid or duplicated", rj.ID)
-		}
-		s.bumpNextID(rj.ID)
-		if rj.Outcome == journal.OutcomeCompleted {
-			info := &JobInfo{
-				ID: rj.ID, State: StateCompleted,
-				Arrival: rj.Finish - rj.Flowtime, FirstStart: -1,
-				Finish: rj.Finish, Flowtime: rj.Flowtime,
-			}
-			if rj.Job != nil {
-				info.Name, info.App, info.Tasks = rj.Job.Name, rj.Job.App, rj.Job.TotalTasks()
-			}
-			s.jobs[rj.ID] = info
-			s.counts.Submitted++
-			s.counts.Completed++
-			s.mSubmitted.Inc()
-			s.mCompleted.Inc()
-			s.mJCT.Observe(float64(rj.Flowtime))
-			continue
-		}
-		if rj.Job == nil {
-			s.mu.Unlock()
-			return fmt.Errorf("service: replayed job %d has no spec", rj.ID)
-		}
-		j := rj.Job
-		j.ID = rj.ID
-		j.Arrival = 0 // clamped to the fresh engine's clock at injection
-		info := &JobInfo{
-			ID: rj.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		s.jobs[rj.ID] = info
-		select {
-		case s.subCh <- j:
-		default:
-			s.mu.Unlock()
-			return fmt.Errorf("service: replayed backlog exceeds queue capacity %d at job %d (restart with a larger queue)",
-				cap(s.subCh), rj.ID)
-		}
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-		s.mSubmitted.Inc()
-		sq, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: j})
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		seq = sq
-		s.jnlStat.ReplayedPending++
-	}
-	s.jnlStat.ReplayedJobs += int64(len(jobs))
-	s.jnlStat.ReplayedRecords += records
-	s.jnlStat.TruncatedBytes += truncated
-	if s.mJnlReplayed != nil {
-		s.mJnlReplayed.Set(float64(s.jnlStat.ReplayedJobs))
-	}
-	s.mu.Unlock()
-	if s.cfg.Journal != nil && seq > 0 {
-		if err := s.cfg.Journal.Commit(seq); err != nil {
-			return fmt.Errorf("service: journal restore: %w", err)
-		}
-	}
-	return nil
-}
-
-// Absorb is the runtime counterpart of Restore: it accepts jobs
-// replayed from a dead peer's adopted journal segments while this
-// service is live and scheduling. Completed jobs become lifecycle
-// history (counts and JCT observations included, so the deployment-wide
-// accounting survives the takeover); pending jobs are re-enqueued like
-// a fresh submission, keeping their IDs from the dead peer's residue
-// class. Everything absorbed is re-journaled into this service's own
-// segment — completed as `completed` records (with the spec as an
-// `injected` record when the replay preserved one), pending as
-// `injected` records — and committed before Absorb returns, so the
-// adopted segments can be retired: this journal now replays alone.
-//
-// Jobs already known to this service are skipped (a chained takeover
-// may replay work that migrated here earlier). The whole batch is
-// validated and capacity-checked first: if the pending subset does not
-// fit the free queue space, nothing is absorbed and the caller can
-// retry elsewhere — a half-adopted journal must not be retired.
-// Returns how many jobs were absorbed (skips excluded).
-func (s *Service) Absorb(jobs []*journal.ReplayJob) (int, error) {
-	s.mu.Lock()
-	if s.stopping {
-		s.mu.Unlock()
-		return 0, ErrStopped
-	}
-	free := cap(s.subCh) - len(s.subCh)
-	need := 0
-	for _, rj := range jobs {
-		if rj.ID < 1 {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("service: absorb: invalid job id %d", rj.ID)
-		}
-		if s.jobs[rj.ID] != nil {
-			continue
-		}
-		if rj.Outcome != journal.OutcomeCompleted {
-			if rj.Job == nil {
-				s.mu.Unlock()
-				return 0, fmt.Errorf("service: absorb: pending job %d has no spec", rj.ID)
-			}
-			need++
-		}
-	}
-	if need > free {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("service: absorb: %d pending jobs exceed free queue space %d: %w", need, free, ErrQueueFull)
-	}
-	var seq uint64
-	absorbed, pending := 0, 0
-	for _, rj := range jobs {
-		if s.jobs[rj.ID] != nil {
-			continue
-		}
-		s.bumpNextID(rj.ID)
-		if rj.Outcome == journal.OutcomeCompleted {
-			info := &JobInfo{
-				ID: rj.ID, State: StateCompleted,
-				Arrival: rj.Finish - rj.Flowtime, FirstStart: -1,
-				Finish: rj.Finish, Flowtime: rj.Flowtime,
-			}
-			if rj.Job != nil {
-				info.Name, info.App, info.Tasks = rj.Job.Name, rj.Job.App, rj.Job.TotalTasks()
-			}
-			s.jobs[rj.ID] = info
-			s.counts.Submitted++
-			s.counts.Completed++
-			s.mSubmitted.Inc()
-			s.mCompleted.Inc()
-			s.mJCT.Observe(float64(rj.Flowtime))
-			if rj.Job != nil {
-				if sq, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: rj.Job}); err != nil {
-					s.mu.Unlock()
-					s.fail(err)
-					return absorbed, err
-				} else if sq > seq {
-					seq = sq
-				}
-			}
-			if sq, err := s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: rj.ID, Finish: rj.Finish, Flowtime: rj.Flowtime}); err != nil {
-				s.mu.Unlock()
-				s.fail(err)
-				return absorbed, err
-			} else if sq > seq {
-				seq = sq
-			}
-			absorbed++
-			continue
-		}
-		j := rj.Job
-		j.ID = rj.ID
-		j.Arrival = 0 // clamped to the live clock at injection
-		info := &JobInfo{
-			ID: rj.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		// Marshal into the journal before the send: once j is on the
-		// channel the loop owns it and may rewrite its arrival.
-		if sq, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: j}); err != nil {
-			s.mu.Unlock()
-			s.fail(err)
-			return absorbed, err
-		} else if sq > seq {
-			seq = sq
-		}
-		s.jobs[rj.ID] = info
-		s.subCh <- j // pre-checked against free space; senders serialize on mu
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-		s.mSubmitted.Inc()
-		absorbed++
-		pending++
-	}
-	s.jnlStat.ReplayedJobs += int64(absorbed)
-	s.jnlStat.ReplayedPending += int64(pending)
-	if s.mJnlReplayed != nil {
-		s.mJnlReplayed.Set(float64(s.jnlStat.ReplayedJobs))
-	}
-	s.mu.Unlock()
-	if s.cfg.Journal != nil && seq > 0 {
-		// Durable before the caller retires the adopted segments: the
-		// absorbed jobs' only remaining home is this journal.
-		if err := s.cfg.Journal.Commit(seq); err != nil {
-			err = fmt.Errorf("service: journal absorb: %w", err)
-			s.fail(err)
-			return absorbed, err
-		}
-	}
-	return absorbed, nil
-}
-
-// bumpNextID advances the ID allocator past a restored ID, staying on
-// this service's residue class. Caller holds mu.
-func (s *Service) bumpNextID(id workload.JobID) {
-	if id < s.nextID {
-		return
-	}
-	stride := workload.JobID(s.cfg.IDStride)
-	d := (id - s.cfg.IDBase) % stride // ≥ 0: id ≥ nextID ≥ IDBase
-	s.nextID = id + stride - d
-}
-
-// Job returns the lifecycle record for one job.
-func (s *Service) Job(id workload.JobID) (JobInfo, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	info, ok := s.jobs[id]
-	if !ok {
-		return JobInfo{}, false
-	}
-	return *info, true
-}
-
-// Jobs returns the lifecycle records matching the filter, sorted by ID.
-func (s *Service) Jobs(f JobFilter) []JobInfo {
-	s.mu.RLock()
-	out := make([]JobInfo, 0, len(s.jobs))
-	for _, info := range s.jobs {
-		if f.State != "" && info.State != f.State {
-			continue
-		}
-		if f.Tenant != "" && info.Tenant != f.Tenant {
-			continue
-		}
-		out = append(out, *info)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Counts returns the current job accounting.
-func (s *Service) Counts() Counts {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.counts
-}
-
-// Load returns the routing signal: queue depth plus outstanding job and
-// task volume. Cheap enough for the router to call on every placement.
-// All three fields are read under one critical section so p2c
-// comparisons never see a torn (QueueDepth, Tasks) pair — the queue
-// length and the accounting it must agree with change together under mu
-// on the submit and steal paths.
-func (s *Service) Load() Load {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Load{
-		QueueDepth: len(s.subCh),
-		Jobs:       s.counts.Submitted - s.counts.Completed,
-		Tasks:      s.tasksOut,
-	}
-}
-
-// AdmissionSnapshot implements admission.SnapshotProvider: the pressure
-// view fed to the edge policy at decision time. Queue depth, cap, and
-// the loop's last published engine state are read under one critical
-// section.
-func (s *Service) AdmissionSnapshot() admission.Snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return admission.Snapshot{
-		QueueDepth:      len(s.subCh),
-		QueueCap:        cap(s.subCh),
-		ActiveJobs:      s.snap.ActiveJobs,
-		Clock:           s.clock,
-		PendingArrivals: s.snap.PendingArrival,
-	}
-}
-
-// AdmissionStatus is the /v1/admission response: which edge policy
-// guards the queue and its cumulative decision accounting.
-type AdmissionStatus struct {
-	// Policy names the active policy; "none" when submissions are
-	// unpoliced.
-	Policy string `json:"policy"`
-	// Denied counts submissions this endpoint refused by policy (same
-	// number as Counts.Denied).
-	Denied int64 `json:"denied"`
-	// Stats is the policy's own accounting (per-tenant breakdown for
-	// fair policies); absent when Policy is "none".
-	Stats *admission.Stats `json:"stats,omitempty"`
-}
-
-// Add folds another endpoint's status into a (the gateway sums member
-// views; policy names join with "+" when they differ).
-func (a *AdmissionStatus) Add(other AdmissionStatus) {
-	if a.Policy != other.Policy {
-		if a.Policy == "" || a.Policy == "none" {
-			a.Policy = other.Policy
-		} else if other.Policy != "" && other.Policy != "none" {
-			a.Policy += "+" + other.Policy
-		}
-	}
-	a.Denied += other.Denied
-	if other.Stats == nil {
-		return
-	}
-	if a.Stats == nil {
-		merged := *other.Stats
-		a.Stats = &merged
-		if other.Stats.Tenants != nil {
-			a.Stats.Tenants = make(map[string]admission.TenantStats, len(other.Stats.Tenants))
-			for k, v := range other.Stats.Tenants {
-				a.Stats.Tenants[k] = v
-			}
-		}
-		return
-	}
-	a.Stats.Admitted += other.Stats.Admitted
-	a.Stats.Denied += other.Stats.Denied
-	for k, v := range other.Stats.Tenants {
-		if a.Stats.Tenants == nil {
-			a.Stats.Tenants = make(map[string]admission.TenantStats)
-		}
-		t := a.Stats.Tenants[k]
-		t.Admitted += v.Admitted
-		t.Denied += v.Denied
-		t.Weight = v.Weight
-		a.Stats.Tenants[k] = t
-	}
-}
-
-// Admission returns the edge-admission view for /v1/admission. Part of
-// the API interface shared with the shard router and the gateway.
-func (s *Service) Admission() AdmissionStatus {
-	st := AdmissionStatus{Policy: "none"}
-	if p := s.cfg.Admission; p != nil {
-		stats := p.Stats()
-		st.Policy = p.Name()
-		st.Stats = &stats
-	}
-	s.mu.RLock()
-	st.Denied = s.counts.Denied
-	s.mu.RUnlock()
-	return st
-}
-
-// Draining reports whether a drain has begun (Stop called or the loop
-// failed). Exposed so the router and health checks see shard state
-// without building a full snapshot.
-func (s *Service) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stopping
-}
-
-// Ready reports whether the service is fully serving: the scheduling
-// loop has been started and neither a drain nor a terminal error has
-// begun. Restore runs before Start, so a journaled restart is not ready
-// until its replay is finished and re-journaled. Part of the API
-// interface (/readyz).
-func (s *Service) Ready() bool {
-	if !s.started.Load() {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return !s.stopping && s.err == nil
-}
-
-// Status returns the service's slice of a /v1/shards response, with
-// Shard left at 0 — the router stamps the index. The queue depth is
-// snapshotted under the same critical section as the counts, so
-// /v1/shards rows are internally consistent.
-func (s *Service) Status() ShardStatus {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return ShardStatus{
-		QueueDepth:   len(s.subCh),
-		ActiveJobs:   s.snap.ActiveJobs,
-		Clock:        s.clock,
-		Draining:     s.stopping,
-		Jobs:         s.counts,
-		ReplayedJobs: s.jnlStat.ReplayedJobs,
-	}
-}
-
-// Shards returns the single-loop view of /v1/shards: one entry. Part of
-// the API interface shared with the shard router.
-func (s *Service) Shards() []ShardStatus { return []ShardStatus{s.Status()} }
-
-// Snapshot returns the most recent cluster/queue snapshot. The queue
-// depth, counts, and draining flag are read live under one critical
-// section; everything else is the state the loop published after its
-// last step.
-func (s *Service) Snapshot() ClusterSnapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := s.snap
-	snap.Jobs = s.counts
-	snap.Draining = s.stopping
-	snap.QueueDepth = len(s.subCh)
-	if s.cfg.Journal != nil {
-		js := s.jnlStat
-		snap.Journal = &js
-	}
-	return snap
-}
-
-// Err returns the scheduling loop's terminal error, if any.
-func (s *Service) Err() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.err
 }
 
 // Stop begins a graceful drain: no new submissions are accepted, queued
@@ -1327,17 +395,10 @@ func (s *Service) admit(j *workload.Job) uint64 {
 	}
 	s.counts.Admitted++
 	s.mAdmitted.Inc() // same critical section as counts: scrapes agree with /v1
-	seq, jerr := s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
-	// Broadcast the freed queue slot to blocked Submit callers: close
-	// the current admission channel and replace it. Waiters that
-	// grabbed the old channel wake and retry.
-	close(s.admitCh)
-	s.admitCh = make(chan struct{})
+	// A failed append has failed the service; the loop exits on Err.
+	seq, _ := s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
+	s.wakeLocked() // the admit freed a queue slot
 	s.mu.Unlock()
-	if jerr != nil {
-		s.fail(jerr)
-		return 0
-	}
 	return seq
 }
 
@@ -1365,11 +426,9 @@ func (s *Service) onJobComplete(m sim.JobMetrics) {
 	s.mJCT.Observe(float64(m.Flowtime))
 	// The completed record rides the next fsync: losing it to a crash
 	// re-runs the job after replay (at-least-once), it never loses one.
-	_, jerr := s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: m.ID, Finish: m.Finish, Flowtime: m.Flowtime})
+	// A failed append has failed the service; the loop exits on Err.
+	_, _ = s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: m.ID, Finish: m.Finish, Flowtime: m.Flowtime})
 	s.mu.Unlock()
-	if jerr != nil {
-		s.fail(jerr)
-	}
 }
 
 // publish refreshes the shared snapshot and gauges from engine state.
@@ -1408,17 +467,31 @@ func (s *Service) publish() {
 	s.mUtilMem.Set(snap.UtilizationMem)
 }
 
+// fail records the service's terminal error (the first one wins) and
+// begins a drain.
 func (s *Service) fail(err error) {
 	s.mu.Lock()
+	s.failLocked(err)
+	s.mu.Unlock()
+}
+
+func (s *Service) failLocked(err error) {
 	if s.err == nil {
 		s.err = err
 	}
 	s.stopping = true
-	// Wake blocked Submit waiters so they observe stopping and return
-	// ErrStopped instead of waiting on a loop that is gone.
+	// Blocked Submit waiters must observe stopping and return ErrStopped
+	// instead of waiting on a loop that is gone.
+	s.wakeLocked()
+}
+
+// wakeLocked broadcasts to blocked Submit callers that the queue or the
+// lifecycle changed: it closes the current admission channel and
+// replaces it, so waiters that grabbed the old one wake and retry.
+// Caller holds mu.
+func (s *Service) wakeLocked() {
 	close(s.admitCh)
 	s.admitCh = make(chan struct{})
-	s.mu.Unlock()
 }
 
 func serverInfos(c *cluster.Cluster) []ServerInfo {

@@ -182,6 +182,7 @@ type Router struct {
 
 	mu  sync.Mutex
 	rng *stats.RNG
+	all []int // 0..P-1: p2c's candidate set when every shard is eligible
 
 	// Work-stealing state (used only when cfg.Steal).
 	//
@@ -333,6 +334,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		r.shards = append(r.shards, svc)
+		r.all = append(r.all, k)
 		r.routed = append(r.routed, r.rtrReg.Counter("dollymp_router_jobs_routed_total",
 			"Jobs placed on a shard by the router.", metrics.Labels{"shard": strconv.Itoa(res)}))
 		if cfg.Steal {
@@ -451,19 +453,12 @@ func (r *Router) closeJournals() error {
 }
 
 // JournalStatus aggregates recovery state across shards (zero when
-// journaling is off).
+// journaling is off): the journal slice of Snapshot.
 func (r *Router) JournalStatus() service.JournalStatus {
-	js := r.jnlExtra
-	for _, s := range r.shards {
-		if snap := s.Snapshot(); snap.Journal != nil {
-			// Segment-level fields live in jnlExtra; take only the
-			// per-shard job/record accounting from each service.
-			shard := *snap.Journal
-			shard.Segments, shard.StaleSegments = 0, 0
-			js.Add(shard)
-		}
+	if js := r.Snapshot().Journal; js != nil {
+		return *js
 	}
-	return js
+	return service.JournalStatus{}
 }
 
 // NumShards returns the partition count P. (Per-shard status rows come
@@ -488,47 +483,40 @@ func (r *Router) Start() {
 	}
 }
 
-// pick chooses the target shard: power-of-two-choices on load, or
-// shard 0 under RouteSingle/P=1.
-func (r *Router) pick() int {
-	if len(r.shards) == 1 || r.cfg.Policy == RouteSingle {
-		return 0
+// p2c chooses among candidate shard indices (non-empty, ascending) by
+// power-of-two-choices on load: sample two distinct candidates, take
+// the lighter, ties to the lower index. A single candidate or
+// RouteSingle takes the first.
+func (r *Router) p2c(cands []int) int {
+	if len(cands) == 1 || r.cfg.Policy == RouteSingle {
+		return cands[0]
 	}
 	r.mu.Lock()
-	i := r.rng.Intn(len(r.shards))
-	j := r.rng.Intn(len(r.shards) - 1)
+	i := r.rng.Intn(len(cands))
+	j := r.rng.Intn(len(cands) - 1)
 	r.mu.Unlock()
 	if j >= i {
-		j++ // j uniform over the other shards
+		j++ // j uniform over the other candidates
 	}
+	i, j = cands[i], cands[j]
 	li, lj := r.shards[i].Load(), r.shards[j].Load()
 	if lj.Less(li) || (!li.Less(lj) && j < i) {
-		return j // lighter wins; ties break to the lower index
+		return j
 	}
 	return i
 }
 
 // admit runs the router-level edge admission policy, charging it
-// exactly once. Jobs are validated first so malformed submissions never
-// burn admission budget; with no policy configured the (re)validation
-// is skipped and the submit path is unchanged.
+// exactly once. With no policy configured nothing runs here — the shard
+// validates — and the submit path is unchanged.
 func (r *Router) admit(ctx context.Context, j *workload.Job) error {
-	p := r.cfg.Admission
-	if p == nil {
+	if r.cfg.Admission == nil {
 		return nil
 	}
-	if j == nil {
-		return fmt.Errorf("shard: nil job")
-	}
-	if err := j.Validate(); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if d := p.Admit(ctx, j, r.AdmissionSnapshot()); !d.Admit {
+	return service.ChargeAdmission(ctx, r.cfg.Admission, r, j, func() {
 		r.denied.Add(1)
 		r.mDenied.Inc()
-		return &service.AdmissionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
-	}
-	return nil
+	})
 }
 
 // AdmissionSnapshot implements admission.SnapshotProvider over the
@@ -553,13 +541,7 @@ func (r *Router) AdmissionSnapshot() admission.Snapshot {
 // policy (shards are built without one), so its accounting is the
 // deployment's.
 func (r *Router) Admission() service.AdmissionStatus {
-	st := service.AdmissionStatus{Policy: "none", Denied: r.denied.Load()}
-	if p := r.cfg.Admission; p != nil {
-		stats := p.Stats()
-		st.Policy = p.Name()
-		st.Stats = &stats
-	}
-	return st
+	return service.AdmissionStatusOf(r.cfg.Admission, r.denied.Load())
 }
 
 // SubmitNowait routes one job with immediate backpressure. The edge
@@ -581,7 +563,7 @@ func (r *Router) SubmitNowait(j *workload.Job) (workload.JobID, error) {
 // entry point Submit's retry loop uses so one admitted job is never
 // charged twice.
 func (r *Router) submitNowait(j *workload.Job) (workload.JobID, error) {
-	k := r.pick()
+	k := r.p2c(r.all)
 	sawFull := false
 	for n := 0; n < len(r.shards); n++ {
 		o := (k + n) % len(r.shards)
@@ -654,8 +636,8 @@ func (r *Router) Submit(ctx context.Context, j *workload.Job) (workload.JobID, e
 }
 
 // pickLive chooses the shard whose queue a blocked Submit should wait
-// on: two-choice on load over the non-draining shards (first live shard
-// under RouteSingle). ok is false when every shard is draining.
+// on: p2c over the non-draining shards. ok is false when every shard is
+// draining.
 func (r *Router) pickLive() (k int, ok bool) {
 	live := make([]int, 0, len(r.shards))
 	for i, s := range r.shards {
@@ -666,22 +648,7 @@ func (r *Router) pickLive() (k int, ok bool) {
 	if len(live) == 0 {
 		return 0, false
 	}
-	if len(live) == 1 || r.cfg.Policy == RouteSingle {
-		return live[0], true
-	}
-	r.mu.Lock()
-	i := r.rng.Intn(len(live))
-	j := r.rng.Intn(len(live) - 1)
-	r.mu.Unlock()
-	if j >= i {
-		j++
-	}
-	i, j = live[i], live[j]
-	li, lj := r.shards[i].Load(), r.shards[j].Load()
-	if lj.Less(li) || (!li.Less(lj) && j < i) {
-		return j, true
-	}
-	return i, true
+	return r.p2c(live), true
 }
 
 // Job returns the lifecycle record for one job. The ownership map is
@@ -751,11 +718,10 @@ func (r *Router) Shards() []service.ShardStatus {
 	return out
 }
 
-// Snapshot aggregates the per-shard snapshots into one cluster view:
-// clock is the max over shards (the deployment's frontier), counts and
-// queue depths are summed, utilization is recomputed over the union of
-// servers, and the server list concatenates the partitions in shard
-// order.
+// Snapshot folds the per-shard snapshots into one cluster view by the
+// merge rules of service.ClusterSnapshot.Add, in shard order, on top of
+// the directory-level journal stats no shard owns. Taken under the
+// migration lock so a job moving between shards is counted once.
 func (r *Router) Snapshot() service.ClusterSnapshot {
 	r.migMu.RLock()
 	defer r.migMu.RUnlock()
@@ -764,40 +730,10 @@ func (r *Router) Snapshot() service.ClusterSnapshot {
 		js := r.jnlExtra
 		agg.Journal = &js
 	}
-	var usedCPU, usedMem, capCPU, capMem int64
 	for _, s := range r.shards {
-		snap := s.Snapshot()
-		if agg.Scheduler == "" {
-			agg.Scheduler = snap.Scheduler
-		}
-		if agg.Journal != nil && snap.Journal != nil {
-			shard := *snap.Journal
-			shard.Segments, shard.StaleSegments = 0, 0
-			agg.Journal.Add(shard)
-		}
-		if snap.Clock > agg.Clock {
-			agg.Clock = snap.Clock
-		}
-		agg.ActiveJobs += snap.ActiveJobs
-		agg.PendingArrival += snap.PendingArrival
-		agg.QueueDepth += snap.QueueDepth
-		agg.Draining = agg.Draining || snap.Draining
-		agg.Jobs.Add(snap.Jobs)
-		for _, srv := range snap.Servers {
-			usedCPU += srv.UsedCPU
-			usedMem += srv.UsedMem
-			capCPU += srv.CPUMilli
-			capMem += srv.MemMiB
-		}
-		agg.Servers = append(agg.Servers, snap.Servers...)
+		agg.Add(s.Snapshot())
 	}
 	agg.Jobs.Denied += r.denied.Load() // edge denials live on the router
-	if capCPU > 0 {
-		agg.UtilizationCPU = float64(usedCPU) / float64(capCPU)
-	}
-	if capMem > 0 {
-		agg.UtilizationMem = float64(usedMem) / float64(capMem)
-	}
 	return agg
 }
 
