@@ -194,7 +194,7 @@ func TestSparseClusterAccessors(t *testing.T) {
 // benchBacklog builds a deep multi-phase backlog against an n-server
 // fleet: enough queued tasks that the placement pass drains every
 // server, with demands sized so classes span several priorities.
-func benchBacklog(b *testing.B, servers, jobs, maxTasks int) *schedtest.Context {
+func benchBacklog(b testing.TB, servers, jobs, maxTasks int) *schedtest.Context {
 	b.Helper()
 	ctx := schedtest.New(cluster.LargeFleet(servers, 7))
 	rng := stats.NewRNG(11)
@@ -239,6 +239,66 @@ func BenchmarkScheduleDecision2000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := s.Schedule(ctx); len(got) == 0 {
 			b.Fatal("no placements")
+		}
+	}
+}
+
+// BenchmarkScheduleDecision2000Clones is the other regime at that fleet
+// size, the one a lightly loaded cluster spends its time in: every task
+// already runs, so the call is clone passes only — a walk over the
+// running tasks and one best-fit query per granted copy. The originals
+// are placed once, by a clone-free scheduler; the measured scheduler's
+// grants are never applied, so every iteration decides the same round.
+func BenchmarkScheduleDecision2000Clones(b *testing.B) {
+	ctx := benchBacklog(b, 2000, 300, 40)
+	if err := ctx.Apply(core.MustNew(core.WithClones(0)).Schedule(ctx)); err != nil {
+		b.Fatal(err)
+	}
+	s := core.MustNew()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := s.Schedule(ctx); len(got) == 0 {
+			b.Fatal("no clones granted")
+		}
+	}
+}
+
+// frozenJobs is a schedtest.Context whose job list is built once: the
+// test context sorts a fresh slice per Jobs call, which would drown the
+// scheduler's own allocations.
+type frozenJobs struct {
+	*schedtest.Context
+	jobs []*workload.JobState
+}
+
+func (f *frozenJobs) Jobs() []*workload.JobState { return f.jobs }
+
+// TestScheduleSteadyStateAllocs pins both regimes of a decision at zero
+// allocations once the scratch buffers have grown. The returned slice is
+// the scheduler's own (see sched.Scheduler): built afresh per call it
+// was 40 % of the bytes a 100k-job replay allocated, and collector
+// cycles are work whose timing the engine loop does not control.
+func TestScheduleSteadyStateAllocs(t *testing.T) {
+	packing := benchBacklog(t, 200, 400, 100)
+	cloning := benchBacklog(t, 200, 30, 20)
+	if err := cloning.Apply(core.MustNew(core.WithClones(0)).Schedule(cloning)); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*schedtest.Context{"packing": packing, "cloning": cloning} {
+		ctx := &frozenJobs{c, c.Jobs()}
+		s := core.MustNew()
+		want := len(s.Schedule(ctx))
+		if want == 0 {
+			t.Fatalf("%s: no placements", name)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if got := len(s.Schedule(ctx)); got != want {
+				t.Fatalf("%s: %d placements, then %d for the same round", name, want, got)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per steady-state Schedule call, want 0", name, allocs)
 		}
 	}
 }

@@ -98,7 +98,21 @@ type scratch struct {
 	orderSpeeds []float64
 	orderBuf    []serverSpeed
 
-	added map[workload.TaskRef]int
+	// cloneCands is the clone passes' work list: see clonePasses.
+	cloneCands []cloneCand
+
+	// out backs the slice Schedule returns, which the Scheduler contract
+	// lets it overwrite on the next call.
+	out []sched.Placement
+}
+
+// cloneCand is a running task that a later clone pass may still top
+// up, with the copy count it will have once this call's placements are
+// applied.
+type cloneCand struct {
+	ref    workload.TaskRef
+	demand resources.Vector
+	copies int
 }
 
 type serverSpeed struct {
@@ -326,18 +340,6 @@ func (s *Scheduler) harvest(ctx sched.Context) {
 	}
 }
 
-// copyCounter exposes the cheapest available way to count a task's live
-// copies: contexts that implement CopyCount (the engine, the test fake)
-// avoid materializing a CopyStatus slice per probe.
-func copyCounter(ctx sched.Context) func(workload.TaskRef) int {
-	if cc, ok := ctx.(interface {
-		CopyCount(workload.TaskRef) int
-	}); ok {
-		return cc.CopyCount
-	}
-	return func(ref workload.TaskRef) int { return len(ctx.Copies(ref)) }
-}
-
 // Schedule implements Algorithm 2: a new-task pass over priority classes
 // (best resource fit within a class), then up to maxClones clone passes
 // over running tasks in the same priority order, constrained by the δ
@@ -419,7 +421,7 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 		}
 	}
 
-	var out []sched.Placement
+	out := sc.out[:0]
 
 	// New-task pass (Steps 6–15): per server, classes in ascending
 	// order; within a class pick the task maximizing the inner product
@@ -485,22 +487,24 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	// pass and both respect the δ budget.
 	switch {
 	case s.speculate:
-		out = append(out, s.speculationPass(ctx, ft, sc, maxClass)...)
+		out = s.speculationPass(ctx, ft, sc, maxClass, out)
 	case s.maxClones > 0:
-		out = append(out, s.clonePasses(ctx, ft, sc, maxClass)...)
+		out = s.clonePasses(ctx, ft, sc, maxClass, out)
 	}
+	sc.out = out
 	return out
 }
 
 // speculationPass launches one backup copy per detected straggler, in
 // priority-class order, within the δ budget. Detection mirrors the
 // Capacity baseline's LATE rule but placement follows DollyMP's
-// priorities instead of best effort.
+// priorities instead of best effort. Backups are appended to out.
 func (s *Scheduler) speculationPass(
 	ctx sched.Context,
 	ft *sched.FitTracker,
 	sc *scratch,
 	maxClass int,
+	out []sched.Placement,
 ) []sched.Placement {
 	total := ctx.Cluster().Total()
 	budget := resources.Vec(
@@ -510,7 +514,6 @@ func (s *Scheduler) speculationPass(
 	cloneUse := ctx.CloneUsage()
 	now := ctx.Now()
 
-	var out []sched.Placement
 	for l := 1; l <= maxClass; l++ {
 		for _, m := range sc.classes[l] {
 			if !m.cur.Exhausted() {
@@ -613,11 +616,20 @@ func (s *Scheduler) serverOrder(ctx sched.Context) []*cluster.Server {
 
 // clonePasses launches up to maxClones extra copies per running task in
 // priority order, keeping total clone-held resources under δ × capacity.
+// Pass p tops tasks holding exactly p copies up to p+1, so a task that
+// pass p turns down (no fit, no budget) is out for the rest of the
+// call. Only pass 1 therefore walks the jobs, reading each running
+// task's live-copy count off its JobState; it grants what it can and
+// leaves, in walk order, the tasks a later pass can still serve — the
+// ones it just topped up and the ones that already hold more than one
+// copy. Passes 2..maxClones are sweeps of that list. Grants are appended
+// to out, the call's placements so far.
 func (s *Scheduler) clonePasses(
 	ctx sched.Context,
 	ft *sched.FitTracker,
 	sc *scratch,
 	maxClass int,
+	out []sched.Placement,
 ) []sched.Placement {
 	total := ctx.Cluster().Total()
 	budget := resources.Vec(
@@ -625,59 +637,71 @@ func (s *Scheduler) clonePasses(
 		int64(s.delta*float64(total.MemMiB)),
 	)
 	cloneUse := ctx.CloneUsage()
-	copyCount := copyCounter(ctx)
-	if sc.added == nil {
-		sc.added = make(map[workload.TaskRef]int)
-	} else {
-		clear(sc.added)
-	}
-	added := sc.added
+	cands := sc.cloneCands[:0]
 
-	var out []sched.Placement
-	for pass := 1; pass <= s.maxClones; pass++ {
-		for l := 1; l <= maxClass; l++ {
-			for _, m := range sc.classes[l] {
-				// §4.1/§5: clones are for jobs whose new tasks are all
-				// placed; a job with pending tasks still waits for
-				// capacity, so racing clones ahead of them would harm
-				// the very jobs the pass is meant to help.
-				if !m.cur.Exhausted() {
+	// grant places one more copy of the task if the δ budget and the
+	// fleet allow it.
+	grant := func(ref workload.TaskRef, demand resources.Vector) bool {
+		next := cloneUse.Add(demand)
+		if !next.Fits(budget) {
+			return false // δ budget exhausted for this shape
+		}
+		srv, ok := ft.BestFit(demand)
+		if !ok {
+			return false
+		}
+		ft.Place(srv, demand)
+		cloneUse = next
+		out = append(out, sched.Placement{Ref: ref, Server: srv})
+		return true
+	}
+
+	for l := 1; l <= maxClass; l++ {
+		for _, m := range sc.classes[l] {
+			// §4.1/§5: clones are for jobs whose new tasks are all
+			// placed; a job with pending tasks still waits for
+			// capacity, so racing clones ahead of them would harm
+			// the very jobs the pass is meant to help.
+			if !m.cur.Exhausted() {
+				continue
+			}
+			js := m.js
+			for _, k := range m.cur.Phases() {
+				if js.RunningCount(k) == 0 {
 					continue
 				}
-				js := m.js
-				for _, k := range m.cur.Phases() {
-					if js.RunningCount(k) == 0 {
+				demand := js.Job.Phases[k].Demand
+				if !cloneUse.Add(demand).Fits(budget) {
+					// The budget only tightens within a call, so no
+					// task of this shape can clone anymore.
+					continue
+				}
+				for _, lidx := range js.RunningTasksView(k) {
+					copies := js.LiveCopies(k, lidx)
+					if copies < 1 || copies > s.maxClones {
 						continue
 					}
-					demand := js.Job.Phases[k].Demand
-					if !cloneUse.Add(demand).Fits(budget) {
-						// The budget only tightens within a call, so no
-						// task of this shape can clone anymore.
-						continue
+					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: lidx}
+					if copies == 1 {
+						if !grant(ref, demand) {
+							continue
+						}
+						copies = 2
 					}
-					for _, lidx := range js.RunningTasksView(k) {
-						ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: lidx}
-						copies := copyCount(ref) + added[ref]
-						if copies == 0 || copies != pass {
-							// Pass p tops tasks up to p+1 copies total.
-							continue
-						}
-						next := cloneUse.Add(demand)
-						if !next.Fits(budget) {
-							continue // δ budget exhausted for this shape
-						}
-						srv, ok := ft.BestFit(demand)
-						if !ok {
-							continue
-						}
-						ft.Place(srv, demand)
-						cloneUse = next
-						added[ref]++
-						out = append(out, sched.Placement{Ref: ref, Server: srv})
+					if copies <= s.maxClones {
+						cands = append(cands, cloneCand{ref: ref, demand: demand, copies: copies})
 					}
 				}
 			}
 		}
 	}
+	for pass := 2; pass <= s.maxClones; pass++ {
+		for i := range cands {
+			if c := &cands[i]; c.copies == pass && grant(c.ref, c.demand) {
+				c.copies++
+			}
+		}
+	}
+	sc.cloneCands = cands
 	return out
 }

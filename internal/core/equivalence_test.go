@@ -505,49 +505,62 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, speculate: true, specThreshold: 1.5, specMinSample: 2, prios: map[workload.JobID]int{}}
 		}},
 	}
+	type cell struct {
+		variant       int
+		seed          uint64
+		servers, jobs int
+	}
+	var cells []cell
 	for seed := uint64(1); seed <= 8; seed++ {
-		for _, v := range variants {
-			seed, v := seed, v
-			t.Run(fmt.Sprintf("%s/seed=%d", v.name, seed), func(t *testing.T) {
-				t.Parallel()
-				opt, ref := v.opt()
-
-				run := func(s sched.Scheduler) *sim.Result {
-					e, err := sim.New(sim.Config{
-						Cluster:     cluster.LargeFleet(16, seed),
-						Jobs:        equivJobs(seed, 80),
-						Scheduler:   s,
-						Seed:        seed,
-						Paranoid:    true,
-						RecordTrace: true,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := e.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				got := run(opt)
-				want := run(ref)
-
-				if got.SchedCalls != want.SchedCalls {
-					t.Errorf("sched calls: optimized %d, seed %d", got.SchedCalls, want.SchedCalls)
-				}
-				if got.Makespan != want.Makespan {
-					t.Errorf("makespan: optimized %d, seed %d", got.Makespan, want.Makespan)
-				}
-				if len(got.Trace) != len(want.Trace) {
-					t.Fatalf("trace length: optimized %d, seed %d", len(got.Trace), len(want.Trace))
-				}
-				for i := range got.Trace {
-					if got.Trace[i] != want.Trace[i] {
-						t.Fatalf("trace[%d]: optimized %+v, seed %+v", i, got.Trace[i], want.Trace[i])
-					}
-				}
-			})
+		for v := range variants {
+			cells = append(cells, cell{v, seed, 16, 80})
 		}
+	}
+	// One fleet-scale cell: 1200 servers put the fit index eleven levels
+	// deep, and 600 jobs on them is the light-load regime where nearly
+	// every task is cloned through BestFit.
+	cells = append(cells, cell{0, 9, 1200, 600})
+	for _, c := range cells {
+		c, v := c, variants[c.variant]
+		t.Run(fmt.Sprintf("%s/seed=%d/servers=%d", v.name, c.seed, c.servers), func(t *testing.T) {
+			t.Parallel()
+			opt, ref := v.opt()
+
+			run := func(s sched.Scheduler) *sim.Result {
+				e, err := sim.New(sim.Config{
+					Cluster:     cluster.LargeFleet(c.servers, c.seed),
+					Jobs:        equivJobs(c.seed, c.jobs),
+					Scheduler:   s,
+					Seed:        c.seed,
+					Paranoid:    true,
+					RecordTrace: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			got := run(opt)
+			want := run(ref)
+
+			if got.SchedCalls != want.SchedCalls {
+				t.Errorf("sched calls: optimized %d, seed %d", got.SchedCalls, want.SchedCalls)
+			}
+			if got.Makespan != want.Makespan {
+				t.Errorf("makespan: optimized %d, seed %d", got.Makespan, want.Makespan)
+			}
+			if len(got.Trace) != len(want.Trace) {
+				t.Fatalf("trace length: optimized %d, seed %d", len(got.Trace), len(want.Trace))
+			}
+			for i := range got.Trace {
+				if got.Trace[i] != want.Trace[i] {
+					t.Fatalf("trace[%d]: optimized %+v, seed %+v", i, got.Trace[i], want.Trace[i])
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,238 @@
+package sched
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"dollymp/internal/cluster"
+	"dollymp/internal/resources"
+)
+
+// scanFit is the reference the tree index is checked against: the
+// linear scan FitTracker used to run, over a plain mirror of the free
+// vectors. It answers with a fleet position.
+type scanFit struct {
+	free  []resources.Vector
+	total resources.Vector
+}
+
+func (m *scanFit) reset(c *cluster.Cluster) {
+	m.total = c.Total()
+	m.free = m.free[:0]
+	for _, s := range c.Servers() {
+		m.free = append(m.free, s.Free())
+	}
+}
+
+func (m *scanFit) place(pos int, demand resources.Vector) bool {
+	if !demand.Fits(m.free[pos]) {
+		return false
+	}
+	m.free[pos] = m.free[pos].Sub(demand)
+	return true
+}
+
+func (m *scanFit) best(demand resources.Vector, score func(free resources.Vector) float64) (int, bool) {
+	best, bestScore := -1, -1.0
+	for i, free := range m.free {
+		if !demand.Fits(free) {
+			continue
+		}
+		if s := score(free); s > bestScore {
+			best, bestScore = i, s
+		}
+	}
+	return best, best >= 0
+}
+
+func (m *scanFit) bestFit(demand resources.Vector) (int, bool) {
+	return m.best(demand, func(free resources.Vector) float64 { return demand.Dot(free, m.total) })
+}
+
+func (m *scanFit) worstFit(demand resources.Vector) (int, bool) {
+	return m.best(demand, func(free resources.Vector) float64 { return free.DominantShare(m.total) })
+}
+
+// propertyFleet builds an n-server fleet: identical servers when uniform
+// (every free vector ties until something is placed), three capacity
+// classes otherwise; IDs dense, or strictly increasing with random gaps.
+func propertyFleet(t *testing.T, rng *rand.Rand, n int, uniform, sparse bool) *cluster.Cluster {
+	t.Helper()
+	specs := make([]cluster.Spec, n)
+	ids := make([]cluster.ServerID, n)
+	next := cluster.ServerID(0)
+	for i := range specs {
+		capacity := resources.Cores(8, 16)
+		if !uniform {
+			capacity = []resources.Vector{
+				resources.Cores(8, 16), resources.Cores(16, 32), resources.Cores(32, 64), resources.Cores(32, 16),
+			}[rng.Intn(4)]
+		}
+		specs[i] = cluster.Spec{Name: fmt.Sprintf("s%d", i), Capacity: capacity, Speed: 1}
+		if sparse {
+			next += cluster.ServerID(rng.Intn(5))
+		}
+		ids[i] = next
+		next++
+	}
+	c, err := cluster.NewWithIDs(specs, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestFitTrackerMatchesScan drives the tracker and the reference scan
+// through long random interleavings of Place, BestFit, WorstFit and
+// Reset and demands the same answer — same hit or miss, same server —
+// from every query. Demands come from a short menu so exact ties and
+// exact fills are the common case, and between Resets the ledger itself
+// moves: allocations, releases, and failed servers, which show up as
+// zero-free leaves.
+func TestFitTrackerMatchesScan(t *testing.T) {
+	menu := []resources.Vector{
+		resources.Cores(1, 1), resources.Cores(1, 2), resources.Cores(2, 4), resources.Cores(4, 4),
+		resources.Cores(8, 16), resources.Cores(16, 8), resources.Cores(32, 64), resources.Cores(64, 64),
+		resources.Vec(500, 12*1024), resources.Vec(7000, 512),
+	}
+	sizes := []int{1, 2, 3, 5, 31, 32, 33, 200, 1000, 4096}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, n := range sizes {
+			for _, shape := range []struct{ uniform, sparse bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				seed, n, shape := seed, n, shape
+				t.Run(fmt.Sprintf("seed=%d/n=%d/uniform=%v/sparse=%v", seed, n, shape.uniform, shape.sparse), func(t *testing.T) {
+					t.Parallel()
+					rng := rand.New(rand.NewSource(seed*7919 + int64(n)))
+					c := propertyFleet(t, rng, n, shape.uniform, shape.sparse)
+					servers := c.Servers()
+					ft := NewFitTracker(c)
+					ref := &scanFit{}
+					ref.reset(c)
+					held := make(map[cluster.ServerID][]resources.Vector)
+
+					check := func(op string, d resources.Vector, gotID cluster.ServerID, gotOK bool, wantPos int, wantOK bool) {
+						t.Helper()
+						if gotOK != wantOK || (wantOK && gotID != servers[wantPos].ID) {
+							want := cluster.ServerID(-1)
+							if wantOK {
+								want = servers[wantPos].ID
+							}
+							t.Fatalf("%s(%v): tracker %d/%v, scan %d/%v", op, d, gotID, gotOK, want, wantOK)
+						}
+					}
+					steps := 1500
+					if n >= 1000 {
+						steps = 600
+					}
+					for step := 0; step < steps; step++ {
+						d := menu[rng.Intn(len(menu))]
+						switch r := rng.Intn(100); {
+						case r < 45:
+							id, ok := ft.BestFit(d)
+							pos, wantOK := ref.bestFit(d)
+							check("BestFit", d, id, ok, pos, wantOK)
+							if ok && rng.Intn(4) > 0 { // usually consume the answer, as schedulers do
+								if !ft.Place(id, d) || !ref.place(pos, d) {
+									t.Fatalf("best fit %d does not take %v", id, d)
+								}
+							}
+						case r < 75:
+							pos := rng.Intn(n)
+							if got, want := ft.Place(servers[pos].ID, d), ref.place(pos, d); got != want {
+								t.Fatalf("Place(%d, %v): tracker %v, scan %v", servers[pos].ID, d, got, want)
+							}
+							if got := ft.Free(servers[pos].ID); got != ref.free[pos] {
+								t.Fatalf("Free(%d): tracker %v, scan %v", servers[pos].ID, got, ref.free[pos])
+							}
+						case r < 85:
+							id, ok := ft.WorstFit(d)
+							pos, wantOK := ref.worstFit(d)
+							check("WorstFit", d, id, ok, pos, wantOK)
+						default:
+							// Move the ledger, then re-snapshot both sides.
+							for i := 0; i < 1+n/8; i++ {
+								s := servers[rng.Intn(n)]
+								switch rng.Intn(4) {
+								case 0:
+									if h := held[s.ID]; len(h) > 0 {
+										if err := c.Release(s.ID, h[len(h)-1]); err != nil {
+											t.Fatal(err)
+										}
+										held[s.ID] = h[:len(h)-1]
+									}
+								case 1:
+									if s.Failed() {
+										c.Restore(s.ID)
+									} else if len(held[s.ID]) == 0 {
+										c.Fail(s.ID)
+									}
+								default:
+									if d := menu[rng.Intn(len(menu))]; !s.Failed() && c.Allocate(s.ID, d) == nil {
+										held[s.ID] = append(held[s.ID], d)
+									}
+								}
+							}
+							ft.Reset(c)
+							ref.reset(c)
+						}
+					}
+					var sum resources.Vector
+					for _, v := range ref.free {
+						sum = sum.Add(v)
+					}
+					if got := ft.TotalFree(); got != sum {
+						t.Fatalf("TotalFree: tracker %v, scan %v", got, sum)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFitTrackerRootFitsNoServer pins the one case where the root's
+// bound lies: its component-wise maximum takes CPU from one server and
+// memory from another, so a demand fits the root and no server.
+func TestFitTrackerRootFitsNoServer(t *testing.T) {
+	c := cluster.Uniform(5, resources.Cores(8, 16))
+	ft := NewFitTracker(c)
+	for id := cluster.ServerID(0); id < 5; id++ {
+		d := resources.Cores(7, 1) // CPU gone, memory left
+		if id%2 == 1 {
+			d = resources.Cores(1, 15) // memory gone, CPU left
+		}
+		if !ft.Place(id, d) {
+			t.Fatalf("place on %d", id)
+		}
+	}
+	if id, ok := ft.BestFit(resources.Cores(4, 8)); ok {
+		t.Fatalf("4c/8G fits no server, got %d", id)
+	}
+	if id, ok := ft.BestFit(resources.Cores(4, 1)); !ok || id != 1 {
+		t.Fatalf("4c/1G: got %d/%v, want 1 (lowest of the tied CPU-rich servers)", id, ok)
+	}
+}
+
+// TestFitTrackerSteadyStateAllocs pins the per-Schedule-call cycle at
+// zero allocations once the tracker has seen its fleet — including on a
+// sparse-ID fleet, where Reset used to rebuild the ID→position map.
+func TestFitTrackerSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sparse := range []bool{false, true} {
+		c := propertyFleet(t, rng, 300, false, sparse)
+		ft := NewFitTracker(c)
+		d := resources.Cores(2, 4)
+		allocs := testing.AllocsPerRun(50, func() {
+			ft.Reset(c)
+			for i := 0; i < 20; i++ {
+				id, ok := ft.BestFit(d)
+				if !ok || !ft.Place(id, d) {
+					t.Fatal("no fit")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("sparse=%v: %v allocs per Reset+BestFit+Place cycle, want 0", sparse, allocs)
+		}
+	}
+}

@@ -88,10 +88,25 @@ func FirstFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.Server
 // (schedulers plan against a frozen decision point — the engine never
 // mutates the ledger mid-call), which turns every query into a slice
 // read instead of a map lookup plus a live ledger read.
+//
+// The snapshot is the leaf level of a position-ordered tournament tree:
+// tree[size+i] is the free vector of the server at fleet position i,
+// and tree[n] for n < size is the component-wise maximum of tree[2n]
+// and tree[2n+1] — an upper bound on every free vector beneath it.
+// BestFit searches the tree branch-and-bound instead of scanning the
+// fleet. A tracker is confined to one goroutine, like the scheduler
+// that owns it.
 type FitTracker struct {
 	servers []*cluster.Server
-	free    []resources.Vector
 	total   resources.Vector
+	tree    []resources.Vector
+	// size is the leaf offset: the smallest power of two ≥ len(servers).
+	// Leaves past the fleet hold (-1, -1), which no demand fits.
+	size int
+	// built reports whether the internal nodes reflect the leaves. Reset
+	// clears it and the first BestFit rebuilds, so a Schedule call that
+	// never asks for a best fit pays only the leaf snapshot.
+	built bool
 	// index maps server ID to fleet position when IDs are sparse;
 	// nil while IDs are dense (position == ID).
 	index map[cluster.ServerID]int
@@ -106,25 +121,44 @@ func NewFitTracker(c *cluster.Cluster) *FitTracker {
 
 // Reset re-snapshots the cluster's free capacities, dropping every
 // tentative placement, so one tracker can serve many Schedule calls
-// without reallocating.
+// without reallocating: the tree and the sparse-ID index are rebuilt
+// only when the tracker is pointed at a different fleet.
 func (f *FitTracker) Reset(c *cluster.Cluster) {
-	f.servers = c.Servers()
+	servers := c.Servers()
+	if len(servers) != len(f.servers) || &servers[0] != &f.servers[0] {
+		f.bind(servers)
+	}
 	f.total = c.Total()
-	f.free = f.free[:0]
-	dense := true
-	for i, s := range f.servers {
-		f.free = append(f.free, s.Free())
+	for i, s := range servers {
+		f.tree[f.size+i] = s.Free()
+	}
+	f.built = false
+}
+
+// bind sizes the tree and the position index for a fleet. A cluster
+// never changes its server slice after construction, so Reset tells
+// fleets apart by that slice's identity.
+func (f *FitTracker) bind(servers []*cluster.Server) {
+	f.servers = servers
+	f.size = 1
+	for f.size < len(servers) {
+		f.size *= 2
+	}
+	f.tree = make([]resources.Vector, 2*f.size)
+	for i := f.size + len(servers); i < len(f.tree); i++ {
+		f.tree[i] = resources.Vec(-1, -1)
+	}
+	f.index = nil
+	for i, s := range servers {
 		if int(s.ID) != i {
-			dense = false
+			f.index = make(map[cluster.ServerID]int, len(servers))
+			break
 		}
 	}
-	if dense {
-		f.index = nil
-		return
-	}
-	f.index = make(map[cluster.ServerID]int, len(f.servers))
-	for i, s := range f.servers {
-		f.index[s.ID] = i
+	if f.index != nil {
+		for i, s := range servers {
+			f.index[s.ID] = i
+		}
 	}
 }
 
@@ -138,10 +172,15 @@ func (f *FitTracker) pos(id cluster.ServerID) int {
 	panic(fmt.Sprintf("sched: unknown server %d", id))
 }
 
+// leaves returns the free vectors in fleet order.
+func (f *FitTracker) leaves() []resources.Vector {
+	return f.tree[f.size : f.size+len(f.servers)]
+}
+
 // Free returns the remaining capacity of a server after tentative
 // placements.
 func (f *FitTracker) Free(id cluster.ServerID) resources.Vector {
-	return f.free[f.pos(id)]
+	return f.tree[f.size+f.pos(id)]
 }
 
 // Fits reports whether demand fits server id now.
@@ -150,35 +189,104 @@ func (f *FitTracker) Fits(id cluster.ServerID, demand resources.Vector) bool {
 }
 
 // Place tentatively consumes demand on server id. It returns false
-// without consuming if the demand does not fit.
+// without consuming if the demand does not fit. Once the tree is built
+// the shrunken leaf is propagated toward the root, stopping at the
+// first ancestor whose maximum another leaf already held.
 func (f *FitTracker) Place(id cluster.ServerID, demand resources.Vector) bool {
-	i := f.pos(id)
-	if !demand.Fits(f.free[i]) {
+	n := f.size + f.pos(id)
+	if !demand.Fits(f.tree[n]) {
 		return false
 	}
-	f.free[i] = f.free[i].Sub(demand)
+	f.tree[n] = f.tree[n].Sub(demand)
+	if f.built {
+		for n /= 2; n >= 1; n /= 2 {
+			m := f.tree[2*n].Max(f.tree[2*n+1])
+			if m == f.tree[n] {
+				break
+			}
+			f.tree[n] = m
+		}
+	}
 	return true
+}
+
+// fitSearch is the state of one BestFit search: the best leaf found so
+// far (a tree index; 0 while none) and its score (-1 while none, below
+// any real score, as demand·free is never negative).
+type fitSearch struct {
+	demand resources.Vector
+	best   int
+	score  float64
 }
 
 // BestFit returns the fitting server maximizing demand·free, or false.
 // Ties break toward the lower server ID (fleet order).
+//
+// The answer is exact. Dot is monotone in its second argument for a
+// non-negative demand (IEEE multiplication, division by a positive
+// constant and addition all preserve ≤), so demand·tree[n] bounds the
+// score of every leaf under n from above, and a demand that does not
+// fit tree[n] fits no leaf under it. The search therefore drops a
+// subtree only when it cannot hold a strictly better (score, position)
+// pair than the one in hand, and a root that does not fit is a miss
+// without touching a leaf.
 func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
-	best := -1
-	bestScore := -1.0
-	for i, free := range f.free {
-		if !demand.Fits(free) {
-			continue
+	if !f.built {
+		for n := f.size - 1; n >= 1; n-- {
+			f.tree[n] = f.tree[2*n].Max(f.tree[2*n+1])
 		}
-		score := demand.Dot(free, f.total)
-		if score > bestScore {
-			bestScore = score
-			best = i
-		}
+		f.built = true
 	}
-	if best < 0 {
+	s := fitSearch{demand: demand, score: -1}
+	if ub := f.bound(&s, 1); ub >= 0 {
+		f.search(&s, 1, f.size, ub)
+	}
+	if s.best == 0 {
+		// Nothing fits — or the root's maximum took its CPU from one
+		// server and its memory from another.
 		return 0, false
 	}
-	return f.servers[best].ID, true
+	return f.servers[s.best-f.size].ID, true
+}
+
+// search explores node n, whose subtree spans `span` leaves and whose
+// bound ub the caller found admissible. It descends into the child with
+// the higher bound first — a greedy dive that reaches a strong
+// candidate in log n steps — and re-tests the other child against
+// whatever that dive found.
+func (f *FitTracker) search(s *fitSearch, n, span int, ub float64) {
+	if span == 1 {
+		s.best, s.score = n, ub
+		return
+	}
+	span /= 2
+	l, r := 2*n, 2*n+1
+	lub, rub := f.bound(s, l), f.bound(s, r)
+	if rub > lub {
+		l, r, lub, rub = r, l, rub, lub
+	}
+	if s.admits(l*span, lub) {
+		f.search(s, l, span, lub)
+	}
+	if s.admits(r*span, rub) {
+		f.search(s, r, span, rub)
+	}
+}
+
+// bound returns demand·tree[n], an upper bound on the score of every
+// leaf under n, or -1 when the demand fits nothing there.
+func (f *FitTracker) bound(s *fitSearch, n int) float64 {
+	if !s.demand.Fits(f.tree[n]) {
+		return -1
+	}
+	return s.demand.Dot(f.tree[n], f.total)
+}
+
+// admits reports whether a subtree whose leftmost leaf is `first` and
+// whose scores are at most ub could still beat the best in hand: a
+// higher score, or the same score at a lower fleet position.
+func (s *fitSearch) admits(first int, ub float64) bool {
+	return ub > s.score || (ub == s.score && first < s.best)
 }
 
 // WorstFit returns the fitting server with the largest remaining free
@@ -186,7 +294,7 @@ func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
 func (f *FitTracker) WorstFit(demand resources.Vector) (cluster.ServerID, bool) {
 	best := -1
 	bestScore := -1.0
-	for i, free := range f.free {
+	for i, free := range f.leaves() {
 		if !demand.Fits(free) {
 			continue
 		}
@@ -206,7 +314,7 @@ func (f *FitTracker) WorstFit(demand resources.Vector) (cluster.ServerID, bool) 
 // placements.
 func (f *FitTracker) TotalFree() resources.Vector {
 	var free resources.Vector
-	for _, v := range f.free {
+	for _, v := range f.leaves() {
 		free = free.Add(v)
 	}
 	return free

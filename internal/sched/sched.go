@@ -30,7 +30,9 @@ type Context interface {
 	// Jobs returns the arrived, unfinished jobs ordered by arrival slot
 	// then job ID.
 	Jobs() []*workload.JobState
-	// Copies returns the running copies of a task (empty if none).
+	// Copies returns the running copies of a task (empty if none). A
+	// policy that needs only their number reads it off the job instead:
+	// JobState.LiveCopies.
 	Copies(ref workload.TaskRef) []CopyStatus
 	// CloneUsage returns the resources currently held by clone copies,
 	// the quantity DollyMP's cloning budget (δ) constrains.
@@ -66,7 +68,10 @@ type Placement struct {
 // Scheduler is a cluster scheduling policy. Schedule is called at every
 // decision point (job arrival or task completion) and may be called
 // repeatedly until it returns no placements; it must only return
-// placements that fit current free capacity as it sees it.
+// placements that fit current free capacity as it sees it. The returned
+// slice belongs to the scheduler and is only valid until its next
+// Schedule call (DollyMP reuses one buffer); a caller that keeps
+// placements copies them.
 type Scheduler interface {
 	Name() string
 	Schedule(ctx Context) []Placement

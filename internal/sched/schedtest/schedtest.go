@@ -108,11 +108,6 @@ func (c *Context) Copies(ref workload.TaskRef) []sched.CopyStatus {
 	return c.CopyMap[ref]
 }
 
-// CopyCount mirrors the engine's allocation-free copy counter.
-func (c *Context) CopyCount(ref workload.TaskRef) int {
-	return len(c.CopyMap[ref])
-}
-
 // CloneUsage implements sched.Context.
 func (c *Context) CloneUsage() resources.Vector { return c.CloneUse }
 

@@ -20,33 +20,23 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cfg.Cluster }
 // Jobs returns arrived, unfinished jobs ordered by (arrival, ID).
 func (e *Engine) Jobs() []*workload.JobState { return e.active }
 
-// Copies returns the running copies of a task.
+// Copies returns the running copies of a task, original first.
 func (e *Engine) Copies(ref workload.TaskRef) []sched.CopyStatus {
-	cs := e.copies[ref]
-	if len(cs) == 0 {
+	lj := e.states[ref.Job]
+	if lj == nil || lj.copies == nil ||
+		int(ref.Phase) < 0 || int(ref.Phase) >= len(lj.copies) ||
+		ref.Index < 0 || ref.Index >= len(lj.copies[ref.Phase]) {
 		return nil
 	}
-	out := make([]sched.CopyStatus, 0, len(cs))
-	for _, c := range cs {
-		if c.killed {
-			continue
-		}
+	c := lj.copies[ref.Phase][ref.Index]
+	if c == nil {
+		return nil
+	}
+	out := make([]sched.CopyStatus, 0, lj.LiveCopies(ref.Phase, ref.Index))
+	for ; c != nil; c = c.next {
 		out = append(out, sched.CopyStatus{Server: c.server, Start: c.start, Clone: c.clone})
 	}
 	return out
-}
-
-// CopyCount returns the number of live (non-killed) copies of a task
-// without materializing the slice Copies builds — the allocation-free
-// fast path the scheduler's clone passes use.
-func (e *Engine) CopyCount(ref workload.TaskRef) int {
-	n := 0
-	for _, c := range e.copies[ref] {
-		if !c.killed {
-			n++
-		}
-	}
-	return n
 }
 
 // CloneUsage returns resources currently held by clone copies.

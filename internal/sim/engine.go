@@ -11,6 +11,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 	"time"
 
 	"dollymp/internal/cluster"
@@ -99,7 +100,13 @@ func (c *Config) defaults() {
 
 // taskCopy is one running copy of a task.
 type taskCopy struct {
-	ref    workload.TaskRef
+	ref workload.TaskRef
+	// job is the owning job's record; next links the task's live copies
+	// in placement order (see liveJob.copies). Both are cleared when the
+	// copy is killed: it may sit in the running heap long after its job
+	// is released, and must not keep the job's state reachable.
+	job    *liveJob
+	next   *taskCopy
 	server cluster.ServerID
 	demand resources.Vector
 	start  int64
@@ -133,13 +140,52 @@ type phaseKey struct {
 	phase workload.PhaseID
 }
 
+// liveJob is the engine's record of one unfinished job: the
+// scheduler-visible state plus the copy table. copies[k][l] heads the
+// list of task (k, l)'s live copies in placement order — the original
+// first, clones after — linked through taskCopy.next; the matching
+// count is JobState.LiveCopies. The table is allocated at the job's
+// first placement and goes away with the record in releaseJob, so a
+// queued job carries none.
+type liveJob struct {
+	*workload.JobState
+	copies [][]*taskCopy
+}
+
+func newLiveJob(j *workload.Job) *liveJob {
+	return &liveJob{JobState: workload.NewJobState(j)}
+}
+
+// kill marks a copy dead, detaches it from its job, and returns the
+// copy that followed it in the task's list.
+func (c *taskCopy) kill() *taskCopy {
+	next := c.next
+	c.killed, c.job, c.next = true, nil, nil
+	return next
+}
+
+// link appends a copy to its task's list.
+func (lj *liveJob) link(c *taskCopy) {
+	if lj.copies == nil {
+		lj.copies = make([][]*taskCopy, len(lj.Job.Phases))
+		for k := range lj.copies {
+			lj.copies[k] = make([]*taskCopy, lj.Job.Phases[k].Tasks)
+		}
+	}
+	at := &lj.copies[c.ref.Phase][c.ref.Index]
+	for *at != nil {
+		at = &(*at).next
+	}
+	*at = c
+}
+
 // Engine runs one simulation. Create with New, run with Run. An Engine is
 // single-use and confined to one goroutine; run independent simulations
 // in parallel by giving each goroutine its own Engine.
 type Engine struct {
 	cfg    Config
 	clock  int64
-	states map[workload.JobID]*workload.JobState
+	states map[workload.JobID]*liveJob
 	// done is the paged bitmap of completed-and-released job IDs: the
 	// duplicate-ID guard that replaced per-job nil markers in states
 	// (which pinned a map entry per job ever run).
@@ -149,12 +195,13 @@ type Engine struct {
 	arrivals arrivalQueue
 	active   []*workload.JobState // arrived, unfinished
 
-	copies  map[workload.TaskRef][]*taskCopy
 	running copyHeap
+	// liveCopies counts the copies that are placed and not killed.
+	liveCopies int
 	// copyFree recycles taskCopy objects between placements — the
 	// per-event allocation the profiler flags on the drain hot path. A
-	// copy returns to the list only once it is out of both e.copies and
-	// the running heap.
+	// copy returns to the list only once it is out of both its job's
+	// copy table and the running heap.
 	copyFree   []*taskCopy
 	rng        *stats.RNG
 	dists      map[phaseKey]stats.Pareto
@@ -210,8 +257,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		states:     make(map[workload.JobID]*workload.JobState, len(cfg.Jobs)),
-		copies:     make(map[workload.TaskRef][]*taskCopy),
+		states:     make(map[workload.JobID]*liveJob, len(cfg.Jobs)),
 		rng:        stats.NewRNG(cfg.Seed),
 		dists:      make(map[phaseKey]stats.Pareto),
 		observed:   make(map[phaseKey]*stats.Summary),
@@ -238,9 +284,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	pending := make([]*workload.JobState, 0, len(cfg.Jobs))
 	for _, j := range cfg.Jobs {
-		s := workload.NewJobState(j)
-		e.states[j.ID] = s
-		pending = append(pending, s)
+		lj := newLiveJob(j)
+		e.states[j.ID] = lj
+		pending = append(pending, lj.JobState)
 	}
 	e.arrivals.Init(pending)
 	return e, nil
@@ -344,18 +390,10 @@ func (e *Engine) advanceTo(t int64) {
 		e.lastSample = t
 		if e.cfg.RecordTimeline {
 			total := e.cfg.Cluster.Total()
-			running := 0
-			for _, cs := range e.copies {
-				for _, c := range cs {
-					if !c.killed {
-						running++
-					}
-				}
-			}
 			e.res.Timeline = append(e.res.Timeline, TimelinePoint{
 				Slot:          e.clock, // state held over [clock, t)
 				ActiveJobs:    len(e.active),
-				RunningCopies: running,
+				RunningCopies: e.liveCopies,
 				UtilizationCPU: float64(used.CPUMilli) /
 					float64(total.CPUMilli),
 				UtilizationMem: float64(used.MemMiB) /
@@ -389,7 +427,7 @@ func (e *Engine) processCompletions() error {
 		if err := e.completeTask(c); err != nil {
 			return err
 		}
-		// completeTask dropped the task's copy list; the winner's last
+		// completeTask unlinked the task's copy list; the winner's last
 		// reference was the heap slot popped above.
 		e.freeCopy(c)
 	}
@@ -408,7 +446,7 @@ func (e *Engine) newCopy() *taskCopy {
 }
 
 // freeCopy returns a copy to the free list. The caller guarantees no
-// live reference remains (not in e.copies, not in the running heap).
+// live reference remains (not in a copy table, not in the running heap).
 func (e *Engine) freeCopy(c *taskCopy) {
 	*c = taskCopy{}
 	e.copyFree = append(e.copyFree, c)
@@ -419,10 +457,7 @@ func (e *Engine) freeCopy(c *taskCopy) {
 // updates phase/job state.
 func (e *Engine) completeTask(winner *taskCopy) error {
 	ref := winner.ref
-	js, ok := e.states[ref.Job]
-	if !ok {
-		return fmt.Errorf("sim: completion for unknown job %d", ref.Job)
-	}
+	js := winner.job
 	key := phaseKey{ref.Job, ref.Phase}
 
 	obs := e.observed[key]
@@ -448,9 +483,10 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 		cps = &stats.Summary{}
 		e.copiesPerTask[key] = cps
 	}
-	cps.Add(float64(len(e.copies[ref])))
+	cps.Add(float64(js.LiveCopies(ref.Phase, ref.Index)))
 
-	for _, c := range e.copies[ref] {
+	alloc := e.alloc[ref.Job]
+	for c := js.copies[ref.Phase][ref.Index]; c != nil; {
 		if err := e.cfg.Cluster.Release(c.server, c.demand); err != nil {
 			return fmt.Errorf("sim: release %v: %w", c.ref, err)
 		}
@@ -459,31 +495,33 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 		if c.clone {
 			e.cloneUse = e.cloneUse.Sub(c.demand)
 		}
-		e.alloc[ref.Job] = e.alloc[ref.Job].Sub(c.demand)
-		c.killed = true
+		alloc = alloc.Sub(c.demand)
+		e.liveCopies--
 		if e.cfg.RecordTrace && c != winner {
 			e.res.Trace = append(e.res.Trace, TraceEvent{
 				Slot: e.clock, Kind: TraceKill, Ref: ref,
 				Server: c.server, Demand: c.demand, Clone: c.clone,
 			})
 		}
+		c = c.kill()
 	}
+	e.alloc[ref.Job] = alloc
 	if e.cfg.RecordTrace {
 		e.res.Trace = append(e.res.Trace, TraceEvent{
 			Slot: e.clock, Kind: TraceComplete, Ref: ref,
 			Server: winner.server, Demand: winner.demand, Clone: winner.clone,
 		})
 	}
-	delete(e.copies, ref)
+	js.copies[ref.Phase][ref.Index] = nil
 
 	if err := js.MarkDone(ref.Phase, ref.Index); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if js.Done() {
 		js.Finish = e.clock
-		e.removeActive(js)
-		e.recordJob(js)
-		e.releaseJob(js)
+		e.removeActive(js.JobState)
+		e.recordJob(js.JobState)
+		e.releaseJob(js.JobState)
 	}
 	return nil
 }
@@ -509,13 +547,22 @@ func (e *Engine) releaseJob(js *workload.JobState) {
 	}
 }
 
+// removeActive deletes a job from e.active, keeping the order. The list
+// is ordered by (arrival, ID) — arrivals are appended in heap order and
+// never before the clock — so the slot is found by binary search. The
+// one way out of ID order within a slot is an online InjectJob of a
+// smaller ID after that slot's arrivals were delivered; then the search
+// lands elsewhere and a scan finds the job.
 func (e *Engine) removeActive(js *workload.JobState) {
-	for i, a := range e.active {
-		if a == js {
-			e.active = append(e.active[:i], e.active[i+1:]...)
-			return
+	i := sort.Search(len(e.active), func(i int) bool {
+		a := e.active[i].Job
+		return a.Arrival > js.Job.Arrival || (a.Arrival == js.Job.Arrival && a.ID >= js.Job.ID)
+	})
+	if i == len(e.active) || e.active[i] != js {
+		for i = 0; e.active[i] != js; i++ {
 		}
 	}
+	e.active = append(e.active[:i], e.active[i+1:]...)
 }
 
 // scheduleLoop calls the scheduler until it has no more placements,
@@ -567,9 +614,9 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 	if !js.PhaseReady(p.Ref.Phase) {
 		return fmt.Errorf("sim: placement for task %v whose parents have not finished", p.Ref)
 	}
-	existing := e.copies[p.Ref]
-	if len(existing) >= e.cfg.MaxCopiesPerTask {
-		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, len(existing), e.cfg.MaxCopiesPerTask)
+	existing := js.LiveCopies(p.Ref.Phase, p.Ref.Index)
+	if existing >= e.cfg.MaxCopiesPerTask {
+		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, e.cfg.MaxCopiesPerTask)
 	}
 	if !e.cfg.Cluster.Contains(p.Server) {
 		return fmt.Errorf("sim: placement on unknown server %d", p.Server)
@@ -578,18 +625,20 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		return fmt.Errorf("sim: placement %v: %w", p.Ref, err)
 	}
 
-	dur, penalty := e.sampleDuration(js, p.Ref, p.Server)
+	dur, penalty := e.sampleDuration(js.JobState, p.Ref, p.Server)
 	c := e.newCopy()
 	*c = taskCopy{
 		ref:     p.Ref,
+		job:     js,
 		server:  p.Server,
 		demand:  ph.Demand,
 		start:   e.clock,
 		finish:  e.clock + dur + penalty,
 		penalty: penalty,
-		clone:   len(existing) > 0,
+		clone:   existing > 0,
 	}
-	e.copies[p.Ref] = append(existing, c)
+	js.link(c)
+	e.liveCopies++
 	heap.Push(&e.running, c)
 
 	js.MarkRunning(p.Ref.Phase, p.Ref.Index)
@@ -597,7 +646,7 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 	e.alloc[p.Ref.Job] = e.alloc[p.Ref.Job].Add(ph.Demand)
 	if c.clone {
 		e.cloneUse = e.cloneUse.Add(ph.Demand)
-		if len(existing) == 1 {
+		if existing == 1 {
 			js.TasksCloned++
 		}
 	}
@@ -662,7 +711,7 @@ func (e *Engine) sampleDuration(js *workload.JobState, ref workload.TaskRef, ser
 // "assigns the output from the copy that finishes first to all the
 // copies of each downstream task").
 func (e *Engine) outputContention(js *workload.JobState, ref workload.TaskRef) bool {
-	copyIdx := len(e.copies[ref]) // copies already placed for this task
+	copyIdx := js.LiveCopies(ref.Phase, ref.Index) // copies already placed for this task
 	if copyIdx == 0 {
 		return false
 	}
@@ -725,17 +774,33 @@ func (e *Engine) checkInvariants() error {
 	perServer := make(map[cluster.ServerID]resources.Vector)
 	perJob := make(map[workload.JobID]resources.Vector)
 	var cloneUse resources.Vector
-	for _, cs := range e.copies {
-		for _, c := range cs {
-			if c.killed {
-				continue
-			}
-			perServer[c.server] = perServer[c.server].Add(c.demand)
-			perJob[c.ref.Job] = perJob[c.ref.Job].Add(c.demand)
-			if c.clone {
-				cloneUse = cloneUse.Add(c.demand)
+	live := 0
+	for _, js := range e.active {
+		lj := e.states[js.Job.ID]
+		for k := range lj.copies {
+			for l, c := range lj.copies[k] {
+				n := 0
+				for ; c != nil; c = c.next {
+					if c.killed {
+						return fmt.Errorf("sim: killed copy of %v still in the copy table", c.ref)
+					}
+					n++
+					perServer[c.server] = perServer[c.server].Add(c.demand)
+					perJob[c.ref.Job] = perJob[c.ref.Job].Add(c.demand)
+					if c.clone {
+						cloneUse = cloneUse.Add(c.demand)
+					}
+				}
+				if got := js.LiveCopies(workload.PhaseID(k), l); got != n {
+					return fmt.Errorf("sim: live-copy count drift for %v: state says %d, table holds %d",
+						workload.TaskRef{Job: js.Job.ID, Phase: workload.PhaseID(k), Index: l}, got, n)
+				}
+				live += n
 			}
 		}
+	}
+	if live != e.liveCopies {
+		return fmt.Errorf("sim: live-copy total drift: tracked %d, actual %d", e.liveCopies, live)
 	}
 	for id, want := range perJob {
 		if got := e.alloc[id]; got != want {

@@ -95,50 +95,60 @@ func (e *Engine) processEvents() error {
 }
 
 // failServer kills every copy on the server and takes it offline. Tasks
-// whose last copy died revert to pending.
+// whose last copy died revert to pending. The copy tables are walked in
+// e.active, phase, task order, so the TraceLost events of one failure
+// come out in the same order on every run.
 func (e *Engine) failServer(id cluster.ServerID) error {
 	if e.cfg.Cluster.Server(id).Failed() {
 		return nil // already down
 	}
-	for ref, copies := range e.copies {
-		var survivors []*taskCopy
-		for _, c := range copies {
-			if c.server != id {
-				survivors = append(survivors, c)
-				continue
+	for _, js := range e.active {
+		lj := e.states[js.Job.ID]
+		for k := range lj.copies {
+			for l := range lj.copies[k] {
+				// Unlink in place; survivors keep their order and their
+				// clone flags (those only feed budget accounting, which
+				// is adjusted below for the copies that died).
+				for at := &lj.copies[k][l]; *at != nil; {
+					c := *at
+					if c.server != id {
+						at = &c.next
+						continue
+					}
+					*at = c.kill()
+					if err := e.loseCopy(lj, c); err != nil {
+						return fmt.Errorf("sim: fail %d: %w", id, err)
+					}
+				}
 			}
-			// The copy's partial work is lost but its resources were
-			// consumed until now.
-			if err := e.cfg.Cluster.Release(c.server, c.demand); err != nil {
-				return fmt.Errorf("sim: fail %d: %w", id, err)
-			}
-			js := e.states[c.ref.Job]
-			js.Usage.AddFor(c.demand, e.clock-c.start)
-			e.res.TotalUsage.AddFor(c.demand, e.clock-c.start)
-			if c.clone {
-				e.cloneUse = e.cloneUse.Sub(c.demand)
-			}
-			e.alloc[c.ref.Job] = e.alloc[c.ref.Job].Sub(c.demand)
-			c.killed = true
-			e.res.CopiesLostToFailures++
-			if e.cfg.RecordTrace {
-				e.res.Trace = append(e.res.Trace, TraceEvent{
-					Slot: e.clock, Kind: TraceLost, Ref: c.ref,
-					Server: c.server, Demand: c.demand, Clone: c.clone,
-				})
-			}
-		}
-		if len(survivors) == 0 {
-			delete(e.copies, ref)
-			e.states[ref.Job].MarkPending(ref.Phase, ref.Index)
-		} else if len(survivors) != len(copies) {
-			// Surviving head copy loses its clone flag only if the
-			// original died; keep flags as-is (they only affect
-			// budget accounting, which was already adjusted).
-			e.copies[ref] = survivors
 		}
 	}
 	e.cfg.Cluster.Fail(id)
+	return nil
+}
+
+// loseCopy accounts for a copy whose server failed under it: its
+// partial work is lost but its resources were consumed until now. The
+// killed copy stays in the running heap until its finish slot pops it.
+func (e *Engine) loseCopy(lj *liveJob, c *taskCopy) error {
+	if err := e.cfg.Cluster.Release(c.server, c.demand); err != nil {
+		return err
+	}
+	lj.Usage.AddFor(c.demand, e.clock-c.start)
+	e.res.TotalUsage.AddFor(c.demand, e.clock-c.start)
+	if c.clone {
+		e.cloneUse = e.cloneUse.Sub(c.demand)
+	}
+	e.alloc[c.ref.Job] = e.alloc[c.ref.Job].Sub(c.demand)
+	e.liveCopies--
+	e.res.CopiesLostToFailures++
+	if e.cfg.RecordTrace {
+		e.res.Trace = append(e.res.Trace, TraceEvent{
+			Slot: e.clock, Kind: TraceLost, Ref: c.ref,
+			Server: c.server, Demand: c.demand, Clone: c.clone,
+		})
+	}
+	lj.DropCopy(c.ref.Phase, c.ref.Index)
 	return nil
 }
 

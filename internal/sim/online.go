@@ -45,14 +45,14 @@ func (e *Engine) InjectJob(j *workload.Job) (int64, error) {
 	if j.Arrival < e.clock {
 		j.Arrival = e.clock
 	}
-	js := workload.NewJobState(j)
-	e.states[j.ID] = js
+	lj := newLiveJob(j)
+	e.states[j.ID] = lj
 	// O(log pending) heap push; clamping guarantees the entry sorts
 	// after every already-consumed arrival, so history is never
 	// rewritten. The heap holds only pending arrivals — consumed
 	// entries were released at pop — so a long-running daemon's arrival
 	// queue stays proportional to its backlog, not its lifetime intake.
-	e.arrivals.Push(js)
+	e.arrivals.Push(lj.JobState)
 	return j.Arrival, nil
 }
 

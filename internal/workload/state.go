@@ -9,7 +9,7 @@ import (
 
 // TaskState tracks the lifecycle of one logical task (which may have
 // several running copies under cloning).
-type TaskState int
+type TaskState int32
 
 // Task lifecycle states.
 const (
@@ -18,14 +18,23 @@ const (
 	TaskDone                     // first copy finished
 )
 
+// taskCell packs a task's lifecycle state with its live-copy count
+// (original included) into the eight bytes the state alone would take,
+// so the count costs a queued job nothing.
+type taskCell struct {
+	state  TaskState
+	copies int32
+}
+
 // JobState is the mutable scheduling view of one job: which tasks are
 // pending/running/done, and the updated volume and processing time of
 // Eqs. (16)–(17). It is owned by the simulator's goroutine.
 type JobState struct {
 	Job *Job
 
-	// task[k][l] is the state of task l in phase k.
-	task [][]TaskState
+	// task[k][l] is the state of task l in phase k and the number of
+	// copies of it that are running.
+	task [][]taskCell
 	// doneInPhase[k] counts finished tasks in phase k.
 	doneInPhase []int
 	// phaseDone[k] reports whether all tasks in phase k completed.
@@ -67,7 +76,7 @@ type JobState struct {
 func NewJobState(j *Job) *JobState {
 	s := &JobState{
 		Job:          j,
-		task:         make([][]TaskState, len(j.Phases)),
+		task:         make([][]taskCell, len(j.Phases)),
 		doneInPhase:  make([]int, len(j.Phases)),
 		phaseDone:    make([]bool, len(j.Phases)),
 		runningList:  make([][]int, len(j.Phases)),
@@ -77,28 +86,51 @@ func NewJobState(j *Job) *JobState {
 		FirstStart:   -1,
 	}
 	for k := range j.Phases {
-		s.task[k] = make([]TaskState, j.Phases[k].Tasks)
+		s.task[k] = make([]taskCell, j.Phases[k].Tasks)
 		s.pendingCount[k] = j.Phases[k].Tasks
 	}
 	return s
 }
 
 // Task returns the state of task (k, l).
-func (s *JobState) Task(k PhaseID, l int) TaskState { return s.task[k][l] }
+func (s *JobState) Task(k PhaseID, l int) TaskState { return s.task[k][l].state }
 
-// MarkRunning records that task (k, l) has at least one placed copy.
+// MarkRunning records one more placed copy of task (k, l): the first
+// moves the task from pending to running, every later one is a clone.
+// It is a no-op for done tasks.
 func (s *JobState) MarkRunning(k PhaseID, l int) {
-	if s.task[k][l] == TaskPending {
-		s.task[k][l] = TaskRunning
+	t := &s.task[k][l]
+	switch t.state {
+	case TaskDone:
+		return
+	case TaskPending:
+		t.state = TaskRunning
 		s.pendingCount[k]--
 		s.runningList[k] = insertSorted(s.runningList[k], l)
 	}
+	t.copies++
 }
+
+// DropCopy records that one copy of running task (k, l) was lost
+// without finishing it (its server failed). Losing the last copy
+// reverts the task to pending.
+func (s *JobState) DropCopy(k PhaseID, l int) {
+	t := &s.task[k][l]
+	if t.state != TaskRunning {
+		return
+	}
+	if t.copies--; t.copies <= 0 {
+		s.MarkPending(k, l)
+	}
+}
+
+// LiveCopies returns the number of running copies of task (k, l).
+func (s *JobState) LiveCopies(k PhaseID, l int) int { return int(s.task[k][l].copies) }
 
 // MarkDone records completion of task (k, l). It returns an error on a
 // double completion. Phase and job completion flags update automatically.
 func (s *JobState) MarkDone(k PhaseID, l int) error {
-	switch s.task[k][l] {
+	switch s.task[k][l].state {
 	case TaskDone:
 		return fmt.Errorf("workload: task %v already done", TaskRef{s.Job.ID, k, l})
 	case TaskPending:
@@ -106,7 +138,8 @@ func (s *JobState) MarkDone(k PhaseID, l int) error {
 	case TaskRunning:
 		s.runningList[k] = removeSorted(s.runningList[k], l)
 	}
-	s.task[k][l] = TaskDone
+	// The winner's siblings die with it.
+	s.task[k][l] = taskCell{state: TaskDone}
 	s.doneInPhase[k]++
 	if s.doneInPhase[k] == s.Job.Phases[k].Tasks {
 		s.phaseDone[k] = true
@@ -118,10 +151,10 @@ func (s *JobState) MarkDone(k PhaseID, l int) error {
 // server failure forces when every copy of a task is lost. It is a no-op
 // for pending or done tasks.
 func (s *JobState) MarkPending(k PhaseID, l int) {
-	if s.task[k][l] != TaskRunning {
+	if s.task[k][l].state != TaskRunning {
 		return
 	}
-	s.task[k][l] = TaskPending
+	s.task[k][l] = taskCell{state: TaskPending}
 	s.runningList[k] = removeSorted(s.runningList[k], l)
 	s.pendingCount[k]++
 	if l < s.firstPending[k] {
@@ -182,8 +215,8 @@ func (s *JobState) PendingTasks(k PhaseID) []int {
 		return nil
 	}
 	out := make([]int, 0, s.pendingCount[k])
-	for l, st := range s.task[k] {
-		if st == TaskPending {
+	for l, t := range s.task[k] {
+		if t.state == TaskPending {
 			out = append(out, l)
 		}
 	}
@@ -204,7 +237,7 @@ func (s *JobState) NextPending(k PhaseID, from int) (int, bool) {
 	}
 	tasks := s.task[k]
 	for l := from; l < len(tasks); l++ {
-		if tasks[l] == TaskPending {
+		if tasks[l].state == TaskPending {
 			if from == s.firstPending[k] {
 				s.firstPending[k] = l
 			}

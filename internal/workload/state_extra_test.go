@@ -51,6 +51,39 @@ func TestMarkRunningIdempotent(t *testing.T) {
 	}
 }
 
+// TestLiveCopies follows one task's copy count through every
+// transition: each MarkRunning is one placed copy, DropCopy is a copy
+// lost to a failure (the last one reverts the task to pending), and
+// completion kills whatever is left.
+func TestLiveCopies(t *testing.T) {
+	s := widePhase(3)
+	s.MarkRunning(0, 1)
+	s.MarkRunning(0, 1)
+	s.MarkRunning(0, 1)
+	if s.LiveCopies(0, 0) != 0 || s.LiveCopies(0, 1) != 3 || s.LiveCopies(0, 2) != 0 {
+		t.Fatalf("after three copies: %d %d %d", s.LiveCopies(0, 0), s.LiveCopies(0, 1), s.LiveCopies(0, 2))
+	}
+	s.DropCopy(0, 1)
+	if s.LiveCopies(0, 1) != 2 || s.Task(0, 1) != TaskRunning {
+		t.Fatalf("after one loss: %d copies, state %v", s.LiveCopies(0, 1), s.Task(0, 1))
+	}
+	s.DropCopy(0, 1)
+	s.DropCopy(0, 1)
+	if s.LiveCopies(0, 1) != 0 || s.Task(0, 1) != TaskPending || s.PendingCount(0) != 3 {
+		t.Fatalf("after losing all: %d copies, state %v", s.LiveCopies(0, 1), s.Task(0, 1))
+	}
+	s.DropCopy(0, 1) // nothing left to lose
+	s.MarkRunning(0, 1)
+	s.MarkRunning(0, 1)
+	if err := s.MarkDone(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	s.MarkRunning(0, 1) // a done task takes no copies
+	if s.LiveCopies(0, 1) != 0 {
+		t.Fatalf("done task holds %d copies", s.LiveCopies(0, 1))
+	}
+}
+
 func TestNextPending(t *testing.T) {
 	s := widePhase(5)
 	s.MarkRunning(0, 0)
