@@ -29,6 +29,7 @@ import (
 	"dollymp/internal/sched"
 	"dollymp/internal/shard"
 	"dollymp/internal/sim"
+	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
@@ -66,6 +67,9 @@ type drainProfile struct {
 	// file (under -trace-dir) drained instead of synthetic jobs.
 	ballastMB int // rss-* fixture profiles: heap held live through the drain
 	trace     string
+	// backlog drains Google-like multi-phase jobs that all arrive at
+	// slot 0 instead of the paced one-phase drain jobs.
+	backlog bool
 }
 
 func engineProfiles() []drainProfile {
@@ -97,8 +101,12 @@ func routerProfiles() []drainProfile {
 // peak-RSS regression test, not benchmarks — ballast holds a large
 // live heap through a small drain, lean runs the same drain without
 // it, and a correct per-profile measurement must tell them apart.
+// backlog is the packing regime — the whole workload queued on a small
+// fleet, the shape of the repo benchmark's backlog-200 — kept out of the
+// default set because its jobs/s says nothing about a paced drain's.
 func extraEngineProfiles() []drainProfile {
 	return []drainProfile{
+		{name: "backlog", jobs: 15_000, fleet: 200, backlog: true},
 		{name: "replay-1m", jobs: 1_000_000, fleet: replayFleet, trace: "replay-1m.trace"},
 		{name: "replay-10m", jobs: 10_000_000, fleet: replayFleet, trace: "replay-10m.trace"},
 		{name: "replay-25m", jobs: 25_000_000, fleet: replayFleet, trace: "replay-25m.trace"},
@@ -135,6 +143,9 @@ type drainReport struct {
 }
 
 const drainSchema = "dollymp-bench-drain/v1"
+
+// backlogSeed selects the backlog profile's generated jobs.
+const backlogSeed = 42
 
 func parseProfiles(area, s string) ([]drainProfile, error) {
 	var all []drainProfile
@@ -315,6 +326,19 @@ func engineDrain(p drainProfile) (drainRun, error) {
 	if jobsPerSlot < 1 {
 		jobsPerSlot = 1
 	}
+	job := func(i int) *workload.Job {
+		j := drainJob(i)
+		j.ID = workload.JobID(i + 1)
+		j.Arrival = int64(i / jobsPerSlot)
+		return j
+	}
+	if p.backlog {
+		jobs := trace.DefaultGoogleLike(p.jobs, 1.0, backlogSeed).Generate()
+		job = func(i int) *workload.Job {
+			jobs[i].Arrival = 0
+			return jobs[i]
+		}
+	}
 	const window = 4096 // max injected-but-not-arrived jobs
 
 	start := time.Now()
@@ -322,10 +346,7 @@ func engineDrain(p drainProfile) (drainRun, error) {
 	pendingPeak := 0
 	inject := func() error {
 		for next < p.jobs && eng.PendingArrivals() < window {
-			j := drainJob(next)
-			j.ID = workload.JobID(next + 1)
-			j.Arrival = int64(next / jobsPerSlot)
-			if _, err := eng.InjectJob(j); err != nil {
+			if _, err := eng.InjectJob(job(next)); err != nil {
 				return err
 			}
 			next++

@@ -15,12 +15,12 @@ func TestParseProfiles(t *testing.T) {
 	}
 	// Replay and rss-* fixture profiles are selectable by name but not
 	// part of the default set (the replays stream for minutes).
-	replay, err := parseProfiles("engine", "replay-1m,rss-ballast")
-	if err != nil || len(replay) != 2 || replay[0].trace == "" || replay[1].ballastMB == 0 {
+	replay, err := parseProfiles("engine", "replay-1m,rss-ballast,backlog")
+	if err != nil || len(replay) != 3 || replay[0].trace == "" || replay[1].ballastMB == 0 || !replay[2].backlog {
 		t.Fatalf("extra profiles: %v, err %v", replay, err)
 	}
 	for _, p := range all {
-		if p.trace != "" || p.ballastMB != 0 {
+		if p.trace != "" || p.ballastMB != 0 || p.backlog {
 			t.Fatalf("default set must not include extra profile %q", p.name)
 		}
 	}
@@ -49,6 +49,19 @@ func TestEngineDrainSmoke(t *testing.T) {
 	}
 	if run.PendingPeak <= 0 || run.PendingPeak > 4096 {
 		t.Fatalf("pending peak %d outside (0, window]", run.PendingPeak)
+	}
+}
+
+// TestBacklogDrainSmoke is the same for the backlog profile's shape:
+// every job queued at slot 0, so the engine clamps the later windows'
+// arrivals forward and still completes them all.
+func TestBacklogDrainSmoke(t *testing.T) {
+	run, err := engineDrain(drainProfile{name: "smoke", jobs: 5000, fleet: 8, backlog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Jobs != 5000 || run.ClockSlots <= 0 || run.PendingPeak != 4096 {
+		t.Fatalf("implausible run %+v", run)
 	}
 }
 

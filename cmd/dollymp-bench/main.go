@@ -138,7 +138,7 @@ func main() {
 		opts      sweepOptions
 
 		drainArea = flag.String("drain", "", "run a drain benchmark instead of figures: engine (online-engine job drain) or router (sharded service drain)")
-		profiles  = flag.String("profiles", "", "comma-separated drain profiles to run (short,full,...; default all; replay-1m/10m/25m stream a trace from disk)")
+		profiles  = flag.String("profiles", "", "comma-separated drain profiles to run (short,full,...; default all; replay-1m/10m/25m stream a trace from disk, backlog queues 15000 jobs at slot 0)")
 		traceDir  = flag.String("trace-dir", ".", "directory holding (or receiving generated) replay traces for the replay-* profiles")
 	)
 	flag.StringVar(&opts.schedulers, "sweep-schedulers", "", "comma-separated scheduler names for -sweep (default capacity,tetris,dollymp2; see internal/experiments.SweepSchedulerNames)")

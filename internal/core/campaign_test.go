@@ -7,14 +7,17 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
 	"dollymp/internal/estimate"
 	"dollymp/internal/resources"
+	"dollymp/internal/sched"
 	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/stats"
+	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
@@ -264,6 +267,112 @@ func BenchmarkScheduleDecision2000Clones(b *testing.B) {
 	}
 }
 
+// packedBacklog is the packing regime at the repo benchmark's
+// backlog-200 scale: 15 000 Google-like multi-phase jobs queued on 200
+// servers that a clone-free pass has filled, after which running tasks
+// were completed until the fleet is at most 92 % full. It keeps its own
+// Jobs() list — the fake's scans 15 000 states per call — cut the way
+// the engine cuts it, so it honours the sched.Context contract.
+type packedBacklog struct {
+	*schedtest.Context
+	jobs    []*workload.JobState
+	running []workload.TaskRef // placed by us, oldest first
+}
+
+func (p *packedBacklog) Jobs() []*workload.JobState { return p.jobs }
+
+func newPackedBacklog(tb testing.TB) *packedBacklog {
+	tb.Helper()
+	p := &packedBacklog{Context: schedtest.New(cluster.LargeFleet(200, 1))}
+	for _, j := range trace.DefaultGoogleLike(15_000, 1.0, 42).Generate() {
+		j.Arrival = 0
+		p.jobs = append(p.jobs, p.MustAddJob(j))
+	}
+	p.apply(tb, core.MustNew(core.WithClones(0)).Schedule(p))
+	total := p.Fleet.Total()
+	for used := p.Fleet.TotalUsed(); used.CPUMilli*100 > total.CPUMilli*92; used = p.Fleet.TotalUsed() {
+		p.complete(tb, 1)
+	}
+	return p
+}
+
+// apply launches the placements, as the engine would.
+func (p *packedBacklog) apply(tb testing.TB, ps []sched.Placement) {
+	tb.Helper()
+	if err := p.Apply(ps); err != nil {
+		tb.Fatal(err)
+	}
+	for _, pl := range ps {
+		if p.find(pl.Ref.Job).LiveCopies(pl.Ref.Phase, pl.Ref.Index) == 1 {
+			p.running = append(p.running, pl.Ref)
+		}
+	}
+}
+
+// complete finishes the n longest-running tasks and cuts finished jobs
+// out of the list.
+func (p *packedBacklog) complete(tb testing.TB, n int) {
+	tb.Helper()
+	finished := false
+	for _, ref := range p.running[:n] {
+		if err := p.Complete(ref); err != nil {
+			tb.Fatal(err)
+		}
+		finished = finished || p.find(ref.Job).Done()
+	}
+	p.running = p.running[n:]
+	if finished {
+		kept := p.jobs[:0]
+		for _, js := range p.jobs {
+			if !js.Done() {
+				kept = append(kept, js)
+			}
+		}
+		p.jobs = kept
+	}
+}
+
+// find is the fake's job lookup without its linear scan: the generator
+// numbers jobs from 0 in JobStates order.
+func (p *packedBacklog) find(id workload.JobID) *workload.JobState { return p.JobStates[id] }
+
+// BenchmarkScheduleDecisionBacklog measures a decision point of the
+// packing regime the way the engine's schedule loop spends it: one
+// productive call that refills what completions freed, then — its
+// placements applied — the confirm call that finds nothing more to do.
+// Between iterations as many tasks complete as were just placed, so the
+// fleet stays about 92 % full; every 64 iterations a fresh backlog
+// replaces the one being drained. Neither is on the clock.
+func BenchmarkScheduleDecisionBacklog(b *testing.B) {
+	var p *packedBacklog
+	var s *core.Scheduler
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%64 == 0 {
+			p, s = newPackedBacklog(b), core.MustNew()
+			s.Schedule(p) // classify and index the backlog off the clock, as at arrival
+		} else {
+			p.complete(b, min(placed, len(p.running)))
+		}
+		b.StartTimer()
+		ps := s.Schedule(p)
+		b.StopTimer()
+		if placed = len(ps); placed == 0 {
+			b.Fatal("no placements")
+		}
+		p.apply(b, ps)
+		b.StartTimer()
+		if again := s.Schedule(p); len(again) > placed/4 {
+			b.Fatalf("confirm call placed %d after %d", len(again), placed)
+		}
+	}
+}
+
+// placed is the size of BenchmarkScheduleDecisionBacklog's last
+// productive round.
+var placed int
+
 // frozenJobs is a schedtest.Context whose job list is built once: the
 // test context sorts a fresh slice per Jobs call, which would drown the
 // scheduler's own allocations.
@@ -278,23 +387,30 @@ func (f *frozenJobs) Jobs() []*workload.JobState { return f.jobs }
 // allocations once the scratch buffers have grown. The returned slice is
 // the scheduler's own (see sched.Scheduler): built afresh per call it
 // was 40 % of the bytes a 100k-job replay allocated, and collector
-// cycles are work whose timing the engine loop does not control.
+// cycles are work whose timing the engine loop does not control. No
+// case applies its placements, so every call also takes back what the
+// one before did to the records and head indexes — and must return the
+// same round again.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	packing := benchBacklog(t, 200, 400, 100)
 	cloning := benchBacklog(t, 200, 30, 20)
 	if err := cloning.Apply(core.MustNew(core.WithClones(0)).Schedule(cloning)); err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]*schedtest.Context{"packing": packing, "cloning": cloning} {
-		ctx := &frozenJobs{c, c.Jobs()}
+	backlog := newPackedBacklog(t)
+	for name, ctx := range map[string]sched.Context{
+		"packing": &frozenJobs{packing, packing.Jobs()},
+		"cloning": &frozenJobs{cloning, cloning.Jobs()},
+		"backlog": backlog, // deep head indexes, heads moving mid-call
+	} {
 		s := core.MustNew()
-		want := len(s.Schedule(ctx))
-		if want == 0 {
+		want := append([]sched.Placement(nil), s.Schedule(ctx)...)
+		if len(want) == 0 {
 			t.Fatalf("%s: no placements", name)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if got := len(s.Schedule(ctx)); got != want {
-				t.Fatalf("%s: %d placements, then %d for the same round", name, want, got)
+			if got := s.Schedule(ctx); !slices.Equal(got, want) {
+				t.Fatalf("%s: a round that was not applied came back different: %d placements, then %d", name, len(want), len(got))
 			}
 		})
 		if allocs != 0 {

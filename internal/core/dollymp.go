@@ -59,33 +59,69 @@ type Scheduler struct {
 	scratch scratch
 }
 
-// member pairs a class member with its task cursor for the placement
-// passes, so the inner scans stop paying a map lookup per probe.
-type member struct {
-	js  *workload.JobState
-	cur *sched.JobCursor
+// jobRec is what the scheduler keeps about one active job between
+// Schedule calls: its class, its task cursor, and where the class's
+// head index holds its head (its next schedulable task), if it has one.
+type jobRec struct {
+	js *workload.JobState
+	// seen is js.Version() as of the cursor's last Reset, unless the
+	// record was invalidated since. A record is revalidated whenever
+	// seen differs from the job's stamp.
+	seen uint32
+	// class is the priority class; 0 until a recompute has seen the job.
+	class int32
+	// where locates the head in the class's index: i+1 tree entry i,
+	// -(i+1) overflow entry i, 0 while the job has none (see drained).
+	where int32
+	// seq is the job's position in ctx.Jobs() as of the last regroup:
+	// the tie-break among equal scores.
+	seq uint32
+	// gone marks a record whose job left ctx.Jobs(), until sync has
+	// compacted it out of its class's member list.
+	gone bool
+	cur  sched.JobCursor
 }
 
-// scratch is the allocation-heavy state Schedule used to rebuild every
-// call, now reused across calls. A Scheduler is confined to one
-// goroutine (like the engine that owns it), so plain buffers suffice.
+// invalidate makes the next sync re-read the record from its job
+// whether or not the job moves: seen takes a value Version will not
+// take again. New records start so, and a call that advances a cursor
+// leaves its record so — the caller may not apply that call's
+// placements, in which case the job stays put and the cursor is ahead
+// of it.
+func (r *jobRec) invalidate() { r.seen = r.js.Version() - 1 }
+
+// drained reports whether a classified job has no schedulable task
+// left: the clone passes serve drained jobs only.
+func (r *jobRec) drained() bool { return r.where == 0 }
+
+// class is one priority class: every member in ctx.Jobs() order (the
+// clone passes need the drained ones too) and the index over the heads
+// of those that have one.
+type class struct {
+	members []*jobRec
+	heads   headIndex
+	// dropped is set while members holds a gone record.
+	dropped bool
+}
+
+// scratch is the state Schedule keeps between calls. A Scheduler is
+// confined to one goroutine (like the engine that owns it), so plain
+// buffers suffice.
 type scratch struct {
-	ft      *sched.FitTracker
-	cursors []sched.JobCursor
-	// prevJobs is how many cursors the previous call used; reset nils
-	// the stale JobState pointers beyond the current count so completed
-	// jobs do not linger reachable.
-	prevJobs int
-	// classes[l] holds every member of class l (the clone passes need
-	// drained jobs too); active[l] is the subset with a schedulable head,
-	// compacted in place as cursors drain.
-	classes [][]member
-	active  [][]member
-	// minDemand[l] is a component-wise lower bound on every active
-	// member's current head demand. It only ever moves down (Min on
-	// every observed head change), so if it does not fit a server's
-	// free vector, nothing in the class does and the scan is skipped.
-	minDemand []resources.Vector
+	ft *sched.FitTracker
+
+	// recs mirrors ctx.Jobs() as of the last sync, record for job.
+	// classes[l] groups them by priority class (index 0 unused), as of
+	// the last priority recompute. fresh is set while a record has no
+	// class yet.
+	recs     []*jobRec
+	classes  []class
+	maxClass int
+	fresh    bool
+	// free recycles the records of finished jobs; departed is sync's
+	// list of the records it dropped.
+	free     []*jobRec
+	departed []*jobRec
 
 	infos []JobInfo
 	prio  prioScratch
@@ -130,28 +166,146 @@ func (sc *scratch) fitTracker(c *cluster.Cluster) *sched.FitTracker {
 	return sc.ft
 }
 
-// reset prepares the per-call buffers for maxClass classes and n jobs.
-func (sc *scratch) reset(maxClass, n int) {
-	if len(sc.cursors) < n {
-		grown := make([]sched.JobCursor, n+len(sc.cursors))
-		copy(grown, sc.cursors)
-		sc.cursors = grown
+// sync brings recs in line with ctx.Jobs() and revalidates every record
+// whose job moved since its cursor was last reset. It relies on the
+// Jobs() contract — a snapshot is the previous one minus finished jobs
+// plus a suffix of arrivals — so one forward walk pairs jobs with
+// records: a record the walk passes over has left, a job past the last
+// record is new. (A context that reorders survivors is still mirrored
+// correctly: the overtaken records are dropped and built anew.)
+func (sc *scratch) sync(jobs []*workload.JobState) {
+	// old is the mirror as it stood: recs[:w] is the new one, written
+	// in place behind the read position j and appended past old's end.
+	old, recs := sc.recs, sc.recs
+	j, w := 0, 0
+	for _, js := range jobs {
+		for j < len(old) && old[j].js != js {
+			sc.drop(old[j])
+			j++
+		}
+		var r *jobRec
+		if j < len(old) {
+			r = old[j]
+			j++
+		} else {
+			r = sc.newRec(js)
+		}
+		if w < len(recs) {
+			recs[w] = r
+		} else {
+			recs = append(recs, r)
+		}
+		w++
+		if r.seen != js.Version() {
+			sc.revalidate(r)
+		}
 	}
-	for i := n; i < sc.prevJobs; i++ {
-		sc.cursors[i].JS = nil
+	for ; j < len(old); j++ {
+		sc.drop(old[j])
 	}
-	sc.prevJobs = n
-	for len(sc.classes) <= maxClass {
-		sc.classes = append(sc.classes, nil)
-		sc.active = append(sc.active, nil)
-		sc.minDemand = append(sc.minDemand, resources.Vector{})
+	clear(recs[w:])
+	sc.recs = recs[:w]
+
+	if len(sc.departed) == 0 {
+		return
 	}
 	for l := range sc.classes {
-		clear(sc.classes[l])
-		sc.classes[l] = sc.classes[l][:0]
-		clear(sc.active[l])
-		sc.active[l] = sc.active[l][:0]
+		c := &sc.classes[l]
+		if !c.dropped {
+			continue
+		}
+		kept := c.members[:0]
+		for _, r := range c.members {
+			if !r.gone {
+				kept = append(kept, r)
+			}
+		}
+		clear(c.members[len(kept):])
+		c.members, c.dropped = kept, false
 	}
+	for i, r := range sc.departed {
+		// Keep the cursor: its phase buffer is the record's one allocation.
+		r.cur.JS = nil
+		*r = jobRec{cur: r.cur}
+		sc.free = append(sc.free, r)
+		sc.departed[i] = nil
+	}
+	sc.departed = sc.departed[:0]
+}
+
+// newRec returns a record for a job sync has not seen before, stale so
+// that sync validates it.
+func (sc *scratch) newRec(js *workload.JobState) *jobRec {
+	var r *jobRec
+	if n := len(sc.free); n > 0 {
+		r, sc.free[n-1] = sc.free[n-1], nil
+		sc.free = sc.free[:n-1]
+	} else {
+		r = new(jobRec)
+	}
+	r.js = js
+	r.invalidate()
+	sc.fresh = true
+	return r
+}
+
+// drop takes a record whose job left ctx.Jobs() out of its class's head
+// index and queues it for sync's compaction.
+func (sc *scratch) drop(r *jobRec) {
+	if r.class != 0 {
+		c := &sc.classes[r.class]
+		c.heads.remove(r)
+		c.dropped = true
+	}
+	r.gone = true
+	sc.departed = append(sc.departed, r)
+}
+
+// revalidate re-reads a record's head from its job.
+func (sc *scratch) revalidate(r *jobRec) {
+	r.seen = r.js.Version()
+	r.cur.Reset(r.js)
+	sc.rehead(r)
+}
+
+// rehead puts the class's index in step with r's cursor. A record no
+// recompute has classified yet is indexed when one does.
+func (sc *scratch) rehead(r *jobRec) {
+	if r.class != 0 {
+		pt, ok := r.cur.Peek()
+		sc.classes[r.class].heads.set(r, pt.Demand, ok)
+	}
+}
+
+// regroup rebuilds class membership and every head index from the
+// priorities just computed over the jobs recs mirrors.
+func (sc *scratch) regroup(prios map[workload.JobID]int) {
+	for l := range sc.classes {
+		c := &sc.classes[l]
+		clear(c.members)
+		c.members = c.members[:0]
+		c.heads.reset()
+	}
+	sc.maxClass = 0
+	for i, r := range sc.recs {
+		p := prios[r.js.Job.ID]
+		r.class, r.seq, r.where = int32(p), uint32(i), 0
+		if p > sc.maxClass {
+			sc.maxClass = p
+			for len(sc.classes) <= p {
+				sc.classes = append(sc.classes, class{})
+			}
+		}
+		c := &sc.classes[p]
+		c.members = append(c.members, r)
+		if pt, ok := r.cur.Peek(); ok {
+			c.heads.stage(r, pt.Demand)
+		}
+	}
+	for l := range sc.classes {
+		sc.classes[l].heads.build()
+	}
+	sc.fresh = false
 }
 
 // Option configures the scheduler.
@@ -269,10 +423,13 @@ func (s *Scheduler) OnJobArrival(sched.Context, *workload.JobState) {
 // the per-arrival work OnJobArrival defers to the next Schedule call.
 // Exposed for overhead measurements that want the cost inline.
 func (s *Scheduler) RecomputePriorities(ctx sched.Context) {
+	s.scratch.sync(ctx.Jobs())
 	s.recompute(ctx)
 	s.pendingArrivals = 0
 }
 
+// recompute reruns Algorithm 1 over ctx.Jobs(), which the records must
+// already mirror, and regroups them by the new priorities.
 func (s *Scheduler) recompute(ctx sched.Context) {
 	total := ctx.Cluster().Total()
 	jobs := ctx.Jobs()
@@ -282,6 +439,7 @@ func (s *Scheduler) recompute(ctx sched.Context) {
 	}
 	s.scratch.infos = infos
 	s.prios = prioritiesInto(infos, s.prios, &s.scratch.prio)
+	s.scratch.regroup(s.prios)
 }
 
 func (s *Scheduler) jobInfo(ctx sched.Context, js *workload.JobState, total resources.Vector) JobInfo {
@@ -344,11 +502,14 @@ func (s *Scheduler) harvest(ctx sched.Context) {
 // (best resource fit within a class), then up to maxClones clone passes
 // over running tasks in the same priority order, constrained by the δ
 // cloning budget. Every placement it emits is identical to the
-// straightforward per-call-rebuild formulation; the scratch reuse,
-// member compaction and demand floors only remove provably fruitless
-// work (pinned by the cross-seed equivalence property test).
+// straightforward formulation that regroups the jobs and scans every
+// class member on every call; the records kept between calls and the
+// head indexes only remove provably fruitless work (pinned by the
+// cross-seed equivalence property test).
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	jobs := ctx.Jobs()
+	sc := &s.scratch
+	sc.sync(jobs)
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -373,112 +534,42 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	}
 	// A job without a priority (e.g. first call before any arrival
 	// notification) forces a recompute.
-	for _, js := range jobs {
-		if _, ok := s.prios[js.Job.ID]; !ok {
-			s.recompute(ctx)
-			break
-		}
+	if sc.fresh {
+		s.recompute(ctx)
 	}
 
-	total := ctx.Cluster().Total()
-	sc := &s.scratch
+	norm := resources.NormOf(ctx.Cluster().Total())
 	ft := sc.fitTracker(ctx.Cluster())
-
-	// Group jobs by priority class, one pooled cursor each. Cursors are
-	// O(1) per probe regardless of backlog depth, which keeps heavy-load
-	// decisions O(active jobs).
-	maxClass := 0
-	for _, js := range jobs {
-		if p := s.prios[js.Job.ID]; p > maxClass {
-			maxClass = p
-		}
+	heads := 0
+	for l := 1; l <= sc.maxClass; l++ {
+		heads += sc.classes[l].heads.live
 	}
-	sc.reset(maxClass, len(jobs))
-	for i, js := range jobs {
-		cur := &sc.cursors[i]
-		cur.Reset(js)
-		sc.classes[s.prios[js.Job.ID]] = append(sc.classes[s.prios[js.Job.ID]], member{js: js, cur: cur})
-	}
-
-	// Active members are those with a schedulable task right now; jobs
-	// drained before the call starts (everything running/done) never
-	// enter the scan. minDemand starts as the per-class floor over the
-	// active heads.
-	activeTotal := 0
-	for l := 1; l <= maxClass; l++ {
-		for _, m := range sc.classes[l] {
-			pt, ok := m.cur.Peek()
-			if !ok {
-				continue
-			}
-			if len(sc.active[l]) == 0 {
-				sc.minDemand[l] = pt.Demand
-			} else {
-				sc.minDemand[l] = sc.minDemand[l].Min(pt.Demand)
-			}
-			sc.active[l] = append(sc.active[l], m)
-			activeTotal++
-		}
-	}
-
 	out := sc.out[:0]
 
 	// New-task pass (Steps 6–15): per server, classes in ascending
 	// order; within a class pick the task maximizing the inner product
 	// between demand and the server's remaining capacity.
 	for _, srv := range s.serverOrder(ctx) {
-		if activeTotal == 0 {
+		if heads == 0 {
 			break // every pending task placed; servers differ no more
 		}
 		free := ft.Free(srv.ID)
 		if free.IsZero() {
 			continue
 		}
-		for l := 1; l <= maxClass; l++ {
-			act := sc.active[l]
-			if len(act) == 0 {
-				continue
-			}
-			if !sc.minDemand[l].Fits(free) {
-				continue // nothing in the class can fit this server
-			}
-			for {
-				best := -1
-				bestScore := -1.0
-				w := 0
-				for _, m := range act {
-					pt, ok := m.cur.Peek()
-					if !ok {
-						activeTotal-- // drained: compact out for good
-						continue
-					}
-					act[w] = m
-					w++
-					if !pt.Demand.Fits(free) {
-						continue
-					}
-					if score := pt.Demand.Dot(free, total); score > bestScore {
-						bestScore = score
-						best = w - 1
-					}
-				}
-				act = act[:w]
-				if best < 0 {
-					break
-				}
-				m := act[best]
-				pt, _ := m.cur.Peek()
+		for l := 1; l <= sc.maxClass; l++ {
+			idx := &sc.classes[l].heads
+			for r := idx.best(free, norm); r != nil; r = idx.best(free, norm) {
+				pt, _ := r.cur.Peek()
 				ft.Place(srv.ID, pt.Demand)
 				free = free.Sub(pt.Demand)
-				m.cur.Advance()
-				if npt, ok := m.cur.Peek(); ok && npt.Demand != pt.Demand {
-					// Keep the floor an under-approximation as heads
-					// move to later phases with different demands.
-					sc.minDemand[l] = sc.minDemand[l].Min(npt.Demand)
-				}
 				out = append(out, sched.Placement{Ref: pt.Ref, Server: srv.ID})
+				r.cur.Advance()
+				r.invalidate()
+				if sc.rehead(r); r.drained() {
+					heads--
+				}
 			}
-			sc.active[l] = act
 		}
 	}
 
@@ -487,9 +578,9 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	// pass and both respect the δ budget.
 	switch {
 	case s.speculate:
-		out = s.speculationPass(ctx, ft, sc, maxClass, out)
+		out = s.speculationPass(ctx, ft, sc, out)
 	case s.maxClones > 0:
-		out = s.clonePasses(ctx, ft, sc, maxClass, out)
+		out = s.clonePasses(ctx, ft, sc, out)
 	}
 	sc.out = out
 	return out
@@ -503,7 +594,6 @@ func (s *Scheduler) speculationPass(
 	ctx sched.Context,
 	ft *sched.FitTracker,
 	sc *scratch,
-	maxClass int,
 	out []sched.Placement,
 ) []sched.Placement {
 	total := ctx.Cluster().Total()
@@ -514,13 +604,13 @@ func (s *Scheduler) speculationPass(
 	cloneUse := ctx.CloneUsage()
 	now := ctx.Now()
 
-	for l := 1; l <= maxClass; l++ {
-		for _, m := range sc.classes[l] {
-			if !m.cur.Exhausted() {
+	for l := 1; l <= sc.maxClass; l++ {
+		for _, r := range sc.classes[l].members {
+			if !r.drained() {
 				continue // pending work first, as with cloning
 			}
-			js := m.js
-			for _, k := range m.cur.Phases() {
+			js := r.js
+			for _, k := range r.cur.Phases() {
 				if js.RunningCount(k) == 0 {
 					continue
 				}
@@ -628,7 +718,6 @@ func (s *Scheduler) clonePasses(
 	ctx sched.Context,
 	ft *sched.FitTracker,
 	sc *scratch,
-	maxClass int,
 	out []sched.Placement,
 ) []sched.Placement {
 	total := ctx.Cluster().Total()
@@ -656,17 +745,17 @@ func (s *Scheduler) clonePasses(
 		return true
 	}
 
-	for l := 1; l <= maxClass; l++ {
-		for _, m := range sc.classes[l] {
+	for l := 1; l <= sc.maxClass; l++ {
+		for _, r := range sc.classes[l].members {
 			// §4.1/§5: clones are for jobs whose new tasks are all
 			// placed; a job with pending tasks still waits for
 			// capacity, so racing clones ahead of them would harm
 			// the very jobs the pass is meant to help.
-			if !m.cur.Exhausted() {
+			if !r.drained() {
 				continue
 			}
-			js := m.js
-			for _, k := range m.cur.Phases() {
+			js := r.js
+			for _, k := range r.cur.Phases() {
 				if js.RunningCount(k) == 0 {
 					continue
 				}

@@ -453,7 +453,7 @@ func equivJobs(seed uint64, n int) []*workload.Job {
 				Name: "reduce", Tasks: 1 + rng.Intn(3),
 				Demand:       resources.Cores(1, 1+int64(rng.Intn(2))),
 				MeanDuration: 1 + 4*rng.Float64(), SDDuration: 0.5 + rng.Float64(),
-				Parents:      []workload.PhaseID{0},
+				Parents: []workload.PhaseID{0},
 			})
 		}
 		if rng.Intn(4) == 0 {
@@ -461,12 +461,32 @@ func equivJobs(seed uint64, n int) []*workload.Job {
 				Name: "merge", Tasks: 1,
 				Demand:       resources.Cores(1, 1),
 				MeanDuration: 1 + 2*rng.Float64(), SDDuration: 0.5,
-				Parents:      []workload.PhaseID{workload.PhaseID(len(phases) - 1)},
+				Parents: []workload.PhaseID{workload.PhaseID(len(phases) - 1)},
 			})
 		}
 		jobs[i] = &workload.Job{
 			ID: workload.JobID(i + 1), Name: fmt.Sprintf("job-%d", i+1),
 			App: apps[rng.Intn(len(apps))], Arrival: arrival, Phases: phases,
+		}
+	}
+	return jobs
+}
+
+// packingJobs turns equivJobs into the packing regime's workload: every
+// job arrives at slot 0 and has at least two phases with different
+// demands, so heads move to a new demand as soon as a job's first phase
+// is placed — within one Schedule call as well as between calls.
+func packingJobs(seed uint64, n int) []*workload.Job {
+	jobs := equivJobs(seed, n)
+	for i, j := range jobs {
+		j.Arrival = 0
+		if len(j.Phases) == 1 {
+			j.Phases = append(j.Phases, workload.Phase{
+				Name: "reduce", Tasks: 1 + i%3,
+				Demand:       resources.Cores(1+int64(i%2), 2+int64(i%3)),
+				MeanDuration: 2 + float64(i%4), SDDuration: 1,
+				Parents: []workload.PhaseID{0},
+			})
 		}
 	}
 	return jobs
@@ -509,17 +529,35 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 		variant       int
 		seed          uint64
 		servers, jobs int
+		// packing queues every job at slot 0 (packingJobs) instead of
+		// pacing equivJobs' arrivals; events perturb the fleet mid-run.
+		packing bool
+		events  []sim.Event
 	}
 	var cells []cell
 	for seed := uint64(1); seed <= 8; seed++ {
 		for v := range variants {
-			cells = append(cells, cell{v, seed, 16, 80})
+			cells = append(cells, cell{variant: v, seed: seed, servers: 16, jobs: 80})
 		}
 	}
 	// One fleet-scale cell: 1200 servers put the fit index eleven levels
 	// deep, and 600 jobs on them is the light-load regime where nearly
 	// every task is cloned through BestFit.
-	cells = append(cells, cell{0, 9, 1200, 600})
+	cells = append(cells, cell{variant: 0, seed: 9, servers: 1200, jobs: 600})
+	// Two packing cells: 1500 multi-phase jobs queued at once on 40
+	// servers, so classes run to hundreds of members — head indexes
+	// several levels deep, searched hundreds of times a call while heads
+	// drain and move to their next phase under them. The second loses
+	// two servers mid-run and gets one back: MarkPending moves the heads
+	// of the jobs that ran there backwards between two calls.
+	cells = append(cells,
+		cell{variant: 0, seed: 10, servers: 40, jobs: 1500, packing: true},
+		cell{variant: 0, seed: 11, servers: 32, jobs: 1500, packing: true, events: []sim.Event{
+			{At: 9, Server: 0, Kind: sim.EventFail},
+			{At: 21, Server: 3, Kind: sim.EventFail},
+			{At: 40, Server: 0, Kind: sim.EventRestore},
+		}},
+	)
 	for _, c := range cells {
 		c, v := c, variants[c.variant]
 		t.Run(fmt.Sprintf("%s/seed=%d/servers=%d", v.name, c.seed, c.servers), func(t *testing.T) {
@@ -527,13 +565,18 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 			opt, ref := v.opt()
 
 			run := func(s sched.Scheduler) *sim.Result {
+				jobs := equivJobs(c.seed, c.jobs)
+				if c.packing {
+					jobs = packingJobs(c.seed, c.jobs)
+				}
 				e, err := sim.New(sim.Config{
 					Cluster:     cluster.LargeFleet(c.servers, c.seed),
-					Jobs:        equivJobs(c.seed, c.jobs),
+					Jobs:        jobs,
 					Scheduler:   s,
 					Seed:        c.seed,
 					Paranoid:    true,
 					RecordTrace: true,
+					Events:      c.events,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -66,6 +66,29 @@ func (v Vector) Dot(w, total Vector) float64 {
 		float64(v.MemMiB)*float64(w.MemMiB)/(float64(total.MemMiB)*float64(total.MemMiB))
 }
 
+// Norm is a total capacity prepared for repeated Dot calls: the two
+// squared denominators Dot recomputes on every call, computed once.
+type Norm struct {
+	cpu2, mem2 float64
+}
+
+// NormOf prepares total, which must have positive components.
+func NormOf(total Vector) Norm {
+	return Norm{
+		cpu2: float64(total.CPUMilli) * float64(total.CPUMilli),
+		mem2: float64(total.MemMiB) * float64(total.MemMiB),
+	}
+}
+
+// Dot returns v.Dot(w, total) for the total n was built from, bit for
+// bit: each term is still one product divided by the same denominator,
+// only the denominator is no longer recomputed (there is no reciprocal
+// multiply, which would round differently).
+func (n Norm) Dot(v, w Vector) float64 {
+	return float64(v.CPUMilli)*float64(w.CPUMilli)/n.cpu2 +
+		float64(v.MemMiB)*float64(w.MemMiB)/n.mem2
+}
+
 // DominantShare implements Eq. (9)/(15): the maximum, across dimensions,
 // of the demand divided by the total cluster capacity. total must have
 // positive components.

@@ -2,6 +2,7 @@ package resources
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,41 @@ func TestDotSymmetryAndPositivity(t *testing.T) {
 	}
 	if a.Dot(b, total) <= 0 {
 		t.Error("Dot of positive vectors must be positive")
+	}
+}
+
+// TestNormDotEqualsDot pins the hoisted-denominator form to Dot bit for
+// bit: schedulers mix the two (the fit index and the head index score
+// through Norm, the reference scans through Dot) and compare the
+// results for equality.
+func TestNormDotEqualsDot(t *testing.T) {
+	const big = math.MaxInt64
+	cases := []struct{ v, w, total Vector }{
+		{Cores(2, 4), Cores(6, 12), Cores(328, 648)},
+		{Vec(0, 0), Cores(6, 12), Cores(328, 648)},
+		{Cores(2, 4), Vec(0, 0), Cores(328, 648)},
+		{Vec(1, 1), Vec(1, 1), Vec(1, 1)},
+		{Vec(1, 1), Vec(1, 1), Vec(3, 7)}, // thirds and sevenths: inexact quotients
+		{Vec(big, big), Vec(big, big), Vec(1, 1)},
+		{Vec(big, 1), Vec(1, big), Vec(big, big)},
+		{Vec(1, 1), Vec(1, 1), Vec(big, big)},
+		{Vec(1<<53+1, 1<<53+1), Vec(3, 3), Vec(1<<31+1, 1<<31+1)}, // beyond float64's exact integers
+		{Vec(-5, 3), Vec(7, -2), Vec(11, 13)},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		// Magnitudes from 1 to 2^62, so products round at every scale.
+		draw := func() int64 { return rng.Int63() >> uint(rng.Intn(63)) }
+		cases = append(cases, struct{ v, w, total Vector }{
+			Vec(draw(), draw()), Vec(draw(), draw()), Vec(1+draw(), 1+draw()),
+		})
+	}
+	for _, c := range cases {
+		want := c.v.Dot(c.w, c.total)
+		if got := NormOf(c.total).Dot(c.v, c.w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormOf(%+v).Dot(%+v, %+v) = %v (%#x), Dot gives %v (%#x)",
+				c.total, c.v, c.w, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

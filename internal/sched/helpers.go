@@ -99,6 +99,7 @@ func FirstFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.Server
 type FitTracker struct {
 	servers []*cluster.Server
 	total   resources.Vector
+	norm    resources.Norm
 	tree    []resources.Vector
 	// size is the leaf offset: the smallest power of two ≥ len(servers).
 	// Leaves past the fleet hold (-1, -1), which no demand fits.
@@ -129,6 +130,7 @@ func (f *FitTracker) Reset(c *cluster.Cluster) {
 		f.bind(servers)
 	}
 	f.total = c.Total()
+	f.norm = resources.NormOf(f.total)
 	for i, s := range servers {
 		f.tree[f.size+i] = s.Free()
 	}
@@ -279,7 +281,7 @@ func (f *FitTracker) bound(s *fitSearch, n int) float64 {
 	if !s.demand.Fits(f.tree[n]) {
 		return -1
 	}
-	return s.demand.Dot(f.tree[n], f.total)
+	return f.norm.Dot(s.demand, f.tree[n])
 }
 
 // admits reports whether a subtree whose leftmost leaf is `first` and

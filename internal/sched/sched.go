@@ -27,8 +27,16 @@ type Context interface {
 	// Cluster returns the fleet; schedulers must treat it as read-only
 	// (the engine applies placements).
 	Cluster() *cluster.Cluster
-	// Jobs returns the arrived, unfinished jobs ordered by arrival slot
-	// then job ID.
+	// Jobs returns the arrived, unfinished jobs in the order they were
+	// delivered. The contract between one decision point and the next is
+	// about change, not about keys: a snapshot is the previous one with
+	// the finished jobs taken out and the new arrivals appended — the
+	// survivors keep their relative order and nothing is ever inserted
+	// among them. (Arrival slots therefore never decrease along the
+	// list; job IDs within a slot usually ascend, but an online
+	// injection into a slot already delivered lands behind it.) A
+	// scheduler may keep per-job state aligned with the list on the
+	// strength of this; the slice itself is only valid for the call.
 	Jobs() []*workload.JobState
 	// Copies returns the running copies of a task (empty if none). A
 	// policy that needs only their number reads it off the job instead:

@@ -32,6 +32,8 @@ type Context struct {
 	// OutputRacks fakes completed-phase output locations for
 	// PhaseOutputRack.
 	OutputRacks map[PhaseKey]int
+
+	byID map[workload.JobID]*workload.JobState // find's index over JobStates
 }
 
 // SpeedEstimate is a learned server-speed override.
@@ -92,7 +94,11 @@ func (c *Context) Now() int64 { return c.Clock }
 // Cluster implements sched.Context.
 func (c *Context) Cluster() *cluster.Cluster { return c.Fleet }
 
-// Jobs implements sched.Context: arrived, unfinished jobs.
+// Jobs implements sched.Context: arrived, unfinished jobs in AddJob
+// order. That meets the contract (survivors keep their order, new jobs
+// only append) as long as jobs are added in arrival order; advancing
+// Clock past the arrival of a job added before later-arriving ones
+// already visible would insert it among them.
 func (c *Context) Jobs() []*workload.JobState {
 	var out []*workload.JobState
 	for _, js := range c.JobStates {
@@ -226,11 +232,17 @@ func (c *Context) CloneCount(ps []sched.Placement) int {
 	return n
 }
 
+// find looks a job up by ID through an index rebuilt whenever JobStates
+// has grown or shrunk, so applying a batch to a deep backlog is not
+// quadratic.
 func (c *Context) find(id workload.JobID) *workload.JobState {
-	for _, js := range c.JobStates {
-		if js.Job.ID == id {
-			return js
+	if len(c.byID) != len(c.JobStates) {
+		c.byID = make(map[workload.JobID]*workload.JobState, len(c.JobStates))
+		for _, js := range c.JobStates {
+			if _, dup := c.byID[js.Job.ID]; !dup {
+				c.byID[js.Job.ID] = js
+			}
 		}
 	}
-	return nil
+	return c.byID[id]
 }

@@ -115,6 +115,8 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 // alignment first, up to MaxClones extra copies each.
 func (s *Scheduler) clonePass(ctx sched.Context, ft *sched.FitTracker) []sched.Placement {
 	var out []sched.Placement
+	// added tallies the clones granted in this call, which the job
+	// states do not show until the engine applies them.
 	added := make(map[workload.TaskRef]int)
 	for pass := 0; pass < s.MaxClones; pass++ {
 		for _, js := range ctx.Jobs() {
@@ -122,7 +124,7 @@ func (s *Scheduler) clonePass(ctx sched.Context, ft *sched.FitTracker) []sched.P
 				demand := js.Job.Phases[k].Demand
 				for _, l := range js.RunningTasks(k) {
 					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: l}
-					copies := len(ctx.Copies(ref)) + added[ref]
+					copies := js.LiveCopies(k, l) + added[ref]
 					if copies > pass+1 || copies > s.MaxClones {
 						continue
 					}

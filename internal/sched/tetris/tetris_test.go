@@ -115,6 +115,7 @@ func TestCloneModeTopsUpRunningTasks(t *testing.T) {
 		t.Fatalf("want one clone: %+v", ps)
 	}
 	// Already at the cap: no more.
+	js.MarkRunning(0, 0)
 	ctx.CopyMap[ref] = append(ctx.CopyMap[ref], sched.CopyStatus{Server: 1, Start: 0, Clone: true})
 	if more := (&Scheduler{MaxClones: 1}).Schedule(ctx); len(more) != 0 {
 		t.Fatalf("over-cloned: %+v", more)

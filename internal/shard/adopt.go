@@ -121,15 +121,26 @@ func (r *Router) Adopt(dir string) (AdoptReport, error) {
 		rep.Jobs += n
 		if err != nil {
 			absorbErr = fmt.Errorf("shard %d: adopt: %w", k, err)
-			// Unregister the jobs this shard did not take, so a retry
-			// (or a later adopter of the still-live directory) is not
-			// blinded by ownership entries pointing at absent jobs.
-			for _, rj := range jobs[n:] {
-				if _, home := r.homeShard(rj.ID); !home {
+			break
+		}
+	}
+	if absorbErr != nil {
+		// Keep the ownership entries of the jobs that did land, and only
+		// those, so a retry (or a later adopter of the still-live
+		// directory) is not blinded by entries pointing at absent jobs.
+		// Absorb's count leaves out the jobs its shard already knew, so
+		// it does not say where in the batch it stopped, and the shards
+		// after the failed one were never asked: the shards themselves
+		// say what they hold.
+		for k, jobs := range perShard {
+			for _, rj := range jobs {
+				if _, home := r.homeShard(rj.ID); home {
+					continue
+				}
+				if _, held := r.shards[k].Job(rj.ID); !held {
 					delete(r.owned, rj.ID)
 				}
 			}
-			break
 		}
 	}
 	r.migMu.Unlock()

@@ -5,8 +5,11 @@ package shard
 // segments, and refuses to adopt from a writer that is still alive.
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dollymp/internal/cluster"
@@ -143,4 +146,84 @@ func TestAdoptOwnDirRefused(t *testing.T) {
 		t.Fatal("adopted own journal dir")
 	}
 	stopDrained(t, a)
+}
+
+// TestAdoptFailureKeepsOwnershipTruthful: a takeover that fails part
+// way must leave the ownership map naming exactly the adopted jobs the
+// shards hold. The batch for shard 0 opens with a job that shard
+// already knows (Absorb skips it without counting it) and ends with one
+// the survivor's journal refuses, so the absorbed count (2) is not the
+// position Absorb stopped at (3); shard 1's batch is never attempted.
+func TestAdoptFailureKeepsOwnershipTruthful(t *testing.T) {
+	base := t.TempDir()
+	dirA, dirB := filepath.Join(base, "a"), filepath.Join(base, "b")
+	const total = 4
+	a := newMemberRouter(t, dirA, total, []int{0, 1}, 64)
+
+	// The dead member's residues are {2, 3}: on the survivor IDs 3, 7,
+	// 11, 15 fall back to shard 0 and ID 4 to shard 1.
+	known, refused, untried := workload.JobID(3), workload.JobID(15), workload.JobID(4)
+	if _, err := a.shards[0].Absorb([]*journal.ReplayJob{
+		{ID: known, Outcome: journal.OutcomePending, Job: testJob(1, 2)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The survivor re-journals an adopted job under its own ID. Pad the
+	// last one so that record is one byte over the limit while the dead
+	// member's, which carried job ID 0 inside the spec, is just on it.
+	big := testJob(1, 2)
+	probe := *big
+	probe.ID = refused
+	rec, err := json.Marshal(journal.Record{Op: journal.OpInjected, ID: refused, Job: &probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Name = strings.Repeat("x", journal.MaxRecordBytes+1-len(rec)) + big.Name
+
+	if err := os.MkdirAll(dirB, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := journal.Open(journal.SegmentPath(dirB, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := map[workload.JobID]*workload.Job{
+		known: testJob(1, 2), 7: testJob(1, 2), 11: testJob(1, 2), refused: big, untried: testJob(1, 2),
+	}
+	for id, j := range specs {
+		if _, err := jnl.Append(journal.Record{Op: journal.OpInjected, ID: id, Job: j}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := a.Adopt(dirB)
+	if err == nil {
+		t.Fatalf("adoption of an unjournalable job succeeded: %+v", rep)
+	}
+	if rep.Jobs != 2 {
+		t.Fatalf("absorbed %d jobs before the failure, want 2", rep.Jobs)
+	}
+	for id := range specs {
+		k, owned := a.owned[id]
+		held := false
+		for _, s := range a.shards {
+			if _, ok := s.Job(id); ok {
+				held = true
+			}
+		}
+		if owned != held {
+			t.Errorf("job %d: owned = %v (shard %d), held by a shard = %v", id, owned, k, held)
+		}
+		if want := id != refused && id != untried; held != want {
+			t.Errorf("job %d: held = %v, want %v", id, held, want)
+		}
+	}
+	if segs, _ := journal.ListSegments(dirB); len(segs) != 1 {
+		t.Fatalf("failed takeover retired the directory: %v", segs)
+	}
+	_ = a.Crash()
 }

@@ -17,7 +17,11 @@ func (e *Engine) Now() int64 { return e.clock }
 // Cluster returns the fleet (read-only for schedulers).
 func (e *Engine) Cluster() *cluster.Cluster { return e.cfg.Cluster }
 
-// Jobs returns arrived, unfinished jobs ordered by (arrival, ID).
+// Jobs returns arrived, unfinished jobs in delivery order: arrivals are
+// only ever appended (processArrivals) and finished jobs cut out in
+// place (removeActive), which is the sched.Context contract. Delivery
+// order is (arrival, ID) order except for an online InjectJob of a
+// smaller ID into a slot whose arrivals were already delivered.
 func (e *Engine) Jobs() []*workload.JobState { return e.active }
 
 // Copies returns the running copies of a task, original first.

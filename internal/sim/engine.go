@@ -547,8 +547,9 @@ func (e *Engine) releaseJob(js *workload.JobState) {
 	}
 }
 
-// removeActive deletes a job from e.active, keeping the order. The list
-// is ordered by (arrival, ID) — arrivals are appended in heap order and
+// removeActive deletes a job from e.active, keeping the order of the
+// rest (the sched.Context.Jobs contract). The list is in delivery order,
+// which is (arrival, ID) order — arrivals are appended in heap order and
 // never before the clock — so the slot is found by binary search. The
 // one way out of ID order within a slot is an online InjectJob of a
 // smaller ID after that slot's arrivals were delivered; then the search

@@ -69,7 +69,10 @@ type JobState struct {
 	topo     []PhaseID
 	topoBad  bool
 	topoDone bool
-	finish   []float64
+	// version counts task-state mutations; see Version. It shares the
+	// flags' word, so it does not grow the struct past its size class.
+	version uint32
+	finish  []float64
 }
 
 // NewJobState initializes tracking for a validated job.
@@ -92,6 +95,14 @@ func NewJobState(j *Job) *JobState {
 	return s
 }
 
+// Version is a mutation stamp: MarkRunning, MarkDone, MarkPending and
+// DropCopy advance it, and nothing else does. Everything a scheduler
+// derives from task states — the ready phases, the next pending task,
+// the running lists and copy counts — is unchanged while Version is, so
+// a scheduler that keeps such state between decisions revalidates a job
+// only when its stamp has moved.
+func (s *JobState) Version() uint32 { return s.version }
+
 // Task returns the state of task (k, l).
 func (s *JobState) Task(k PhaseID, l int) TaskState { return s.task[k][l].state }
 
@@ -99,6 +110,7 @@ func (s *JobState) Task(k PhaseID, l int) TaskState { return s.task[k][l].state 
 // moves the task from pending to running, every later one is a clone.
 // It is a no-op for done tasks.
 func (s *JobState) MarkRunning(k PhaseID, l int) {
+	s.version++
 	t := &s.task[k][l]
 	switch t.state {
 	case TaskDone:
@@ -115,6 +127,7 @@ func (s *JobState) MarkRunning(k PhaseID, l int) {
 // without finishing it (its server failed). Losing the last copy
 // reverts the task to pending.
 func (s *JobState) DropCopy(k PhaseID, l int) {
+	s.version++
 	t := &s.task[k][l]
 	if t.state != TaskRunning {
 		return
@@ -130,6 +143,7 @@ func (s *JobState) LiveCopies(k PhaseID, l int) int { return int(s.task[k][l].co
 // MarkDone records completion of task (k, l). It returns an error on a
 // double completion. Phase and job completion flags update automatically.
 func (s *JobState) MarkDone(k PhaseID, l int) error {
+	s.version++
 	switch s.task[k][l].state {
 	case TaskDone:
 		return fmt.Errorf("workload: task %v already done", TaskRef{s.Job.ID, k, l})
@@ -154,6 +168,7 @@ func (s *JobState) MarkPending(k PhaseID, l int) {
 	if s.task[k][l].state != TaskRunning {
 		return
 	}
+	s.version++
 	s.task[k][l] = taskCell{state: TaskPending}
 	s.runningList[k] = removeSorted(s.runningList[k], l)
 	s.pendingCount[k]++

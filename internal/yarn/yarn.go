@@ -169,8 +169,8 @@ func (s *Scheduler) clonePass(
 		int64(s.delta()*float64(total.MemMiB)),
 	)
 	cloneUse := ctx.CloneUsage()
-	// Tasks just placed in this batch are not yet visible in
-	// ctx.Copies; count them.
+	// Copies placed in this batch are not yet counted by the job
+	// states; tally them.
 	pendingCopies := make(map[workload.TaskRef]int, len(placed))
 	for _, p := range placed {
 		pendingCopies[p.Ref]++
@@ -190,7 +190,7 @@ func (s *Scheduler) clonePass(
 				demand := js.Job.Phases[k].Demand
 				for _, l := range js.RunningTasks(k) {
 					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: l}
-					copies := len(ctx.Copies(ref)) + pendingCopies[ref]
+					copies := js.LiveCopies(k, l) + pendingCopies[ref]
 					if copies == 0 || copies != pass {
 						continue
 					}
