@@ -12,7 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"dollymp/internal/workload"
@@ -33,108 +35,125 @@ type JobInfo struct {
 
 // Priorities runs Algorithm 1's classification (Steps 2–11) and returns
 // each job's priority class p_j ≥ 1 (smaller is scheduled earlier).
-// Jobs that no class packs fall into class g+1.
+// Jobs that no class packs fall into class g+1. Of several entries with
+// one ID, the first decides.
 func Priorities(jobs []JobInfo) map[workload.JobID]int {
-	return prioritiesInto(jobs, nil, &prioScratch{})
+	classes := prioritiesInto(jobs, &prioScratch{})
+	out := make(map[workload.JobID]int, len(jobs))
+	for i, j := range jobs {
+		if _, dup := out[j.ID]; !dup {
+			out[j.ID] = int(classes[i])
+		}
+	}
+	return out
+}
+
+// weightKey is one entry of the knapsack greedy order.
+type weightKey struct {
+	volume float64
+	index  int32
 }
 
 // prioScratch holds the reusable buffers of prioritiesInto, so the
 // per-arrival recomputation allocates nothing once warm.
 type prioScratch struct {
-	// byWeight is the knapsack greedy order: job indices by ascending
+	// classes is the result: classes[i] is jobs[i]'s priority class.
+	classes []int32
+	// byWeight is the knapsack greedy order: jobs by ascending
 	// (Volume, index) — shared by every class, since the unit-profit
-	// oracle always selects smallest-weight-first.
-	byWeight []int
-	// byTime is job indices by ascending Time; the candidate set of
-	// class l is a prefix of it.
-	byTime   []int
-	assigned []bool
+	// oracle always selects smallest-weight-first. The key is a total
+	// order, so every correct sort produces the same permutation.
+	byWeight []weightKey
+	// entering[l] counts the jobs whose first candidate class is l.
+	entering [classCap + 2]int32
 }
 
-// prioritiesInto is Priorities writing into a reused map and scratch.
-// The per-class knapsack (sort + item set + selection) of the original
-// formulation collapses into one shared weight-sort and a linear greedy
-// per class: the unit-profit oracle packs smallest-weight-first, and
-// already-assigned jobs stay in the item set (they keep consuming
-// budget), so selection per class is a single pass over the shared
-// order. Classes whose candidate prefix holds no unassigned job are
-// skipped — the knapsack could only re-pick assigned jobs there — which
-// is what keeps a large g (see classCount's cap) cheap.
-func prioritiesInto(jobs []JobInfo, out map[workload.JobID]int, buf *prioScratch) map[workload.JobID]int {
-	if out == nil {
-		out = make(map[workload.JobID]int, len(jobs))
-	} else {
-		clear(out)
+// firstClass returns the first class whose deadline covers a job of
+// effective time t: the least l ≥ 1 with t ≤ 2^l, or classCap+1 when no
+// class within the cap does (NaN included). Frexp splits t exactly into
+// frac·2^exp with frac in [½, 1), so t ≤ 2^(exp−1) only at frac = ½.
+func firstClass(t float64) int {
+	if t <= 2 {
+		return 1
 	}
+	if !(t <= 1<<classCap) {
+		return classCap + 1
+	}
+	frac, exp := math.Frexp(t)
+	if frac == 0.5 {
+		exp--
+	}
+	return exp
+}
+
+// prioritiesInto classifies jobs into buf.classes, aligned with jobs,
+// and returns it. The per-class knapsack (sort + item set + selection) of
+// the original formulation collapses into one shared weight-sort and a
+// linear greedy per class: the unit-profit oracle packs
+// smallest-weight-first, and already-assigned jobs stay in the item set
+// (they keep consuming budget), so selection per class is a single pass
+// over the shared order, cut short once the next weight exceeds what is
+// left of the budget (every later one does too) or the class has no
+// unassigned candidate left. Candidates need no order of their own: the
+// candidate set of class l is {Time ≤ 2^l}, a job enters it at
+// firstClass(Time) and cannot be assigned before it has entered, so a
+// per-class count of entries tells how many unassigned candidates a
+// class holds. Classes that hold none are skipped — the knapsack could
+// only re-pick assigned jobs there — which is what keeps a large g (see
+// classCount's cap) cheap.
+func prioritiesInto(jobs []JobInfo, buf *prioScratch) []int32 {
 	n := len(jobs)
+	buf.classes = slices.Grow(buf.classes[:0], n)[:n]
 	if n == 0 {
-		return out
+		return buf.classes
 	}
+	classes := buf.classes
 	g := classCount(jobs)
 
+	clear(classes) // 0: unassigned
+	clear(buf.entering[:])
 	buf.byWeight = buf.byWeight[:0]
-	buf.byTime = buf.byTime[:0]
-	buf.assigned = buf.assigned[:0]
-	for i := 0; i < n; i++ {
-		buf.byWeight = append(buf.byWeight, i)
-		buf.byTime = append(buf.byTime, i)
-		buf.assigned = append(buf.assigned, false)
+	for i := range jobs {
+		buf.byWeight = append(buf.byWeight, weightKey{jobs[i].Volume, int32(i)})
+		buf.entering[firstClass(jobs[i].Time)]++
 	}
-	sort.Slice(buf.byWeight, func(a, b int) bool {
-		ia, ib := buf.byWeight[a], buf.byWeight[b]
-		if jobs[ia].Volume != jobs[ib].Volume {
-			return jobs[ia].Volume < jobs[ib].Volume
+	slices.SortFunc(buf.byWeight, func(a, b weightKey) int {
+		if c := cmp.Compare(a.volume, b.volume); c != 0 {
+			return c
 		}
-		return ia < ib
-	})
-	sort.Slice(buf.byTime, func(a, b int) bool {
-		return jobs[buf.byTime[a]].Time < jobs[buf.byTime[b]].Time
+		return cmp.Compare(a.index, b.index)
 	})
 
 	unassigned := n
-	prefix := 0            // byTime[:prefix] have Time ≤ current budget
-	unassignedInPrefix := 0
+	candidates := 0 // unassigned jobs with Time ≤ the current budget
 	for l := 1; l <= g && unassigned > 0; l++ {
-		budget := math.Ldexp(1, l) // 2^l, exact for l ≤ classCap
-		for prefix < n && jobs[buf.byTime[prefix]].Time <= budget {
-			if !buf.assigned[buf.byTime[prefix]] {
-				unassignedInPrefix++
-			}
-			prefix++
-		}
-		if unassignedInPrefix == 0 {
+		candidates += int(buf.entering[l])
+		if candidates == 0 {
 			continue // no new candidate job in B_l
 		}
+		budget := math.Ldexp(1, l) // 2^l, exact for l ≤ classCap
 		remaining := budget
-		for _, i := range buf.byWeight {
-			j := &jobs[i]
-			if j.Time > budget {
-				continue
+		for _, w := range buf.byWeight {
+			if w.volume > remaining || candidates == 0 {
+				break
 			}
-			if j.Volume < 0 {
-				continue // defensive: negative volumes are invalid input
+			if !(w.volume >= 0) || !(jobs[w.index].Time <= budget) {
+				continue // not a candidate, or invalid input (negative, NaN)
 			}
-			if j.Volume <= remaining {
-				remaining -= j.Volume
-				if !buf.assigned[i] {
-					buf.assigned[i] = true
-					unassigned--
-					unassignedInPrefix--
-					if _, dup := out[j.ID]; !dup {
-						out[j.ID] = l
-					}
-				}
+			remaining -= w.volume
+			if classes[w.index] == 0 {
+				classes[w.index] = int32(l)
+				unassigned--
+				candidates--
 			}
 		}
 	}
-	for i := range jobs {
-		if !buf.assigned[i] {
-			if _, dup := out[jobs[i].ID]; !dup {
-				out[jobs[i].ID] = g + 1
-			}
+	for i, c := range classes {
+		if c == 0 {
+			classes[i] = int32(g + 1)
 		}
 	}
-	return out
+	return classes
 }
 
 // classCap bounds the number of geometric classes: 2^64 slots of

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dollymp/internal/knapsack"
 	"dollymp/internal/stats"
 	"dollymp/internal/workload"
 )
@@ -172,5 +173,121 @@ func TestClassCountGuards(t *testing.T) {
 	}
 	if !math.IsInf(math.Log2(0), -1) {
 		t.Skip() // sanity about the guard's purpose
+	}
+}
+
+// knapsackClasses is Algorithm 1 as written: one unit-profit knapsack per
+// geometric class over the jobs whose time fits the class deadline,
+// packed jobs keeping their place in later classes' item sets. It
+// returns classes aligned with jobs.
+func knapsackClasses(jobs []JobInfo) []int32 {
+	classes := make([]int32, len(jobs))
+	if len(jobs) == 0 {
+		return classes
+	}
+	g := classCount(jobs)
+	for l := 1; l <= g; l++ {
+		budget := math.Ldexp(1, l)
+		var items []knapsack.Item
+		for i, j := range jobs {
+			if j.Time <= budget {
+				items = append(items, knapsack.Item{ID: i, Weight: j.Volume})
+			}
+		}
+		for _, i := range knapsack.MaxCardinality(items, budget) {
+			if classes[i] == 0 {
+				classes[i] = int32(l)
+			}
+		}
+	}
+	for i, c := range classes {
+		if c == 0 {
+			classes[i] = int32(g + 1)
+		}
+	}
+	return classes
+}
+
+// TestClassesMatchPriorities checks the aligned-slice classification
+// against the per-class knapsack formulation over random instances built
+// from the cases its shortcuts could get wrong: tied volumes (the sort's
+// index tie-break), tied times and times exactly on powers of two (the
+// per-class entry counts), times ≤ 0 and beyond the last class, negative
+// volumes, and duplicate IDs, of which the first decides in the exported
+// map.
+func TestClassesMatchPriorities(t *testing.T) {
+	for l := 1; l <= classCap; l++ {
+		p := math.Ldexp(1, l)
+		if got := firstClass(p); got != l {
+			t.Fatalf("firstClass(2^%d) = %d", l, got)
+		}
+		if got := firstClass(math.Nextafter(p, math.Inf(1))); got != l+1 {
+			t.Fatalf("firstClass(2^%d + ulp) = %d, want %d", l, got, l+1)
+		}
+	}
+	for _, v := range []float64{0, -3, 1.5, 2} {
+		if got := firstClass(v); got != 1 {
+			t.Fatalf("firstClass(%v) = %d, want 1", v, got)
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.NaN(), 1e30} {
+		if got := firstClass(v); got != classCap+1 {
+			t.Fatalf("firstClass(%v) = %d, want %d", v, got, classCap+1)
+		}
+	}
+
+	var buf prioScratch // reused, as the scheduler reuses it
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := stats.NewRNG(seed)
+		n := 1 + rng.Intn(60)
+		volumes := []float64{0, 0.25, 0.5, 0.5, 1, 1.5, 3, 7, 40, -1}
+		jobs := make([]JobInfo, n)
+		for i := range jobs {
+			j := JobInfo{ID: workload.JobID(rng.Intn(n)), Dominant: rng.Range(0, 0.6)} // IDs repeat
+			switch rng.Intn(3) {
+			case 0:
+				j.Volume = volumes[rng.Intn(len(volumes))]
+			default:
+				j.Volume = rng.Range(0, 6)
+			}
+			switch rng.Intn(6) {
+			case 0:
+				j.Time = math.Ldexp(1, rng.Intn(9)) // 1, 2, 4, … 256
+			case 1:
+				j.Time = float64(rng.Intn(4)) - 1 // -1, 0, 1, 2
+			case 2:
+				j.Time = 1e30 // beyond every class
+			case 3:
+				j.Time = float64(1 + rng.Intn(5)) // ties
+			default:
+				j.Time = rng.Range(0.1, 300)
+			}
+			jobs[i] = j
+		}
+		want := knapsackClasses(jobs)
+		got := prioritiesInto(jobs, &buf)
+		if len(got) != n {
+			t.Fatalf("seed %d: %d classes for %d jobs", seed, len(got), n)
+		}
+		for i := range jobs {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: job %d %+v classified %d, the knapsack formulation says %d\njobs %+v\ngot  %v\nwant %v",
+					seed, i, jobs[i], got[i], want[i], jobs, got, want)
+			}
+		}
+		byID := Priorities(jobs)
+		first := make(map[workload.JobID]bool, n)
+		for i, j := range jobs {
+			if first[j.ID] {
+				continue
+			}
+			first[j.ID] = true
+			if byID[j.ID] != int(want[i]) {
+				t.Fatalf("seed %d: Priorities[%d] = %d, its first entry (job %d) is class %d", seed, j.ID, byID[j.ID], i, want[i])
+			}
+		}
+		if len(byID) != len(first) {
+			t.Fatalf("seed %d: %d IDs in the map, %d distinct", seed, len(byID), len(first))
+		}
 	}
 }

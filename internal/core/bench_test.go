@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dollymp/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/sim"
 	"dollymp/internal/stats"
+	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
@@ -111,5 +113,27 @@ func BenchmarkTransientSchedule(b *testing.B) {
 		if _, err := core.TransientSchedule(jobs, core.CorollaryClones); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRecompute measures one Algorithm 1 recomputation — job infos,
+// classification, regroup — at the active-job counts of the repo
+// benchmark's replay-32, paced-2k and backlog-200 workloads.
+func BenchmarkRecompute(b *testing.B) {
+	for _, n := range []int{25, 3000, 15000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			ctx := schedtest.New(cluster.LargeFleet(200, 1))
+			for _, j := range trace.DefaultGoogleLike(n, 1.0, 42).Generate() {
+				j.Arrival = 0 // all active at the fake's clock
+				ctx.MustAddJob(j)
+			}
+			s := core.MustNew()
+			s.RecomputePriorities(ctx) // warm the scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RecomputePriorities(ctx)
+			}
+		})
 	}
 }

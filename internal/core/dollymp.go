@@ -46,7 +46,6 @@ type Scheduler struct {
 	specThreshold float64
 	specMinSample int
 
-	prios map[workload.JobID]int
 	// pendingArrivals defers the per-arrival priority recomputation to
 	// the next Schedule call. The engine notifies arrivals and
 	// immediately enters its schedule loop with no state change in
@@ -278,8 +277,9 @@ func (sc *scratch) rehead(r *jobRec) {
 }
 
 // regroup rebuilds class membership and every head index from the
-// priorities just computed over the jobs recs mirrors.
-func (sc *scratch) regroup(prios map[workload.JobID]int) {
+// priorities just computed over the jobs recs mirrors: prios[i] is the
+// class of recs[i].
+func (sc *scratch) regroup(prios []int32) {
 	for l := range sc.classes {
 		c := &sc.classes[l]
 		clear(c.members)
@@ -288,8 +288,8 @@ func (sc *scratch) regroup(prios map[workload.JobID]int) {
 	}
 	sc.maxClass = 0
 	for i, r := range sc.recs {
-		p := prios[r.js.Job.ID]
-		r.class, r.seq, r.where = int32(p), uint32(i), 0
+		p := int(prios[i])
+		r.class, r.seq, r.where = prios[i], uint32(i), 0
 		if p > sc.maxClass {
 			sc.maxClass = p
 			for len(sc.classes) <= p {
@@ -362,7 +362,6 @@ func New(opts ...Option) (*Scheduler, error) {
 		maxClones: 2,
 		r:         1.5,
 		delta:     0.3,
-		prios:     make(map[workload.JobID]int),
 	}
 	for _, o := range opts {
 		o(s)
@@ -438,8 +437,7 @@ func (s *Scheduler) recompute(ctx sched.Context) {
 		infos = append(infos, s.jobInfo(ctx, js, total))
 	}
 	s.scratch.infos = infos
-	s.prios = prioritiesInto(infos, s.prios, &s.scratch.prio)
-	s.scratch.regroup(s.prios)
+	s.scratch.regroup(prioritiesInto(infos, &s.scratch.prio))
 }
 
 func (s *Scheduler) jobInfo(ctx sched.Context, js *workload.JobState, total resources.Vector) JobInfo {

@@ -23,12 +23,16 @@
 //
 // Appends go through an internal buffer; Commit flushes and fsyncs with
 // group commit — concurrent committers waiting on overlapping sequence
-// ranges share one fsync. The service syncs only `submitted` records
-// (before acknowledging a submission), so accepted jobs are never lost;
-// the other transitions are piggybacked onto later syncs, trading a
-// bounded amount of redundant replay work (a re-run of a job whose
-// `completed` record missed the last fsync) for one fsync per
-// submission batch instead of five per job.
+// ranges share one fsync. The service commits at two points: a
+// `submitted` record before the submission is acknowledged, so accepted
+// jobs are never lost, and the `admitted` records of each burst its
+// scheduling loop admits, once per burst (Service.run; pinned by
+// TestServiceJournalAdmitBurstCommit). At a low submission rate every
+// burst is one job, so that is a second fsync per job. The other
+// transitions (`completed`, `stolen`, `injected`) ride whichever sync
+// comes next, trading a bounded amount of redundant replay work (a
+// re-run of a job whose `completed` record missed the last fsync) for
+// two fsyncs per job at most instead of five.
 //
 // # Replay semantics
 //

@@ -79,7 +79,8 @@ type Config struct {
 
 	// Journal, when non-nil, records every job lifecycle transition to
 	// a crash-safe write-ahead log: `submitted` (with the full spec) is
-	// made durable before a submission is acknowledged, and `admitted`,
+	// made durable before a submission is acknowledged, each burst of
+	// `admitted` records is committed once by the scheduling loop, and
 	// `completed`, `stolen`, and `injected` ride later fsyncs. A nil
 	// Journal keeps today's in-memory behavior bit-for-bit. The caller
 	// owns the journal (Open/Close and startup replay via Restore); the

@@ -19,17 +19,15 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cfg.Cluster }
 
 // Jobs returns arrived, unfinished jobs in delivery order: arrivals are
 // only ever appended (processArrivals) and finished jobs cut out in
-// place (removeActive), which is the sched.Context contract. Delivery
+// place (compactActive), which is the sched.Context contract. Delivery
 // order is (arrival, ID) order except for an online InjectJob of a
 // smaller ID into a slot whose arrivals were already delivered.
 func (e *Engine) Jobs() []*workload.JobState { return e.active }
 
 // Copies returns the running copies of a task, original first.
 func (e *Engine) Copies(ref workload.TaskRef) []sched.CopyStatus {
-	lj := e.states[ref.Job]
-	if lj == nil || lj.copies == nil ||
-		int(ref.Phase) < 0 || int(ref.Phase) >= len(lj.copies) ||
-		ref.Index < 0 || ref.Index >= len(lj.copies[ref.Phase]) {
+	lj := e.live(ref.Job, ref.Phase)
+	if lj == nil || lj.copies == nil || ref.Index < 0 || ref.Index >= len(lj.copies[ref.Phase]) {
 		return nil
 	}
 	c := lj.copies[ref.Phase][ref.Index]
@@ -47,9 +45,15 @@ func (e *Engine) Copies(ref workload.TaskRef) []sched.CopyStatus {
 func (e *Engine) CloneUsage() resources.Vector { return e.cloneUse }
 
 // Allocation returns the resources currently held by a job's running
-// copies. Maintained incrementally, so DRF-style schedulers stay O(jobs)
-// per decision.
-func (e *Engine) Allocation(id workload.JobID) resources.Vector { return e.alloc[id] }
+// copies: zero for a job that holds none, is unknown, or has finished.
+// Maintained incrementally, so DRF-style schedulers stay O(jobs) per
+// decision.
+func (e *Engine) Allocation(id workload.JobID) resources.Vector {
+	if lj := e.states[id]; lj != nil {
+		return lj.alloc
+	}
+	return resources.Vector{}
+}
 
 // speedEstimate is an EWMA over speed samples; the zero value estimates
 // speed 1 with no samples.
@@ -80,35 +84,42 @@ func (e *Engine) ObservedServerSpeed(id cluster.ServerID) (float64, int) {
 	return est.value, est.n
 }
 
+// live returns the record of a job that is live and has a phase k, or
+// nil: the job is unknown, released, or has no such phase.
+func (e *Engine) live(id workload.JobID, k workload.PhaseID) *liveJob {
+	lj := e.states[id]
+	if lj == nil || int(k) < 0 || int(k) >= len(lj.Job.Phases) {
+		return nil
+	}
+	return lj
+}
+
 // PhaseOutputRack implements sched.Context: the majority rack of the
-// phase's winning copies so far.
+// phase's winning copies so far, the lowest rack on a tie.
 func (e *Engine) PhaseOutputRack(id workload.JobID, k workload.PhaseID) (int, bool) {
-	counts := e.outputRack[phaseKey{id, k}]
-	if len(counts) == 0 {
-		return 0, false
+	lj := e.live(id, k)
+	if lj == nil || lj.phases == nil {
+		return 0, false // nothing placed, so nothing won
 	}
-	bestRack, bestN := -1, -1
-	for rack, n := range counts {
-		if n > bestN || (n == bestN && rack < bestRack) {
-			bestRack, bestN = rack, n
-		}
-	}
-	return bestRack, true
+	return lj.majorityRack(k)
 }
 
 // PhaseStats returns the observed completed-task duration statistics for
 // a phase. With no observations yet it falls back to the declared model
 // (mean, sd) with n = 0, matching the paper's AM behavior of seeding
 // estimates from prior runs. Statistics live as long as the job does:
-// once the job completes, its per-phase state is released (releaseJob)
-// and queries return zeros.
+// once the job completes, its record is released (releaseJob) and
+// queries return zeros.
 func (e *Engine) PhaseStats(id workload.JobID, k workload.PhaseID) (mean, sd float64, n int) {
-	if obs := e.observed[phaseKey{id, k}]; obs != nil && obs.N() > 0 {
-		return obs.Mean(), obs.SD(), obs.N()
+	lj := e.live(id, k)
+	if lj == nil {
+		return 0, 0, 0
 	}
-	if js := e.states[id]; js != nil && int(k) >= 0 && int(k) < len(js.Job.Phases) {
-		ph := &js.Job.Phases[k]
-		return ph.MeanDuration, ph.SDDuration, 0
+	if lj.phases != nil {
+		if obs := &lj.phases[k].observed; obs.N() > 0 {
+			return obs.Mean(), obs.SD(), obs.N()
+		}
 	}
-	return 0, 0, 0
+	ph := &lj.Job.Phases[k]
+	return ph.MeanDuration, ph.SDDuration, 0
 }

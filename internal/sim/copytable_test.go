@@ -7,6 +7,7 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	"dollymp/internal/stats"
 	"dollymp/internal/workload"
 )
 
@@ -153,9 +154,170 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 	}
 }
 
-// TestRemoveActiveOutOfIDOrder covers the one case where e.active is
-// not in (arrival, ID) order: an online injection of a smaller ID into
-// a slot whose arrivals were already delivered.
+// rackedFleet is failureScenario's fleet spread over three racks, so the
+// winning-rack tallies have something to tell apart.
+func rackedFleet(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	specs := make([]cluster.Spec, 8)
+	for i := range specs {
+		specs[i] = cluster.Spec{Name: "r", Capacity: resources.Cores(8, 16), Speed: 1, Rack: i % 3}
+	}
+	c, err := cluster.New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestPhaseRecordsMatchTrace steps the failure scenario and, after every
+// step, compares what the live-job record answers — PhaseStats,
+// PhaseOutputRack, Allocation and the copies-per-task summary — with a
+// recomputation from the recorded trace alone, through placement,
+// sibling kill, failures with and without survivors, and release. A job
+// that has placed nothing carries no record and answers with its
+// declared statistics; a released one answers zeros.
+func TestPhaseRecordsMatchTrace(t *testing.T) {
+	type phaseID struct {
+		job   workload.JobID
+		phase workload.PhaseID
+	}
+	type phaseWant struct {
+		observed, copies stats.Summary
+		racks            [3]int
+	}
+	for _, s := range []sched.Scheduler{cloner{}, greedy{}} {
+		t.Run(s.Name(), func(t *testing.T) {
+			cfg := failureScenario(s)
+			cfg.Cluster = rackedFleet(t)
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both test schedulers place every copy of a task in one call,
+			// so the live copies of a task share a start slot and the
+			// trace need not say which of them won.
+			tally := make(map[workload.TaskRef]int)
+			start := make(map[workload.TaskRef]int64)
+			alloc := make(map[workload.JobID]resources.Vector)
+			want := make(map[phaseID]*phaseWant)
+			seen, queued, released, ties := 0, 0, 0, 0
+			for {
+				idle, err := e.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ev := range e.res.Trace[seen:] {
+					id := phaseID{ev.Ref.Job, ev.Ref.Phase}
+					switch ev.Kind {
+					case TracePlace:
+						if tally[ev.Ref] > 0 && start[ev.Ref] != ev.Slot {
+							t.Fatalf("%v: copies placed at slots %d and %d; the recomputation assumes one", ev.Ref, start[ev.Ref], ev.Slot)
+						}
+						tally[ev.Ref]++
+						start[ev.Ref] = ev.Slot
+						alloc[ev.Ref.Job] = alloc[ev.Ref.Job].Add(ev.Demand)
+					case TraceKill, TraceLost:
+						tally[ev.Ref]--
+						alloc[ev.Ref.Job] = alloc[ev.Ref.Job].Sub(ev.Demand)
+					case TraceComplete:
+						w := want[id]
+						if w == nil {
+							w = &phaseWant{}
+							want[id] = w
+						}
+						w.observed.Add(float64(ev.Slot - start[ev.Ref]))
+						w.racks[cfg.Cluster.Server(ev.Server).Rack]++
+						tally[ev.Ref]--
+						alloc[ev.Ref.Job] = alloc[ev.Ref.Job].Sub(ev.Demand)
+					}
+				}
+				// The copies-per-task count is the task's live copies as its
+				// winner finishes: the kills recorded in the same slot plus
+				// the winner.
+				for i := seen; i < len(e.res.Trace); i++ {
+					ev := e.res.Trace[i]
+					if ev.Kind != TraceComplete {
+						continue
+					}
+					n := 1
+					for j := i - 1; j >= seen && e.res.Trace[j].Kind == TraceKill && e.res.Trace[j].Ref == ev.Ref; j-- {
+						n++
+					}
+					want[phaseID{ev.Ref.Job, ev.Ref.Phase}].copies.Add(float64(n))
+				}
+				seen = len(e.res.Trace)
+
+				for _, j := range cfg.Jobs {
+					lj := e.states[j.ID]
+					if got := e.Allocation(j.ID); got != alloc[j.ID] {
+						t.Fatalf("slot %d job %d: Allocation %v, trace says %v", e.clock, j.ID, got, alloc[j.ID])
+					}
+					if lj != nil && (lj.phases == nil) != (lj.FirstStart < 0) {
+						t.Fatalf("slot %d job %d: record present=%v, first start %d", e.clock, j.ID, lj.phases != nil, lj.FirstStart)
+					}
+					if lj != nil && lj.phases == nil {
+						queued++
+					}
+					for k := range j.Phases {
+						kid := workload.PhaseID(k)
+						mean, sd, n := e.PhaseStats(j.ID, kid)
+						rack, ok := e.PhaseOutputRack(j.ID, kid)
+						if lj == nil { // finished and released
+							released++
+							if mean != 0 || sd != 0 || n != 0 || rack != 0 || ok {
+								t.Fatalf("slot %d job %d phase %d: released, yet answers (%v, %v, %d) rack (%d, %v)", e.clock, j.ID, k, mean, sd, n, rack, ok)
+							}
+							continue
+						}
+						w := want[phaseID{j.ID, kid}]
+						if w == nil {
+							w = &phaseWant{}
+						}
+						if w.observed.N() == 0 {
+							if mean != j.Phases[k].MeanDuration || sd != j.Phases[k].SDDuration || n != 0 || ok {
+								t.Fatalf("slot %d job %d phase %d: nothing finished, yet answers (%v, %v, %d) rack ok=%v", e.clock, j.ID, k, mean, sd, n, ok)
+							}
+							continue
+						}
+						if mean != w.observed.Mean() || sd != w.observed.SD() || n != w.observed.N() {
+							t.Fatalf("slot %d job %d phase %d: PhaseStats (%v, %v, %d), trace says (%v, %v, %d)",
+								e.clock, j.ID, k, mean, sd, n, w.observed.Mean(), w.observed.SD(), w.observed.N())
+						}
+						best := 0
+						for r, c := range w.racks {
+							if c > w.racks[best] {
+								best = r
+							}
+						}
+						for r, c := range w.racks {
+							if r > best && c == w.racks[best] {
+								ties++ // the lower rack must win
+							}
+						}
+						if !ok || rack != best {
+							t.Fatalf("slot %d job %d phase %d: output rack (%d, %v), trace tally %v", e.clock, j.ID, k, rack, ok, w.racks)
+						}
+						if got := &lj.phases[k].copies; got.N() != w.copies.N() || got.Mean() != w.copies.Mean() {
+							t.Fatalf("slot %d job %d phase %d: copies per task n=%d mean %v, trace says n=%d mean %v",
+								e.clock, j.ID, k, got.N(), got.Mean(), w.copies.N(), w.copies.Mean())
+						}
+					}
+				}
+				if idle {
+					break
+				}
+			}
+			if queued == 0 || released == 0 || ties == 0 {
+				t.Fatalf("the run did not exercise the record's lifetime: %d queued looks, %d released, %d rack ties", queued, released, ties)
+			}
+		})
+	}
+}
+
+// TestRemoveActiveOutOfIDOrder covers the one case where Jobs() is not in
+// (arrival, ID) order: an online injection of a smaller ID into a slot
+// whose arrivals were already delivered. Finished jobs must still be cut
+// out, and the survivors must keep the order they were delivered in.
 func TestRemoveActiveOutOfIDOrder(t *testing.T) {
 	e, err := New(Config{
 		Cluster: cluster.Uniform(1, resources.Cores(4, 4)), Scheduler: greedy{},
@@ -176,14 +338,22 @@ func TestRemoveActiveOutOfIDOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	inject(5, 3) // arrives at slot 0 too, behind jobs 10 and 20
+	delivered := []workload.JobID{10, 20, 5}
 	for {
 		idle, err := e.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, js := range e.active {
+		next := 0
+		for i, js := range e.Jobs() {
 			if js.Done() {
 				t.Fatalf("slot %d: finished job %d still active at %d", e.clock, js.Job.ID, i)
+			}
+			for next < len(delivered) && delivered[next] != js.Job.ID {
+				next++
+			}
+			if next == len(delivered) {
+				t.Fatalf("slot %d: job %d at %d is out of delivery order %v", e.clock, js.Job.ID, i, delivered)
 			}
 		}
 		if idle {

@@ -9,9 +9,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"time"
 
 	"dollymp/internal/cluster"
@@ -85,7 +83,8 @@ type Config struct {
 	OnJobStart func(workload.JobID, int64)
 	// OnJobComplete, if set, is called when a job finishes, with its
 	// final metrics (flowtime stamped). Called from the engine's
-	// goroutine, synchronously inside Step.
+	// goroutine, synchronously inside Step; Jobs and ActiveJobs stop
+	// counting the job once the step's completions are all processed.
 	OnJobComplete func(JobMetrics)
 }
 
@@ -119,41 +118,150 @@ type taskCopy struct {
 	killed  bool
 }
 
-// copyHeap is a min-heap of running copies ordered by finish slot.
-type copyHeap []*taskCopy
-
-func (h copyHeap) Len() int            { return len(h) }
-func (h copyHeap) Less(i, j int) bool  { return h[i].finish < h[j].finish }
-func (h copyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *copyHeap) Push(x interface{}) { *h = append(*h, x.(*taskCopy)) }
-func (h *copyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+// heapEntry is one slot of the running heap. The finish slot is kept
+// beside the pointer so a sift compares keys without touching the copies.
+type heapEntry struct {
+	finish int64
+	c      *taskCopy
 }
 
-type phaseKey struct {
-	job   workload.JobID
-	phase workload.PhaseID
+// copyHeap is a min-heap of running copies ordered by finish slot. Copies
+// with equal finish slots pop in an order the sift sequence alone decides,
+// and that order is part of every schedule: it is the order winners feed
+// the EWMA speed estimates and jobs reach the result. push and pop
+// therefore repeat container/heap's sequence exactly — parent (j-1)/2, the
+// left child wins a tie between children, a child moves up only when
+// strictly smaller — with the moving entry held aside instead of swapped
+// level by level, which compares and settles identically.
+type copyHeap []heapEntry
+
+func (h *copyHeap) push(c *taskCopy) {
+	x := heapEntry{finish: c.finish, c: c}
+	*h = append(*h, x)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if s[i].finish <= x.finish {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = x
 }
 
-// liveJob is the engine's record of one unfinished job: the
-// scheduler-visible state plus the copy table. copies[k][l] heads the
-// list of task (k, l)'s live copies in placement order — the original
-// first, clones after — linked through taskCopy.next; the matching
-// count is JobState.LiveCopies. The table is allocated at the job's
-// first placement and goes away with the record in releaseJob, so a
-// queued job carries none.
+// pop removes and returns the copy with the smallest finish slot. As in
+// container/heap, the last entry moves to the root and sifts down.
+func (h *copyHeap) pop() *taskCopy {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0].c, s[n]
+	s[n] = heapEntry{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].finish < s[j].finish {
+			j = r
+		}
+		if s[j].finish >= x.finish {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	return top
+}
+
+// phaseRec is what the engine has learned about one phase of a live job.
+type phaseRec struct {
+	// dist is the fitted straggler model durations are drawn from (unset
+	// in Deterministic runs, which draw nothing).
+	dist stats.Pareto
+	// observed summarises the winning copies' durations, copies the number
+	// of concurrent copies each completed task ran — the upstream-output
+	// multiplicity delay assignment distributes.
+	observed stats.Summary
+	copies   stats.Summary
+	// racks[r] counts the winning copies that ran on rack r.
+	racks []int32
+}
+
+// liveJob is the engine's record of one unfinished job, and everything a
+// placement or a completion needs is on it: a taskCopy carries the
+// pointer, so neither hashes anything. copies[k][l] heads the list of
+// task (k, l)'s live copies in placement order — the original first,
+// clones after — linked through taskCopy.next; the matching count is
+// JobState.LiveCopies. phases[k] is phase k's record and alloc the
+// resources the job's live copies hold. The copy table and the phase
+// records are allocated at the job's first placement (open) and go away
+// with the record in releaseJob, so a queued job carries neither.
 type liveJob struct {
 	*workload.JobState
 	copies [][]*taskCopy
+	phases []phaseRec
+	alloc  resources.Vector
 }
 
 func newLiveJob(j *workload.Job) *liveJob {
 	return &liveJob{JobState: workload.NewJobState(j)}
+}
+
+// open allocates the copy table and the phase records: one backing array
+// each for the task cells and the rack tallies, whatever the phase count.
+// fit asks for the per-phase Pareto models.
+func (lj *liveJob) open(racks int, fit bool) {
+	phases := lj.Job.Phases
+	tasks := 0
+	for k := range phases {
+		tasks += phases[k].Tasks
+	}
+	cells := make([]*taskCopy, tasks)
+	tally := make([]int32, len(phases)*racks)
+	lj.copies = make([][]*taskCopy, len(phases))
+	lj.phases = make([]phaseRec, len(phases))
+	for k := range phases {
+		n := phases[k].Tasks
+		lj.copies[k], cells = cells[:n:n], cells[n:]
+		rec := &lj.phases[k]
+		rec.racks, tally = tally[:racks:racks], tally[racks:]
+		if !fit {
+			continue
+		}
+		dist, err := stats.FitPareto(phases[k].MeanDuration, phases[k].SDDuration)
+		if err != nil {
+			// Validate() guarantees positive means; fall back to
+			// deterministic rather than crash mid-run.
+			dist = stats.Pareto{Alpha: 1e6, Xm: phases[k].MeanDuration}
+		}
+		rec.dist = dist
+	}
+}
+
+// majorityRack returns the rack that ran the most winning copies of the
+// given phases taken together, the lowest such rack on a tie (the scan
+// goes upward and replaces only on >); ok is false while none has won.
+func (lj *liveJob) majorityRack(phases ...workload.PhaseID) (rack int, ok bool) {
+	best := int32(0)
+	for r := range lj.phases[phases[0]].racks {
+		n := int32(0)
+		for _, k := range phases {
+			n += lj.phases[k].racks[r]
+		}
+		if n > best {
+			rack, best = r, n
+		}
+	}
+	return rack, best > 0
 }
 
 // kill marks a copy dead, detaches it from its job, and returns the
@@ -166,12 +274,6 @@ func (c *taskCopy) kill() *taskCopy {
 
 // link appends a copy to its task's list.
 func (lj *liveJob) link(c *taskCopy) {
-	if lj.copies == nil {
-		lj.copies = make([][]*taskCopy, len(lj.Job.Phases))
-		for k := range lj.copies {
-			lj.copies[k] = make([]*taskCopy, lj.Job.Phases[k].Tasks)
-		}
-	}
 	at := &lj.copies[c.ref.Phase][c.ref.Index]
 	for *at != nil {
 		at = &(*at).next
@@ -194,6 +296,9 @@ type Engine struct {
 	// (arrival, ID); popped entries are released (see arrivals.go).
 	arrivals arrivalQueue
 	active   []*workload.JobState // arrived, unfinished
+	// finished counts the jobs completeTask has finished (Finish stamped)
+	// that processCompletions has yet to cut out of active.
+	finished int
 
 	running copyHeap
 	// liveCopies counts the copies that are placed and not killed.
@@ -202,13 +307,9 @@ type Engine struct {
 	// per-event allocation the profiler flags on the drain hot path. A
 	// copy returns to the list only once it is out of both its job's
 	// copy table and the running heap.
-	copyFree   []*taskCopy
-	rng        *stats.RNG
-	dists      map[phaseKey]stats.Pareto
-	observed   map[phaseKey]*stats.Summary
-	outputRack map[phaseKey]map[int]int // rack histogram of winning copies
-	cloneUse   resources.Vector
-	alloc      map[workload.JobID]resources.Vector // live per-job allocation
+	copyFree []*taskCopy
+	rng      *stats.RNG
+	cloneUse resources.Vector
 
 	events    []Event
 	nextEvent int
@@ -216,12 +317,9 @@ type Engine struct {
 	// speedEst is the per-server online speed estimate (EWMA of
 	// declared-mean / observed-duration over winning copies).
 	speedEst []speedEstimate
-	// rackCount is 1 + the highest rack index in the fleet.
+	// rackCount is 1 + the highest rack index in the fleet: the length of
+	// every rack tally.
 	rackCount int
-	// copiesPerTask records, per phase, how many concurrent copies each
-	// completed task ran — the upstream-output multiplicity delay
-	// assignment distributes.
-	copiesPerTask map[phaseKey]*stats.Summary
 
 	res        Result
 	utilCPU    float64 // ∫ used dt, for average utilization
@@ -256,15 +354,9 @@ func New(cfg Config) (*Engine, error) {
 		seen[j.ID] = true
 	}
 	e := &Engine{
-		cfg:        cfg,
-		states:     make(map[workload.JobID]*liveJob, len(cfg.Jobs)),
-		rng:        stats.NewRNG(cfg.Seed),
-		dists:      make(map[phaseKey]stats.Pareto),
-		observed:   make(map[phaseKey]*stats.Summary),
-		outputRack: make(map[phaseKey]map[int]int),
-		alloc:      make(map[workload.JobID]resources.Vector, len(cfg.Jobs)),
-
-		copiesPerTask: make(map[phaseKey]*stats.Summary),
+		cfg:    cfg,
+		states: make(map[workload.JobID]*liveJob, len(cfg.Jobs)),
+		rng:    stats.NewRNG(cfg.Seed),
 	}
 	if cfg.CompactJobs {
 		e.res.Digest = &JobDigest{}
@@ -278,6 +370,9 @@ func New(cfg Config) (*Engine, error) {
 	// slice by server ID directly.
 	e.speedEst = make([]speedEstimate, int(cfg.Cluster.MaxID())+1)
 	for _, s := range cfg.Cluster.Servers() {
+		if s.Rack < 0 {
+			return nil, fmt.Errorf("sim: server %s has negative rack %d", s.Name, s.Rack)
+		}
 		if s.Rack+1 > e.rackCount {
 			e.rackCount = s.Rack + 1
 		}
@@ -359,8 +454,8 @@ func (e *Engine) nextEventTime() (int64, bool) {
 	if js := e.arrivals.Peek(); js != nil {
 		t = js.Job.Arrival
 	}
-	for len(e.running) > 0 && e.running[0].killed {
-		e.freeCopy(heap.Pop(&e.running).(*taskCopy))
+	for len(e.running) > 0 && e.running[0].c.killed {
+		e.freeCopy(e.running.pop())
 	}
 	if len(e.running) > 0 {
 		if t < 0 || e.running[0].finish < t {
@@ -414,10 +509,11 @@ func (e *Engine) processArrivals() ([]*workload.JobState, error) {
 	return arrived, nil
 }
 
-// processCompletions handles every copy finishing at or before the clock.
+// processCompletions handles every copy finishing at or before the clock,
+// then cuts the jobs that finished out of e.active.
 func (e *Engine) processCompletions() error {
 	for len(e.running) > 0 && e.running[0].finish <= e.clock {
-		c := heap.Pop(&e.running).(*taskCopy)
+		c := e.running.pop()
 		if c.killed {
 			// A sibling the winner already killed: its last reference was
 			// the heap slot, so it can be recycled.
@@ -431,7 +527,31 @@ func (e *Engine) processCompletions() error {
 		// reference was the heap slot popped above.
 		e.freeCopy(c)
 	}
+	e.compactActive()
 	return nil
+}
+
+// compactActive removes the jobs finished since the last call from
+// e.active in one pass that keeps the order of the rest (the
+// sched.Context.Jobs contract). It runs before anything walks e.active
+// again: processEvents' failServer, the scheduler.
+func (e *Engine) compactActive() {
+	if e.finished == 0 {
+		return
+	}
+	w := 0
+	for w < len(e.active) && e.active[w].Finish < 0 {
+		w++ // the untouched prefix is not rewritten
+	}
+	for _, js := range e.active[w:] {
+		if js.Finish < 0 {
+			e.active[w] = js
+			w++
+		}
+	}
+	clear(e.active[w:])
+	e.active = e.active[:w]
+	e.finished = 0
 }
 
 // newCopy takes a taskCopy from the free list, or allocates one.
@@ -458,14 +578,9 @@ func (e *Engine) freeCopy(c *taskCopy) {
 func (e *Engine) completeTask(winner *taskCopy) error {
 	ref := winner.ref
 	js := winner.job
-	key := phaseKey{ref.Job, ref.Phase}
+	rec := &js.phases[ref.Phase]
 
-	obs := e.observed[key]
-	if obs == nil {
-		obs = &stats.Summary{}
-		e.observed[key] = obs
-	}
-	obs.Add(float64(e.clock - winner.start))
+	rec.observed.Add(float64(e.clock - winner.start))
 	// Speed is compute time only: a cross-rack transfer penalty in the
 	// denominator would make a healthy server look slow and steer
 	// WithStragglerAvoidance away from it.
@@ -474,18 +589,9 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 			js.Job.Phases[ref.Phase].MeanDuration / float64(dur))
 	}
 
-	if e.outputRack[key] == nil {
-		e.outputRack[key] = make(map[int]int)
-	}
-	e.outputRack[key][e.cfg.Cluster.Server(winner.server).Rack]++
-	cps := e.copiesPerTask[key]
-	if cps == nil {
-		cps = &stats.Summary{}
-		e.copiesPerTask[key] = cps
-	}
-	cps.Add(float64(js.LiveCopies(ref.Phase, ref.Index)))
+	rec.racks[e.cfg.Cluster.Server(winner.server).Rack]++
+	rec.copies.Add(float64(js.LiveCopies(ref.Phase, ref.Index)))
 
-	alloc := e.alloc[ref.Job]
 	for c := js.copies[ref.Phase][ref.Index]; c != nil; {
 		if err := e.cfg.Cluster.Release(c.server, c.demand); err != nil {
 			return fmt.Errorf("sim: release %v: %w", c.ref, err)
@@ -495,7 +601,7 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 		if c.clone {
 			e.cloneUse = e.cloneUse.Sub(c.demand)
 		}
-		alloc = alloc.Sub(c.demand)
+		js.alloc = js.alloc.Sub(c.demand)
 		e.liveCopies--
 		if e.cfg.RecordTrace && c != winner {
 			e.res.Trace = append(e.res.Trace, TraceEvent{
@@ -505,7 +611,6 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 		}
 		c = c.kill()
 	}
-	e.alloc[ref.Job] = alloc
 	if e.cfg.RecordTrace {
 		e.res.Trace = append(e.res.Trace, TraceEvent{
 			Slot: e.clock, Kind: TraceComplete, Ref: ref,
@@ -518,52 +623,24 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if js.Done() {
+		// The stamped Finish is the mark compactActive cuts by.
 		js.Finish = e.clock
-		e.removeActive(js.JobState)
+		e.finished++
 		e.recordJob(js.JobState)
 		e.releaseJob(js.JobState)
 	}
 	return nil
 }
 
-// releaseJob drops the engine's per-job bookkeeping once a job has
-// completed and its metrics are recorded. Every per-phase map is keyed
-// (job, phase) and only ever consulted while that job runs, so the
-// entries are dead weight afterwards; a long-lived online engine must
-// not retain them per job ever completed. The finished ID moves into
-// the done bitmap (one bit, not a map tombstone) so InjectJob still
-// rejects re-use of a finished job ID at any replay scale.
+// releaseJob drops a job's record once the job has completed and its
+// metrics are recorded; the copy table and the phase records go with it,
+// so a long-lived online engine retains nothing per job ever completed.
+// The finished ID moves into the done bitmap (one bit, not a map
+// tombstone) so InjectJob still rejects re-use of a finished job ID at
+// any replay scale.
 func (e *Engine) releaseJob(js *workload.JobState) {
-	id := js.Job.ID
-	delete(e.states, id)
-	e.done.Add(id)
-	delete(e.alloc, id)
-	for k := range js.Job.Phases {
-		key := phaseKey{id, workload.PhaseID(k)}
-		delete(e.dists, key)
-		delete(e.observed, key)
-		delete(e.outputRack, key)
-		delete(e.copiesPerTask, key)
-	}
-}
-
-// removeActive deletes a job from e.active, keeping the order of the
-// rest (the sched.Context.Jobs contract). The list is in delivery order,
-// which is (arrival, ID) order — arrivals are appended in heap order and
-// never before the clock — so the slot is found by binary search. The
-// one way out of ID order within a slot is an online InjectJob of a
-// smaller ID after that slot's arrivals were delivered; then the search
-// lands elsewhere and a scan finds the job.
-func (e *Engine) removeActive(js *workload.JobState) {
-	i := sort.Search(len(e.active), func(i int) bool {
-		a := e.active[i].Job
-		return a.Arrival > js.Job.Arrival || (a.Arrival == js.Job.Arrival && a.ID >= js.Job.ID)
-	})
-	if i == len(e.active) || e.active[i] != js {
-		for i = 0; e.active[i] != js; i++ {
-		}
-	}
-	e.active = append(e.active[:i], e.active[i+1:]...)
+	delete(e.states, js.Job.ID)
+	e.done.Add(js.Job.ID)
 }
 
 // scheduleLoop calls the scheduler until it has no more placements,
@@ -626,7 +703,10 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		return fmt.Errorf("sim: placement %v: %w", p.Ref, err)
 	}
 
-	dur, penalty := e.sampleDuration(js.JobState, p.Ref, p.Server)
+	if js.copies == nil {
+		js.open(e.rackCount, !e.cfg.Deterministic)
+	}
+	dur, penalty := e.sampleDuration(js, p.Ref, p.Server)
 	c := e.newCopy()
 	*c = taskCopy{
 		ref:     p.Ref,
@@ -640,11 +720,11 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 	}
 	js.link(c)
 	e.liveCopies++
-	heap.Push(&e.running, c)
+	e.running.push(c)
 
 	js.MarkRunning(p.Ref.Phase, p.Ref.Index)
 	js.CopiesLaunched++
-	e.alloc[p.Ref.Job] = e.alloc[p.Ref.Job].Add(ph.Demand)
+	js.alloc = js.alloc.Add(ph.Demand)
 	if c.clone {
 		e.cloneUse = e.cloneUse.Add(ph.Demand)
 		if existing == 1 {
@@ -671,25 +751,10 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 // server's effective speed, rounded up to ≥ 1 slot — and returns any
 // cross-rack transfer penalty separately so completion-time accounting
 // can keep the two apart.
-func (e *Engine) sampleDuration(js *workload.JobState, ref workload.TaskRef, server cluster.ServerID) (dur, penalty int64) {
-	ph := &js.Job.Phases[ref.Phase]
-	var base float64
-	if e.cfg.Deterministic {
-		base = ph.MeanDuration
-	} else {
-		key := phaseKey{js.Job.ID, ref.Phase}
-		dist, ok := e.dists[key]
-		if !ok {
-			var err error
-			dist, err = stats.FitPareto(ph.MeanDuration, ph.SDDuration)
-			if err != nil {
-				// Validate() guarantees positive means; fall back to
-				// deterministic rather than crash mid-run.
-				dist = stats.Pareto{Alpha: 1e6, Xm: ph.MeanDuration}
-			}
-			e.dists[key] = dist
-		}
-		base = dist.Sample(e.rng)
+func (e *Engine) sampleDuration(js *liveJob, ref workload.TaskRef, server cluster.ServerID) (dur, penalty int64) {
+	base := js.Job.Phases[ref.Phase].MeanDuration
+	if !e.cfg.Deterministic {
+		base = js.phases[ref.Phase].dist.Sample(e.rng)
 	}
 	speed := e.cfg.Cluster.Server(server).EffectiveSpeed()
 	dur = int64(base/speed + 0.999999)
@@ -711,7 +776,7 @@ func (e *Engine) sampleDuration(js *workload.JobState, ref workload.TaskRef, ser
 // c+1 copies; otherwise it fetches the shared output remotely (§5.2's
 // "assigns the output from the copy that finishes first to all the
 // copies of each downstream task").
-func (e *Engine) outputContention(js *workload.JobState, ref workload.TaskRef) bool {
+func (e *Engine) outputContention(js *liveJob, ref workload.TaskRef) bool {
 	copyIdx := js.LiveCopies(ref.Phase, ref.Index) // copies already placed for this task
 	if copyIdx == 0 {
 		return false
@@ -726,7 +791,7 @@ func (e *Engine) outputContention(js *workload.JobState, ref workload.TaskRef) b
 	// Mean upstream copy multiplicity across parents.
 	total, n := 0.0, 0
 	for _, par := range parents {
-		if cps := e.copiesPerTask[phaseKey{js.Job.ID, par}]; cps != nil && cps.N() > 0 {
+		if cps := &js.phases[par].copies; cps.N() > 0 {
 			total += cps.Mean()
 			n++
 		}
@@ -740,7 +805,7 @@ func (e *Engine) outputContention(js *workload.JobState, ref workload.TaskRef) b
 // crossRack reports whether the server is off the rack holding the
 // task's input data: the hashed HDFS-style input rack for root phases,
 // the majority rack of the parents' outputs otherwise.
-func (e *Engine) crossRack(js *workload.JobState, ref workload.TaskRef, server cluster.ServerID) bool {
+func (e *Engine) crossRack(js *liveJob, ref workload.TaskRef, server cluster.ServerID) bool {
 	parents := js.Job.Phases[ref.Phase].Parents
 	if len(parents) == 0 {
 		if e.rackCount <= 1 {
@@ -749,22 +814,8 @@ func (e *Engine) crossRack(js *workload.JobState, ref workload.TaskRef, server c
 		want := workload.InputRack(ref, e.rackCount)
 		return e.cfg.Cluster.Server(server).Rack != want
 	}
-	counts := make(map[int]int)
-	for _, par := range parents {
-		for rack, n := range e.outputRack[phaseKey{js.Job.ID, par}] {
-			counts[rack] += n
-		}
-	}
-	if len(counts) == 0 {
-		return false
-	}
-	bestRack, bestN := -1, -1
-	for rack, n := range counts {
-		if n > bestN || (n == bestN && rack < bestRack) {
-			bestRack, bestN = rack, n
-		}
-	}
-	return e.cfg.Cluster.Server(server).Rack != bestRack
+	want, ok := js.majorityRack(parents...)
+	return ok && e.cfg.Cluster.Server(server).Rack != want
 }
 
 // checkInvariants cross-checks the ledger against the live copies.
@@ -773,11 +824,11 @@ func (e *Engine) checkInvariants() error {
 		return err
 	}
 	perServer := make(map[cluster.ServerID]resources.Vector)
-	perJob := make(map[workload.JobID]resources.Vector)
 	var cloneUse resources.Vector
 	live := 0
 	for _, js := range e.active {
 		lj := e.states[js.Job.ID]
+		var held resources.Vector // zero for a job that holds no copy
 		for k := range lj.copies {
 			for l, c := range lj.copies[k] {
 				n := 0
@@ -787,7 +838,7 @@ func (e *Engine) checkInvariants() error {
 					}
 					n++
 					perServer[c.server] = perServer[c.server].Add(c.demand)
-					perJob[c.ref.Job] = perJob[c.ref.Job].Add(c.demand)
+					held = held.Add(c.demand)
 					if c.clone {
 						cloneUse = cloneUse.Add(c.demand)
 					}
@@ -799,14 +850,12 @@ func (e *Engine) checkInvariants() error {
 				live += n
 			}
 		}
+		if lj.alloc != held {
+			return fmt.Errorf("sim: allocation drift for job %d: tracked %v, actual %v", js.Job.ID, lj.alloc, held)
+		}
 	}
 	if live != e.liveCopies {
 		return fmt.Errorf("sim: live-copy total drift: tracked %d, actual %d", e.liveCopies, live)
-	}
-	for id, want := range perJob {
-		if got := e.alloc[id]; got != want {
-			return fmt.Errorf("sim: allocation drift for job %d: tracked %v, actual %v", id, got, want)
-		}
 	}
 	for _, s := range e.cfg.Cluster.Servers() {
 		if got, want := s.Used(), perServer[s.ID]; got != want {

@@ -263,6 +263,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Cluster: c, Jobs: []*workload.Job{invalid}, Scheduler: greedy{}}); err == nil {
 		t.Error("invalid job should error")
 	}
+	// Rack tallies are indexed by rack.
+	offRack, err := cluster.New([]cluster.Spec{{Name: "s", Capacity: resources.Cores(1, 1), Speed: 1, Rack: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Cluster: offRack, Jobs: []*workload.Job{good}, Scheduler: greedy{}}); err == nil {
+		t.Error("negative rack should error")
+	}
 }
 
 // badScheduler returns a specific invalid placement once.

@@ -139,7 +139,7 @@ func (e *Engine) loseCopy(lj *liveJob, c *taskCopy) error {
 	if c.clone {
 		e.cloneUse = e.cloneUse.Sub(c.demand)
 	}
-	e.alloc[c.ref.Job] = e.alloc[c.ref.Job].Sub(c.demand)
+	lj.alloc = lj.alloc.Sub(c.demand)
 	e.liveCopies--
 	e.res.CopiesLostToFailures++
 	if e.cfg.RecordTrace {

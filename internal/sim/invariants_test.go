@@ -101,3 +101,33 @@ func TestUtilizationMatchesTimeline(t *testing.T) {
 		t.Fatalf("avg utilization %v vs timeline integral %v", res.AvgUtilization, want)
 	}
 }
+
+// A job that holds no copy must be tracked as holding nothing. The check
+// used to compare tracked allocations only for jobs it found live copies
+// of, so a leak on a job whose copies were all gone went unseen.
+func TestParanoidCatchesLeakOnCopylessJob(t *testing.T) {
+	// One core: job 1 runs, job 2 has arrived and waits without a copy.
+	e, err := New(Config{
+		Cluster: cluster.Uniform(1, resources.Cores(1, 1)), Scheduler: greedy{},
+		Jobs:          []*workload.Job{singleTaskJob(1, 0, 5), singleTaskJob(2, 0, 5)},
+		Deterministic: true, Paranoid: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Allocation(2); !got.IsZero() {
+		t.Fatalf("job 2 waits without a copy but holds %v", got)
+	}
+	if err := e.checkInvariants(); err != nil {
+		t.Fatalf("clean state rejected: %v", err)
+	}
+	if !e.SetTrackedAllocation(2, resources.Cores(1, 1)) {
+		t.Fatal("job 2 is not live")
+	}
+	if err := e.checkInvariants(); err == nil {
+		t.Fatal("a leaked allocation on a job without copies passed the invariant check")
+	}
+}
