@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short race bench profile-engine check staticcheck smoke sweep figures figures-paper cover clean
+.PHONY: all build test test-short race bench profile-engine profile-daemon check staticcheck smoke sweep figures figures-paper cover clean
 
 all: build test
 
@@ -72,6 +72,17 @@ profile-engine:
 	go run ./cmd/dollymp-bench -drain engine -profiles short-2k -cpuprofile engine.cpu.pprof -o /dev/null
 	go tool pprof -top -cum -nodecount 30 engine.cpu.short-2k.pprof
 
+# Where the durable intake path spends a closed loop: two callers doing
+# submit + status against a journaled 2-shard router (no HTTP; the
+# in-process shape of the repo benchmark's daemon-durable workload,
+# which has no profiler flag), under the CPU profiler, then the 30
+# heaviest frames by cumulative time. The benchmark line above the
+# profile carries jobs/s, fsyncs/job and B/op; the test binary and the
+# profile stay for `go tool pprof -list <func> shard.test daemon.cpu.pprof`.
+profile-daemon:
+	go test -run '^$$' -bench BenchmarkRouterSubmitDurable -benchtime 12000x -cpuprofile daemon.cpu.pprof -o shard.test ./internal/shard
+	go tool pprof -top -cum -nodecount 30 shard.test daemon.cpu.pprof
+
 # Regenerate every paper figure (quick scale; use figures-paper for
 # evaluation-scale job counts).
 figures:
@@ -89,4 +100,4 @@ cover:
 # scales; regenerated on next use). The committed BENCH_sweep.json is
 # deliberately NOT cleaned.
 clean:
-	rm -f cover.out BENCH_engine.json BENCH_router.json cpu.pprof mem.pprof *.pprof *.trace *.trace.tmp
+	rm -f cover.out BENCH_engine.json BENCH_router.json cpu.pprof mem.pprof *.pprof *.test *.trace *.trace.tmp

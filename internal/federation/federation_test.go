@@ -348,22 +348,23 @@ func TestFederationKillOneOfN(t *testing.T) {
 	if js.ReplayedJobs < int64(len(bIDs)) {
 		t.Fatalf("survivor replayed %d jobs, want at least %d", js.ReplayedJobs, len(bIDs))
 	}
-	// The gateway's membership view records the takeover.
-	var fed struct {
-		Members []MemberStatus `json:"members"`
-	}
-	if code := getJSON(t, gsrv.URL+"/v1/federation", &fed); code != http.StatusOK {
-		t.Fatalf("federation view: %d", code)
-	}
-	var b *MemberStatus
-	for i := range fed.Members {
-		if fed.Members[i].Name == "m1" {
-			b = &fed.Members[i]
+	// The gateway's membership view records the takeover — once the
+	// survivor's adopt reply is back, which the adopted jobs, already
+	// running there, do not wait for.
+	waitFor(t, 20*time.Second, func() error {
+		var fed struct {
+			Members []MemberStatus `json:"members"`
 		}
-	}
-	if b == nil || b.Alive || b.AdoptedBy != "m0" {
-		t.Fatalf("membership after takeover: %+v", fed.Members)
-	}
+		if code := getJSON(t, gsrv.URL+"/v1/federation", &fed); code != http.StatusOK {
+			return fmt.Errorf("federation view: %d", code)
+		}
+		for _, m := range fed.Members {
+			if m.Name == "m1" && !m.Alive && m.AdoptedBy == "m0" {
+				return nil
+			}
+		}
+		return fmt.Errorf("membership after takeover: %+v", fed.Members)
+	})
 	// B's directory holds no live segments anymore.
 	segs, err := journal.ListSegments(dirB)
 	if err != nil {

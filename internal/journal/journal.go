@@ -21,18 +21,38 @@
 //
 // # Durability model
 //
-// Appends go through an internal buffer; Commit flushes and fsyncs with
-// group commit — concurrent committers waiting on overlapping sequence
-// ranges share one fsync. The service commits at two points: a
-// `submitted` record before the submission is acknowledged, so accepted
-// jobs are never lost, and the `admitted` records of each burst its
-// scheduling loop admits, once per burst (Service.run; pinned by
-// TestServiceJournalAdmitBurstCommit). At a low submission rate every
-// burst is one job, so that is a second fsync per job. The other
-// transitions (`completed`, `stolen`, `injected`) ride whichever sync
-// comes next, trading a bounded amount of redundant replay work (a
-// re-run of a job whose `completed` record missed the last fsync) for
-// two fsyncs per job at most instead of five.
+// Appends go through an internal buffer, and a record is in one of two
+// classes, decided by what its writer does next:
+//
+//   - Awaited: the writer calls Commit(seq) and does not proceed until
+//     it returns. Commit flushes and fsyncs with group commit —
+//     concurrent committers waiting on overlapping sequence ranges share
+//     one fsync. The service awaits the records whose loss would lose a
+//     job: `submitted` before a submission is acknowledged, and the
+//     `injected`/`completed` records Restore and Absorb write before the
+//     segment they were replayed from may be retired.
+//   - Lazy: the writer appends and moves on (`admitted`, `completed`,
+//     `stolen`, and a migration's `injected`). A lazy record rides
+//     whichever awaited Commit comes next, and if none comes the journal
+//     itself syncs it: every record is on disk within flushDelay (plus
+//     one fsync) of its Append, enforced by a single timer armed on the
+//     oldest record still in the buffer. When the timer fires and a
+//     group commit has already taken that record, it issues no fsync and
+//     re-arms for what is left, so under load the bound costs a timer
+//     wake-up every few milliseconds and nothing else; on an idle daemon
+//     it is the one fsync that puts the tail on disk.
+//
+// The replay window each class implies: an awaited record is never
+// lost. A lazy record is lost only if the process dies within
+// flushDelay of its Append, and losing one never loses a job — a lost
+// `completed` re-runs a finished job after replay, a lost `admitted`
+// is invisible (replay re-enqueues unfinished jobs either way), a lost
+// `stolen` or `injected` is resolved by Merge below. At-least-once,
+// never loss, for one fsync per acknowledged submission.
+//
+// A write or fsync error — from a Commit or from the lazy flush — is
+// sticky: every later Append and Commit returns it, which fails the
+// service at its next transition.
 //
 // # Replay semantics
 //
@@ -61,6 +81,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"dollymp/internal/workload"
 )
@@ -74,6 +95,14 @@ const (
 	// not an allocation request.
 	MaxRecordBytes = 16 << 20
 )
+
+// flushDelay bounds how long an appended record may sit in the buffer
+// with no Commit covering it (see "Durability model"). It is the window
+// in which a crash can lose a lazy record, and at the same time the
+// idle daemon's only cost for not losing older ones; a few milliseconds
+// is several fsyncs long and far below anything an operator would call
+// "the job finished a while ago".
+const flushDelay = 5 * time.Millisecond
 
 var magic = [8]byte{'d', 'o', 'l', 'l', 'y', 'j', 'n', 'l'}
 
@@ -189,11 +218,37 @@ type Journal struct {
 	f        *os.File
 	buf      []byte // appended but not yet flushed to the file
 	appended uint64 // sequence of the last appended record
+	flushed  uint64 // sequence of the last record a commit took out of buf
 	durable  uint64 // sequence covered by the last fsync
 	syncing  bool   // a group commit is in flight
 	synced   *sync.Cond
 	err      error // first terminal write/sync error; sticky
 	closed   bool
+
+	// The lazy flush: oldest is the Append instant of record flushed+1,
+	// the oldest one still in buf, and flusher fires flushDelay after it
+	// unless nothing is buffered. armed says flusher is pending or
+	// running; Append arms it, lazyFlush re-arms or disarms it.
+	oldest  time.Time
+	flusher *time.Timer
+	armed   bool
+
+	stats Stats
+}
+
+// Stats is what the journal has cost the disk since Open.
+type Stats struct {
+	// Fsyncs counts fsyncs issued by commits and by the lazy flush.
+	Fsyncs int64
+	// FsyncTime is their summed duration.
+	FsyncTime time.Duration
+}
+
+// Stats returns the fsync accounting.
+func (j *Journal) Stats() Stats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.stats
 }
 
 // Open opens (or creates) a journal segment for appending. An existing
@@ -436,7 +491,9 @@ func Merge(replays ...*Replay) []*ReplayJob {
 
 // Append buffers one record and returns its sequence number for
 // Commit. The record is NOT durable — and after a crash possibly not
-// even visible — until a Commit covering the sequence returns.
+// even visible — until a Commit covering the sequence returns; a caller
+// that does not await one gets the lazy bound instead: on disk within
+// flushDelay plus one fsync.
 func (j *Journal) Append(rec Record) (uint64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -471,8 +528,39 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 	j.buf = append(j.buf, frame[:]...)
 	j.buf = append(j.buf, payload...)
+	if j.appended == j.flushed {
+		j.oldest = time.Now()
+	}
 	j.appended++
+	if !j.armed {
+		j.armed = true
+		if j.flusher == nil {
+			j.flusher = time.AfterFunc(flushDelay, j.lazyFlush)
+		} else {
+			j.flusher.Reset(flushDelay)
+		}
+	}
 	return j.appended, nil
+}
+
+// lazyFlush is the timer's function: it syncs the buffer once its
+// oldest record has waited flushDelay, and otherwise only decides when
+// to look again. Commits keep emptying the buffer under load, so the
+// usual firing finds the record it was armed for already taken, issues
+// no fsync, and re-arms for the oldest record appended since (or
+// disarms on an empty buffer; the next Append arms it again). A sync
+// error stays in j.err for the next Append to report.
+func (j *Journal) lazyFlush() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.err == nil && !j.closed && j.appended > j.flushed {
+		if wait := flushDelay - time.Since(j.oldest); wait > 0 {
+			j.flusher.Reset(wait)
+			return
+		}
+		_ = j.commitLocked(j.appended)
+	}
+	j.armed = false
 }
 
 // Commit makes every record up to and including seq durable, sharing
@@ -480,6 +568,11 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 func (j *Journal) Commit(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.commitLocked(seq)
+}
+
+// commitLocked is Commit with mu held; it releases mu around the disk.
+func (j *Journal) commitLocked(seq uint64) error {
 	if seq > j.appended {
 		seq = j.appended // nothing beyond the last append can be awaited
 	}
@@ -501,6 +594,7 @@ func (j *Journal) Commit(seq uint64) error {
 		target := j.appended
 		buf := j.buf
 		j.buf = nil
+		j.flushed = target
 		j.mu.Unlock()
 		// Write and fsync outside the lock: appends keep flowing into a
 		// fresh buffer while the disk works.
@@ -508,17 +602,34 @@ func (j *Journal) Commit(seq uint64) error {
 		if len(buf) > 0 {
 			_, err = j.f.Write(buf)
 		}
+		var fsyncs int64
+		var took time.Duration
 		if err == nil {
+			start := time.Now()
 			err = j.f.Sync()
+			fsyncs, took = 1, time.Since(start)
 		}
 		j.mu.Lock()
 		j.syncing = false
+		j.stats.Fsyncs += fsyncs
+		j.stats.FsyncTime += took
 		if err != nil {
 			j.err = fmt.Errorf("journal: commit: %w", err)
 		} else if target > j.durable {
 			j.durable = target
 		}
 		j.synced.Broadcast()
+	}
+}
+
+// awaitSyncLocked waits out a write+fsync in flight — a committer's or
+// the lazy flush's — so the descriptor, and the lease with it, is
+// really released when Close or Crash returns: closing a file under a
+// running fsync defers the close to that fsync's end. Callers have set
+// closed, so no new sync starts. Caller holds mu.
+func (j *Journal) awaitSyncLocked() {
+	for j.syncing {
+		j.synced.Wait()
 	}
 }
 
@@ -535,10 +646,11 @@ func (j *Journal) Sync() error {
 
 // Crash simulates the owner dying: the file is closed immediately —
 // releasing the lease, exactly as process death would — WITHOUT
-// flushing the append buffer, so records not yet covered by a Commit
-// are lost the way a SIGKILL loses them. Further appends fail. Crash
-// exists for tests and in-process failure injection; production code
-// paths use Close.
+// flushing the append buffer, so records still in it (appended within
+// the last flushDelay and covered by no Commit) are lost the way a
+// SIGKILL loses them, and the lazy flush never runs again. Further
+// appends fail. Crash exists for tests and in-process failure
+// injection; production code paths use Close.
 func (j *Journal) Crash() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -550,6 +662,7 @@ func (j *Journal) Crash() error {
 	if j.err == nil {
 		j.err = errors.New("journal: crashed")
 	}
+	j.awaitSyncLocked()
 	err := j.f.Close()
 	j.synced.Broadcast()
 	return err
@@ -564,6 +677,7 @@ func (j *Journal) Close() error {
 		return err
 	}
 	j.closed = true
+	j.awaitSyncLocked()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"dollymp/internal/resources"
 	"dollymp/internal/workload"
@@ -256,6 +257,158 @@ func TestJournalConcurrentCommit(t *testing.T) {
 	_, rep := openT(t, path)
 	if rep.Records != n || len(rep.Jobs) != n {
 		t.Fatalf("replayed %d records / %d jobs, want %d", rep.Records, len(rep.Jobs), n)
+	}
+}
+
+// waitDisarmed waits until the lazy-flush timer has fired and found
+// nothing left to do.
+func waitDisarmed(t *testing.T, j *Journal) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		j.mu.Lock()
+		armed := j.armed
+		j.mu.Unlock()
+		if !armed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("lazy-flush timer still armed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLazyFlushBound: records appended with no Commit, and nothing
+// appended after them, are on disk within the flush delay plus one
+// fsync — one fsync for all of them.
+func TestLazyFlushBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.wal")
+	j, _ := openT(t, path)
+	defer j.Close()
+	start := time.Now()
+	appendT(t, j, Record{Op: OpSubmitted, ID: 1, Job: testJob(1)})
+	appendT(t, j, Record{Op: OpAdmitted, ID: 1, Arrival: 1})
+	appendT(t, j, Record{Op: OpCompleted, ID: 1, Finish: 4, Flowtime: 3})
+	// The bound is flushDelay + one fsync; the slack is for a loaded
+	// machine's scheduler and disk, not for the mechanism.
+	const slack = 100 * flushDelay
+	for {
+		rep, err := ReplayFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Records == 3 && rep.Truncated == 0 {
+			break
+		}
+		if rep.Records != 0 {
+			t.Fatalf("lazy flush wrote %d of 3 records (%d torn bytes)", rep.Records, rep.Truncated)
+		}
+		if waited := time.Since(start); waited > flushDelay+slack {
+			t.Fatalf("nothing on disk %v after the appends (flush delay %v)", waited, flushDelay)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(start); took < flushDelay {
+		t.Fatalf("records on disk after %v, before the flush delay %v: something else synced them", took, flushDelay)
+	}
+	// Visible in the file is written, not yet synced: the flush is over
+	// when the timer has stood down.
+	waitDisarmed(t, j)
+	if st := j.Stats(); st.Fsyncs != 1 || st.FsyncTime <= 0 {
+		t.Fatalf("stats after one lazy flush: %+v", st)
+	}
+}
+
+// TestLazyFlushIssuesNoSyncWhenCovered: when a Commit has already taken
+// the record the timer was armed for, the firing costs no fsync; a
+// record appended behind that Commit is still flushed on its own clock.
+func TestLazyFlushIssuesNoSyncWhenCovered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.wal")
+	j, _ := openT(t, path)
+	defer j.Close()
+	seq := appendT(t, j, Record{Op: OpSubmitted, ID: 1, Job: testJob(1)})
+	if err := j.Commit(seq); err != nil {
+		t.Fatal(err)
+	}
+	waitDisarmed(t, j)
+	if st := j.Stats(); st.Fsyncs != 1 {
+		t.Fatalf("timer fired on a covered record and issued an fsync: %+v", st)
+	}
+
+	// Arm on a record a Commit covers, then leave a lazy one behind it:
+	// the firing must re-arm for the lazy record, not forget it.
+	seq = appendT(t, j, Record{Op: OpSubmitted, ID: 2, Job: testJob(2)})
+	if err := j.Commit(seq); err != nil {
+		t.Fatal(err)
+	}
+	appendT(t, j, Record{Op: OpAdmitted, ID: 2, Arrival: 1})
+	waitDisarmed(t, j)
+	if st := j.Stats(); st.Fsyncs != 3 {
+		t.Fatalf("fsyncs = %d, want 3 (two commits, one lazy flush)", st.Fsyncs)
+	}
+	rep, err := ReplayFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Records != 3 || !rep.Jobs[1].Admitted {
+		t.Fatalf("lazy record behind a commit not on disk: %d records, jobs %+v", rep.Records, rep.Jobs)
+	}
+}
+
+// TestLazyFlushAfterCloseAndCrash: the timer outlives neither. Close
+// syncs the tail itself and nothing is written afterwards; Crash loses
+// exactly the records no Commit covered, and they stay lost.
+func TestLazyFlushAfterCloseAndCrash(t *testing.T) {
+	dir := t.TempDir()
+
+	closed := filepath.Join(dir, "closed.wal")
+	j, _ := openT(t, closed)
+	appendT(t, j, Record{Op: OpSubmitted, ID: 1, Job: testJob(1)})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, fsyncs := size(t, closed), j.Stats().Fsyncs
+	time.Sleep(3 * flushDelay)
+	if got := size(t, closed); got != before || j.Stats().Fsyncs != fsyncs {
+		t.Fatalf("written after Close: size %d -> %d, fsyncs %d -> %d", before, got, fsyncs, j.Stats().Fsyncs)
+	}
+
+	// The crash has to land inside the flush delay of the uncommitted
+	// append; on a machine that stalls the test longer than that the
+	// lazy flush legitimately wins, which the fsync count shows.
+	for attempt := 0; ; attempt++ {
+		crashed := filepath.Join(dir, "crashed.wal")
+		j, _ = openT(t, crashed)
+		seq := appendT(t, j, Record{Op: OpSubmitted, ID: 1, Job: testJob(1)})
+		if err := j.Commit(seq); err != nil {
+			t.Fatal(err)
+		}
+		appendT(t, j, Record{Op: OpCompleted, ID: 1, Finish: 3, Flowtime: 3})
+		if err := j.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		if j.Stats().Fsyncs != 1 {
+			if attempt == 10 {
+				t.Fatal("could not crash inside the flush delay in 10 attempts")
+			}
+			if err := os.Remove(crashed); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		time.Sleep(3 * flushDelay)
+		rep, err := ReplayFile(crashed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Records != 1 || rep.Truncated != 0 || rep.Jobs[0].Outcome != OutcomePending {
+			t.Fatalf("after crash: %d records, %d torn bytes, jobs %+v", rep.Records, rep.Truncated, rep.Jobs)
+		}
+		if _, err := j.Append(Record{Op: OpAdmitted, ID: 1}); err == nil {
+			t.Fatal("append after Crash succeeded")
+		}
+		return
 	}
 }
 

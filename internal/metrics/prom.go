@@ -109,14 +109,14 @@ func (r *Registry) register(name, help, typ string, labels Labels, s promSeries)
 
 // Counter registers and returns a monotonically increasing counter.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{labels: copyLabels(labels)}
+	c := &Counter{key: renderLabels(labels, "", "")}
 	r.register(name, help, "counter", labels, c)
 	return c
 }
 
 // Gauge registers and returns a gauge.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{labels: copyLabels(labels)}
+	g := &Gauge{key: renderLabels(labels, "", "")}
 	r.register(name, help, "gauge", labels, g)
 	return g
 }
@@ -137,20 +137,16 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 		}
 	}
 	h := &Histogram{
-		labels: copyLabels(labels),
+		key:    renderLabels(labels, "", ""),
 		bounds: append([]float64(nil), buckets...),
 		bucket: make([]uint64, len(buckets)),
 	}
+	for _, b := range buckets {
+		h.leKeys = append(h.leKeys, renderLabels(labels, "le", formatValue(b)))
+	}
+	h.leKeys = append(h.leKeys, renderLabels(labels, "le", "+Inf"))
 	r.register(name, help, "histogram", labels, h)
 	return h
-}
-
-func copyLabels(l Labels) Labels {
-	out := make(Labels, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
 }
 
 // Write renders every family in registration order: HELP and TYPE
@@ -238,9 +234,9 @@ func formatValue(v float64) string {
 
 // Counter is a monotonically increasing value.
 type Counter struct {
-	mu     sync.Mutex
-	v      float64
-	labels Labels
+	mu  sync.Mutex
+	v   float64
+	key string // the constant labels, rendered once: every scrape writes them
 }
 
 // Inc adds one.
@@ -257,6 +253,18 @@ func (c *Counter) Add(d float64) {
 	c.mu.Unlock()
 }
 
+// AdvanceTo raises the counter to total, for a counter that mirrors a
+// total kept elsewhere and is brought up to date at scrape time. A total
+// at or below the current value leaves it alone, so concurrent scrapes
+// reading the source in either order cannot step it backwards.
+func (c *Counter) AdvanceTo(total float64) {
+	c.mu.Lock()
+	if total > c.v {
+		c.v = total
+	}
+	c.mu.Unlock()
+}
+
 // Value returns the current value.
 func (c *Counter) Value() float64 {
 	c.mu.Lock()
@@ -264,7 +272,7 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-func (c *Counter) labelKey() string { return renderLabels(c.labels, "", "") }
+func (c *Counter) labelKey() string { return c.key }
 
 func (c *Counter) write(w io.Writer, fam *family) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, c.labelKey(), formatValue(c.Value()))
@@ -273,9 +281,9 @@ func (c *Counter) write(w io.Writer, fam *family) error {
 
 // Gauge is a value that can go up and down.
 type Gauge struct {
-	mu     sync.Mutex
-	v      float64
-	labels Labels
+	mu  sync.Mutex
+	v   float64
+	key string
 }
 
 // Set replaces the value.
@@ -299,7 +307,7 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-func (g *Gauge) labelKey() string { return renderLabels(g.labels, "", "") }
+func (g *Gauge) labelKey() string { return g.key }
 
 func (g *Gauge) write(w io.Writer, fam *family) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, g.labelKey(), formatValue(g.Value()))
@@ -309,7 +317,8 @@ func (g *Gauge) write(w io.Writer, fam *family) error {
 // Histogram counts observations into fixed cumulative buckets.
 type Histogram struct {
 	mu     sync.Mutex
-	labels Labels
+	key    string
+	leKeys []string  // the labels with le added, per bound and then +Inf
 	bounds []float64 // strictly increasing upper bounds, +Inf implicit
 	bucket []uint64  // per-bound (non-cumulative) counts
 	count  uint64
@@ -342,7 +351,7 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-func (h *Histogram) labelKey() string { return renderLabels(h.labels, "", "") }
+func (h *Histogram) labelKey() string { return h.key }
 
 func (h *Histogram) write(w io.Writer, fam *family) error {
 	h.mu.Lock()
@@ -356,14 +365,12 @@ func (h *Histogram) write(w io.Writer, fam *family) error {
 	count, sum := h.count, h.sum
 	h.mu.Unlock()
 
-	for i, b := range bounds {
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			fam.name, renderLabels(h.labels, "le", formatValue(b)), cum[i]); err != nil {
+	for i := range bounds {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", fam.name, h.leKeys[i], cum[i]); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		fam.name, renderLabels(h.labels, "le", "+Inf"), count); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", fam.name, h.leKeys[len(bounds)], count); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", fam.name, h.labelKey(), formatValue(sum)); err != nil {
@@ -513,9 +520,13 @@ func parsePromValue(f string) (float64, error) {
 
 // canonicalLabels parses the inside of a {...} label set and re-renders
 // it with names sorted, so equal label sets compare equal as strings.
+// Values are carried in their escaped form: the three escapes the format
+// allows are exactly the three escapeLabelValue writes, so a valid value
+// is already its own canonical rendering.
 func canonicalLabels(s string) (string, error) {
 	type kv struct{ k, v string }
-	var pairs []kv
+	var buf [8]kv // more labels than any series here carries; append grows past it
+	pairs := buf[:0]
 	i := 0
 	for i < len(s) {
 		j := strings.IndexByte(s[i:], '=')
@@ -531,37 +542,30 @@ func canonicalLabels(s string) (string, error) {
 			return "", fmt.Errorf("label %q value not quoted", name)
 		}
 		i++
-		var b strings.Builder
+		start := i
 		for {
 			if i >= len(s) {
 				return "", fmt.Errorf("unterminated value for label %q", name)
 			}
 			c := s[i]
+			if c == '"' {
+				break
+			}
 			if c == '\\' {
 				if i+1 >= len(s) {
 					return "", fmt.Errorf("dangling escape in label %q", name)
 				}
 				switch s[i+1] {
-				case '\\':
-					b.WriteByte('\\')
-				case '"':
-					b.WriteByte('"')
-				case 'n':
-					b.WriteByte('\n')
+				case '\\', '"', 'n':
 				default:
 					return "", fmt.Errorf("bad escape \\%c in label %q", s[i+1], name)
 				}
-				i += 2
-				continue
-			}
-			if c == '"' {
 				i++
-				break
 			}
-			b.WriteByte(c)
 			i++
 		}
-		pairs = append(pairs, kv{name, b.String()})
+		pairs = append(pairs, kv{name, s[start:i]})
+		i++
 		if i < len(s) && s[i] == ',' {
 			i++
 		}
@@ -569,14 +573,23 @@ func canonicalLabels(s string) (string, error) {
 	if len(pairs) == 0 {
 		return "", nil
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].k < pairs[b].k })
+	// A handful of pairs, usually sorted already but for a trailing le.
+	for a := 1; a < len(pairs); a++ {
+		for b := a; b > 0 && pairs[b].k < pairs[b-1].k; b-- {
+			pairs[b], pairs[b-1] = pairs[b-1], pairs[b]
+		}
+	}
 	var b strings.Builder
+	b.Grow(len(s) + 2)
 	b.WriteByte('{')
 	for i, p := range pairs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `%s="%s"`, p.k, escapeLabelValue(p.v))
+		b.WriteString(p.k)
+		b.WriteString(`="`)
+		b.WriteString(p.v)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String(), nil
@@ -641,47 +654,31 @@ func extractLE(labels string) (float64, string, error) {
 		return 0, "", fmt.Errorf("bucket sample has no le label")
 	}
 	inner := labels[1 : len(labels)-1]
-	parts := splitTopLevel(inner)
-	rest := make([]string, 0, len(parts))
-	le := math.NaN()
-	for _, p := range parts {
-		if strings.HasPrefix(p, `le="`) {
-			v, err := parsePromValue(strings.TrimSuffix(strings.TrimPrefix(p, `le="`), `"`))
-			if err != nil {
+	for start := 0; start < len(inner); {
+		// A pair ends at the first comma outside quotes.
+		end, quoted := start, false
+		for ; end < len(inner) && (quoted || inner[end] != ','); end++ {
+			switch inner[end] {
+			case '\\':
+				end++
+			case '"':
+				quoted = !quoted
+			}
+		}
+		end = min(end, len(inner))
+		if p := inner[start:end]; strings.HasPrefix(p, `le="`) {
+			le, err := parsePromValue(strings.TrimSuffix(p[len(`le="`):], `"`))
+			if err != nil || math.IsNaN(le) {
 				return 0, "", fmt.Errorf("bad le value in %q", p)
 			}
-			le = v
-			continue
-		}
-		rest = append(rest, p)
-	}
-	if math.IsNaN(le) {
-		return 0, "", fmt.Errorf("bucket sample has no le label")
-	}
-	if len(rest) == 0 {
-		return le, "", nil
-	}
-	return le, "{" + strings.Join(rest, ",") + "}", nil
-}
-
-// splitTopLevel splits canonical label pairs on commas outside quotes.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth := false // inside quotes
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
+			// Drop the pair with the comma that joined it to a neighbour.
+			rest := strings.TrimSuffix(inner[:start]+inner[min(end+1, len(inner)):], ",")
+			if rest == "" {
+				return le, "", nil
 			}
+			return le, "{" + rest + "}", nil
 		}
+		start = end + 1
 	}
-	out = append(out, s[start:])
-	return out
+	return 0, "", fmt.Errorf("bucket sample has no le label")
 }

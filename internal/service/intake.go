@@ -160,14 +160,15 @@ func (s *Service) enqueueLocked(j *workload.Job, op journal.Op) (seq uint64, err
 		return 0, ErrQueueFull
 	}
 	j.Arrival = 0 // clamped to the live clock at injection
-	info := queuedInfo(j)
+	rec := queuedInfo(j)
+	rec.since = time.Since(s.epoch) // the wait in this queue starts here
 	if seq, err = s.journalLocked(journal.Record{Op: op, ID: j.ID, Job: j}); err != nil {
 		return 0, err
 	}
-	s.jobs[j.ID] = info
+	s.jobs[j.ID] = rec
 	s.subCh <- j
 	s.counts.Submitted++
-	s.tasksOut += int64(info.Tasks)
+	s.tasksOut += int64(rec.Tasks)
 	return seq, nil
 }
 
@@ -202,11 +203,13 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 		// share one fsync. The job is already queued; if the disk
 		// refuses, the service fails loudly rather than keep accepting
 		// work it cannot promise to remember.
+		start := time.Now()
 		if err := s.cfg.Journal.Commit(seq); err != nil {
 			err = fmt.Errorf("service: journal submit %d: %w", id, err)
 			s.fail(err)
 			return 0, err
 		}
+		s.mJournalWait.Observe(time.Since(start).Seconds())
 	}
 	return id, nil
 }

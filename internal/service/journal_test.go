@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/journal"
+	"dollymp/internal/metrics"
 	"dollymp/internal/resources"
 )
 
@@ -321,10 +323,30 @@ func TestResultNotDrained(t *testing.T) {
 	}
 }
 
+// durableOps scans a segment and counts, per op the test asks about,
+// the jobs whose record of that op is in the file.
+func durableOps(t *testing.T, path string) (admitted, completed int) {
+	t.Helper()
+	rep, err := journal.ReplayFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rj := range rep.Jobs {
+		if rj.Admitted {
+			admitted++
+		}
+		if rj.Outcome == journal.OutcomeCompleted {
+			completed++
+		}
+	}
+	return admitted, completed
+}
+
 // TestServiceJournalAdmitBurstCommit certifies that a burst of admits
-// is made durable by one batched Commit at the end of the burst: the
-// admitted records must become visible in the segment without any later
-// submission's fsync (and long before Close) to piggyback on.
+// becomes durable with no later submission's fsync (and long before
+// Close) to piggyback on. The loop appends the admitted records and
+// never commits; what puts them in the segment is the journal's own
+// bounded flush of lazy records.
 func TestServiceJournalAdmitBurstCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.wal")
 	s, jnl, _ := openJournalService(t, path, 64)
@@ -335,20 +357,11 @@ func TestServiceJournalAdmitBurstCommit(t *testing.T) {
 		}
 	}
 	s.Start()
-	// Poll the on-disk segment: the admitted records land only via the
-	// loop's burst commit — nothing else flushes the journal here.
+	// Poll the on-disk segment: nothing is submitted after Start, so
+	// only the journal's lazy flush can land the admitted records.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		rep, err := journal.ReplayFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		admitted := 0
-		for _, rj := range rep.Jobs {
-			if rj.Admitted {
-				admitted++
-			}
-		}
+		admitted, _ := durableOps(t, path)
 		if admitted == n {
 			break
 		}
@@ -360,5 +373,131 @@ func TestServiceJournalAdmitBurstCommit(t *testing.T) {
 	stopDrained(t, s)
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceJournalIdleTailDurable: a daemon that goes quiet must not
+// sit on its last records. A few jobs are submitted and complete,
+// nothing more arrives, and every admitted and every completed record
+// has to reach the segment in bounded time anyway — a job that
+// finished long before a SIGKILL must not re-run after it.
+func TestServiceJournalIdleTailDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.wal")
+	s, jnl, _ := openJournalService(t, path, 16)
+	s.Start()
+	const n = 4
+	for i := 0; i < n; i++ {
+		if _, err := s.SubmitNowait(testJob(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Counts().Completed < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs stuck: %+v", s.Counts())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Idle from here on: no submission, no Stop, no Close. The bound is
+	// the journal's flush delay (milliseconds) plus one fsync; half a
+	// second is that with room for a loaded machine.
+	idleSince := time.Now()
+	for {
+		admitted, completed := durableOps(t, path)
+		if admitted == n && completed == n {
+			break
+		}
+		if idle := time.Since(idleSince); idle > 500*time.Millisecond {
+			t.Fatalf("after %v idle: %d of %d admitted and %d of %d completed records durable",
+				idle, admitted, n, completed, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stopDrained(t, s)
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStageAndFsyncMetrics: every job observes each stage it passed
+// through on this service exactly once, a replayed job skips the
+// journal wait it never had here, completed history observes nothing,
+// and the journal's fsync accounting reads the same from the status
+// view and from /metrics — one fsync per sequentially acknowledged job.
+func TestStageAndFsyncMetrics(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.wal")
+	scrape := func(s *Service) map[string]metrics.PromSample {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParsePromText(&buf)
+		if err != nil {
+			t.Fatalf("metrics output invalid: %v", err)
+		}
+		return samples
+	}
+	stages := func(step string, samples map[string]metrics.PromSample, journalWait, queueWait, run float64) {
+		t.Helper()
+		for stage, want := range map[string]float64{
+			"journal_wait": journalWait, "queue_wait": queueWait,
+			"admit_to_start": run, "start_to_complete": run,
+		} {
+			key := `dollymp_stage_seconds_count{stage="` + stage + `"}`
+			if got, ok := samples[key]; !ok || got.Value != want {
+				t.Errorf("%s: %s = %v (present %v), want %v", step, key, got.Value, ok, want)
+			}
+		}
+	}
+
+	const n = 5
+	a, jnlA, _ := openJournalService(t, path, 16)
+	for i := 0; i < n; i++ {
+		if _, err := a.SubmitNowait(testJob(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := scrape(a)
+	stages("queued", samples, n, 0, 0)
+	js := a.Snapshot().Journal
+	if js.Fsyncs != n || js.FsyncSeconds <= 0 {
+		t.Fatalf("journal status after %d sequential acks: %+v", n, js)
+	}
+	if got := samples["dollymp_journal_fsyncs_total"].Value; got != n {
+		t.Errorf("dollymp_journal_fsyncs_total = %v, want %d", got, n)
+	}
+	if got := samples["dollymp_journal_fsync_seconds_total"].Value; got != js.FsyncSeconds {
+		t.Errorf("dollymp_journal_fsync_seconds_total = %v, status says %v", got, js.FsyncSeconds)
+	}
+	sum := JournalStatus{Fsyncs: 2, FsyncSeconds: 0.5}
+	sum.Add(*js)
+	if sum.Fsyncs != n+2 || sum.FsyncSeconds != js.FsyncSeconds+0.5 {
+		t.Errorf("JournalStatus.Add dropped the fsync accounting: %+v", sum)
+	}
+	a.Start()
+	stopDrained(t, a)
+	stages("drained", scrape(a), n, n, n)
+	if err := jnlA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, jnlB, rep := openJournalService(t, path, 16)
+	rep.Jobs[0].Outcome = journal.OutcomePending // as if its completed record had been lost
+	if err := b.Restore(journal.Merge(rep), rep.Records, rep.Truncated); err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	stopDrained(t, b)
+	stages("replayed", scrape(b), 0, 1, 1)
+	if err := jnlB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An unjournaled service has the stage series but no journal ones.
+	plain := scrape(newTestService(t, 8))
+	stages("unjournaled", plain, 0, 0, 0)
+	if _, ok := plain["dollymp_journal_fsyncs_total"]; ok {
+		t.Error("unjournaled service exposes dollymp_journal_fsyncs_total")
 	}
 }

@@ -14,6 +14,17 @@
 // backpressure, not silent dropping; Submit instead waits for space
 // until its context expires.
 //
+// With Config.Journal set, every transition is appended to a write-ahead
+// log in one of the journal's two classes of record. What would lose a
+// job if lost is awaited: a submission is acknowledged only after the
+// Commit covering its `submitted` record returns, and Restore and Absorb
+// commit what they re-journal. Everything else — `admitted`,
+// `completed`, `stolen`, a migration's `injected` — is lazy: appended
+// under the service mutex and made durable by the next awaited commit
+// or by the journal's own bounded flush, whichever comes first. When a
+// lazy record is synced is the journal's decision alone; the scheduling
+// loop never waits for the disk.
+//
 // A Service is also one shard of a sharded deployment (internal/shard):
 // Config.Registry/MetricLabels let the router collect every shard's
 // series in one view, and Config.IDBase/IDStride carve the job-ID space
@@ -30,6 +41,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dollymp/internal/admission"
 	"dollymp/internal/cluster"
@@ -78,10 +90,14 @@ type Config struct {
 	IDStride int
 
 	// Journal, when non-nil, records every job lifecycle transition to
-	// a crash-safe write-ahead log: `submitted` (with the full spec) is
-	// made durable before a submission is acknowledged, each burst of
-	// `admitted` records is committed once by the scheduling loop, and
-	// `completed`, `stolen`, and `injected` ride later fsyncs. A nil
+	// a crash-safe write-ahead log, in the journal's two classes of
+	// record: `submitted` (with the full spec) is awaited — made durable
+	// before a submission is acknowledged, as are the records Restore
+	// and Absorb write — and `admitted`, `completed`, `stolen` and a
+	// migration's `injected` are lazy: appended and left to the next
+	// awaited commit or, on a quiet daemon, to the journal's own bounded
+	// flush. The service never decides when a lazy record is synced and
+	// its scheduling loop never waits for the disk. A nil
 	// Journal keeps today's in-memory behavior bit-for-bit. The caller
 	// owns the journal (Open/Close and startup replay via Restore); the
 	// service only appends. A journal write failure fails the service —
@@ -110,6 +126,7 @@ type Service struct {
 	cfg   Config
 	eng   *sim.Engine
 	subCh chan *workload.Job
+	epoch time.Time // New's instant: the zero of every jobRecord's stage clock
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -119,12 +136,12 @@ type Service struct {
 	mu         sync.RWMutex
 	stopping   bool // guarded by mu: serializes Submit against drain exit
 	loopExited bool // guarded by mu: the loop took its drain-exit decision
-	jobs       map[workload.JobID]*JobInfo
+	jobs       map[workload.JobID]*jobRecord
 	nextID     workload.JobID
 	counts     Counts
 	tasksOut   int64 // outstanding task volume of accepted, unfinished jobs
 	clock      int64
-	snap       ClusterSnapshot
+	snap       ClusterSnapshot // written in place by publish, Servers included; Snapshot copies
 	err        error
 	admitCh    chan struct{} // closed+replaced on every admit: queue-space broadcast
 	jnlStat    JournalStatus // guarded by mu; zero when cfg.Journal is nil
@@ -144,12 +161,17 @@ type Service struct {
 	mUtilCPU *metrics.Gauge
 	mUtilMem *metrics.Gauge
 	mJCT     *metrics.Histogram
+	// Wall-clock time a job spent in each stage it passed through on
+	// this service, one series of dollymp_stage_seconds per stage.
+	mJournalWait, mQueueWait, mAdmitToStart, mStartToComplete *metrics.Histogram
 
 	// Journal metrics; nil when cfg.Journal is nil (registering them
 	// unconditionally would change the exposition of an unjournaled
-	// service).
-	mJnlRecords  *metrics.Counter
-	mJnlReplayed *metrics.Gauge
+	// service). The fsync pair mirrors journal.Stats at scrape time.
+	mJnlRecords   *metrics.Counter
+	mJnlReplayed  *metrics.Gauge
+	mJnlFsyncs    *metrics.Counter
+	mJnlFsyncSecs *metrics.Counter
 }
 
 // New validates the configuration and builds a stopped service; call
@@ -178,10 +200,11 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:     cfg,
+		epoch:   time.Now(),
 		subCh:   make(chan *workload.Job, cfg.QueueCap),
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
-		jobs:    make(map[workload.JobID]*JobInfo),
+		jobs:    make(map[workload.JobID]*jobRecord),
 		nextID:  cfg.IDBase,
 		admitCh: make(chan struct{}),
 		reg:     cfg.Registry,
@@ -199,10 +222,20 @@ func New(cfg Config) (*Service, error) {
 	s.mUtilMem = s.reg.Gauge("dollymp_cluster_utilization", "Fraction of cluster capacity allocated.", lbl(metrics.Labels{"resource": "mem"}))
 	s.mJCT = s.reg.Histogram("dollymp_job_completion_slots", "Job completion time (flowtime) in slots.",
 		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}, lbl(nil))
+	stage := func(name string) *metrics.Histogram {
+		return s.reg.Histogram("dollymp_stage_seconds", "Wall-clock seconds a job spent in one stage of its path through this service.",
+			[]float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 10e-3, 100e-3}, lbl(metrics.Labels{"stage": name}))
+	}
+	s.mJournalWait = stage("journal_wait")
+	s.mQueueWait = stage("queue_wait")
+	s.mAdmitToStart = stage("admit_to_start")
+	s.mStartToComplete = stage("start_to_complete")
 	if cfg.Journal != nil {
 		s.jnlStat.Enabled = true
 		s.mJnlRecords = s.reg.Counter("dollymp_journal_records_total", "Journal records appended by this process.", lbl(nil))
 		s.mJnlReplayed = s.reg.Gauge("dollymp_journal_replayed_jobs", "Jobs restored from the journal at startup.", lbl(nil))
+		s.mJnlFsyncs = s.reg.Counter("dollymp_journal_fsyncs_total", "Fsyncs issued on the journal segment by this process.", lbl(nil))
+		s.mJnlFsyncSecs = s.reg.Counter("dollymp_journal_fsync_seconds_total", "Summed duration of those fsyncs.", lbl(nil))
 	}
 	if cfg.Admission != nil {
 		s.mDenied = s.reg.Counter("dollymp_jobs_denied_total", "Submissions denied by the edge admission policy.", lbl(nil))
@@ -237,10 +270,18 @@ func (s *Service) Start() {
 // registry was injected via Config.Registry this is that registry.
 func (s *Service) Metrics() *metrics.Registry { return s.reg }
 
-// RefreshGauges re-publishes gauges that drift between loop publishes
-// (today: queue depth). Called at scrape time so an idle engine never
-// serves a stale gauge.
-func (s *Service) RefreshGauges() { s.mQueue.Set(float64(len(s.subCh))) }
+// RefreshGauges re-publishes the series the loop does not keep current:
+// queue depth, which drifts between publishes, and the journal's fsync
+// accounting, which the journal owns. Called at scrape time so an idle
+// engine never serves a stale value.
+func (s *Service) RefreshGauges() {
+	s.mQueue.Set(float64(len(s.subCh)))
+	if s.cfg.Journal != nil {
+		st := s.cfg.Journal.Stats()
+		s.mJnlFsyncs.AdvanceTo(float64(st.Fsyncs))
+		s.mJnlFsyncSecs.AdvanceTo(st.FsyncTime.Seconds())
+	}
+}
 
 // WriteMetrics renders the service's registry as Prometheus text. Part
 // of the API interface shared with the shard router.
@@ -251,8 +292,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 
 // journalLocked appends one record to the configured journal (a no-op
 // returning 0 when journaling is off). Callers hold mu, which gives the
-// journal the same total order as the in-memory lifecycle; the record
-// is durable only after a Commit covering seq. A failed append fails
+// journal the same total order as the in-memory lifecycle. A caller
+// that must not proceed until the record is durable awaits a Commit
+// covering seq; every other caller drops seq, and the journal syncs the
+// record within its flush delay. A failed append fails
 // the service here, in the same critical section — the durability
 // contract is broken — so callers only decide what to skip.
 func (s *Service) journalLocked(rec journal.Record) (seq uint64, err error) {
@@ -305,37 +348,18 @@ func (s *Service) Result() (*sim.Result, error) {
 // touch the engine or the cluster after Start.
 func (s *Service) run() {
 	defer close(s.doneCh)
-	// pending is the highest admitted-record journal sequence not yet
-	// covered by a Commit. The loop admits a whole burst first and then
-	// commits once, so under load the fsync cost of making admitted
-	// records durable amortizes across the burst instead of being paid
-	// per job (submitted records are still synced per-ack in submit).
-	var pending uint64
-	flush := func() {
-		if pending == 0 {
-			return
-		}
-		seq := pending
-		pending = 0
-		if err := s.cfg.Journal.Commit(seq); err != nil {
-			s.fail(fmt.Errorf("service: journal admit commit: %w", err))
-		}
-	}
 	for {
 		// Admit everything waiting, so submissions land at the next
 		// slot boundary rather than one event later.
 		for {
 			select {
 			case j := <-s.subCh:
-				if seq := s.admit(j); seq > pending {
-					pending = seq
-				}
+				s.admit(j)
 				continue
 			default:
 			}
 			break
 		}
-		flush()
 		if s.Err() != nil {
 			return
 		}
@@ -357,15 +381,10 @@ func (s *Service) run() {
 				}
 				continue // queue refilled before stop; drain it
 			}
-			// Nothing to simulate: block until work or stop arrives. The
-			// admit's journal record is committed by the flush at the top
-			// of the next iteration, together with any burst that arrived
-			// behind it.
+			// Nothing to simulate: block until work or stop arrives.
 			select {
 			case j := <-s.subCh:
-				if seq := s.admit(j); seq > pending {
-					pending = seq
-				}
+				s.admit(j)
 			case <-s.stopCh:
 			}
 			continue
@@ -378,37 +397,45 @@ func (s *Service) run() {
 	}
 }
 
-// admit injects one queued job into the engine and returns the journal
-// sequence of its admitted record (0 when journaling is off or the
-// admit failed). The caller batches Commit across a burst of admits.
-func (s *Service) admit(j *workload.Job) uint64 {
+// admit injects one queued job into the engine. Its `admitted` record
+// is lazy: the loop does not wait for the disk.
+func (s *Service) admit(j *workload.Job) {
 	arr, err := s.eng.InjectJob(j)
 	if err != nil {
 		// Submit validated the job and the ID space is service-owned,
 		// so injection cannot fail; treat it as loop-fatal if it does.
 		s.fail(fmt.Errorf("service: admit job %d: %w", j.ID, err))
-		return 0
+		return
 	}
 	s.mu.Lock()
-	if info := s.jobs[j.ID]; info != nil {
-		info.State = StateAdmitted
-		info.Arrival = arr
+	if rec := s.jobs[j.ID]; rec != nil {
+		rec.State = StateAdmitted
+		rec.Arrival = arr
+		s.leaveStage(rec, s.mQueueWait)
 	}
 	s.counts.Admitted++
 	s.mAdmitted.Inc() // same critical section as counts: scrapes agree with /v1
 	// A failed append has failed the service; the loop exits on Err.
-	seq, _ := s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
+	_, _ = s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
 	s.wakeLocked() // the admit freed a queue slot
 	s.mu.Unlock()
-	return seq
+}
+
+// leaveStage observes how long the job spent in the stage it is leaving
+// and starts the clock of the next one. Caller holds mu.
+func (s *Service) leaveStage(rec *jobRecord, stage *metrics.Histogram) {
+	now := time.Since(s.epoch)
+	stage.Observe((now - rec.since).Seconds())
+	rec.since = now
 }
 
 // onJobStart runs inside Engine.Step, on the loop goroutine.
 func (s *Service) onJobStart(id workload.JobID, slot int64) {
 	s.mu.Lock()
-	if info := s.jobs[id]; info != nil {
-		info.State = StateRunning
-		info.FirstStart = slot
+	if rec := s.jobs[id]; rec != nil {
+		rec.State = StateRunning
+		rec.FirstStart = slot
+		s.leaveStage(rec, s.mAdmitToStart)
 	}
 	s.mu.Unlock()
 }
@@ -416,41 +443,40 @@ func (s *Service) onJobStart(id workload.JobID, slot int64) {
 // onJobComplete runs inside Engine.Step, on the loop goroutine.
 func (s *Service) onJobComplete(m sim.JobMetrics) {
 	s.mu.Lock()
-	if info := s.jobs[m.ID]; info != nil {
-		info.State = StateCompleted
-		info.Finish = m.Finish
-		info.Flowtime = m.Flowtime
-		s.tasksOut -= int64(info.Tasks)
+	if rec := s.jobs[m.ID]; rec != nil {
+		rec.State = StateCompleted
+		rec.Finish = m.Finish
+		rec.Flowtime = m.Flowtime
+		s.tasksOut -= int64(rec.Tasks)
+		s.leaveStage(rec, s.mStartToComplete)
 	}
 	s.counts.Completed++
 	s.mCompleted.Inc()
 	s.mJCT.Observe(float64(m.Flowtime))
-	// The completed record rides the next fsync: losing it to a crash
-	// re-runs the job after replay (at-least-once), it never loses one.
+	// The completed record is lazy: losing it to a crash inside the
+	// journal's flush delay re-runs the job after replay (at-least-once),
+	// it never loses one.
 	// A failed append has failed the service; the loop exits on Err.
 	_, _ = s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: m.ID, Finish: m.Finish, Flowtime: m.Flowtime})
 	s.mu.Unlock()
 }
 
-// publish refreshes the shared snapshot and gauges from engine state.
-// Runs on the loop goroutine, which is the only reader of the cluster.
+// publish refreshes the shared snapshot and gauges from engine state,
+// in place: a step changes a few servers' occupancy, and the one reader
+// of the per-server view (Snapshot) is rare, so the copy is the
+// reader's. Runs on the loop goroutine, which is the only reader of the
+// cluster.
 func (s *Service) publish() {
 	clock := s.eng.Clock()
 	used, total := s.cfg.Cluster.TotalUsed(), s.cfg.Cluster.Total()
-	snap := ClusterSnapshot{
-		Scheduler:      s.cfg.Scheduler.Name(),
-		Shards:         1,
-		Clock:          clock,
-		ActiveJobs:     s.eng.ActiveJobs(),
-		PendingArrival: s.eng.PendingArrivals(),
-		Servers:        serverInfos(s.cfg.Cluster),
-	}
+	var utilCPU, utilMem float64
 	if total.CPUMilli > 0 {
-		snap.UtilizationCPU = float64(used.CPUMilli) / float64(total.CPUMilli)
+		utilCPU = float64(used.CPUMilli) / float64(total.CPUMilli)
 	}
 	if total.MemMiB > 0 {
-		snap.UtilizationMem = float64(used.MemMiB) / float64(total.MemMiB)
+		utilMem = float64(used.MemMiB) / float64(total.MemMiB)
 	}
+	active := s.eng.ActiveJobs()
 	s.mu.Lock()
 	if clock < s.clock {
 		s.mu.Unlock()
@@ -458,14 +484,22 @@ func (s *Service) publish() {
 		return
 	}
 	s.clock = clock
-	s.snap = snap
+	s.snap.Clock = clock
+	s.snap.ActiveJobs = active
+	s.snap.PendingArrival = s.eng.PendingArrivals()
+	s.snap.UtilizationCPU, s.snap.UtilizationMem = utilCPU, utilMem
+	for i, srv := range s.cfg.Cluster.Servers() {
+		used := srv.Used()
+		info := &s.snap.Servers[i]
+		info.UsedCPU, info.UsedMem, info.Failed = used.CPUMilli, used.MemMiB, srv.Failed()
+	}
 	s.mu.Unlock()
 
 	s.mClock.Set(float64(clock))
-	s.mActive.Set(float64(snap.ActiveJobs))
+	s.mActive.Set(float64(active))
 	s.mQueue.Set(float64(len(s.subCh)))
-	s.mUtilCPU.Set(snap.UtilizationCPU)
-	s.mUtilMem.Set(snap.UtilizationMem)
+	s.mUtilCPU.Set(utilCPU)
+	s.mUtilMem.Set(utilMem)
 }
 
 // fail records the service's terminal error (the first one wins) and
@@ -495,6 +529,8 @@ func (s *Service) wakeLocked() {
 	s.admitCh = make(chan struct{})
 }
 
+// serverInfos builds the per-server view New hands to publish, which
+// keeps the occupancy fields current from then on.
 func serverInfos(c *cluster.Cluster) []ServerInfo {
 	out := make([]ServerInfo, 0, c.Len())
 	for _, srv := range c.Servers() {

@@ -8,6 +8,7 @@ package service
 
 import (
 	"sort"
+	"time"
 
 	"dollymp/internal/admission"
 	"dollymp/internal/journal"
@@ -54,20 +55,31 @@ type JobInfo struct {
 	Flowtime int64 `json:"flowtime_slots"`
 }
 
+// jobRecord is the service's own record of one job: the visible
+// JobInfo plus the stage clock. The stages a job passes through on this
+// service follow one another — queued, admitted, running, completed —
+// so one instant, when it entered the stage it is in, is all a record
+// keeps (as an offset from Service.epoch: eight bytes on every job the
+// service remembers, not a time.Time). leaveStage reads and resets it.
+type jobRecord struct {
+	JobInfo
+	since time.Duration
+}
+
 // queuedInfo is the lifecycle record of a job entering the admission
 // queue, whichever entry point brought it.
-func queuedInfo(j *workload.Job) *JobInfo {
-	return &JobInfo{
+func queuedInfo(j *workload.Job) *jobRecord {
+	return &jobRecord{JobInfo: JobInfo{
 		ID: j.ID, Name: j.Name, App: j.App, Tenant: j.Tenant, State: StateQueued,
 		Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-	}
+	}}
 }
 
 // completedInfo is the lifecycle record of a job a journal replay found
 // finished. The spec is absent when the replay preserved only the
 // completion.
-func completedInfo(rj *journal.ReplayJob) *JobInfo {
-	info := &JobInfo{
+func completedInfo(rj *journal.ReplayJob) *jobRecord {
+	info := JobInfo{
 		ID: rj.ID, State: StateCompleted,
 		Arrival: rj.Finish - rj.Flowtime, FirstStart: -1,
 		Finish: rj.Finish, Flowtime: rj.Flowtime,
@@ -75,7 +87,7 @@ func completedInfo(rj *journal.ReplayJob) *JobInfo {
 	if j := rj.Job; j != nil {
 		info.Name, info.App, info.Tenant, info.Tasks = j.Name, j.App, j.Tenant, j.TotalTasks()
 	}
-	return info
+	return &jobRecord{JobInfo: info}
 }
 
 // JobFilter selects jobs for Jobs. The zero value selects everything.
@@ -164,6 +176,11 @@ type JournalStatus struct {
 	ReplayedPending int64 `json:"replayed_pending"`
 	// TruncatedBytes counts torn-tail bytes dropped at startup.
 	TruncatedBytes int64 `json:"truncated_bytes"`
+	// Fsyncs counts fsyncs this process issued on the journal and
+	// FsyncSeconds sums their duration; Fsyncs over Jobs.Submitted is
+	// the fsyncs-per-acknowledged-job figure.
+	Fsyncs       int64   `json:"fsyncs"`
+	FsyncSeconds float64 `json:"fsync_seconds"`
 	// Segments and StaleSegments describe the journal directory of a
 	// sharded deployment: segments in use by this topology, and
 	// leftover segments of a previous one replayed read-only. Only the
@@ -180,6 +197,8 @@ func (js *JournalStatus) Add(other JournalStatus) {
 	js.ReplayedJobs += other.ReplayedJobs
 	js.ReplayedPending += other.ReplayedPending
 	js.TruncatedBytes += other.TruncatedBytes
+	js.Fsyncs += other.Fsyncs
+	js.FsyncSeconds += other.FsyncSeconds
 	js.Segments += other.Segments
 	js.StaleSegments += other.StaleSegments
 }
@@ -324,11 +343,11 @@ func (a *AdmissionStatus) Add(other AdmissionStatus) {
 func (s *Service) Job(id workload.JobID) (JobInfo, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	info, ok := s.jobs[id]
+	rec, ok := s.jobs[id]
 	if !ok {
 		return JobInfo{}, false
 	}
-	return *info, true
+	return rec.JobInfo, true
 }
 
 // Jobs returns the lifecycle records matching the filter, sorted by ID.
@@ -342,7 +361,7 @@ func (s *Service) Jobs(f JobFilter) []JobInfo {
 		if f.Tenant != "" && info.Tenant != f.Tenant {
 			continue
 		}
-		out = append(out, *info)
+		out = append(out, info.JobInfo)
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -441,16 +460,20 @@ func (s *Service) Shards() []ShardStatus { return []ShardStatus{s.Status()} }
 // Snapshot returns the most recent cluster/queue snapshot. The queue
 // depth, counts, and draining flag are read live under one critical
 // section; everything else is the state the loop published after its
-// last step.
+// last step. The per-server view is a copy — the loop overwrites its own
+// in place — so the caller owns what it gets.
 func (s *Service) Snapshot() ClusterSnapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	snap := s.snap
+	snap.Servers = append([]ServerInfo(nil), s.snap.Servers...)
 	snap.Jobs = s.counts
 	snap.Draining = s.stopping
 	snap.QueueDepth = len(s.subCh)
-	if s.cfg.Journal != nil {
+	if jnl := s.cfg.Journal; jnl != nil {
 		js := s.jnlStat
+		st := jnl.Stats()
+		js.Fsyncs, js.FsyncSeconds = st.Fsyncs, st.FsyncTime.Seconds()
 		snap.Journal = &js
 	}
 	return snap

@@ -1,8 +1,16 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
+
+	"dollymp/internal/cluster"
+	"dollymp/internal/resources"
 )
 
 // TestClusterSnapshotAdd pins the merge rules the router and the
@@ -71,5 +79,135 @@ func TestClusterSnapshotAdd(t *testing.T) {
 	}
 	if js := fold(small, small).Journal; js == nil || js.Records != 20 || js.ReplayedJobs != 4 || !js.Enabled {
 		t.Errorf("journal status sums: %+v", js)
+	}
+}
+
+// TestPublishDoesNotAllocate: the loop publishes after every engine
+// step, so what it costs is per step, not per read — on a shard-sized
+// fleet it must overwrite the view it owns and allocate nothing.
+func TestPublishDoesNotAllocate(t *testing.T) {
+	s, err := New(Config{
+		Cluster:       cluster.Uniform(100, resources.Cores(8, 16)),
+		Scheduler:     fifo{},
+		Seed:          1,
+		Deterministic: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, s.publish); allocs != 0 {
+		t.Fatalf("publish allocates %v objects per call on 100 servers, want 0", allocs)
+	}
+	if got := len(s.Snapshot().Servers); got != 100 {
+		t.Fatalf("snapshot has %d servers, want 100", got)
+	}
+}
+
+// TestSnapshotIsACopy: the loop overwrites its per-server view in
+// place, so what Snapshot hands out must be the caller's own — writing
+// to it must not reach the next reader, and reading it must not race
+// the loop (the second half is for -race).
+func TestSnapshotIsACopy(t *testing.T) {
+	s := newTestService(t, 64)
+	first := s.Snapshot()
+	for i := range first.Servers {
+		first.Servers[i].UsedCPU = -1
+		first.Servers[i].Name = "scribbled"
+	}
+	for _, srv := range s.Snapshot().Servers {
+		if srv.UsedCPU != 0 || srv.Name == "scribbled" {
+			t.Fatalf("a caller's write to its snapshot reached the service: %+v", srv)
+		}
+	}
+
+	s.Start()
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, srv := range s.Snapshot().Servers {
+					if srv.UsedCPU < 0 || srv.UsedCPU > srv.CPUMilli {
+						t.Errorf("server %d reports %d of %d milli-CPU used", srv.ID, srv.UsedCPU, srv.CPUMilli)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := s.Submit(context.Background(), testJob(1+i%4, float64(1+i%5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopDrained(t, s)
+	close(stop)
+	readers.Wait()
+}
+
+// TestClusterViewTracksOccupancy: the per-server used_* fields, now
+// overwritten rather than rebuilt, equal the cluster's own ledger while
+// tasks hold capacity and again after the drain has released it all.
+func TestClusterViewTracksOccupancy(t *testing.T) {
+	s := newTestService(t, 16)
+	agrees := func(step string, servers []ServerInfo) (used int64) {
+		t.Helper()
+		if len(servers) != s.cfg.Cluster.Len() {
+			t.Fatalf("%s: %d servers in the view, %d in the cluster", step, len(servers), s.cfg.Cluster.Len())
+		}
+		for i, srv := range s.cfg.Cluster.Servers() {
+			u := srv.Used()
+			if got := servers[i]; got.ID != int(srv.ID) || got.UsedCPU != u.CPUMilli || got.UsedMem != u.MemMiB || got.Failed != srv.Failed() {
+				t.Fatalf("%s: view of server %d is %+v, the cluster says used %v failed %v", step, srv.ID, got, u, srv.Failed())
+			}
+			used += u.CPUMilli
+		}
+		return used
+	}
+	// The loop is not started, so the test goroutine may stand in for it
+	// and read the cluster between steps.
+	for i := 0; i < 3; i++ {
+		if _, err := s.SubmitNowait(testJob(4, 5)); err != nil {
+			t.Fatal(err)
+		}
+		s.admit(<-s.subCh)
+	}
+	if _, err := s.eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	s.publish()
+	snap := s.Snapshot()
+	if used := agrees("running", snap.Servers); used == 0 {
+		t.Fatal("no capacity held after a step with 12 runnable tasks")
+	}
+	if want := float64(12*1000) / float64(8*8000); snap.UtilizationCPU != want {
+		t.Fatalf("utilization %v, want %v", snap.UtilizationCPU, want)
+	}
+
+	s.Start()
+	stopDrained(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var served ClusterSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
+		t.Fatal(err)
+	}
+	if used := agrees("drained", served.Servers); used != 0 || served.UtilizationCPU != 0 {
+		t.Fatalf("drained cluster still reports %d milli-CPU used, utilization %v", used, served.UtilizationCPU)
+	}
+	if served.Jobs.Completed != 3 {
+		t.Fatalf("drain completed %d of 3 jobs", served.Jobs.Completed)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,6 +54,67 @@ func BenchmarkRouterDrain(b *testing.B) {
 			b.ReportMetric(float64(512*b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+}
+
+// BenchmarkRouterSubmitDurable is the durable intake path without HTTP:
+// two closed-loop callers each repeat "submit one job, read back its
+// status" against a journaled 2-shard router, the shape of the repo
+// benchmark's daemon-durable workload. Every Submit waits for its
+// `submitted` record's fsync, so jobs/s is mostly the disk; fsyncs/job
+// says how many of those each acknowledged job paid for (1 when only
+// the ack waits), and B/op what the loops allocate beside it. `make
+// profile-daemon` runs it under the CPU profiler.
+func BenchmarkRouterSubmitDurable(b *testing.B) {
+	const callers = 2
+	r, err := New(Config{
+		Fleet:  cluster.LargeFleet(200, 1),
+		Shards: 2,
+		NewScheduler: func(int) (sched.Scheduler, error) {
+			return core.New(core.WithClones(2))
+		},
+		Seed: 7, QueueCap: 4096,
+		JournalDir: b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := benchJobs(b.N)
+	r.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+
+	var wg sync.WaitGroup
+	for k := 0; k < callers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := k; i < len(jobs); i += callers {
+				id, err := r.Submit(ctx, jobs[i])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if info, ok := r.Job(id); !ok || info.ID != id {
+					b.Errorf("status of job %d: %+v, %v", id, info, ok)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	// The status view is read before Stop closes the segments.
+	fsyncs := r.JournalStatus().Fsyncs
+	if err := r.Stop(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if c := r.Counts(); c.Completed != int64(len(jobs)) {
+		b.Fatalf("completed %d of %d", c.Completed, len(jobs))
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/job")
 }
 
 func benchJobs(n int) []*workload.Job {

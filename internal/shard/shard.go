@@ -146,6 +146,13 @@ const (
 	// is at most this deep may steal — a busy shard fixing another
 	// busy shard just moves the backlog around.
 	stealNearEmpty = 1
+	// migrateRetry is how long a migration that found every queue full
+	// waits before trying the shards again: a few admits' worth.
+	migrateRetry = 50 * time.Microsecond
+	// migratePatience bounds those retries. Queues that stay full this
+	// long are not being drained by anything, and failing the victim
+	// loudly (ForceRequeue) beats holding the migration lock for ever.
+	migratePatience = time.Second
 )
 
 // Router fans one service API out over P scheduling loops. It
@@ -861,8 +868,14 @@ func (r *Router) rebalanceStep() int {
 // migrate moves up to n queued jobs from victim to thief and records
 // their new owner. A thief that cannot take everything (queue filled or
 // drain began mid-flight) triggers the fallback chain: the remaining
-// live shards, then the victim itself, then ForceRequeue — extracted
-// jobs always land somewhere. Returns the jobs that left the victim.
+// live shards, then the victim itself — extracted jobs always land
+// somewhere. The slots the steal freed on the victim are open to
+// waiting submitters at once, so under a submit storm a pass can find
+// every queue full, the victim's included; that is momentary, every
+// live loop keeps admitting, and the pass is simply repeated. Only when
+// no shard takes work at all — each is draining — or migratePatience
+// runs out do the jobs go back to the victim by ForceRequeue. Returns
+// the jobs that left the victim.
 func (r *Router) migrate(victim, thief, n int) int {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
@@ -873,30 +886,37 @@ func (r *Router) migrate(victim, thief, n int) int {
 	rest := jobs
 	placed := 0
 	place := func(k int) {
-		if len(rest) == 0 || k == victim {
+		if len(rest) == 0 {
 			return
 		}
 		if acc := r.shards[k].InjectQueued(rest); acc > 0 {
 			r.noteOwner(rest[:acc], k)
-			r.mInjected[k].Add(float64(acc))
-			placed += acc
+			if k != victim {
+				r.mInjected[k].Add(float64(acc))
+				placed += acc
+			}
 			rest = rest[acc:]
 		}
 	}
-	place(thief)
-	for k := range r.shards {
-		place(k)
-	}
-	if len(rest) > 0 {
-		// No live shard could take them: give them back to the victim.
-		if acc := r.shards[victim].InjectQueued(rest); acc > 0 {
-			r.noteOwner(rest[:acc], victim)
-			rest = rest[acc:]
+	for deadline := time.Now().Add(migratePatience); ; time.Sleep(migrateRetry) {
+		place(thief)
+		live := false
+		for k, s := range r.shards {
+			if k != victim {
+				place(k)
+			}
+			live = live || !s.Draining()
+		}
+		place(victim) // no sibling could take them: give them back
+		if len(rest) == 0 || !live || time.Now().After(deadline) {
+			break
 		}
 	}
 	if len(rest) > 0 {
-		// Victim started draining since the steal: force the jobs back
-		// into its queue (a draining loop still finishes its queue).
+		// Every shard started draining since the steal (or a full queue
+		// somehow never moved): force the jobs back into the victim's
+		// queue — a draining loop still finishes its queue — and let
+		// ForceRequeue fail loudly for any it cannot take.
 		r.shards[victim].ForceRequeue(rest)
 		r.noteOwner(rest, victim)
 	}
