@@ -4,10 +4,14 @@
 
 all: build test
 
-# check is what CI runs: static analysis, a full build, the race
-# detector over every test (which certifies the sweep worker pool and
-# the online service), and the daemon smoke test.
+# check is what CI runs: formatting of the tracked Go files (untracked
+# build output such as .bench_build/ is not ours to format), static
+# analysis, a full build, the race detector over every test (which
+# certifies the sweep worker pool and the online service), and the
+# daemon smoke test.
 check: staticcheck
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go build ./...
 	go test -race ./...

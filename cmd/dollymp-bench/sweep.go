@@ -231,4 +231,3 @@ func writeSweepSummary(w io.Writer, r *sweepReport) error {
 	}
 	return tab.Write(w)
 }
-

@@ -27,8 +27,8 @@
 // each with its own scheduling loop, behind a load-aware router; at the
 // default N=1 the daemon behaves exactly like an unsharded service.
 // With -steal a rebalancer migrates still-queued jobs off straggling
-// shards onto near-idle ones (-steal-ratio tunes the imbalance
-// trigger), cutting tail latency when submissions skew to one shard.
+// shards onto near-idle ones, cutting tail latency when submissions
+// skew to one shard.
 //
 // With -manifest plus -member NAME the daemon runs as one federation
 // member: its shard count, residue classes, and journal directory come
@@ -74,8 +74,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "partition count: one scheduling loop per shard (ignored with -member: the manifest decides)")
 		route     = flag.String("route", "p2c", "routing policy: p2c (load-aware) or single (always shard 0)")
 		steal     = flag.Bool("steal", false, "enable the cross-shard rebalancer (migrates queued jobs off straggling shards)")
-		stealR    = flag.Float64("steal-ratio", 0, "queue-depth imbalance factor that triggers a steal (0 = default)")
-		stealIv   = flag.Duration("steal-interval", 0, "rebalancer scan period (0 = default)")
 		drainTO   = flag.Duration("drain-timeout", 2*time.Minute, "max time to drain jobs on shutdown")
 		jnlDir    = flag.String("journal-dir", "", "crash-safe job journal directory; on restart, unfinished jobs are replayed (empty = in-memory only; ignored with -member: the manifest decides)")
 		manifest  = flag.String("manifest", "", "federation membership manifest (JSON); required by -member and -gateway")
@@ -101,8 +99,6 @@ func main() {
 		QueueCap:      *queueCap,
 		Policy:        dollymp.RoutePolicy(*route),
 		Steal:         *steal,
-		StealRatio:    *stealR,
-		StealInterval: *stealIv,
 		JournalDir:    *jnlDir,
 		Admission:     adm,
 	}

@@ -16,8 +16,9 @@ import (
 // shared, and must not depend on who called.
 func TestEnqueueDiscipline(t *testing.T) {
 	const (
-		tenant  = "acme"
-		foreign = workload.JobID(41) // an ID some other service assigned
+		tenant   = "acme"
+		foreign  = workload.JobID(41) // an ID some other service assigned
+		queueCap = 2
 	)
 	pending := func(j *workload.Job) []*journal.ReplayJob {
 		return []*journal.ReplayJob{{ID: foreign, Outcome: journal.OutcomePending, Job: j}}
@@ -27,29 +28,41 @@ func TestEnqueueDiscipline(t *testing.T) {
 	entries := []struct {
 		name     string
 		migrated bool // carries a foreign ID instead of taking the next one
-		call     func(s *Service, j *workload.Job) (workload.JobID, bool)
+		call     func(t *testing.T, s *Service, j *workload.Job) (workload.JobID, bool)
 	}{
-		{"submit", false, func(s *Service, j *workload.Job) (workload.JobID, bool) {
+		{"submit", false, func(_ *testing.T, s *Service, j *workload.Job) (workload.JobID, bool) {
 			id, err := s.SubmitNowait(j)
 			return id, err == nil
 		}},
-		{"inject", true, func(s *Service, j *workload.Job) (workload.JobID, bool) {
-			return foreign, s.InjectQueued([]*workload.Job{j}) == 1
+		// inject: a second journaled service, which assigned the foreign
+		// ID, donates the job into s. A refusal must also be invisible on
+		// the donor: record, load, counts and journal exactly as before.
+		{"inject", true, func(t *testing.T, s *Service, j *workload.Job) (workload.JobID, bool) {
+			donor, jnl, _ := openJournalShard(t, filepath.Join(t.TempDir(), "donor.wal"), queueCap, foreign)
+			defer jnl.Crash()
+			if id, err := donor.SubmitNowait(j); err != nil || id != foreign {
+				t.Fatalf("donor submit: %d, %v", id, err)
+			}
+			load, counts, records := donor.Load(), donor.Counts(), donor.Snapshot().Journal.Records
+			accepted := len(donor.Donate(s, 1)) == 1
+			if _, ok := donor.Job(foreign); ok == accepted {
+				t.Errorf("donor holds the job's record = %v after accepted = %v", ok, accepted)
+			}
+			if !accepted && (donor.Load() != load || donor.Counts() != counts ||
+				donor.Snapshot().Journal.Records != records || donor.Err() != nil) {
+				t.Errorf("refused donation left a trace on the donor: load %+v -> %+v, counts %+v -> %+v, journal records %d -> %d, err %v",
+					load, donor.Load(), counts, donor.Counts(), records, donor.Snapshot().Journal.Records, donor.Err())
+			}
+			return foreign, accepted
 		}},
-		{"requeue", true, func(s *Service, j *workload.Job) (workload.JobID, bool) {
-			s.ForceRequeue([]*workload.Job{j})
-			_, ok := s.Job(foreign)
-			return foreign, ok
-		}},
-		{"restore", true, func(s *Service, j *workload.Job) (workload.JobID, bool) {
+		{"restore", true, func(_ *testing.T, s *Service, j *workload.Job) (workload.JobID, bool) {
 			return foreign, s.Restore(pending(j), 0, 0) == nil
 		}},
-		{"absorb", true, func(s *Service, j *workload.Job) (workload.JobID, bool) {
+		{"absorb", true, func(_ *testing.T, s *Service, j *workload.Job) (workload.JobID, bool) {
 			n, err := s.Absorb(pending(j))
 			return foreign, err == nil && n == 1
 		}},
 	}
-	const queueCap = 2
 	states := []struct {
 		name    string
 		prepare func(t *testing.T, s *Service, jnl *journal.Journal)
@@ -64,7 +77,7 @@ func TestEnqueueDiscipline(t *testing.T) {
 		}},
 		{"draining", func(_ *testing.T, s *Service, _ *journal.Journal) {
 			// A drain has begun but the loop has not taken its exit
-			// decision: the window ForceRequeue exists for.
+			// decision.
 			s.mu.Lock()
 			s.stopping = true
 			s.mu.Unlock()
@@ -77,12 +90,10 @@ func TestEnqueueDiscipline(t *testing.T) {
 	}
 	// want[entry][state]: is the job accepted? Everything refuses a full
 	// queue and a dead journal. A drain refuses new and migrated work,
-	// but ForceRequeue is the drain's own last resort, and Restore runs
-	// before Start, where there is no drain to respect.
+	// but Restore runs before Start, where there is no drain to respect.
 	want := map[string]map[string]bool{
 		"submit":  {"space": true},
 		"inject":  {"space": true},
-		"requeue": {"space": true, "draining": true},
 		"restore": {"space": true, "draining": true},
 		"absorb":  {"space": true},
 	}
@@ -101,7 +112,7 @@ func TestEnqueueDiscipline(t *testing.T) {
 				if e.migrated {
 					j.ID = foreign
 				}
-				id, accepted := e.call(s, j)
+				id, accepted := e.call(t, s, j)
 				if accepted != want[e.name][st.name] {
 					t.Fatalf("accepted = %v, want %v (err %v)", accepted, !accepted, s.Err())
 				}
@@ -123,10 +134,8 @@ func TestEnqueueDiscipline(t *testing.T) {
 					if s.nextID != nextID {
 						t.Errorf("refused job advanced the ID allocator %d -> %d", nextID, s.nextID)
 					}
-					// Only a dead journal is the service's failure — and a
-					// stranded ForceRequeue, whose contract is to fail
-					// loudly rather than drop an accepted job.
-					wantFailed := st.name == "journal-closed" || e.name == "requeue"
+					// Only a dead journal is the service's failure.
+					wantFailed := st.name == "journal-closed"
 					if failed := s.Err() != nil; failed != wantFailed {
 						t.Errorf("service failed = %v (%v), want %v", failed, s.Err(), wantFailed)
 					}
@@ -152,7 +161,7 @@ func TestEnqueueDiscipline(t *testing.T) {
 				// A donated job's ID belongs to another shard's residue class
 				// and cannot collide here; every other accepted ID must be
 				// behind the allocator.
-				if donated := e.name == "inject" || e.name == "requeue"; donated && s.nextID != nextID {
+				if donated := e.name == "inject"; donated && s.nextID != nextID {
 					t.Errorf("donated job moved the ID allocator %d -> %d", nextID, s.nextID)
 				} else if !donated && s.nextID <= id {
 					t.Errorf("ID allocator at %d did not move past accepted job %d", s.nextID, id)

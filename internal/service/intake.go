@@ -1,10 +1,9 @@
 package service
 
 // The write side: every way a job enters this service's admission queue
-// — external submission, the donation API the shard rebalancer drives,
-// and (in restore.go) journal replay — goes through enqueueLocked, so
-// the ordering that makes intake crash-safe and race-free is stated
-// once.
+// — external submission, a sibling shard's Donate, and (in restore.go)
+// journal replay — goes through enqueueLocked, so the ordering that
+// makes intake crash-safe and race-free is stated once.
 
 import (
 	"context"
@@ -214,107 +213,77 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 	return id, nil
 }
 
-// StealQueued removes and returns up to max still-queued jobs — the
-// work-stealing donation path. Only jobs sitting in the admission queue
-// are stealable: once the loop has admitted a job into its engine it is
-// owned by that engine for good. The extraction runs entirely under mu
-// (queue receive, lifecycle-record removal, accounting), so it respects
-// the single-writer contract — the engine is never touched — and a
-// racing admit simply wins the job: each queue entry goes to exactly
-// one of the loop or the thief. A draining service donates nothing; its
-// own loop is already committed to finishing the queue.
+// Donate moves up to max still-queued jobs from s into to — the one
+// sideways step of the shard rebalancer — and returns their IDs, which
+// the jobs keep. Only jobs sitting in the admission queue move: once a
+// loop has admitted a job its engine owns it for good, and a racing
+// admit on the donor simply wins the job. Both services' locks are held
+// for the whole transfer, lower IDBase first, so an A→B and a B→A
+// donation cannot deadlock. Everything else follows from the two locks:
 //
-// The caller (the shard rebalancer) takes ownership of the returned
-// jobs and must re-home every one of them via InjectQueued; the jobs
-// keep their assigned IDs.
-func (s *Service) StealQueued(max int) []*workload.Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopping {
+//   - The thief's room is counted under to.mu and every sender
+//     serializes on it, so it cannot shrink: at most that many jobs leave
+//     the donor, and what the thief has no room for never moves.
+//   - stopping is set under mu, so neither side begins a drain
+//     mid-transfer, and a loop's drain-exit decision takes the same lock:
+//     a donated job is in the thief's queue before that decision or was
+//     refused. A draining service neither donates nor accepts.
+//   - Each job goes through the thief's enqueueLocked (spec journaled as
+//     `injected`, no submission metric: it was counted where it first
+//     arrived) before the donor forgets it, so it is never on neither
+//     service or on both, and Counts.Submitted moves with it. Both
+//     records are lazy; journal.Merge resolves either order reaching
+//     the disk.
+//
+// Two services of one ID class (a service and itself included) exchange
+// nothing: their IDs could collide, and the lock order needs distinct
+// bases.
+func (s *Service) Donate(to *Service, max int) []workload.JobID {
+	if s.cfg.IDBase == to.cfg.IDBase {
 		return nil
 	}
-	var out []*workload.Job
-steal:
-	for len(out) < max {
+	first, second := s, to
+	if to.cfg.IDBase < s.cfg.IDBase {
+		first, second = to, s
+	}
+	first.mu.Lock()
+	defer first.mu.Unlock()
+	second.mu.Lock()
+	defer second.mu.Unlock()
+	if s.stopping || to.stopping {
+		return nil
+	}
+	if room := cap(to.subCh) - len(to.subCh); max > room {
+		max = room
+	}
+	var moved []workload.JobID
+transfer:
+	for len(moved) < max {
 		select {
 		case j := <-s.subCh:
-			if info := s.jobs[j.ID]; info != nil {
-				s.tasksOut -= int64(info.Tasks)
-				delete(s.jobs, j.ID)
-				// Decrement only alongside a removed lifecycle record:
-				// a queue entry with no record was already accounted
-				// away (a pathological double-steal), and decrementing
-				// again would skew the deployment-wide Submitted
-				// invariant negative.
-				s.counts.Submitted--
+			if _, err := to.enqueueLocked(j, journal.OpInjected); err != nil {
+				// The thief's journal refused the job (and failed the
+				// thief). Nothing about the move was recorded on either
+				// side, so the job goes back into the slot it just left:
+				// the send cannot block, every other sender waits on s.mu.
+				s.subCh <- j
+				break transfer
 			}
-			// A failed append fails the service; the job still leaves
-			// with the thief, who must re-home it.
+			rec := s.jobs[j.ID]
+			s.leaveStage(rec, s.mQueueWait) // this queue's share of the job's wait
+			s.tasksOut -= int64(rec.Tasks)
+			delete(s.jobs, j.ID)
+			s.counts.Submitted--
+			// A failed append fails the donor; the job is the thief's
+			// either way, and replay dedupes it without the `stolen`.
 			_, _ = s.journalLocked(journal.Record{Op: journal.OpStolen, ID: j.ID})
-			out = append(out, j)
+			moved = append(moved, j.ID)
 		default:
-			break steal // queue empty (or the loop drained the rest first)
+			break transfer // queue empty, or the donor's loop took the rest
 		}
 	}
-	if len(out) > 0 {
-		// The steal freed queue space: wake blocked Submit waiters just
-		// like an admission does.
-		s.wakeLocked()
+	if len(moved) > 0 {
+		s.wakeLocked() // freed queue space, exactly like an admission
 	}
-	return out
-}
-
-// InjectQueued accepts migrated jobs that already carry IDs from
-// another shard's residue class — the receiving half of the donation
-// path. Jobs are enqueued exactly like a fresh submission except that
-// the service does not assign IDs and does not bump the submission
-// metric (the job was already counted where it first arrived;
-// Counts.Submitted moves shard-to-shard so the deployment-wide sum is
-// invariant). The injected record carries the full spec so this shard's
-// segment replays alone; durability rides the next fsync — replay
-// dedupes against the donor's segment either way. Returns how many jobs
-// were accepted, always a prefix of jobs — a full queue, a draining
-// service or a journal failure stops the intake and the caller re-homes
-// the rest.
-func (s *Service) InjectQueued(jobs []*workload.Job) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopping {
-		return 0
-	}
-	for n, j := range jobs {
-		if _, err := s.enqueueLocked(j, journal.OpInjected); err != nil {
-			return n
-		}
-	}
-	return len(jobs)
-}
-
-// ForceRequeue puts stolen jobs back even on a draining service — the
-// last-resort leg of a migration whose every candidate target started
-// draining mid-flight. The router's Stop quiesces the rebalancer before
-// any shard drains, so this path is unreachable in the router
-// lifecycle; it exists so a direct per-shard Stop racing a migration
-// surfaces loudly instead of silently dropping accepted jobs: a job
-// that cannot be requeued (queue refilled, journal refused it, or the
-// loop already took its drain-exit decision) fails the service. A
-// draining-but-running loop still finishes its queue, so requeued jobs
-// complete; the loop-exit decision and this enqueue share mu, so the
-// loop either sees the refilled queue and keeps draining or had already
-// exited and the requeue is refused.
-func (s *Service) ForceRequeue(jobs []*workload.Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var stranded []workload.JobID
-	for _, j := range jobs {
-		if !s.loopExited {
-			if _, err := s.enqueueLocked(j, journal.OpInjected); err == nil {
-				continue
-			}
-		}
-		stranded = append(stranded, j.ID)
-	}
-	if len(stranded) > 0 {
-		s.failLocked(fmt.Errorf("service: %d migrated jobs could not be requeued (first: %d)", len(stranded), stranded[0]))
-	}
+	return moved
 }

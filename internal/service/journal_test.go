@@ -12,12 +12,20 @@ import (
 	"dollymp/internal/journal"
 	"dollymp/internal/metrics"
 	"dollymp/internal/resources"
+	"dollymp/internal/workload"
 )
 
 // openJournalService opens (or reopens) a journal segment and builds a
 // service writing to it, returning the startup replay so the test can
 // drive Restore the way the shard router does.
 func openJournalService(t *testing.T, path string, queueCap int) (*Service, *journal.Journal, *journal.Replay) {
+	t.Helper()
+	return openJournalShard(t, path, queueCap, 0)
+}
+
+// openJournalShard is openJournalService with the ID space starting at
+// base: two services that donate to each other need distinct bases.
+func openJournalShard(t *testing.T, path string, queueCap int, base workload.JobID) (*Service, *journal.Journal, *journal.Replay) {
 	t.Helper()
 	jnl, rep, err := journal.Open(path)
 	if err != nil {
@@ -29,6 +37,7 @@ func openJournalService(t *testing.T, path string, queueCap int) (*Service, *jou
 		Seed:          1,
 		Deterministic: true,
 		QueueCap:      queueCap,
+		IDBase:        base,
 		Journal:       jnl,
 	})
 	if err != nil {
@@ -164,40 +173,55 @@ func TestServiceJournalNoDuplicateCompleted(t *testing.T) {
 	}
 }
 
-// TestServiceJournalStealCrashResurrects is the crash point after
-// `stolen` but before the thief's `injected`: the donor's segment alone
-// must be enough to bring the job back, because the stolen record's
-// spec was retained from `submitted`.
+// TestServiceJournalStealCrashResurrects covers both crash points of a
+// donation, whose two records are lazy and reach their disks in either
+// order. `stolen` durable and the thief's `injected` lost: the donor's
+// segment alone must bring the job back, because the stolen record's
+// spec was retained from `submitted`. `injected` durable and the donor's
+// `stolen` lost: both segments hold the job, and the merge must yield
+// one pending copy.
 func TestServiceJournalStealCrashResurrects(t *testing.T) {
 	dir := t.TempDir()
-	pathA := journal.SegmentPath(dir, 0)
+	pathA, pathT := journal.SegmentPath(dir, 0), journal.SegmentPath(dir, 1)
+	replay := func(path string) *journal.Replay {
+		t.Helper()
+		rep, err := journal.ReplayFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
 	a, jnlA, _ := openJournalService(t, pathA, 16)
+	thief, jnlT, _ := openJournalShard(t, pathT, 16, 2)
 	id, err := a.SubmitNowait(testJob(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.StealQueued(1); len(got) != 1 || got[0].ID != id {
-		t.Fatalf("steal: %v", got)
+	repSubmitted := replay(pathA) // the donor's segment, had its `stolen` been lost
+	if got := a.Donate(thief, 1); len(got) != 1 || got[0] != id {
+		t.Fatalf("donate: %v", got)
 	}
-	// The `stolen` record made it to disk; the thief crashed before
-	// journaling `injected`.
-	if err := jnlA.Sync(); err != nil {
-		t.Fatal(err)
+	for _, jnl := range []*journal.Journal{jnlA, jnlT} {
+		if err := jnl.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	repA, err := journal.ReplayFile(pathA)
-	if err != nil {
-		t.Fatal(err)
+	repA := replay(pathA) // the `stolen` record made it to disk
+	for name, reps := range map[string][]*journal.Replay{
+		"injected lost": {repA},
+		"stolen lost":   {repSubmitted, replay(pathT)},
+	} {
+		merged := journal.Merge(reps...)
+		if len(merged) != 1 || merged[0].ID != id || merged[0].Outcome != journal.OutcomePending || merged[0].Job == nil {
+			t.Fatalf("%s: mid-migration merge: %+v", name, merged)
+		}
 	}
 	merged := journal.Merge(repA)
-	if len(merged) != 1 || merged[0].Outcome != journal.OutcomePending || merged[0].Job == nil {
-		t.Fatalf("mid-migration merge: %+v", merged)
-	}
 
-	pathB := journal.SegmentPath(dir, 1)
+	pathB := journal.SegmentPath(dir, 2)
 	b, jnlB, repB := openJournalService(t, pathB, 16)
 	if len(repB.Jobs) != 0 {
-		t.Fatalf("fresh thief segment replayed %d jobs", len(repB.Jobs))
+		t.Fatalf("fresh segment replayed %d jobs", len(repB.Jobs))
 	}
 	if err := b.Restore(merged, repA.Records, repA.Truncated); err != nil {
 		t.Fatal(err)
@@ -210,40 +234,9 @@ func TestServiceJournalStealCrashResurrects(t *testing.T) {
 	if err := jnlB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := journal.ReplayFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := replay(pathB)
 	if len(rep2.Jobs) != 1 || rep2.Jobs[0].ID != id || rep2.Jobs[0].Outcome != journal.OutcomeCompleted {
 		t.Fatalf("final replay: %+v", rep2.Jobs)
-	}
-}
-
-// TestStealQueuedMissingRecordGuard: a queue entry whose lifecycle
-// record was already accounted away (the pathological double-steal)
-// must not decrement Submitted a second time.
-func TestStealQueuedMissingRecordGuard(t *testing.T) {
-	s := newTestService(t, 8)
-	id1, err := s.SubmitNowait(testJob(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SubmitNowait(testJob(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the pathology: id1's record is gone and its submission
-	// already un-counted, but its queue entry survives.
-	s.mu.Lock()
-	delete(s.jobs, id1)
-	s.counts.Submitted--
-	s.tasksOut--
-	s.mu.Unlock()
-
-	if got := s.StealQueued(2); len(got) != 2 {
-		t.Fatalf("stole %d jobs, want 2", len(got))
-	}
-	if c := s.Counts(); c.Submitted != 0 {
-		t.Fatalf("Submitted skewed to %d, want 0", c.Submitted)
 	}
 }
 

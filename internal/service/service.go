@@ -29,9 +29,10 @@
 // Config.Registry/MetricLabels let the router collect every shard's
 // series in one view, and Config.IDBase/IDStride carve the job-ID space
 // into disjoint residue classes so IDs stay globally unique without
-// cross-shard coordination. The donation API (StealQueued/InjectQueued)
-// lets the router's rebalancer migrate still-queued jobs between shards
-// without either engine being touched by a foreign goroutine.
+// cross-shard coordination. Donate lets the router's rebalancer move
+// still-queued jobs from one shard's queue to another's in one step
+// under both services' locks, without either engine being touched by a
+// foreign goroutine.
 package service
 
 import (
@@ -109,11 +110,11 @@ type Config struct {
 	// enter the queue: a denial is returned as *AdmissionError (HTTP
 	// 429 admission_denied) without assigning an ID or touching the
 	// queue. Only external submissions are policed — the donation and
-	// replay paths (StealQueued/InjectQueued/ForceRequeue/Restore/
-	// Absorb) move work that was already admitted somewhere and bypass
-	// the policy. In a sharded deployment the router owns the policy
-	// instead, so a deployment-wide decision is charged once, not once
-	// per spill attempt; set this only on a directly-driven service.
+	// replay paths (Donate/Restore/Absorb) move work that was already
+	// admitted somewhere and bypass the policy. In a sharded deployment
+	// the router owns the policy instead, so a deployment-wide decision
+	// is charged once, not once per spill attempt; set this only on a
+	// directly-driven service.
 	Admission admission.Policy
 }
 
@@ -133,18 +134,17 @@ type Service struct {
 	doneCh   chan struct{}
 	started  atomic.Bool
 
-	mu         sync.RWMutex
-	stopping   bool // guarded by mu: serializes Submit against drain exit
-	loopExited bool // guarded by mu: the loop took its drain-exit decision
-	jobs       map[workload.JobID]*jobRecord
-	nextID     workload.JobID
-	counts     Counts
-	tasksOut   int64 // outstanding task volume of accepted, unfinished jobs
-	clock      int64
-	snap       ClusterSnapshot // written in place by publish, Servers included; Snapshot copies
-	err        error
-	admitCh    chan struct{} // closed+replaced on every admit: queue-space broadcast
-	jnlStat    JournalStatus // guarded by mu; zero when cfg.Journal is nil
+	mu       sync.RWMutex
+	stopping bool // guarded by mu: serializes Submit against drain exit
+	jobs     map[workload.JobID]*jobRecord
+	nextID   workload.JobID
+	counts   Counts
+	tasksOut int64 // outstanding task volume of accepted, unfinished jobs
+	clock    int64
+	snap     ClusterSnapshot // written in place by publish, Servers included; Snapshot copies
+	err      error
+	admitCh  chan struct{} // closed+replaced on every admit: queue-space broadcast
+	jnlStat  JournalStatus // guarded by mu; zero when cfg.Journal is nil
 
 	reg        *metrics.Registry
 	mSubmitted *metrics.Counter
@@ -318,10 +318,13 @@ func (s *Service) journalLocked(rec journal.Record) (seq uint64, err error) {
 // completes (or ctx expires, in which case the loop is left running and
 // the context error returned).
 func (s *Service) Stop(ctx context.Context) error {
-	s.Start() // a never-started service must still drain trivially
 	s.mu.Lock()
 	s.stopping = true
 	s.mu.Unlock()
+	// A never-started service must still drain, so the loop is launched
+	// here — after stopping is set, or its first admit would free a slot
+	// for a blocked Submit to fill on a service already being stopped.
+	s.Start()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	select {
 	case <-s.doneCh:
@@ -365,16 +368,13 @@ func (s *Service) run() {
 		}
 		if s.eng.Idle() {
 			s.publish()
-			// The exit decision holds the lock Submit and the donation
-			// API write under, so every accepted job is either visible
-			// in the queue here or its submission/requeue ran after the
-			// decision and was refused (stopping / loopExited).
-			s.mu.Lock()
+			// The exit decision reads under the lock Submit and Donate
+			// enqueue under, so every accepted job is either visible in
+			// the queue here or arrived after stopping was set and was
+			// refused.
+			s.mu.RLock()
 			stopping, empty := s.stopping, len(s.subCh) == 0
-			if stopping && empty {
-				s.loopExited = true
-			}
-			s.mu.Unlock()
+			s.mu.RUnlock()
 			if stopping {
 				if empty {
 					return // drained: queue empty, engine idle

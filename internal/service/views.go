@@ -380,7 +380,7 @@ func (s *Service) Counts() Counts {
 // All three fields are read under one critical section so p2c
 // comparisons never see a torn (QueueDepth, Tasks) pair — the queue
 // length and the accounting it must agree with change together under mu
-// on the submit and steal paths.
+// on the submit and donate paths.
 func (s *Service) Load() Load {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

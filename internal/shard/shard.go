@@ -24,9 +24,11 @@
 // rebalancer goroutine watches per-shard loads and migrates still-
 // queued (not yet admitted) jobs from a straggling shard's admission
 // queue to a near-idle one — the paper's straggler mitigation applied
-// one level up, to shards instead of tasks. Stealing is off by default
-// and a steal-free router is bit-for-bit identical to one built before
-// the rebalancer existed.
+// one level up, to shards instead of tasks. Each migration is one
+// service.Donate under both shards' locks, so what the thief cannot take
+// never leaves the victim and no reader sees a job on neither shard or
+// on both. Stealing is off by default and a steal-free router is
+// bit-for-bit identical to one built before the rebalancer existed.
 package shard
 
 import (
@@ -104,17 +106,6 @@ type Config struct {
 	// near-idle one. Off by default; with stealing off the router's
 	// behavior is identical to a router without the mechanism.
 	Steal bool
-	// StealRatio is the imbalance trigger: a migration fires only when
-	// the victim's queue depth is at least StealRatio times the thief's
-	// (plus one, so an empty thief still needs a non-trivial victim).
-	// 0 means DefaultStealRatio.
-	StealRatio float64
-	// StealInterval is the rebalancer's scan period; 0 means
-	// DefaultStealInterval.
-	StealInterval time.Duration
-	// StealMax caps the jobs migrated per steal event; 0 means
-	// unbounded (half the queue-depth gap moves).
-	StealMax int
 
 	// JournalDir, when non-empty, makes intake crash-safe: each shard
 	// appends job lifecycle transitions to its own segment file in this
@@ -135,24 +126,19 @@ type Config struct {
 	Admission admission.Policy
 }
 
-// Rebalancer defaults.
+// The rebalancer's trigger: constants, not options — no deployment has
+// needed a second value of any.
 const (
-	// DefaultStealRatio is the victim/thief queue-depth imbalance
-	// factor that triggers a migration.
-	DefaultStealRatio = 2.0
-	// DefaultStealInterval is how often the rebalancer scans loads.
-	DefaultStealInterval = 500 * time.Microsecond
+	// stealInterval is how often the rebalancer scans loads.
+	stealInterval = 500 * time.Microsecond
+	// stealRatio is the imbalance trigger: a migration fires only when
+	// the victim's queue is at least this many times the thief's (plus
+	// one, so an empty thief still needs a non-trivial victim).
+	stealRatio = 2
 	// stealNearEmpty is the thief-side gate: only a shard whose queue
 	// is at most this deep may steal — a busy shard fixing another
 	// busy shard just moves the backlog around.
 	stealNearEmpty = 1
-	// migrateRetry is how long a migration that found every queue full
-	// waits before trying the shards again: a few admits' worth.
-	migrateRetry = 50 * time.Microsecond
-	// migratePatience bounds those retries. Queues that stay full this
-	// long are not being drained by anything, and failing the victim
-	// loudly (ForceRequeue) beats holding the migration lock for ever.
-	migratePatience = time.Second
 )
 
 // Router fans one service API out over P scheduling loops. It
@@ -236,18 +222,6 @@ func New(cfg Config) (*Router, error) {
 	case RouteP2C, RouteSingle:
 	default:
 		return nil, fmt.Errorf("shard: unknown route policy %q (valid: %s, %s)", cfg.Policy, RouteP2C, RouteSingle)
-	}
-	if cfg.StealRatio == 0 {
-		cfg.StealRatio = DefaultStealRatio
-	}
-	if cfg.StealRatio < 1 {
-		return nil, fmt.Errorf("shard: steal ratio %g < 1", cfg.StealRatio)
-	}
-	if cfg.StealInterval == 0 {
-		cfg.StealInterval = DefaultStealInterval
-	}
-	if cfg.StealInterval < 0 || cfg.StealMax < 0 {
-		return nil, fmt.Errorf("shard: negative steal interval or batch cap")
 	}
 	if cfg.TotalShards == 0 {
 		cfg.TotalShards = cfg.Shards
@@ -794,13 +768,12 @@ func (r *Router) Err() error {
 	return nil
 }
 
-// rebalance is the work-stealing loop: every StealInterval it scans
-// per-shard loads and migrates queued jobs off stragglers. It runs
-// until Stop quiesces it — before any shard begins draining, so no
-// migration is ever in flight during a drain.
+// rebalance is the work-stealing loop: every stealInterval it scans
+// per-shard loads and migrates queued jobs off stragglers, until Stop
+// quiesces it.
 func (r *Router) rebalance() {
 	defer close(r.stealDone)
-	tk := time.NewTicker(r.cfg.StealInterval)
+	tk := time.NewTicker(stealInterval)
 	defer tk.Stop()
 	for {
 		select {
@@ -829,8 +802,8 @@ func (r *Router) rebalanceOnce() int {
 
 // rebalanceStep finds the heaviest (victim) and lightest (thief) live
 // shards and migrates queued jobs when the imbalance passes the
-// trigger: thief near-empty and victim's queue at least StealRatio
-// times the thief's.
+// trigger: thief near-empty and victim's queue at least stealRatio
+// times the thief's. Half the depth difference moves.
 func (r *Router) rebalanceStep() int {
 	victim, thief := -1, -1
 	var lv, lt service.Load
@@ -852,92 +825,34 @@ func (r *Router) rebalanceStep() int {
 	if lt.QueueDepth > stealNearEmpty {
 		return 0
 	}
-	if float64(lv.QueueDepth) < r.cfg.StealRatio*float64(lt.QueueDepth+1) {
+	if lv.QueueDepth < stealRatio*(lt.QueueDepth+1) {
 		return 0
 	}
-	n := (lv.QueueDepth - lt.QueueDepth) / 2
-	if n < 1 {
-		return 0
-	}
-	if r.cfg.StealMax > 0 && n > r.cfg.StealMax {
-		n = r.cfg.StealMax
-	}
-	return r.migrate(victim, thief, n)
+	return r.migrate(victim, thief, (lv.QueueDepth-lt.QueueDepth)/2)
 }
 
-// migrate moves up to n queued jobs from victim to thief and records
-// their new owner. A thief that cannot take everything (queue filled or
-// drain began mid-flight) triggers the fallback chain: the remaining
-// live shards, then the victim itself — extracted jobs always land
-// somewhere. The slots the steal freed on the victim are open to
-// waiting submitters at once, so under a submit storm a pass can find
-// every queue full, the victim's included; that is momentary, every
-// live loop keeps admitting, and the pass is simply repeated. Only when
-// no shard takes work at all — each is draining — or migratePatience
-// runs out do the jobs go back to the victim by ForceRequeue. Returns
-// the jobs that left the victim.
+// migrate donates up to n queued jobs from victim to thief in one step
+// (service.Donate) and records their new owner under the migration
+// lock. A thief that is full or draining takes fewer, and what it does
+// not take never leaves the victim — there is nothing to repair.
+// Returns the jobs moved.
 func (r *Router) migrate(victim, thief, n int) int {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
-	jobs := r.shards[victim].StealQueued(n)
-	if len(jobs) == 0 {
-		return 0
-	}
-	rest := jobs
-	placed := 0
-	place := func(k int) {
-		if len(rest) == 0 {
-			return
-		}
-		if acc := r.shards[k].InjectQueued(rest); acc > 0 {
-			r.noteOwner(rest[:acc], k)
-			if k != victim {
-				r.mInjected[k].Add(float64(acc))
-				placed += acc
-			}
-			rest = rest[acc:]
-		}
-	}
-	for deadline := time.Now().Add(migratePatience); ; time.Sleep(migrateRetry) {
-		place(thief)
-		live := false
-		for k, s := range r.shards {
-			if k != victim {
-				place(k)
-			}
-			live = live || !s.Draining()
-		}
-		place(victim) // no sibling could take them: give them back
-		if len(rest) == 0 || !live || time.Now().After(deadline) {
-			break
-		}
-	}
-	if len(rest) > 0 {
-		// Every shard started draining since the steal (or a full queue
-		// somehow never moved): force the jobs back into the victim's
-		// queue — a draining loop still finishes its queue — and let
-		// ForceRequeue fail loudly for any it cannot take.
-		r.shards[victim].ForceRequeue(rest)
-		r.noteOwner(rest, victim)
-	}
-	if placed > 0 {
-		r.mStolen[victim].Add(float64(placed))
-		r.stolen.Add(int64(placed))
-	}
-	return placed
-}
-
-// noteOwner records where migrated jobs now live. A job back in its
-// ID's residue-class shard needs no entry — the arithmetic fallback
-// finds it. Caller holds migMu.
-func (r *Router) noteOwner(jobs []*workload.Job, k int) {
-	for _, j := range jobs {
-		if (int(j.ID)-1)%r.total == r.residues[k] {
-			delete(r.owned, j.ID)
+	ids := r.shards[victim].Donate(r.shards[thief], n)
+	for _, id := range ids {
+		// A job back in its ID's residue-class shard needs no entry: the
+		// arithmetic fallback finds it.
+		if (int(id)-1)%r.total == r.residues[thief] {
+			delete(r.owned, id)
 		} else {
-			r.owned[j.ID] = k
+			r.owned[id] = thief
 		}
 	}
+	r.mStolen[victim].Add(float64(len(ids)))
+	r.mInjected[thief].Add(float64(len(ids)))
+	r.stolen.Add(int64(len(ids)))
+	return len(ids)
 }
 
 // Stop drains every shard concurrently: each loop refuses new work,

@@ -24,7 +24,6 @@ func newStealRouter(t *testing.T, shards, queueCap int, policy RoutePolicy) *Rou
 		QueueCap:      queueCap,
 		Policy:        policy,
 		Steal:         true,
-		StealInterval: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +176,8 @@ func TestRouterSubmitAllDrainingStops(t *testing.T) {
 }
 
 // TestRouterStealStress combines everything under -race: concurrent
-// blocking submitters pinned to shard 0, the rebalancer ticking at
-// 100µs, and a drain racing the tail of the submissions. Every accepted
+// blocking submitters pinned to shard 0, the rebalancer ticking beside
+// them, and a drain racing the tail of the submissions. Every accepted
 // job must complete and stay findable through the ownership map; the
 // aggregate accounting must balance to the job.
 func TestRouterStealStress(t *testing.T) {

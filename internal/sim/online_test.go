@@ -115,7 +115,7 @@ func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 							Name: "reduce", Tasks: 1 + rng.Intn(2),
 							Demand:       resources.Cores(1, 1+int64(rng.Intn(2))),
 							MeanDuration: 1 + 3*rng.Float64(), SDDuration: 0.5,
-							Parents:      []workload.PhaseID{0},
+							Parents: []workload.PhaseID{0},
 						})
 					}
 					jobs[i] = &workload.Job{

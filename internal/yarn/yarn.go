@@ -148,7 +148,7 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	// Clone pass: leftover containers go to running tasks of jobs whose
 	// pending tasks are all placed, priority order, locality preferred,
 	// within the δ budget.
-	out = append(out, s.clonePass(ctx, ft, ordered, racks, out)...)
+	out = append(out, s.clonePass(ctx, ft, ordered, racks)...)
 	return out
 }
 
@@ -158,7 +158,6 @@ func (s *Scheduler) clonePass(
 	ft *sched.FitTracker,
 	ordered []*workload.JobState,
 	racks map[int][]*cluster.Server,
-	placed []sched.Placement,
 ) []sched.Placement {
 	if s.maxClones() == 0 {
 		return nil
@@ -169,12 +168,10 @@ func (s *Scheduler) clonePass(
 		int64(s.delta()*float64(total.MemMiB)),
 	)
 	cloneUse := ctx.CloneUsage()
-	// Copies placed in this batch are not yet counted by the job
-	// states; tally them.
-	pendingCopies := make(map[workload.TaskRef]int, len(placed))
-	for _, p := range placed {
-		pendingCopies[p.Ref]++
-	}
+	// Clones granted in this call are not yet counted by the job states;
+	// tally them. (A task the new-task pass just placed is still pending
+	// there, so it is never in a running list and needs no entry.)
+	pendingCopies := make(map[workload.TaskRef]int)
 
 	var out []sched.Placement
 	for pass := 1; pass <= s.maxClones(); pass++ {

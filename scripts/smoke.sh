@@ -167,7 +167,7 @@ smoke_pass 1 "$JOBS" ""
 smoke_pass 4 "$JOBS" "" -batch 8
 # Skewed pass: -route single funnels everything onto shard 0's queue;
 # -min-steals requires the rebalancer to have actually migrated work.
-smoke_pass 4 $((JOBS * 8)) "-route single -steal -steal-interval 200us" \
+smoke_pass 4 $((JOBS * 8)) "-route single -steal" \
     -batch 8 -min-steals 1
 # Edge admission: the token bucket throttles intake below the closed
 # loop's offered rate, so completion proves the SDK retried through
