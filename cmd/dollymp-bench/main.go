@@ -2,7 +2,10 @@
 // paper's evaluation and writes them as text tables — the series behind
 // EXPERIMENTS.md — or as JSON for downstream plotting. It also hosts the
 // parallel multi-seed sweep harness that produces BENCH_sweep.json, the
-// machine-readable perf/quality baseline later PRs measure against.
+// deterministic quality grid later PRs measure against. Throughput and
+// memory are not measured here: the repo benchmark (bench/) judges
+// them, `make profile-engine` profiles them, and trace-scale replay is
+// dollymp-sim -trace on a dollymp-trace -format stream file.
 //
 // Usage:
 //
@@ -136,10 +139,6 @@ func main() {
 
 		sweepMode = flag.Bool("sweep", false, "run the (scheduler × seed × load) sweep grid instead of figures")
 		opts      sweepOptions
-
-		drainArea = flag.String("drain", "", "run a drain benchmark instead of figures: engine (online-engine job drain) or router (sharded service drain)")
-		profiles  = flag.String("profiles", "", "comma-separated drain profiles to run (short,full,...; default all; replay-1m/10m/25m stream a trace from disk, backlog queues 15000 jobs at slot 0)")
-		traceDir  = flag.String("trace-dir", ".", "directory holding (or receiving generated) replay traces for the replay-* profiles")
 	)
 	flag.StringVar(&opts.schedulers, "sweep-schedulers", "", "comma-separated scheduler names for -sweep (default capacity,tetris,dollymp2; see internal/experiments.SweepSchedulerNames)")
 	flag.IntVar(&opts.seeds, "sweep-seeds", 0, "number of replication seeds for -sweep (default 8)")
@@ -154,35 +153,10 @@ func main() {
 	flag.Parse()
 
 	var err error
-	switch {
-	case *drainArea != "":
-		// -o defaults to the sweep path; a drain run writes
-		// BENCH_<area>.json unless the user set -o explicitly.
-		out := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "o" {
-				out = opts.out
-			}
-		})
-		dopts := drainOptions{
-			area: *drainArea, profiles: *profiles, out: out, traceDir: *traceDir,
-			cpuprofile: opts.cpuprofile, memprofile: opts.memprofile,
-		}
-		progress := io.Writer(os.Stdout)
-		if os.Getenv(rssChildEnv) != "" {
-			// Re-exec'd single-profile child: the parent parses our
-			// stdout as JSON, so progress goes to stderr instead, and we
-			// must not fork further children.
-			progress = os.Stderr
-			dopts.jsonOut = os.Stdout
-		} else {
-			dopts.isolate = true
-		}
-		err = runDrainMode(dopts, progress)
-	case *sweepMode:
+	if *sweepMode {
 		opts.scale = *scaleName
 		err = runSweepMode(opts, os.Stdout)
-	default:
+	} else {
 		err = realMain(*scaleName, *fig, *format, os.Stdout)
 	}
 	if err != nil {

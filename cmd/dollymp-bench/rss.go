@@ -19,17 +19,6 @@ func peakRSSBytes() (int64, bool) {
 	return parsePeakRSS(string(b))
 }
 
-// resetPeakRSS clears the kernel's VmHWM high-water mark for this
-// process by writing "5" to /proc/self/clear_refs. VmHWM is a
-// process-lifetime maximum, so without a reset every profile after the
-// first in one invocation inherits the largest earlier peak; this is
-// the in-process fallback where per-profile subprocess isolation is
-// unavailable. Returns false where /proc or the reset op is
-// unsupported — callers then report lifetime peaks, same as before.
-func resetPeakRSS() bool {
-	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) == nil
-}
-
 // parsePeakRSS extracts VmHWM (reported by the kernel in kB) from a
 // /proc/self/status document and converts it to bytes.
 func parsePeakRSS(status string) (int64, bool) {

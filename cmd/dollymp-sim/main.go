@@ -6,18 +6,30 @@
 //	dollymp-sim -scheduler dollymp2 -workload mixed -jobs 100 -gap 40
 //	dollymp-sim -scheduler tetris -workload google -jobs 500 -fleet 600
 //	dollymp-sim -scheduler capacity -trace jobs.json
+//	dollymp-sim -fleet 32 -seed 1 -trace replay.trace
+//
+// -trace takes either format dollymp-trace writes and tells them apart
+// by the first bytes. A JSON envelope is read whole and run as a batch.
+// A framed stream (-format stream) is replayed: jobs are decoded one at
+// a time into an online engine a bounded window ahead of its clock
+// (sim.Engine.Drain) and finished jobs are folded into a digest, so
+// memory follows the live set and a 25M-job trace replays in what a
+// 1M-job trace does. The report then gives flowtime quantiles as
+// factor-of-two bounds, and -json a Result with Digest in place of Jobs.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
+	"time"
 
 	"dollymp"
+	"dollymp/internal/sim"
 	"dollymp/internal/trace"
-	"dollymp/internal/workload"
 )
 
 func main() {
@@ -28,7 +40,7 @@ func main() {
 		gap       = flag.Float64("gap", 40, "inter-arrival gap in slots (5s each)")
 		fleet     = flag.String("fleet", "testbed30", "fleet: testbed30, or a server count for a large fleet")
 		seed      = flag.Uint64("seed", 42, "random seed")
-		traceFile = flag.String("trace", "", "replay a JSON trace file instead of generating a workload")
+		traceFile = flag.String("trace", "", "replay a trace file (JSON envelope, or a framed stream replayed in bounded memory) instead of generating a workload")
 		scenFile  = flag.String("scenario", "", "run a scenario file (fleet + jobs + events) under -scheduler")
 		jsonOut   = flag.Bool("json", false, "emit JSON instead of text")
 		det       = flag.Bool("deterministic", false, "disable duration noise")
@@ -65,72 +77,99 @@ func runScenario(path, schedName string, jsonOut bool) error {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	res, err := sc.Run(policy)
 	if err != nil {
 		return err
 	}
-	return report(res, jsonOut)
+	return report(res, time.Since(start), jsonOut)
 }
 
 func realMain(schedName, wl string, jobs int, gap float64, fleetSpec string, seed uint64, traceFile string, jsonOut, det, timeline bool) error {
+	start := time.Now()
+	res, err := simulate(schedName, wl, jobs, gap, fleetSpec, seed, traceFile, det, timeline)
+	if err != nil {
+		return err
+	}
+	return report(res, time.Since(start), jsonOut)
+}
+
+// simulate builds the run the flags describe and drives it to the end.
+func simulate(schedName, wl string, jobs int, gap float64, fleetSpec string, seed uint64, traceFile string, det, timeline bool) (*dollymp.Result, error) {
 	sched, err := dollymp.NewScheduler(dollymp.Kind(schedName))
 	if err != nil {
-		return err
+		return nil, err
 	}
-
 	fleet, err := dollymp.NewFleet(fleetSpec, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	var work []*workload.Job
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		work, err = trace.Read(f)
-		if err != nil {
-			return err
-		}
-	} else {
-		work, err = dollymp.NewWorkload(wl, jobs, gap, seed)
-		if err != nil {
-			return err
-		}
-	}
-
-	res, err := dollymp.Simulate(dollymp.SimConfig{
+	cfg := dollymp.SimConfig{
 		Cluster:        fleet,
-		Jobs:           work,
 		Scheduler:      sched,
 		Seed:           seed,
 		Deterministic:  det,
 		RecordTimeline: timeline,
-	})
-	if err != nil {
-		return err
 	}
-	return report(res, jsonOut)
+	if traceFile == "" {
+		if cfg.Jobs, err = dollymp.NewWorkload(wl, jobs, gap, seed); err != nil {
+			return nil, err
+		}
+		return dollymp.Simulate(cfg)
+	}
+
+	f, err := os.Open(traceFile)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var hdr [8]byte
+	n, err := f.ReadAt(hdr[:], 0)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if !trace.IsStream(hdr[:n]) {
+		if cfg.Jobs, err = trace.Read(f); err != nil {
+			return nil, err
+		}
+		return dollymp.Simulate(cfg)
+	}
+	s, err := trace.NewStream(f)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Online, cfg.CompactJobs = true, true
+	// The default horizon guards a batch run against a runaway
+	// schedule; a stream is finite, and 25M jobs pass 10M slots.
+	cfg.MaxSlots = 1 << 62
+	e, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Drain(s.Next)
 }
 
-func report(res *dollymp.Result, jsonOut bool) error {
+func report(res *dollymp.Result, wall time.Duration, jsonOut bool) error {
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
 	fmt.Printf("scheduler:        %s\n", res.Scheduler)
-	fmt.Printf("jobs completed:   %d\n", len(res.Jobs))
+	fmt.Printf("jobs completed:   %d\n", res.Completed)
 	fmt.Printf("makespan:         %d slots\n", res.Makespan)
 	fmt.Printf("total flowtime:   %d slots\n", res.TotalFlowtime())
 	fmt.Printf("mean flowtime:    %.1f slots\n", res.MeanFlowtime())
-	fmt.Printf("p50/p95 flowtime: %.0f / %.0f slots\n",
-		res.FlowtimeECDF().Quantile(0.5), res.FlowtimeECDF().Quantile(0.95))
+	if d := res.Digest; d != nil {
+		fmt.Printf("p50/p95 flowtime: ≤%d / ≤%d slots\n", d.Flowtime.Quantile(0.5), d.Flowtime.Quantile(0.95))
+	} else {
+		ecdf := res.FlowtimeECDF()
+		fmt.Printf("p50/p95 flowtime: %.0f / %.0f slots\n", ecdf.Quantile(0.5), ecdf.Quantile(0.95))
+	}
 	fmt.Printf("tasks cloned:     %.1f%%\n", 100*res.ClonedTaskFraction())
 	fmt.Printf("avg utilization:  %.1f%%\n", 100*res.AvgUtilization)
 	fmt.Printf("sched decisions:  %d calls, %v total\n", res.SchedCalls, res.SchedWall)
+	fmt.Printf("wall time:        %.2f s, %.0f jobs/s\n", wall.Seconds(), float64(res.Completed)/wall.Seconds())
 	if len(res.Timeline) > 0 {
 		fmt.Println("\ntimeline (sampled):")
 		fmt.Printf("  %8s %12s %14s %10s %10s\n", "slot", "active jobs", "running copies", "cpu util", "mem util")

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dollymp"
@@ -37,20 +39,96 @@ func TestRealMainJSONAndLargeFleet(t *testing.T) {
 }
 
 func TestRealMainTraceReplay(t *testing.T) {
+	path, _ := writeBoth(t, dollymp.MixedWorkload(4, 5, 2))
+	if err := realMain("capacity", "", 0, 0, "testbed30", 1, path, false, false, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeBoth writes the same jobs as a JSON envelope and as a framed
+// stream and returns the two paths.
+func writeBoth(t *testing.T, jobs []*dollymp.Job) (envelope, stream string) {
+	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.json")
-	f, err := os.Create(path)
+	envelope, stream = filepath.Join(dir, "jobs.json"), filepath.Join(dir, "jobs.trace")
+	f, err := os.Create(envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, dollymp.MixedWorkload(4, 5, 2)); err != nil {
+	if err := trace.Write(f, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := realMain("capacity", "", 0, 0, "testbed30", 1, path, false, false, true); err != nil {
+	w, err := trace.CreateStream(stream)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if err := w.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return envelope, stream
+}
+
+// TestStreamReplayMatchesEnvelope: -trace runs the same jobs to the same
+// schedule whichever format holds them; the stream leaves a digest in
+// place of per-job records.
+func TestStreamReplayMatchesEnvelope(t *testing.T) {
+	envelope, stream := writeBoth(t, dollymp.GoogleWorkload(300, 2, 7))
+	batch, err := simulate("dollymp2", "", 0, 0, "32", 1, envelope, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := simulate("dollymp2", "", 0, 0, "32", 1, stream, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Completed != 300 || len(batch.Jobs) != 300 || batch.Digest != nil {
+		t.Fatalf("envelope run: %d completed, %d records, digest %v", batch.Completed, len(batch.Jobs), batch.Digest)
+	}
+	if len(replay.Jobs) != 0 || replay.Digest == nil {
+		t.Fatalf("stream replay kept %d per-job records, digest %v", len(replay.Jobs), replay.Digest)
+	}
+	if replay.Completed != batch.Completed || replay.Makespan != batch.Makespan ||
+		replay.TotalFlowtime() != batch.TotalFlowtime() || replay.SchedCalls != batch.SchedCalls {
+		t.Fatalf("stream replay: %d completed, makespan %d, flowtime %d, %d Schedule calls; envelope run: %d, %d, %d, %d",
+			replay.Completed, replay.Makespan, replay.TotalFlowtime(), replay.SchedCalls,
+			batch.Completed, batch.Makespan, batch.TotalFlowtime(), batch.SchedCalls)
+	}
+	// Both report shapes print.
+	if err := realMain("dollymp2", "", 0, 0, "32", 1, stream, false, false, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := realMain("dollymp2", "", 0, 0, "32", 1, stream, true, false, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamReplaySurfacesCorruption cuts a stream mid frame: the replay
+// must fail with the typed positional error, not a bare decode error or
+// a short but successful run.
+func TestStreamReplaySurfacesCorruption(t *testing.T) {
+	_, stream := writeBoth(t, dollymp.GoogleWorkload(200, 2, 7))
+	b, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stream, b[:len(b)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = simulate("dollymp2", "", 0, 0, "32", 1, stream, false, false)
+	var ce *trace.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("torn stream must surface *trace.CorruptError, got %v", err)
+	}
+	if ce.Offset <= 0 || ce.Frame < 0 {
+		t.Fatalf("corrupt error lacks position: %+v", ce)
 	}
 }
 
@@ -69,6 +147,15 @@ func TestRealMainErrors(t *testing.T) {
 	}
 	if err := realMain("dollymp2", "", 0, 0, "testbed30", 1, "/nonexistent/trace.json", false, false, false); err == nil {
 		t.Error("missing trace accepted")
+	}
+	// Anything without the stream magic is read as an envelope, so junk
+	// fails with the JSON decoder's positional error.
+	junk := filepath.Join(t.TempDir(), "junk")
+	if err := os.WriteFile(junk, []byte("dollymp\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := realMain("dollymp2", "", 0, 0, "testbed30", 1, junk, false, false, false); err == nil || !strings.Contains(err.Error(), "malformed JSON") {
+		t.Errorf("junk trace: %v", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command dollymp-trace generates synthetic workload traces — as a
-// JSON envelope for dollymp-sim -trace, or as the framed stream format
-// the multi-million-job bench replays decode from disk — and inspects
-// or compacts existing traces of either format.
+// JSON envelope, or as the framed stream format a multi-million-job
+// replay decodes from disk one job at a time; dollymp-sim -trace runs
+// either — and inspects or compacts existing traces of either format.
+// -workload takes every name dollymp-sim does.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"dollymp"
 	"dollymp/internal/stats"
@@ -44,7 +46,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.workload, "workload", "google", "workload: mixed, pagerank, wordcount, google")
+	flag.StringVar(&o.workload, "workload", "google", "workload: "+strings.Join(dollymp.WorkloadNames(), ", "))
 	flag.IntVar(&o.jobs, "jobs", 100, "number of jobs")
 	flag.Float64Var(&o.gap, "gap", 20, "mean inter-arrival gap in slots")
 	flag.Uint64Var(&o.seed, "seed", 42, "random seed")
@@ -89,21 +91,9 @@ func realMain(o options, stdout io.Writer) error {
 		})
 	}
 
-	var work []*workload.Job
-	var err error
-	switch o.workload {
-	case "mixed":
-		work = dollymp.MixedWorkload(o.jobs, int64(o.gap), o.seed)
-	case "google":
-		work = dollymp.GoogleWorkload(o.jobs, o.gap, o.seed)
-	case "pagerank", "wordcount":
-		work, err = trace.Homogeneous(o.workload, o.jobs, 10,
-			trace.Arrival{Kind: trace.FixedInterval, MeanGap: o.gap}, o.seed)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -workload %q", o.workload)
+	work, err := dollymp.NewWorkload(o.workload, o.jobs, o.gap, o.seed)
+	if err != nil {
+		return err
 	}
 	return withOutput(o.out, stdout, func(w io.Writer) error {
 		if o.format == "stream" {

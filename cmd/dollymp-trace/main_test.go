@@ -13,15 +13,18 @@ import (
 )
 
 func TestGenerateWorkloads(t *testing.T) {
-	for _, wl := range []string{"mixed", "google", "pagerank", "wordcount"} {
+	// Every name dollymp-sim -workload runs, dollymp-trace generates.
+	for _, wl := range dollymp.WorkloadNames() {
 		for _, format := range []string{"json", "stream"} {
-			var out bytes.Buffer
-			if err := realMain(options{workload: wl, jobs: 5, gap: 4, seed: 1, format: format, out: "-"}, &out); err != nil {
-				t.Fatalf("%s/%s: %v", wl, format, err)
-			}
-			if isStream := trace.IsStream(out.Bytes()); isStream != (format == "stream") {
-				t.Fatalf("%s/%s: output stream=%v", wl, format, isStream)
-			}
+			t.Run(wl+"/"+format, func(t *testing.T) {
+				var out bytes.Buffer
+				if err := realMain(options{workload: wl, jobs: 5, gap: 4, seed: 1, format: format, out: "-"}, &out); err != nil {
+					t.Fatal(err)
+				}
+				if isStream := trace.IsStream(out.Bytes()); isStream != (format == "stream") {
+					t.Fatalf("output stream=%v", isStream)
+				}
+			})
 		}
 	}
 	if err := realMain(options{workload: "nosuch", jobs: 5, format: "json", out: "-"}, io.Discard); err == nil {

@@ -263,6 +263,30 @@ func TestGatewayFederatedSurface(t *testing.T) {
 	if code := getJSON(t, gsrv.URL+"/v1/status", nil); code != http.StatusOK {
 		t.Fatalf("status alias: %d", code)
 	}
+	// The merged listing: every job once, in ID order, under the
+	// federation-wide total, and the page echoes the offset and limit
+	// the members applied.
+	var list struct {
+		Jobs                 []service.JobInfo `json:"jobs"`
+		Total, Offset, Limit int
+	}
+	if code := getJSON(t, gsrv.URL+"/v1/jobs", &list); code != http.StatusOK {
+		t.Fatalf("list: %d", code)
+	}
+	if list.Total != n || len(list.Jobs) != n || list.Offset != 0 {
+		t.Fatalf("merged listing: %d jobs, total %d, offset %d; want %d, %d, 0", len(list.Jobs), list.Total, list.Offset, n, n)
+	}
+	for i, info := range list.Jobs {
+		if !ids[int64(info.ID)] || (i > 0 && list.Jobs[i-1].ID >= info.ID) {
+			t.Fatalf("merged listing row %d: job %d unknown or out of ID order", i, info.ID)
+		}
+	}
+	if code := getJSON(t, gsrv.URL+"/v1/jobs?offset=1&limit=2", &list); code != http.StatusOK {
+		t.Fatalf("list page: %d", code)
+	}
+	if list.Total != n || list.Offset != 1 || list.Limit != 2 {
+		t.Fatalf("merged page: total %d, offset %d, limit %d; want %d, 1, 2", list.Total, list.Offset, list.Limit, n)
+	}
 	// The merged exposition deduplicates HELP/TYPE but keeps per-residue
 	// series from both members.
 	resp, err := http.Get(gsrv.URL + "/metrics")

@@ -355,6 +355,10 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 		merged.Jobs = append(merged.Jobs, p.Jobs...)
 		merged.Total += p.Total
 		merged.Limit = p.Limit
+		// Every member parsed the same offset but clamped it to its own
+		// total; the largest is what the query asked for, or as near as
+		// any member got.
+		merged.Offset = max(merged.Offset, p.Offset)
 		return nil
 	}) {
 		return

@@ -11,9 +11,14 @@ package sim
 
 import (
 	"fmt"
+	"io"
 
 	"dollymp/internal/workload"
 )
+
+// lookahead is the most injected-but-not-arrived jobs Drain keeps ahead
+// of the engine clock.
+const lookahead = 4096
 
 // Start prepares the engine for stepping: resets the cluster ledger and
 // stamps the scheduler name. Idempotent; Run and Step call it implicitly.
@@ -54,6 +59,42 @@ func (e *Engine) InjectJob(j *workload.Job) (int64, error) {
 	// queue stays proportional to its backlog, not its lifetime intake.
 	e.arrivals.Push(lj.JobState)
 	return j.Arrival, nil
+}
+
+// Drain drives the engine through every job next yields — in arrival
+// order, io.EOF at the end — and returns the finalized result. At most
+// lookahead injected jobs are ever waiting to arrive, the shape of a
+// live daemon's admission stream, so memory follows the live set (the
+// window plus the active jobs) and never the length of the source. The
+// window stays ahead of the clock, so a sorted source is never clamped
+// and, unless more than lookahead jobs share one arrival slot, the run
+// is the batch run of the same jobs; a job out of order is clamped
+// forward as InjectJob does. A source or inject error ends the drain
+// and is returned as is. Requires Config.Online.
+func (e *Engine) Drain(next func() (*workload.Job, error)) (*Result, error) {
+	dry := false
+	for {
+		for !dry && e.PendingArrivals() < lookahead {
+			j, err := next()
+			if err == io.EOF {
+				dry = true
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			if _, err := e.InjectJob(j); err != nil {
+				return nil, err
+			}
+		}
+		idle, err := e.Step()
+		if err != nil {
+			return nil, err
+		}
+		if idle && dry {
+			return e.Finalize(), nil
+		}
+	}
 }
 
 // Clock returns the current virtual time in slots.

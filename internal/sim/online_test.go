@@ -86,12 +86,13 @@ func TestOnlineMatchesBatch(t *testing.T) {
 // TestOnlineBatchEquivalenceProperty is the property form of the
 // injection-fidelity contract over the heap-backed arrival queue: for
 // ≥8 seeds, a random multi-phase workload driven online — each job
-// injected just before its arrival slot — must be bit-for-bit identical
-// to a batch run handed the same jobs up front. Durations are
-// stochastic (shared engine RNG), the scheduler clones aggressively,
-// and Paranoid re-verifies ledger invariants after every event, so any
-// divergence in arrival order, placement order, or RNG draw sequence
-// between the two paths fails the test.
+// injected just before its arrival slot, and again all of them through
+// Drain — must be bit-for-bit identical to a batch run handed the same
+// jobs up front. Durations are stochastic (shared engine RNG), the
+// scheduler clones aggressively, and Paranoid re-verifies ledger
+// invariants after every event, so any divergence in arrival order,
+// placement order, or RNG draw sequence between the paths fails the
+// test.
 func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
@@ -167,28 +168,45 @@ func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 					break
 				}
 			}
-			online := e.Finalize()
+			byHand := e.Finalize()
 
-			if len(online.Jobs) != len(batch.Jobs) {
-				t.Fatalf("online completed %d jobs, batch %d", len(online.Jobs), len(batch.Jobs))
+			// Drain over the same sorted jobs is the other way to drive
+			// the online engine: the whole workload sits inside its
+			// lookahead from the first step.
+			d, err := New(Config{
+				Cluster: fleet(), Scheduler: cloner{},
+				Seed: seed, Paranoid: true, Online: true,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			drained, err := d.Drain(sliceSource(mkJobs()))
+			if err != nil {
+				t.Fatal(err)
+			}
+
 			bm := batch.ByJobID()
-			for _, j := range online.Jobs {
-				if b, ok := bm[j.ID]; !ok || j != b {
-					t.Errorf("job %d diverged:\n online %+v\n  batch %+v", j.ID, j, b)
+			for name, online := range map[string]*Result{"injected by hand": byHand, "Drain": drained} {
+				if len(online.Jobs) != len(batch.Jobs) {
+					t.Fatalf("%s: online completed %d jobs, batch %d", name, len(online.Jobs), len(batch.Jobs))
 				}
-			}
-			if online.Makespan != batch.Makespan {
-				t.Errorf("makespan: online %d, batch %d", online.Makespan, batch.Makespan)
-			}
-			if online.TotalUsage != batch.TotalUsage {
-				t.Errorf("total usage: online %+v, batch %+v", online.TotalUsage, batch.TotalUsage)
-			}
-			if online.SchedCalls != batch.SchedCalls {
-				t.Errorf("scheduler calls: online %d, batch %d", online.SchedCalls, batch.SchedCalls)
-			}
-			if online.AvgUtilization != batch.AvgUtilization {
-				t.Errorf("utilization: online %v, batch %v", online.AvgUtilization, batch.AvgUtilization)
+				for _, j := range online.Jobs {
+					if b, ok := bm[j.ID]; !ok || j != b {
+						t.Errorf("%s: job %d diverged:\n online %+v\n  batch %+v", name, j.ID, j, b)
+					}
+				}
+				if online.Makespan != batch.Makespan {
+					t.Errorf("%s: makespan: online %d, batch %d", name, online.Makespan, batch.Makespan)
+				}
+				if online.TotalUsage != batch.TotalUsage {
+					t.Errorf("%s: total usage: online %+v, batch %+v", name, online.TotalUsage, batch.TotalUsage)
+				}
+				if online.SchedCalls != batch.SchedCalls {
+					t.Errorf("%s: scheduler calls: online %d, batch %d", name, online.SchedCalls, batch.SchedCalls)
+				}
+				if online.AvgUtilization != batch.AvgUtilization {
+					t.Errorf("%s: utilization: online %v, batch %v", name, online.AvgUtilization, batch.AvgUtilization)
+				}
 			}
 		})
 	}
