@@ -189,3 +189,26 @@ func TestGroupWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommittedSweepReproduces runs the default grid (`make sweep`: 3
+// schedulers × 8 seeds at quick scale) and holds every deterministic
+// cell field against the committed BENCH_sweep.json, which CI's
+// sweep-smoke regenerates without ever comparing.
+func TestCommittedSweepReproduces(t *testing.T) {
+	opts := sweepOptions{scale: "quick", out: t.TempDir() + "/BENCH_sweep.json"}
+	var buf bytes.Buffer
+	if err := runSweepMode(opts, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, want := readSweepReport(t, opts.out), readSweepReport(t, "../../BENCH_sweep.json")
+	if len(got.Cells) != len(want.Cells) || len(want.Cells) == 0 {
+		t.Fatalf("%d cells, committed %d", len(got.Cells), len(want.Cells))
+	}
+	for i, g := range got.Cells {
+		w := want.Cells[i]
+		g.SchedWallNs, w.SchedWallNs = 0, 0 // the one measured field
+		if g != w {
+			t.Errorf("cell %d:\n got       %+v\n committed %+v", i, g, w)
+		}
+	}
+}

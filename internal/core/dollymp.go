@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dollymp/internal/cluster"
@@ -62,8 +63,7 @@ type Scheduler struct {
 // Schedule calls: its class, its task cursor, and where the class's
 // head index holds its head (its next schedulable task), if it has one.
 type jobRec struct {
-	js *workload.JobState
-	// seen is js.Version() as of the cursor's last Reset, unless the
+	// seen is cur.JS.Version() as of the cursor's last Reset, unless the
 	// record was invalidated since. A record is revalidated whenever
 	// seen differs from the job's stamp.
 	seen uint32
@@ -78,7 +78,8 @@ type jobRec struct {
 	// gone marks a record whose job left ctx.Jobs(), until sync has
 	// compacted it out of its class's member list.
 	gone bool
-	cur  sched.JobCursor
+	// cur is the task cursor; cur.JS is the record's job.
+	cur sched.JobCursor
 }
 
 // invalidate makes the next sync re-read the record from its job
@@ -87,7 +88,7 @@ type jobRec struct {
 // leaves its record so — the caller may not apply that call's
 // placements, in which case the job stays put and the cursor is ahead
 // of it.
-func (r *jobRec) invalidate() { r.seen = r.js.Version() - 1 }
+func (r *jobRec) invalidate() { r.seen = r.cur.JS.Version() - 1 }
 
 // drained reports whether a classified job has no schedulable task
 // left: the clone passes serve drained jobs only.
@@ -124,6 +125,11 @@ type scratch struct {
 
 	infos []JobInfo
 	prio  prioScratch
+	// floor is the component-wise minimum demand over every phase of
+	// the jobs the last recompute saw: no task of an active job asks for
+	// less, in either dimension. Jobs that have left since only make it
+	// lower than it need be.
+	floor resources.Vector
 
 	// Server-order cache for straggler avoidance: the sorted visit
 	// order plus the per-position speed snapshot it was derived from.
@@ -178,7 +184,7 @@ func (sc *scratch) sync(jobs []*workload.JobState) {
 	old, recs := sc.recs, sc.recs
 	j, w := 0, 0
 	for _, js := range jobs {
-		for j < len(old) && old[j].js != js {
+		for j < len(old) && old[j].cur.JS != js {
 			sc.drop(old[j])
 			j++
 		}
@@ -242,7 +248,7 @@ func (sc *scratch) newRec(js *workload.JobState) *jobRec {
 	} else {
 		r = new(jobRec)
 	}
-	r.js = js
+	r.cur.JS = js
 	r.invalidate()
 	sc.fresh = true
 	return r
@@ -262,8 +268,8 @@ func (sc *scratch) drop(r *jobRec) {
 
 // revalidate re-reads a record's head from its job.
 func (sc *scratch) revalidate(r *jobRec) {
-	r.seen = r.js.Version()
-	r.cur.Reset(r.js)
+	r.seen = r.cur.JS.Version()
+	r.cur.Reset(r.cur.JS)
 	sc.rehead(r)
 }
 
@@ -433,10 +439,14 @@ func (s *Scheduler) recompute(ctx sched.Context) {
 	total := ctx.Cluster().Total()
 	jobs := ctx.Jobs()
 	infos := s.scratch.infos[:0]
+	floor := resources.Vec(math.MaxInt64, math.MaxInt64)
 	for _, js := range jobs {
 		infos = append(infos, s.jobInfo(ctx, js, total))
+		for k := range js.Job.Phases {
+			floor = floor.Min(js.Job.Phases[k].Demand)
+		}
 	}
-	s.scratch.infos = infos
+	s.scratch.infos, s.scratch.floor = infos, floor
 	s.scratch.regroup(prioritiesInto(infos, &s.scratch.prio))
 }
 
@@ -584,6 +594,28 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	return out
 }
 
+// redundancyRoom opens a redundancy pass (cloning or speculation): it
+// returns the δ budget, what clone copies already hold of it, and
+// whether the call can grant a copy at all. Every demand of an active
+// job is ≥ scratch.floor, the budget check and BestFit's miss are both
+// monotone in the demand, and within a call cloneUse only grows and
+// free capacity only shrinks — so when the floor is over budget or fits
+// no server, every grant of every pass would be refused and the walk
+// over the members can be skipped.
+func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (budget, cloneUse resources.Vector, ok bool) {
+	total := ctx.Cluster().Total()
+	budget = resources.Vec(
+		int64(s.delta*float64(total.CPUMilli)),
+		int64(s.delta*float64(total.MemMiB)),
+	)
+	cloneUse = ctx.CloneUsage()
+	if !cloneUse.Add(s.scratch.floor).Fits(budget) {
+		return budget, cloneUse, false
+	}
+	_, ok = ft.BestFit(s.scratch.floor)
+	return budget, cloneUse, ok
+}
+
 // speculationPass launches one backup copy per detected straggler, in
 // priority-class order, within the δ budget. Detection mirrors the
 // Capacity baseline's LATE rule but placement follows DollyMP's
@@ -594,12 +626,10 @@ func (s *Scheduler) speculationPass(
 	sc *scratch,
 	out []sched.Placement,
 ) []sched.Placement {
-	total := ctx.Cluster().Total()
-	budget := resources.Vec(
-		int64(s.delta*float64(total.CPUMilli)),
-		int64(s.delta*float64(total.MemMiB)),
-	)
-	cloneUse := ctx.CloneUsage()
+	budget, cloneUse, ok := s.redundancyRoom(ctx, ft)
+	if !ok {
+		return out
+	}
 	now := ctx.Now()
 
 	for l := 1; l <= sc.maxClass; l++ {
@@ -607,7 +637,7 @@ func (s *Scheduler) speculationPass(
 			if !r.drained() {
 				continue // pending work first, as with cloning
 			}
-			js := r.js
+			js := r.cur.JS
 			for _, k := range r.cur.Phases() {
 				if js.RunningCount(k) == 0 {
 					continue
@@ -718,12 +748,10 @@ func (s *Scheduler) clonePasses(
 	sc *scratch,
 	out []sched.Placement,
 ) []sched.Placement {
-	total := ctx.Cluster().Total()
-	budget := resources.Vec(
-		int64(s.delta*float64(total.CPUMilli)),
-		int64(s.delta*float64(total.MemMiB)),
-	)
-	cloneUse := ctx.CloneUsage()
+	budget, cloneUse, ok := s.redundancyRoom(ctx, ft)
+	if !ok {
+		return out
+	}
 	cands := sc.cloneCands[:0]
 
 	// grant places one more copy of the task if the δ budget and the
@@ -752,7 +780,7 @@ func (s *Scheduler) clonePasses(
 			if !r.drained() {
 				continue
 			}
-			js := r.js
+			js := r.cur.JS
 			for _, k := range r.cur.Phases() {
 				if js.RunningCount(k) == 0 {
 					continue

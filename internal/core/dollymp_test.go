@@ -6,6 +6,8 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
 	"dollymp/internal/resources"
+	"dollymp/internal/sched"
+	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/sim"
 	"dollymp/internal/workload"
 )
@@ -224,5 +226,38 @@ func TestDollyMPDeterministicAcrossRuns(t *testing.T) {
 	a, b := mk(), mk()
 	if a.TotalFlowtime() != b.TotalFlowtime() {
 		t.Fatalf("not deterministic: %d vs %d", a.TotalFlowtime(), b.TotalFlowtime())
+	}
+}
+
+// TestArrivalBelowCloneFloorIsCloned pins the redundancy passes' entry
+// check against a stale floor: once the smallest demand among the
+// active jobs fits nowhere the passes are skipped, and a job that then
+// arrives asking for less must lower the floor — through the recompute
+// its fresh record forces — before the passes of that very call run.
+func TestArrivalBelowCloneFloorIsCloned(t *testing.T) {
+	ctx := schedtest.New(cluster.Uniform(2, resources.Cores(4, 8)))
+	ctx.MustAddJob(&workload.Job{ID: 1, Name: "wide", App: "t", Phases: []workload.Phase{{
+		Name: "p", Tasks: 2, Demand: resources.Cores(3, 6), MeanDuration: 10, SDDuration: 5,
+	}}})
+	s := core.MustNew()
+	apply := func(want int) []sched.Placement {
+		t.Helper()
+		ps := s.Schedule(ctx)
+		if len(ps) != want {
+			t.Fatalf("%d placements, want %d: %+v", len(ps), want, ps)
+		}
+		if err := ctx.Apply(ps); err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	apply(2) // one task a server; (1c, 2G) left on each
+	apply(0) // the floor, 3c/6G, fits nowhere: nothing to clone
+
+	ctx.MustAddJob(workload.SingleTask(2, 0, resources.Cores(1, 1), 10, 5))
+	apply(1) // the new task; its job is not running yet, so no clone
+	ps := apply(1)
+	if ps[0].Ref.Job != 2 || ctx.CloneUse != resources.Cores(1, 1) {
+		t.Fatalf("job 2's task should have been cloned on the other server: %+v, clone use %v", ps, ctx.CloneUse)
 	}
 }

@@ -524,6 +524,10 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 			return core.MustNew(core.WithSpeculation(1.5, 2)),
 				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, speculate: true, specThreshold: 1.5, specMinSample: 2, prios: map[workload.JobID]int{}}
 		}},
+		{"clones2-delta0.02", func() (*core.Scheduler, *seedScheduler) {
+			return core.MustNew(core.WithCloneBudget(0.02)),
+				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.02, prios: map[workload.JobID]int{}}
+		}},
 	}
 	type cell struct {
 		variant       int
@@ -557,6 +561,15 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 			{At: 21, Server: 3, Kind: sim.EventFail},
 			{At: 40, Server: 0, Kind: sim.EventRestore},
 		}},
+	)
+	// Two more for the redundancy passes' entry check, which the seed
+	// copy does not have: speculation's backups on a packed fleet (the
+	// exit on a floor that fits nowhere), and cloning under a δ so small
+	// that the budget is spent while servers still have room (the exit
+	// on a floor over budget).
+	cells = append(cells,
+		cell{variant: 4, seed: 12, servers: 24, jobs: 800, packing: true},
+		cell{variant: 5, seed: 13, servers: 24, jobs: 800, packing: true},
 	)
 	for _, c := range cells {
 		c, v := c, variants[c.variant]

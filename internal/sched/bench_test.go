@@ -77,22 +77,53 @@ func BenchmarkFitTrackerBestFit(b *testing.B) {
 }
 
 // BenchmarkFitTrackerBestFitMiss measures the answer the packing regime
-// asks for most: nothing on a full 2000-server fleet fits.
+// asks for most: nothing on a full 2000-server fleet fits. Every server
+// keeps a sliver — CPU-poor on even positions, memory-poor on odd ones —
+// so the root's bound (2000, 512) fits demands that no server does.
+// repeat asks for 1c/1G over and over: the first miss is decided by the
+// root's bound and every later one by the miss frontier. dominated
+// cycles through 16 demands of which only the first, 1000m/512M, is not
+// ≥ another, with a Reset every 400 queries — one Schedule call's worth
+// — so each epoch's first miss pays a search of the whole tree (the
+// demand fits the root and every pair of neighbours, and no server) and
+// the frontier answers the other 399.
 func BenchmarkFitTrackerBestFitMiss(b *testing.B) {
 	fleet := cluster.LargeFleet(2000, 1)
-	ft := NewFitTracker(fleet)
-	for _, s := range fleet.Servers() {
-		// Leave every server a sliver, so the miss is decided by the
-		// bound and not by an all-zero fleet.
-		ft.Place(s.ID, s.Capacity.Sub(resources.Vec(500, 512)))
-	}
-	d := resources.Cores(1, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := ft.BestFit(d); ok {
-			b.Fatal("full fleet fits")
+	for i, s := range fleet.Servers() {
+		sliver := resources.Vec(500, 512)
+		if i%2 == 1 {
+			sliver = resources.Vec(2000, 256)
 		}
+		if err := fleet.Allocate(s.ID, s.Capacity.Sub(sliver)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle := make([]resources.Vector, 16)
+	for i := range cycle {
+		cycle[i] = resources.Vec(1000+250*int64(i%4), 512+128*int64(i/4))
+	}
+	for _, bc := range []struct {
+		name    string
+		demands []resources.Vector
+		// epoch is the number of queries between Resets; 0 for none.
+		epoch int
+	}{
+		{"repeat", []resources.Vector{resources.Cores(1, 1)}, 0},
+		{"dominated", cycle, 400},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ft := NewFitTracker(fleet)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.epoch > 0 && i%bc.epoch == 0 {
+					ft.Reset(fleet)
+				}
+				if _, ok := ft.BestFit(bc.demands[i%len(bc.demands)]); ok {
+					b.Fatal("full fleet fits")
+				}
+			}
+		})
 	}
 }
 

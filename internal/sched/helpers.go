@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
@@ -94,8 +95,17 @@ func FirstFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.Server
 // and tree[n] for n < size is the component-wise maximum of tree[2n]
 // and tree[2n+1] — an upper bound on every free vector beneath it.
 // BestFit searches the tree branch-and-bound instead of scanning the
-// fleet. A tracker is confined to one goroutine, like the scheduler
-// that owns it.
+// fleet.
+//
+// Between two Resets no free vector ever grows: Place only subtracts,
+// and validated demands are non-negative. The miss frontier depends on
+// it — a demand that fit no server still fits none, and neither does
+// any demand component-wise ≥ it, so BestFit answers those from the
+// frontier without a search. A Place that breaks the rule (a demand
+// with a negative component) drops the frontier.
+//
+// A tracker is confined to one goroutine, like the scheduler that owns
+// it.
 type FitTracker struct {
 	servers []*cluster.Server
 	total   resources.Vector
@@ -108,6 +118,10 @@ type FitTracker struct {
 	// clears it and the first BestFit rebuilds, so a Schedule call that
 	// never asks for a best fit pays only the leaf snapshot.
 	built bool
+	// misses is the miss frontier: the Pareto-minimal demands BestFit
+	// has failed to fit since the last Reset. A packed fleet's queued
+	// jobs share a handful of shapes, so it stays a few dozen entries.
+	misses []resources.Vector
 	// index maps server ID to fleet position when IDs are sparse;
 	// nil while IDs are dense (position == ID).
 	index map[cluster.ServerID]int
@@ -121,9 +135,10 @@ func NewFitTracker(c *cluster.Cluster) *FitTracker {
 }
 
 // Reset re-snapshots the cluster's free capacities, dropping every
-// tentative placement, so one tracker can serve many Schedule calls
-// without reallocating: the tree and the sparse-ID index are rebuilt
-// only when the tracker is pointed at a different fleet.
+// tentative placement and every recorded miss, so one tracker can serve
+// many Schedule calls without reallocating: the tree and the sparse-ID
+// index are rebuilt only when the tracker is pointed at a different
+// fleet.
 func (f *FitTracker) Reset(c *cluster.Cluster) {
 	servers := c.Servers()
 	if len(servers) != len(f.servers) || &servers[0] != &f.servers[0] {
@@ -135,6 +150,7 @@ func (f *FitTracker) Reset(c *cluster.Cluster) {
 		f.tree[f.size+i] = s.Free()
 	}
 	f.built = false
+	f.misses = f.misses[:0]
 }
 
 // bind sizes the tree and the position index for a fleet. A cluster
@@ -200,6 +216,9 @@ func (f *FitTracker) Place(id cluster.ServerID, demand resources.Vector) bool {
 		return false
 	}
 	f.tree[n] = f.tree[n].Sub(demand)
+	if !demand.IsValid() {
+		f.misses = f.misses[:0] // the leaf may have grown
+	}
 	if f.built {
 		for n /= 2; n >= 1; n /= 2 {
 			m := f.tree[2*n].Max(f.tree[2*n+1])
@@ -231,8 +250,14 @@ type fitSearch struct {
 // fit tree[n] fits no leaf under it. The search therefore drops a
 // subtree only when it cannot hold a strictly better (score, position)
 // pair than the one in hand, and a root that does not fit is a miss
-// without touching a leaf.
+// without touching a leaf. A demand ≥ one on the miss frontier is a
+// miss without touching the tree (see FitTracker).
 func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
+	for _, m := range f.misses {
+		if m.Fits(demand) {
+			return 0, false
+		}
+	}
 	if !f.built {
 		for n := f.size - 1; n >= 1; n-- {
 			f.tree[n] = f.tree[2*n].Max(f.tree[2*n+1])
@@ -245,7 +270,10 @@ func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
 	}
 	if s.best == 0 {
 		// Nothing fits — or the root's maximum took its CPU from one
-		// server and its memory from another.
+		// server and its memory from another. Record the miss in place
+		// of the frontier entries it makes redundant (those ≥ it; none
+		// is ≤ it, or the frontier would have answered).
+		f.misses = append(slices.DeleteFunc(f.misses, demand.Fits), demand)
 		return 0, false
 	}
 	return f.servers[s.best-f.size].ID, true
