@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short race bench profile-engine profile-daemon check staticcheck smoke sweep figures figures-paper cover clean
+.PHONY: all build test test-short race bench profile-engine profile-daemon check staticcheck smoke sweep figures figures-paper cover loc clean
 
 all: build test
 
@@ -92,6 +92,11 @@ figures-paper:
 cover:
 	go test -coverprofile=cover.out ./...
 	go tool cover -func=cover.out | tail -1
+
+# The one agreed size of the product: lines of tracked non-test Go
+# outside bench/ — what every simplicity PR and the ROADMAP quote.
+loc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # Remove generated-but-uncommitted artifacts: pprof files, profiled test
 # binaries, and generated replay traces (multi-GB at the 10M/25M

@@ -139,11 +139,11 @@ func TestRealMainErrors(t *testing.T) {
 	if err := realMain("dollymp2", "nosuch", 4, 5, "testbed30", 1, "", false, false, false); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if err := realMain("dollymp2", "mixed", 4, 5, "zero", 1, "", false, false, false); err == nil {
-		t.Error("bad fleet accepted")
-	}
-	if err := realMain("dollymp2", "mixed", 4, 5, "-3", 1, "", false, false, false); err == nil {
-		t.Error("negative fleet accepted")
+	// "30abc" and "12 34" used to build 30 and 12 servers.
+	for _, fleet := range []string{"zero", "-3", "0", "", "30abc", "12 34", "testbed30 "} {
+		if err := realMain("dollymp2", "mixed", 4, 5, fleet, 1, "", false, false, false); err == nil || !strings.Contains(err.Error(), "invalid fleet") {
+			t.Errorf("fleet %q: %v, want the invalid-fleet error", fleet, err)
+		}
 	}
 	if err := realMain("dollymp2", "", 0, 0, "testbed30", 1, "/nonexistent/trace.json", false, false, false); err == nil {
 		t.Error("missing trace accepted")

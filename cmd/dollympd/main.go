@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -86,7 +87,9 @@ func main() {
 	)
 	flag.Parse()
 
-	adm, err := buildAdmission(*admName, *admRate, *admBurst, *admWts)
+	set := make(map[string]bool) // flags given on the command line
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	adm, err := buildAdmission(*admName, *admRate, *admBurst, *admWts, set)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dollympd:", err)
 		os.Exit(1)
@@ -118,28 +121,52 @@ func main() {
 	}
 }
 
+// admissionFlags names, for each policy parameter flag, the -admission
+// policies that read it.
+var admissionFlags = []struct {
+	name     string
+	policies []string
+}{
+	{"admission-rate", []string{"token-bucket"}},
+	{"admission-burst", []string{"token-bucket", "fair"}},
+	{"admission-weights", []string{"fair"}},
+}
+
 // buildAdmission constructs the -admission edge policy: nil (no
 // policing), a global token bucket, or per-tenant weighted fairness.
 // Router modes charge it once per external submission at the deployment
-// edge; the gateway polices before any member is contacted.
-func buildAdmission(name string, rate, burst float64, weights string) (dollymp.AdmissionPolicy, error) {
+// edge; the gateway polices before any member is contacted. set holds
+// the flags given explicitly: a parameter of a policy that is not the
+// selected one is refused rather than silently ignored — an operator
+// who wrote -admission-rate 50 expects a policed daemon.
+func buildAdmission(name string, rate, burst float64, weights string, set map[string]bool) (dollymp.AdmissionPolicy, error) {
+	if name == "" {
+		name = "none"
+	}
+	var policy dollymp.AdmissionPolicy
 	switch name {
-	case "", "none":
-		return nil, nil
+	case "none":
 	case "token-bucket":
 		if rate <= 0 {
 			return nil, fmt.Errorf("-admission token-bucket requires -admission-rate > 0")
 		}
-		return dollymp.NewTokenBucket(dollymp.TokenBucketConfig{Rate: rate, Burst: burst}), nil
+		policy = dollymp.NewTokenBucket(dollymp.TokenBucketConfig{Rate: rate, Burst: burst})
 	case "fair":
 		w, err := dollymp.ParseWeights(weights)
 		if err != nil {
 			return nil, fmt.Errorf("-admission-weights: %w", err)
 		}
-		return dollymp.NewWeightedFair(dollymp.WeightedFairConfig{Weights: w, Burst: burst}), nil
+		policy = dollymp.NewWeightedFair(dollymp.WeightedFairConfig{Weights: w, Burst: burst})
 	default:
 		return nil, fmt.Errorf("unknown -admission policy %q (valid: none, token-bucket, fair)", name)
 	}
+	for _, f := range admissionFlags {
+		if set[f.name] && !slices.Contains(f.policies, name) {
+			return nil, fmt.Errorf("-%s is set, but -admission %s does not read it (it belongs to -admission %s)",
+				f.name, name, strings.Join(f.policies, " or "))
+		}
+	}
+	return policy, nil
 }
 
 // serveHTTP is the listen/serve/drain path every mode shares: bind addr,

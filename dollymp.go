@@ -26,19 +26,12 @@ import (
 	"dollymp/internal/resources"
 	"dollymp/internal/scenario"
 	"dollymp/internal/sched"
-	"dollymp/internal/sched/capacity"
-	"dollymp/internal/sched/carbyne"
-	"dollymp/internal/sched/drf"
-	"dollymp/internal/sched/random"
-	"dollymp/internal/sched/srpt"
-	"dollymp/internal/sched/svf"
-	"dollymp/internal/sched/tetris"
+	"dollymp/internal/sched/builtin"
 	"dollymp/internal/sim"
 	"dollymp/internal/stats"
 	"dollymp/internal/trace"
 	"dollymp/internal/verify"
 	"dollymp/internal/workload"
-	"dollymp/internal/yarn"
 )
 
 // Core model types.
@@ -169,47 +162,25 @@ const (
 	KindRandom Kind = "random"
 )
 
-// Kinds lists every built-in scheduler name.
+// Kinds lists every built-in scheduler name, in presentation order.
 func Kinds() []Kind {
-	return []Kind{
-		KindDollyMP0, KindDollyMP1, KindDollyMP2, KindDollyMP3, KindYARN,
-		KindCapacity, KindDRF, KindTetris, KindCarbyne, KindSRPT, KindSVF,
-		KindRandom,
+	names := builtin.Names()
+	out := make([]Kind, len(names))
+	for i, n := range names {
+		out[i] = Kind(n)
 	}
+	return out
 }
 
 // NewScheduler builds a built-in scheduler by name with the paper's
-// default parameters (r = 1.5, δ = 0.3).
+// default parameters (r = 1.5, δ = 0.3); KindRandom is seeded with 1.
 func NewScheduler(kind Kind) (Scheduler, error) {
-	switch kind {
-	case KindDollyMP0:
-		return core.New(core.WithClones(0))
-	case KindDollyMP1:
-		return core.New(core.WithClones(1))
-	case KindDollyMP2:
-		return core.New(core.WithClones(2))
-	case KindDollyMP3:
-		return core.New(core.WithClones(3))
-	case KindYARN:
-		return yarn.New(), nil
-	case KindCapacity:
-		return capacity.Default(), nil
-	case KindDRF:
-		return &drf.Scheduler{}, nil
-	case KindTetris:
-		return &tetris.Scheduler{R: 1.5}, nil
-	case KindCarbyne:
-		return &carbyne.Scheduler{R: 1.5}, nil
-	case KindSRPT:
-		return &srpt.Scheduler{R: 1.5}, nil
-	case KindSVF:
-		return &svf.Scheduler{R: 1.5}, nil
-	case KindRandom:
-		return random.New(1), nil
-	default:
+	build, ok := builtin.Lookup(string(kind))
+	if !ok {
 		return nil, fmt.Errorf("dollymp: unknown scheduler %q (valid: %s)",
 			kind, strings.Join(SchedulerNames(), ", "))
 	}
+	return build(1), nil
 }
 
 // Simulate runs one simulation to completion.

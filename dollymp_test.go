@@ -1,6 +1,8 @@
 package dollymp_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"dollymp"
@@ -44,8 +46,17 @@ func TestAllKindsConstructAndRun(t *testing.T) {
 			t.Fatalf("%s: %d jobs", kind, len(res.Jobs))
 		}
 	}
-	if _, err := dollymp.NewScheduler("nosuch"); err == nil {
-		t.Error("unknown kind should error")
+	if _, err := dollymp.NewScheduler("nosuch"); err == nil || !strings.Contains(err.Error(), "valid: dollymp0, dollymp1, ") {
+		t.Errorf("unknown kind: %v, want an error listing the valid names", err)
+	}
+	// The Kind constants and the name table behind Kinds must not drift.
+	consts := []dollymp.Kind{
+		dollymp.KindDollyMP0, dollymp.KindDollyMP1, dollymp.KindDollyMP2, dollymp.KindDollyMP3, dollymp.KindYARN,
+		dollymp.KindCapacity, dollymp.KindDRF, dollymp.KindTetris, dollymp.KindCarbyne, dollymp.KindSRPT, dollymp.KindSVF,
+		dollymp.KindRandom,
+	}
+	if !slices.Equal(consts, dollymp.Kinds()) {
+		t.Errorf("Kinds() = %v, constants are %v", dollymp.Kinds(), consts)
 	}
 }
 

@@ -227,19 +227,3 @@ func SortByPriority(jobs []JobInfo, prio map[workload.JobID]int) []workload.JobI
 	})
 	return ids
 }
-
-// CloneTarget implements Corollary 4.1's clone count: the smallest r with
-// 2^l·h(r) ≥ e, capped at maxR; i.e. the number of copies that squeezes
-// the job's expected time under its class deadline. Returns at least 1
-// (the original copy).
-func CloneTarget(h func(int) float64, e float64, class int, maxR int) int {
-	deadline := math.Pow(2, float64(class))
-	if deadline <= 0 || e <= deadline {
-		return 1
-	}
-	r := 1
-	for r < maxR && deadline*h(r) < e {
-		r++
-	}
-	return r
-}

@@ -143,22 +143,6 @@ func TestSortByPriority(t *testing.T) {
 	}
 }
 
-func TestCloneTarget(t *testing.T) {
-	h := func(r int) float64 { return stats.ParetoSpeedup(2, r) } // 2 − 1/r
-	// e within deadline → 1 copy.
-	if got := CloneTarget(h, 1.5, 1, 3); got != 1 {
-		t.Errorf("within deadline: %d", got)
-	}
-	// e = 3, class 1 (deadline 2): need h(r) ≥ 1.5 → r = 2.
-	if got := CloneTarget(h, 3, 1, 3); got != 2 {
-		t.Errorf("need 2 copies: %d", got)
-	}
-	// Unreachable → capped at maxR.
-	if got := CloneTarget(h, 100, 1, 3); got != 3 {
-		t.Errorf("cap: %d", got)
-	}
-}
-
 func TestClassCountGuards(t *testing.T) {
 	// Dominant ≥ 1 must not divide by zero.
 	jobs := []JobInfo{{ID: 1, Volume: 2, Time: 2, Dominant: 1.0}}

@@ -178,9 +178,6 @@ func (e *Estimator) maxAppSD(app string) float64 {
 	return best
 }
 
-// KnownPhases reports how many distinct phase classes have history.
-func (e *Estimator) KnownPhases() int { return len(e.byPhase) }
-
 // ObservedSamples returns the dedup watermark for a phase class: the
 // highest sample count a Record call has folded for it. Tests use it to
 // pin the exactly-once folding contract.

@@ -11,7 +11,7 @@ func TestDefaults(t *testing.T) {
 	if est.Source != FromPrior || est.Mean != 10 || est.SD != 5 {
 		t.Fatalf("prior fallback: %+v", est)
 	}
-	if e.KnownPhases() != 0 {
+	if len(e.byPhase) != 0 {
 		t.Fatal("no history expected")
 	}
 }
@@ -40,7 +40,7 @@ func TestRecurringJobHistory(t *testing.T) {
 	if math.Abs(est.Mean-20) > 1e-9 || est.SD != 8 {
 		t.Fatalf("recurring estimate: %+v", est)
 	}
-	if e.KnownPhases() != 1 {
+	if len(e.byPhase) != 1 {
 		t.Fatal("one phase class expected")
 	}
 }

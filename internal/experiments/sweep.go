@@ -2,57 +2,27 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"dollymp/internal/cluster"
-	"dollymp/internal/sched"
-	"dollymp/internal/sched/capacity"
-	"dollymp/internal/sched/carbyne"
-	"dollymp/internal/sched/drf"
-	"dollymp/internal/sched/random"
-	"dollymp/internal/sched/srpt"
-	"dollymp/internal/sched/svf"
-	"dollymp/internal/sched/tetris"
+	"dollymp/internal/sched/builtin"
 	"dollymp/internal/sweep"
 	"dollymp/internal/workload"
 )
 
-// schedulerFactories maps CLI-friendly names to fresh-instance builders
-// with paper-default parameters. Factories take the cell seed so
-// stochastic schedulers stay deterministic per cell.
-var schedulerFactories = map[string]func(seed uint64) sched.Scheduler{
-	"capacity": func(uint64) sched.Scheduler { return capacity.Default() },
-	"tetris":   func(uint64) sched.Scheduler { return &tetris.Scheduler{R: 1.5} },
-	"drf":      func(uint64) sched.Scheduler { return &drf.Scheduler{} },
-	"srpt":     func(uint64) sched.Scheduler { return &srpt.Scheduler{R: 1.5} },
-	"svf":      func(uint64) sched.Scheduler { return &svf.Scheduler{R: 1.5} },
-	"carbyne":  func(uint64) sched.Scheduler { return &carbyne.Scheduler{R: 1.5} },
-	"random":   func(seed uint64) sched.Scheduler { return random.New(seed) },
-	"dollymp0": func(uint64) sched.Scheduler { return dolly(0) },
-	"dollymp1": func(uint64) sched.Scheduler { return dolly(1) },
-	"dollymp2": func(uint64) sched.Scheduler { return dolly(2) },
-	"dollymp3": func(uint64) sched.Scheduler { return dolly(3) },
-}
-
 // SweepSchedulerNames lists every scheduler the sweep grid accepts, for
 // CLI help and validation.
-func SweepSchedulerNames() []string {
-	names := make([]string, 0, len(schedulerFactories))
-	for name := range schedulerFactories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func SweepSchedulerNames() []string { return builtin.Names() }
 
 // SchedulerVariant resolves a scheduler name to a sweep axis point.
+// The variant hands the cell seed to the constructor, so stochastic
+// schedulers stay deterministic per cell.
 func SchedulerVariant(name string) (sweep.Variant, error) {
-	f, ok := schedulerFactories[name]
+	build, ok := builtin.Lookup(name)
 	if !ok {
 		return sweep.Variant{}, fmt.Errorf("experiments: unknown scheduler %q (have %v)",
 			name, SweepSchedulerNames())
 	}
-	return sweep.Variant{Name: name, New: f}, nil
+	return sweep.Variant{Name: name, New: build}, nil
 }
 
 // SweepConfig configures the (scheduler × seed × load) replication grid

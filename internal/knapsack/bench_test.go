@@ -10,7 +10,7 @@ func randomItems(n int, seed uint64) []Item {
 	rng := stats.NewRNG(seed)
 	items := make([]Item, n)
 	for i := range items {
-		items[i] = Item{ID: i, Weight: rng.Range(0.1, 10), Profit: 1}
+		items[i] = Item{ID: i, Weight: rng.Range(0.1, 10)}
 	}
 	return items
 }
@@ -24,37 +24,5 @@ func BenchmarkMaxCardinality(b *testing.B) {
 		if got := MaxCardinality(items, 500); len(got) == 0 {
 			b.Fatal("empty selection")
 		}
-	}
-}
-
-// BenchmarkSolve01 is the ablation reference: the general DP oracle is
-// orders of magnitude slower than the greedy unit-profit oracle, which
-// is why Algorithm 1's uniform profits matter.
-func BenchmarkSolve01(b *testing.B) {
-	items := randomItems(1000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if got, _ := Solve01(items, 500, 2000); len(got) == 0 {
-			b.Fatal("empty selection")
-		}
-	}
-}
-
-// TestOracleAblation documents that both oracles pack the same number of
-// unit-profit items (the greedy one provably optimally).
-func TestOracleAblation(t *testing.T) {
-	items := randomItems(200, 7)
-	greedy := MaxCardinality(items, 100)
-	dp, profit := Solve01(items, 100, 4000)
-	// The DP's rounded-up weights may cost it an item or two relative
-	// to the exact greedy optimum, never gain.
-	if len(dp) > len(greedy) {
-		t.Fatalf("DP (%d) beat the provably optimal greedy (%d)", len(dp), len(greedy))
-	}
-	if int(profit) != len(dp) {
-		t.Fatalf("unit profits: profit %v vs %d items", profit, len(dp))
-	}
-	if len(greedy)-len(dp) > 5 {
-		t.Fatalf("DP rounding lost too much: %d vs %d", len(dp), len(greedy))
 	}
 }

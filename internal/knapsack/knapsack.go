@@ -5,8 +5,7 @@
 // skips a lighter item for a heavier one can be improved), which is the
 // O(n log n) oracle the paper's complexity analysis assumes.
 //
-// A general 0/1 dynamic-programming knapsack and a brute-force reference
-// are included for ablation benchmarks and property tests.
+// A brute-force reference is included for the property tests.
 package knapsack
 
 import "sort"
@@ -18,9 +17,6 @@ type Item struct {
 	// Weight is the item's cost against the budget (a job's effective
 	// volume in Algorithm 1). Must be non-negative.
 	Weight float64
-	// Profit is used only by the general solver; the unit-profit oracle
-	// ignores it.
-	Profit float64
 }
 
 // MaxCardinality solves the unit-profit knapsack: it returns the IDs of a
@@ -49,51 +45,6 @@ func MaxCardinality(items []Item, budget float64) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// Solve01 solves the general 0/1 knapsack by dynamic programming over a
-// discretized weight grid with the given resolution (number of buckets).
-// Weights are scaled so that budget maps to `resolution`; each weight is
-// rounded UP so the returned selection is always feasible. Returns the
-// selected IDs and the achieved profit. Used only for ablation; the
-// DollyMP oracle is MaxCardinality.
-func Solve01(items []Item, budget float64, resolution int) ([]int, float64) {
-	if budget <= 0 || resolution <= 0 || len(items) == 0 {
-		return nil, 0
-	}
-	scale := float64(resolution) / budget
-	w := make([]int, len(items))
-	for i, it := range items {
-		if it.Weight < 0 {
-			w[i] = resolution + 1 // exclude invalid items
-			continue
-		}
-		w[i] = int(it.Weight*scale + 0.999999999)
-	}
-	// best[c] = max profit within capacity c; take[i][c] records whether
-	// item i was taken at capacity c for reconstruction.
-	best := make([]float64, resolution+1)
-	take := make([][]bool, len(items))
-	for i := range items {
-		take[i] = make([]bool, resolution+1)
-		for c := resolution; c >= 0; c-- {
-			if w[i] <= c && best[c-w[i]]+items[i].Profit > best[c] {
-				best[c] = best[c-w[i]] + items[i].Profit
-				take[i][c] = true
-			}
-		}
-	}
-	// Reconstruct.
-	var ids []int
-	c := resolution
-	for i := len(items) - 1; i >= 0; i-- {
-		if take[i][c] {
-			ids = append(ids, items[i].ID)
-			c -= w[i]
-		}
-	}
-	sort.Ints(ids)
-	return ids, best[resolution]
 }
 
 // BruteForce enumerates all 2^n subsets and returns a maximum-cardinality

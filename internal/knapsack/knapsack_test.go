@@ -116,77 +116,6 @@ func TestMaxCardinalityMonotoneBudget(t *testing.T) {
 	}
 }
 
-func TestSolve01Basic(t *testing.T) {
-	items := []Item{
-		{ID: 1, Weight: 2, Profit: 3},
-		{ID: 2, Weight: 3, Profit: 4},
-		{ID: 3, Weight: 4, Profit: 5},
-		{ID: 4, Weight: 5, Profit: 6},
-	}
-	ids, profit := Solve01(items, 5, 1000)
-	// best: items 1+2 (weight 5, profit 7)
-	if profit != 7 || len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Errorf("ids=%v profit=%v", ids, profit)
-	}
-}
-
-func TestSolve01Edges(t *testing.T) {
-	if ids, p := Solve01(nil, 5, 100); ids != nil || p != 0 {
-		t.Error("empty should return nothing")
-	}
-	if ids, p := Solve01([]Item{{ID: 1, Weight: 1, Profit: 1}}, 0, 100); ids != nil || p != 0 {
-		t.Error("zero budget should return nothing")
-	}
-	// Negative weight items must be excluded.
-	ids, _ := Solve01([]Item{{ID: 1, Weight: -1, Profit: 100}, {ID: 2, Weight: 1, Profit: 1}}, 2, 100)
-	for _, id := range ids {
-		if id == 1 {
-			t.Error("negative-weight item selected")
-		}
-	}
-}
-
-// Property: Solve01's selection is feasible (rounding up weights
-// guarantees this) and its profit is at least the best single item that
-// fits.
-func TestSolve01FeasibleAndUseful(t *testing.T) {
-	f := func(raw []uint8, budgetRaw uint8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		if len(raw) > 10 {
-			raw = raw[:10]
-		}
-		items := make([]Item, len(raw))
-		for i, v := range raw {
-			items[i] = Item{ID: i, Weight: float64(v%20) + 1, Profit: float64(v%7) + 1}
-		}
-		budget := float64(budgetRaw%50) + 1
-		ids, profit := Solve01(items, budget, 500)
-		total := 0.0
-		selected := map[int]bool{}
-		for _, id := range ids {
-			total += items[id].Weight
-			selected[id] = true
-		}
-		if total > budget+1e-9 {
-			return false
-		}
-		bestSingle := 0.0
-		for _, it := range items {
-			// Use the same rounded-up weight the DP sees.
-			scaled := it.Weight * 500 / budget
-			if scaled <= 500 && it.Profit > bestSingle {
-				bestSingle = it.Profit
-			}
-		}
-		return profit >= bestSingle-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBruteForcePanicsOnLarge(t *testing.T) {
 	defer func() {
 		if recover() == nil {

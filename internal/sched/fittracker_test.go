@@ -34,25 +34,17 @@ func (m *scanFit) place(pos int, demand resources.Vector) bool {
 	return true
 }
 
-func (m *scanFit) best(demand resources.Vector, score func(free resources.Vector) float64) (int, bool) {
+func (m *scanFit) bestFit(demand resources.Vector) (int, bool) {
 	best, bestScore := -1, -1.0
 	for i, free := range m.free {
 		if !demand.Fits(free) {
 			continue
 		}
-		if s := score(free); s > bestScore {
+		if s := demand.Dot(free, m.total); s > bestScore {
 			best, bestScore = i, s
 		}
 	}
 	return best, best >= 0
-}
-
-func (m *scanFit) bestFit(demand resources.Vector) (int, bool) {
-	return m.best(demand, func(free resources.Vector) float64 { return demand.Dot(free, m.total) })
-}
-
-func (m *scanFit) worstFit(demand resources.Vector) (int, bool) {
-	return m.best(demand, func(free resources.Vector) float64 { return free.DominantShare(m.total) })
 }
 
 // propertyFleet builds an n-server fleet: identical servers when uniform
@@ -85,7 +77,7 @@ func propertyFleet(t *testing.T, rng *rand.Rand, n int, uniform, sparse bool) *c
 }
 
 // TestFitTrackerMatchesScan drives the tracker and the reference scan
-// through long random interleavings of Place, BestFit, WorstFit and
+// through long random interleavings of Place, BestFit, TotalFree and
 // Reset and demands the same answer — same hit or miss, same server —
 // from every query. Demands come from a short menu so exact ties and
 // exact fills are the common case, and between Resets the ledger itself
@@ -201,9 +193,13 @@ func TestFitTrackerMatchesScan(t *testing.T) {
 								t.Fatalf("Free(%d): tracker %v, scan %v", servers[pos].ID, got, ref.free[pos])
 							}
 						case r < resetAt:
-							id, ok := ft.WorstFit(d)
-							pos, wantOK := ref.worstFit(d)
-							check("WorstFit", d, id, ok, pos, wantOK)
+							var want resources.Vector
+							for _, free := range ref.free {
+								want = want.Add(free)
+							}
+							if got := ft.TotalFree(); got != want {
+								t.Fatalf("TotalFree: tracker %v, scan %v", got, want)
+							}
 						default:
 							// Move the ledger, then re-snapshot both sides.
 							for i := 0; i < 1+n/8; i++ {

@@ -48,41 +48,6 @@ func FirstReadyPendingTask(js *workload.JobState) (PendingTask, bool) {
 	return PendingTask{}, false
 }
 
-// BestFitServer returns the server with free capacity that maximizes the
-// inner product between the demand and the server's remaining capacity
-// (the "resource fit" rule of §5 and Tetris' alignment), or false if the
-// demand fits nowhere. Ties break toward the lower server ID.
-func BestFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.ServerID, bool) {
-	total := c.Total()
-	best := cluster.ServerID(-1)
-	bestScore := -1.0
-	for _, s := range c.Servers() {
-		if !demand.Fits(s.Free()) {
-			continue
-		}
-		score := demand.Dot(s.Free(), total)
-		if score > bestScore {
-			bestScore = score
-			best = s.ID
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// FirstFitServer returns the first server (by ID) whose free capacity
-// fits the demand.
-func FirstFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.ServerID, bool) {
-	for _, s := range c.Servers() {
-		if demand.Fits(s.Free()) {
-			return s.ID, true
-		}
-	}
-	return 0, false
-}
-
 // FitTracker overlays tentative placements on the cluster's free
 // capacities so a scheduler can plan a whole batch without mutating the
 // engine-owned cluster state. It snapshots the free vectors at Reset
@@ -108,7 +73,6 @@ func FirstFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.Server
 // it.
 type FitTracker struct {
 	servers []*cluster.Server
-	total   resources.Vector
 	norm    resources.Norm
 	tree    []resources.Vector
 	// size is the leaf offset: the smallest power of two ≥ len(servers).
@@ -144,8 +108,7 @@ func (f *FitTracker) Reset(c *cluster.Cluster) {
 	if len(servers) != len(f.servers) || &servers[0] != &f.servers[0] {
 		f.bind(servers)
 	}
-	f.total = c.Total()
-	f.norm = resources.NormOf(f.total)
+	f.norm = resources.NormOf(c.Total())
 	for i, s := range servers {
 		f.tree[f.size+i] = s.Free()
 	}
@@ -317,27 +280,6 @@ func (f *FitTracker) bound(s *fitSearch, n int) float64 {
 // higher score, or the same score at a lower fleet position.
 func (s *fitSearch) admits(first int, ub float64) bool {
 	return ub > s.score || (ub == s.score && first < s.best)
-}
-
-// WorstFit returns the fitting server with the largest remaining free
-// capacity by dominant share (load balancing), or false.
-func (f *FitTracker) WorstFit(demand resources.Vector) (cluster.ServerID, bool) {
-	best := -1
-	bestScore := -1.0
-	for i, free := range f.leaves() {
-		if !demand.Fits(free) {
-			continue
-		}
-		score := free.DominantShare(f.total)
-		if score > bestScore {
-			bestScore = score
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return f.servers[best].ID, true
 }
 
 // TotalFree returns cluster-wide free capacity after tentative

@@ -77,35 +77,6 @@ func twoServers(t *testing.T) *cluster.Cluster {
 	return c
 }
 
-func TestBestFitServer(t *testing.T) {
-	c := twoServers(t)
-	// Big server has more free capacity: higher inner product.
-	id, ok := BestFitServer(c, resources.Cores(1, 1))
-	if !ok || id != 1 {
-		t.Fatalf("best fit: %d %v", id, ok)
-	}
-	// Demand too large for anything.
-	if _, ok := BestFitServer(c, resources.Cores(64, 1)); ok {
-		t.Fatal("should not fit")
-	}
-	// Demand only fits the big one.
-	id, ok = BestFitServer(c, resources.Cores(8, 8))
-	if !ok || id != 1 {
-		t.Fatalf("only big fits: %d %v", id, ok)
-	}
-}
-
-func TestFirstFitServer(t *testing.T) {
-	c := twoServers(t)
-	id, ok := FirstFitServer(c, resources.Cores(1, 1))
-	if !ok || id != 0 {
-		t.Fatalf("first fit: %d %v", id, ok)
-	}
-	if _, ok := FirstFitServer(c, resources.Cores(64, 64)); ok {
-		t.Fatal("should not fit")
-	}
-}
-
 func TestFitTracker(t *testing.T) {
 	c := twoServers(t)
 	ft := NewFitTracker(c)
@@ -136,18 +107,6 @@ func TestFitTracker(t *testing.T) {
 		t.Fatalf("best fit after fill: %d", id)
 	}
 	if _, ok := ft.BestFit(resources.Cores(64, 64)); ok {
-		t.Fatal("oversize should not fit")
-	}
-}
-
-func TestWorstFit(t *testing.T) {
-	c := twoServers(t)
-	ft := NewFitTracker(c)
-	id, ok := ft.WorstFit(resources.Cores(1, 1))
-	if !ok || id != 1 {
-		t.Fatalf("worst fit should pick the emptiest server: %d", id)
-	}
-	if _, ok := ft.WorstFit(resources.Cores(64, 64)); ok {
 		t.Fatal("oversize should not fit")
 	}
 }

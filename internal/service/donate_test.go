@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -90,30 +89,6 @@ func TestDonateExtractsAndAccounts(t *testing.T) {
 	if c := s.Counts(); c.Submitted != 0 || c.Completed != 0 {
 		t.Fatalf("fully-robbed service drained with %+v", c)
 	}
-}
-
-// TestDonateWakesBlockedSubmit: a donation frees queue space and must
-// broadcast it exactly like an admission, or waiters sleep through it.
-func TestDonateWakesBlockedSubmit(t *testing.T) {
-	s := newShardService(t, 1, 1, 2)
-	thief := newShardService(t, 1, 2, 2)
-	submitN(t, s, 1)
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_, err := s.Submit(ctx, testJob(1, 2))
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter block
-	if got := s.Donate(thief, 1); len(got) != 1 {
-		t.Fatalf("donated %d jobs", len(got))
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("waiter not woken by donation: %v", err)
-	}
-	s.Start()
-	stopDrained(t, s)
 }
 
 // TestDonateMigratesLifecycle: a donation into a thief in a different

@@ -20,8 +20,8 @@ import (
 // at capacity; the caller should retry later (HTTP 429).
 var ErrQueueFull = errors.New("service: admission queue full")
 
-// ErrStopped is returned by Submit after Stop has begun: the service is
-// draining and accepts no new work.
+// ErrStopped is returned by SubmitNowait after Stop has begun: the
+// service is draining and accepts no new work.
 var ErrStopped = errors.New("service: stopped")
 
 // ErrAdmissionDenied is the sentinel every *AdmissionError unwraps to:
@@ -78,62 +78,6 @@ func ChargeAdmission(ctx context.Context, p admission.Policy, snap admission.Sna
 	return &AdmissionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
 }
 
-// Submit validates a job and enqueues it, waiting for queue space if the
-// admission queue is full: the cancellable-queue-wait entry point. It
-// returns ctx.Err() if the context expires first and ErrStopped once a
-// drain begins. Use SubmitNowait for immediate-backpressure (429)
-// semantics.
-func (s *Service) Submit(ctx context.Context, j *workload.Job) (workload.JobID, error) {
-	if err := s.precheck(ctx, j); err != nil {
-		return 0, err
-	}
-	for {
-		// Grab the admission broadcast channel before trying: any admit
-		// after this point closes admitCh, so a full-queue failure below
-		// cannot miss the wakeup that frees space.
-		s.mu.RLock()
-		wait := s.admitCh
-		s.mu.RUnlock()
-		id, err := s.submit(j, false)
-		if !errors.Is(err, ErrQueueFull) {
-			return id, err
-		}
-		select {
-		case <-wait:
-		case <-s.stopCh:
-			return 0, ErrStopped
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-}
-
-// SubmitNowait validates a job, assigns it a fresh ID (any
-// caller-provided ID is overwritten — the service owns its ID space),
-// and enqueues it. It never blocks: a full queue returns ErrQueueFull.
-// The service takes ownership of the job. The stopping check and the
-// enqueue happen under one critical section, so a job accepted here is
-// always seen by the drain — Stop never strands an accepted job.
-func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
-	if err := s.precheck(context.Background(), j); err != nil {
-		return 0, err
-	}
-	return s.submit(j, true)
-}
-
-// precheck runs what precedes any queue interaction: validation, then
-// the admission policy, charged exactly once per external submission
-// attempt — Submit's queue-space retry loop calls submit directly, so
-// waiting out a full queue does not burn extra admission budget.
-func (s *Service) precheck(ctx context.Context, j *workload.Job) error {
-	return ChargeAdmission(ctx, s.cfg.Admission, s, j, func() {
-		s.mu.Lock()
-		s.counts.Denied++
-		s.mDenied.Inc()
-		s.mu.Unlock()
-	})
-}
-
 // enqueueLocked is the one step by which a job — already carrying its
 // ID — enters this service's admission queue, and it owns the whole
 // discipline; the caller holds mu and brings only its own precondition.
@@ -171,9 +115,23 @@ func (s *Service) enqueueLocked(j *workload.Job, op journal.Op) (seq uint64, err
 	return seq, nil
 }
 
-// submit assigns an ID and enqueues a prechecked job. Callers must have
-// run precheck first.
-func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, error) {
+// SubmitNowait validates a job, charges the admission policy, assigns
+// the job a fresh ID (any caller-provided ID is overwritten — the
+// service owns its ID space), and enqueues it. It never blocks: a full
+// queue returns ErrQueueFull. The service takes ownership of the job.
+// The stopping check and the enqueue happen under one critical section,
+// so a job accepted here is always seen by the drain — Stop never
+// strands an accepted job.
+func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
+	err := ChargeAdmission(context.Background(), s.cfg.Admission, s, j, func() {
+		s.mu.Lock()
+		s.counts.Denied++
+		s.mDenied.Inc()
+		s.mu.Unlock()
+	})
+	if err != nil {
+		return 0, err
+	}
 	s.mu.Lock()
 	if s.stopping {
 		s.mu.Unlock()
@@ -183,7 +141,7 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 	j.ID = id
 	seq, err := s.enqueueLocked(j, journal.OpSubmitted)
 	if err != nil {
-		if countReject && errors.Is(err, ErrQueueFull) {
+		if errors.Is(err, ErrQueueFull) {
 			// Counter and count move inside one critical section, so a
 			// /metrics scrape never disagrees with /v1 accounting.
 			s.counts.Rejected++
@@ -281,9 +239,6 @@ transfer:
 		default:
 			break transfer // queue empty, or the donor's loop took the rest
 		}
-	}
-	if len(moved) > 0 {
-		s.wakeLocked() // freed queue space, exactly like an admission
 	}
 	return moved
 }

@@ -11,8 +11,8 @@
 // (injected into the engine, arrival slot stamped) → running (first copy
 // placed) → completed (flowtime/JCT stamped). A full queue rejects
 // SubmitNowait with ErrQueueFull, which the HTTP layer maps to 429 —
-// backpressure, not silent dropping; Submit instead waits for space
-// until its context expires.
+// backpressure, not silent dropping; a caller that wants to wait
+// retries, as the client SDK does on the server's Retry-After.
 //
 // With Config.Journal set, every transition is appended to a write-ahead
 // log in one of the journal's two classes of record. What would lose a
@@ -122,7 +122,7 @@ type Config struct {
 const DefaultQueueCap = 1024
 
 // Service is the online scheduling daemon core. Create with New, start
-// with Start, submit with Submit or SubmitNowait, stop with Stop.
+// with Start, submit with SubmitNowait, stop with Stop.
 type Service struct {
 	cfg   Config
 	eng   *sim.Engine
@@ -135,7 +135,7 @@ type Service struct {
 	started  atomic.Bool
 
 	mu       sync.RWMutex
-	stopping bool // guarded by mu: serializes Submit against drain exit
+	stopping bool // guarded by mu: serializes SubmitNowait against drain exit
 	jobs     map[workload.JobID]*jobRecord
 	nextID   workload.JobID
 	counts   Counts
@@ -143,7 +143,6 @@ type Service struct {
 	clock    int64
 	snap     ClusterSnapshot // written in place by publish, Servers included; Snapshot copies
 	err      error
-	admitCh  chan struct{} // closed+replaced on every admit: queue-space broadcast
 	jnlStat  JournalStatus // guarded by mu; zero when cfg.Journal is nil
 
 	reg        *metrics.Registry
@@ -199,15 +198,14 @@ func New(cfg Config) (*Service, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 	s := &Service{
-		cfg:     cfg,
-		epoch:   time.Now(),
-		subCh:   make(chan *workload.Job, cfg.QueueCap),
-		stopCh:  make(chan struct{}),
-		doneCh:  make(chan struct{}),
-		jobs:    make(map[workload.JobID]*jobRecord),
-		nextID:  cfg.IDBase,
-		admitCh: make(chan struct{}),
-		reg:     cfg.Registry,
+		cfg:    cfg,
+		epoch:  time.Now(),
+		subCh:  make(chan *workload.Job, cfg.QueueCap),
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
+		jobs:   make(map[workload.JobID]*jobRecord),
+		nextID: cfg.IDBase,
+		reg:    cfg.Registry,
 	}
 	base := cfg.MetricLabels
 	lbl := func(extra metrics.Labels) metrics.Labels { return metrics.Union(base, extra) }
@@ -322,8 +320,7 @@ func (s *Service) Stop(ctx context.Context) error {
 	s.stopping = true
 	s.mu.Unlock()
 	// A never-started service must still drain, so the loop is launched
-	// here — after stopping is set, or its first admit would free a slot
-	// for a blocked Submit to fill on a service already being stopped.
+	// here.
 	s.Start()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	select {
@@ -368,7 +365,7 @@ func (s *Service) run() {
 		}
 		if s.eng.Idle() {
 			s.publish()
-			// The exit decision reads under the lock Submit and Donate
+			// The exit decision reads under the lock SubmitNowait and Donate
 			// enqueue under, so every accepted job is either visible in
 			// the queue here or arrived after stopping was set and was
 			// refused.
@@ -402,7 +399,7 @@ func (s *Service) run() {
 func (s *Service) admit(j *workload.Job) {
 	arr, err := s.eng.InjectJob(j)
 	if err != nil {
-		// Submit validated the job and the ID space is service-owned,
+		// SubmitNowait validated the job and the ID space is service-owned,
 		// so injection cannot fail; treat it as loop-fatal if it does.
 		s.fail(fmt.Errorf("service: admit job %d: %w", j.ID, err))
 		return
@@ -417,7 +414,6 @@ func (s *Service) admit(j *workload.Job) {
 	s.mAdmitted.Inc() // same critical section as counts: scrapes agree with /v1
 	// A failed append has failed the service; the loop exits on Err.
 	_, _ = s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
-	s.wakeLocked() // the admit freed a queue slot
 	s.mu.Unlock()
 }
 
@@ -515,18 +511,6 @@ func (s *Service) failLocked(err error) {
 		s.err = err
 	}
 	s.stopping = true
-	// Blocked Submit waiters must observe stopping and return ErrStopped
-	// instead of waiting on a loop that is gone.
-	s.wakeLocked()
-}
-
-// wakeLocked broadcasts to blocked Submit callers that the queue or the
-// lifecycle changed: it closes the current admission channel and
-// replaces it, so waiters that grabbed the old one wake and retry.
-// Caller holds mu.
-func (s *Service) wakeLocked() {
-	close(s.admitCh)
-	s.admitCh = make(chan struct{})
 }
 
 // serverInfos builds the per-server view New hands to publish, which

@@ -1,108 +1,13 @@
 package service
 
 import (
-	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/workload"
 )
-
-// TestSubmitContextCancel: a blocked Submit honors context cancellation
-// instead of waiting forever on a full queue.
-func TestSubmitContextCancel(t *testing.T) {
-	s := newTestService(t, 1) // not started: queue never drains
-	if _, err := s.SubmitNowait(testJob(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := s.Submit(ctx, testJob(1, 2)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	// The cancelled wait must not count as a rejection (the caller
-	// withdrew; the service did not refuse).
-	if c := s.Counts(); c.Rejected != 0 {
-		t.Fatalf("cancelled Submit counted as rejection: %+v", c)
-	}
-	s.Start()
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if err := s.Stop(ctx2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSubmitBlocksUntilSpace: Submit waits out a full queue and
-// succeeds once the loop drains it — no busy-loop 429 handling needed
-// by callers.
-func TestSubmitBlocksUntilSpace(t *testing.T) {
-	s := newTestService(t, 1)
-	if _, err := s.SubmitNowait(testJob(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_, err := s.Submit(ctx, testJob(1, 2))
-		done <- err
-	}()
-	// Give the waiter time to actually block, then start the loop.
-	time.Sleep(10 * time.Millisecond)
-	s.Start()
-	if err := <-done; err != nil {
-		t.Fatalf("blocked Submit after space freed: %v", err)
-	}
-	stopDrained(t, s)
-	if c := s.Counts(); c.Completed != 2 {
-		t.Fatalf("counts: %+v", c)
-	}
-}
-
-// TestSubmitWaitersWokenOnStop: waiters blocked on a full queue get
-// ErrStopped when the service drains instead of hanging.
-func TestSubmitWaitersWokenOnStop(t *testing.T) {
-	s := newTestService(t, 1)
-	if _, err := s.SubmitNowait(testJob(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	const waiters = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := s.Submit(context.Background(), testJob(1, 2))
-			errs <- err
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	s.Start()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Stop(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(errs)
-	// Every waiter resolved: either it slipped in before the drain
-	// fence (and its job completed) or it got ErrStopped. None hang —
-	// wg.Wait returning is the real assertion.
-	for err := range errs {
-		if err != nil && !errors.Is(err, ErrStopped) {
-			t.Fatalf("waiter got %v", err)
-		}
-	}
-	if c := s.Counts(); c.Completed != c.Admitted {
-		t.Fatalf("accepted jobs stranded by drain: %+v", c)
-	}
-}
 
 // TestIDStride: a shard-configured service allocates IDs in its residue
 // class, so shards never collide without coordination.
@@ -134,11 +39,13 @@ func TestIDStride(t *testing.T) {
 	if _, err := s.SubmitNowait(testJob(1, 2)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	s.Start()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if id, err := s.Submit(ctx, testJob(1, 2)); err != nil || id != 15 {
+	// A donation frees one slot with no loop running.
+	if moved := s.Donate(newShardService(t, 1, 4, 4), 1); len(moved) != 1 {
+		t.Fatalf("donated %d jobs, want 1", len(moved))
+	}
+	if id, err := s.SubmitNowait(testJob(1, 2)); err != nil || id != 15 {
 		t.Fatalf("ID after rejected submit: %d, %v (want 15)", id, err)
 	}
+	s.Start()
 	stopDrained(t, s)
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -108,7 +107,7 @@ func TestPublishDoesNotAllocate(t *testing.T) {
 // to it must not reach the next reader, and reading it must not race
 // the loop (the second half is for -race).
 func TestSnapshotIsACopy(t *testing.T) {
-	s := newTestService(t, 64)
+	s := newTestService(t, 200) // room for everything sent below
 	first := s.Snapshot()
 	for i := range first.Servers {
 		first.Servers[i].UsedCPU = -1
@@ -143,7 +142,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		if _, err := s.Submit(context.Background(), testJob(1+i%4, float64(1+i%5))); err != nil {
+		if _, err := s.SubmitNowait(testJob(1+i%4, float64(1+i%5))); err != nil {
 			t.Fatal(err)
 		}
 	}

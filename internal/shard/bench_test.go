@@ -59,7 +59,7 @@ func BenchmarkRouterDrain(b *testing.B) {
 // BenchmarkRouterSubmitDurable is the durable intake path without HTTP:
 // two closed-loop callers each repeat "submit one job, read back its
 // status" against a journaled 2-shard router, the shape of the repo
-// benchmark's daemon-durable workload. Every Submit waits for its
+// benchmark's daemon-durable workload. Every submit waits for its
 // `submitted` record's fsync, so jobs/s is mostly the disk; fsyncs/job
 // says how many of those each acknowledged job paid for (1 when only
 // the ack waits), and B/op what the loops allocate beside it. `make
@@ -91,7 +91,7 @@ func BenchmarkRouterSubmitDurable(b *testing.B) {
 		go func(k int) {
 			defer wg.Done()
 			for i := k; i < len(jobs); i += callers {
-				id, err := r.Submit(ctx, jobs[i])
+				id, err := r.SubmitNowait(jobs[i])
 				if err != nil {
 					b.Error(err)
 					return

@@ -118,8 +118,8 @@ type Config struct {
 
 	// Admission, when non-nil, polices external submissions at the
 	// router — the deployment's edge — before any shard is picked. The
-	// policy is charged once per SubmitNowait/Submit call; the router's
-	// internal spill-and-retry over shards, the rebalancer, and journal
+	// policy is charged once per SubmitNowait call; the router's
+	// internal spill over shards, the rebalancer, and journal
 	// replay all bypass it (that work was admitted already). The shard
 	// services themselves are built without a policy, so the snapshot
 	// the policy sees is the deployment-wide sum.
@@ -175,7 +175,6 @@ type Router struct {
 
 	mu  sync.Mutex
 	rng *stats.RNG
-	all []int // 0..P-1: p2c's candidate set when every shard is eligible
 
 	// Work-stealing state (used only when cfg.Steal).
 	//
@@ -315,7 +314,6 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		r.shards = append(r.shards, svc)
-		r.all = append(r.all, k)
 		r.routed = append(r.routed, r.rtrReg.Counter("dollymp_router_jobs_routed_total",
 			"Jobs placed on a shard by the router.", metrics.Labels{"shard": strconv.Itoa(res)}))
 		if cfg.Steal {
@@ -464,40 +462,25 @@ func (r *Router) Start() {
 	}
 }
 
-// p2c chooses among candidate shard indices (non-empty, ascending) by
-// power-of-two-choices on load: sample two distinct candidates, take
-// the lighter, ties to the lower index. A single candidate or
-// RouteSingle takes the first.
-func (r *Router) p2c(cands []int) int {
-	if len(cands) == 1 || r.cfg.Policy == RouteSingle {
-		return cands[0]
+// p2c chooses a shard by power-of-two-choices on load: sample two
+// distinct shards, take the lighter, ties to the lower index. A single
+// shard or RouteSingle takes shard 0.
+func (r *Router) p2c() int {
+	if len(r.shards) == 1 || r.cfg.Policy == RouteSingle {
+		return 0
 	}
 	r.mu.Lock()
-	i := r.rng.Intn(len(cands))
-	j := r.rng.Intn(len(cands) - 1)
+	i := r.rng.Intn(len(r.shards))
+	j := r.rng.Intn(len(r.shards) - 1)
 	r.mu.Unlock()
 	if j >= i {
-		j++ // j uniform over the other candidates
+		j++ // j uniform over the other shards
 	}
-	i, j = cands[i], cands[j]
 	li, lj := r.shards[i].Load(), r.shards[j].Load()
 	if lj.Less(li) || (!li.Less(lj) && j < i) {
 		return j
 	}
 	return i
-}
-
-// admit runs the router-level edge admission policy, charging it
-// exactly once. With no policy configured nothing runs here — the shard
-// validates — and the submit path is unchanged.
-func (r *Router) admit(ctx context.Context, j *workload.Job) error {
-	if r.cfg.Admission == nil {
-		return nil
-	}
-	return service.ChargeAdmission(ctx, r.cfg.Admission, r, j, func() {
-		r.denied.Add(1)
-		r.mDenied.Inc()
-	})
 }
 
 // AdmissionSnapshot implements admission.SnapshotProvider over the
@@ -534,17 +517,18 @@ func (r *Router) Admission() service.AdmissionStatus {
 // draining (ErrStopped). A single stopped shard never refuses work the
 // rest of the deployment could take.
 func (r *Router) SubmitNowait(j *workload.Job) (workload.JobID, error) {
-	if err := r.admit(context.Background(), j); err != nil {
-		return 0, err
+	// Charged exactly once, before any shard is tried. With no policy
+	// configured nothing runs here — the shard validates.
+	if r.cfg.Admission != nil {
+		err := service.ChargeAdmission(context.Background(), r.cfg.Admission, r, j, func() {
+			r.denied.Add(1)
+			r.mDenied.Inc()
+		})
+		if err != nil {
+			return 0, err
+		}
 	}
-	return r.submitNowait(j)
-}
-
-// submitNowait is SubmitNowait after the admission charge: the internal
-// entry point Submit's retry loop uses so one admitted job is never
-// charged twice.
-func (r *Router) submitNowait(j *workload.Job) (workload.JobID, error) {
-	k := r.p2c(r.all)
+	k := r.p2c()
 	sawFull := false
 	for n := 0; n < len(r.shards); n++ {
 		o := (k + n) % len(r.shards)
@@ -565,71 +549,6 @@ func (r *Router) submitNowait(j *workload.Job) (workload.JobID, error) {
 		return 0, ErrQueueFull
 	}
 	return 0, ErrStopped
-}
-
-// Submit routes one job, waiting for queue space somewhere in the
-// deployment until ctx expires (the cancellable-wait entry point,
-// mirroring service.Submit). The wait re-picks in a loop with bounded
-// backoff rather than parking on one shard forever: if the shard it
-// waits on starts draining (ErrStopped) or a sibling frees space first,
-// the waiter falls through to the live shards instead of failing or
-// staying stuck.
-func (r *Router) Submit(ctx context.Context, j *workload.Job) (workload.JobID, error) {
-	// One admission charge covers the whole call: waiting out a full
-	// queue is still the same submission attempt.
-	if err := r.admit(ctx, j); err != nil {
-		return 0, err
-	}
-	const maxWait = 50 * time.Millisecond
-	wait := time.Millisecond
-	for {
-		// Fast path: immediate placement anywhere live.
-		id, err := r.submitNowait(j)
-		if err == nil || !errors.Is(err, ErrQueueFull) {
-			return id, err // placed, all-draining ErrStopped, or invalid
-		}
-		// Every live queue is full: wait on the lightest live shard,
-		// but only briefly — space freed on a sibling (or a steal)
-		// should be noticed without waiting for this shard's admits.
-		k, ok := r.pickLive()
-		if !ok {
-			return 0, ErrStopped
-		}
-		waitCtx, cancel := context.WithTimeout(ctx, wait)
-		id, err = r.shards[k].Submit(waitCtx, j)
-		cancel()
-		switch {
-		case err == nil:
-			r.routed[k].Inc()
-			return id, nil
-		case ctx.Err() != nil:
-			return 0, ctx.Err()
-		case errors.Is(err, ErrStopped), errors.Is(err, context.DeadlineExceeded):
-			// The shard drained mid-wait or the bounded wait expired:
-			// re-pick against the rest of the deployment.
-			if wait < maxWait {
-				wait *= 2
-			}
-		default:
-			return 0, err
-		}
-	}
-}
-
-// pickLive chooses the shard whose queue a blocked Submit should wait
-// on: p2c over the non-draining shards. ok is false when every shard is
-// draining.
-func (r *Router) pickLive() (k int, ok bool) {
-	live := make([]int, 0, len(r.shards))
-	for i, s := range r.shards {
-		if !s.Draining() {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return 0, false
-	}
-	return r.p2c(live), true
 }
 
 // Job returns the lifecycle record for one job. The ownership map is

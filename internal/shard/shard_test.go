@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dollymp/internal/admission"
 	"dollymp/internal/cluster"
 	"dollymp/internal/metrics"
 	"dollymp/internal/resources"
@@ -337,29 +338,106 @@ func TestRouterSpillsOnFullShard(t *testing.T) {
 	}
 }
 
-// TestRouterSubmitContext exercises the cancellable queue wait across
-// the router.
-func TestRouterSubmitContext(t *testing.T) {
-	r := newTestRouter(t, 2, 1, RouteP2C)
-	// Fill both shard queues (loops stopped).
-	for i := 0; i < 2; i++ {
-		if _, err := r.SubmitNowait(testJob(1, 1)); err != nil {
-			t.Fatal(err)
-		}
+// TestRouterSubmitNowaitSpill pins SubmitNowait's spill rules with no
+// loop running, so every outcome is the router's decision alone: a
+// draining shard is skipped, a full one is skipped, what is left decides
+// between placed, ErrQueueFull and ErrStopped, an invalid job is refused
+// by the first shard asked, and the edge policy is charged once per call
+// however many shards the spill visits.
+func TestRouterSubmitNowaitSpill(t *testing.T) {
+	cases := []struct {
+		name    string
+		shards  int
+		policy  bool
+		drain   []int // shards stopped before the call
+		fill    []int // shards whose one queue slot is taken before the call
+		invalid bool  // submit a job with no phases
+		wantErr error // nil: placed on wantOn
+		wantOn  int
+		charges int64 // policy decisions the call itself may cost
+	}{
+		{name: "chosen shard draining, sibling has room", shards: 2, drain: []int{0}, wantOn: 1},
+		{name: "one shard draining, the other full", shards: 2, drain: []int{0}, fill: []int{1}, wantErr: ErrQueueFull},
+		{name: "all draining", shards: 2, drain: []int{0, 1}, wantErr: ErrStopped},
+		{name: "invalid job, no policy", shards: 2, invalid: true},
+		{name: "invalid job is never charged", shards: 2, policy: true, invalid: true, charges: 0},
+		{name: "spill over two full shards is charged once", shards: 3, policy: true, fill: []int{0, 1}, wantOn: 2, charges: 1},
+		{name: "refused everywhere is still charged once", shards: 3, policy: true, fill: []int{0, 1, 2}, wantErr: ErrQueueFull, charges: 1},
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := r.Submit(ctx, testJob(1, 1)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded on saturated deployment, got %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Fleet:         cluster.Uniform(6, resources.Cores(8, 16)),
+				Shards:        tc.shards,
+				NewScheduler:  newFifo,
+				Seed:          1,
+				Deterministic: true,
+				QueueCap:      1,
+				Policy:        RouteSingle, // the chosen shard is always 0
+			}
+			var bucket *admission.TokenBucket
+			if tc.policy {
+				bucket = admission.NewTokenBucket(admission.TokenBucketConfig{Rate: 1, Burst: 100})
+				cfg.Admission = bucket
+			}
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fill through the shard, not the router: the policy then
+			// counts nothing but the call under test.
+			for _, k := range tc.fill {
+				if _, err := r.Shard(k).SubmitNowait(testJob(1, 2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			for _, k := range tc.drain {
+				if err := r.Shard(k).Stop(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			job := testJob(1, 2)
+			if tc.invalid {
+				job.Phases = nil
+			}
+			id, err := r.SubmitNowait(job)
+			switch {
+			case tc.invalid:
+				if err == nil || errors.Is(err, ErrQueueFull) || errors.Is(err, ErrStopped) {
+					t.Fatalf("invalid job: got (%d, %v), want a validation error", id, err)
+				}
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("got (%d, %v), want %v", id, err, tc.wantErr)
+				}
+			default:
+				if err != nil {
+					t.Fatal(err)
+				}
+				if on := (int(id) - 1) % tc.shards; on != tc.wantOn {
+					t.Fatalf("job %d landed on shard %d, want %d", id, on, tc.wantOn)
+				}
+			}
+			for k := range r.routed {
+				want := 0.0
+				if err == nil && k == tc.wantOn {
+					want = 1
+				}
+				if got := r.routed[k].Value(); got != want {
+					t.Errorf("routed[%d] = %v, want %v", k, got, want)
+				}
+			}
+			if bucket != nil {
+				st := bucket.Stats()
+				if got := st.Admitted + st.Denied; got != tc.charges {
+					t.Errorf("policy charged %d times, want %d", got, tc.charges)
+				}
+			}
+			stopDrained(t, r)
+		})
 	}
-	// Once the loops run, a waiting Submit gets space and succeeds.
-	r.Start()
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if _, err := r.Submit(ctx2, testJob(1, 1)); err != nil {
-		t.Fatalf("submit with running loops: %v", err)
-	}
-	stopDrained(t, r)
 }
 
 // TestRouterAggregatedSnapshot checks the merged cluster view.

@@ -16,14 +16,6 @@ type Pareto struct {
 	Xm    float64 // scale x_m (> 0), the minimum value
 }
 
-// NewPareto constructs a Pareto distribution, validating parameters.
-func NewPareto(alpha, xm float64) (Pareto, error) {
-	if !(alpha > 0) || !(xm > 0) {
-		return Pareto{}, fmt.Errorf("stats: invalid Pareto parameters alpha=%v xm=%v", alpha, xm)
-	}
-	return Pareto{Alpha: alpha, Xm: xm}, nil
-}
-
 // FitPareto fits a Type-I Pareto to a given mean and standard deviation by
 // moment matching. For Pareto, CV² = Var/Mean² = 1/(α(α−2)), hence
 // α = 1 + sqrt(1 + 1/CV²), and x_m = mean·(α−1)/α.
@@ -72,14 +64,6 @@ func (p Pareto) Sample(r *RNG) float64 {
 	return p.Xm / math.Pow(u, 1/p.Alpha)
 }
 
-// CCDF returns Pr{Θ > x}.
-func (p Pareto) CCDF(x float64) float64 {
-	if x <= p.Xm {
-		return 1
-	}
-	return math.Pow(p.Xm/x, p.Alpha)
-}
-
 // Quantile returns the q-quantile (0 ≤ q < 1).
 func (p Pareto) Quantile(q float64) float64 {
 	if q < 0 || q >= 1 {
@@ -109,27 +93,4 @@ func ParetoSpeedup(alpha float64, r int) float64 {
 		alpha = 1 + 1e-9
 	}
 	return (alpha - 1/float64(r)) / (alpha - 1)
-}
-
-// SpeedupFromMoments returns the function h(r) for a phase with the given
-// duration mean and standard deviation, per the paper's Pareto fit. The
-// returned closure is safe for concurrent use.
-func SpeedupFromMoments(mean, sd float64) (func(r int) float64, error) {
-	p, err := FitPareto(mean, sd)
-	if err != nil {
-		return nil, err
-	}
-	return func(r int) float64 { return p.Speedup(r) }, nil
-}
-
-// MinClonesFor returns the smallest r ∈ [1, maxR] with h(r) ≥ target, or
-// maxR+1 if no such r exists. This implements the r_j of Corollary 4.1:
-// r_j = min{r : 2^l·h_j(r) ≥ θ_j} with target = θ_j/2^l.
-func MinClonesFor(h func(int) float64, target float64, maxR int) int {
-	for r := 1; r <= maxR; r++ {
-		if h(r) >= target {
-			return r
-		}
-	}
-	return maxR + 1
 }

@@ -6,17 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewParetoValidation(t *testing.T) {
-	if _, err := NewPareto(2, 1); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
-	}
-	for _, bad := range [][2]float64{{0, 1}, {-1, 1}, {2, 0}, {2, -3}, {math.NaN(), 1}} {
-		if _, err := NewPareto(bad[0], bad[1]); err == nil {
-			t.Errorf("params %v should be rejected", bad)
-		}
-	}
-}
-
 func TestParetoMoments(t *testing.T) {
 	p := Pareto{Alpha: 3, Xm: 2}
 	if got, want := p.Mean(), 3.0; math.Abs(got-want) > 1e-12 {
@@ -86,16 +75,15 @@ func TestParetoSampleMoments(t *testing.T) {
 	}
 }
 
-func TestCCDFAndQuantileInverse(t *testing.T) {
+// TestQuantileInverse: the tail mass of Eq. (2) beyond the q-quantile
+// is 1−q.
+func TestQuantileInverse(t *testing.T) {
 	p := Pareto{Alpha: 2.5, Xm: 4}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
 		x := p.Quantile(q)
-		if got := p.CCDF(x); math.Abs(got-(1-q)) > 1e-9 {
-			t.Errorf("CCDF(Quantile(%v)) = %v, want %v", q, got, 1-q)
+		if got := math.Pow(p.Xm/x, p.Alpha); math.Abs(got-(1-q)) > 1e-9 {
+			t.Errorf("Pr{Θ > Quantile(%v)} = %v, want %v", q, got, 1-q)
 		}
-	}
-	if p.CCDF(p.Xm/2) != 1 {
-		t.Error("CCDF below xm must be 1")
 	}
 }
 
@@ -146,38 +134,6 @@ func TestSpeedupBounded(t *testing.T) {
 		if h := ParetoSpeedup(alpha, r); h > bound {
 			t.Errorf("h(%d)=%v exceeds bound %v", r, h, bound)
 		}
-	}
-}
-
-func TestMinClonesFor(t *testing.T) {
-	h := func(r int) float64 { return ParetoSpeedup(2, r) } // 2 − 1/r
-	// target 1.5 → need 2 − 1/r ≥ 1.5 → r ≥ 2.
-	if got := MinClonesFor(h, 1.5, 10); got != 2 {
-		t.Errorf("MinClonesFor(1.5): got %d, want 2", got)
-	}
-	// target 1.0 → r = 1 suffices.
-	if got := MinClonesFor(h, 1.0, 10); got != 1 {
-		t.Errorf("MinClonesFor(1.0): got %d, want 1", got)
-	}
-	// unreachable target → maxR+1.
-	if got := MinClonesFor(h, 5.0, 10); got != 11 {
-		t.Errorf("MinClonesFor(5.0): got %d, want 11", got)
-	}
-}
-
-func TestSpeedupFromMoments(t *testing.T) {
-	h, err := SpeedupFromMoments(30, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h(1) != 1 {
-		t.Error("h(1) must be 1")
-	}
-	if h(3) <= h(2) {
-		t.Error("h must increase")
-	}
-	if _, err := SpeedupFromMoments(0, 1); err == nil {
-		t.Error("invalid moments should error")
 	}
 }
 

@@ -88,29 +88,5 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normal variate with the given mean and standard
-// deviation (Box–Muller).
-func (r *RNG) Normal(mean, sd float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + sd*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }

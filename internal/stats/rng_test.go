@@ -95,35 +95,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewRNG(13)
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(r.Normal(10, 2))
-	}
-	if math.Abs(s.Mean()-10) > 0.05 {
-		t.Errorf("Normal mean: got %v", s.Mean())
-	}
-	if math.Abs(s.SD()-2) > 0.05 {
-		t.Errorf("Normal sd: got %v", s.SD())
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(17)
-	p := r.Perm(20)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 20 {
-		t.Fatal("missing elements")
-	}
-}
-
 func TestRangeAndBool(t *testing.T) {
 	r := NewRNG(19)
 	for i := 0; i < 1000; i++ {

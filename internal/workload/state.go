@@ -193,9 +193,6 @@ func removeSorted(s []int, v int) []int {
 	return s
 }
 
-// PhaseDone reports whether all tasks of phase k finished.
-func (s *JobState) PhaseDone(k PhaseID) bool { return s.phaseDone[k] }
-
 // PhaseReady reports whether phase k's parents have all completed, i.e.
 // constraint (7) allows its tasks to start.
 func (s *JobState) PhaseReady(k PhaseID) bool {

@@ -43,7 +43,7 @@ func TestJobStateLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.PhaseDone(0) || !s.PhaseReady(1) {
+	if !s.phaseDone[0] || !s.PhaseReady(1) {
 		t.Fatal("map done should unlock reduce")
 	}
 	if s.Done() {

@@ -8,21 +8,16 @@ package dollymp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
+	"dollymp/internal/sched/builtin"
 	"dollymp/internal/trace"
 )
 
 // SchedulerNames lists every built-in scheduler name accepted by
 // NewScheduler, in presentation order.
-func SchedulerNames() []string {
-	kinds := Kinds()
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = string(k)
-	}
-	return out
-}
+func SchedulerNames() []string { return builtin.Names() }
 
 // WorkloadNames lists every generator name accepted by NewWorkload.
 func WorkloadNames() []string {
@@ -65,8 +60,8 @@ func NewFleet(spec string, seed uint64) (*Cluster, error) {
 	if spec == "testbed30" {
 		return Testbed30(), nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(spec, "%d", &n); err != nil || n <= 0 {
+	n, err := strconv.Atoi(spec)
+	if err != nil || n <= 0 {
 		return nil, fmt.Errorf("dollymp: invalid fleet %q (valid: testbed30, or a positive server count)", spec)
 	}
 	return LargeFleet(n, seed), nil

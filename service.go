@@ -8,7 +8,7 @@ package dollymp
 //	    Cluster: dollymp.Testbed30(), Scheduler: sched, Seed: 1,
 //	})
 //	svc.Start()
-//	id, _ := svc.Submit(ctx, job)        // waits for queue space
+//	id, err := svc.SubmitNowait(job)     // ErrQueueFull: retry later
 //	http.ListenAndServe(addr, dollymp.NewAPIHandler(svc))
 //
 //	router, _ := dollymp.NewRouter(dollymp.RouterConfig{
