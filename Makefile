@@ -59,8 +59,10 @@ bench:
 
 # Where the event engine and Schedule spend a drain the repo benchmark
 # judges: one row of BenchmarkEngineDrain — ROW=paced-2k (60 000 paced
-# jobs on 2000 servers, the cloning regime) or ROW=backlog-200 (15 000
-# jobs queued at slot 0 on 200 servers, the packing regime) — drained
+# jobs on 2000 servers, the cloning regime), ROW=backlog-200 (15 000
+# jobs queued at slot 0 on 200 servers, the packing regime) or
+# ROW=replay-32 (100 000 jobs streamed from an on-disk trace into 32
+# servers: frame decode beside many cheap Schedule calls) — drained
 # once under the CPU profiler, then the 30 heaviest frames by cumulative
 # time. The row fails unless it reproduces the schedule bench/ pins. The
 # test binary and the profile stay for `go tool pprof -list <func>

@@ -15,7 +15,9 @@
 // 25M-job trace streams to disk without ever materializing the list.
 // -inspect sniffs the format; on a torn or corrupt file it reports the
 // typed positional error (byte offset + frame index). -compact rewrites
-// either format as a stream, keeping the intact prefix of a torn input.
+// either format as a stream, keeping the intact prefix of a torn input;
+// -o may name the input itself. A file written with -o appears under
+// its name only once it is complete.
 package main
 
 import (
@@ -112,21 +114,32 @@ func realMain(o options, stdout io.Writer) error {
 	})
 }
 
-// withOutput runs fn against the named file ("-" = the given stdout),
-// creating and closing it around the write.
+// withOutput runs fn against the named file ("-" = the given stdout).
+// fn writes to <path>.tmp, renamed over the target only after fn and
+// Close succeeded: the target may be a file fn is still reading
+// (-compact X -o X), and a failed or interrupted write leaves whatever
+// was there before, never a shorter file that ends on a frame boundary
+// and reads as a valid trace.
 func withOutput(path string, stdout io.Writer, fn func(io.Writer) error) error {
 	if path == "-" || path == "" {
 		return fn(stdout)
 	}
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
+	err = fn(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // sniffStream reports whether the file starts with the stream magic.
@@ -168,7 +181,7 @@ func inspect(path string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(stdout, "format:         stream")
+	fmt.Fprintf(stdout, "format:         stream v%d\n", trace.StreamVersion)
 	for {
 		j, err := s.Next()
 		if err == io.EOF {
@@ -183,7 +196,11 @@ func inspect(path string, stdout io.Writer) error {
 		}
 		d.add(j)
 	}
-	return d.write(stdout)
+	if err := d.write(stdout); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(stdout, "size:           %d bytes (%.1f per job)\n", s.Offset(), float64(s.Offset())/float64(max(d.jobs, 1)))
+	return err
 }
 
 // compact rewrites a trace of either format as a stream. A torn or

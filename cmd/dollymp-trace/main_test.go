@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -93,7 +94,8 @@ func TestInspect(t *testing.T) {
 	if err := realMain(options{inspect: streamPath}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "format:         stream") || !strings.Contains(out.String(), "jobs:           5") {
+	if !strings.Contains(out.String(), "format:         stream v2\n") || !strings.Contains(out.String(), "jobs:           5") ||
+		!strings.Contains(out.String(), " per job)") {
 		t.Fatalf("stream inspect output:\n%s", out.String())
 	}
 
@@ -204,5 +206,84 @@ func TestCompact(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("torn-tail compaction kept %d jobs, want 5", n)
+	}
+}
+
+// TestCompactInPlace: -compact X -o X used to truncate X before reading
+// a frame of it. The input survives until its replacement is complete.
+func TestCompactInPlace(t *testing.T) {
+	for _, format := range []string{"json", "stream"} {
+		path := filepath.Join(t.TempDir(), "t.trace")
+		if err := realMain(options{workload: "google", jobs: 40, gap: 3, seed: 7, format: format, out: path}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := realMain(options{compact: path, out: path}, io.Discard); err != nil {
+			t.Fatalf("%s: compact in place: %v", format, err)
+		}
+		var out bytes.Buffer
+		if err := realMain(options{inspect: path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "format:         stream v2\n") || !strings.Contains(out.String(), "jobs:           40\n") {
+			t.Fatalf("%s compacted in place inspects as:\n%s", format, out.String())
+		}
+		assertOnlyFile(t, path)
+	}
+}
+
+// TestFailedWriteKeepsPreviousFile: a write that fails part-way leaves
+// the file that was there byte for byte, and no temporary beside it.
+func TestFailedWriteKeepsPreviousFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trace")
+	if err := realMain(options{workload: "google", jobs: 10, gap: 3, seed: 7, format: "stream", out: path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err = withOutput(path, io.Discard, func(w io.Writer) error {
+		if _, err := w.Write(before[:len(before)/2]); err != nil {
+			return err
+		}
+		return boom
+	})
+	if err != boom {
+		t.Fatalf("withOutput returned %v, want fn's error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("previous file not intact after a failed write (%d bytes, was %d): %v", len(after), len(before), err)
+	}
+	assertOnlyFile(t, path)
+
+	// The same through the CLI: a corrupt envelope cannot be compacted,
+	// and the attempt must not cost the output that already exists.
+	bad := filepath.Join(filepath.Dir(path), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"version":1,"jobs":[`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := realMain(options{compact: bad, out: path}, io.Discard); err == nil {
+		t.Fatal("corrupt envelope compacted")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("failed compaction overwrote the existing output")
+	}
+	if err := os.Remove(bad); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyFile(t, path)
+}
+
+// assertOnlyFile fails if path's directory holds anything but path.
+func assertOnlyFile(t *testing.T, path string) {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		t.Fatalf("directory of %s holds %v", path, entries)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"io"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -66,19 +67,25 @@ type drainRow struct {
 	// perSlot paces arrivals (job i arrives at slot i/perSlot); 0 makes
 	// every job arrive at slot 0.
 	perSlot, servers int
+	// replay keeps the generator's own arrivals (mean gap 1 slot) and
+	// streams the jobs from an on-disk trace: frame decode is part of
+	// the drain.
+	replay bool
 	// flowtime is the total over all jobs, in slots.
 	flowtime, makespan int64
 	calls              int
 }
 
 // drainRows: cloning-300 is paced-2k's regime scaled to a fleet that
-// drains in a fraction of a second. The other two are the repo
+// drains in a fraction of a second. The other three are the repo
 // benchmark's workloads of the same names (bench/spec.go) and their
-// numbers are the ones it pins: mean JCT 22.6593 and 167.1699 slots.
+// numbers are the ones it pins: mean JCT 22.6593, 167.1699 and 16.4829
+// slots.
 var drainRows = []drainRow{
 	{name: "cloning-300", jobs: 6000, perSlot: 20, servers: 300, flowtime: 136_571, makespan: 347, calls: 716},
 	{name: "paced-2k", jobs: 60_000, perSlot: 130, servers: 2000, flowtime: 1_359_555, makespan: 511, calls: 1048},
 	{name: "backlog-200", jobs: 15_000, servers: 200, flowtime: 2_507_548, makespan: 572, calls: 1136},
+	{name: "replay-32", jobs: 100_000, servers: 32, replay: true, flowtime: 1_648_294, makespan: 135_222, calls: 363_252},
 }
 
 func (r drainRow) build() (*cluster.Cluster, []*workload.Job) {
@@ -90,6 +97,23 @@ func (r drainRow) build() (*cluster.Cluster, []*workload.Job) {
 		}
 	}
 	return cluster.LargeFleet(r.servers, 1), jobs
+}
+
+// writeTrace streams a replay row's jobs, arrivals as generated, to a
+// trace file as they are drawn and returns its path.
+func (r drainRow) writeTrace(b *testing.B) string {
+	path := filepath.Join(b.TempDir(), "replay.trace")
+	w, err := trace.CreateStream(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := trace.DefaultGoogleLike(r.jobs, 1.0, 42).Emit(w.Append); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return path
 }
 
 // cloningDrain is the first n jobs of the cloning-300 row: a light
@@ -121,7 +145,24 @@ func sliceSource(jobs []*workload.Job) func() (*workload.Job, error) {
 func BenchmarkEngineDrain(b *testing.B) {
 	for _, r := range drainRows {
 		b.Run(r.name, func(b *testing.B) {
-			fleet, jobs := r.build()
+			var fleet *cluster.Cluster
+			var source func() func() (*workload.Job, error)
+			if r.replay {
+				fleet = cluster.LargeFleet(r.servers, 1)
+				path := r.writeTrace(b)
+				source = func() func() (*workload.Job, error) {
+					s, err := trace.OpenStream(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { s.Close() })
+					return s.Next
+				}
+			} else {
+				var jobs []*workload.Job
+				fleet, jobs = r.build()
+				source = func() func() (*workload.Job, error) { return sliceSource(jobs) }
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			copies := int64(0)
@@ -135,7 +176,7 @@ func BenchmarkEngineDrain(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := e.Drain(sliceSource(jobs))
+				res, err := e.Drain(source())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,7 +191,7 @@ func BenchmarkEngineDrain(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(copies), "ns/copy")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(copies), "allocs/copy")
-			b.ReportMetric(float64(copies)/float64(b.N*len(jobs)), "copies/job")
+			b.ReportMetric(float64(copies)/float64(b.N*r.jobs), "copies/job")
 		})
 	}
 }

@@ -2,8 +2,10 @@ package trace
 
 // Fuzzing for the decode surfaces a replay crosses: the per-job strict
 // decoder (DecodeJob — also the service's POST body format), the
-// streamed framing (Stream.Next over arbitrary bytes), and the replay
-// harness property that whatever a stream yields, the online engine's
+// streamed framing (Stream.Next over arbitrary bytes), the binary job
+// body behind a correct checksum (FuzzFramePayload — a mutated whole
+// stream dies at the CRC and never reaches it), and the replay harness
+// property that whatever a stream yields, the online engine's
 // InjectJob either rejects it (duplicate ID) or clamps its arrival
 // forward — torn frames, duplicate IDs, and out-of-order arrivals must
 // all die at a typed error, never a panic or a rewritten history.
@@ -81,6 +83,49 @@ func FuzzStreamNext(f *testing.F) {
 				t.Fatalf("offset did not advance: %d -> %d", prevOff, s.Offset())
 			}
 			prevOff = s.Offset()
+		}
+	})
+}
+
+// FuzzFramePayload hands arbitrary bytes to the job decoder as the
+// payload of a frame whose length and checksum are right. The frame is
+// either refused with a *CorruptError naming it, or yields a valid job
+// whose own encoding is exactly those bytes: the format has one spelling
+// per job, so nothing a decoder accepts differs from what a writer
+// would have written.
+func FuzzFramePayload(f *testing.F) {
+	for _, j := range DefaultGoogleLike(3, 2, 3).Generate() {
+		f.Add(appendJob(nil, j))
+	}
+	golden := appendJob(nil, goldenJob())
+	f.Add(golden)
+	f.Add(golden[:len(golden)-1])
+	f.Add([]byte{})
+	for _, p := range hostilePayloads() {
+		f.Add(p)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := NewStream(bytes.NewReader(framed(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Next()
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Frame != 0 || ce.Offset != int64(streamHeaderLen) {
+				t.Fatalf("frame 0 refused without its position: %v", err)
+			}
+			return
+		}
+		if err := j.Validate(); err != nil {
+			t.Fatalf("stream yielded an invalid job: %v", err)
+		}
+		if again := appendJob(nil, j); !bytes.Equal(again, payload) {
+			t.Fatalf("decoded job re-encodes differently:\n in  % x\n out % x", payload, again)
+		}
+		if _, err := s.Next(); err != io.EOF {
+			t.Fatalf("after the only frame: %v", err)
 		}
 	})
 }

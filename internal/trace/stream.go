@@ -11,9 +11,41 @@ package trace
 //
 // # File format
 //
-//	header: magic "dollytrc" (8 bytes) + uint32 LE format version
+//	header: magic "dollytrc" (8 bytes) + uint32 LE format version (2)
 //	frame:  uint32 LE payload length + uint32 LE CRC32-IEEE(payload)
-//	        + payload (one compact-JSON workload.Job)
+//	        + payload (one binary workload.Job)
+//
+// The payload is the job's fields in declaration order. This comment
+// is the format's only specification, and TestStreamGoldenFrame pins
+// it byte for byte: changing the layout means bumping StreamVersion.
+//
+//	job:    varint  ID
+//	        string  Name
+//	        string  App
+//	        varint  Arrival
+//	        string  Tenant
+//	        uvarint phase count, then that many phases
+//	phase:  string  Name
+//	        varint  Tasks
+//	        varint  Demand.CPUMilli
+//	        varint  Demand.MemMiB
+//	        float64 MeanDuration
+//	        float64 SDDuration
+//	        uvarint parent count, then that many varint phase indices
+//
+// varint and uvarint are encoding/binary's (zig-zag for the signed
+// one), in their shortest form only; string is a uvarint byte count
+// followed by the bytes; float64 is the 8 IEEE-754 bytes, little-endian,
+// so durations round-trip bit for bit. A phase without parents decodes
+// to nil Parents, never an empty slice. The payload ends with the last
+// phase: bytes after it are corruption, and so is a count or length
+// that the bytes remaining in the payload cannot hold.
+//
+// The JSON envelope stays the human-readable interchange format (and
+// the service's POST body); dollymp-trace -compact turns one into a
+// stream. Version 1 carried a compact-JSON job in the same frame; no
+// reader for it remains, because a trace is a pure function of its
+// generator flags and regenerating is faster than decoding it was.
 //
 // The framing mirrors the journal's record format (internal/journal):
 // the CRC makes every frame self-verifying, so truncation or corruption
@@ -27,10 +59,11 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"dollymp/internal/workload"
@@ -39,7 +72,7 @@ import (
 // Stream format constants.
 const (
 	// StreamVersion is the streamed-trace format version.
-	StreamVersion = 1
+	StreamVersion = 2
 	// MaxFrameBytes bounds one frame's payload; a length prefix beyond
 	// it is corruption, not an allocation request.
 	MaxFrameBytes = 16 << 20
@@ -47,8 +80,12 @@ const (
 
 var streamMagic = [8]byte{'d', 'o', 'l', 'l', 'y', 't', 'r', 'c'}
 
-// streamHeaderLen is the fixed header size in bytes.
-const streamHeaderLen = len(streamMagic) + 4
+// streamHeaderLen is the fixed header size in bytes; frameHeaderLen is
+// a frame's length + CRC prefix.
+const (
+	streamHeaderLen = len(streamMagic) + 4
+	frameHeaderLen  = 8
+)
 
 // IsStream sniffs whether b (the first bytes of a file) is a streamed
 // trace. It needs at least len(streamMagic) bytes to say yes.
@@ -70,7 +107,7 @@ func IsStream(b []byte) bool {
 type StreamWriter struct {
 	bw    *bufio.Writer
 	count int64
-	hdr   [8]byte // frame header scratch: length + CRC
+	buf   []byte // frame scratch, reused: length + CRC + payload
 }
 
 // NewStreamWriter writes the stream header and returns a writer.
@@ -92,19 +129,15 @@ func (w *StreamWriter) Append(j *workload.Job) error {
 	if err := j.Validate(); err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
-	payload, err := json.Marshal(j)
-	if err != nil {
-		return fmt.Errorf("trace: append: %w", err)
-	}
+	var hdr [frameHeaderLen]byte
+	w.buf = appendJob(append(w.buf[:0], hdr[:]...), j)
+	payload := w.buf[frameHeaderLen:]
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("trace: append: job %d encodes to %d bytes (frame cap %d)", j.ID, len(payload), MaxFrameBytes)
 	}
-	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(w.hdr[:]); err != nil {
-		return fmt.Errorf("trace: append: %w", err)
-	}
-	if _, err := w.bw.Write(payload); err != nil {
+	binary.LittleEndian.PutUint32(w.buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.bw.Write(w.buf); err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
 	w.count++
@@ -173,7 +206,7 @@ func NewStream(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("trace: not a streamed trace (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[len(streamMagic):]); v != StreamVersion {
-		return nil, fmt.Errorf("trace: unsupported stream version %d (want %d)", v, StreamVersion)
+		return nil, fmt.Errorf("trace: unsupported stream version %d (want %d): regenerate the trace with dollymp-trace -format stream", v, StreamVersion)
 	}
 	s.off = int64(streamHeaderLen)
 	return s, nil
@@ -196,7 +229,7 @@ func (s *Stream) Next() (*workload.Job, error) {
 
 func (s *Stream) next() (*workload.Job, error) {
 	frameOff := s.off
-	var hdr [8]byte
+	var hdr [frameHeaderLen]byte
 	n, err := io.ReadFull(s.br, hdr[:])
 	if err == io.EOF && n == 0 {
 		return nil, io.EOF // clean end on a frame boundary
@@ -221,16 +254,169 @@ func (s *Stream) next() (*workload.Job, error) {
 		return nil, &CorruptError{Offset: frameOff, Frame: s.n,
 			Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
 	}
-	var j workload.Job
-	if err := json.Unmarshal(payload, &j); err != nil {
+	j, err := decodeJob(payload)
+	if err != nil {
 		return nil, &CorruptError{Offset: frameOff, Frame: s.n, Reason: "frame payload is not a job", Err: err}
 	}
 	if err := j.Validate(); err != nil {
 		return nil, &CorruptError{Offset: frameOff, Frame: s.n, Reason: "invalid job", Err: err}
 	}
-	s.off += int64(8 + int(length))
+	s.off += int64(frameHeaderLen + int(length))
 	s.n++
-	return &j, nil
+	return j, nil
+}
+
+// appendJob appends j's frame payload (the layout in the file comment)
+// to b.
+func appendJob(b []byte, j *workload.Job) []byte {
+	b = binary.AppendVarint(b, int64(j.ID))
+	b = appendString(b, j.Name)
+	b = appendString(b, j.App)
+	b = binary.AppendVarint(b, j.Arrival)
+	b = appendString(b, j.Tenant)
+	b = binary.AppendUvarint(b, uint64(len(j.Phases)))
+	for k := range j.Phases {
+		p := &j.Phases[k]
+		b = appendString(b, p.Name)
+		b = binary.AppendVarint(b, int64(p.Tasks))
+		b = binary.AppendVarint(b, p.Demand.CPUMilli)
+		b = binary.AppendVarint(b, p.Demand.MemMiB)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.MeanDuration))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.SDDuration))
+		b = binary.AppendUvarint(b, uint64(len(p.Parents)))
+		for _, par := range p.Parents {
+			b = binary.AppendVarint(b, int64(par))
+		}
+	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// minPhaseBytes is the shortest phase encoding: an empty name, three
+// one-byte varints, two float64s and a zero parent count. It bounds a
+// claimed phase count by the bytes that could hold it.
+const minPhaseBytes = 1 + 3 + 16 + 1
+
+// Payload decode errors; Stream.next wraps them in a *CorruptError.
+var (
+	errPayloadShort    = errors.New("payload ends inside a field")
+	errPayloadVarint   = errors.New("varint overflows 64 bits or is not in its shortest form")
+	errPayloadCount    = errors.New("count or length exceeds the bytes that remain")
+	errPayloadRange    = errors.New("integer does not fit the platform's int")
+	errPayloadTrailing = errors.New("bytes left over after the last phase")
+)
+
+// decodeJob is appendJob's inverse over one whole payload. It allocates
+// nothing a count asked for until the count has been checked against
+// the bytes that remain.
+func decodeJob(payload []byte) (*workload.Job, error) {
+	d := payloadReader{b: payload}
+	j := &workload.Job{}
+	j.ID = workload.JobID(d.int())
+	j.Name = d.str()
+	j.App = d.str()
+	j.Arrival = d.varint()
+	j.Tenant = d.str()
+	j.Phases = make([]workload.Phase, d.count(minPhaseBytes))
+	for k := range j.Phases {
+		p := &j.Phases[k]
+		p.Name = d.str()
+		p.Tasks = d.int()
+		p.Demand.CPUMilli = d.varint()
+		p.Demand.MemMiB = d.varint()
+		p.MeanDuration = d.f64()
+		p.SDDuration = d.f64()
+		if n := d.count(1); n > 0 {
+			p.Parents = make([]workload.PhaseID, n)
+		}
+		for i := range p.Parents {
+			p.Parents[i] = workload.PhaseID(d.int())
+		}
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errPayloadTrailing
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return j, nil
+}
+
+// payloadReader consumes a frame payload front to back. The first
+// failure sticks and empties b, so every later read returns zero and
+// the loops over counted items end at once.
+type payloadReader struct {
+	b   []byte
+	err error
+}
+
+func (d *payloadReader) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+func (d *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n == 0:
+		d.fail(errPayloadShort)
+		return 0
+	case n < 0 || (n > 1 && d.b[n-1] == 0):
+		d.fail(errPayloadVarint)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *payloadReader) varint() int64 {
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+func (d *payloadReader) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail(errPayloadRange)
+		return 0
+	}
+	return int(v)
+}
+
+// count reads how many items of at least minBytes each follow.
+func (d *payloadReader) count(minBytes int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/minBytes) {
+		d.fail(errPayloadCount)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *payloadReader) str() string {
+	n := d.count(1)
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *payloadReader) f64() float64 {
+	if len(d.b) < 8 {
+		d.fail(errPayloadShort)
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v
 }
 
 // Offset returns the byte offset of the next unread frame.

@@ -22,7 +22,7 @@ func streamJobs(t *testing.T, n int) []*workload.Job {
 	return jobs
 }
 
-func encodeStream(t *testing.T, jobs []*workload.Job) []byte {
+func encodeStream(t testing.TB, jobs []*workload.Job) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewStreamWriter(&buf)

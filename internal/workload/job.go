@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"dollymp/internal/resources"
 )
@@ -80,11 +81,14 @@ func (j *Job) Validate() error {
 		if p.Tasks <= 0 {
 			return fmt.Errorf("workload: job %d phase %d has %d tasks", j.ID, k, p.Tasks)
 		}
-		if !(p.MeanDuration > 0) {
+		if !(p.MeanDuration > 0) || math.IsInf(p.MeanDuration, 0) {
 			return fmt.Errorf("workload: job %d phase %d has mean duration %v", j.ID, k, p.MeanDuration)
 		}
 		if p.SDDuration < 0 {
 			return fmt.Errorf("workload: job %d phase %d has negative sd", j.ID, k)
+		}
+		if math.IsNaN(p.SDDuration) || math.IsInf(p.SDDuration, 0) {
+			return fmt.Errorf("workload: job %d phase %d has non-finite sd %v", j.ID, k, p.SDDuration)
 		}
 		if !p.Demand.IsValid() || p.Demand.IsZero() {
 			return fmt.Errorf("workload: job %d phase %d has invalid demand %v", j.ID, k, p.Demand)
@@ -98,8 +102,41 @@ func (j *Job) Validate() error {
 			}
 		}
 	}
-	if _, err := j.TopoOrder(); err != nil {
+	return j.checkAcyclic()
+}
+
+// checkAcyclic is TopoOrder's verdict without its order. Up to 64
+// phases it allocates nothing: a phase is released once every parent
+// is, one bit each, and a pass that releases no phase while some remain
+// has found a cycle. Parent indices must already be in range.
+func (j *Job) checkAcyclic() error {
+	n := len(j.Phases)
+	if n > 64 {
+		_, err := j.TopoOrder()
 		return err
+	}
+	var released uint64
+	for left := n; left > 0; {
+		before := left
+		for k := range j.Phases {
+			if released&(1<<uint(k)) != 0 {
+				continue
+			}
+			ready := true
+			for _, par := range j.Phases[k].Parents {
+				if released&(1<<uint(par)) == 0 {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				released |= 1 << uint(k)
+				left--
+			}
+		}
+		if left == before {
+			return fmt.Errorf("workload: job %d DAG has a cycle", j.ID)
+		}
 	}
 	return nil
 }

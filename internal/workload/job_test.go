@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +35,10 @@ func TestValidateRejects(t *testing.T) {
 		{"zero tasks", func(j *Job) { j.Phases[0].Tasks = 0 }},
 		{"zero duration", func(j *Job) { j.Phases[0].MeanDuration = 0 }},
 		{"negative sd", func(j *Job) { j.Phases[0].SDDuration = -1 }},
+		{"NaN duration", func(j *Job) { j.Phases[0].MeanDuration = math.NaN() }},
+		{"infinite duration", func(j *Job) { j.Phases[0].MeanDuration = math.Inf(1) }},
+		{"NaN sd", func(j *Job) { j.Phases[0].SDDuration = math.NaN() }},
+		{"infinite sd", func(j *Job) { j.Phases[0].SDDuration = math.Inf(1) }},
 		{"zero demand", func(j *Job) { j.Phases[0].Demand = resources.Vec(0, 0) }},
 		{"negative demand", func(j *Job) { j.Phases[0].Demand = resources.Vec(-1, 5) }},
 		{"bad parent", func(j *Job) { j.Phases[1].Parents = []PhaseID{7} }},
@@ -46,6 +51,78 @@ func TestValidateRejects(t *testing.T) {
 		if err := j.Validate(); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// dag builds n unit phases whose parents are given per phase.
+func dag(id JobID, parents [][]PhaseID) *Job {
+	j := &Job{ID: id, Phases: make([]Phase, len(parents))}
+	for k := range j.Phases {
+		j.Phases[k] = Phase{Name: "p", Tasks: 1, Demand: resources.Cores(1, 1), MeanDuration: 1, Parents: parents[k]}
+	}
+	return j
+}
+
+// TestValidateAllocatesNothing: Validate runs twice per replayed job
+// and once per daemon submit; its acyclicity check must not build the
+// order TopoOrder returns.
+func TestValidateAllocatesNothing(t *testing.T) {
+	wide := make([][]PhaseID, 16)
+	for k := range wide {
+		for par := k - 3; par < k; par++ {
+			if par >= 0 {
+				wide[k] = append(wide[k], PhaseID(par))
+			}
+		}
+	}
+	for name, j := range map[string]*Job{
+		"chain":    mapReduce(1, 0),
+		"diamond":  dag(2, [][]PhaseID{nil, {0}, {0}, {1, 2}}),
+		"16-phase": dag(3, wide),
+	} {
+		if err := j.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = j.Validate() }); got != 0 {
+			t.Errorf("%s: Validate allocates %v objects per call, want 0", name, got)
+		}
+	}
+}
+
+// TestValidateAgreesWithTopoOrder: the allocation-free check and
+// TopoOrder (which Validate falls back to above 64 phases) reach the
+// same verdict on random DAGs, with and without an injected back edge.
+func TestValidateAgreesWithTopoOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	cyclic := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(80)
+		// A random labelling, so parents do not simply precede children.
+		label := rng.Perm(n)
+		parents := make([][]PhaseID, n)
+		for k := 1; k < n; k++ {
+			for e := rng.Intn(4); e > 0; e-- {
+				parents[label[k]] = append(parents[label[k]], PhaseID(label[rng.Intn(k)]))
+			}
+		}
+		if n > 1 && trial%2 == 1 {
+			// Back edge: an earlier phase takes a later one as parent.
+			a := rng.Intn(n - 1)
+			b := a + 1 + rng.Intn(n-1-a)
+			parents[label[a]] = append(parents[label[a]], PhaseID(label[b]))
+		}
+		j := dag(JobID(trial), parents)
+		_, want := j.TopoOrder()
+		got := j.Validate()
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("trial %d (%d phases): Validate says %v, TopoOrder says %v", trial, n, got, want)
+		}
+		if want != nil {
+			cyclic++
+		}
+	}
+	if cyclic == 0 || cyclic == 2000 {
+		t.Fatalf("%d of 2000 trials cyclic: the property saw only one verdict", cyclic)
 	}
 }
 
