@@ -3,10 +3,10 @@
 // gateway; the caller does not need to know which. It speaks the /v1
 // surface, branches on the machine-readable error envelope rather than
 // status text, retries backpressure with the server's own Retry-After
-// hints, resubmits only the rejected tail of a partially accepted
-// batch, and — against a federation gateway — discovers the member
-// topology and submits straight to the lightest owning member, skipping
-// the gateway hop.
+// hints, and resubmits only the rejected tail of a partially accepted
+// batch. Every request goes to the URL the client was built with, so
+// against a federation every submission crosses the gateway and is
+// charged its edge policy once.
 //
 //	c := client.New("http://127.0.0.1:8080")
 //	ids, err := c.SubmitBatch(ctx, jobs)
@@ -31,7 +31,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,10 +57,6 @@ const (
 
 // Defaults.
 const (
-	// DefaultTopologyTTL bounds how stale the cached federation
-	// topology (membership and per-shard queue depths) may get before a
-	// submission refreshes it.
-	DefaultTopologyTTL = 2 * time.Second
 	// DefaultBackoff is the retry sleep when a retryable rejection
 	// carries no Retry-After hint (pre-envelope daemons, 502s).
 	DefaultBackoff = 5 * time.Millisecond
@@ -123,23 +118,6 @@ type Option func(*Client)
 // timeout).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithTopologyTTL tunes how long discovered federation topology is
-// trusted before a refresh; d <= 0 keeps the default.
-func WithTopologyTTL(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.topoTTL = d
-		}
-	}
-}
-
-// WithGatewayOnly disables direct-to-member submission: everything
-// goes through the configured base URL even against a federation
-// gateway. Use it when member URLs are not reachable from the client,
-// or when the gateway runs an edge admission policy that direct
-// submission would bypass.
-func WithGatewayOnly() Option { return func(c *Client) { c.gatewayOnly = true } }
-
 // WithBackoff sets the retry sleep used when the server provides no
 // Retry-After hint; d <= 0 keeps the default.
 func WithBackoff(d time.Duration) Option {
@@ -151,19 +129,13 @@ func WithBackoff(d time.Duration) Option {
 }
 
 // Client talks to one dollymp deployment. It is safe for concurrent
-// use; the topology cache and retry counter are shared across
-// goroutines.
+// use; the retry counter is shared across goroutines.
 type Client struct {
-	base        string
-	hc          *http.Client
-	topoTTL     time.Duration
-	gatewayOnly bool
-	backoff     time.Duration
+	base    string
+	hc      *http.Client
+	backoff time.Duration
 
 	retries atomic.Int64
-
-	mu   sync.Mutex
-	topo *topology
 }
 
 // New builds a client for the deployment at baseURL (trailing slash
@@ -172,7 +144,6 @@ func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
 		base:    strings.TrimRight(baseURL, "/"),
 		hc:      &http.Client{Timeout: 30 * time.Second},
-		topoTTL: DefaultTopologyTTL,
 		backoff: DefaultBackoff,
 	}
 	for _, o := range opts {
@@ -211,26 +182,13 @@ func (c *Client) SubmitBatch(ctx context.Context, jobs []*dollymp.Job) ([]dollym
 	}
 	var ids []dollymp.JobID
 	pending := jobs
-	useBase := false
 	for {
 		body, err := encodeBatch(pending)
 		if err != nil {
 			return ids, err
 		}
-		target := c.base
-		if !useBase {
-			target = c.submitTarget(ctx)
-		}
-		resp, err := c.post(ctx, target+"/v1/jobs", body)
+		resp, err := c.post(ctx, c.base+"/v1/jobs", body)
 		if err != nil {
-			if target != c.base {
-				// The member went away between topology refreshes: drop
-				// the cache and fall back to the gateway, which routes
-				// around dead members itself.
-				c.invalidateTopology()
-				useBase = true
-				continue
-			}
 			return ids, err
 		}
 		out, rerr := readBody(resp)

@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,7 +196,7 @@ func TestSubmitBatchPartialAcceptance(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := New(srv.URL, WithGatewayOnly())
+	c := New(srv.URL)
 	jobs := []*dollymp.Job{testJob("a"), testJob("a"), testJob("a"), testJob("a")}
 	ids, err := c.SubmitBatch(context.Background(), jobs)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestSubmitRetryClassification(t *testing.T) {
 			accept(w, 1)
 		}))
 		defer srv.Close()
-		c := New(srv.URL, WithGatewayOnly())
+		c := New(srv.URL)
 		if _, err := c.Submit(context.Background(), testJob("a")); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -247,7 +247,7 @@ func TestSubmitRetryClassification(t *testing.T) {
 			accept(w, 1)
 		}))
 		defer srv.Close()
-		c := New(srv.URL, WithGatewayOnly())
+		c := New(srv.URL)
 		if _, err := c.Submit(context.Background(), testJob("a")); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -262,7 +262,7 @@ func TestSubmitRetryClassification(t *testing.T) {
 			service.WriteError(w, http.StatusBadRequest, service.CodeInvalidArgument, "bad job")
 		}))
 		defer srv.Close()
-		c := New(srv.URL, WithGatewayOnly())
+		c := New(srv.URL)
 		_, err := c.Submit(context.Background(), testJob("a"))
 		var apiErr *Error
 		if !errors.As(err, &apiErr) || apiErr.Code != CodeInvalidArgument || apiErr.Retryable() {
@@ -277,7 +277,7 @@ func TestSubmitRetryClassification(t *testing.T) {
 			envelope429(w, service.CodeQueueFull, "", 5, nil, 1)
 		}))
 		defer srv.Close()
-		c := New(srv.URL, WithGatewayOnly())
+		c := New(srv.URL)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		defer cancel()
 		_, err := c.Submit(ctx, testJob("a"))
@@ -287,122 +287,63 @@ func TestSubmitRetryClassification(t *testing.T) {
 	})
 }
 
-// fakeFederation builds a stub gateway over two recording member
-// stubs: m0 owns residue 0 (queue depth 5), m1 owns residue 1 (empty).
-func fakeFederation(t *testing.T) (gw *httptest.Server, gwHits, m0Hits, m1Hits *atomic.Int64, closeAll func()) {
-	t.Helper()
-	gwHits, m0Hits, m1Hits = new(atomic.Int64), new(atomic.Int64), new(atomic.Int64)
-	member := func(hits *atomic.Int64) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-				hits.Add(1)
-				accept(w, 1)
-				return
-			}
-			http.NotFound(w, r)
-		}))
-	}
-	m0 := member(m0Hits)
-	m1 := member(m1Hits)
-	gw = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/v1/federation":
-			fmt.Fprintf(w, `{"shards": 2, "members": [
-				{"name": "m0", "url": %q, "residues": [0], "alive": true},
-				{"name": "m1", "url": %q, "residues": [1], "alive": true}]}`, m0.URL, m1.URL)
-		case r.URL.Path == "/v1/shards":
-			fmt.Fprint(w, `{"shards": [
-				{"shard": 0, "queue_depth": 5}, {"shard": 1, "queue_depth": 0}]}`)
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			gwHits.Add(1)
-			accept(w, 1)
-		default:
-			http.NotFound(w, r)
+// TestSubmitThroughGatewayChargesItsPolicy: a client pointed at a
+// federation gateway submits through it, so the gateway's edge policy
+// is charged exactly once per job and every admitted job reaches a
+// member — no submission slips past the front door.
+func TestSubmitThroughGatewayChargesItsPolicy(t *testing.T) {
+	const n = 20
+	dir := t.TempDir()
+	man := dollymp.FederationManifest{Shards: 2, Members: []dollymp.FederationMember{
+		{Name: "m0", JournalDir: filepath.Join(dir, "m0"), Residues: []int{0}},
+		{Name: "m1", JournalDir: filepath.Join(dir, "m1"), Residues: []int{1}},
+	}}
+	var members []*dollymp.Router
+	for i := range man.Members {
+		r, _, err := dollymp.NewMemberRouter(man, man.Members[i].Name, dollymp.RouterConfig{
+			Fleet: dollymp.LargeFleet(4, 1),
+			NewScheduler: func(int) (dollymp.Scheduler, error) {
+				return dollymp.NewScheduler(dollymp.KindRandom)
+			},
+			Seed: 1, Deterministic: true, QueueCap: 256,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}))
-	return gw, gwHits, m0Hits, m1Hits, func() { gw.Close(); m0.Close(); m1.Close() }
-}
+		r.Start()
+		srv := httptest.NewServer(dollymp.NewMemberHandler(r))
+		t.Cleanup(func() {
+			srv.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			_ = r.Stop(ctx)
+		})
+		man.Members[i].URL = srv.URL
+		members = append(members, r)
+	}
+	frozen := time.Unix(1000, 0)
+	policy := dollymp.NewTokenBucket(dollymp.TokenBucketConfig{
+		Rate: 1, Burst: n, Now: func() time.Time { return frozen },
+	})
+	gw, err := dollymp.NewGateway(dollymp.GatewayConfig{Manifest: man, Admission: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsrv := httptest.NewServer(gw.Handler())
+	defer gsrv.Close()
 
-// TestDirectRoutingToLightestMember: against a gateway, submissions go
-// straight to the member whose residues carry the least queue depth.
-func TestDirectRoutingToLightestMember(t *testing.T) {
-	gw, gwHits, m0Hits, m1Hits, closeAll := fakeFederation(t)
-	defer closeAll()
-	c := New(gw.URL)
-	for i := 0; i < 3; i++ {
+	c := New(gsrv.URL)
+	for i := 0; i < n; i++ {
 		if _, err := c.Submit(context.Background(), testJob("a")); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
-	if m1Hits.Load() != 3 {
-		t.Errorf("lightest member got %d submits, want 3", m1Hits.Load())
+	var submitted int64
+	for _, r := range members {
+		submitted += r.Counts().Submitted
 	}
-	if gwHits.Load() != 0 || m0Hits.Load() != 0 {
-		t.Errorf("gateway/m0 got %d/%d submits, want 0/0", gwHits.Load(), m0Hits.Load())
-	}
-}
-
-// TestDirectRoutingFallsBackToGateway: a member that dies inside the
-// topology TTL costs one transport error, then the batch goes through
-// the gateway, which routes around the death itself.
-func TestDirectRoutingFallsBackToGateway(t *testing.T) {
-	gwHits := new(atomic.Int64)
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // reachable URL, refused connections
-	gw := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/v1/federation":
-			fmt.Fprintf(w, `{"shards": 1, "members": [
-				{"name": "m0", "url": %q, "residues": [0], "alive": true}]}`, dead.URL)
-		case r.URL.Path == "/v1/shards":
-			fmt.Fprint(w, `{"shards": [{"shard": 0, "queue_depth": 0}]}`)
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			gwHits.Add(1)
-			accept(w, 1)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer gw.Close()
-
-	c := New(gw.URL)
-	if _, err := c.Submit(context.Background(), testJob("a")); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if gwHits.Load() != 1 {
-		t.Errorf("gateway got %d submits after member fallback, want 1", gwHits.Load())
-	}
-	c.mu.Lock()
-	invalidated := c.topo == nil
-	c.mu.Unlock()
-	if !invalidated {
-		t.Error("topology cache not invalidated after member transport failure")
-	}
-}
-
-// TestGatewayOnlySkipsDiscovery: WithGatewayOnly never touches
-// /v1/federation and posts to the base URL.
-func TestGatewayOnlySkipsDiscovery(t *testing.T) {
-	var fedHits, gwHits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/v1/federation":
-			fedHits.Add(1)
-			http.NotFound(w, r)
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			gwHits.Add(1)
-			accept(w, 1)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer srv.Close()
-	c := New(srv.URL, WithGatewayOnly())
-	if _, err := c.Submit(context.Background(), testJob("a")); err != nil {
-		t.Fatal(err)
-	}
-	if fedHits.Load() != 0 || gwHits.Load() != 1 {
-		t.Errorf("federation/base hits = %d/%d, want 0/1", fedHits.Load(), gwHits.Load())
+	if admitted := policy.Stats().Admitted; admitted != n || submitted != n {
+		t.Fatalf("gateway policy admitted %d, members accepted %d; want both %d", admitted, submitted, n)
 	}
 }
 

@@ -4,9 +4,7 @@ package client
 // envelope {"error":{"code","message"}} with the right machine-readable
 // code, on a plain daemon, a sharded router, and the federation
 // gateway alike. scripts/smoke.sh runs this (via dollymp-load -probe)
-// instead of hand-rolled curl checks. The probe always addresses the
-// base URL directly — it is certifying the endpoint it was pointed at,
-// not the lightest member behind it.
+// instead of hand-rolled curl checks.
 
 import (
 	"context"

@@ -1,23 +1,15 @@
 package client
 
-// Shard-aware submission routing. Against a plain daemon or sharded
-// router the base URL is the only endpoint and nothing here runs more
-// than once. Against a federation gateway the client discovers the
-// member topology (GET /v1/federation — a plain daemon answers 404,
-// which is cached as "no federation here") plus the global per-shard
-// queue depths (GET /v1/shards), sums each member's depth over the
-// residue classes it owns, and submits straight to the lightest
-// member — the same decision the gateway's round-robin can only
-// approximate, minus one network hop. The cache expires on the
-// topology TTL; a member that dies inside the window is caught by the
-// transport-failure fallback in SubmitBatch, which drops the cache and
-// retries through the gateway.
+// The federation read view. Submissions always go to the base URL the
+// client was given — against a federation that is the gateway, the one
+// front door whose edge policy every external submission is charged
+// against — so GET /v1/federation is only something to look at: which
+// members are alive and who adopted a dead one's journal.
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"time"
 )
 
 // MemberView is one federation member as the gateway reports it.
@@ -60,85 +52,4 @@ func (c *Client) Federation(ctx context.Context) (*FederationView, error) {
 		return nil, err
 	}
 	return &fv, nil
-}
-
-// topology is the cached routing view.
-type topology struct {
-	fetched time.Time
-	plain   bool // base is not a federation gateway
-	members []memberTarget
-}
-
-// memberTarget is one live member with its summed queue load.
-type memberTarget struct {
-	url  string
-	load int
-}
-
-// submitTarget returns the URL to POST the next batch to: the lightest
-// live member when the base is a gateway and direct routing is on, the
-// base URL otherwise. Discovery failures degrade to the base URL — the
-// gateway always works, direct routing is only an optimization.
-func (c *Client) submitTarget(ctx context.Context) string {
-	if c.gatewayOnly {
-		return c.base
-	}
-	c.mu.Lock()
-	topo := c.topo
-	c.mu.Unlock()
-	if topo == nil || time.Since(topo.fetched) > c.topoTTL {
-		topo = c.refreshTopology(ctx)
-		c.mu.Lock()
-		c.topo = topo
-		c.mu.Unlock()
-	}
-	if topo.plain || len(topo.members) == 0 {
-		return c.base
-	}
-	best := topo.members[0]
-	for _, m := range topo.members[1:] {
-		if m.load < best.load {
-			best = m
-		}
-	}
-	return best.url
-}
-
-// invalidateTopology drops the cache after a direct submission hit a
-// dead member; the next submission rediscovers.
-func (c *Client) invalidateTopology() {
-	c.mu.Lock()
-	c.topo = nil
-	c.mu.Unlock()
-}
-
-// refreshTopology rebuilds the routing view. Never fails: any error
-// yields a "plain" view that routes through the base URL until the TTL
-// expires and discovery runs again.
-func (c *Client) refreshTopology(ctx context.Context) *topology {
-	topo := &topology{fetched: time.Now(), plain: true}
-	fv, err := c.Federation(ctx)
-	if err != nil || fv == nil || len(fv.Members) == 0 {
-		return topo
-	}
-	// Global residue -> queue depth, through the gateway's federated
-	// table (rows of dead members are absent and count as zero).
-	depth := map[int]int{}
-	if shards, err := c.Shards(ctx); err == nil {
-		for _, st := range shards {
-			depth[st.Shard] = st.QueueDepth
-		}
-	}
-	for _, m := range fv.Members {
-		if !m.Alive || m.URL == "" {
-			continue
-		}
-		t := memberTarget{url: m.URL}
-		for _, res := range m.Residues {
-			t.load += depth[res]
-		}
-		topo.members = append(topo.members, t)
-	}
-	topo.plain = len(topo.members) == 0
-	return topo
 }

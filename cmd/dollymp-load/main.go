@@ -8,12 +8,11 @@
 //
 // The tool is a thin shell over the public client SDK (dollymp/client):
 // every HTTP request — submission with envelope-code retries and
-// partial-batch resubmission, shard-aware routing against a federation
-// gateway, completion waiting, metrics scraping, the error-surface
-// probe — goes through the Client. The retry policy is the SDK's:
-// "queue_full", "admission_denied" and "unavailable" back off by the
-// server's Retry-After hint and resubmit; any other code aborts the run
-// with the code surfaced in the error.
+// partial-batch resubmission, completion waiting, metrics scraping, the
+// error-surface probe — goes through the Client, to -addr. The retry
+// policy is the SDK's: "queue_full", "admission_denied" and
+// "unavailable" back off by the server's Retry-After hint and resubmit;
+// any other code aborts the run with the code surfaced in the error.
 //
 // Usage:
 //
@@ -71,15 +70,10 @@ func main() {
 		watch   = flag.Bool("watch", false, "submit nothing; wait for -n jobs to complete (post-restart verification)")
 		replay  = flag.Int64("min-replayed", 0, "with -wait/-watch: assert the journal replayed at least this many jobs (0 = skip)")
 		tenants = flag.String("tenants", "", "label jobs with tenants proportionally to weights (\"a=4,b=1\"; with -wait, verifies ?tenant= filters and prints per-tenant admission counts)")
-		viaGW   = flag.Bool("gateway-only", false, "disable shard-aware direct-to-member routing; always submit through -addr")
 	)
 	flag.Parse()
 
-	opts := []client.Option{}
-	if *viaGW {
-		opts = append(opts, client.WithGatewayOnly())
-	}
-	cl := client.New(*addr, opts...)
+	cl := client.New(*addr)
 	var err error
 	switch {
 	case *probe:

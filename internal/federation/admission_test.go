@@ -5,17 +5,25 @@ package federation
 // not be able to tell from an error response which side of the
 // deployment it hit. This pins the 404/405 parity (status, envelope
 // code, and the byte-identical sorted Allow header) for /v1/admission,
-// and the federated GET view itself.
+// the federated GET view itself, and the shape of a batch the gateway's
+// own policy cuts short.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"dollymp/internal/admission"
+	"dollymp/internal/resources"
 	"dollymp/internal/service"
+	"dollymp/internal/trace"
+	"dollymp/internal/workload"
 )
 
 // doMethod issues a bodyless request and returns the response with its
@@ -36,6 +44,83 @@ func doMethod(t *testing.T, method, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// TestGatewayBatchChargedLikeAMember: a batch larger than the gateway
+// bucket's burst gets in the way it would at a member — the admitted
+// prefix enters, the rest is rejected with the refill hint, one denial
+// is counted — and the remainder is accepted whole once the bucket has
+// refilled. Every job the policy admitted reached a member.
+func TestGatewayBatchChargedLikeAMember(t *testing.T) {
+	base := t.TempDir()
+	g, members := newFederation(t,
+		[]string{filepath.Join(base, "a"), filepath.Join(base, "b")},
+		[][]int{{0, 1}, {2, 3}}, 4)
+	var now atomic.Int64 // frozen clock, advanced by hand
+	now.Store(time.Unix(1000, 0).UnixNano())
+	policy := admission.NewTokenBucket(admission.TokenBucketConfig{
+		Rate: 1, Burst: 3,
+		Now: func() time.Time { return time.Unix(0, now.Load()) },
+	})
+	g.cfg.Admission = policy
+	gsrv := httptest.NewServer(g.Handler())
+	defer gsrv.Close()
+	defer func() {
+		for _, m := range members {
+			m.srv.Close()
+			stopRouter(t, m.r)
+		}
+	}()
+	post := func(n int) (int, service.ErrorResponse) {
+		t.Helper()
+		jobs := make([]*workload.Job, n)
+		for i := range jobs {
+			jobs[i] = &workload.Job{Name: "t", App: "test", Phases: []workload.Phase{{
+				Name: "p", Tasks: 1, Demand: resources.Cores(1, 1), MeanDuration: 2,
+			}}}
+		}
+		var body bytes.Buffer
+		if err := trace.Write(&body, jobs); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(gsrv.URL+"/v1/jobs", "application/json", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er service.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, er
+	}
+	charged := func(want int64) {
+		t.Helper()
+		var submitted int64
+		for _, m := range members {
+			submitted += m.r.Counts().Submitted
+		}
+		if got := policy.Stats().Admitted; got != want || submitted != want {
+			t.Fatalf("policy admitted %d, members accepted %d; want both %d", got, submitted, want)
+		}
+	}
+
+	code, er := post(5)
+	if code != http.StatusTooManyRequests || er.Error.Code != service.CodeAdmissionDenied ||
+		len(er.IDs) != 3 || er.Rejected != 2 || er.Error.RetryAfterMS != 1000 {
+		t.Fatalf("5-job batch into burst 3: %d %+v, want 429 admission_denied with 3 ids, rejected 2, retry 1000ms", code, er)
+	}
+	charged(3)
+	var st service.AdmissionStatus
+	if code := getJSON(t, gsrv.URL+"/v1/admission", &st); code != http.StatusOK || st.Denied != 1 {
+		t.Fatalf("admission view %d %+v, want 1 denial", code, st)
+	}
+
+	now.Add(int64(2 * time.Second))
+	if code, er := post(2); code != http.StatusAccepted || len(er.IDs) != 2 {
+		t.Fatalf("2-job remainder after refill: %d %+v, want 202 with 2 ids", code, er)
+	}
+	charged(5)
 }
 
 func TestGatewayMemberAdmissionParity(t *testing.T) {

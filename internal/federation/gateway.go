@@ -52,10 +52,11 @@ type GatewayConfig struct {
 	// federation's outermost edge — before any member is contacted. The
 	// gateway is stateless and owns no queue, so the policy sees a zero
 	// Snapshot (QueueCap 0 = unknown capacity, which pressure-gated
-	// policies treat as always-enforce). A batch is all-or-nothing
-	// here: if any job in it is denied, the whole batch is refused and
-	// nothing is forwarded. Members may run their own policies too;
-	// decisions then stack, outermost first.
+	// policies treat as always-enforce). A batch is charged the way a
+	// member charges one: job by job in order, stopping at the first
+	// denial; the admitted prefix is forwarded and the rest is refused
+	// with the denial's retry hint. Members may run their own policies
+	// too; decisions then stack, outermost first.
 	Admission admission.Policy
 }
 
@@ -217,42 +218,82 @@ func passThrough(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// submit forwards POST /v1/jobs to a live member, round-robin, falling
-// through transport failures to the next: a dying member never turns
-// into a client-visible error while any member still answers. When a
-// member answered anything at all — 202, 429, 400 — that answer is
-// final: retrying elsewhere could accept the same batch twice.
+// submit charges the edge policy, if any, and forwards POST /v1/jobs to
+// a live member. A batch is charged the way a member's handler submits
+// one — in order, stopping at the first denial — so the answer has a
+// member's shape: ids are exactly the jobs that entered, rejected is
+// the rest of the batch, and the denial's retry hint rides along. With
+// nothing denied the body goes to the member raw; otherwise only the
+// admitted prefix, re-encoded.
 func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
 	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, service.CodeInvalidArgument, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	if p := g.cfg.Admission; p != nil {
-		// Edge admission before any member sees the batch. The body is
-		// forwarded raw, so a batch cannot be split here: the first
-		// denial refuses all of it and nothing is submitted (IDs empty,
-		// Rejected = batch size) — the client retries the whole batch.
-		jobs, err := trace.DecodeSubmission(body)
-		if err != nil {
-			service.WriteError(w, http.StatusBadRequest, service.CodeInvalidArgument, err.Error())
-			return
-		}
-		for _, j := range jobs {
-			err := service.ChargeAdmission(r.Context(), p, g, j, func() { g.denied.Add(int64(len(jobs))) })
-			if err != nil {
-				service.WriteSubmitError(w, err, nil, len(jobs))
-				return
-			}
+	p := g.cfg.Admission
+	if p == nil {
+		g.forward(w, body, passThrough)
+		return
+	}
+	jobs, err := trace.DecodeSubmission(body)
+	if err != nil {
+		service.WriteError(w, http.StatusBadRequest, service.CodeInvalidArgument, err.Error())
+		return
+	}
+	n := 0
+	var denial error
+	for ; n < len(jobs); n++ {
+		if denial = service.ChargeAdmission(r.Context(), p, g, jobs[n], func() { g.denied.Add(1) }); denial != nil {
+			break
 		}
 	}
-	live := g.aliveMembers(true)
-	for _, m := range live {
+	switch {
+	case denial == nil:
+		g.forward(w, body, passThrough)
+		return
+	case n == 0:
+		service.WriteSubmitError(w, denial, nil, len(jobs))
+		return
+	}
+	var prefix bytes.Buffer
+	if err := trace.Write(&prefix, jobs[:n]); err != nil {
+		service.WriteError(w, http.StatusInternalServerError, service.CodeInternal, err.Error())
+		return
+	}
+	g.forward(w, prefix.Bytes(), func(w http.ResponseWriter, resp *http.Response) {
+		defer resp.Body.Close()
+		var er service.ErrorResponse // a 202's {"ids"} decodes into it too
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable, fmt.Sprintf("member submit answer: %v", err))
+			return
+		}
+		if resp.StatusCode == http.StatusAccepted {
+			service.WriteSubmitError(w, denial, er.IDs, len(jobs)-len(er.IDs))
+			return
+		}
+		// The member refused part of the prefix: its error comes first in
+		// batch order, and the denied jobs are rejected along with it.
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			w.Header().Set("Retry-After", ra)
+		}
+		er.Rejected = len(jobs) - len(er.IDs)
+		writeJSON(w, resp.StatusCode, er)
+	})
+}
+
+// forward posts body to a live member, round-robin, falling through
+// transport failures to the next — a dying member never turns into a
+// client-visible error while any member still answers — and hands the
+// first answer to answer. Any answer — 202, 429, 400 — is final:
+// retrying elsewhere could accept the same batch twice.
+func (g *Gateway) forward(w http.ResponseWriter, body []byte, answer func(http.ResponseWriter, *http.Response)) {
+	for _, m := range g.aliveMembers(true) {
 		resp, err := g.client.Post(m.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			continue // transport failure: the prober will notice; try a sibling
 		}
-		passThrough(w, resp)
+		answer(w, resp)
 		return
 	}
 	service.WriteError(w, http.StatusBadGateway, service.CodeUnavailable,

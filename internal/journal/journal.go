@@ -16,8 +16,9 @@
 // torn tail — is detected positionally: replay stops at the first
 // record whose length, checksum, or JSON does not verify, and Open
 // truncates the file back to the last intact record before appending.
-// A torn tail is expected after a SIGKILL and is not an error; only a
-// bad header (wrong magic or version) fails a replay.
+// A torn tail is expected after a SIGKILL and is not an error — a
+// header cut short of its 12 bytes included; only a bad header (wrong
+// magic or version) fails a replay.
 //
 // # Durability model
 //
@@ -71,6 +72,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -333,8 +335,11 @@ func AdoptSegment(path string) (*Replay, error) {
 
 // scan reads the header and every intact record, returning the replay
 // state and the offset of the first byte past the last intact record.
-// A missing or empty file yields an empty replay; a present-but-bad
-// header is an error (wrong file, not a torn one).
+// A missing or empty file yields an empty replay, and so does a header
+// torn short of its 12 bytes: a fresh segment's header reaches the disk
+// in the same write as its first record, whose commit never returned,
+// so the whole file is a torn tail. A present-but-bad header is an
+// error (wrong file, not a torn one).
 func scan(f *os.File, path string) (*Replay, int64, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -346,11 +351,16 @@ func scan(f *os.File, path string) (*Replay, int64, error) {
 		return rep, 0, nil
 	}
 	r := newStateMachine()
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	hdr := make([]byte, min(st.Size(), int64(headerLen)))
+	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, 0, fmt.Errorf("journal: read header of %s: %w", path, err)
 	}
-	if [8]byte(hdr[:8]) != magic {
+	want := binary.LittleEndian.AppendUint32(magic[:], FormatVersion)
+	if len(hdr) < headerLen && bytes.Equal(hdr, want[:len(hdr)]) {
+		rep.Truncated = int64(len(hdr))
+		return rep, 0, nil
+	}
+	if len(hdr) < headerLen || [8]byte(hdr[:8]) != magic {
 		return nil, 0, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != FormatVersion {

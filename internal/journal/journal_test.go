@@ -80,9 +80,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTail: a crash mid-record (the tail sliced at every
-// possible byte offset) must replay every intact record, drop the torn
-// one with a warning count, and leave the file appendable.
+// TestJournalTornTail: a crash mid-write (the file sliced at every
+// possible byte offset, from inside the header on) must replay every
+// intact record, drop the torn bytes with a warning count, and leave the
+// file appendable. A header torn short of its 12 bytes is the torn tail
+// of an empty segment: ReplayFile reports it and leaves it on disk, Open
+// truncates it away.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
@@ -101,20 +104,39 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for at := cut + 1; at < int64(len(whole)); at++ {
+	hdr := int64(headerLen)
+	for at := int64(1); at < int64(len(whole)); at++ {
+		// The intact prefix: nothing inside the header, the bare header
+		// inside record 1, record 1 from its end on.
+		good, records := int64(0), int64(0)
+		switch {
+		case at >= cut:
+			good, records = cut, 1
+		case at >= hdr:
+			good = hdr
+		}
 		path := filepath.Join(dir, "torn.wal")
 		if err := os.WriteFile(path, whole[:at], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, rep := openT(t, path)
-		if rep.Records != 1 || rep.Truncated != at-cut {
-			t.Fatalf("cut at %d: %d records, %d truncated (want 1, %d)", at, rep.Records, rep.Truncated, at-cut)
+		if at < hdr {
+			rep, err := ReplayFile(path)
+			if err != nil || rep.Records != 0 || rep.Truncated != at {
+				t.Fatalf("cut at %d: ReplayFile = %+v, %v (want 0 records, %d truncated)", at, rep, err, at)
+			}
+			if got := size(t, path); got != at {
+				t.Fatalf("cut at %d: ReplayFile rewrote the file: size %d", at, got)
+			}
 		}
-		if len(rep.Jobs) != 1 || rep.Jobs[0].ID != 1 || rep.Jobs[0].Outcome != OutcomePending {
+		j2, rep := openT(t, path)
+		if rep.Records != records || rep.Truncated != at-good {
+			t.Fatalf("cut at %d: %d records, %d truncated (want %d, %d)", at, rep.Records, rep.Truncated, records, at-good)
+		}
+		if records == 1 && (len(rep.Jobs) != 1 || rep.Jobs[0].ID != 1 || rep.Jobs[0].Outcome != OutcomePending) {
 			t.Fatalf("cut at %d: jobs %+v", at, rep.Jobs)
 		}
-		if got := size(t, path); got != cut {
-			t.Fatalf("cut at %d: torn tail not truncated: size %d, want %d", at, got, cut)
+		if got := size(t, path); got != good {
+			t.Fatalf("cut at %d: torn tail not truncated: size %d, want %d", at, got, good)
 		}
 		// The truncated journal must accept and replay new appends.
 		seq := appendT(t, j2, Record{Op: OpCompleted, ID: 1, Finish: 3, Flowtime: 3})
@@ -123,7 +145,7 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		j2.Close()
 		j3, rep2 := openT(t, path)
-		if rep2.Records != 2 || rep2.Jobs[0].Outcome != OutcomeCompleted {
+		if rep2.Records != records+1 || rep2.Jobs[0].Outcome != OutcomeCompleted {
 			t.Fatalf("cut at %d: after repair+append: %+v", at, rep2)
 		}
 		// Release the lease: the next iteration rewrites this inode, and
@@ -172,6 +194,15 @@ func TestJournalBadHeader(t *testing.T) {
 	}
 	if _, _, err := Open(bad); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	// Shorter than a header but not the start of one: still the wrong
+	// file, not a torn one.
+	short := filepath.Join(dir, "short.wal")
+	if err := os.WriteFile(short, []byte("dollyX"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(short); err == nil {
+		t.Fatal("short file with bad magic accepted")
 	}
 
 	vers := filepath.Join(dir, "vers.wal")

@@ -22,6 +22,21 @@ import (
 // metric series.
 type Labels map[string]string
 
+// Union returns the union of two label sets. Keys in b override keys in
+// a; neither input is modified. It is how a component combines its
+// injected base labels (shard="3") with a series' own labels
+// (resource="cpu").
+func Union(a, b Labels) Labels {
+	out := make(Labels, len(a)+len(b))
+	for k, v := range a {
+		out[k] = v
+	}
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. All methods are safe for concurrent use.
 type Registry struct {

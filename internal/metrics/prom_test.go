@@ -7,6 +7,22 @@ import (
 	"testing"
 )
 
+func TestUnion(t *testing.T) {
+	a := Labels{"shard": "0", "x": "a"}
+	b := Labels{"x": "b", "y": "c"}
+	u := Union(a, b)
+	if u["shard"] != "0" || u["x"] != "b" || u["y"] != "c" || len(u) != 3 {
+		t.Fatalf("union: %v", u)
+	}
+	// Inputs untouched.
+	if a["x"] != "a" || len(b) != 2 {
+		t.Fatalf("inputs modified: %v %v", a, b)
+	}
+	if u := Union(nil, nil); len(u) != 0 {
+		t.Fatalf("nil union: %v", u)
+	}
+}
+
 func TestPromCounterGaugeOutput(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("jobs_total", "Jobs seen.", nil)

@@ -1,9 +1,9 @@
 package service
 
-// HTTP tests for the edge-admission surface: the two distinct 429s
-// (queue_full vs admission_denied) with their Retry-After contract,
-// the GET /v1/admission view, the ?tenant= job filter, and MuxFor's
-// deterministic sorted Allow header.
+// HTTP tests for the edge-admission surface: the queue_full 429 with
+// its Retry-After contract (the admission_denied one is charged by the
+// router, admission_router_test.go), the ?tenant= job filter, and
+// MuxFor's deterministic sorted Allow header.
 
 import (
 	"encoding/json"
@@ -11,10 +11,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"dollymp/internal/admission"
-	"dollymp/internal/cluster"
-	"dollymp/internal/resources"
 )
 
 // unstartedServer serves a service whose loop never runs, so queued
@@ -106,69 +102,18 @@ func TestHTTPQueueFull429RetryAfter(t *testing.T) {
 	}
 }
 
-// TestHTTPAdmissionDenied429: a policy denial is the other 429 — same
-// status, distinct code, plus the policy's machine-readable reason and
-// its exact retry hint. A frozen clock makes the token bucket
-// deterministic: burst 1 admits exactly one job, the next is denied
-// with the full token-refill interval as the hint.
-func TestHTTPAdmissionDenied429(t *testing.T) {
-	frozen := time.Unix(1000, 0)
-	s, err := New(Config{
-		Cluster:       cluster.Uniform(8, resources.Cores(8, 16)),
-		Scheduler:     fifo{},
-		Seed:          1,
-		Deterministic: true,
-		QueueCap:      64,
-		Admission: admission.NewTokenBucket(admission.TokenBucketConfig{
-			Rate: 2, Burst: 1,
-			Now: func() time.Time { return frozen },
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := unstartedServer(t, s)
-	body, _ := json.Marshal(testJob(1, 2))
-	if resp, out := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: %d %s", resp.StatusCode, out)
-	}
-	resp, out := postJSON(t, srv.URL+"/v1/jobs", body)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d: %s", resp.StatusCode, out)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Fatalf("Retry-After %q, want \"1\"", got)
-	}
+// TestSubmitErrorSubMillisecondHint: a denial's retry hint under a
+// millisecond rides in retry_after_ms as 1, not 0 — 0 means "no hint",
+// and the client would wait out the whole-second header instead.
+func TestSubmitErrorSubMillisecondHint(t *testing.T) {
+	w := httptest.NewRecorder()
+	WriteSubmitError(w, &AdmissionError{RetryAfter: 300 * time.Microsecond}, nil, 1)
 	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil {
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Error.Code != CodeAdmissionDenied {
-		t.Fatalf("code %q, want %q", er.Error.Code, CodeAdmissionDenied)
-	}
-	if er.Error.Reason != admission.ReasonRateLimited {
-		t.Fatalf("reason %q, want %q", er.Error.Reason, admission.ReasonRateLimited)
-	}
-	// One token at rate 2/s refills in 500ms exactly.
-	if er.Error.RetryAfterMS != 500 {
-		t.Fatalf("retry_after_ms %d, want 500", er.Error.RetryAfterMS)
-	}
-
-	// The admission view accounts for both decisions.
-	resp, err = http.Get(srv.URL + "/v1/admission")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st AdmissionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Policy != "token-bucket" || st.Denied != 1 {
-		t.Fatalf("admission view %+v, want token-bucket with 1 denial", st)
-	}
-	if st.Stats == nil || st.Stats.Admitted != 1 || st.Stats.Denied != 1 {
-		t.Fatalf("policy stats %+v, want 1 admitted / 1 denied", st.Stats)
+	if er.Error.RetryAfterMS != 1 {
+		t.Fatalf("retry_after_ms %d, want 1", er.Error.RetryAfterMS)
 	}
 }
 

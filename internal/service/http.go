@@ -279,7 +279,9 @@ func WriteSubmitError(w http.ResponseWriter, err error, ids []workload.JobID, re
 		SetRetryAfter(w, DefaultQueueFullRetry)
 	case errors.As(err, &denied):
 		status, e.Code, e.Reason = http.StatusTooManyRequests, CodeAdmissionDenied, denied.Reason
-		e.RetryAfterMS = denied.RetryAfter.Milliseconds()
+		// Rounded up: a sub-millisecond hint truncated to 0 would read as
+		// "no hint" and send the client to the whole-second header.
+		e.RetryAfterMS = int64((denied.RetryAfter + time.Millisecond - 1) / time.Millisecond)
 		SetRetryAfter(w, denied.RetryAfter)
 	case errors.Is(err, ErrStopped):
 		status, e.Code = http.StatusServiceUnavailable, CodeDraining

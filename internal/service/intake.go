@@ -53,19 +53,15 @@ func (e *AdmissionError) Error() string {
 // Unwrap makes errors.Is(err, ErrAdmissionDenied) work.
 func (e *AdmissionError) Unwrap() error { return ErrAdmissionDenied }
 
-// ChargeAdmission is the edge-admission step every decision point — a
-// directly-driven service, the shard router, the federation gateway —
-// runs on an external submission: the job is validated first, so a
-// malformed submission never burns admission budget; then the policy
-// (nil means unpoliced) is charged exactly once against the pressure
-// view snap reports. A denial is counted through denied and returned as
-// *AdmissionError.
+// ChargeAdmission is the edge-admission step both decision points — the
+// shard router and the federation gateway — run on an external
+// submission: the job is validated first, so a malformed submission
+// never burns admission budget; then the policy (nil means unpoliced)
+// is charged exactly once against the pressure view snap reports. A
+// denial is counted through denied and returned as *AdmissionError.
 func ChargeAdmission(ctx context.Context, p admission.Policy, snap admission.SnapshotProvider, j *workload.Job, denied func()) error {
-	if j == nil {
-		return errors.New("service: nil job")
-	}
-	if err := j.Validate(); err != nil {
-		return fmt.Errorf("service: %w", err)
+	if err := validate(j); err != nil {
+		return err
 	}
 	if p == nil {
 		return nil
@@ -76,6 +72,17 @@ func ChargeAdmission(ctx context.Context, p admission.Policy, snap admission.Sna
 	}
 	denied()
 	return &AdmissionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
+}
+
+// validate is the first check of every external submission.
+func validate(j *workload.Job) error {
+	if j == nil {
+		return errors.New("service: nil job")
+	}
+	if err := j.Validate(); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	return nil
 }
 
 // enqueueLocked is the one step by which a job — already carrying its
@@ -115,21 +122,16 @@ func (s *Service) enqueueLocked(j *workload.Job, op journal.Op) (seq uint64, err
 	return seq, nil
 }
 
-// SubmitNowait validates a job, charges the admission policy, assigns
-// the job a fresh ID (any caller-provided ID is overwritten — the
-// service owns its ID space), and enqueues it. It never blocks: a full
-// queue returns ErrQueueFull. The service takes ownership of the job.
-// The stopping check and the enqueue happen under one critical section,
-// so a job accepted here is always seen by the drain — Stop never
-// strands an accepted job.
+// SubmitNowait validates a job, assigns it a fresh ID (any
+// caller-provided ID is overwritten — the service owns its ID space),
+// and enqueues it. It never blocks: a full queue returns ErrQueueFull.
+// The service takes ownership of the job. The stopping check and the
+// enqueue happen under one critical section, so a job accepted here is
+// always seen by the drain — Stop never strands an accepted job. The
+// edge policy is not the service's: the router in front of it charges
+// that.
 func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
-	err := ChargeAdmission(context.Background(), s.cfg.Admission, s, j, func() {
-		s.mu.Lock()
-		s.counts.Denied++
-		s.mDenied.Inc()
-		s.mu.Unlock()
-	})
-	if err != nil {
+	if err := validate(j); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()

@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dollymp/internal/admission"
 	"dollymp/internal/cluster"
 	"dollymp/internal/journal"
 	"dollymp/internal/metrics"
@@ -105,17 +104,6 @@ type Config struct {
 	// the durability contract is broken, and failing loudly beats
 	// acknowledging submissions it can no longer promise to keep.
 	Journal *journal.Journal
-
-	// Admission, when non-nil, is consulted before a submission may
-	// enter the queue: a denial is returned as *AdmissionError (HTTP
-	// 429 admission_denied) without assigning an ID or touching the
-	// queue. Only external submissions are policed — the donation and
-	// replay paths (Donate/Restore/Absorb) move work that was already
-	// admitted somewhere and bypass the policy. In a sharded deployment
-	// the router owns the policy instead, so a deployment-wide decision
-	// is charged once, not once per spill attempt; set this only on a
-	// directly-driven service.
-	Admission admission.Policy
 }
 
 // DefaultQueueCap is the admission-queue bound when Config.QueueCap is 0.
@@ -150,16 +138,12 @@ type Service struct {
 	mAdmitted  *metrics.Counter
 	mCompleted *metrics.Counter
 	mRejected  *metrics.Counter
-	// mDenied is nil unless cfg.Admission is set (registering it
-	// unconditionally would change the exposition of policy-less
-	// deployments); only the admission-deny path increments it.
-	mDenied  *metrics.Counter
-	mQueue   *metrics.Gauge
-	mActive  *metrics.Gauge
-	mClock   *metrics.Gauge
-	mUtilCPU *metrics.Gauge
-	mUtilMem *metrics.Gauge
-	mJCT     *metrics.Histogram
+	mQueue     *metrics.Gauge
+	mActive    *metrics.Gauge
+	mClock     *metrics.Gauge
+	mUtilCPU   *metrics.Gauge
+	mUtilMem   *metrics.Gauge
+	mJCT       *metrics.Histogram
 	// Wall-clock time a job spent in each stage it passed through on
 	// this service, one series of dollymp_stage_seconds per stage.
 	mJournalWait, mQueueWait, mAdmitToStart, mStartToComplete *metrics.Histogram
@@ -234,9 +218,6 @@ func New(cfg Config) (*Service, error) {
 		s.mJnlReplayed = s.reg.Gauge("dollymp_journal_replayed_jobs", "Jobs restored from the journal at startup.", lbl(nil))
 		s.mJnlFsyncs = s.reg.Counter("dollymp_journal_fsyncs_total", "Fsyncs issued on the journal segment by this process.", lbl(nil))
 		s.mJnlFsyncSecs = s.reg.Counter("dollymp_journal_fsync_seconds_total", "Summed duration of those fsyncs.", lbl(nil))
-	}
-	if cfg.Admission != nil {
-		s.mDenied = s.reg.Counter("dollymp_jobs_denied_total", "Submissions denied by the edge admission policy.", lbl(nil))
 	}
 
 	eng, err := sim.New(sim.Config{

@@ -107,8 +107,9 @@ type Counts struct {
 	Completed int64 `json:"completed"`
 	Rejected  int64 `json:"rejected"`
 	// Denied counts submissions refused by the edge admission policy
-	// (never assigned an ID); Rejected counts queue-full backpressure.
-	// omitempty keeps policy-less deployments' JSON unchanged.
+	// (never assigned an ID; only the router, which owns the policy,
+	// counts them); Rejected counts queue-full backpressure. omitempty
+	// keeps policy-less deployments' JSON unchanged.
 	Denied int64 `json:"denied,omitempty"`
 }
 
@@ -391,10 +392,10 @@ func (s *Service) Load() Load {
 	}
 }
 
-// AdmissionSnapshot implements admission.SnapshotProvider: the pressure
-// view fed to the edge policy at decision time. Queue depth, cap, and
-// the loop's last published engine state are read under one critical
-// section.
+// AdmissionSnapshot is this loop's share of the pressure view the
+// router's edge policy decides on (Router.AdmissionSnapshot sums the
+// shards). Queue depth, cap, and the loop's last published engine state
+// are read under one critical section.
 func (s *Service) AdmissionSnapshot() admission.Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -407,11 +408,11 @@ func (s *Service) AdmissionSnapshot() admission.Snapshot {
 	}
 }
 
-// Admission returns the edge-admission view for /v1/admission. Part of
-// the API interface shared with the shard router and the gateway.
-func (s *Service) Admission() AdmissionStatus {
-	return AdmissionStatusOf(s.cfg.Admission, s.Counts().Denied)
-}
+// Admission returns the edge-admission view for /v1/admission: a
+// service polices nothing — the router in front of it owns the policy.
+// Part of the API interface shared with the shard router and the
+// gateway.
+func (s *Service) Admission() AdmissionStatus { return AdmissionStatusOf(nil, 0) }
 
 // Draining reports whether a drain has begun (Stop called or the loop
 // failed). Exposed so the router and health checks see shard state

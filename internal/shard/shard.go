@@ -120,9 +120,9 @@ type Config struct {
 	// router — the deployment's edge — before any shard is picked. The
 	// policy is charged once per SubmitNowait call; the router's
 	// internal spill over shards, the rebalancer, and journal
-	// replay all bypass it (that work was admitted already). The shard
-	// services themselves are built without a policy, so the snapshot
-	// the policy sees is the deployment-wide sum.
+	// replay all bypass it (that work was admitted already). A service
+	// has no policy of its own, so this is the one charge a submission
+	// to the deployment pays, against the deployment-wide snapshot.
 	Admission admission.Policy
 }
 
@@ -156,8 +156,9 @@ type Router struct {
 	residues   []int
 	residueIdx map[int]int
 
-	svcReg *metrics.Registry // shared by all shards, series labelled shard="k"
-	rtrReg *metrics.Registry // router-local metrics
+	// reg holds every series of the deployment: each shard's, labelled
+	// shard="k", and the router's own.
+	reg    *metrics.Registry
 	routed []*metrics.Counter
 
 	// Journal state (used only when cfg.JournalDir is set). The router
@@ -259,16 +260,11 @@ func New(cfg Config) (*Router, error) {
 		total:      cfg.TotalShards,
 		residues:   cfg.Residues,
 		residueIdx: residueIdx,
-		svcReg:     metrics.NewRegistry(),
-		rtrReg:     metrics.NewRegistry(),
+		reg:        metrics.NewRegistry(),
 		rng:        stats.NewRNG(cfg.Seed).Split(0x5a5a),
 		owned:      make(map[workload.JobID]int),
 		stealStop:  make(chan struct{}),
 		stealDone:  make(chan struct{}),
-	}
-	if cfg.Admission != nil {
-		r.mDenied = r.rtrReg.Counter("dollymp_jobs_denied_total",
-			"Submissions denied by the edge admission policy.", nil)
 	}
 	// Open (and replay) the journal segments before any service exists:
 	// every accepted job of the previous run must be re-homed before a
@@ -304,7 +300,7 @@ func New(cfg Config) (*Router, error) {
 			Deterministic: cfg.Deterministic,
 			QueueCap:      cfg.QueueCap,
 			MaxSlots:      cfg.MaxSlots,
-			Registry:      r.svcReg,
+			Registry:      r.reg,
 			MetricLabels:  metrics.Labels{"shard": strconv.Itoa(res)},
 			IDBase:        workload.JobID(res + 1),
 			IDStride:      r.total,
@@ -314,14 +310,18 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		r.shards = append(r.shards, svc)
-		r.routed = append(r.routed, r.rtrReg.Counter("dollymp_router_jobs_routed_total",
+		r.routed = append(r.routed, r.reg.Counter("dollymp_router_jobs_routed_total",
 			"Jobs placed on a shard by the router.", metrics.Labels{"shard": strconv.Itoa(res)}))
 		if cfg.Steal {
-			r.mStolen = append(r.mStolen, r.rtrReg.Counter("dollymp_router_jobs_stolen_total",
+			r.mStolen = append(r.mStolen, r.reg.Counter("dollymp_router_jobs_stolen_total",
 				"Queued jobs the rebalancer migrated away from a shard.", metrics.Labels{"shard": strconv.Itoa(res)}))
-			r.mInjected = append(r.mInjected, r.rtrReg.Counter("dollymp_router_jobs_injected_total",
+			r.mInjected = append(r.mInjected, r.reg.Counter("dollymp_router_jobs_injected_total",
 				"Queued jobs the rebalancer migrated into a shard.", metrics.Labels{"shard": strconv.Itoa(res)}))
 		}
+	}
+	if cfg.Admission != nil {
+		r.mDenied = r.reg.Counter("dollymp_jobs_denied_total",
+			"Submissions denied by the edge admission policy.", nil)
 	}
 	if err := r.restore(ownReplays, staleReplays); err != nil {
 		return nil, err
@@ -502,8 +502,7 @@ func (r *Router) AdmissionSnapshot() admission.Snapshot {
 }
 
 // Admission returns the edge-admission view. The router owns the
-// policy (shards are built without one), so its accounting is the
-// deployment's.
+// policy (a service has none), so its accounting is the deployment's.
 func (r *Router) Admission() service.AdmissionStatus {
 	return service.AdmissionStatusOf(r.cfg.Admission, r.denied.Load())
 }
@@ -823,17 +822,17 @@ func (r *Router) Results() ([]*sim.Result, error) {
 	return out, nil
 }
 
-// Metrics returns the shared per-shard registry (tests; /metrics goes
-// through WriteMetrics, which also includes router-level series).
-func (r *Router) Metrics() *metrics.Registry { return r.svcReg }
+// Metrics returns the deployment's one registry: every shard's series
+// and the router's own (/metrics goes through WriteMetrics, which first
+// refreshes the scrape-time gauges).
+func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
-// WriteMetrics renders the per-shard and router registries as one
-// merged Prometheus exposition.
+// WriteMetrics renders the registry as one Prometheus exposition.
 func (r *Router) WriteMetrics(w io.Writer) error {
 	for _, s := range r.shards {
 		s.RefreshGauges()
 	}
-	return metrics.WriteMerged(w, r.svcReg, r.rtrReg)
+	return r.reg.Write(w)
 }
 
 // Re-exported sentinel errors so router callers need not import the

@@ -15,9 +15,10 @@
 # submit N jobs against -journal-dir, SIGKILL the daemon mid-run,
 # restart it on the same directory, and require all N jobs to complete
 # with a non-zero journal replay — zero accepted-job loss across a
-# crash; and a federation pass: two -member daemons behind a -gateway,
-# SIGKILL one member mid-run, and require the gateway-driven journal
-# takeover to finish every accepted job on the survivor.
+# crash; and a federation pass: two -member daemons behind a
+# rate-limited -gateway, batches larger than its burst, SIGKILL one
+# member mid-run, and require the gateway-driven journal takeover to
+# finish every accepted job on the survivor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,18 +133,21 @@ EOF
   {"name": "m1", "url": "$M1ADDR", "journal_dir": "$FDIR/b", "residues": [2, 3]}
 ]}
 EOF
-    start_daemon "$BIN/fed-gw.log" -gateway -manifest "$MAN"
+    start_daemon "$BIN/fed-gw.log" -gateway -manifest "$MAN" \
+        -admission token-bucket -admission-rate 200 -admission-burst 4
     local GPID=$DPID GADDR=$ADDR
     EXTRA_PIDS="$EXTRA_PIDS $GPID"; DPID=""
     echo "smoke: federation gateway at $GADDR (members $M0ADDR $M1ADDR)"
 
     # The gateway's error surface is the members': same envelope, same
-    # federated 4-shard topology. -gateway-only disables the SDK's
-    # direct-to-member routing so the gateway's round-robin spreads the
-    # jobs across BOTH members — the kill below needs the victim's
-    # journal to hold work worth adopting.
+    # federated 4-shard topology. Every submission crosses the gateway,
+    # whose round-robin spreads the jobs across BOTH members — the kill
+    # below needs the victim's journal to hold work worth adopting — and
+    # whose token bucket charges each batch of 8 against a burst of 4,
+    # so intake completes only if a batch cut short by a denial still
+    # forwards its admitted jobs.
     "$BIN/dollymp-load" -addr "$GADDR" -probe -expect-shards 4
-    "$BIN/dollymp-load" -addr "$GADDR" -n "$njobs" -c "$WORKERS" -gateway-only
+    "$BIN/dollymp-load" -addr "$GADDR" -n "$njobs" -c "$WORKERS" -batch 8
 
     # SIGKILL one member: the gateway must declare it dead and have the
     # survivor adopt its journal; every accepted job still completes.

@@ -1,15 +1,10 @@
 package dollymp
 
 // The online service layer, re-exported through the facade via type
-// aliases so embedders run the daemon core — a single scheduling loop
-// or a sharded deployment — without importing internal packages:
-//
-//	svc, _ := dollymp.NewService(dollymp.ServiceConfig{
-//	    Cluster: dollymp.Testbed30(), Scheduler: sched, Seed: 1,
-//	})
-//	svc.Start()
-//	id, err := svc.SubmitNowait(job)     // ErrQueueFull: retry later
-//	http.ListenAndServe(addr, dollymp.NewAPIHandler(svc))
+// aliases so embedders run the daemon core without importing internal
+// packages. The Router is the one entry point — Shards: 1 is a single
+// scheduling loop — and it charges RouterConfig.Admission, the edge
+// policy, once per submission:
 //
 //	router, _ := dollymp.NewRouter(dollymp.RouterConfig{
 //	    Fleet: dollymp.LargeFleet(120, 1), Shards: 4,
@@ -18,6 +13,7 @@ package dollymp
 //	    },
 //	})
 //	router.Start()
+//	id, err := router.SubmitNowait(job)  // ErrQueueFull: retry later
 //	http.ListenAndServe(addr, dollymp.NewAPIHandler(router))
 
 import (
@@ -30,10 +26,9 @@ import (
 // Service-layer aliases: the full method sets of the internal types are
 // available through them.
 type (
-	// Service is one online scheduling loop (daemon core).
+	// Service is one online scheduling loop (daemon core): a shard of a
+	// Router (Router.Shard).
 	Service = service.Service
-	// ServiceConfig configures a Service.
-	ServiceConfig = service.Config
 	// ServiceAPI is the lifecycle surface the HTTP layer serves; both
 	// *Service and *Router implement it.
 	ServiceAPI = service.API
@@ -83,9 +78,6 @@ var (
 	// ErrStopped: the service is draining and accepts no new work.
 	ErrStopped = service.ErrStopped
 )
-
-// NewService builds one stopped scheduling loop; call Start on it.
-func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 
 // NewRouter partitions the fleet and builds one stopped service per
 // shard behind a load-aware router; call Start on it.
