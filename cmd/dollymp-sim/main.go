@@ -28,9 +28,66 @@ import (
 	"time"
 
 	"dollymp"
+	"dollymp/internal/resources"
 	"dollymp/internal/sim"
 	"dollymp/internal/trace"
 )
+
+// maxSamples bounds the points -timeline holds.
+const maxSamples = 40
+
+// timelinePoint is the cluster state that held from Slot until the next
+// point's Slot.
+type timelinePoint struct {
+	Slot                      int64
+	ActiveJobs, RunningCopies int
+	// UtilizationCPU and UtilizationMem are fractions of total
+	// capacity in use.
+	UtilizationCPU, UtilizationMem float64
+}
+
+// sampler is -timeline's engine observer. It derives the active jobs,
+// the running copies and the resources those hold from the event stream
+// and keeps the state at every every-th clock advance; holding more than
+// maxSamples points, it drops every other one and doubles every, so the
+// points stay spread over the whole run in bounded memory.
+type sampler struct {
+	total, used     resources.Vector
+	active, running int
+	advances, every int64
+	points          []timelinePoint
+}
+
+func (s *sampler) observe(o *sim.Observation) {
+	switch o.Kind {
+	case sim.TraceArrive:
+		s.active++
+	case sim.TraceJobDone:
+		s.active--
+	case sim.TracePlace:
+		s.running++
+		s.used = s.used.Add(o.Demand)
+	case sim.TraceComplete, sim.TraceKill, sim.TraceLost:
+		s.running--
+		s.used = s.used.Sub(o.Demand)
+	case sim.TraceAdvance:
+		if s.advances%s.every == 0 {
+			s.points = append(s.points, timelinePoint{
+				Slot: o.Slot, ActiveJobs: s.active, RunningCopies: s.running,
+				UtilizationCPU: float64(s.used.CPUMilli) / float64(s.total.CPUMilli),
+				UtilizationMem: float64(s.used.MemMiB) / float64(s.total.MemMiB),
+			})
+		}
+		s.advances++
+		if len(s.points) > maxSamples {
+			kept := (len(s.points) + 1) / 2
+			for i := 0; i < kept; i++ {
+				s.points[i] = s.points[2*i]
+			}
+			s.points, s.every = s.points[:kept], 2*s.every
+		}
+	}
+}
 
 func main() {
 	var (
@@ -82,20 +139,25 @@ func runScenario(path, schedName string, jsonOut bool) error {
 	if err != nil {
 		return err
 	}
-	return report(res, time.Since(start), jsonOut)
+	return report(res, nil, time.Since(start), jsonOut)
 }
 
 func realMain(schedName, wl string, jobs int, gap float64, fleetSpec string, seed uint64, traceFile string, jsonOut, det, timeline bool) error {
 	start := time.Now()
-	res, err := simulate(schedName, wl, jobs, gap, fleetSpec, seed, traceFile, det, timeline)
+	var tl *sampler
+	if timeline {
+		tl = &sampler{every: 1}
+	}
+	res, err := simulate(schedName, wl, jobs, gap, fleetSpec, seed, traceFile, det, tl)
 	if err != nil {
 		return err
 	}
-	return report(res, time.Since(start), jsonOut)
+	return report(res, tl, time.Since(start), jsonOut)
 }
 
-// simulate builds the run the flags describe and drives it to the end.
-func simulate(schedName, wl string, jobs int, gap float64, fleetSpec string, seed uint64, traceFile string, det, timeline bool) (*dollymp.Result, error) {
+// simulate builds the run the flags describe and drives it to the end,
+// with tl, when not nil, observing it.
+func simulate(schedName, wl string, jobs int, gap float64, fleetSpec string, seed uint64, traceFile string, det bool, tl *sampler) (*dollymp.Result, error) {
 	sched, err := dollymp.NewScheduler(dollymp.Kind(schedName))
 	if err != nil {
 		return nil, err
@@ -105,11 +167,13 @@ func simulate(schedName, wl string, jobs int, gap float64, fleetSpec string, see
 		return nil, err
 	}
 	cfg := dollymp.SimConfig{
-		Cluster:        fleet,
-		Scheduler:      sched,
-		Seed:           seed,
-		Deterministic:  det,
-		RecordTimeline: timeline,
+		Cluster:       fleet,
+		Scheduler:     sched,
+		Seed:          seed,
+		Deterministic: det,
+	}
+	if tl != nil {
+		tl.total, cfg.Observe = fleet.Total(), tl.observe
 	}
 	if traceFile == "" {
 		if cfg.Jobs, err = dollymp.NewWorkload(wl, jobs, gap, seed); err != nil {
@@ -149,11 +213,18 @@ func simulate(schedName, wl string, jobs int, gap float64, fleetSpec string, see
 	return e.Drain(s.Next)
 }
 
-func report(res *dollymp.Result, wall time.Duration, jsonOut bool) error {
+func report(res *dollymp.Result, tl *sampler, wall time.Duration, jsonOut bool) error {
+	var points []timelinePoint
+	if tl != nil {
+		points = tl.points
+	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		return enc.Encode(struct {
+			*dollymp.Result
+			Timeline []timelinePoint
+		}{res, points})
 	}
 	fmt.Printf("scheduler:        %s\n", res.Scheduler)
 	fmt.Printf("jobs completed:   %d\n", res.Completed)
@@ -170,12 +241,12 @@ func report(res *dollymp.Result, wall time.Duration, jsonOut bool) error {
 	fmt.Printf("avg utilization:  %.1f%%\n", 100*res.AvgUtilization)
 	fmt.Printf("sched decisions:  %d calls, %v total\n", res.SchedCalls, res.SchedWall)
 	fmt.Printf("wall time:        %.2f s, %.0f jobs/s\n", wall.Seconds(), float64(res.Completed)/wall.Seconds())
-	if len(res.Timeline) > 0 {
+	if len(points) > 0 {
 		fmt.Println("\ntimeline (sampled):")
 		fmt.Printf("  %8s %12s %14s %10s %10s\n", "slot", "active jobs", "running copies", "cpu util", "mem util")
-		step := len(res.Timeline)/20 + 1
-		for i := 0; i < len(res.Timeline); i += step {
-			p := res.Timeline[i]
+		step := len(points)/20 + 1
+		for i := 0; i < len(points); i += step {
+			p := points[i]
 			fmt.Printf("  %8d %12d %14d %9.1f%% %9.1f%%\n",
 				p.Slot, p.ActiveJobs, p.RunningCopies, 100*p.UtilizationCPU, 100*p.UtilizationMem)
 		}

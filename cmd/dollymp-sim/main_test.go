@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"dollymp"
+	"dollymp/internal/sim"
 	"dollymp/internal/trace"
+	"dollymp/internal/workload"
 )
 
 func TestRealMainWorkloads(t *testing.T) {
@@ -81,11 +83,11 @@ func writeBoth(t *testing.T, jobs []*dollymp.Job) (envelope, stream string) {
 // place of per-job records.
 func TestStreamReplayMatchesEnvelope(t *testing.T) {
 	envelope, stream := writeBoth(t, dollymp.GoogleWorkload(300, 2, 7))
-	batch, err := simulate("dollymp2", "", 0, 0, "32", 1, envelope, false, false)
+	batch, err := simulate("dollymp2", "", 0, 0, "32", 1, envelope, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := simulate("dollymp2", "", 0, 0, "32", 1, stream, false, false)
+	replay, err := simulate("dollymp2", "", 0, 0, "32", 1, stream, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +112,67 @@ func TestStreamReplayMatchesEnvelope(t *testing.T) {
 	}
 }
 
+// TestTimelineBounded: -timeline on a stream replay spanning more than
+// 10 000 slots holds at most maxSamples points, and each is the state
+// the engine itself held at that slot, read off it by a second observer
+// on the batch run of the same jobs.
+func TestTimelineBounded(t *testing.T) {
+	jobs := dollymp.GoogleWorkload(2000, 8, 7)
+	_, stream := writeBoth(t, jobs)
+	tl := &sampler{every: 1}
+	res, err := simulate("dollymp2", "", 0, 0, "32", 1, stream, false, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan <= 10_000 || tl.advances <= 10*maxSamples || len(tl.points) == 0 || len(tl.points) > maxSamples {
+		t.Fatalf("makespan %d, %d advances: %d points kept, want 1..%d", res.Makespan, tl.advances, len(tl.points), maxSamples)
+	}
+	want := make(map[int64]timelinePoint, len(tl.points))
+	for _, p := range tl.points {
+		want[p.Slot] = p
+	}
+	fleet, err := dollymp.NewFleet("32", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := dollymp.NewScheduler(dollymp.KindDollyMP2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *sim.Engine
+	checked := 0
+	e, err = sim.New(sim.Config{Cluster: fleet, Jobs: jobs, Scheduler: policy, Seed: 1, Observe: func(o *sim.Observation) {
+		p, ok := want[o.Slot]
+		if o.Kind != sim.TraceAdvance || !ok {
+			return
+		}
+		running := 0
+		for _, js := range e.Jobs() {
+			for k := range js.Job.Phases {
+				for l := 0; l < js.Job.Phases[k].Tasks; l++ {
+					running += js.LiveCopies(workload.PhaseID(k), l)
+				}
+			}
+		}
+		used, total := fleet.TotalUsed(), fleet.Total()
+		got := timelinePoint{o.Slot, len(e.Jobs()), running,
+			float64(used.CPUMilli) / float64(total.CPUMilli), float64(used.MemMiB) / float64(total.MemMiB)}
+		if got != p {
+			t.Fatalf("slot %d: the engine holds %+v, -timeline kept %+v", o.Slot, got, p)
+		}
+		checked++
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if checked != len(tl.points) {
+		t.Fatalf("checked %d of %d points", checked, len(tl.points))
+	}
+}
+
 // TestStreamReplaySurfacesCorruption cuts a stream mid frame: the replay
 // must fail with the typed positional error, not a bare decode error or
 // a short but successful run.
@@ -122,7 +185,7 @@ func TestStreamReplaySurfacesCorruption(t *testing.T) {
 	if err := os.WriteFile(stream, b[:len(b)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = simulate("dollymp2", "", 0, 0, "32", 1, stream, false, false)
+	_, err = simulate("dollymp2", "", 0, 0, "32", 1, stream, false, nil)
 	var ce *trace.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("torn stream must surface *trace.CorruptError, got %v", err)

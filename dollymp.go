@@ -50,7 +50,10 @@ type (
 	Phase = workload.Phase
 	// Scheduler is any scheduling policy the simulator can drive.
 	Scheduler = sched.Scheduler
-	// SimConfig configures a simulation run.
+	// SimConfig configures a simulation run. RecordTrace keeps the copy
+	// events VerifyTrace certifies in Result.Trace; Observe is the
+	// engine's one event seam, called synchronously at every arrival,
+	// copy event, job start and finish, and clock advance.
 	SimConfig = sim.Config
 	// Result is a completed run's metrics.
 	Result = sim.Result

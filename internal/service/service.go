@@ -227,8 +227,7 @@ func New(cfg Config) (*Service, error) {
 		Deterministic: cfg.Deterministic,
 		MaxSlots:      cfg.MaxSlots,
 		Online:        true,
-		OnJobStart:    s.onJobStart,
-		OnJobComplete: s.onJobComplete,
+		Observe:       s.observe,
 	})
 	if err != nil {
 		return nil, err
@@ -406,36 +405,39 @@ func (s *Service) leaveStage(rec *jobRecord, stage *metrics.Histogram) {
 	rec.since = now
 }
 
-// onJobStart runs inside Engine.Step, on the loop goroutine.
-func (s *Service) onJobStart(id workload.JobID, slot int64) {
-	s.mu.Lock()
-	if rec := s.jobs[id]; rec != nil {
-		rec.State = StateRunning
-		rec.FirstStart = slot
-		s.leaveStage(rec, s.mAdmitToStart)
+// observe is the engine's observer: it runs inside Engine.Step, on the
+// loop goroutine, and moves a job's record at its first placement and at
+// its completion.
+func (s *Service) observe(o *sim.Observation) {
+	switch o.Kind {
+	case sim.TraceJobStart:
+		s.mu.Lock()
+		if rec := s.jobs[o.Ref.Job]; rec != nil {
+			rec.State = StateRunning
+			rec.FirstStart = o.Slot
+			s.leaveStage(rec, s.mAdmitToStart)
+		}
+		s.mu.Unlock()
+	case sim.TraceJobDone:
+		m := o.Job
+		s.mu.Lock()
+		if rec := s.jobs[m.ID]; rec != nil {
+			rec.State = StateCompleted
+			rec.Finish = m.Finish
+			rec.Flowtime = m.Flowtime
+			s.tasksOut -= int64(rec.Tasks)
+			s.leaveStage(rec, s.mStartToComplete)
+		}
+		s.counts.Completed++
+		s.mCompleted.Inc()
+		s.mJCT.Observe(float64(m.Flowtime))
+		// The completed record is lazy: losing it to a crash inside the
+		// journal's flush delay re-runs the job after replay (at-least-once),
+		// it never loses one.
+		// A failed append has failed the service; the loop exits on Err.
+		_, _ = s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: m.ID, Finish: m.Finish, Flowtime: m.Flowtime})
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-}
-
-// onJobComplete runs inside Engine.Step, on the loop goroutine.
-func (s *Service) onJobComplete(m sim.JobMetrics) {
-	s.mu.Lock()
-	if rec := s.jobs[m.ID]; rec != nil {
-		rec.State = StateCompleted
-		rec.Finish = m.Finish
-		rec.Flowtime = m.Flowtime
-		s.tasksOut -= int64(rec.Tasks)
-		s.leaveStage(rec, s.mStartToComplete)
-	}
-	s.counts.Completed++
-	s.mCompleted.Inc()
-	s.mJCT.Observe(float64(m.Flowtime))
-	// The completed record is lazy: losing it to a crash inside the
-	// journal's flush delay re-runs the job after replay (at-least-once),
-	// it never loses one.
-	// A failed append has failed the service; the loop exits on Err.
-	_, _ = s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: m.ID, Finish: m.Finish, Flowtime: m.Flowtime})
-	s.mu.Unlock()
 }
 
 // publish refreshes the shared snapshot and gauges from engine state,

@@ -101,17 +101,17 @@ func (r drainRow) build() (*cluster.Cluster, []*workload.Job) {
 
 // writeTrace streams a replay row's jobs, arrivals as generated, to a
 // trace file as they are drawn and returns its path.
-func (r drainRow) writeTrace(b *testing.B) string {
-	path := filepath.Join(b.TempDir(), "replay.trace")
+func (r drainRow) writeTrace(tb testing.TB) string {
+	path := filepath.Join(tb.TempDir(), "replay.trace")
 	w, err := trace.CreateStream(path)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := trace.DefaultGoogleLike(r.jobs, 1.0, 42).Emit(w.Append); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return path
 }

@@ -70,13 +70,24 @@ func TestFailureTraceReproducible(t *testing.T) {
 // step, compares three views of every task's live copies: the count a
 // scheduler reads off JobState, what Copies reports, and a tally kept
 // from the recorded trace alone (place +1; kill and lost −1; complete
-// −1 for the winner). That covers placement, sibling kill on first
-// finish, failures that leave survivors (cloner) and failures that take
-// the last copy (greedy), and the release of a finished job.
+// −1 for the winner). The fleet-wide total must also equal a running
+// count a second observer keeps from the same events. That covers
+// placement, sibling kill on first finish, failures that leave
+// survivors (cloner) and failures that take the last copy (greedy), and
+// the release of a finished job.
 func TestCopyTableMatchesTrace(t *testing.T) {
 	for _, s := range []sched.Scheduler{cloner{}, greedy{}} {
 		t.Run(s.Name(), func(t *testing.T) {
 			cfg := failureScenario(s)
+			running := 0
+			cfg.Observe = func(o *Observation) {
+				switch o.Kind {
+				case TracePlace:
+					running++
+				case TraceComplete, TraceKill, TraceLost:
+					running--
+				}
+			}
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -134,15 +145,15 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 						t.Fatalf("slot %d job %d: done=%v but record present=%v", e.clock, j.ID, js.Done(), live)
 					}
 				}
-				if total != e.liveCopies {
-					t.Fatalf("slot %d: engine counts %d live copies, trace says %d", e.clock, e.liveCopies, total)
+				if total != running {
+					t.Fatalf("slot %d: the observer counts %d live copies, trace says %d", e.clock, running, total)
 				}
 				if idle {
 					break
 				}
 			}
-			if e.liveCopies != 0 || len(e.states) != 0 {
-				t.Fatalf("after the run: %d live copies, %d job records", e.liveCopies, len(e.states))
+			if running != 0 || len(e.states) != 0 {
+				t.Fatalf("after the run: %d live copies, %d job records", running, len(e.states))
 			}
 			if reverted == 0 {
 				t.Fatal("no failure took a task's last copy")

@@ -56,13 +56,18 @@ type Config struct {
 	// Events injects fleet perturbations (slowdowns, failures) at
 	// scheduled slots.
 	Events []Event
-	// RecordTrace captures every placement, completion and kill in
+	// RecordTrace captures every placement, completion, kill and loss in
 	// Result.Trace so the run can be certified against the model's
-	// constraints (internal/verify) or inspected offline.
+	// constraints (internal/verify) or inspected offline. It is an
+	// observer the engine installs ahead of Observe.
 	RecordTrace bool
-	// RecordTimeline samples cluster state (active jobs, running
-	// copies, utilization) at every clock advance into Result.Timeline.
-	RecordTimeline bool
+	// Observe, if set, is called at every event the engine processes:
+	// arrival, copy place, complete, kill and lost, job start, job done
+	// and clock advance (see TraceKind). Calls are synchronous, from the
+	// engine's goroutine inside Step, in the order the events happen; the
+	// observer may read the engine through its sched.Context methods but
+	// must not keep the Observation past the call.
+	Observe func(*Observation)
 	// Online relaxes the non-empty-workload requirement and enables
 	// InjectJob, for callers that drive the engine incrementally with
 	// Start/Step while jobs stream in (see online.go). Batch runs via
@@ -72,20 +77,11 @@ type Config struct {
 	// count/sum/min/max, log-bucket flowtime and running-time
 	// histograms) instead of appending a JobMetrics record to
 	// Result.Jobs, so a multi-million-job replay's Result stays a few
-	// hundred bytes instead of growing O(jobs). Per-job callbacks
-	// (OnJobComplete) still fire with the full record; only retention
+	// hundred bytes instead of growing O(jobs). The observer's
+	// TraceJobDone still carries the full record; only retention
 	// changes. Figure-level analyses that need per-job series (ECDFs,
 	// per-job ratios) must leave this off.
 	CompactJobs bool
-	// OnJobStart, if set, is called when a job's first copy is placed,
-	// with the job ID and the launch slot. Called from the engine's
-	// goroutine, synchronously inside Step.
-	OnJobStart func(workload.JobID, int64)
-	// OnJobComplete, if set, is called when a job finishes, with its
-	// final metrics (flowtime stamped). Called from the engine's
-	// goroutine, synchronously inside Step; Jobs and ActiveJobs stop
-	// counting the job once the step's completions are all processed.
-	OnJobComplete func(JobMetrics)
 }
 
 func (c *Config) defaults() {
@@ -301,8 +297,6 @@ type Engine struct {
 	finished int
 
 	running copyHeap
-	// liveCopies counts the copies that are placed and not killed.
-	liveCopies int
 	// copyFree recycles taskCopy objects between placements — the
 	// per-event allocation the profiler flags on the drain hot path. A
 	// copy returns to the list only once it is out of both its job's
@@ -321,11 +315,17 @@ type Engine struct {
 	// every rack tally.
 	rackCount int
 
-	res        Result
-	utilCPU    float64 // ∫ used dt, for average utilization
-	utilMem    float64
-	lastSample int64
-	started    bool
+	// obs is record when Config.RecordTrace is set, else Config.Observe
+	// (nil for neither); event and doneJob are the one record it is
+	// handed.
+	obs     func(*Observation)
+	event   Observation
+	doneJob JobMetrics
+
+	res     Result
+	utilCPU float64 // ∫ used dt, for average utilization
+	utilMem float64
+	started bool
 }
 
 // New validates the configuration and builds an engine.
@@ -360,6 +360,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.CompactJobs {
 		e.res.Digest = &JobDigest{}
+	}
+	e.obs = cfg.Observe
+	if cfg.RecordTrace {
+		e.obs = e.record
 	}
 	events, err := sortEvents(cfg.Events, cfg.Cluster)
 	if err != nil {
@@ -428,11 +432,7 @@ func (e *Engine) Step() (idle bool, err error) {
 	if err := e.processEvents(); err != nil {
 		return false, err
 	}
-	arrived, err := e.processArrivals()
-	if err != nil {
-		return false, err
-	}
-	for _, js := range arrived {
+	for _, js := range e.processArrivals() {
 		if aa, ok := e.cfg.Scheduler.(sched.ArrivalAware); ok {
 			aa.OnJobArrival(e, js)
 		}
@@ -478,35 +478,28 @@ func (e *Engine) nextEventTime() (int64, bool) {
 
 func (e *Engine) advanceTo(t int64) {
 	if t > e.clock {
-		dt := float64(t - e.lastSample)
+		dt := float64(t - e.clock)
 		used := e.cfg.Cluster.TotalUsed()
 		e.utilCPU += float64(used.CPUMilli) * dt
 		e.utilMem += float64(used.MemMiB) * dt
-		e.lastSample = t
-		if e.cfg.RecordTimeline {
-			total := e.cfg.Cluster.Total()
-			e.res.Timeline = append(e.res.Timeline, TimelinePoint{
-				Slot:          e.clock, // state held over [clock, t)
-				ActiveJobs:    len(e.active),
-				RunningCopies: e.liveCopies,
-				UtilizationCPU: float64(used.CPUMilli) /
-					float64(total.CPUMilli),
-				UtilizationMem: float64(used.MemMiB) /
-					float64(total.MemMiB),
-			})
+		if e.obs != nil {
+			e.observe(TraceAdvance, nil, 0, nil)
 		}
 		e.clock = t
 	}
 }
 
-func (e *Engine) processArrivals() ([]*workload.JobState, error) {
+func (e *Engine) processArrivals() []*workload.JobState {
 	var arrived []*workload.JobState
 	for js := e.arrivals.Peek(); js != nil && js.Job.Arrival <= e.clock; js = e.arrivals.Peek() {
 		e.arrivals.Pop()
 		e.active = append(e.active, js)
 		arrived = append(arrived, js)
+		if e.obs != nil {
+			e.observe(TraceArrive, nil, js.Job.ID, nil)
+		}
 	}
-	return arrived, nil
+	return arrived
 }
 
 // processCompletions handles every copy finishing at or before the clock,
@@ -602,20 +595,13 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 			e.cloneUse = e.cloneUse.Sub(c.demand)
 		}
 		js.alloc = js.alloc.Sub(c.demand)
-		e.liveCopies--
-		if e.cfg.RecordTrace && c != winner {
-			e.res.Trace = append(e.res.Trace, TraceEvent{
-				Slot: e.clock, Kind: TraceKill, Ref: ref,
-				Server: c.server, Demand: c.demand, Clone: c.clone,
-			})
+		if e.obs != nil && c != winner {
+			e.observe(TraceKill, c, 0, nil)
 		}
 		c = c.kill()
 	}
-	if e.cfg.RecordTrace {
-		e.res.Trace = append(e.res.Trace, TraceEvent{
-			Slot: e.clock, Kind: TraceComplete, Ref: ref,
-			Server: winner.server, Demand: winner.demand, Clone: winner.clone,
-		})
+	if e.obs != nil {
+		e.observe(TraceComplete, winner, 0, nil)
 	}
 	js.copies[ref.Phase][ref.Index] = nil
 
@@ -719,7 +705,6 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		clone:   existing > 0,
 	}
 	js.link(c)
-	e.liveCopies++
 	e.running.push(c)
 
 	js.MarkRunning(p.Ref.Phase, p.Ref.Index)
@@ -733,15 +718,12 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 	}
 	if js.FirstStart < 0 {
 		js.FirstStart = e.clock
-		if e.cfg.OnJobStart != nil {
-			e.cfg.OnJobStart(js.Job.ID, e.clock)
+		if e.obs != nil {
+			e.observe(TraceJobStart, nil, js.Job.ID, nil)
 		}
 	}
-	if e.cfg.RecordTrace {
-		e.res.Trace = append(e.res.Trace, TraceEvent{
-			Slot: e.clock, Kind: TracePlace, Ref: p.Ref,
-			Server: p.Server, Demand: ph.Demand, Clone: c.clone,
-		})
+	if e.obs != nil {
+		e.observe(TracePlace, c, 0, nil)
 	}
 	return nil
 }
@@ -825,7 +807,6 @@ func (e *Engine) checkInvariants() error {
 	}
 	perServer := make(map[cluster.ServerID]resources.Vector)
 	var cloneUse resources.Vector
-	live := 0
 	for _, js := range e.active {
 		lj := e.states[js.Job.ID]
 		var held resources.Vector // zero for a job that holds no copy
@@ -847,15 +828,11 @@ func (e *Engine) checkInvariants() error {
 					return fmt.Errorf("sim: live-copy count drift for %v: state says %d, table holds %d",
 						workload.TaskRef{Job: js.Job.ID, Phase: workload.PhaseID(k), Index: l}, got, n)
 				}
-				live += n
 			}
 		}
 		if lj.alloc != held {
 			return fmt.Errorf("sim: allocation drift for job %d: tracked %v, actual %v", js.Job.ID, lj.alloc, held)
 		}
-	}
-	if live != e.liveCopies {
-		return fmt.Errorf("sim: live-copy total drift: tracked %d, actual %d", e.liveCopies, live)
 	}
 	for _, s := range e.cfg.Cluster.Servers() {
 		if got, want := s.Used(), perServer[s.ID]; got != want {

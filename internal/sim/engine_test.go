@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -377,14 +378,16 @@ func TestPhaseStatsFallbackAndObservation(t *testing.T) {
 	})
 	// Observed stats are released when the job completes (a long-lived
 	// online engine must not retain them per job ever finished), so the
-	// post-observation check runs at the completion hook, while the job
-	// is still live.
+	// post-observation check runs at the job's TraceJobDone, while the
+	// job is still live.
 	var hookMean float64
 	var hookN int
 	cfg := Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: greedy{}, Deterministic: true}
 	var e *Engine
-	cfg.OnJobComplete = func(JobMetrics) {
-		hookMean, _, hookN = e.PhaseStats(1, 0)
+	cfg.Observe = func(o *Observation) {
+		if o.Kind == TraceJobDone {
+			hookMean, _, hookN = e.PhaseStats(1, 0)
+		}
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -520,47 +523,19 @@ func TestMaxSlotsGuard(t *testing.T) {
 	}
 }
 
+// TestTimelineRecording samples the engine at every TraceAdvance: one
+// point per interval between events, in slot order.
 func TestTimelineRecording(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
 	jobs := []*workload.Job{singleTaskJob(1, 0, 4), singleTaskJob(2, 0, 4)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{},
-		Deterministic: true, RecordTimeline: true})
-	if err != nil {
-		t.Fatal(err)
+	_, tl := runTimeline(t, Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true})
+	// [0, 4) holds two active jobs, one running copy and the whole CPU;
+	// [4, 8) the second job alone.
+	want := []timelinePoint{
+		{Slot: 0, ActiveJobs: 2, RunningCopies: 1, UtilizationCPU: 1, UtilizationMem: 1},
+		{Slot: 4, ActiveJobs: 1, RunningCopies: 1, UtilizationCPU: 1, UtilizationMem: 1},
 	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline recorded")
-	}
-	// The first interval [0, 4) has one running copy, full CPU
-	// utilization, and two active jobs.
-	first := res.Timeline[0]
-	if first.Slot != 0 || first.ActiveJobs != 2 || first.RunningCopies != 1 {
-		t.Fatalf("first point: %+v", first)
-	}
-	if first.UtilizationCPU != 1 {
-		t.Fatalf("utilization: %+v", first)
-	}
-	// Slots are strictly increasing.
-	for i := 1; i < len(res.Timeline); i++ {
-		if res.Timeline[i].Slot <= res.Timeline[i-1].Slot {
-			t.Fatalf("timeline not monotone: %+v", res.Timeline)
-		}
-	}
-	// Without the flag nothing is recorded.
-	e2, err := New(Config{Cluster: cluster.Uniform(1, resources.Cores(1, 1)),
-		Jobs: jobs, Scheduler: greedy{}, Deterministic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Timeline) != 0 {
-		t.Fatal("timeline recorded without flag")
+	if !reflect.DeepEqual(tl, want) {
+		t.Fatalf("timeline %+v, want %+v", tl, want)
 	}
 }

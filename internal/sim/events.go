@@ -140,13 +140,9 @@ func (e *Engine) loseCopy(lj *liveJob, c *taskCopy) error {
 		e.cloneUse = e.cloneUse.Sub(c.demand)
 	}
 	lj.alloc = lj.alloc.Sub(c.demand)
-	e.liveCopies--
 	e.res.CopiesLostToFailures++
-	if e.cfg.RecordTrace {
-		e.res.Trace = append(e.res.Trace, TraceEvent{
-			Slot: e.clock, Kind: TraceLost, Ref: c.ref,
-			Server: c.server, Demand: c.demand, Clone: c.clone,
-		})
+	if e.obs != nil {
+		e.observe(TraceLost, c, 0, nil)
 	}
 	lj.DropCopy(c.ref.Phase, c.ref.Index)
 	return nil

@@ -67,7 +67,7 @@ func TestRunningTimeLowerBoundProperty(t *testing.T) {
 }
 
 // The utilization integral reported by AvgUtilization must agree with
-// the recorded timeline's step integral.
+// the step integral of a timeline sampled at every TraceAdvance.
 func TestUtilizationMatchesTimeline(t *testing.T) {
 	c := cluster.Uniform(2, resources.Cores(2, 4))
 	jobs := []*workload.Job{
@@ -75,18 +75,9 @@ func TestUtilizationMatchesTimeline(t *testing.T) {
 		singleTaskJob(2, 3, 6),
 		singleTaskJob(3, 5, 2),
 	}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{},
-		Deterministic: true, RecordTimeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tl := runTimeline(t, Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true})
 	// Step-integrate the timeline over [0, makespan].
 	var cpuInt, memInt float64
-	tl := res.Timeline
 	for i, p := range tl {
 		end := res.Makespan
 		if i+1 < len(tl) {

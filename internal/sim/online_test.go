@@ -294,26 +294,28 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
-// TestOnlineHooks verifies OnJobStart/OnJobComplete fire exactly once
-// per job with coherent slots.
+// TestOnlineHooks verifies an online engine reports TraceJobStart and
+// TraceJobDone exactly once per job with coherent slots.
 func TestOnlineHooks(t *testing.T) {
 	starts := map[workload.JobID]int64{}
 	completes := map[workload.JobID]JobMetrics{}
 	cfg := Config{
 		Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: greedy{},
 		Seed: 1, Deterministic: true, Online: true,
-		OnJobStart: func(id workload.JobID, slot int64) {
-			if _, dup := starts[id]; dup {
-				t.Errorf("OnJobStart fired twice for job %d", id)
+		Observe: func(o *Observation) {
+			switch o.Kind {
+			case TraceJobStart:
+				if _, dup := starts[o.Ref.Job]; dup {
+					t.Errorf("job %d started twice", o.Ref.Job)
+				}
+				starts[o.Ref.Job] = o.Slot
+			case TraceJobDone:
+				if _, dup := completes[o.Ref.Job]; dup {
+					t.Errorf("job %d finished twice", o.Ref.Job)
+				}
+				completes[o.Ref.Job] = *o.Job
 			}
-			starts[id] = slot
 		},
-	}
-	cfg.OnJobComplete = func(m JobMetrics) {
-		if _, dup := completes[m.ID]; dup {
-			t.Errorf("OnJobComplete fired twice for job %d", m.ID)
-		}
-		completes[m.ID] = m
 	}
 	e, err := New(cfg)
 	if err != nil {

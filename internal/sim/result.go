@@ -81,29 +81,16 @@ type Result struct {
 	// CopiesLostToFailures counts copies killed by injected server
 	// failures.
 	CopiesLostToFailures int
-	// Trace is the event log (only with Config.RecordTrace).
+	// Trace is the event log of the four copy kinds (only with
+	// Config.RecordTrace).
 	Trace []TraceEvent
-	// Timeline samples cluster state at clock advances (only with
-	// Config.RecordTimeline).
-	Timeline []TimelinePoint
 }
 
-// TimelinePoint is one sampled cluster state: the state that held from
-// Slot until the next point's Slot.
-type TimelinePoint struct {
-	Slot          int64
-	ActiveJobs    int
-	RunningCopies int
-	// UtilizationCPU and UtilizationMem are fractions of total
-	// capacity in use.
-	UtilizationCPU float64
-	UtilizationMem float64
-}
-
-// TraceKind labels a trace event.
+// TraceKind labels an event the engine reports.
 type TraceKind int
 
-// Trace event kinds.
+// Event kinds. The first four are the copy kinds Result.Trace records; the
+// rest reach only Config.Observe.
 const (
 	// TracePlace is a copy launch.
 	TracePlace TraceKind = iota
@@ -113,9 +100,22 @@ const (
 	TraceKill
 	// TraceLost is a copy killed by a server failure.
 	TraceLost
+	// TraceArrive is a job joining the active set (job in Ref.Job).
+	TraceArrive
+	// TraceJobStart is a job's first copy being placed, reported just
+	// before that copy's TracePlace.
+	TraceJobStart
+	// TraceJobDone is a job finishing, after its last TraceComplete;
+	// Observation.Job holds its metrics, flowtime stamped.
+	TraceJobDone
+	// TraceAdvance is the clock leaving Slot for a later slot. The engine
+	// still holds the state of [Slot, next), so what the observer reads
+	// then (Jobs, the copies, Cluster().TotalUsed()) is that interval's.
+	TraceAdvance
 )
 
-// TraceEvent is one recorded scheduling event.
+// TraceEvent is one reported event. Server, Demand and Clone describe the
+// copy of a copy kind and are zero for the others.
 type TraceEvent struct {
 	Slot   int64
 	Kind   TraceKind
@@ -124,6 +124,36 @@ type TraceEvent struct {
 	Demand resources.Vector
 	// Clone marks copies beyond a task's first.
 	Clone bool
+}
+
+// Observation is what Config.Observe receives: one event, and for
+// TraceJobDone the finished job's metrics (nil otherwise). The engine
+// reuses one Observation, so it is valid only during the call.
+type Observation struct {
+	TraceEvent
+	Job *JobMetrics
+}
+
+// observe hands the observer one event about copy c (whose ref, server,
+// demand and clone flag it reports) or, with c nil, about job id. Callers
+// check e.obs first, so a run without an observer pays one branch a site.
+func (e *Engine) observe(kind TraceKind, c *taskCopy, id workload.JobID, m *JobMetrics) {
+	e.event = Observation{TraceEvent: TraceEvent{Slot: e.clock, Kind: kind, Ref: workload.TaskRef{Job: id}}, Job: m}
+	if c != nil {
+		e.event.Ref, e.event.Server, e.event.Demand, e.event.Clone = c.ref, c.server, c.demand, c.clone
+	}
+	e.obs(&e.event)
+}
+
+// record is Config.RecordTrace's observer: it appends the copy kinds to
+// Result.Trace, then hands every event on to Config.Observe, if set.
+func (e *Engine) record(o *Observation) {
+	if o.Kind <= TraceLost {
+		e.res.Trace = append(e.res.Trace, o.TraceEvent)
+	}
+	if e.cfg.Observe != nil {
+		e.cfg.Observe(o)
+	}
 }
 
 func (e *Engine) recordJob(js *workload.JobState) {
@@ -150,8 +180,10 @@ func (e *Engine) recordJob(js *workload.JobState) {
 	if js.Finish > e.res.Makespan {
 		e.res.Makespan = js.Finish
 	}
-	if e.cfg.OnJobComplete != nil {
-		e.cfg.OnJobComplete(m)
+	if e.obs != nil {
+		// A copy in the engine, so m itself never escapes.
+		e.doneJob = m
+		e.observe(TraceJobDone, nil, m.ID, &e.doneJob)
 	}
 }
 

@@ -64,14 +64,6 @@ func (p Pareto) Sample(r *RNG) float64 {
 	return p.Xm / math.Pow(u, 1/p.Alpha)
 }
 
-// Quantile returns the q-quantile (0 ≤ q < 1).
-func (p Pareto) Quantile(q float64) float64 {
-	if q < 0 || q >= 1 {
-		panic("stats: quantile out of range")
-	}
-	return p.Xm / math.Pow(1-q, 1/p.Alpha)
-}
-
 // Speedup implements Eq. (3): the expected speedup from running r
 // simultaneous copies of a Pareto(α)-distributed task,
 //

@@ -75,18 +75,6 @@ func TestParetoSampleMoments(t *testing.T) {
 	}
 }
 
-// TestQuantileInverse: the tail mass of Eq. (2) beyond the q-quantile
-// is 1−q.
-func TestQuantileInverse(t *testing.T) {
-	p := Pareto{Alpha: 2.5, Xm: 4}
-	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99} {
-		x := p.Quantile(q)
-		if got := math.Pow(p.Xm/x, p.Alpha); math.Abs(got-(1-q)) > 1e-9 {
-			t.Errorf("Pr{Θ > Quantile(%v)} = %v, want %v", q, got, 1-q)
-		}
-	}
-}
-
 func TestSpeedupEq3(t *testing.T) {
 	// Eq. 3 with α = 2: h(r) = (2 − 1/r)/1 = 2 − 1/r.
 	p := Pareto{Alpha: 2, Xm: 1}
@@ -144,18 +132,4 @@ func TestSpeedupPanicsOnBadR(t *testing.T) {
 		}
 	}()
 	ParetoSpeedup(2, 0)
-}
-
-func TestQuantilePanicsOutOfRange(t *testing.T) {
-	p := Pareto{Alpha: 2, Xm: 1}
-	for _, q := range []float64{-0.1, 1.0, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Quantile(%v) should panic", q)
-				}
-			}()
-			p.Quantile(q)
-		}()
-	}
 }

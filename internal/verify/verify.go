@@ -157,18 +157,3 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 	}
 	return nil
 }
-
-// JobCompletions extracts per-job completion slots from a trace (Eq. 8:
-// a job finishes when its last phase's last task completes).
-func JobCompletions(trace []sim.TraceEvent) map[workload.JobID]int64 {
-	out := make(map[workload.JobID]int64)
-	for _, ev := range trace {
-		if ev.Kind != sim.TraceComplete {
-			continue
-		}
-		if ev.Slot > out[ev.Ref.Job] {
-			out[ev.Ref.Job] = ev.Slot
-		}
-	}
-	return out
-}

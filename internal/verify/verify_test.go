@@ -17,8 +17,14 @@ import (
 func TestCertifyDollyMPRun(t *testing.T) {
 	jobs := trace.MixedDeployment(16, trace.Arrival{Kind: trace.FixedInterval, MeanGap: 6}, 3)
 	fleet := cluster.Testbed30()
+	done := make(map[workload.JobID]int64)
 	e, err := sim.New(sim.Config{
 		Cluster: fleet, Jobs: jobs, Scheduler: core.MustNew(), Seed: 7, RecordTrace: true,
+		Observe: func(o *sim.Observation) {
+			if o.Kind == sim.TraceJobDone {
+				done[o.Ref.Job] = o.Slot
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +39,17 @@ func TestCertifyDollyMPRun(t *testing.T) {
 	if err := Check(res.Trace, cluster.Testbed30(), jobs); err != nil {
 		t.Fatalf("certification failed: %v", err)
 	}
-	// Completion extraction matches the reported metrics.
-	comps := JobCompletions(res.Trace)
+	// Eq. (8): a job finishes in the slot of its last task's completion.
+	// The trace, the job's TraceJobDone and its metrics must agree.
+	last := make(map[workload.JobID]int64)
+	for _, ev := range res.Trace {
+		if ev.Kind == sim.TraceComplete && ev.Slot > last[ev.Ref.Job] {
+			last[ev.Ref.Job] = ev.Slot
+		}
+	}
 	for _, jm := range res.Jobs {
-		if comps[jm.ID] != jm.Finish {
-			t.Fatalf("job %d: trace completion %d vs metric %d", jm.ID, comps[jm.ID], jm.Finish)
+		if last[jm.ID] != jm.Finish || done[jm.ID] != jm.Finish {
+			t.Fatalf("job %d: trace completion %d, TraceJobDone at %d, metric %d", jm.ID, last[jm.ID], done[jm.ID], jm.Finish)
 		}
 	}
 }
