@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,7 +176,7 @@ func knapsackClasses(jobs []JobInfo) []int32 {
 		budget := math.Ldexp(1, l)
 		var items []knapsack.Item
 		for i, j := range jobs {
-			if j.Time <= budget {
+			if j.Time <= budget && !math.IsNaN(j.Volume) { // a NaN weight is never packed, and no order holds it
 				items = append(items, knapsack.Item{ID: i, Weight: j.Volume})
 			}
 		}
@@ -196,9 +198,13 @@ func knapsackClasses(jobs []JobInfo) []int32 {
 // against the per-class knapsack formulation over random instances built
 // from the cases its shortcuts could get wrong: tied volumes (the sort's
 // index tie-break), tied times and times exactly on powers of two (the
-// per-class entry counts), times ≤ 0 and beyond the last class, negative
-// volumes, and duplicate IDs, of which the first decides in the exported
-// map.
+// per-class entry counts), times ≤ 0 and beyond the last class, negative,
+// signed-zero, NaN and infinite volumes, and duplicate IDs, of which the
+// first decides in the exported map. Every fourth instance holds 200–499
+// jobs, so the weight order comes from the radix sort as often as from
+// the comparison sort (radixMin is 256), and the order itself must equal
+// a comparison sort's on (Volume, index) under cmp.Compare. A warm call
+// allocates nothing.
 func TestClassesMatchPriorities(t *testing.T) {
 	for l := 1; l <= classCap; l++ {
 		p := math.Ldexp(1, l)
@@ -224,7 +230,10 @@ func TestClassesMatchPriorities(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := stats.NewRNG(seed)
 		n := 1 + rng.Intn(60)
-		volumes := []float64{0, 0.25, 0.5, 0.5, 1, 1.5, 3, 7, 40, -1}
+		if seed%4 == 0 {
+			n = 200 + rng.Intn(300)
+		}
+		volumes := []float64{0, 0.25, 0.5, 0.5, 1, 1.5, 3, 7, 40, -1, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
 		jobs := make([]JobInfo, n)
 		for i := range jobs {
 			j := JobInfo{ID: workload.JobID(rng.Intn(n)), Dominant: rng.Range(0, 0.6)} // IDs repeat
@@ -253,6 +262,17 @@ func TestClassesMatchPriorities(t *testing.T) {
 		if len(got) != n {
 			t.Fatalf("seed %d: %d classes for %d jobs", seed, len(got), n)
 		}
+		order := make([]weightKey, n)
+		for i, j := range jobs {
+			order[i] = weightKey{j.Volume, int32(i)}
+		}
+		slices.SortStableFunc(order, func(a, b weightKey) int { return cmp.Compare(a.volume, b.volume) })
+		for i, w := range buf.byWeight {
+			if w.index != order[i].index {
+				t.Fatalf("seed %d (n %d): weight order %d is job %d (volume %v), want job %d (volume %v)",
+					seed, n, i, w.index, w.volume, order[i].index, order[i].volume)
+			}
+		}
 		for i := range jobs {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: job %d %+v classified %d, the knapsack formulation says %d\njobs %+v\ngot  %v\nwant %v",
@@ -272,6 +292,20 @@ func TestClassesMatchPriorities(t *testing.T) {
 		}
 		if len(byID) != len(first) {
 			t.Fatalf("seed %d: %d IDs in the map, %d distinct", seed, len(byID), len(first))
+		}
+	}
+
+	// Once its buffers have grown, a call allocates nothing on either
+	// side of radixMin.
+	for _, n := range []int{radixMin - 1, 4 * radixMin} {
+		rng := stats.NewRNG(uint64(n))
+		jobs := make([]JobInfo, n)
+		for i := range jobs {
+			jobs[i] = JobInfo{ID: workload.JobID(i), Volume: rng.Range(0, 6), Time: rng.Range(0.1, 300), Dominant: rng.Range(0, 0.6)}
+		}
+		prioritiesInto(jobs, &buf)
+		if allocs := testing.AllocsPerRun(20, func() { prioritiesInto(jobs, &buf) }); allocs != 0 {
+			t.Errorf("%d jobs: %v allocations per warm prioritiesInto, want 0", n, allocs)
 		}
 	}
 }

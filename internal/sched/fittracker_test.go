@@ -48,16 +48,24 @@ func (m *scanFit) bestFit(demand resources.Vector) (int, bool) {
 }
 
 // propertyFleet builds an n-server fleet: identical servers when uniform
-// (every free vector ties until something is placed), three capacity
-// classes otherwise; IDs dense, or strictly increasing with random gaps.
-func propertyFleet(t *testing.T, rng *rand.Rand, n int, uniform, sparse bool) *cluster.Cluster {
+// (every free vector ties until something is placed), LargeFleet's
+// capacity classes by position when interleaved (a 32-core server every
+// tenth, three 16-core ones, six 8-core ones), four random classes
+// otherwise; IDs dense, or strictly increasing with random gaps.
+func propertyFleet(t *testing.T, rng *rand.Rand, n int, uniform, interleaved, sparse bool) *cluster.Cluster {
 	t.Helper()
 	specs := make([]cluster.Spec, n)
 	ids := make([]cluster.ServerID, n)
 	next := cluster.ServerID(0)
 	for i := range specs {
 		capacity := resources.Cores(8, 16)
-		if !uniform {
+		switch {
+		case interleaved && i%10 == 0:
+			capacity = resources.Cores(32, 64)
+		case interleaved && i%10 < 4:
+			capacity = resources.Cores(16, 32)
+		case interleaved || uniform:
+		default:
 			capacity = []resources.Vector{
 				resources.Cores(8, 16), resources.Cores(16, 32), resources.Cores(32, 64), resources.Cores(32, 16),
 			}[rng.Intn(4)]
@@ -84,6 +92,15 @@ func propertyFleet(t *testing.T, rng *rand.Rand, n int, uniform, sparse bool) *c
 // moves: allocations, releases, and failed servers, which show up as
 // zero-free leaves.
 //
+// Menu demands include a zero one and cpu-only and memory-only ones,
+// whose zero weight drops a term of the fit index's bound, and extreme
+// skews. Interleaved fleets repeat LargeFleet's capacity pattern, where a
+// node's maximum takes CPU from one server and memory from another, and
+// near-tie shapes first take a random (0|1 milli-core, 0|1 MiB) from
+// every server, so free vectors of one class sit one unit apart and
+// scores differ in their last bits, where a rounded bound could skip a
+// leaf it must visit.
+//
 // The packed shapes are the regime the miss frontier serves: the ledger
 // is filled to the brim except for a sliver on two servers, queries
 // come from a menu of sliver-sized demands holding a chain, so that a
@@ -97,6 +114,7 @@ func TestFitTrackerMatchesScan(t *testing.T) {
 		resources.Cores(1, 1), resources.Cores(1, 2), resources.Cores(2, 4), resources.Cores(4, 4),
 		resources.Cores(8, 16), resources.Cores(16, 8), resources.Cores(32, 64), resources.Cores(64, 64),
 		resources.Vec(500, 12*1024), resources.Vec(7000, 512),
+		{}, resources.Vec(500, 0), resources.Vec(0, 1024), resources.Vec(31_000, 1), resources.Vec(1, 60_000),
 	}
 	packedMenu := []resources.Vector{
 		resources.Vec(250, 256), resources.Vec(500, 512), resources.Vec(1000, 1024), resources.Vec(2000, 4096),
@@ -106,24 +124,42 @@ func TestFitTrackerMatchesScan(t *testing.T) {
 	slivers := []resources.Vector{
 		resources.Vec(300, 300), resources.Vec(200, 4096), resources.Vec(4000, 128), resources.Vec(600, 600), resources.Vec(1100, 1100),
 	}
-	sizes := []int{1, 2, 3, 5, 31, 32, 33, 200, 1000, 4096}
+	sizes := []int{1, 2, 3, 5, 31, 32, 33, 200, 1000, 2000, 4096}
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, n := range sizes {
-			for _, shape := range []struct{ uniform, sparse, packed bool }{
-				{false, false, false}, {true, false, false}, {false, true, false}, {true, true, false},
-				{false, false, true}, {true, true, true},
+			for _, shape := range []struct{ uniform, interleaved, sparse, nearTie, packed bool }{
+				{false, false, false, false, false}, {true, false, false, false, false},
+				{false, false, true, false, false}, {true, false, true, false, false},
+				{false, true, false, false, false}, {false, true, true, true, false}, {true, false, false, true, false},
+				{false, false, false, false, true}, {true, false, true, false, true},
 			} {
 				seed, n, shape, menu := seed, n, shape, menu
 				name := fmt.Sprintf("seed=%d/n=%d/uniform=%v/sparse=%v", seed, n, shape.uniform, shape.sparse)
+				if shape.interleaved {
+					name += "/interleaved"
+				}
+				if shape.nearTie {
+					name += "/near-tie"
+				}
 				if shape.packed {
 					name += "/packed"
 				}
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					rng := rand.New(rand.NewSource(seed*7919 + int64(n)))
-					c := propertyFleet(t, rng, n, shape.uniform, shape.sparse)
+					c := propertyFleet(t, rng, n, shape.uniform, shape.interleaved, shape.sparse)
 					servers := c.Servers()
 					held := make(map[cluster.ServerID][]resources.Vector)
+					if shape.nearTie {
+						for _, s := range servers {
+							if d := resources.Vec(rng.Int63n(2), rng.Int63n(2)); !d.IsZero() {
+								if err := c.Allocate(s.ID, d); err != nil {
+									t.Fatal(err)
+								}
+								held[s.ID] = append(held[s.ID], d)
+							}
+						}
+					}
 					// r ≥ resetAt moves the ledger and re-snapshots.
 					resetAt := 85
 					// pack allocates every live server's free capacity but
@@ -359,7 +395,7 @@ func TestFitTrackerNegativePlaceDropsFrontier(t *testing.T) {
 func TestFitTrackerSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, sparse := range []bool{false, true} {
-		c := propertyFleet(t, rng, 300, false, sparse)
+		c := propertyFleet(t, rng, 300, false, false, sparse)
 		ft := NewFitTracker(c)
 		d := resources.Cores(2, 4)
 		allocs := testing.AllocsPerRun(50, func() {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dollymp/internal/cluster"
@@ -59,8 +60,9 @@ func FirstReadyPendingTask(js *workload.JobState) (PendingTask, bool) {
 // tree[size+i] is the free vector of the server at fleet position i,
 // and tree[n] for n < size is the component-wise maximum of tree[2n]
 // and tree[2n+1] — an upper bound on every free vector beneath it.
-// BestFit searches the tree branch-and-bound instead of scanning the
-// fleet.
+// Beside it, sums[n] is the largest normalised sum cpu/T_cpu + mem/T_mem
+// of a leaf beneath n, T being the cluster total. BestFit searches the
+// tree branch-and-bound instead of scanning the fleet.
 //
 // Between two Resets no free vector ever grows: Place only subtracts,
 // and validated demands are non-negative. The miss frontier depends on
@@ -74,13 +76,21 @@ func FirstReadyPendingTask(js *workload.JobState) (PendingTask, bool) {
 type FitTracker struct {
 	servers []*cluster.Server
 	norm    resources.Norm
-	tree    []resources.Vector
+	// cpuScale and memScale are 1/T_cpu and 1/T_mem.
+	cpuScale, memScale float64
+	tree               []resources.Vector
+	// sums are floats: the bound's slack covers their rounding, and
+	// unlike the integer cpu·T_mem + mem·T_cpu they cannot overflow,
+	// not even for a leaf a negative Place has grown.
+	sums []float64
 	// size is the leaf offset: the smallest power of two ≥ len(servers).
-	// Leaves past the fleet hold (-1, -1), which no demand fits.
+	// Leaves past the fleet hold (-1, -1), which no demand fits, and a
+	// sum of -Inf.
 	size int
-	// built reports whether the internal nodes reflect the leaves. Reset
-	// clears it and the first BestFit rebuilds, so a Schedule call that
-	// never asks for a best fit pays only the leaf snapshot.
+	// built reports whether the internal nodes and the leaf sums reflect
+	// the leaves. Reset clears it and the first BestFit rebuilds, so a
+	// Schedule call that never asks for a best fit pays only the leaf
+	// snapshot.
 	built bool
 	// misses is the miss frontier: the Pareto-minimal demands BestFit
 	// has failed to fit since the last Reset. A packed fleet's queued
@@ -89,7 +99,31 @@ type FitTracker struct {
 	// index maps server ID to fleet position when IDs are sparse;
 	// nil while IDs are dense (position == ID).
 	index map[cluster.ServerID]int
+	stats FitStats
 }
+
+// FitStats counts a tracker's BestFit work since it was created; Reset
+// keeps the counts. Every call is answered by exactly one of the miss
+// frontier, a root miss or a search, and a search ends in a hit or a
+// miss.
+type FitStats struct {
+	// Calls counts BestFit calls.
+	Calls uint64
+	// Frontier counts the misses the miss frontier answered.
+	Frontier uint64
+	// RootMisses counts the misses whose demand does not fit the root.
+	RootMisses uint64
+	// Searches counts the calls that descended the tree.
+	Searches uint64
+	// Hits counts the calls that found a server.
+	Hits uint64
+	// Nodes counts the tree nodes the searches entered, root and leaves
+	// included.
+	Nodes uint64
+}
+
+// Stats returns the work counts.
+func (f *FitTracker) Stats() FitStats { return f.stats }
 
 // NewFitTracker creates a tracker over the cluster's current free state.
 func NewFitTracker(c *cluster.Cluster) *FitTracker {
@@ -108,7 +142,9 @@ func (f *FitTracker) Reset(c *cluster.Cluster) {
 	if len(servers) != len(f.servers) || &servers[0] != &f.servers[0] {
 		f.bind(servers)
 	}
-	f.norm = resources.NormOf(c.Total())
+	total := c.Total()
+	f.norm = resources.NormOf(total)
+	f.cpuScale, f.memScale = 1/float64(total.CPUMilli), 1/float64(total.MemMiB)
 	for i, s := range servers {
 		f.tree[f.size+i] = s.Free()
 	}
@@ -126,8 +162,10 @@ func (f *FitTracker) bind(servers []*cluster.Server) {
 		f.size *= 2
 	}
 	f.tree = make([]resources.Vector, 2*f.size)
+	f.sums = make([]float64, 2*f.size)
 	for i := f.size + len(servers); i < len(f.tree); i++ {
 		f.tree[i] = resources.Vec(-1, -1)
+		f.sums[i] = math.Inf(-1)
 	}
 	f.index = nil
 	for i, s := range servers {
@@ -141,6 +179,24 @@ func (f *FitTracker) bind(servers []*cluster.Server) {
 			f.index[s.ID] = i
 		}
 	}
+}
+
+// build brings the leaf sums and the internal nodes in line with the
+// leaves.
+func (f *FitTracker) build() {
+	for n := f.size; n < f.size+len(f.servers); n++ {
+		f.sums[n] = f.sum(f.tree[n])
+	}
+	for n := f.size - 1; n >= 1; n-- {
+		f.tree[n] = f.tree[2*n].Max(f.tree[2*n+1])
+		f.sums[n] = max(f.sums[2*n], f.sums[2*n+1])
+	}
+	f.built = true
+}
+
+// sum returns v's normalised sum cpu/T_cpu + mem/T_mem.
+func (f *FitTracker) sum(v resources.Vector) float64 {
+	return float64(v.CPUMilli)*f.cpuScale + float64(v.MemMiB)*f.memScale
 }
 
 func (f *FitTracker) pos(id cluster.ServerID) int {
@@ -172,7 +228,7 @@ func (f *FitTracker) Fits(id cluster.ServerID, demand resources.Vector) bool {
 // Place tentatively consumes demand on server id. It returns false
 // without consuming if the demand does not fit. Once the tree is built
 // the shrunken leaf is propagated toward the root, stopping at the
-// first ancestor whose maximum another leaf already held.
+// first ancestor whose maximum and sum other leaves already held.
 func (f *FitTracker) Place(id cluster.ServerID, demand resources.Vector) bool {
 	n := f.size + f.pos(id)
 	if !demand.Fits(f.tree[n]) {
@@ -183,53 +239,74 @@ func (f *FitTracker) Place(id cluster.ServerID, demand resources.Vector) bool {
 		f.misses = f.misses[:0] // the leaf may have grown
 	}
 	if f.built {
+		f.sums[n] = f.sum(f.tree[n])
 		for n /= 2; n >= 1; n /= 2 {
-			m := f.tree[2*n].Max(f.tree[2*n+1])
-			if m == f.tree[n] {
+			m, s := f.tree[2*n].Max(f.tree[2*n+1]), max(f.sums[2*n], f.sums[2*n+1])
+			if m == f.tree[n] && s == f.sums[n] {
 				break
 			}
-			f.tree[n] = m
+			f.tree[n], f.sums[n] = m, s
 		}
 	}
 	return true
 }
 
-// fitSearch is the state of one BestFit search: the best leaf found so
-// far (a tree index; 0 while none) and its score (-1 while none, below
-// any real score, as demand·free is never negative).
+// boundSlack is the relative margin bound adds, so that its roundings
+// can never put it below a leaf's exact score: each rounding is a
+// relative error of 2⁻⁵³ on a non-negative term, and there are fewer
+// than twenty between the demand and either value.
+const boundSlack = 1e-9
+
+// fitSearch is the state of one BestFit search: the weights of the
+// bound (see bound), and the best leaf found so far (a tree index; 0
+// while none) with its score (-1 while none, below any real score, as
+// demand·free is never negative).
 type fitSearch struct {
-	demand resources.Vector
-	best   int
-	score  float64
+	demand           resources.Vector
+	wSum, wCPU, wMem float64
+	best             int
+	score            float64
 }
 
 // BestFit returns the fitting server maximizing demand·free, or false.
 // Ties break toward the lower server ID (fleet order).
 //
-// The answer is exact. Dot is monotone in its second argument for a
-// non-negative demand (IEEE multiplication, division by a positive
-// constant and addition all preserve ≤), so demand·tree[n] bounds the
-// score of every leaf under n from above, and a demand that does not
-// fit tree[n] fits no leaf under it. The search therefore drops a
-// subtree only when it cannot hold a strictly better (score, position)
-// pair than the one in hand, and a root that does not fit is a miss
-// without touching a leaf. A demand ≥ one on the miss frontier is a
-// miss without touching the tree (see FitTracker).
+// The answer is exact for a non-negative demand. bound(n) is at least
+// the score of every leaf under n, and a demand that does not fit
+// tree[n] fits no leaf under it. The search therefore drops a subtree
+// only when it cannot hold a strictly better (score, position) pair
+// than the one in hand, and a leaf replaces the best only on its exact
+// score, so the bound's slack costs visits, never the answer. A root
+// that does not fit is a miss without touching a leaf. A demand ≥ one
+// on the miss frontier is a miss without touching the tree (see
+// FitTracker).
 func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
+	f.stats.Calls++
 	for _, m := range f.misses {
 		if m.Fits(demand) {
+			f.stats.Frontier++
 			return 0, false
 		}
 	}
 	if !f.built {
-		for n := f.size - 1; n >= 1; n-- {
-			f.tree[n] = f.tree[2*n].Max(f.tree[2*n+1])
-		}
-		f.built = true
+		f.build()
 	}
+	// The demand's normalised weights (α, β) make a leaf's score
+	// α·cpu/T_cpu + β·mem/T_mem. With α ≥ β that is
+	// β·(normalised sum) + (α−β)·cpu/T_cpu, and symmetrically for β > α.
+	const up = 1 + boundSlack
 	s := fitSearch{demand: demand, score: -1}
+	alpha, beta := float64(demand.CPUMilli)*f.cpuScale, float64(demand.MemMiB)*f.memScale
+	if alpha >= beta {
+		s.wSum, s.wCPU = beta*up, (alpha-beta)*f.cpuScale*up
+	} else {
+		s.wSum, s.wMem = alpha*up, (beta-alpha)*f.memScale*up
+	}
 	if ub := f.bound(&s, 1); ub >= 0 {
-		f.search(&s, 1, f.size, ub)
+		f.stats.Searches++
+		f.visit(&s, 1, f.size, ub)
+	} else {
+		f.stats.RootMisses++
 	}
 	if s.best == 0 {
 		// Nothing fits — or the root's maximum took its CPU from one
@@ -239,40 +316,62 @@ func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
 		f.misses = append(slices.DeleteFunc(f.misses, demand.Fits), demand)
 		return 0, false
 	}
+	f.stats.Hits++
 	return f.servers[s.best-f.size].ID, true
 }
 
-// search explores node n, whose subtree spans `span` leaves and whose
-// bound ub the caller found admissible. It descends into the child with
-// the higher bound first — a greedy dive that reaches a strong
-// candidate in log n steps — and re-tests the other child against
-// whatever that dive found.
-func (f *FitTracker) search(s *fitSearch, n, span int, ub float64) {
-	if span == 1 {
-		s.best, s.score = n, ub
-		return
-	}
-	span /= 2
+// search explores internal node n, whose children span `span` leaves
+// each. It descends into the child with the higher bound first — a
+// greedy dive that reaches a strong candidate in log n steps — and
+// re-tests the other child against whatever that dive found.
+func (f *FitTracker) search(s *fitSearch, n, span int) {
+	f.stats.Nodes++
 	l, r := 2*n, 2*n+1
 	lub, rub := f.bound(s, l), f.bound(s, r)
 	if rub > lub {
 		l, r, lub, rub = r, l, rub, lub
 	}
-	if s.admits(l*span, lub) {
-		f.search(s, l, span, lub)
-	}
-	if s.admits(r*span, rub) {
-		f.search(s, r, span, rub)
-	}
+	f.visit(s, l, span, lub)
+	f.visit(s, r, span, rub)
 }
 
-// bound returns demand·tree[n], an upper bound on the score of every
-// leaf under n, or -1 when the demand fits nothing there.
+// visit enters node n, spanning `span` leaves, if its bound ub admits
+// it. A leaf replaces the best in hand only on its exact score. Above
+// the leaves, once there is a best to beat, the node must also admit on
+// demand·tree[n] — the exact score a leaf would have if it held the
+// node's maximum in both components, so an upper bound bit for bit
+// (Dot is monotone in its second argument for a non-negative demand:
+// IEEE multiplication, division by a positive constant and addition all
+// preserve ≤) that, unlike ub, can equal the best score and so prunes
+// the subtrees that could only tie it at a higher position.
+func (f *FitTracker) visit(s *fitSearch, n, span int, ub float64) {
+	if !s.admits(n*span, ub) {
+		return
+	}
+	if span == 1 {
+		f.stats.Nodes++
+		if score := f.norm.Dot(s.demand, f.tree[n]); s.admits(n, score) {
+			s.best, s.score = n, score
+		}
+		return
+	}
+	if s.best != 0 && !s.admits(n*span, f.norm.Dot(s.demand, f.tree[n])) {
+		return
+	}
+	f.search(s, n, span/2)
+}
+
+// bound returns an upper bound on the score of every leaf under n, or
+// -1 when the demand fits nothing there: the demand's weights applied
+// to the largest sum and the largest heavier-weighted component under
+// n, which the leaf holding either need not share with the other, and
+// scaled up by boundSlack.
 func (f *FitTracker) bound(s *fitSearch, n int) float64 {
-	if !s.demand.Fits(f.tree[n]) {
+	v := f.tree[n]
+	if !s.demand.Fits(v) {
 		return -1
 	}
-	return f.norm.Dot(s.demand, f.tree[n])
+	return s.wSum*f.sums[n] + s.wCPU*float64(v.CPUMilli) + s.wMem*float64(v.MemMiB)
 }
 
 // admits reports whether a subtree whose leftmost leaf is `first` and
