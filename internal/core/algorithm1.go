@@ -63,9 +63,7 @@ type prioScratch struct {
 	// (Volume, index) — shared by every class, since the unit-profit
 	// oracle always selects smallest-weight-first. The key is a total
 	// order, so every correct sort produces the same permutation.
-	// spare and digits are sortByWeight's.
-	byWeight, spare []weightKey
-	digits          [8][256]int32
+	byWeight []weightKey
 	// entering[l] counts the jobs whose first candidate class is l.
 	entering [classCap + 2]int32
 }
@@ -119,16 +117,12 @@ func prioritiesInto(jobs []JobInfo, buf *prioScratch) []int32 {
 		buf.byWeight = append(buf.byWeight, weightKey{jobs[i].Volume, int32(i)})
 		buf.entering[firstClass(jobs[i].Time)]++
 	}
-	if n < radixMin {
-		slices.SortFunc(buf.byWeight, func(a, b weightKey) int {
-			if c := cmp.Compare(a.volume, b.volume); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.index, b.index)
-		})
-	} else {
-		buf.sortByWeight()
-	}
+	slices.SortFunc(buf.byWeight, func(a, b weightKey) int {
+		if c := cmp.Compare(a.volume, b.volume); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.index, b.index)
+	})
 
 	unassigned := n
 	candidates := 0 // unassigned jobs with Time ≤ the current budget
@@ -160,69 +154,6 @@ func prioritiesInto(jobs []JobInfo, buf *prioScratch) []int32 {
 		}
 	}
 	return classes
-}
-
-// radixMin is the job count from which prioritiesInto orders byWeight
-// with sortByWeight instead of a comparison sort. Its fixed cost (eight
-// digit histograms to clear and a prefix sum per pass) outweighs the
-// log n it saves on the two dozen active jobs of a stream replay into 32
-// servers, not on the thousands a 2000-server fleet at light load, or a
-// queue of 15 000, holds.
-const radixMin = 256
-
-// volumeKey maps a volume to a key whose unsigned order is cmp.Compare's
-// order on float64: NaN first (every NaN one key), then -Inf up to +Inf,
-// with -0 and +0 one key.
-func volumeKey(v float64) uint64 {
-	if v != v {
-		return 0
-	}
-	if v == 0 {
-		return 1 << 63 // +0's key, for -0 too
-	}
-	b := math.Float64bits(v)
-	if b>>63 != 0 {
-		return ^b // negative: larger magnitude, smaller key
-	}
-	return b | 1<<63
-}
-
-// sortByWeight sorts byWeight, built in index order, by volumeKey with a
-// least-significant-digit radix sort, one pass per byte of the key. Each
-// pass is stable, so equal keys keep index order and the result is the
-// (Volume, index) order the comparison sort produces. A pass whose byte
-// is the same in every key would not move anything and is skipped.
-func (buf *prioScratch) sortByWeight() {
-	src := buf.byWeight
-	dst := slices.Grow(buf.spare[:0], len(src))[:len(src)]
-	digits := &buf.digits
-	clear(digits[:])
-	for _, w := range src {
-		k := volumeKey(w.volume)
-		for d := range digits {
-			digits[d][byte(k>>(8*d))]++
-		}
-	}
-	first := volumeKey(src[0].volume)
-	for d := range digits {
-		count := &digits[d]
-		shift := 8 * d
-		if count[byte(first>>shift)] == int32(len(src)) {
-			continue
-		}
-		at := int32(0)
-		for i, c := range count {
-			count[i] = at
-			at += c
-		}
-		for _, w := range src {
-			b := byte(volumeKey(w.volume) >> shift)
-			dst[count[b]] = w
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	buf.byWeight, buf.spare = src, dst
 }
 
 // classCap bounds the number of geometric classes: 2^64 slots of

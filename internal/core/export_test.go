@@ -15,5 +15,5 @@ func FitStatsOf(s *Scheduler) sched.FitStats {
 	if s.scratch.ft == nil {
 		return sched.FitStats{}
 	}
-	return s.scratch.ft.Stats()
+	return sched.FitStatsOf(s.scratch.ft)
 }

@@ -3,95 +3,36 @@
 package core_test
 
 import (
-	"io"
-	"path/filepath"
 	"testing"
 
-	"dollymp/internal/cluster"
 	"dollymp/internal/core"
 	"dollymp/internal/sched"
 	"dollymp/internal/sim"
-	"dollymp/internal/trace"
-	"dollymp/internal/workload"
+	"dollymp/internal/sim/simtest"
 )
 
-// TestFitTrackerWorkCounts drains each of sim's BenchmarkEngineDrain rows
-// once — Google-like jobs (seed 42) under DollyMP² on a LargeFleet,
-// engine and fleet seed 1, paced, queued at slot 0 or streamed from an
-// on-disk trace — and pins the fit index's work counts: BestFit calls,
-// how each was answered, and the tree nodes the searches entered. The
-// counts are exact, a pure function of the seed, so a change to the
-// bound or the search order shows here as a number on any host, and a
-// change that moves a placement fails the row's schedule first. With
-// the component-wise maximum as the only bound, paced-2k's searches
-// entered 42 158 292 nodes, 108.1 per hit; the directional bound made
-// it 35.8.
+// TestFitTrackerWorkCounts drains each simtest row once and pins the fit
+// index's work counts: BestFit calls, how each was answered, and the tree
+// nodes the searches entered. The counts are exact, a pure function of
+// the seed, so a change to the bound or the search order shows here as a
+// number on any host, and a change that moves a placement fails the
+// row's schedule first. With the component-wise maximum as the only
+// bound, paced-2k's searches entered 42 158 292 nodes, 108.1 per hit.
 // Without the race detector: the four drains take about 5 s, under it
 // minutes.
 func TestFitTrackerWorkCounts(t *testing.T) {
-	rows := []struct {
-		name string
-		jobs int
-		// perSlot paces arrivals (job i at slot i/perSlot); 0 queues
-		// every job at slot 0. replay streams the generator's own
-		// arrivals from a trace file instead.
-		perSlot, servers   int
-		replay             bool
-		flowtime, makespan int64
-		calls              int
-		want               sched.FitStats
-	}{
-		{name: "cloning-300", jobs: 6000, perSlot: 20, servers: 300, flowtime: 136_571, makespan: 347, calls: 716,
-			want: sched.FitStats{Calls: 42_188, Frontier: 2_291, RootMisses: 10, Searches: 39_887, Hits: 39_807, Nodes: 615_345}},
-		{name: "paced-2k", jobs: 60_000, perSlot: 130, servers: 2000, flowtime: 1_359_555, makespan: 511, calls: 1048,
-			want: sched.FitStats{Calls: 389_885, Searches: 389_885, Hits: 389_885, Nodes: 13_977_151}},
-		{name: "backlog-200", jobs: 15_000, servers: 200, flowtime: 2_507_548, makespan: 572, calls: 1136,
-			want: sched.FitStats{Calls: 570_295, Frontier: 556_351, RootMisses: 112, Searches: 13_832, Hits: 5_698, Nodes: 292_227}},
-		{name: "replay-32", jobs: 100_000, servers: 32, replay: true, flowtime: 1_648_294, makespan: 135_222, calls: 363_252,
-			want: sched.FitStats{Calls: 1_650_511, Frontier: 98_601, RootMisses: 2_281, Searches: 1_549_629, Hits: 1_549_155, Nodes: 10_083_979}},
+	pins := map[string]sched.FitStats{
+		"cloning-300": {Calls: 42_188, Frontier: 2_291, RootMisses: 10, Searches: 39_887, Hits: 39_807, Nodes: 702_694},
+		"paced-2k":    {Calls: 389_885, Searches: 389_885, Hits: 389_885, Nodes: 19_624_403},
+		"backlog-200": {Calls: 570_295, Frontier: 556_351, RootMisses: 112, Searches: 13_832, Hits: 5_698, Nodes: 292_808},
+		"replay-32":   {Calls: 1_650_511, Frontier: 98_601, RootMisses: 2_281, Searches: 1_549_629, Hits: 1_549_155, Nodes: 10_712_457},
 	}
-	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) {
-			gen := trace.DefaultGoogleLike(r.jobs, 1.0, 42)
-			var source func() (*workload.Job, error)
-			if r.replay {
-				path := filepath.Join(t.TempDir(), "replay.trace")
-				w, err := trace.CreateStream(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := gen.Emit(w.Append); err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				s, err := trace.OpenStream(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				source = s.Next
-			} else {
-				jobs := gen.Generate()
-				for i, j := range jobs {
-					j.Arrival = 0
-					if r.perSlot > 0 {
-						j.Arrival = int64(i / r.perSlot)
-					}
-				}
-				source = func() (*workload.Job, error) {
-					if len(jobs) == 0 {
-						return nil, io.EOF
-					}
-					j := jobs[0]
-					jobs = jobs[1:]
-					return j, nil
-				}
-			}
+	for _, r := range simtest.Rows {
+		t.Run(r.Name, func(t *testing.T) {
+			fleet, source := r.Source(t)
 			s := core.MustNew(core.WithClones(2))
 			e, err := sim.New(sim.Config{
-				Cluster: cluster.LargeFleet(r.servers, 1), Scheduler: s,
+				Cluster: fleet, Scheduler: s,
 				Seed: 1, Online: true, CompactJobs: true,
 			})
 			if err != nil {
@@ -101,17 +42,14 @@ func TestFitTrackerWorkCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Completed != r.jobs || res.TotalFlowtime() != r.flowtime || res.Makespan != r.makespan || res.SchedCalls != r.calls {
-				t.Fatalf("completed %d, flowtime %d, makespan %d, %d Schedule calls; the row pins %d, %d, %d, %d",
-					res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls, r.jobs, r.flowtime, r.makespan, r.calls)
-			}
+			r.Check(t, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
 			got := core.FitStatsOf(s)
 			if got.Frontier+got.RootMisses+got.Searches != got.Calls || got.Hits > got.Searches {
 				t.Fatalf("%+v: every call is answered once, and only a search hits", got)
 			}
 			t.Logf("%+v, %.1f nodes per hit", got, float64(got.Nodes)/float64(got.Hits))
-			if got != r.want {
-				t.Fatalf("counted %+v\nwant    %+v", got, r.want)
+			if want := pins[r.Name]; got != want {
+				t.Fatalf("counted %+v\nwant    %+v", got, want)
 			}
 		})
 	}

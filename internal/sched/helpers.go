@@ -122,8 +122,10 @@ type FitStats struct {
 	Nodes uint64
 }
 
-// Stats returns the work counts.
-func (f *FitTracker) Stats() FitStats { return f.stats }
+// FitStatsOf returns a tracker's work counts. It is a function, not a
+// method, so that the facade's FitTracker alias does not carry it: the
+// counts are for this module's tests and profiles, not SDK surface.
+func FitStatsOf(f *FitTracker) FitStats { return f.stats }
 
 // NewFitTracker creates a tracker over the cluster's current free state.
 func NewFitTracker(c *cluster.Cluster) *FitTracker {
@@ -336,14 +338,7 @@ func (f *FitTracker) search(s *fitSearch, n, span int) {
 }
 
 // visit enters node n, spanning `span` leaves, if its bound ub admits
-// it. A leaf replaces the best in hand only on its exact score. Above
-// the leaves, once there is a best to beat, the node must also admit on
-// demand·tree[n] — the exact score a leaf would have if it held the
-// node's maximum in both components, so an upper bound bit for bit
-// (Dot is monotone in its second argument for a non-negative demand:
-// IEEE multiplication, division by a positive constant and addition all
-// preserve ≤) that, unlike ub, can equal the best score and so prunes
-// the subtrees that could only tie it at a higher position.
+// it. A leaf replaces the best in hand only on its exact score.
 func (f *FitTracker) visit(s *fitSearch, n, span int, ub float64) {
 	if !s.admits(n*span, ub) {
 		return
@@ -353,9 +348,6 @@ func (f *FitTracker) visit(s *fitSearch, n, span int, ub float64) {
 		if score := f.norm.Dot(s.demand, f.tree[n]); s.admits(n, score) {
 			s.best, s.score = n, score
 		}
-		return
-	}
-	if s.best != 0 && !s.admits(n*span, f.norm.Dot(s.demand, f.tree[n])) {
 		return
 	}
 	f.search(s, n, span/2)

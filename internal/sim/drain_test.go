@@ -10,6 +10,7 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
 	"dollymp/internal/resources"
+	"dollymp/internal/sim/simtest"
 	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
@@ -91,7 +92,7 @@ func TestDrainReturnsErrorsAsIs(t *testing.T) {
 	}
 
 	// The same ID twice: InjectJob's refusal ends the drain.
-	_, err = online().Drain(sliceSource([]*workload.Job{singleTaskJob(1, 0, 2), singleTaskJob(1, 1, 2)}))
+	_, err = online().Drain(simtest.SliceSource([]*workload.Job{singleTaskJob(1, 0, 2), singleTaskJob(1, 1, 2)}))
 	if err == nil || !strings.Contains(err.Error(), "duplicate job ID 1") {
 		t.Fatalf("duplicate ID: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestDrainRetainsNothingPerJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Drain(sliceSource(trace.DefaultGoogleLike(n, 1.0, 42).Generate()))
+		res, err := e.Drain(simtest.SliceSource(trace.DefaultGoogleLike(n, 1.0, 42).Generate()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,8 @@ package sim
 import (
 	"testing"
 
-	"dollymp/internal/cluster"
 	"dollymp/internal/core"
-	"dollymp/internal/trace"
-	"dollymp/internal/workload"
+	"dollymp/internal/sim/simtest"
 )
 
 // eventCounts is what a counting observer tallies over one drain.
@@ -18,7 +16,7 @@ type eventCounts struct {
 	kill, advance                         int
 }
 
-// TestEngineEventCounts drains each BenchmarkEngineDrain row once with an
+// TestEngineEventCounts drains each simtest row once with an
 // observer that counts every event kind, and pins the counts: the
 // engine's work per row, exact and a pure function of the seed. Each job
 // arrives, starts and finishes once; no server fails, so no copy is
@@ -34,22 +32,9 @@ func TestEngineEventCounts(t *testing.T) {
 		"backlog-200": {place: 96_965, clonePlace: 5_295, complete: 91_670, cloneWin: 1_694, kill: 5_295, advance: 571},
 		"replay-32":   {place: 1_819_634, clonePlace: 1_198_894, complete: 620_740, cloneWin: 353_594, kill: 1_198_894, advance: 133_194},
 	}
-	for _, r := range drainRows {
-		t.Run(r.name, func(t *testing.T) {
-			fleet := cluster.LargeFleet(r.servers, 1)
-			var source func() (*workload.Job, error)
-			if r.replay {
-				s, err := trace.OpenStream(r.writeTrace(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				source = s.Next
-			} else {
-				var jobs []*workload.Job
-				fleet, jobs = r.build()
-				source = sliceSource(jobs)
-			}
+	for _, r := range simtest.Rows {
+		t.Run(r.Name, func(t *testing.T) {
+			fleet, source := r.Source(t)
 			var n eventCounts
 			e, err := New(Config{
 				Cluster: fleet, Scheduler: core.MustNew(core.WithClones(2)),
@@ -88,12 +73,9 @@ func TestEngineEventCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Completed != r.jobs || res.TotalFlowtime() != r.flowtime || res.Makespan != r.makespan || res.SchedCalls != r.calls {
-				t.Fatalf("completed %d, flowtime %d, makespan %d, %d Schedule calls; the row pins %d, %d, %d, %d",
-					res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls, r.jobs, r.flowtime, r.makespan, r.calls)
-			}
-			want := pins[r.name]
-			want.arrive, want.jobStart, want.jobDone = r.jobs, r.jobs, r.jobs
+			r.Check(t, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
+			want := pins[r.Name]
+			want.arrive, want.jobStart, want.jobDone = r.Jobs, r.Jobs, r.Jobs
 			if n != want {
 				t.Fatalf("counted %+v\nwant    %+v", n, want)
 			}

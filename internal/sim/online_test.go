@@ -8,6 +8,7 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
+	"dollymp/internal/sim/simtest"
 	"dollymp/internal/workload"
 )
 
@@ -180,7 +181,7 @@ func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			drained, err := d.Drain(sliceSource(mkJobs()))
+			drained, err := d.Drain(simtest.SliceSource(mkJobs()))
 			if err != nil {
 				t.Fatal(err)
 			}
