@@ -1,7 +1,7 @@
 package sched_test
 
-// Cross-scheduler integration tests: every policy — the four baselines,
-// the two pure priority schedulers, and all DollyMP variants — must drive
+// Cross-scheduler integration tests: every policy — the baselines, the
+// two pure priority schedulers, and all DollyMP variants — must drive
 // identical workloads to completion on the paper's 30-node testbed under
 // paranoid ledger checking, and must exhibit its defining behaviour.
 
@@ -10,8 +10,10 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
+	"dollymp/internal/estimate"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	"dollymp/internal/sched/builtin"
 	"dollymp/internal/sched/capacity"
 	"dollymp/internal/sched/carbyne"
 	"dollymp/internal/sched/drf"
@@ -22,31 +24,35 @@ import (
 	"dollymp/internal/stats"
 	"dollymp/internal/trace"
 	"dollymp/internal/workload"
-	"dollymp/internal/yarn"
 )
 
+// allSchedulers builds every policy the binaries accept by name, then
+// the option variants no name reaches, so a new name cannot be left
+// out. A variant's subtest reads as its name with a #NN suffix.
 func allSchedulers() []sched.Scheduler {
-	return []sched.Scheduler{
-		capacity.Default(),
-		&capacity.Scheduler{Speculation: false},
-		&drf.Scheduler{},
-		&tetris.Scheduler{R: 1.5},
-		&tetris.Scheduler{R: 1.5, MaxClones: 1},
-		&carbyne.Scheduler{R: 1.5},
-		&srpt.Scheduler{R: 1.5},
-		&svf.Scheduler{R: 1.5},
-		core.MustNew(core.WithClones(0)),
-		core.MustNew(core.WithClones(1)),
-		core.MustNew(core.WithClones(2)),
-		core.MustNew(core.WithClones(3)),
-		yarn.New(),
+	var out []sched.Scheduler
+	for _, name := range builtin.Names() {
+		newSched, _ := builtin.Lookup(name)
+		out = append(out, newSched(7))
 	}
+	return append(out,
+		&tetris.Scheduler{R: 1.5, MaxClones: 1},
+		&capacity.Scheduler{Speculation: false},
+		core.MustNew(core.WithStragglerAvoidance(true)),
+		core.MustNew(core.WithSpeculation(1.5, 3)),
+		core.MustNew(core.WithEstimation(estimate.Config{})),
+	)
 }
 
 func runWorkload(t *testing.T, s sched.Scheduler, jobs []*workload.Job, seed uint64) *sim.Result {
 	t.Helper()
+	return runOn(t, cluster.Testbed30(), s, jobs, seed)
+}
+
+func runOn(t *testing.T, c *cluster.Cluster, s sched.Scheduler, jobs []*workload.Job, seed uint64) *sim.Result {
+	t.Helper()
 	e, err := sim.New(sim.Config{
-		Cluster:   cluster.Testbed30(),
+		Cluster:   c,
 		Jobs:      jobs,
 		Scheduler: s,
 		Seed:      seed,
@@ -93,6 +99,32 @@ func TestAllSchedulersCompleteGoogleTrace(t *testing.T) {
 		t.Run(s.Name(), func(t *testing.T) {
 			res := runWorkload(t, s, jobs, 23)
 			if len(res.Jobs) != len(jobs) {
+				t.Fatalf("%s completed %d/%d jobs", s.Name(), len(res.Jobs), len(jobs))
+			}
+		})
+	}
+}
+
+// TestAllSchedulersCompleteSparseIDs drives every policy on the
+// testbed's servers renumbered with gaps, as a partition of a larger
+// cluster keeps its global IDs: a policy that mistakes a fleet position
+// for a server ID fails here.
+func TestAllSchedulersCompleteSparseIDs(t *testing.T) {
+	var specs []cluster.Spec
+	var ids []cluster.ServerID
+	for i, srv := range cluster.Testbed30().Servers() {
+		specs = append(specs, cluster.Spec{Name: srv.Name, Capacity: srv.Capacity, Speed: srv.Speed, Rack: srv.Rack})
+		ids = append(ids, cluster.ServerID(3*i+2))
+	}
+	jobs := trace.DefaultGoogleLike(60, 6, 5).Generate()
+	for _, s := range allSchedulers() {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			c, err := cluster.NewWithIDs(specs, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := runOn(t, c, s, jobs, 23); len(res.Jobs) != len(jobs) {
 				t.Fatalf("%s completed %d/%d jobs", s.Name(), len(res.Jobs), len(jobs))
 			}
 		})

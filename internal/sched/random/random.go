@@ -50,15 +50,16 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	return out
 }
 
-// randomFit scans the fleet from a random starting point and returns the
-// first fitting server, giving a uniform-ish spread without O(n) fits
-// per draw in the common case.
+// randomFit scans the fleet from a random starting position and returns
+// the first fitting server, giving a uniform-ish spread without O(n)
+// fits per draw in the common case. It walks positions, not IDs, so a
+// fleet with sparse server IDs works too.
 func (s *Scheduler) randomFit(c *cluster.Cluster, ft *sched.FitTracker, d resources.Vector) (cluster.ServerID, bool) {
-	n := c.Len()
+	servers := c.Servers()
+	n := len(servers)
 	start := s.rng.Intn(n)
 	for i := 0; i < n; i++ {
-		id := cluster.ServerID((start + i) % n)
-		if ft.Fits(id, d) {
+		if id := servers[(start+i)%n].ID; ft.Fits(id, d) {
 			return id, true
 		}
 	}

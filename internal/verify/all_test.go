@@ -6,16 +6,13 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
+	"dollymp/internal/estimate"
 	"dollymp/internal/sched"
+	"dollymp/internal/sched/builtin"
 	"dollymp/internal/sched/capacity"
-	"dollymp/internal/sched/carbyne"
-	"dollymp/internal/sched/drf"
-	"dollymp/internal/sched/srpt"
-	"dollymp/internal/sched/svf"
 	"dollymp/internal/sched/tetris"
 	"dollymp/internal/sim"
 	"dollymp/internal/trace"
-	"dollymp/internal/yarn"
 )
 
 // TestCertifyEverySchedulersTrace certifies one mixed-workload run of
@@ -31,20 +28,20 @@ func TestCertifyEverySchedulersTrace(t *testing.T) {
 			sim.Event{At: 40 + 3*int64(s), Server: s, Kind: sim.EventRestore})
 	}
 	jobs := trace.MixedDeployment(14, trace.Arrival{Kind: trace.FixedInterval, MeanGap: 6}, 21)
-	scheds := []sched.Scheduler{
-		capacity.Default(),
-		&drf.Scheduler{},
-		&tetris.Scheduler{R: 1.5},
-		&tetris.Scheduler{R: 1.5, MaxClones: 1},
-		&carbyne.Scheduler{R: 1.5},
-		&srpt.Scheduler{R: 1.5},
-		&svf.Scheduler{R: 1.5},
-		core.MustNew(core.WithClones(0)),
-		core.MustNew(core.WithClones(2)),
-		core.MustNew(core.WithClones(3)),
-		core.MustNew(core.WithStragglerAvoidance(true)),
-		yarn.New(),
+	// Every name the binaries accept, then the option variants no name
+	// reaches, so a new name cannot be left out.
+	var scheds []sched.Scheduler
+	for _, name := range builtin.Names() {
+		newSched, _ := builtin.Lookup(name)
+		scheds = append(scheds, newSched(31))
 	}
+	scheds = append(scheds,
+		&tetris.Scheduler{R: 1.5, MaxClones: 1},
+		&capacity.Scheduler{Speculation: false},
+		core.MustNew(core.WithStragglerAvoidance(true)),
+		core.MustNew(core.WithSpeculation(1.5, 3)),
+		core.MustNew(core.WithEstimation(estimate.Config{})),
+	)
 	for _, s := range scheds {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
