@@ -451,15 +451,6 @@ func (s *Scheduler) recompute(ctx sched.Context) {
 }
 
 func (s *Scheduler) jobInfo(ctx sched.Context, js *workload.JobState, total resources.Vector) JobInfo {
-	maxD := 0.0
-	for k := range js.Job.Phases {
-		if js.RemainingTasks(workload.PhaseID(k)) == 0 {
-			continue
-		}
-		if d := js.Job.Phases[k].DominantShare(total); d > maxD {
-			maxD = d
-		}
-	}
 	eff := func(k workload.PhaseID) float64 {
 		return js.Job.Phases[k].EffectiveDuration(s.r)
 	}
@@ -467,6 +458,23 @@ func (s *Scheduler) jobInfo(ctx sched.Context, js *workload.JobState, total reso
 		eff = func(k workload.PhaseID) float64 {
 			est := s.estimatePhase(ctx, js, k)
 			return est.Mean + s.r*est.SD
+		}
+	}
+	return JobInfoOf(js, total, eff)
+}
+
+// JobInfoOf builds Algorithm 1's input for one job: its updated volume
+// (Eq. 16) and remaining processing time (Eq. 17) under the effective
+// duration eff(k) of each phase k, and the largest dominant share among
+// its phases with tasks left.
+func JobInfoOf(js *workload.JobState, total resources.Vector, eff func(workload.PhaseID) float64) JobInfo {
+	maxD := 0.0
+	for k := range js.Job.Phases {
+		if js.RemainingTasks(workload.PhaseID(k)) == 0 {
+			continue
+		}
+		if d := js.Job.Phases[k].DominantShare(total); d > maxD {
+			maxD = d
 		}
 	}
 	return JobInfo{

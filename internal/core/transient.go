@@ -80,7 +80,7 @@ func TransientSchedule(jobs []TransientJob, policy ClonePolicy) (*TransientResul
 	var prios map[workload.JobID]int
 	copiesFor := map[workload.JobID]int{}
 	if policy == CorollaryClones {
-		prios, copiesFor = prioritiesWithClones(jobs)
+		prios, copiesFor = prioritiesWithClones(jobs, classCount(infos))
 	} else {
 		prios = Priorities(infos)
 	}
@@ -178,37 +178,12 @@ func TransientSchedule(jobs []TransientJob, policy ClonePolicy) (*TransientResul
 // θ_j > 2^l, provided r_j = min{r : 2^l·h_j(r) ≥ θ_j} copies exist and
 // their combined volume r_j·d_j·θ_j/h_j(r_j) packs within the budget.
 // Cloning thus pulls straggler-prone jobs into earlier deadline classes,
-// which is what upgrades the competitive ratio from 6R to 6.
-func prioritiesWithClones(jobs []TransientJob) (map[workload.JobID]int, map[workload.JobID]int) {
+// which is what upgrades the competitive ratio from 6R to 6. g is
+// Algorithm 1's class count over the jobs without cloning.
+func prioritiesWithClones(jobs []TransientJob, g int) (map[workload.JobID]int, map[workload.JobID]int) {
 	const maxCopies = 8
 	prios := make(map[workload.JobID]int, len(jobs))
 	copiesFor := make(map[workload.JobID]int, len(jobs))
-
-	// g: wide enough to cover every job without cloning.
-	sumV, maxD, maxT := 0.0, 0.0, 0.0
-	for _, j := range jobs {
-		sumV += j.Duration * j.Dominant
-		if j.Dominant > maxD {
-			maxD = j.Dominant
-		}
-		if j.Duration > maxT {
-			maxT = j.Duration
-		}
-	}
-	if maxD >= 1 {
-		maxD = 1 - 1e-9
-	}
-	g := 1
-	if sumV > 0 {
-		if v := int(math.Ceil(math.Log2(sumV / (1 - maxD)))); v > g {
-			g = v
-		}
-	}
-	if maxT > 0 {
-		if v := int(math.Ceil(math.Log2(maxT))); v > g {
-			g = v
-		}
-	}
 
 	rAt := func(j TransientJob, deadline float64) (int, bool) {
 		if j.Duration <= deadline {

@@ -35,7 +35,8 @@ const (
 	// from a draining member — counts as alive: drain is not death, and
 	// adopting a draining member's journal would run its jobs twice.
 	DefaultFailThreshold = 3
-	defaultClientTimeout = 30 * time.Second
+	// clientTimeout bounds proxied member requests.
+	clientTimeout = 30 * time.Second
 )
 
 // GatewayConfig configures a Gateway.
@@ -46,8 +47,6 @@ type GatewayConfig struct {
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	FailThreshold int
-	// ClientTimeout bounds proxied member requests; 0 means 30s.
-	ClientTimeout time.Duration
 	// Admission, when non-nil, polices submissions at the gateway — the
 	// federation's outermost edge — before any member is contacted. The
 	// gateway is stateless and owns no queue, so the policy sees a zero
@@ -106,12 +105,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
-	if cfg.ClientTimeout <= 0 {
-		cfg.ClientTimeout = defaultClientTimeout
-	}
 	g := &Gateway{
 		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.ClientTimeout},
+		client: &http.Client{Timeout: clientTimeout},
 		probeC: &http.Client{Timeout: cfg.ProbeTimeout},
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),

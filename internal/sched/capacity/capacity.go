@@ -9,6 +9,7 @@ package capacity
 
 import (
 	"dollymp/internal/cluster"
+	"dollymp/internal/resources"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
 )
@@ -52,23 +53,11 @@ func (s *Scheduler) params() (float64, int) {
 // stragglers.
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	ft := sched.NewFitTracker(ctx.Cluster())
+	fit := func(pt sched.PendingTask) (cluster.ServerID, bool) { return firstFit(ft, ctx.Cluster(), pt.Demand) }
 	var out []sched.Placement
 	// FIFO pass: ctx.Jobs() is already in arrival order.
 	for _, js := range ctx.Jobs() {
-		cur := sched.NewJobCursor(js)
-		for {
-			pt, ok := cur.Peek()
-			if !ok {
-				break
-			}
-			id, ok := firstFit(ft, ctx, pt)
-			if !ok {
-				break
-			}
-			ft.Place(id, pt.Demand)
-			out = append(out, sched.Placement{Ref: pt.Ref, Server: id})
-			cur.Advance()
-		}
+		out = sched.PlaceJob(ft, sched.NewJobCursor(js), fit, out)
 	}
 	if !s.Speculation {
 		return out
@@ -114,9 +103,10 @@ func (s *Scheduler) speculate(ctx sched.Context, ft *sched.FitTracker) []sched.P
 	return out
 }
 
-func firstFit(ft *sched.FitTracker, ctx sched.Context, pt sched.PendingTask) (cluster.ServerID, bool) {
-	for _, srv := range ctx.Cluster().Servers() {
-		if ft.Fits(srv.ID, pt.Demand) {
+// firstFit returns the first server in fleet order that d fits.
+func firstFit(ft *sched.FitTracker, c *cluster.Cluster, d resources.Vector) (cluster.ServerID, bool) {
+	for _, srv := range c.Servers() {
+		if ft.Fits(srv.ID, d) {
 			return srv.ID, true
 		}
 	}

@@ -13,9 +13,7 @@
 package carbyne
 
 import (
-	"sort"
-
-	"dollymp/internal/resources"
+	"dollymp/internal/cluster"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
 )
@@ -33,93 +31,25 @@ func (s *Scheduler) Name() string { return "carbyne" }
 // pass.
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	jobs := ctx.Jobs()
-	if len(jobs) == 0 {
-		return nil
-	}
-	total := ctx.Cluster().Total()
 	ft := sched.NewFitTracker(ctx.Cluster())
 
-	// Fair share: an equal split of the cluster across active jobs, the
-	// DRF equilibrium for equally weighted jobs.
-	fair := 1.0 / float64(len(jobs))
-
-	alloc := make(map[workload.JobID]resources.Vector, len(jobs))
-	cursors := make(map[workload.JobID]*sched.JobCursor, len(jobs))
-	blocked := make(map[workload.JobID]bool, len(jobs))
-	for _, js := range jobs {
-		alloc[js.Job.ID] = ctx.Allocation(js.Job.ID)
-		cursors[js.Job.ID] = sched.NewJobCursor(js)
-	}
-
-	var out []sched.Placement
-	// Pass 1: fair share, lowest dominant share first.
-	for {
-		var best *workload.JobState
-		bestShare := 0.0
-		for _, js := range jobs {
-			id := js.Job.ID
-			if blocked[id] || cursors[id].Exhausted() {
-				continue
-			}
-			share := alloc[id].DominantShare(total)
-			if share >= fair {
-				continue // at or above fair share: be altruistic
-			}
-			if best == nil || share < bestShare ||
-				(share == bestShare && id < best.Job.ID) {
-				best = js
-				bestShare = share
-			}
-		}
-		if best == nil {
-			break
-		}
-		id := best.Job.ID
-		pt, _ := cursors[id].Peek()
-		srv, ok := ft.BestFit(pt.Demand)
-		if !ok {
-			blocked[id] = true
-			continue
-		}
-		ft.Place(srv, pt.Demand)
-		cursors[id].Advance()
-		alloc[id] = alloc[id].Add(pt.Demand)
-		out = append(out, sched.Placement{Ref: pt.Ref, Server: srv})
-	}
+	// Pass 1: lowest dominant share first, up to the fair share — an
+	// equal split of the cluster across active jobs, the DRF equilibrium
+	// for equally weighted jobs. A job at or above it is altruistic.
+	out, cursors, blocked := sched.GrantByShare(ctx, ft, 1/float64(len(jobs)))
 
 	// Pass 2: leftover redistribution, shortest remaining time first.
-	ranked := make([]*workload.JobState, 0, len(jobs))
+	var open []*workload.JobState
 	for _, js := range jobs {
 		if !blocked[js.Job.ID] && !cursors[js.Job.ID].Exhausted() {
-			ranked = append(ranked, js)
+			open = append(open, js)
 		}
 	}
-	rem := make(map[workload.JobID]float64, len(ranked))
-	for _, js := range ranked {
-		rem[js.Job.ID] = sched.RemainingTime(js, s.R)
-	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		a, b := ranked[i].Job.ID, ranked[j].Job.ID
-		if rem[a] != rem[b] {
-			return rem[a] < rem[b]
-		}
-		return a < b
-	})
-	for _, js := range ranked {
-		cur := cursors[js.Job.ID]
-		for {
-			pt, ok := cur.Peek()
-			if !ok {
-				break
-			}
-			srv, ok := ft.BestFit(pt.Demand)
-			if !ok {
-				break
-			}
-			ft.Place(srv, pt.Demand)
-			cur.Advance()
-			out = append(out, sched.Placement{Ref: pt.Ref, Server: srv})
-		}
+	bestFit := func(pt sched.PendingTask) (cluster.ServerID, bool) { return ft.BestFit(pt.Demand) }
+	for _, js := range sched.OrderBy(open, func(js *workload.JobState) float64 {
+		return sched.RemainingTime(js, s.R)
+	}) {
+		out = sched.PlaceJob(ft, cursors[js.Job.ID], bestFit, out)
 	}
 	return out
 }

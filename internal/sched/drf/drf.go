@@ -6,9 +6,9 @@
 package drf
 
 import (
-	"dollymp/internal/resources"
+	"math"
+
 	"dollymp/internal/sched"
-	"dollymp/internal/workload"
 )
 
 // Scheduler is the DRF policy. The zero value is ready to use.
@@ -20,58 +20,6 @@ func (s *Scheduler) Name() string { return "drf" }
 // Schedule repeatedly grants one task to the active job with the lowest
 // dominant share until nothing more fits.
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
-	jobs := ctx.Jobs()
-	if len(jobs) == 0 {
-		return nil
-	}
-	total := ctx.Cluster().Total()
-	ft := sched.NewFitTracker(ctx.Cluster())
-
-	// Current allocation per job (engine-tracked), extended tentatively
-	// as grants accumulate below. Lazy cursors keep each grant O(1).
-	alloc := make(map[workload.JobID]resources.Vector, len(jobs))
-	cursors := make(map[workload.JobID]*sched.JobCursor, len(jobs))
-	blocked := make(map[workload.JobID]bool, len(jobs))
-	for _, js := range jobs {
-		alloc[js.Job.ID] = ctx.Allocation(js.Job.ID)
-		cursors[js.Job.ID] = sched.NewJobCursor(js)
-	}
-
-	var out []sched.Placement
-	for {
-		// Pick the job with the smallest dominant share that still has
-		// a placeable task.
-		var best *workload.JobState
-		bestShare := 0.0
-		for _, js := range jobs {
-			id := js.Job.ID
-			if blocked[id] || cursors[id].Exhausted() {
-				continue
-			}
-			share := alloc[id].DominantShare(total)
-			if best == nil || share < bestShare ||
-				(share == bestShare && id < best.Job.ID) {
-				best = js
-				bestShare = share
-			}
-		}
-		if best == nil {
-			return out
-		}
-		id := best.Job.ID
-		pt, _ := cursors[id].Peek()
-		srv, ok := ft.BestFit(pt.Demand)
-		if !ok {
-			// This job's next task fits nowhere; drop it from this
-			// round. (All tasks of a phase share a demand, so the
-			// whole head phase is blocked; later phases are not ready
-			// anyway.)
-			blocked[id] = true
-			continue
-		}
-		ft.Place(srv, pt.Demand)
-		cursors[id].Advance()
-		alloc[id] = alloc[id].Add(pt.Demand)
-		out = append(out, sched.Placement{Ref: pt.Ref, Server: srv})
-	}
+	out, _, _ := sched.GrantByShare(ctx, sched.NewFitTracker(ctx.Cluster()), math.Inf(1))
+	return out
 }

@@ -30,22 +30,10 @@ func (s *Scheduler) Name() string { return "random" }
 // servers until nothing more fits.
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	ft := sched.NewFitTracker(ctx.Cluster())
+	fit := func(pt sched.PendingTask) (cluster.ServerID, bool) { return s.randomFit(ctx.Cluster(), ft, pt.Demand) }
 	var out []sched.Placement
 	for _, js := range ctx.Jobs() {
-		cur := sched.NewJobCursor(js)
-		for {
-			pt, ok := cur.Peek()
-			if !ok {
-				break
-			}
-			srv, ok := s.randomFit(ctx.Cluster(), ft, pt.Demand)
-			if !ok {
-				break
-			}
-			ft.Place(srv, pt.Demand)
-			out = append(out, sched.Placement{Ref: pt.Ref, Server: srv})
-			cur.Advance()
-		}
+		out = sched.PlaceJob(ft, sched.NewJobCursor(js), fit, out)
 	}
 	return out
 }

@@ -6,8 +6,7 @@
 package srpt
 
 import (
-	"sort"
-
+	"dollymp/internal/cluster"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
 )
@@ -24,39 +23,13 @@ func (s *Scheduler) Name() string { return "srpt" }
 // Schedule places tasks of jobs in increasing remaining-time order,
 // best-fit across servers, no cloning.
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
-	jobs := append([]*workload.JobState(nil), ctx.Jobs()...)
-	type ranked struct {
-		js  *workload.JobState
-		rem float64
-	}
-	rankedJobs := make([]ranked, 0, len(jobs))
-	for _, js := range jobs {
-		rankedJobs = append(rankedJobs, ranked{js, sched.RemainingTime(js, s.R)})
-	}
-	sort.SliceStable(rankedJobs, func(i, j int) bool {
-		if rankedJobs[i].rem != rankedJobs[j].rem {
-			return rankedJobs[i].rem < rankedJobs[j].rem
-		}
-		return rankedJobs[i].js.Job.ID < rankedJobs[j].js.Job.ID
-	})
-
 	ft := sched.NewFitTracker(ctx.Cluster())
+	bestFit := func(pt sched.PendingTask) (cluster.ServerID, bool) { return ft.BestFit(pt.Demand) }
 	var out []sched.Placement
-	for _, r := range rankedJobs {
-		cur := sched.NewJobCursor(r.js)
-		for {
-			pt, ok := cur.Peek()
-			if !ok {
-				break
-			}
-			id, ok := ft.BestFit(pt.Demand)
-			if !ok {
-				break
-			}
-			ft.Place(id, pt.Demand)
-			out = append(out, sched.Placement{Ref: pt.Ref, Server: id})
-			cur.Advance()
-		}
+	for _, js := range sched.OrderBy(ctx.Jobs(), func(js *workload.JobState) float64 {
+		return sched.RemainingTime(js, s.R)
+	}) {
+		out = sched.PlaceJob(ft, sched.NewJobCursor(js), bestFit, out)
 	}
 	return out
 }

@@ -6,8 +6,7 @@
 package svf
 
 import (
-	"sort"
-
+	"dollymp/internal/cluster"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
 )
@@ -25,38 +24,13 @@ func (s *Scheduler) Name() string { return "svf" }
 // best-fit across servers, no cloning.
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	total := ctx.Cluster().Total()
-	type ranked struct {
-		js  *workload.JobState
-		vol float64
-	}
-	rankedJobs := make([]ranked, 0, len(ctx.Jobs()))
-	for _, js := range ctx.Jobs() {
-		rankedJobs = append(rankedJobs, ranked{js, sched.RemainingVolume(js, total, s.R)})
-	}
-	sort.SliceStable(rankedJobs, func(i, j int) bool {
-		if rankedJobs[i].vol != rankedJobs[j].vol {
-			return rankedJobs[i].vol < rankedJobs[j].vol
-		}
-		return rankedJobs[i].js.Job.ID < rankedJobs[j].js.Job.ID
-	})
-
 	ft := sched.NewFitTracker(ctx.Cluster())
+	bestFit := func(pt sched.PendingTask) (cluster.ServerID, bool) { return ft.BestFit(pt.Demand) }
 	var out []sched.Placement
-	for _, r := range rankedJobs {
-		cur := sched.NewJobCursor(r.js)
-		for {
-			pt, ok := cur.Peek()
-			if !ok {
-				break
-			}
-			id, ok := ft.BestFit(pt.Demand)
-			if !ok {
-				break
-			}
-			ft.Place(id, pt.Demand)
-			out = append(out, sched.Placement{Ref: pt.Ref, Server: id})
-			cur.Advance()
-		}
+	for _, js := range sched.OrderBy(ctx.Jobs(), func(js *workload.JobState) float64 {
+		return sched.RemainingVolume(js, total, s.R)
+	}) {
+		out = sched.PlaceJob(ft, sched.NewJobCursor(js), bestFit, out)
 	}
 	return out
 }

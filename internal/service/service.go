@@ -70,9 +70,6 @@ type Config struct {
 	Deterministic bool
 	// QueueCap bounds the admission queue; 0 means DefaultQueueCap.
 	QueueCap int
-	// MaxSlots aborts a runaway virtual clock; 0 means effectively
-	// unbounded (the daemon runs until stopped).
-	MaxSlots int64
 
 	// Registry receives the service's metric series; nil means a
 	// private registry. The shard router injects a shared registry so
@@ -108,6 +105,10 @@ type Config struct {
 
 // DefaultQueueCap is the admission-queue bound when Config.QueueCap is 0.
 const DefaultQueueCap = 1024
+
+// maxSlots is the engine's runaway-clock guard: effectively unbounded,
+// as the daemon runs until stopped.
+const maxSlots = int64(1) << 62
 
 // Service is the online scheduling daemon core. Create with New, start
 // with Start, submit with SubmitNowait, stop with Stop.
@@ -166,9 +167,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("service: queue capacity %d < 1", cfg.QueueCap)
 	}
-	if cfg.MaxSlots == 0 {
-		cfg.MaxSlots = int64(1) << 62
-	}
 	if cfg.IDBase == 0 {
 		cfg.IDBase = 1
 	}
@@ -225,7 +223,7 @@ func New(cfg Config) (*Service, error) {
 		Scheduler:     cfg.Scheduler,
 		Seed:          cfg.Seed,
 		Deterministic: cfg.Deterministic,
-		MaxSlots:      cfg.MaxSlots,
+		MaxSlots:      maxSlots,
 		Online:        true,
 		Observe:       s.observe,
 	})

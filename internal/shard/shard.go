@@ -95,8 +95,6 @@ type Config struct {
 	// QueueCap bounds each shard's admission queue (per shard, not
 	// total); 0 means service.DefaultQueueCap.
 	QueueCap int
-	// MaxSlots aborts a runaway virtual clock per shard; 0 = unbounded.
-	MaxSlots int64
 	// Policy is the routing policy; empty means RouteP2C. A single
 	// shard always routes deterministically regardless of policy.
 	Policy RoutePolicy
@@ -299,7 +297,6 @@ func New(cfg Config) (*Router, error) {
 			Seed:          cfg.Seed + uint64(res),
 			Deterministic: cfg.Deterministic,
 			QueueCap:      cfg.QueueCap,
-			MaxSlots:      cfg.MaxSlots,
 			Registry:      r.reg,
 			MetricLabels:  metrics.Labels{"shard": strconv.Itoa(res)},
 			IDBase:        workload.JobID(res + 1),

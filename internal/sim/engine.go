@@ -35,10 +35,6 @@ type Config struct {
 	// Deterministic disables duration noise: every copy runs exactly
 	// ceil(mean/speed) slots. Used by the analytic examples and tests.
 	Deterministic bool
-	// MaxCopiesPerTask caps concurrent copies of one task (original
-	// included). Default 4 (DollyMP's two-clone rule plus the
-	// DollyMP³ ablation).
-	MaxCopiesPerTask int
 	// Paranoid re-verifies ledger invariants after every event.
 	Paranoid bool
 	// TransferPenalty adds this many slots to a copy that must fetch
@@ -84,12 +80,13 @@ type Config struct {
 	CompactJobs bool
 }
 
+// maxCopiesPerTask caps the concurrent copies of one task, original
+// included: DollyMP's two-clone rule plus the DollyMP³ ablation.
+const maxCopiesPerTask = 4
+
 func (c *Config) defaults() {
 	if c.MaxSlots == 0 {
 		c.MaxSlots = 10_000_000
-	}
-	if c.MaxCopiesPerTask == 0 {
-		c.MaxCopiesPerTask = 4
 	}
 }
 
@@ -679,8 +676,8 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		return fmt.Errorf("sim: placement for task %v whose parents have not finished", p.Ref)
 	}
 	existing := js.LiveCopies(p.Ref.Phase, p.Ref.Index)
-	if existing >= e.cfg.MaxCopiesPerTask {
-		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, e.cfg.MaxCopiesPerTask)
+	if existing >= maxCopiesPerTask {
+		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, maxCopiesPerTask)
 	}
 	if !e.cfg.Cluster.Contains(p.Server) {
 		return fmt.Errorf("sim: placement on unknown server %d", p.Server)

@@ -349,7 +349,7 @@ func (s *copyCapScheduler) Schedule(ctx sched.Context) []sched.Placement {
 	s.fired = true
 	ref := workload.TaskRef{Job: 1, Phase: 0, Index: 0}
 	var out []sched.Placement
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxCopiesPerTask+1; i++ {
 		out = append(out, sched.Placement{Ref: ref, Server: 0})
 	}
 	return out
@@ -360,12 +360,12 @@ func TestMaxCopiesEnforced(t *testing.T) {
 	j := singleTaskJob(1, 0, 5)
 	e, err := New(Config{
 		Cluster: c, Jobs: []*workload.Job{j}, Scheduler: &copyCapScheduler{},
-		Deterministic: true, MaxCopiesPerTask: 2,
+		Deterministic: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "copies") {
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "already has 4 copies") {
 		t.Fatalf("want copy-cap error, got %v", err)
 	}
 }

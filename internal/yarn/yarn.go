@@ -19,7 +19,6 @@ package yarn
 
 import (
 	"fmt"
-	"sort"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
@@ -78,24 +77,12 @@ func (s *Scheduler) OnJobArrival(ctx sched.Context, _ *workload.JobState) {
 
 func (s *Scheduler) recompute(ctx sched.Context) {
 	total := ctx.Cluster().Total()
-	jobs := ctx.Jobs()
-	infos := make([]core.JobInfo, 0, len(jobs))
-	for _, js := range jobs {
-		maxD := 0.0
-		for k := range js.Job.Phases {
-			if js.RemainingTasks(workload.PhaseID(k)) == 0 {
-				continue
-			}
-			if d := js.Job.Phases[k].DominantShare(total); d > maxD {
-				maxD = d
-			}
-		}
-		infos = append(infos, core.JobInfo{
-			ID:       js.Job.ID,
-			Volume:   js.UpdatedVolume(total, s.r()),
-			Time:     js.UpdatedProcessingTime(s.r()),
-			Dominant: maxD,
-		})
+	r := s.r()
+	infos := make([]core.JobInfo, 0, len(ctx.Jobs()))
+	for _, js := range ctx.Jobs() {
+		infos = append(infos, core.JobInfoOf(js, total, func(k workload.PhaseID) float64 {
+			return js.Job.Phases[k].EffectiveDuration(r)
+		}))
 	}
 	s.prios = core.Priorities(infos)
 }
@@ -118,31 +105,19 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	}
 
 	// Priority order with deterministic tie-break.
-	ordered := make([]*workload.JobState, len(jobs))
-	copy(ordered, jobs)
-	sortJobs(ordered, s.prios)
+	ordered := sched.OrderBy(jobs, func(js *workload.JobState) float64 { return float64(s.prios[js.Job.ID]) })
 
 	ft := sched.NewFitTracker(ctx.Cluster())
 	racks := rackIndex(ctx.Cluster())
 	var out []sched.Placement
 
-	// New-task pass: each AM binds its pending ready tasks.
+	// New-task pass: each AM binds its pending ready tasks until the
+	// job's head demand fits nowhere.
 	for _, js := range ordered {
 		am := &appMaster{js: js, ctx: ctx, racks: racks}
-		cur := sched.NewJobCursor(js)
-		for {
-			pt, ok := cur.Peek()
-			if !ok {
-				break
-			}
-			srv, ok := am.bind(ft, pt.Ref, pt.Demand)
-			if !ok {
-				break // this job's head demand fits nowhere right now
-			}
-			ft.Place(srv, pt.Demand)
-			out = append(out, sched.Placement{Ref: pt.Ref, Server: srv})
-			cur.Advance()
-		}
+		out = sched.PlaceJob(ft, sched.NewJobCursor(js), func(pt sched.PendingTask) (cluster.ServerID, bool) {
+			return am.bind(ft, pt.Ref, pt.Demand)
+		}, out)
 	}
 
 	// Clone pass: leftover containers go to running tasks of jobs whose
@@ -285,14 +260,4 @@ func bestFitWithin(ft *sched.FitTracker, c *cluster.Cluster, servers []*cluster.
 		return 0, false
 	}
 	return best, true
-}
-
-func sortJobs(jobs []*workload.JobState, prios map[workload.JobID]int) {
-	sort.SliceStable(jobs, func(i, j int) bool {
-		pa, pb := prios[jobs[i].Job.ID], prios[jobs[j].Job.ID]
-		if pa != pb {
-			return pa < pb
-		}
-		return jobs[i].Job.ID < jobs[j].Job.ID
-	})
 }
