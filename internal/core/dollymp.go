@@ -145,6 +145,9 @@ type scratch struct {
 	// out backs the slice Schedule returns, which the Scheduler contract
 	// lets it overwrite on the next call.
 	out []sched.Placement
+
+	// stats counts the work outside the head indexes: see StatsOf.
+	stats Stats
 }
 
 // cloneCand is a running task that a later clone pass may still top
@@ -183,6 +186,8 @@ func (sc *scratch) sync(jobs []*workload.JobState) {
 	// in place behind the read position j and appended past old's end.
 	old, recs := sc.recs, sc.recs
 	j, w := 0, 0
+	sc.stats.Walks++
+	sc.stats.Walked += uint64(len(jobs))
 	for _, js := range jobs {
 		for j < len(old) && old[j].cur.JS != js {
 			sc.drop(old[j])
@@ -257,6 +262,7 @@ func (sc *scratch) newRec(js *workload.JobState) *jobRec {
 // drop takes a record whose job left ctx.Jobs() out of its class's head
 // index and queues it for sync's compaction.
 func (sc *scratch) drop(r *jobRec) {
+	sc.stats.Walked++
 	if r.class != 0 {
 		c := &sc.classes[r.class]
 		c.heads.remove(r)
@@ -268,6 +274,7 @@ func (sc *scratch) drop(r *jobRec) {
 
 // revalidate re-reads a record's head from its job.
 func (sc *scratch) revalidate(r *jobRec) {
+	sc.stats.Revalidations++
 	r.seen = r.cur.JS.Version()
 	r.cur.Reset(r.cur.JS)
 	sc.rehead(r)
@@ -436,6 +443,7 @@ func (s *Scheduler) RecomputePriorities(ctx sched.Context) {
 // recompute reruns Algorithm 1 over ctx.Jobs(), which the records must
 // already mirror, and regroups them by the new priorities.
 func (s *Scheduler) recompute(ctx sched.Context) {
+	s.scratch.stats.Recomputes++
 	total := ctx.Cluster().Total()
 	jobs := ctx.Jobs()
 	infos := s.scratch.infos[:0]
@@ -525,6 +533,7 @@ func (s *Scheduler) harvest(ctx sched.Context) {
 func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	jobs := ctx.Jobs()
 	sc := &s.scratch
+	sc.stats.Calls++
 	sc.sync(jobs)
 	if len(jobs) == 0 {
 		return nil
@@ -611,6 +620,8 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 // no server, every grant of every pass would be refused and the walk
 // over the members can be skipped.
 func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (budget, cloneUse resources.Vector, ok bool) {
+	st := &s.scratch.stats
+	st.RedundancyOpened++
 	total := ctx.Cluster().Total()
 	budget = resources.Vec(
 		int64(s.delta*float64(total.CPUMilli)),
@@ -618,9 +629,12 @@ func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (bud
 	)
 	cloneUse = ctx.CloneUsage()
 	if !cloneUse.Add(s.scratch.floor).Fits(budget) {
+		st.ClosedOnBudget++
 		return budget, cloneUse, false
 	}
-	_, ok = ft.BestFit(s.scratch.floor)
+	if _, ok = ft.BestFit(s.scratch.floor); !ok {
+		st.ClosedOnFit++
+	}
 	return budget, cloneUse, ok
 }
 

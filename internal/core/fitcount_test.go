@@ -11,6 +11,27 @@ import (
 	"dollymp/internal/sim/simtest"
 )
 
+// drainRow drains a simtest row once under DollyMP² and fails tb unless
+// the drain reproduces the row's schedule; it returns the scheduler.
+func drainRow(tb testing.TB, r simtest.Row) *core.Scheduler {
+	tb.Helper()
+	fleet, source := r.Source(tb)
+	s := core.MustNew(core.WithClones(2))
+	e, err := sim.New(sim.Config{
+		Cluster: fleet, Scheduler: s,
+		Seed: 1, Online: true, CompactJobs: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := e.Drain(source)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.Check(tb, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
+	return s
+}
+
 // TestFitTrackerWorkCounts drains each simtest row once and pins the fit
 // index's work counts: BestFit calls, how each was answered, and the tree
 // nodes the searches entered. The counts are exact, a pure function of
@@ -29,25 +50,46 @@ func TestFitTrackerWorkCounts(t *testing.T) {
 	}
 	for _, r := range simtest.Rows {
 		t.Run(r.Name, func(t *testing.T) {
-			fleet, source := r.Source(t)
-			s := core.MustNew(core.WithClones(2))
-			e, err := sim.New(sim.Config{
-				Cluster: fleet, Scheduler: s,
-				Seed: 1, Online: true, CompactJobs: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Drain(source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Check(t, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
-			got := core.FitStatsOf(s)
+			got := core.FitStatsOf(drainRow(t, r))
 			if got.Frontier+got.RootMisses+got.Searches != got.Calls || got.Hits > got.Searches {
 				t.Fatalf("%+v: every call is answered once, and only a search hits", got)
 			}
 			t.Logf("%+v, %.1f nodes per hit", got, float64(got.Nodes)/float64(got.Hits))
+			if want := pins[r.Name]; got != want {
+				t.Fatalf("counted %+v\nwant    %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestSchedulerWorkCounts drains each simtest row once and pins the
+// scheduler's own work counts (core.StatsOf): the records sync walked and
+// revalidated, the recomputes, the head-index builds and searches, and
+// the redundancy passes. Like TestFitTrackerWorkCounts, the counts are
+// exact, and a change that moves a placement fails the row's schedule
+// before it reaches them.
+func TestSchedulerWorkCounts(t *testing.T) {
+	pins := map[string]core.Stats{
+		"cloning-300": {Calls: 716, Walks: 716, Walked: 282_815, Revalidations: 50_540, Recomputes: 300,
+			Builds: 2_866, Built: 11_675, Queries: 275_757, Nodes: 42_743, LeafScanned: 467_996, OverflowScanned: 3_234,
+			RedundancyOpened: 715, ClosedOnBudget: 301, ClosedOnFit: 1},
+		"paced-2k": {Calls: 1_048, Walks: 1_048, Walked: 2_801_024, Revalidations: 497_422, Recomputes: 462,
+			Builds: 5_222, Built: 144_926, Queries: 2_941_102, Nodes: 1_176_533, LeafScanned: 12_050_292, OverflowScanned: 48_983,
+			RedundancyOpened: 1_047, ClosedOnBudget: 465},
+		"backlog-200": {Calls: 1_136, Walks: 1_136, Walked: 5_013_837, Revalidations: 121_230, Recomputes: 4,
+			Builds: 130, Built: 62_668, Queries: 2_308_820, Nodes: 1_328_356, LeafScanned: 8_593_611, OverflowScanned: 5_123_742,
+			RedundancyOpened: 1_135, ClosedOnBudget: 43, ClosedOnFit: 689},
+		"replay-32": {Calls: 363_252, Walks: 363_252, Walked: 4_558_336, Revalidations: 793_269, Recomputes: 100_000,
+			Builds: 997_298, Built: 174_246, Queries: 2_267_782, Nodes: 569_394, LeafScanned: 722_223, OverflowScanned: 63_373,
+			RedundancyOpened: 363_251, ClosedOnBudget: 12_887, ClosedOnFit: 103},
+	}
+	for _, r := range simtest.Rows {
+		t.Run(r.Name, func(t *testing.T) {
+			got := core.StatsOf(drainRow(t, r))
+			if got.Calls != uint64(r.Calls) || got.ClosedOnBudget+got.ClosedOnFit > got.RedundancyOpened {
+				t.Fatalf("%+v: one count per Schedule call, and a pass closes at most once", got)
+			}
+			t.Logf("%+v", got)
 			if want := pins[r.Name]; got != want {
 				t.Fatalf("counted %+v\nwant    %+v", got, want)
 			}

@@ -44,6 +44,8 @@ type headIndex struct {
 	overMin resources.Vector
 	// live counts the heads in the index, tree and overflow together.
 	live int
+	// stats counts the index's work for StatsOf; reset keeps it.
+	stats headStats
 }
 
 // headEnt is one member's head: the demand it is indexed under and the
@@ -87,6 +89,8 @@ func (x *headIndex) build() {
 	}
 	x.nodes = x.nodes[:size]
 	x.live = n
+	x.stats.builds++
+	x.stats.built += uint64(n)
 	x.split(0, 0, n, 0)
 }
 
@@ -227,11 +231,13 @@ type headQuery struct {
 // the subtree out. A subtree is dropped only when it can hold no
 // (score, sequence) pair better than the one in hand.
 func (x *headIndex) best(free resources.Vector, norm resources.Norm) *jobRec {
+	x.stats.queries++
 	if x.live == 0 {
 		return nil
 	}
 	q := headQuery{free: free, norm: norm, score: -1}
 	if len(x.over) > 0 && x.overMin.Fits(free) {
+		x.stats.over += uint64(len(x.over))
 		q.scan(x.over)
 	}
 	if ub := x.bound(&q, 0); q.admits(ub, x.nodes[0].minSeq) {
@@ -258,7 +264,9 @@ func (q *headQuery) scan(ents []headEnt) {
 // admissible: the child with the higher bound first, the other one
 // re-tested against whatever that dive found.
 func (x *headIndex) search(q *headQuery, n, lo, hi int) {
+	x.stats.nodes++
 	if hi-lo <= leafSize {
+		x.stats.leaf += uint64(hi - lo)
 		q.scan(x.ents[lo:hi])
 		return
 	}

@@ -1,7 +1,8 @@
 // Package simtest holds the engine drain rows that sim's
 // BenchmarkEngineDrain and the exact count pins of sim and core
-// (TestEngineEventCounts, TestFitTrackerWorkCounts) drain, so each row's
-// schedule is pinned in one place. It imports neither sim nor core, so
+// (TestEngineEventCounts, TestFitTrackerWorkCounts,
+// TestSchedulerWorkCounts) drain, so each row's schedule is pinned in
+// one place. It imports neither sim nor core, so
 // sim's own tests can use it.
 package simtest
 
