@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dollymp/internal/cluster"
@@ -75,9 +77,12 @@ type jobRec struct {
 	// seq is the job's position in ctx.Jobs() as of the last regroup:
 	// the tie-break among equal scores.
 	seq uint32
-	// gone marks a record whose job left ctx.Jobs(), until sync has
-	// compacted it out of its class's member list.
+	// gone marks a record whose job left ctx.Jobs(), until the next full
+	// walk compacts it out of recs.
 	gone bool
+	// watched marks a record on its class's watch list or in
+	// scratch.joined.
+	watched bool
 	// cur is the task cursor; cur.JS is the record's job.
 	cur sched.JobCursor
 }
@@ -94,14 +99,25 @@ func (r *jobRec) invalidate() { r.seen = r.cur.JS.Version() - 1 }
 // left: the clone passes serve drained jobs only.
 func (r *jobRec) drained() bool { return r.where == 0 }
 
-// class is one priority class: every member in ctx.Jobs() order (the
-// clone passes need the drained ones too) and the index over the heads
-// of those that have one.
+// running reports whether r's job held a running copy when r was last
+// revalidated. Only a ready phase can have one, and the cursor's phases
+// are the ready ones.
+func (r *jobRec) running() bool {
+	for _, k := range r.cur.Phases() {
+		if r.cur.JS.RunningCount(k) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// class is one priority class: the index over the heads of its members
+// that have one, and its watched members in ctx.Jobs() order — the
+// records whose job can move before the next arrival, which are also
+// the only ones a redundancy pass can serve.
 type class struct {
-	members []*jobRec
-	heads   headIndex
-	// dropped is set while members holds a gone record.
-	dropped bool
+	heads headIndex
+	watch []*jobRec
 }
 
 // scratch is the state Schedule keeps between calls. A Scheduler is
@@ -110,18 +126,25 @@ type class struct {
 type scratch struct {
 	ft *sched.FitTracker
 
-	// recs mirrors ctx.Jobs() as of the last sync, record for job.
-	// classes[l] groups them by priority class (index 0 unused), as of
-	// the last priority recompute. fresh is set while a record has no
-	// class yet.
+	// recs mirrors ctx.Jobs() as of the last sync, record for job, plus
+	// the gone records of the jobs that finished since the last full
+	// walk. classes[l] indexes and watches them by priority class (index
+	// 0 unused), as of the last priority recompute. fresh is set while a
+	// record has no class yet.
 	recs     []*jobRec
 	classes  []class
 	maxClass int
 	fresh    bool
-	// free recycles the records of finished jobs; departed is sync's
-	// list of the records it dropped.
+	// free recycles the records of finished jobs; departed lists the
+	// gone records, which the next full walk recycles.
 	free     []*jobRec
 	departed []*jobRec
+
+	// The watch list is the records whose job held a running copy when
+	// last revalidated, kept per class, plus the ones a Schedule call
+	// advanced: those wait in joined until the next sync merges them
+	// in. spare is the other half of the merge's double buffer.
+	joined, spare []*jobRec
 
 	infos []JobInfo
 	prio  prioScratch
@@ -175,24 +198,101 @@ func (sc *scratch) fitTracker(c *cluster.Cluster) *sched.FitTracker {
 }
 
 // sync brings recs in line with ctx.Jobs() and revalidates every record
-// whose job moved since its cursor was last reset. It relies on the
-// Jobs() contract — a snapshot is the previous one minus finished jobs
-// plus a suffix of arrivals — so one forward walk pairs jobs with
-// records: a record the walk passes over has left, a job past the last
-// record is new. (A context that reorders survivors is still mirrored
-// correctly: the overtaken records are dropped and built anew.)
-func (sc *scratch) sync(jobs []*workload.JobState) {
+// whose job moved since its cursor was last reset. Between two decision
+// points a job moves only through its running copies, apart from
+// arrivals and the placements of this scheduler (the sched.Context.Jobs
+// contract), so without arrivals (full unset) the watch list holds every
+// record that can have moved, and the watch pass alone is exact. The
+// full walk runs when jobs arrived, when a record has no class yet, or
+// when the watch pass leaves a different number of records than
+// ctx.Jobs() has jobs.
+func (sc *scratch) sync(jobs []*workload.JobState, full bool) {
+	if !full && !sc.fresh {
+		sc.syncWatch()
+		if len(jobs) == len(sc.recs)-len(sc.departed) {
+			return
+		}
+	}
+	sc.walk(jobs)
+}
+
+// syncWatch merges the records that joined the watch list into their
+// classes' lists and walks them: a record whose stamp moved is dropped
+// if its job finished and revalidated otherwise, and it leaves the list
+// once its job holds no running copy. An unmoved record costs one stamp
+// read. Classes are independent, so only the order within one matters.
+func (sc *scratch) syncWatch() {
+	slices.SortFunc(sc.joined, func(a, b *jobRec) int {
+		return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.seq, b.seq))
+	})
+	joined := sc.joined
+	for l := range sc.classes {
+		c := &sc.classes[l]
+		n := 0
+		for n < len(joined) && joined[n].class == int32(l) {
+			n++
+		}
+		watch, add := c.watch, joined[:n]
+		joined = joined[n:]
+		if len(watch)+len(add) == 0 {
+			continue
+		}
+		kept := sc.spare[:0]
+		for len(watch) > 0 || len(add) > 0 {
+			var r *jobRec
+			if len(add) == 0 || len(watch) > 0 && watch[0].seq < add[0].seq {
+				r, watch = watch[0], watch[1:]
+			} else {
+				r, add = add[0], add[1:]
+			}
+			sc.stats.Watched++
+			if js := r.cur.JS; r.seen != js.Version() {
+				if js.Done() {
+					sc.drop(r)
+					continue
+				}
+				if sc.revalidate(r); !r.running() {
+					r.watched = false
+					continue
+				}
+			}
+			kept = append(kept, r)
+		}
+		clear(c.watch)
+		sc.spare, c.watch = c.watch[:0], kept
+	}
+	clear(sc.joined)
+	sc.joined = sc.joined[:0]
+}
+
+// walk pairs every job in ctx.Jobs() with its record, revalidates the
+// moved ones and rebuilds the watch lists. It relies on the Jobs()
+// contract — a snapshot is the previous one minus finished jobs plus a
+// suffix of arrivals — so one forward walk pairs jobs with records: a
+// record the walk passes over has left, a job past the last record is
+// new. (A context that reorders survivors is still mirrored correctly:
+// the overtaken records are dropped and built anew.) It is also where
+// gone records are recycled.
+func (sc *scratch) walk(jobs []*workload.JobState) {
+	sc.stats.Walks++
+	for l := range sc.classes {
+		c := &sc.classes[l]
+		clear(c.watch)
+		c.watch = c.watch[:0]
+	}
+	clear(sc.joined)
+	sc.joined = sc.joined[:0]
 	// old is the mirror as it stood: recs[:w] is the new one, written
 	// in place behind the read position j and appended past old's end.
 	old, recs := sc.recs, sc.recs
 	j, w := 0, 0
-	sc.stats.Walks++
-	sc.stats.Walked += uint64(len(jobs))
 	for _, js := range jobs {
-		for j < len(old) && old[j].cur.JS != js {
+		for j < len(old) && (old[j].gone || old[j].cur.JS != js) {
+			sc.stats.Walked++
 			sc.drop(old[j])
 			j++
 		}
+		sc.stats.Walked++
 		var r *jobRec
 		if j < len(old) {
 			r = old[j]
@@ -208,31 +308,21 @@ func (sc *scratch) sync(jobs []*workload.JobState) {
 		w++
 		if r.seen != js.Version() {
 			sc.revalidate(r)
+			r.watched = r.running()
+		}
+		// A record with no class yet is watched from the regroup.
+		if r.watched && r.class != 0 {
+			c := &sc.classes[r.class]
+			c.watch = append(c.watch, r)
 		}
 	}
 	for ; j < len(old); j++ {
+		sc.stats.Walked++
 		sc.drop(old[j])
 	}
 	clear(recs[w:])
 	sc.recs = recs[:w]
 
-	if len(sc.departed) == 0 {
-		return
-	}
-	for l := range sc.classes {
-		c := &sc.classes[l]
-		if !c.dropped {
-			continue
-		}
-		kept := c.members[:0]
-		for _, r := range c.members {
-			if !r.gone {
-				kept = append(kept, r)
-			}
-		}
-		clear(c.members[len(kept):])
-		c.members, c.dropped = kept, false
-	}
 	for i, r := range sc.departed {
 		// Keep the cursor: its phase buffer is the record's one allocation.
 		r.cur.JS = nil
@@ -260,15 +350,16 @@ func (sc *scratch) newRec(js *workload.JobState) *jobRec {
 }
 
 // drop takes a record whose job left ctx.Jobs() out of its class's head
-// index and queues it for sync's compaction.
+// index and queues it for the full walk to recycle; the caller takes it
+// off the watch list. A record already gone stays as it is.
 func (sc *scratch) drop(r *jobRec) {
-	sc.stats.Walked++
-	if r.class != 0 {
-		c := &sc.classes[r.class]
-		c.heads.remove(r)
-		c.dropped = true
+	if r.gone {
+		return
 	}
-	r.gone = true
+	if r.class != 0 {
+		sc.classes[r.class].heads.remove(r)
+	}
+	r.gone, r.watched = true, false
 	sc.departed = append(sc.departed, r)
 }
 
@@ -289,14 +380,14 @@ func (sc *scratch) rehead(r *jobRec) {
 	}
 }
 
-// regroup rebuilds class membership and every head index from the
-// priorities just computed over the jobs recs mirrors: prios[i] is the
-// class of recs[i].
+// regroup rebuilds every head index and watch list from the priorities
+// just computed over the jobs recs mirrors: prios[i] is the class of
+// recs[i].
 func (sc *scratch) regroup(prios []int32) {
 	for l := range sc.classes {
 		c := &sc.classes[l]
-		clear(c.members)
-		c.members = c.members[:0]
+		clear(c.watch)
+		c.watch = c.watch[:0]
 		c.heads.reset()
 	}
 	sc.maxClass = 0
@@ -310,7 +401,9 @@ func (sc *scratch) regroup(prios []int32) {
 			}
 		}
 		c := &sc.classes[p]
-		c.members = append(c.members, r)
+		if r.watched {
+			c.watch = append(c.watch, r)
+		}
 		if pt, ok := r.cur.Peek(); ok {
 			c.heads.stage(r, pt.Demand)
 		}
@@ -435,7 +528,7 @@ func (s *Scheduler) OnJobArrival(sched.Context, *workload.JobState) {
 // the per-arrival work OnJobArrival defers to the next Schedule call.
 // Exposed for overhead measurements that want the cost inline.
 func (s *Scheduler) RecomputePriorities(ctx sched.Context) {
-	s.scratch.sync(ctx.Jobs())
+	s.scratch.sync(ctx.Jobs(), true)
 	s.recompute(ctx)
 	s.pendingArrivals = 0
 }
@@ -534,7 +627,7 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	jobs := ctx.Jobs()
 	sc := &s.scratch
 	sc.stats.Calls++
-	sc.sync(jobs)
+	sc.sync(jobs, s.pendingArrivals > 0)
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -591,6 +684,10 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 				out = append(out, sched.Placement{Ref: pt.Ref, Server: srv.ID})
 				r.cur.Advance()
 				r.invalidate()
+				if !r.watched {
+					r.watched = true
+					sc.joined = append(sc.joined, r)
+				}
 				if sc.rehead(r); r.drained() {
 					heads--
 				}
@@ -618,7 +715,7 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 // monotone in the demand, and within a call cloneUse only grows and
 // free capacity only shrinks — so when the floor is over budget or fits
 // no server, every grant of every pass would be refused and the walk
-// over the members can be skipped.
+// over the watch lists can be skipped.
 func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (budget, cloneUse resources.Vector, ok bool) {
 	st := &s.scratch.stats
 	st.RedundancyOpened++
@@ -641,7 +738,9 @@ func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (bud
 // speculationPass launches one backup copy per detected straggler, in
 // priority-class order, within the δ budget. Detection mirrors the
 // Capacity baseline's LATE rule but placement follows DollyMP's
-// priorities instead of best effort. Backups are appended to out.
+// priorities instead of best effort. Like the clone passes it walks the
+// watch lists, the records whose job has a task to back up. Backups are
+// appended to out.
 func (s *Scheduler) speculationPass(
 	ctx sched.Context,
 	ft *sched.FitTracker,
@@ -655,7 +754,7 @@ func (s *Scheduler) speculationPass(
 	now := ctx.Now()
 
 	for l := 1; l <= sc.maxClass; l++ {
-		for _, r := range sc.classes[l].members {
+		for _, r := range sc.classes[l].watch {
 			if !r.drained() {
 				continue // pending work first, as with cloning
 			}
@@ -758,12 +857,14 @@ func (s *Scheduler) serverOrder(ctx sched.Context) []*cluster.Server {
 // priority order, keeping total clone-held resources under δ × capacity.
 // Pass p tops tasks holding exactly p copies up to p+1, so a task that
 // pass p turns down (no fit, no budget) is out for the rest of the
-// call. Only pass 1 therefore walks the jobs, reading each running
-// task's live-copy count off its JobState; it grants what it can and
-// leaves, in walk order, the tasks a later pass can still serve — the
-// ones it just topped up and the ones that already hold more than one
-// copy. Passes 2..maxClones are sweeps of that list. Grants are appended
-// to out, the call's placements so far.
+// call. Only pass 1 therefore walks the jobs, and only the watched ones:
+// after sync the watch lists hold exactly the records whose job holds a
+// running copy (this call's placements are not applied yet). It reads
+// each running task's live-copy count off its JobState, grants what it
+// can and leaves, in walk order, the tasks a later pass can still serve
+// — the ones it just topped up and the ones that already hold more than
+// one copy. Passes 2..maxClones are sweeps of that list. Grants are
+// appended to out, the call's placements so far.
 func (s *Scheduler) clonePasses(
 	ctx sched.Context,
 	ft *sched.FitTracker,
@@ -794,7 +895,7 @@ func (s *Scheduler) clonePasses(
 	}
 
 	for l := 1; l <= sc.maxClass; l++ {
-		for _, r := range sc.classes[l].members {
+		for _, r := range sc.classes[l].watch {
 			// §4.1/§5: clones are for jobs whose new tasks are all
 			// placed; a job with pending tasks still waits for
 			// capacity, so racing clones ahead of them would harm

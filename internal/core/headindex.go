@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"dollymp/internal/resources"
@@ -98,15 +99,18 @@ func byCPU(a, b headEnt) int { return cmp.Compare(a.demand.CPUMilli, b.demand.CP
 func byMem(a, b headEnt) int { return cmp.Compare(a.demand.MemMiB, b.demand.MemMiB) }
 
 // split builds node n over ents[lo:hi], cutting at the median along
-// axis (0 CPU, 1 memory) while the range is longer than a leaf.
+// axis (0 CPU, 1 memory) while the range is longer than a leaf: no
+// entry left of the cut is greater on the axis than one right of it.
 func (x *headIndex) split(n, lo, hi, axis int) {
 	if hi-lo > leafSize {
-		if axis == 0 {
-			slices.SortFunc(x.ents[lo:hi], byCPU)
-		} else {
-			slices.SortFunc(x.ents[lo:hi], byMem)
-		}
 		mid := lo + (hi-lo)/2
+		by := byCPU
+		if axis == 1 {
+			by = byMem
+		}
+		if selectNth(x.ents[lo:hi], mid-lo, by) {
+			x.stats.sorted++
+		}
 		x.split(2*n+1, lo, mid, 1-axis)
 		x.split(2*n+2, mid, hi, 1-axis)
 		l, r := &x.nodes[2*n+1], &x.nodes[2*n+2]
@@ -127,6 +131,65 @@ func (x *headIndex) split(n, lo, hi, axis int) {
 		nd.min, nd.max, nd.minSeq = nd.min.Min(e.demand), nd.max.Max(e.demand), min(nd.minSeq, e.seq)
 	}
 	x.nodes[n] = nd
+}
+
+// selectNth reorders s so that s[k] is what sorting s by cmp would put
+// there, with nothing before it greater and nothing after it smaller:
+// Hoare's FIND, partitioning around the median of the entries a quarter,
+// half and three quarters into the open range, so sorted, reversed,
+// rotated and organ-pipe orders and runs of equal keys take one round or
+// a few. An order built against that pivot rule would make it
+// quadratic, so after 2·log₂(len(s)) rounds it sorts the range still
+// open and reports that it did.
+func selectNth(s []headEnt, k int, cmp func(a, b headEnt) int) (sorted bool) {
+	lo, hi := 0, len(s)
+	for rounds := 2 * bits.Len(uint(len(s))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.SortFunc(s[lo:hi], cmp)
+			return true
+		}
+		q := (hi - lo) / 4
+		p := median3(s[lo+q], s[lo+(hi-lo)/2], s[hi-1-q], cmp)
+		// p is in s[lo:hi], so both scans stop inside it. Afterwards
+		// s[lo:j+1] ≤ p ≤ s[i:hi] and everything between equals p.
+		i, j := lo, hi-1
+		for i <= j {
+			for cmp(s[i], p) < 0 {
+				i++
+			}
+			for cmp(s[j], p) > 0 {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return false
+		}
+	}
+	return false
+}
+
+// median3 returns the median of a, b and c under cmp.
+func median3(a, b, c headEnt, cmp func(a, b headEnt) int) headEnt {
+	if cmp(a, b) > 0 {
+		a, b = b, a
+	}
+	if cmp(b, c) <= 0 {
+		return b
+	}
+	if cmp(a, c) > 0 {
+		return a
+	}
+	return c
 }
 
 // insert adds r's head to the overflow list. The list is scanned in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -230,4 +231,125 @@ func describe(m *headModel, r *jobRec) string {
 		return "nobody"
 	}
 	return fmt.Sprintf("member %d (demand %+v)", r.seq, m.demand[r.seq])
+}
+
+// TestHeadIndexSplitsAtMedian builds indexes over demand orders that
+// trouble a quickselect — all equal, sorted, reverse-sorted, organ-pipe —
+// at sizes around one leaf and far past it, and checks every internal
+// node: no entry left of the cut is greater on the node's axis than any
+// entry right of it, and every record points at its own entry. None of
+// these orders may need the depth guard's sort.
+func TestHeadIndexSplitsAtMedian(t *testing.T) {
+	orders := map[string]func(i, n int) resources.Vector{
+		"equal":   func(i, n int) resources.Vector { return resources.Vec(2000, 4096) },
+		"sorted":  func(i, n int) resources.Vector { return resources.Vec(int64(100+i), int64(128+2*i)) },
+		"reverse": func(i, n int) resources.Vector { return resources.Vec(int64(100+n-i), int64(128+2*(n-i))) },
+		"organ-pipe": func(i, n int) resources.Vector {
+			v := int64(min(i, n-1-i))
+			return resources.Vec(100+v, 128+3*v)
+		},
+	}
+	for name, order := range orders {
+		for _, n := range []int{1, leafSize - 1, leafSize + 1, 1000, 20000} {
+			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
+				x := buildOver(n, func(i int) resources.Vector { return order(i, n) })
+				checkSplits(t, &x)
+				if x.stats.sorted != 0 {
+					t.Fatalf("%d levels fell back to a sort", x.stats.sorted)
+				}
+			})
+		}
+	}
+}
+
+// TestHeadIndexDepthGuard builds an index over the demand order that
+// McIlroy's adversary ("A Killer Adversary for Quicksort") draws from
+// selectNth itself: each comparison freezes the pivot candidate at the
+// lowest value still free, so every round cuts off only a few entries.
+// The guard must trip and leave a correct split.
+func TestHeadIndexDepthGuard(t *testing.T) {
+	const n = 20000
+	gas := int64(n)
+	val := make([]int64, n)
+	for i := range val {
+		val[i] = gas
+	}
+	frozen, candidate := int64(0), -1
+	adversary := func(a, b headEnt) int {
+		x, y := int(a.seq), int(b.seq)
+		if val[x] == gas && val[y] == gas {
+			if x == candidate {
+				val[x] = frozen
+			} else {
+				val[y] = frozen
+			}
+			frozen++
+		}
+		if val[x] == gas {
+			candidate = x
+		} else if val[y] == gas {
+			candidate = y
+		}
+		return cmp.Compare(val[x], val[y])
+	}
+	ents := make([]headEnt, n)
+	for i := range ents {
+		ents[i].seq = uint32(i)
+	}
+	if !selectNth(ents, n/2, adversary) {
+		t.Fatal("the adversary's order did not trip the depth guard")
+	}
+	// The values the adversary settled on answer every comparison it
+	// made, so the index's own CPU split at the root takes the same path.
+	x := buildOver(n, func(i int) resources.Vector { return resources.Vec(100+val[i], 128+val[i]) })
+	if x.stats.sorted == 0 {
+		t.Fatal("the build over the adversary's order did not fall back to a sort")
+	}
+	checkSplits(t, &x)
+}
+
+// buildOver builds an index over n members whose heads have demand(i)
+// in member order.
+func buildOver(n int, demand func(i int) resources.Vector) headIndex {
+	var x headIndex
+	for i := 0; i < n; i++ {
+		x.stage(&jobRec{seq: uint32(i)}, demand(i))
+	}
+	x.build()
+	return x
+}
+
+// checkSplits walks the implicit tree as split laid it out.
+func checkSplits(t *testing.T, x *headIndex) {
+	t.Helper()
+	key := func(e headEnt, axis int) int64 {
+		if axis == 0 {
+			return e.demand.CPUMilli
+		}
+		return e.demand.MemMiB
+	}
+	for i, e := range x.ents {
+		if e.rec == nil || int(e.rec.where) != i+1 {
+			t.Fatalf("entry %d is not where its record points", i)
+		}
+	}
+	var walk func(lo, hi, axis int)
+	walk = func(lo, hi, axis int) {
+		if hi-lo <= leafSize {
+			return
+		}
+		mid := lo + (hi-lo)/2
+		left := key(x.ents[lo], axis)
+		for _, e := range x.ents[lo:mid] {
+			left = max(left, key(e, axis))
+		}
+		for _, e := range x.ents[mid:hi] {
+			if key(e, axis) < left {
+				t.Fatalf("node over [%d, %d): axis %d value %d right of the cut, %d left of it", lo, hi, axis, key(e, axis), left)
+			}
+		}
+		walk(lo, mid, 1-axis)
+		walk(mid, hi, 1-axis)
+	}
+	walk(0, len(x.ents), 0)
 }

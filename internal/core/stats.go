@@ -7,13 +7,16 @@ type Stats struct {
 	// Calls counts Schedule calls.
 	Calls uint64
 	// Walks counts sync's full walks of ctx.Jobs(); Walked counts the
-	// records they visited, the departed ones included.
-	Walks, Walked uint64
+	// records they visited, the departed ones included. Watched counts
+	// the records the watch passes between them visited.
+	Walks, Walked, Watched uint64
 	// Revalidations counts records re-read from their job, and
 	// Recomputes the Algorithm 1 recomputations.
 	Revalidations, Recomputes uint64
-	// Builds counts head-index builds, Built the entries they arranged.
-	Builds, Built uint64
+	// Builds counts head-index builds, Built the entries they arranged,
+	// and Sorted the tree levels whose median selection fell back to a
+	// sort (see selectNth).
+	Builds, Built, Sorted uint64
 	// Queries counts head-index searches. Nodes counts the tree nodes
 	// they entered, root and leaves included; LeafScanned and
 	// OverflowScanned count the entries they scanned in the leaves and
@@ -28,7 +31,7 @@ type Stats struct {
 
 // headStats is the share of Stats one head index counts itself.
 type headStats struct {
-	builds, built, queries, nodes, leaf, over uint64
+	builds, built, sorted, queries, nodes, leaf, over uint64
 }
 
 // StatsOf returns a scheduler's work counts. It is a function, not a
@@ -40,6 +43,7 @@ func StatsOf(s *Scheduler) Stats {
 		h := &s.scratch.classes[l].heads.stats
 		st.Builds += h.builds
 		st.Built += h.built
+		st.Sorted += h.sorted
 		st.Queries += h.queries
 		st.Nodes += h.nodes
 		st.LeafScanned += h.leaf

@@ -34,9 +34,16 @@ type Context interface {
 	// survivors keep their relative order and nothing is ever inserted
 	// among them. (Arrival slots therefore never decrease along the
 	// list; job IDs within a slot usually ascend, but an online
-	// injection into a slot already delivered lands behind it.) A
-	// scheduler may keep per-job state aligned with the list on the
-	// strength of this; the slice itself is only valid for the call.
+	// injection into a slot already delivered lands behind it.) Between
+	// the same two decision points, apart from the arrivals and the
+	// scheduler's own placements the caller applied, a job's task
+	// states change only through its running copies: a copy completes,
+	// or a copy is lost with its server. So a job leaves the list only
+	// after holding a running copy, and a job that held none at one
+	// decision point and was not placed there is unchanged at the next.
+	// A scheduler may keep per-job state aligned with the list, and
+	// re-read only the jobs that held a running copy, on the strength of
+	// this; the slice itself is only valid for the call.
 	Jobs() []*workload.JobState
 	// Copies returns the running copies of a task (empty if none). A
 	// policy that needs only their number reads it off the job instead:

@@ -187,11 +187,16 @@ func (c *Context) Apply(placements []sched.Placement) error {
 }
 
 // Complete finishes a task: releases every copy's resources and marks it
-// done, as the engine does when the first copy wins.
+// done, as the engine does when the first copy wins. Like the engine,
+// it completes only a task with a running copy; any other is an error,
+// as an invalid placement is for Apply.
 func (c *Context) Complete(ref workload.TaskRef) error {
 	js := c.find(ref.Job)
 	if js == nil {
 		return fmt.Errorf("schedtest: unknown job %d", ref.Job)
+	}
+	if len(c.CopyMap[ref]) == 0 {
+		return fmt.Errorf("schedtest: completing %v, which has no running copy", ref)
 	}
 	demand := js.Job.Phases[ref.Phase].Demand
 	for _, cp := range c.CopyMap[ref] {

@@ -89,6 +89,14 @@ func TestApplyRejectsInvalid(t *testing.T) {
 			t.Errorf("accepted invalid placement %+v", p)
 		}
 	}
+	// The engine completes only a task with a running copy.
+	pending := workload.TaskRef{Job: 1, Phase: 0}
+	if err := ctx.Complete(pending); err == nil {
+		t.Errorf("completed %v, which has no running copy", pending)
+	}
+	if got := ctx.JobStates[0].Task(0, 0); got != workload.TaskPending {
+		t.Errorf("rejected completion left the task %v", got)
+	}
 }
 
 func TestStatsOverride(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 // snapshotChecker wraps a scheduler and checks, at every decision
 // point, the sched.Context.Jobs contract against the previous snapshot:
 // the finished jobs are gone, the survivors keep their relative order,
-// and whatever is new sits behind all of them.
+// and whatever is new sits behind all of them; and a job of the previous
+// snapshot whose Version moved since then either held a running copy
+// when the previous call returned or was placed by it.
 type snapshotChecker struct {
 	sched.Scheduler
 	t     *testing.T
@@ -20,11 +22,37 @@ type snapshotChecker struct {
 	calls int
 	grew  int // snapshots that gained a job
 	shed  int // snapshots that lost one
+	// stamp, running and placed describe the jobs of prev as the
+	// previous call left them.
+	stamp   map[*workload.JobState]uint32
+	running map[*workload.JobState]bool
+	placed  map[workload.JobID]bool
+	moved   int // jobs that moved through a running copy alone
+}
+
+// holdsCopy reports whether a job has a running task.
+func holdsCopy(js *workload.JobState) bool {
+	for k := range js.Job.Phases {
+		if js.RunningCount(workload.PhaseID(k)) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *snapshotChecker) Schedule(ctx sched.Context) []sched.Placement {
 	jobs := ctx.Jobs()
 	c.calls++
+	for _, js := range c.prev {
+		if js.Version() == c.stamp[js] || c.placed[js.Job.ID] {
+			continue
+		}
+		if !c.running[js] {
+			c.t.Fatalf("call %d, slot %d: job %d moved without a running copy or a placement",
+				c.calls, ctx.Now(), js.Job.ID)
+		}
+		c.moved++
+	}
 	i := 0
 	for _, js := range c.prev {
 		switch {
@@ -51,7 +79,17 @@ func (c *snapshotChecker) Schedule(ctx sched.Context) []sched.Placement {
 		}
 	}
 	c.prev = append(c.prev[:0], jobs...)
-	return c.Scheduler.Schedule(ctx)
+	out := c.Scheduler.Schedule(ctx)
+	clear(c.stamp)
+	clear(c.running)
+	clear(c.placed)
+	for _, js := range jobs {
+		c.stamp[js], c.running[js] = js.Version(), holdsCopy(js)
+	}
+	for _, p := range out {
+		c.placed[p.Ref.Job] = true
+	}
+	return out
 }
 
 // TestJobsSnapshotsOnlyAppendAndCut drives an online engine through
@@ -61,7 +99,12 @@ func (c *snapshotChecker) Schedule(ctx sched.Context) []sched.Placement {
 // at every Schedule call. Schedulers that keep per-job state between
 // calls (core.Scheduler) rely on it.
 func TestJobsSnapshotsOnlyAppendAndCut(t *testing.T) {
-	chk := &snapshotChecker{Scheduler: greedy{}, t: t}
+	chk := &snapshotChecker{
+		Scheduler: greedy{}, t: t,
+		stamp:   map[*workload.JobState]uint32{},
+		running: map[*workload.JobState]bool{},
+		placed:  map[workload.JobID]bool{},
+	}
 	e, err := New(Config{
 		Cluster: cluster.Uniform(2, resources.Cores(2, 2)), Scheduler: chk,
 		Deterministic: true, Online: true, Paranoid: true,
@@ -100,7 +143,8 @@ func TestJobsSnapshotsOnlyAppendAndCut(t *testing.T) {
 	if got := e.res.Completed; got != 10 {
 		t.Fatalf("completed %d of 10", got)
 	}
-	if chk.grew < 3 || chk.shed < 3 {
-		t.Fatalf("the run did not exercise the contract: %d snapshots grew, %d shed jobs", chk.grew, chk.shed)
+	if chk.grew < 3 || chk.shed < 3 || chk.moved < 3 {
+		t.Fatalf("the run did not exercise the contract: %d snapshots grew, %d shed jobs, %d jobs moved through a running copy",
+			chk.grew, chk.shed, chk.moved)
 	}
 }
