@@ -492,6 +492,15 @@ func packingJobs(seed uint64, n int) []*workload.Job {
 	return jobs
 }
 
+// packedFailures perturbs a packing run: two servers fail while their
+// tasks' jobs still queue, so MarkPending moves heads backwards between
+// two calls, and one comes back.
+var packedFailures = []sim.Event{
+	{At: 9, Server: 0, Kind: sim.EventFail},
+	{At: 21, Server: 3, Kind: sim.EventFail},
+	{At: 40, Server: 0, Kind: sim.EventRestore},
+}
+
 // TestScheduleEquivalenceProperty is the campaign's pinning test: for
 // ≥8 seeds and every scheduler variant, the optimized Scheduler and the
 // seed copy must emit identical placement sequences — compared through
@@ -556,11 +565,7 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 	// of the jobs that ran there backwards between two calls.
 	cells = append(cells,
 		cell{variant: 0, seed: 10, servers: 40, jobs: 1500, packing: true},
-		cell{variant: 0, seed: 11, servers: 32, jobs: 1500, packing: true, events: []sim.Event{
-			{At: 9, Server: 0, Kind: sim.EventFail},
-			{At: 21, Server: 3, Kind: sim.EventFail},
-			{At: 40, Server: 0, Kind: sim.EventRestore},
-		}},
+		cell{variant: 0, seed: 11, servers: 32, jobs: 1500, packing: true, events: packedFailures},
 	)
 	// Two more for the redundancy passes' entry check, which the seed
 	// copy does not have: speculation's backups on a packed fleet (the

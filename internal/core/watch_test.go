@@ -47,11 +47,7 @@ func TestWatchListMatchesFullWalk(t *testing.T) {
 		events        []sim.Event
 	}{
 		{name: "packing/seed=10", seed: 10, servers: 40, jobs: 1500},
-		{name: "failing/seed=11", seed: 11, servers: 32, jobs: 1500, events: []sim.Event{
-			{At: 9, Server: 0, Kind: sim.EventFail},
-			{At: 21, Server: 3, Kind: sim.EventFail},
-			{At: 40, Server: 0, Kind: sim.EventRestore},
-		}},
+		{name: "failing/seed=11", seed: 11, servers: 32, jobs: 1500, events: packedFailures},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,8 +2,8 @@
 // BenchmarkEngineDrain and the exact count pins of sim and core
 // (TestEngineEventCounts, TestFitTrackerWorkCounts,
 // TestSchedulerWorkCounts) drain, so each row's schedule is pinned in
-// one place. It imports neither sim nor core, so
-// sim's own tests can use it.
+// one place. It imports neither sim nor core, so sim's own tests can
+// use it.
 package simtest
 
 import (
