@@ -64,7 +64,8 @@ type (
 	// FleetEvent injects a perturbation (slowdown, failure, restore)
 	// into a simulation via SimConfig.Events.
 	FleetEvent = sim.Event
-	// ServerID identifies a server within a Cluster.
+	// ServerID identifies a server within a Cluster: its position in
+	// Cluster.Servers().
 	ServerID = cluster.ServerID
 
 	// The custom-scheduler extension point: implement Scheduler by

@@ -11,7 +11,8 @@ import (
 	"dollymp/internal/resources"
 )
 
-// ServerID identifies a server within a Cluster.
+// ServerID identifies a server within a Cluster: its position in
+// Cluster.Servers().
 type ServerID int
 
 // Server is one machine in the fleet.
@@ -74,34 +75,15 @@ func (s *Server) EffectiveSpeed() float64 { return s.Speed * s.background }
 type Cluster struct {
 	servers []*Server
 	total   resources.Vector
-	// index maps server ID to position for sparse-ID fleets; nil while
-	// IDs are dense (position == ID), the common case.
-	index map[ServerID]int
 }
 
 // New builds a cluster from server specs. Each spec's free capacity starts
 // equal to its full capacity. IDs are assigned densely in spec order.
 func New(specs []Spec) (*Cluster, error) {
-	ids := make([]ServerID, len(specs))
-	for i := range ids {
-		ids[i] = ServerID(i)
-	}
-	return NewWithIDs(specs, ids)
-}
-
-// NewWithIDs is New with explicit server IDs, for fleets whose IDs are
-// not dense — e.g. a partition of a larger cluster that keeps the
-// global IDs. IDs must be non-negative, unique, and strictly increasing
-// so Servers() stays in ID order.
-func NewWithIDs(specs []Spec, ids []ServerID) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: no servers")
 	}
-	if len(ids) != len(specs) {
-		return nil, fmt.Errorf("cluster: %d ids for %d specs", len(ids), len(specs))
-	}
 	c := &Cluster{servers: make([]*Server, 0, len(specs))}
-	dense := true
 	for i, sp := range specs {
 		if !sp.Capacity.IsValid() || sp.Capacity.IsZero() {
 			return nil, fmt.Errorf("cluster: server %d has invalid capacity %v", i, sp.Capacity)
@@ -109,17 +91,8 @@ func NewWithIDs(specs []Spec, ids []ServerID) (*Cluster, error) {
 		if !(sp.Speed > 0) {
 			return nil, fmt.Errorf("cluster: server %d has invalid speed %v", i, sp.Speed)
 		}
-		if ids[i] < 0 {
-			return nil, fmt.Errorf("cluster: server %d has negative ID %d", i, ids[i])
-		}
-		if i > 0 && ids[i] <= ids[i-1] {
-			return nil, fmt.Errorf("cluster: IDs must be strictly increasing, got %d after %d", ids[i], ids[i-1])
-		}
-		if int(ids[i]) != i {
-			dense = false
-		}
 		s := &Server{
-			ID:         ids[i],
+			ID:         ServerID(i),
 			Name:       sp.Name,
 			Capacity:   sp.Capacity,
 			Speed:      sp.Speed,
@@ -129,12 +102,6 @@ func NewWithIDs(specs []Spec, ids []ServerID) (*Cluster, error) {
 		}
 		c.servers = append(c.servers, s)
 		c.total = c.total.Add(sp.Capacity)
-	}
-	if !dense {
-		c.index = make(map[ServerID]int, len(c.servers))
-		for i, s := range c.servers {
-			c.index[s.ID] = i
-		}
 	}
 	return c, nil
 }
@@ -151,29 +118,11 @@ type Spec struct {
 func (c *Cluster) Len() int { return len(c.servers) }
 
 // Server returns the server with the given ID. It panics on an unknown
-// ID, mirroring a slice index out of range on dense fleets.
-func (c *Cluster) Server(id ServerID) *Server {
-	if c.index == nil {
-		return c.servers[id]
-	}
-	if i, ok := c.index[id]; ok {
-		return c.servers[i]
-	}
-	panic(fmt.Sprintf("cluster: unknown server %d", id))
-}
+// ID, as a slice index out of range does.
+func (c *Cluster) Server(id ServerID) *Server { return c.servers[id] }
 
 // Contains reports whether a server with the given ID exists.
-func (c *Cluster) Contains(id ServerID) bool {
-	if c.index == nil {
-		return id >= 0 && int(id) < len(c.servers)
-	}
-	_, ok := c.index[id]
-	return ok
-}
-
-// MaxID returns the highest server ID in the fleet. Equal to Len()-1 on
-// dense fleets; larger on sparse ones.
-func (c *Cluster) MaxID() ServerID { return c.servers[len(c.servers)-1].ID }
+func (c *Cluster) Contains(id ServerID) bool { return id >= 0 && int(id) < len(c.servers) }
 
 // Servers returns the fleet in ID order. Callers must not modify the
 // returned slice.

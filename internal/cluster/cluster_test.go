@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,37 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]Spec{{Capacity: resources.Vec(-1, 5), Speed: 1}}); err == nil {
 		t.Error("negative capacity should error")
+	}
+}
+
+// TestIDIsPosition pins the fleet's one ID rule on every constructor and
+// on each shard of a partition: a server's ID is its position, and
+// Contains is true exactly on [0, Len()).
+func TestIDIsPosition(t *testing.T) {
+	fleets := map[string]*Cluster{
+		"New":        twoServer(t),
+		"Uniform":    Uniform(3, resources.Cores(4, 8)),
+		"Testbed30":  Testbed30(),
+		"LargeFleet": LargeFleet(97, 1),
+	}
+	shards, err := Partition(LargeFleet(97, 1), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, shard := range shards {
+		fleets[fmt.Sprintf("Partition/%d", k)] = shard
+	}
+	for name, c := range fleets {
+		for i, s := range c.Servers() {
+			if s.ID != ServerID(i) || c.Server(ServerID(i)) != s {
+				t.Errorf("%s: position %d holds ID %d, Server(%d) = %p, want %p", name, i, s.ID, i, c.Server(ServerID(i)), s)
+			}
+		}
+		for id, want := range map[ServerID]bool{0: true, ServerID(c.Len() - 1): true, -1: false, ServerID(c.Len()): false} {
+			if c.Contains(id) != want {
+				t.Errorf("%s: Contains(%d) = %v, want %v", name, id, !want, want)
+			}
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import "fmt"
 // every partition samples the fleet's heterogeneity — a testbed30 split
 // does not put both powerful servers in shard 0 and leave shard 3 all
 // small nodes. Server names are preserved (they stay globally unique);
-// IDs are renumbered 0..len-1 within each partition, as required by
-// Cluster's dense ID space.
+// IDs are renumbered 0..len-1 within each partition: a server's ID is its
+// position in its own fleet.
 //
 // Each partition is a fresh, fully free cluster: partitioning is a
 // construction-time operation, not a live migration.

@@ -25,6 +25,15 @@ func TestAvoidancePrefersFastServer(t *testing.T) {
 		t.Fatalf("should place on the fastest learned server: %+v", ps)
 	}
 
+	// Invalidation: once server 1 learns a higher speed, the cached
+	// order must be rebuilt, not replayed.
+	ctx.SpeedOverride[1] = schedtest.SpeedEstimate{Speed: 3.0, N: 10}
+	ctx.MustAddJob(workload.SingleTask(2, 0, resources.Cores(1, 1), 10, 5))
+	ps = s.Schedule(ctx)
+	if len(ps) == 0 || ps[0].Server != 1 {
+		t.Fatalf("cached order must refresh on speed change: %+v", ps)
+	}
+
 	// Without avoidance the lowest-ID server wins.
 	plain := core.MustNew(core.WithClones(0))
 	ps = plain.Schedule(schedCopy(t, fleet))

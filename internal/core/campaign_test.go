@@ -1,9 +1,8 @@
 package core_test
 
 // Regression tests for the hot-path bugs the decision-cost campaign
-// exposed: the sparse-ID panic in serverOrder, the class-count
-// explosion under cluster-filling tasks, and the estimator's
-// double-Record path.
+// exposed: the class-count explosion under cluster-filling tasks and
+// the estimator's double-Record path.
 
 import (
 	"fmt"
@@ -20,47 +19,6 @@ import (
 	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
-
-func sparseFleet(t *testing.T) *cluster.Cluster {
-	t.Helper()
-	specs := []cluster.Spec{
-		{Name: "a", Capacity: resources.Cores(4, 8), Speed: 1},
-		{Name: "b", Capacity: resources.Cores(4, 8), Speed: 1},
-		{Name: "c", Capacity: resources.Cores(4, 8), Speed: 1},
-	}
-	fleet, err := cluster.NewWithIDs(specs, []cluster.ServerID{3, 50, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fleet
-}
-
-// TestServerOrderSparseIDs pins the serverOrder fix: the pre-campaign
-// implementation indexed a len(servers)-sized speed slice by server ID,
-// which panics the moment IDs are not dense (here ID 1000 against a
-// 3-element slice). The ordering itself must still follow the learned
-// speeds, fastest first.
-func TestServerOrderSparseIDs(t *testing.T) {
-	ctx := schedtest.New(sparseFleet(t))
-	ctx.MustAddJob(workload.SingleTask(1, 0, resources.Cores(1, 1), 10, 5))
-	ctx.SpeedOverride[3] = schedtest.SpeedEstimate{Speed: 0.3, N: 10}
-	ctx.SpeedOverride[1000] = schedtest.SpeedEstimate{Speed: 2.0, N: 10}
-
-	s := core.MustNew(core.WithClones(0), core.WithStragglerAvoidance(true))
-	ps := s.Schedule(ctx)
-	if len(ps) != 1 || ps[0].Server != 1000 {
-		t.Fatalf("should place on the fastest learned server 1000: %+v", ps)
-	}
-
-	// Invalidation: once server 50 learns a higher speed, the cached
-	// order must be rebuilt, not replayed.
-	ctx.SpeedOverride[50] = schedtest.SpeedEstimate{Speed: 3.0, N: 10}
-	ctx.MustAddJob(workload.SingleTask(2, 0, resources.Cores(1, 1), 10, 5))
-	ps = s.Schedule(ctx)
-	if len(ps) == 0 || ps[0].Server != 50 {
-		t.Fatalf("cached order must refresh on speed change: %+v", ps)
-	}
-}
 
 // TestScheduleClusterFillingTask pins the class-count cap: a task whose
 // dominant share is 1 clamps maxD to 1−1e-9, which used to inflate g by
@@ -147,50 +105,6 @@ func TestEstimatorRecordsFoldOnce(t *testing.T) {
 	s.Schedule(ctx)
 	if got := est.HistorySamples(key); got != n {
 		t.Fatalf("history holds %d samples after second harvest, want %d", got, n)
-	}
-}
-
-// TestSparseClusterAccessors covers the NewWithIDs contract the
-// scheduler and engine now rely on.
-func TestSparseClusterAccessors(t *testing.T) {
-	fleet := sparseFleet(t)
-	if fleet.Len() != 3 {
-		t.Fatalf("len: %d", fleet.Len())
-	}
-	if fleet.MaxID() != 1000 {
-		t.Fatalf("max id: %d", fleet.MaxID())
-	}
-	for _, id := range []cluster.ServerID{3, 50, 1000} {
-		if !fleet.Contains(id) {
-			t.Fatalf("missing server %d", id)
-		}
-		if fleet.Server(id).ID != id {
-			t.Fatalf("lookup %d returned %d", id, fleet.Server(id).ID)
-		}
-	}
-	for _, id := range []cluster.ServerID{0, 4, 999, -1} {
-		if fleet.Contains(id) {
-			t.Fatalf("phantom server %d", id)
-		}
-	}
-	if err := fleet.Allocate(50, resources.Cores(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.Release(50, resources.Cores(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	specs := []cluster.Spec{
-		{Name: "a", Capacity: resources.Cores(1, 1), Speed: 1},
-		{Name: "b", Capacity: resources.Cores(1, 1), Speed: 1},
-	}
-	if _, err := cluster.NewWithIDs(specs, []cluster.ServerID{5, 5}); err == nil {
-		t.Fatal("duplicate IDs accepted")
-	}
-	if _, err := cluster.NewWithIDs(specs, []cluster.ServerID{7, 2}); err == nil {
-		t.Fatal("decreasing IDs accepted")
-	}
-	if _, err := cluster.NewWithIDs(specs, []cluster.ServerID{-1, 2}); err == nil {
-		t.Fatal("negative ID accepted")
 	}
 }
 

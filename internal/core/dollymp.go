@@ -803,9 +803,7 @@ func (s *Scheduler) speculationPass(
 // lands on healthy machines before straggler-prone ones. The sorted
 // order is cached between calls and invalidated by comparing the
 // learned speeds position by position, so a quiet fleet costs a linear
-// scan instead of a sort. Speeds are tracked by fleet position, never
-// indexed by server ID, so sparse-ID fleets (e.g. a partition keeping
-// global IDs) sort correctly.
+// scan instead of a sort.
 func (s *Scheduler) serverOrder(ctx sched.Context) []*cluster.Server {
 	servers := ctx.Cluster().Servers()
 	if !s.avoidStragglers {

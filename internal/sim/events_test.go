@@ -23,6 +23,9 @@ func TestEventValidation(t *testing.T) {
 	if err := mk(Event{At: 0, Server: 9, Kind: EventFail}); err == nil {
 		t.Error("unknown server accepted")
 	}
+	if err := mk(Event{At: 0, Server: 2, Kind: EventFail}); err == nil {
+		t.Error("server at fleet length accepted")
+	}
 	if err := mk(Event{At: 0, Server: 0, Kind: EventSlowdown, Factor: 0}); err == nil {
 		t.Error("zero factor accepted")
 	}

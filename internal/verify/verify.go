@@ -57,7 +57,7 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 		if int(ev.Ref.Phase) >= len(j.Phases) || ev.Ref.Index >= j.Phases[ev.Ref.Phase].Tasks {
 			return fmt.Errorf("verify: event for out-of-range task %v", ev.Ref)
 		}
-		if int(ev.Server) < 0 || int(ev.Server) >= fleet.Len() {
+		if !fleet.Contains(ev.Server) {
 			return fmt.Errorf("verify: event on unknown server %d", ev.Server)
 		}
 		ts := get(ev.Ref)

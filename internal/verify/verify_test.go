@@ -146,6 +146,12 @@ func TestCheckRejectsBadTraces(t *testing.T) {
 		{"unknown server", []sim.TraceEvent{
 			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 7, Demand: d},
 		}, "unknown server"},
+		{"server at fleet length", []sim.TraceEvent{
+			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 1, Demand: d},
+		}, "unknown server"},
+		{"negative server", []sim.TraceEvent{
+			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: -1, Demand: d},
+		}, "unknown server"},
 		{"incomplete run", good[:2], "never completed"},
 		{"leftover copy", []sim.TraceEvent{
 			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 0, Demand: d},
