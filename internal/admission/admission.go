@@ -7,12 +7,11 @@
 // traffic degrades by policy (rate limits, per-tenant fairness) instead
 // of by a 429 storm racing for the last slots.
 //
-// The split mirrors the AdmissionPolicy/SnapshotProvider decomposition
-// of inference-serving control planes: the policy is a pure decision
-// function over (job, snapshot); the SnapshotProvider is whoever owns
-// the queues — a single service, a shard router summing its shards, or
-// a federation gateway with only partial knowledge — and feeds the
-// policy a consistent view of the pressure signals at decision time.
+// The split mirrors the policy/snapshot decomposition of
+// inference-serving control planes: the policy is a pure decision
+// function over (job, snapshot), and the snapshot comes from whoever
+// owns the queues — a shard router summing its shards' queue depths, or
+// a federation gateway with no queue at all — read at decision time.
 // Policies never reach back into the scheduler: everything they may
 // consult is in the Snapshot.
 //
@@ -32,10 +31,10 @@ import (
 	"dollymp/internal/workload"
 )
 
-// Snapshot is the pressure view a SnapshotProvider feeds the policy at
-// decision time. All fields are deployment-wide from the provider's
-// perspective: a shard router sums its shards, a gateway reports what
-// it knows (possibly nothing — see QueueCap).
+// Snapshot is the pressure view a policy decides on. Both fields are
+// deployment-wide from the decision point's perspective: a shard router
+// sums its shards, a gateway reports what it knows (nothing — see
+// QueueCap).
 type Snapshot struct {
 	// QueueDepth is the number of jobs waiting in admission queues.
 	QueueDepth int
@@ -44,21 +43,6 @@ type Snapshot struct {
 	// on fullness must treat unknown capacity as "always under
 	// pressure" — the conservative reading at the outermost edge.
 	QueueCap int
-	// ActiveJobs counts admitted, unfinished jobs in the engines.
-	ActiveJobs int
-	// Clock is the virtual-clock frontier in slots.
-	Clock int64
-	// PendingArrivals counts jobs injected but not yet arrived at the
-	// engine clock — the clock-lag proxy: how far intake is running
-	// ahead of simulation progress.
-	PendingArrivals int
-}
-
-// SnapshotProvider feeds policies the pressure view. The service, the
-// shard router, and the federation gateway each implement it over their
-// own state.
-type SnapshotProvider interface {
-	AdmissionSnapshot() Snapshot
 }
 
 // Decision is a policy's verdict on one job.

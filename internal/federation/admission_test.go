@@ -20,8 +20,10 @@ import (
 	"time"
 
 	"dollymp/internal/admission"
+	"dollymp/internal/metrics"
 	"dollymp/internal/resources"
 	"dollymp/internal/service"
+	"dollymp/internal/shard"
 	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
@@ -115,12 +117,78 @@ func TestGatewayBatchChargedLikeAMember(t *testing.T) {
 	if code := getJSON(t, gsrv.URL+"/v1/admission", &st); code != http.StatusOK || st.Denied != 1 {
 		t.Fatalf("admission view %d %+v, want 1 denial", code, st)
 	}
+	// The cluster view and its status alias count the gateway's denial
+	// the way a router's counts its own.
+	for _, path := range []string{"/v1/cluster", "/v1/status"} {
+		var snap service.ClusterSnapshot
+		if code := getJSON(t, gsrv.URL+path, &snap); code != http.StatusOK || snap.Jobs.Denied != 1 {
+			t.Fatalf("%s %d %+v, want 1 denial", path, code, snap.Jobs)
+		}
+	}
 
 	now.Add(int64(2 * time.Second))
 	if code, er := post(2); code != http.StatusAccepted || len(er.IDs) != 2 {
 		t.Fatalf("2-job remainder after refill: %d %+v, want 202 with 2 ids", code, er)
 	}
 	charged(5)
+}
+
+// TestGatewayMergesPolicedMembers: every member router polices its own
+// edge and exports its denials, and the gateway's merged /metrics still
+// parses — one denied series per member — and sums to the members'
+// denials.
+func TestGatewayMergesPolicedMembers(t *testing.T) {
+	base := t.TempDir()
+	frozen := time.Unix(1000, 0)
+	g, members := newFederationOf(t,
+		[]string{filepath.Join(base, "a"), filepath.Join(base, "b")},
+		[][]int{{0, 1}, {2, 3}}, 4, func() shard.Config {
+			cfg := baseShardConfig()
+			cfg.Admission = admission.NewTokenBucket(admission.TokenBucketConfig{
+				Rate: 1e-9, Burst: 1, Now: func() time.Time { return frozen },
+			})
+			return cfg
+		})
+	gsrv := httptest.NewServer(g.Handler())
+	defer gsrv.Close()
+	defer func() {
+		for _, m := range members {
+			m.srv.Close()
+			stopRouter(t, m.r)
+		}
+	}()
+	// Each member admits its one-token burst and denies what follows.
+	var want int64
+	for i, m := range members {
+		for n := 0; n <= i+1; n++ {
+			_, _ = m.r.SubmitNowait(&workload.Job{Name: "t", App: "test", Phases: []workload.Phase{{
+				Name: "p", Tasks: 1, Demand: resources.Cores(1, 1), MeanDuration: 2,
+			}}})
+		}
+		want += m.r.Counts().Denied
+	}
+	if want != 3 {
+		t.Fatalf("members denied %d, want 3", want)
+	}
+	resp, body := doMethod(t, http.MethodGet, gsrv.URL+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gateway /metrics: %d %s", resp.StatusCode, body)
+	}
+	samples, err := metrics.ParsePromText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("merged exposition of policed members invalid: %v\n%s", err, body)
+	}
+	var series int
+	var denied float64
+	for _, s := range samples {
+		if s.Name == "dollymp_jobs_denied_total" {
+			series++
+			denied += s.Value
+		}
+	}
+	if series != len(members) || denied != float64(want) {
+		t.Fatalf("denied family: %d series summing to %v, want %d summing to %d", series, denied, len(members), want)
+	}
 }
 
 func TestGatewayMemberAdmissionParity(t *testing.T) {
@@ -184,6 +252,10 @@ func TestGatewayMemberAdmissionParity(t *testing.T) {
 			answer{http.StatusMethodNotAllowed, service.CodeMethodNotAllowed, "GET"}},
 		{http.MethodGet, "/v1/admission/nope",
 			answer{http.StatusNotFound, service.CodeNotFound, ""}},
+		{http.MethodGet, "/v1/jobs/0",
+			answer{http.StatusBadRequest, service.CodeInvalidArgument, ""}},
+		{http.MethodGet, "/v1/jobs/-1",
+			answer{http.StatusBadRequest, service.CodeInvalidArgument, ""}},
 	} {
 		gw := probe(gsrv.URL, tc.method, tc.path)
 		mb := probe(members[0].srv.URL, tc.method, tc.path)

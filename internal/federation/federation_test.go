@@ -108,6 +108,13 @@ type fedMember struct {
 // newFederation builds N in-process members and a gateway over them.
 func newFederation(t *testing.T, dirs []string, residues [][]int, totalShards int) (*Gateway, []*fedMember) {
 	t.Helper()
+	return newFederationOf(t, dirs, residues, totalShards, baseShardConfig)
+}
+
+// newFederationOf is newFederation with each member's router built from
+// base().
+func newFederationOf(t *testing.T, dirs []string, residues [][]int, totalShards int, base func() shard.Config) (*Gateway, []*fedMember) {
+	t.Helper()
 	man := Manifest{Shards: totalShards}
 	for i := range dirs {
 		man.Members = append(man.Members, Member{
@@ -118,7 +125,7 @@ func newFederation(t *testing.T, dirs []string, residues [][]int, totalShards in
 	}
 	var members []*fedMember
 	for i := range man.Members {
-		r, _, err := NewMemberRouter(man, man.Members[i].Name, baseShardConfig())
+		r, _, err := NewMemberRouter(man, man.Members[i].Name, base())
 		if err != nil {
 			t.Fatal(err)
 		}

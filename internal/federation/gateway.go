@@ -173,12 +173,6 @@ func (g *Gateway) jobCandidates(res int) []Member {
 	return out
 }
 
-// AdmissionSnapshot implements admission.SnapshotProvider: the gateway
-// is stateless and owns no queue, so its edge policy sees the zero
-// Snapshot (QueueCap 0 = unknown capacity, which pressure-gated
-// policies treat as always-enforce).
-func (g *Gateway) AdmissionSnapshot() admission.Snapshot { return admission.Snapshot{} }
-
 // Handler returns the gateway's HTTP surface: the member /v1 routes
 // proxied or federated, plus GET /v1/federation for membership state.
 // service.MuxFor gives it the members' envelope 404/405 treatment, so
@@ -214,6 +208,11 @@ func passThrough(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
+// noPressure is the gateway's pressure view: it is stateless and owns no
+// queue, so its edge policy sees the zero Snapshot (QueueCap 0 = unknown
+// capacity, which pressure-gated policies treat as always-enforce).
+func noPressure() admission.Snapshot { return admission.Snapshot{} }
+
 // submit charges the edge policy, if any, and forwards POST /v1/jobs to
 // a live member. A batch is charged the way a member's handler submits
 // one — in order, stopping at the first denial — so the answer has a
@@ -240,7 +239,7 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 	n := 0
 	var denial error
 	for ; n < len(jobs); n++ {
-		if denial = service.ChargeAdmission(r.Context(), p, g, jobs[n], func() { g.denied.Add(1) }); denial != nil {
+		if denial = service.ChargeAdmission(r.Context(), p, noPressure, jobs[n], func() { g.denied.Add(1) }); denial != nil {
 			break
 		}
 	}
@@ -432,7 +431,8 @@ func (g *Gateway) shards(w http.ResponseWriter, r *http.Request) {
 }
 
 // cluster federates GET /v1/cluster (and its /v1/status alias) by the
-// merge rules of service.ClusterSnapshot.Add over the members' views.
+// merge rules of service.ClusterSnapshot.Add over the members' views,
+// plus the gateway's own edge denials, which no member counted.
 func (g *Gateway) cluster(w http.ResponseWriter, r *http.Request) {
 	agg := service.ClusterSnapshot{Shards: g.cfg.Manifest.Shards}
 	if !g.federate(w, "/v1/cluster", func(body []byte) error {
@@ -445,6 +445,7 @@ func (g *Gateway) cluster(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
+	agg.Jobs.Denied += g.denied.Load()
 	writeJSON(w, http.StatusOK, agg)
 }
 

@@ -129,11 +129,18 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return c
 }
 
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{key: renderLabels(labels, "", "")}
-	r.register(name, help, "gauge", labels, g)
-	return g
+// CounterFunc registers a counter whose value is read from read at
+// every scrape: the series restates a total its owner already keeps, so
+// there is no second copy to keep in step. read must be safe to call
+// from any goroutine and must never decrease.
+func (r *Registry) CounterFunc(name, help string, labels Labels, read func() float64) {
+	r.register(name, help, "counter", labels, funcSeries{renderLabels(labels, "", ""), read})
+}
+
+// GaugeFunc registers a gauge whose value is read from read at every
+// scrape. read must be safe to call from any goroutine.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, read func() float64) {
+	r.register(name, help, "gauge", labels, funcSeries{renderLabels(labels, "", ""), read})
 }
 
 // Histogram registers and returns a fixed-bucket histogram. Bucket upper
@@ -165,12 +172,18 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 }
 
 // Write renders every family in registration order: HELP and TYPE
-// headers followed by the family's series.
+// headers followed by the family's series. The series are read outside
+// the registry's lock, so a CounterFunc or GaugeFunc may take its
+// owner's.
 func (r *Registry) Write(w io.Writer) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range r.order {
-		fam := r.families[name]
+	fams := make([]family, len(r.order))
+	for i, name := range r.order {
+		fams[i] = *r.families[name]
+	}
+	r.mu.Unlock()
+	for i := range fams {
+		fam := &fams[i]
 		if fam.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.name, escapeHelp(fam.help)); err != nil {
 				return err
@@ -268,18 +281,6 @@ func (c *Counter) Add(d float64) {
 	c.mu.Unlock()
 }
 
-// AdvanceTo raises the counter to total, for a counter that mirrors a
-// total kept elsewhere and is brought up to date at scrape time. A total
-// at or below the current value leaves it alone, so concurrent scrapes
-// reading the source in either order cannot step it backwards.
-func (c *Counter) AdvanceTo(total float64) {
-	c.mu.Lock()
-	if total > c.v {
-		c.v = total
-	}
-	c.mu.Unlock()
-}
-
 // Value returns the current value.
 func (c *Counter) Value() float64 {
 	c.mu.Lock()
@@ -294,38 +295,16 @@ func (c *Counter) write(w io.Writer, fam *family) error {
 	return err
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	mu  sync.Mutex
-	v   float64
-	key string
+// funcSeries is a counter or gauge read from its owner at scrape time.
+type funcSeries struct {
+	key  string
+	read func() float64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
+func (f funcSeries) labelKey() string { return f.key }
 
-// Add shifts the value by d (negative allowed).
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	g.v += d
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-func (g *Gauge) labelKey() string { return g.key }
-
-func (g *Gauge) write(w io.Writer, fam *family) error {
-	_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, g.labelKey(), formatValue(g.Value()))
+func (f funcSeries) write(w io.Writer, fam *family) error {
+	_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, f.key, formatValue(f.read()))
 	return err
 }
 

@@ -26,16 +26,19 @@ func TestUnion(t *testing.T) {
 func TestPromCounterGaugeOutput(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("jobs_total", "Jobs seen.", nil)
-	g := reg.Gauge("queue_depth", "Queued jobs.", Labels{"pool": "default"})
+	var done, queued float64
+	reg.CounterFunc("done_total", "Jobs done.", nil, func() float64 { return done })
+	reg.GaugeFunc("queue_depth", "Queued jobs.", Labels{"pool": "default"}, func() float64 { return queued })
 	c.Add(3)
 	c.Inc()
-	g.Set(7)
-	g.Add(-2)
+	done, queued = 2, 5
 	out := reg.String()
 	for _, want := range []string{
 		"# HELP jobs_total Jobs seen.",
 		"# TYPE jobs_total counter",
 		"jobs_total 4",
+		"# TYPE done_total counter",
+		"done_total 2",
 		"# TYPE queue_depth gauge",
 		`queue_depth{pool="default"} 5`,
 	} {
@@ -46,11 +49,16 @@ func TestPromCounterGaugeOutput(t *testing.T) {
 	if _, err := ParsePromText(strings.NewReader(out)); err != nil {
 		t.Fatalf("self-parse: %v", err)
 	}
+	// A func series is read again at every scrape.
+	done, queued = 3, 0
+	if out := reg.String(); !strings.Contains(out, "done_total 3") || !strings.Contains(out, `queue_depth{pool="default"} 0`) {
+		t.Errorf("second scrape did not re-read its sources:\n%s", out)
+	}
 }
 
 func TestPromLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("weird", "has \\ and \nnewline", Labels{"v": "a\"b\\c\nd"}).Set(1)
+	reg.GaugeFunc("weird", "has \\ and \nnewline", Labels{"v": "a\"b\\c\nd"}, func() float64 { return 1 })
 	out := reg.String()
 	if !strings.Contains(out, `# HELP weird has \\ and \nnewline`) {
 		t.Errorf("help not escaped:\n%s", out)
@@ -123,7 +131,7 @@ func TestPromConstructorPanics(t *testing.T) {
 	mustPanic("infinite bucket", func() { reg.Histogram("h3", "", []float64{1, math.Inf(1)}, nil) })
 	reg.Counter("dup", "", Labels{"a": "1"})
 	mustPanic("duplicate series", func() { reg.Counter("dup", "", Labels{"a": "1"}) })
-	mustPanic("type mismatch", func() { reg.Gauge("dup", "", Labels{"a": "2"}) })
+	mustPanic("type mismatch", func() { reg.GaugeFunc("dup", "", Labels{"a": "2"}, nil) })
 	c := reg.Counter("mono", "", nil)
 	mustPanic("counter decrease", func() { c.Add(-1) })
 }

@@ -362,7 +362,7 @@ func queryInt(s string, def int) (int, error) {
 
 func (h handler) job(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
+	if err != nil || id < 1 {
 		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, fmt.Sprintf("bad job id %q", r.PathValue("id")))
 		return
 	}

@@ -60,6 +60,8 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 	// invalid_argument.
 	decodeEnvelope(t, get("/v1/jobs/999999"), http.StatusNotFound, CodeNotFound)
 	decodeEnvelope(t, get("/v1/jobs/abc"), http.StatusBadRequest, CodeInvalidArgument)
+	decodeEnvelope(t, get("/v1/jobs/0"), http.StatusBadRequest, CodeInvalidArgument)
+	decodeEnvelope(t, get("/v1/jobs/-1"), http.StatusBadRequest, CodeInvalidArgument)
 	// Malformed body carries the envelope too.
 	presp, out := postJSON(t, srv.URL+"/v1/jobs", []byte("nope"))
 	if presp.StatusCode != http.StatusBadRequest {

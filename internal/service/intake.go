@@ -57,16 +57,16 @@ func (e *AdmissionError) Unwrap() error { return ErrAdmissionDenied }
 // shard router and the federation gateway — run on an external
 // submission: the job is validated first, so a malformed submission
 // never burns admission budget; then the policy (nil means unpoliced)
-// is charged exactly once against the pressure view snap reports. A
+// is charged exactly once against the pressure view pressure reads. A
 // denial is counted through denied and returned as *AdmissionError.
-func ChargeAdmission(ctx context.Context, p admission.Policy, snap admission.SnapshotProvider, j *workload.Job, denied func()) error {
+func ChargeAdmission(ctx context.Context, p admission.Policy, pressure func() admission.Snapshot, j *workload.Job, denied func()) error {
 	if err := validate(j); err != nil {
 		return err
 	}
 	if p == nil {
 		return nil
 	}
-	d := p.Admit(ctx, j, snap.AdmissionSnapshot())
+	d := p.Admit(ctx, j, pressure())
 	if d.Admit {
 		return nil
 	}
@@ -144,10 +144,7 @@ func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
 	seq, err := s.enqueueLocked(j, journal.OpSubmitted)
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
-			// Counter and count move inside one critical section, so a
-			// /metrics scrape never disagrees with /v1 accounting.
 			s.counts.Rejected++
-			s.mRejected.Inc()
 		}
 		s.mu.Unlock()
 		return 0, err

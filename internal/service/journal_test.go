@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -137,9 +136,9 @@ func TestServiceJournalNoDuplicateCompleted(t *testing.T) {
 	if c := b.Counts(); c.Submitted != 2 || c.Completed != 2 {
 		t.Fatalf("restored history counts: %+v", c)
 	}
-	if b.mCompleted.Value() != 2 || b.mSubmitted.Value() != 2 {
+	if m := scrape(t, b); m["dollymp_jobs_completed_total"].Value != 2 || m["dollymp_jobs_submitted_total"].Value != 2 {
 		t.Fatalf("restored history counters: submitted %v, completed %v",
-			b.mSubmitted.Value(), b.mCompleted.Value())
+			m["dollymp_jobs_submitted_total"].Value, m["dollymp_jobs_completed_total"].Value)
 	}
 	if info, ok := b.Job(1); !ok || info.State != StateCompleted {
 		t.Fatalf("restored job 1: %+v (ok=%v)", info, ok)
@@ -240,10 +239,11 @@ func TestServiceJournalStealCrashResurrects(t *testing.T) {
 	}
 }
 
-// TestCountersAgreeWithCounts: the Prometheus counters move inside the
-// same critical section as Counts, so a counter read after a Counts
-// read can never be behind it — the strict cross-check the smoke probe
-// relies on.
+// TestCountersAgreeWithCounts: the admitted, completed and rejected
+// counters are reads of Counts at scrape time, and the submitted counter
+// moves inside the same critical section as Counts.Submitted, so a
+// scrape after a Counts read can never be behind it — the strict
+// cross-check the smoke probe relies on.
 func TestCountersAgreeWithCounts(t *testing.T) {
 	s := newTestService(t, 8) // tiny queue, loop not started: rejects fire too
 	done := make(chan struct{})
@@ -264,24 +264,25 @@ func TestCountersAgreeWithCounts(t *testing.T) {
 		default:
 		}
 		c := s.Counts()
-		if sub := int64(s.mSubmitted.Value()); sub < c.Submitted {
+		m := scrape(t, s)
+		if sub := int64(m["dollymp_jobs_submitted_total"].Value); sub < c.Submitted {
 			t.Fatalf("submitted counter %d behind counts %d", sub, c.Submitted)
 		}
-		if rej := int64(s.mRejected.Value()); rej < c.Rejected {
+		if rej := int64(m["dollymp_jobs_rejected_total"].Value); rej < c.Rejected {
 			t.Fatalf("rejected counter %d behind counts %d", rej, c.Rejected)
 		}
 	}
-	c := s.Counts()
-	if int64(s.mSubmitted.Value()) != c.Submitted || int64(s.mRejected.Value()) != c.Rejected {
+	c, m := s.Counts(), scrape(t, s)
+	if int64(m["dollymp_jobs_submitted_total"].Value) != c.Submitted || int64(m["dollymp_jobs_rejected_total"].Value) != c.Rejected {
 		t.Fatalf("quiescent counters disagree: %+v vs %v/%v",
-			c, s.mSubmitted.Value(), s.mRejected.Value())
+			c, m["dollymp_jobs_submitted_total"].Value, m["dollymp_jobs_rejected_total"].Value)
 	}
 	s.Start()
 	stopDrained(t, s)
-	c = s.Counts()
-	if int64(s.mAdmitted.Value()) != c.Admitted || int64(s.mCompleted.Value()) != c.Completed {
+	c, m = s.Counts(), scrape(t, s)
+	if int64(m["dollymp_jobs_admitted_total"].Value) != c.Admitted || int64(m["dollymp_jobs_completed_total"].Value) != c.Completed {
 		t.Fatalf("post-drain counters disagree: %+v vs %v/%v",
-			c, s.mAdmitted.Value(), s.mCompleted.Value())
+			c, m["dollymp_jobs_admitted_total"].Value, m["dollymp_jobs_completed_total"].Value)
 	}
 }
 
@@ -419,18 +420,6 @@ func TestServiceJournalIdleTailDurable(t *testing.T) {
 // view and from /metrics — one fsync per sequentially acknowledged job.
 func TestStageAndFsyncMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.wal")
-	scrape := func(s *Service) map[string]metrics.PromSample {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := s.WriteMetrics(&buf); err != nil {
-			t.Fatal(err)
-		}
-		samples, err := metrics.ParsePromText(&buf)
-		if err != nil {
-			t.Fatalf("metrics output invalid: %v", err)
-		}
-		return samples
-	}
 	stages := func(step string, samples map[string]metrics.PromSample, journalWait, queueWait, run float64) {
 		t.Helper()
 		for stage, want := range map[string]float64{
@@ -451,7 +440,7 @@ func TestStageAndFsyncMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	samples := scrape(a)
+	samples := scrape(t, a)
 	stages("queued", samples, n, 0, 0)
 	js := a.Snapshot().Journal
 	if js.Fsyncs != n || js.FsyncSeconds <= 0 {
@@ -470,7 +459,7 @@ func TestStageAndFsyncMetrics(t *testing.T) {
 	}
 	a.Start()
 	stopDrained(t, a)
-	stages("drained", scrape(a), n, n, n)
+	stages("drained", scrape(t, a), n, n, n)
 	if err := jnlA.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -482,13 +471,13 @@ func TestStageAndFsyncMetrics(t *testing.T) {
 	}
 	b.Start()
 	stopDrained(t, b)
-	stages("replayed", scrape(b), 0, 1, 1)
+	stages("replayed", scrape(t, b), 0, 1, 1)
 	if err := jnlB.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// An unjournaled service has the stage series but no journal ones.
-	plain := scrape(newTestService(t, 8))
+	plain := scrape(t, newTestService(t, 8))
 	stages("unjournaled", plain, 0, 0, 0)
 	if _, ok := plain["dollymp_journal_fsyncs_total"]; ok {
 		t.Error("unjournaled service exposes dollymp_journal_fsyncs_total")

@@ -29,7 +29,6 @@ func (s *Service) replayLocked(rj *journal.ReplayJob) (seq uint64, err error) {
 		s.jobs[rj.ID] = completedInfo(rj)
 		s.counts.Submitted++
 		s.counts.Completed++
-		s.mCompleted.Inc()
 		s.mJCT.Observe(float64(rj.Flowtime))
 	} else {
 		if rj.Job == nil {
@@ -43,9 +42,6 @@ func (s *Service) replayLocked(rj *journal.ReplayJob) (seq uint64, err error) {
 	}
 	s.mSubmitted.Inc()
 	s.jnlStat.ReplayedJobs++
-	if s.mJnlReplayed != nil {
-		s.mJnlReplayed.Set(float64(s.jnlStat.ReplayedJobs))
-	}
 	s.bumpNextID(rj.ID)
 	return seq, nil
 }

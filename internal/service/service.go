@@ -128,34 +128,21 @@ type Service struct {
 	jobs     map[workload.JobID]*jobRecord
 	nextID   workload.JobID
 	counts   Counts
-	tasksOut int64 // outstanding task volume of accepted, unfinished jobs
-	clock    int64
+	tasksOut int64           // outstanding task volume of accepted, unfinished jobs
 	snap     ClusterSnapshot // written in place by publish, Servers included; Snapshot copies
 	err      error
 	jnlStat  JournalStatus // guarded by mu; zero when cfg.Journal is nil
 
+	// The series this service updates itself. Every other series it
+	// registers restates a number kept above (or by the journal) and is
+	// read from it at scrape time. A donation moves Counts.Submitted but
+	// not mSubmitted, so that one counter is its own.
 	reg        *metrics.Registry
 	mSubmitted *metrics.Counter
-	mAdmitted  *metrics.Counter
-	mCompleted *metrics.Counter
-	mRejected  *metrics.Counter
-	mQueue     *metrics.Gauge
-	mActive    *metrics.Gauge
-	mClock     *metrics.Gauge
-	mUtilCPU   *metrics.Gauge
-	mUtilMem   *metrics.Gauge
 	mJCT       *metrics.Histogram
 	// Wall-clock time a job spent in each stage it passed through on
 	// this service, one series of dollymp_stage_seconds per stage.
 	mJournalWait, mQueueWait, mAdmitToStart, mStartToComplete *metrics.Histogram
-
-	// Journal metrics; nil when cfg.Journal is nil (registering them
-	// unconditionally would change the exposition of an unjournaled
-	// service). The fsync pair mirrors journal.Stats at scrape time.
-	mJnlRecords   *metrics.Counter
-	mJnlReplayed  *metrics.Gauge
-	mJnlFsyncs    *metrics.Counter
-	mJnlFsyncSecs *metrics.Counter
 }
 
 // New validates the configuration and builds a stopped service; call
@@ -191,15 +178,31 @@ func New(cfg Config) (*Service, error) {
 	}
 	base := cfg.MetricLabels
 	lbl := func(extra metrics.Labels) metrics.Labels { return metrics.Union(base, extra) }
+	// locked reads one number under mu at scrape time.
+	locked := func(read func() float64) func() float64 {
+		return func() float64 {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			return read()
+		}
+	}
 	s.mSubmitted = s.reg.Counter("dollymp_jobs_submitted_total", "Jobs accepted into the admission queue.", lbl(nil))
-	s.mAdmitted = s.reg.Counter("dollymp_jobs_admitted_total", "Jobs injected into the running engine.", lbl(nil))
-	s.mCompleted = s.reg.Counter("dollymp_jobs_completed_total", "Jobs that finished with a stamped JCT.", lbl(nil))
-	s.mRejected = s.reg.Counter("dollymp_jobs_rejected_total", "Submissions rejected by queue backpressure.", lbl(nil))
-	s.mQueue = s.reg.Gauge("dollymp_queue_depth", "Jobs waiting in the admission queue.", lbl(nil))
-	s.mActive = s.reg.Gauge("dollymp_active_jobs", "Arrived, unfinished jobs in the engine.", lbl(nil))
-	s.mClock = s.reg.Gauge("dollymp_virtual_clock_slots", "Engine virtual time in slots.", lbl(nil))
-	s.mUtilCPU = s.reg.Gauge("dollymp_cluster_utilization", "Fraction of cluster capacity allocated.", lbl(metrics.Labels{"resource": "cpu"}))
-	s.mUtilMem = s.reg.Gauge("dollymp_cluster_utilization", "Fraction of cluster capacity allocated.", lbl(metrics.Labels{"resource": "mem"}))
+	s.reg.CounterFunc("dollymp_jobs_admitted_total", "Jobs injected into the running engine.", lbl(nil),
+		locked(func() float64 { return float64(s.counts.Admitted) }))
+	s.reg.CounterFunc("dollymp_jobs_completed_total", "Jobs that finished with a stamped JCT.", lbl(nil),
+		locked(func() float64 { return float64(s.counts.Completed) }))
+	s.reg.CounterFunc("dollymp_jobs_rejected_total", "Submissions rejected by queue backpressure.", lbl(nil),
+		locked(func() float64 { return float64(s.counts.Rejected) }))
+	s.reg.GaugeFunc("dollymp_queue_depth", "Jobs waiting in the admission queue.", lbl(nil),
+		func() float64 { return float64(len(s.subCh)) })
+	s.reg.GaugeFunc("dollymp_active_jobs", "Arrived, unfinished jobs in the engine.", lbl(nil),
+		locked(func() float64 { return float64(s.snap.ActiveJobs) }))
+	s.reg.GaugeFunc("dollymp_virtual_clock_slots", "Engine virtual time in slots.", lbl(nil),
+		locked(func() float64 { return float64(s.snap.Clock) }))
+	s.reg.GaugeFunc("dollymp_cluster_utilization", "Fraction of cluster capacity allocated.", lbl(metrics.Labels{"resource": "cpu"}),
+		locked(func() float64 { return s.snap.UtilizationCPU }))
+	s.reg.GaugeFunc("dollymp_cluster_utilization", "Fraction of cluster capacity allocated.", lbl(metrics.Labels{"resource": "mem"}),
+		locked(func() float64 { return s.snap.UtilizationMem }))
 	s.mJCT = s.reg.Histogram("dollymp_job_completion_slots", "Job completion time (flowtime) in slots.",
 		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}, lbl(nil))
 	stage := func(name string) *metrics.Histogram {
@@ -210,12 +213,18 @@ func New(cfg Config) (*Service, error) {
 	s.mQueueWait = stage("queue_wait")
 	s.mAdmitToStart = stage("admit_to_start")
 	s.mStartToComplete = stage("start_to_complete")
-	if cfg.Journal != nil {
+	// Journal series exist only on a journaled service: registering them
+	// unconditionally would change the exposition of an unjournaled one.
+	if jnl := cfg.Journal; jnl != nil {
 		s.jnlStat.Enabled = true
-		s.mJnlRecords = s.reg.Counter("dollymp_journal_records_total", "Journal records appended by this process.", lbl(nil))
-		s.mJnlReplayed = s.reg.Gauge("dollymp_journal_replayed_jobs", "Jobs restored from the journal at startup.", lbl(nil))
-		s.mJnlFsyncs = s.reg.Counter("dollymp_journal_fsyncs_total", "Fsyncs issued on the journal segment by this process.", lbl(nil))
-		s.mJnlFsyncSecs = s.reg.Counter("dollymp_journal_fsync_seconds_total", "Summed duration of those fsyncs.", lbl(nil))
+		s.reg.CounterFunc("dollymp_journal_records_total", "Journal records appended by this process.", lbl(nil),
+			locked(func() float64 { return float64(s.jnlStat.Records) }))
+		s.reg.GaugeFunc("dollymp_journal_replayed_jobs", "Jobs restored from the journal at startup.", lbl(nil),
+			locked(func() float64 { return float64(s.jnlStat.ReplayedJobs) }))
+		s.reg.CounterFunc("dollymp_journal_fsyncs_total", "Fsyncs issued on the journal segment by this process.", lbl(nil),
+			func() float64 { return float64(jnl.Stats().Fsyncs) })
+		s.reg.CounterFunc("dollymp_journal_fsync_seconds_total", "Summed duration of those fsyncs.", lbl(nil),
+			func() float64 { return jnl.Stats().FsyncTime.Seconds() })
 	}
 
 	eng, err := sim.New(sim.Config{
@@ -242,29 +251,9 @@ func (s *Service) Start() {
 	}
 }
 
-// Metrics returns the service's metric registry (for /metrics). When a
-// registry was injected via Config.Registry this is that registry.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
-
-// RefreshGauges re-publishes the series the loop does not keep current:
-// queue depth, which drifts between publishes, and the journal's fsync
-// accounting, which the journal owns. Called at scrape time so an idle
-// engine never serves a stale value.
-func (s *Service) RefreshGauges() {
-	s.mQueue.Set(float64(len(s.subCh)))
-	if s.cfg.Journal != nil {
-		st := s.cfg.Journal.Stats()
-		s.mJnlFsyncs.AdvanceTo(float64(st.Fsyncs))
-		s.mJnlFsyncSecs.AdvanceTo(st.FsyncTime.Seconds())
-	}
-}
-
 // WriteMetrics renders the service's registry as Prometheus text. Part
 // of the API interface shared with the shard router.
-func (s *Service) WriteMetrics(w io.Writer) error {
-	s.RefreshGauges()
-	return s.reg.Write(w)
-}
+func (s *Service) WriteMetrics(w io.Writer) error { return s.reg.Write(w) }
 
 // journalLocked appends one record to the configured journal (a no-op
 // returning 0 when journaling is off). Callers hold mu, which gives the
@@ -285,7 +274,6 @@ func (s *Service) journalLocked(rec journal.Record) (seq uint64, err error) {
 		return 0, err
 	}
 	s.jnlStat.Records++
-	s.mJnlRecords.Inc()
 	return seq, nil
 }
 
@@ -389,7 +377,6 @@ func (s *Service) admit(j *workload.Job) {
 		s.leaveStage(rec, s.mQueueWait)
 	}
 	s.counts.Admitted++
-	s.mAdmitted.Inc() // same critical section as counts: scrapes agree with /v1
 	// A failed append has failed the service; the loop exits on Err.
 	_, _ = s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
 	s.mu.Unlock()
@@ -427,7 +414,6 @@ func (s *Service) observe(o *sim.Observation) {
 			s.leaveStage(rec, s.mStartToComplete)
 		}
 		s.counts.Completed++
-		s.mCompleted.Inc()
 		s.mJCT.Observe(float64(m.Flowtime))
 		// The completed record is lazy: losing it to a crash inside the
 		// journal's flush delay re-runs the job after replay (at-least-once),
@@ -438,11 +424,10 @@ func (s *Service) observe(o *sim.Observation) {
 	}
 }
 
-// publish refreshes the shared snapshot and gauges from engine state,
-// in place: a step changes a few servers' occupancy, and the one reader
-// of the per-server view (Snapshot) is rare, so the copy is the
-// reader's. Runs on the loop goroutine, which is the only reader of the
-// cluster.
+// publish refreshes the shared snapshot from engine state, in place: a
+// step changes a few servers' occupancy, and the one reader of the
+// per-server view (Snapshot) is rare, so the copy is the reader's. Runs
+// on the loop goroutine, which is the only reader of the cluster.
 func (s *Service) publish() {
 	clock := s.eng.Clock()
 	used, total := s.cfg.Cluster.TotalUsed(), s.cfg.Cluster.Total()
@@ -453,16 +438,14 @@ func (s *Service) publish() {
 	if total.MemMiB > 0 {
 		utilMem = float64(used.MemMiB) / float64(total.MemMiB)
 	}
-	active := s.eng.ActiveJobs()
 	s.mu.Lock()
-	if clock < s.clock {
+	if clock < s.snap.Clock {
 		s.mu.Unlock()
-		s.fail(fmt.Errorf("service: virtual clock moved backwards: %d -> %d", s.clock, clock))
+		s.fail(fmt.Errorf("service: virtual clock moved backwards: %d -> %d", s.snap.Clock, clock))
 		return
 	}
-	s.clock = clock
 	s.snap.Clock = clock
-	s.snap.ActiveJobs = active
+	s.snap.ActiveJobs = s.eng.ActiveJobs()
 	s.snap.PendingArrival = s.eng.PendingArrivals()
 	s.snap.UtilizationCPU, s.snap.UtilizationMem = utilCPU, utilMem
 	for i, srv := range s.cfg.Cluster.Servers() {
@@ -471,12 +454,6 @@ func (s *Service) publish() {
 		info.UsedCPU, info.UsedMem, info.Failed = used.CPUMilli, used.MemMiB, srv.Failed()
 	}
 	s.mu.Unlock()
-
-	s.mClock.Set(float64(clock))
-	s.mActive.Set(float64(active))
-	s.mQueue.Set(float64(len(s.subCh)))
-	s.mUtilCPU.Set(utilCPU)
-	s.mUtilMem.Set(utilMem)
 }
 
 // fail records the service's terminal error (the first one wins) and

@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dollymp/internal/cluster"
+	"dollymp/internal/metrics"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
@@ -70,6 +73,21 @@ func stopDrained(t *testing.T, s *Service) {
 	}
 }
 
+// scrape reads the service's exposition the way /metrics serves it,
+// strictly parsed, keyed by series name and labels.
+func scrape(t *testing.T, s *Service) map[string]metrics.PromSample {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParsePromText(&buf)
+	if err != nil {
+		t.Fatalf("metrics output invalid: %v", err)
+	}
+	return samples
+}
+
 // TestServiceConcurrentSubmitters is the e2e acceptance test: 8
 // goroutines push ≥500 jobs into a live service; every job must reach
 // completed with a stamped JCT, no job may be lost or duplicated, the
@@ -80,13 +98,17 @@ func TestServiceConcurrentSubmitters(t *testing.T) {
 	s := newTestService(t, 64) // smaller than the total: backpressure is exercised
 	s.Start()
 
-	// A watcher asserts clock monotonicity while the run is live.
+	// A watcher asserts clock monotonicity while the run is live, and
+	// scrapes /metrics, whose reads race the loop's writes under -race.
 	watchDone := make(chan struct{})
 	var clockViolation atomic.Bool
 	go func() {
 		defer close(watchDone)
 		var last int64
 		for i := 0; i < 2000; i++ {
+			if err := s.WriteMetrics(io.Discard); err != nil {
+				t.Errorf("scrape: %v", err)
+			}
 			c := s.Snapshot().Clock
 			if c < last {
 				clockViolation.Store(true)
@@ -157,7 +179,7 @@ func TestServiceConcurrentSubmitters(t *testing.T) {
 		}
 	}
 	// Metric counters must agree with the accounting.
-	if got := s.mCompleted.Value(); got != float64(total) {
+	if got := scrape(t, s)["dollymp_jobs_completed_total"].Value; got != float64(total) {
 		t.Fatalf("completed counter %v, want %d", got, total)
 	}
 	if got := s.mJCT.Count(); got != uint64(total) {

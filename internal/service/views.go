@@ -392,22 +392,6 @@ func (s *Service) Load() Load {
 	}
 }
 
-// AdmissionSnapshot is this loop's share of the pressure view the
-// router's edge policy decides on (Router.AdmissionSnapshot sums the
-// shards). Queue depth, cap, and the loop's last published engine state
-// are read under one critical section.
-func (s *Service) AdmissionSnapshot() admission.Snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return admission.Snapshot{
-		QueueDepth:      len(s.subCh),
-		QueueCap:        cap(s.subCh),
-		ActiveJobs:      s.snap.ActiveJobs,
-		Clock:           s.clock,
-		PendingArrivals: s.snap.PendingArrival,
-	}
-}
-
 // Admission returns the edge-admission view for /v1/admission: a
 // service polices nothing — the router in front of it owns the policy.
 // Part of the API interface shared with the shard router and the
@@ -447,7 +431,7 @@ func (s *Service) Status() ShardStatus {
 	return ShardStatus{
 		QueueDepth:   len(s.subCh),
 		ActiveJobs:   s.snap.ActiveJobs,
-		Clock:        s.clock,
+		Clock:        s.snap.Clock,
 		Draining:     s.stopping,
 		Jobs:         s.counts,
 		ReplayedJobs: s.jnlStat.ReplayedJobs,

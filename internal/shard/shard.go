@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -169,8 +170,7 @@ type Router struct {
 	adoptMu  sync.Mutex            // single-flights Adopt (journal takeover)
 
 	// Edge-admission state (used only when cfg.Admission is set).
-	denied  atomic.Int64
-	mDenied *metrics.Counter // nil unless cfg.Admission is set
+	denied atomic.Int64
 
 	mu  sync.Mutex
 	rng *stats.RNG
@@ -220,6 +220,9 @@ func New(cfg Config) (*Router, error) {
 	case RouteP2C, RouteSingle:
 	default:
 		return nil, fmt.Errorf("shard: unknown route policy %q (valid: %s, %s)", cfg.Policy, RouteP2C, RouteSingle)
+	}
+	if cfg.QueueCap == 0 {
+		cfg.QueueCap = service.DefaultQueueCap
 	}
 	if cfg.TotalShards == 0 {
 		cfg.TotalShards = cfg.Shards
@@ -317,8 +320,12 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 	if cfg.Admission != nil {
-		r.mDenied = r.reg.Counter("dollymp_jobs_denied_total",
-			"Submissions denied by the edge admission policy.", nil)
+		// Labelled by the router's lowest global residue, which no other
+		// member of a federation shares, so the gateway's merged exposition
+		// keeps one series per member.
+		r.reg.CounterFunc("dollymp_jobs_denied_total", "Submissions denied by the edge admission policy.",
+			metrics.Labels{"router": strconv.Itoa(slices.Min(r.residues))},
+			func() float64 { return float64(r.denied.Load()) })
 	}
 	if err := r.restore(ownReplays, staleReplays); err != nil {
 		return nil, err
@@ -480,20 +487,12 @@ func (r *Router) p2c() int {
 	return i
 }
 
-// AdmissionSnapshot implements admission.SnapshotProvider over the
-// whole deployment: queue depth/capacity, active jobs, and pending
-// arrivals summed across shards, clock at the frontier (max).
-func (r *Router) AdmissionSnapshot() admission.Snapshot {
-	var snap admission.Snapshot
+// pressure is the deployment-wide view the edge policy decides on: the
+// shards' queue depths summed against their summed capacity.
+func (r *Router) pressure() admission.Snapshot {
+	snap := admission.Snapshot{QueueCap: len(r.shards) * r.cfg.QueueCap}
 	for _, s := range r.shards {
-		ss := s.AdmissionSnapshot()
-		snap.QueueDepth += ss.QueueDepth
-		snap.QueueCap += ss.QueueCap
-		snap.ActiveJobs += ss.ActiveJobs
-		snap.PendingArrivals += ss.PendingArrivals
-		if ss.Clock > snap.Clock {
-			snap.Clock = ss.Clock
-		}
+		snap.QueueDepth += s.Load().QueueDepth
 	}
 	return snap
 }
@@ -516,10 +515,7 @@ func (r *Router) SubmitNowait(j *workload.Job) (workload.JobID, error) {
 	// Charged exactly once, before any shard is tried. With no policy
 	// configured nothing runs here — the shard validates.
 	if r.cfg.Admission != nil {
-		err := service.ChargeAdmission(context.Background(), r.cfg.Admission, r, j, func() {
-			r.denied.Add(1)
-			r.mDenied.Inc()
-		})
+		err := service.ChargeAdmission(context.Background(), r.cfg.Admission, r.pressure, j, func() { r.denied.Add(1) })
 		if err != nil {
 			return 0, err
 		}
@@ -819,18 +815,9 @@ func (r *Router) Results() ([]*sim.Result, error) {
 	return out, nil
 }
 
-// Metrics returns the deployment's one registry: every shard's series
-// and the router's own (/metrics goes through WriteMetrics, which first
-// refreshes the scrape-time gauges).
-func (r *Router) Metrics() *metrics.Registry { return r.reg }
-
-// WriteMetrics renders the registry as one Prometheus exposition.
-func (r *Router) WriteMetrics(w io.Writer) error {
-	for _, s := range r.shards {
-		s.RefreshGauges()
-	}
-	return r.reg.Write(w)
-}
+// WriteMetrics renders the deployment's one registry, every shard's
+// series and the router's own, as one Prometheus exposition.
+func (r *Router) WriteMetrics(w io.Writer) error { return r.reg.Write(w) }
 
 // Re-exported sentinel errors so router callers need not import the
 // service package for errors.Is checks.

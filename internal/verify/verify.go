@@ -54,9 +54,10 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 		if !ok {
 			return fmt.Errorf("verify: event for unknown job %d", ev.Ref.Job)
 		}
-		if int(ev.Ref.Phase) >= len(j.Phases) || ev.Ref.Index >= j.Phases[ev.Ref.Phase].Tasks {
+		if ev.Ref.Phase < 0 || int(ev.Ref.Phase) >= len(j.Phases) || ev.Ref.Index < 0 || ev.Ref.Index >= j.Phases[ev.Ref.Phase].Tasks {
 			return fmt.Errorf("verify: event for out-of-range task %v", ev.Ref)
 		}
+		ph := &j.Phases[ev.Ref.Phase]
 		if !fleet.Contains(ev.Server) {
 			return fmt.Errorf("verify: event on unknown server %d", ev.Server)
 		}
@@ -68,7 +69,7 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 			}
 			// Eq. (7): a task cannot start before every parent phase
 			// completed.
-			for _, par := range j.Phases[ev.Ref.Phase].Parents {
+			for _, par := range ph.Parents {
 				doneTasks := phaseDone[ev.Ref.Job][par]
 				if doneTasks < j.Phases[par].Tasks {
 					return fmt.Errorf("verify: %v placed at slot %d before parent phase %d finished (%d/%d tasks)",
@@ -120,6 +121,11 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 			ts.liveCopies--
 		default:
 			return fmt.Errorf("verify: unknown event kind %d", ev.Kind)
+		}
+		// Checked after the capacity check, so an oversized copy reports
+		// the capacity it broke.
+		if ev.Demand != ph.Demand {
+			return fmt.Errorf("verify: %v at slot %d holds %v, its phase demands %v", ev.Ref, ev.Slot, ev.Demand, ph.Demand)
 		}
 	}
 

@@ -131,6 +131,18 @@ func TestCheckRejectsBadTraces(t *testing.T) {
 		{"over capacity", []sim.TraceEvent{
 			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 0, Demand: resources.Cores(3, 1)},
 		}, "over capacity"},
+		{"negative phase", []sim.TraceEvent{
+			{Slot: 0, Kind: sim.TracePlace, Ref: workload.TaskRef{Job: 1, Phase: -1}, Server: 0, Demand: d},
+		}, "out-of-range task"},
+		{"negative index", []sim.TraceEvent{
+			{Slot: 0, Kind: sim.TracePlace, Ref: workload.TaskRef{Job: 1, Phase: 0, Index: -1}, Server: 0, Demand: d},
+		}, "out-of-range task"},
+		{"demand differs from its phase", []sim.TraceEvent{
+			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 0, Demand: resources.Vector{}},
+			{Slot: 4, Kind: sim.TraceComplete, Ref: a, Server: 0, Demand: resources.Vector{}},
+			{Slot: 4, Kind: sim.TracePlace, Ref: b, Server: 0, Demand: resources.Vector{}},
+			{Slot: 8, Kind: sim.TraceComplete, Ref: b, Server: 0, Demand: resources.Vector{}},
+		}, "its phase demands"},
 		{"double completion", []sim.TraceEvent{
 			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 0, Demand: d},
 			{Slot: 2, Kind: sim.TracePlace, Ref: a, Server: 0, Demand: d},

@@ -15,7 +15,7 @@
 # submit N jobs against -journal-dir, SIGKILL the daemon mid-run,
 # restart it on the same directory, and require all N jobs to complete
 # with a non-zero journal replay — zero accepted-job loss across a
-# crash; and a federation pass: two -member daemons behind a
+# crash; and a federation pass: two policed -member daemons behind a
 # rate-limited -gateway, batches larger than its burst, SIGKILL one
 # member mid-run, and require the gateway-driven journal takeover to
 # finish every accepted job on the survivor.
@@ -120,10 +120,16 @@ smoke_federation() {
   {"name": "m1", "journal_dir": "$FDIR/b", "residues": [2, 3]}
 ]}
 EOF
-    start_daemon "$BIN/fed-m0.log" -queue-cap 256 -manifest "$MAN" -member m0
+    # Both members police their own edge with a bucket that never denies,
+    # so each exports its own dollymp_jobs_denied_total series and the
+    # gateway merges two of them.
+    local POLICED="-admission token-bucket -admission-rate 100000 -admission-burst 100000"
+    # shellcheck disable=SC2086
+    start_daemon "$BIN/fed-m0.log" -queue-cap 256 -manifest "$MAN" -member m0 $POLICED
     local M0PID=$DPID M0ADDR=$ADDR
     EXTRA_PIDS="$EXTRA_PIDS $M0PID"; DPID=""
-    start_daemon "$BIN/fed-m1.log" -queue-cap 256 -manifest "$MAN" -member m1
+    # shellcheck disable=SC2086
+    start_daemon "$BIN/fed-m1.log" -queue-cap 256 -manifest "$MAN" -member m1 $POLICED
     local M1PID=$DPID M1ADDR=$ADDR
     EXTRA_PIDS="$EXTRA_PIDS $M1PID"; DPID=""
 
@@ -147,6 +153,10 @@ EOF
     # so intake completes only if a batch cut short by a denial still
     # forwards its admitted jobs.
     "$BIN/dollymp-load" -addr "$GADDR" -probe -expect-shards 4
+    # One strictly parsed poll of the merged exposition while both
+    # policed members are alive (after the kill below it is the
+    # survivor's alone).
+    "$BIN/dollymp-load" -addr "$GADDR" -n 0 -watch
     "$BIN/dollymp-load" -addr "$GADDR" -n "$njobs" -c "$WORKERS" -batch 8
 
     # SIGKILL one member: the gateway must declare it dead and have the
