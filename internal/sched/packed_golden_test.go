@@ -97,6 +97,8 @@ func TestBaselinesPackedGolden(t *testing.T) {
 			goldenRun{17537, 318, 228, 3112912758643695551}, goldenRun{8052, 463, 793, 9577456422208869698}},
 		{"tetris-clones", func() sched.Scheduler { return &tetris.Scheduler{R: 1.5, MaxClones: 1} },
 			goldenRun{16738, 131, 204, 17665433181185878869}, goldenRun{5773, 455, 1158, 8384810604069097124}},
+		{"tetris-clones2", func() sched.Scheduler { return &tetris.Scheduler{R: 1.5, MaxClones: 2} },
+			goldenRun{16611, 101, 190, 3187037247460405998}, goldenRun{5295, 440, 1159, 17900004332497193855}},
 		{"carbyne", func() sched.Scheduler { return &carbyne.Scheduler{R: 1.5} },
 			goldenRun{14922, 344, 240, 17143816806458828350}, goldenRun{8101, 466, 830, 2201048594278759742}},
 		{"srpt", func() sched.Scheduler { return &srpt.Scheduler{R: 1.5} },
