@@ -719,12 +719,7 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (budget, cloneUse resources.Vector, ok bool) {
 	st := &s.scratch.stats
 	st.RedundancyOpened++
-	total := ctx.Cluster().Total()
-	budget = resources.Vec(
-		int64(s.delta*float64(total.CPUMilli)),
-		int64(s.delta*float64(total.MemMiB)),
-	)
-	cloneUse = ctx.CloneUsage()
+	budget, cloneUse = sched.CloneBudget(ctx.Cluster().Total(), s.delta), ctx.CloneUsage()
 	if !cloneUse.Add(s.scratch.floor).Fits(budget) {
 		st.ClosedOnBudget++
 		return budget, cloneUse, false
@@ -736,11 +731,11 @@ func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (bud
 }
 
 // speculationPass launches one backup copy per detected straggler, in
-// priority-class order, within the δ budget. Detection mirrors the
-// Capacity baseline's LATE rule but placement follows DollyMP's
-// priorities instead of best effort. Like the clone passes it walks the
-// watch lists, the records whose job has a task to back up. Backups are
-// appended to out.
+// priority-class order, within the δ budget. Detection is the Capacity
+// baseline's LATE trigger, sched.Straggling, but placement follows
+// DollyMP's priorities instead of best effort. Like the clone passes it
+// walks the watch lists, the records whose job has a task to back up.
+// Backups are appended to out.
 func (s *Scheduler) speculationPass(
 	ctx sched.Context,
 	ft *sched.FitTracker,
@@ -751,8 +746,6 @@ func (s *Scheduler) speculationPass(
 	if !ok {
 		return out
 	}
-	now := ctx.Now()
-
 	for l := 1; l <= sc.maxClass; l++ {
 		for _, r := range sc.classes[l].watch {
 			if !r.drained() {
@@ -760,24 +753,13 @@ func (s *Scheduler) speculationPass(
 			}
 			js := r.cur.JS
 			for _, k := range r.cur.Phases() {
-				if js.RunningCount(k) == 0 {
-					continue
-				}
-				mean, _, n := ctx.PhaseStats(js.Job.ID, k)
-				if n < s.specMinSample || mean <= 0 {
-					continue
-				}
 				demand := js.Job.Phases[k].Demand
 				if !cloneUse.Add(demand).Fits(budget) {
 					continue // δ budget exhausted for this shape
 				}
 				for _, lidx := range js.RunningTasksView(k) {
 					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: lidx}
-					copies := ctx.Copies(ref)
-					if len(copies) != 1 {
-						continue // already has a backup
-					}
-					if float64(now-copies[0].Start) <= s.specThreshold*mean {
+					if !sched.Straggling(ctx, ref, s.specThreshold, s.specMinSample) {
 						continue
 					}
 					next := cloneUse.Add(demand)

@@ -62,45 +62,14 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	if !s.Speculation {
 		return out
 	}
-	return append(out, s.speculate(ctx, ft)...)
-}
-
-// speculate launches LATE-style backup copies for detected stragglers,
-// best effort with whatever capacity the tracker still shows.
-func (s *Scheduler) speculate(ctx sched.Context, ft *sched.FitTracker) []sched.Placement {
-	var out []sched.Placement
 	threshold, minSamples := s.params()
-	now := ctx.Now()
-	for _, js := range ctx.Jobs() {
-		for _, k := range js.ReadyPhases() {
-			if js.RunningCount(k) == 0 {
-				continue
-			}
-			mean, _, n := ctx.PhaseStats(js.Job.ID, k)
-			if n < minSamples || mean <= 0 {
-				continue // not enough statistically significant samples
-			}
-			demand := js.Job.Phases[k].Demand
-			for _, l := range js.RunningTasks(k) {
-				ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: l}
-				copies := ctx.Copies(ref)
-				if len(copies) != 1 {
-					continue // already has a backup
-				}
-				elapsed := float64(now - copies[0].Start)
-				if elapsed <= threshold*mean {
-					continue
-				}
-				id, ok := ft.BestFit(demand)
-				if !ok {
-					continue
-				}
-				ft.Place(id, demand)
-				out = append(out, sched.Placement{Ref: ref, Server: id})
-			}
-		}
+	rules := sched.CopyRules{Copies: 2, Due: func(ref workload.TaskRef) bool {
+		return sched.Straggling(ctx, ref, threshold, minSamples)
+	}}
+	bestFit := func(_ *workload.JobState, _ workload.TaskRef, demand resources.Vector) (cluster.ServerID, bool) {
+		return ft.BestFit(demand)
 	}
-	return out
+	return sched.GrantCopies(ctx, ft, ctx.Jobs(), rules, bestFit, out)
 }
 
 // firstFit returns the first server in fleet order that d fits.

@@ -10,6 +10,7 @@ package tetris
 
 import (
 	"dollymp/internal/cluster"
+	"dollymp/internal/resources"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
 )
@@ -105,39 +106,8 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 		}
 	}
 
-	if s.MaxClones > 0 {
-		out = append(out, s.clonePass(ctx, ft)...)
+	bestFit := func(_ *workload.JobState, _ workload.TaskRef, demand resources.Vector) (cluster.ServerID, bool) {
+		return ft.BestFit(demand)
 	}
-	return out
-}
-
-// clonePass launches best-effort clones for running tasks, highest
-// alignment first, up to MaxClones extra copies each.
-func (s *Scheduler) clonePass(ctx sched.Context, ft *sched.FitTracker) []sched.Placement {
-	var out []sched.Placement
-	// added tallies the clones granted in this call, which the job
-	// states do not show until the engine applies them.
-	added := make(map[workload.TaskRef]int)
-	for pass := 0; pass < s.MaxClones; pass++ {
-		for _, js := range ctx.Jobs() {
-			for _, k := range js.ReadyPhases() {
-				demand := js.Job.Phases[k].Demand
-				for _, l := range js.RunningTasks(k) {
-					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: l}
-					copies := js.LiveCopies(k, l) + added[ref]
-					if copies > pass+1 || copies > s.MaxClones {
-						continue
-					}
-					srv, ok := ft.BestFit(demand)
-					if !ok {
-						continue
-					}
-					ft.Place(srv, demand)
-					added[ref]++
-					out = append(out, sched.Placement{Ref: ref, Server: srv})
-				}
-			}
-		}
-	}
-	return out
+	return sched.GrantCopies(ctx, ft, ctx.Jobs(), sched.CopyRules{Copies: 1 + s.MaxClones}, bestFit, out)
 }

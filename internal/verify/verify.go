@@ -9,6 +9,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dollymp/internal/cluster"
@@ -28,10 +29,12 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 	// Re-derive per-server occupancy over time and per-task state.
 	used := make([]resources.Vector, fleet.Len())
 	type taskState struct {
-		placedAt   []int64
-		completed  bool
-		doneAt     int64
-		liveCopies int
+		placedAt  []int64
+		completed bool
+		doneAt    int64
+		// on holds the server of each live copy: at most the engine's
+		// cap of four.
+		on []cluster.ServerID
 	}
 	tasks := make(map[workload.TaskRef]*taskState)
 	phaseDone := make(map[workload.JobID]map[workload.PhaseID]int) // completed tasks per phase
@@ -47,6 +50,14 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 			tasks[ref] = ts
 		}
 		return ts
+	}
+	// release ends ts's live copy on srv, reporting whether it had one.
+	release := func(ts *taskState, srv cluster.ServerID) bool {
+		i := slices.Index(ts.on, srv)
+		if i >= 0 {
+			ts.on = slices.Delete(ts.on, i, i+1)
+		}
+		return i >= 0
 	}
 
 	for _, ev := range events {
@@ -66,6 +77,9 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 		case sim.TracePlace:
 			if ts.completed {
 				return fmt.Errorf("verify: placement after completion for %v at slot %d", ev.Ref, ev.Slot)
+			}
+			if ev.Slot < j.Arrival {
+				return fmt.Errorf("verify: %v placed at slot %d before its job arrives at %d", ev.Ref, ev.Slot, j.Arrival)
 			}
 			// Eq. (7): a task cannot start before every parent phase
 			// completed.
@@ -87,13 +101,13 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 					ev.Server, ev.Slot, used[ev.Server], fleet.Server(ev.Server).Capacity)
 			}
 			ts.placedAt = append(ts.placedAt, ev.Slot)
-			ts.liveCopies++
+			ts.on = append(ts.on, ev.Server)
 		case sim.TraceComplete:
 			if ts.completed {
 				return fmt.Errorf("verify: %v completed twice", ev.Ref)
 			}
-			if ts.liveCopies == 0 {
-				return fmt.Errorf("verify: %v completed with no live copy", ev.Ref)
+			if !release(ts, ev.Server) {
+				return fmt.Errorf("verify: %v completed with no live copy on server %d at slot %d", ev.Ref, ev.Server, ev.Slot)
 			}
 			used[ev.Server] = used[ev.Server].Sub(ev.Demand)
 			if !used[ev.Server].IsValid() {
@@ -101,7 +115,6 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 			}
 			ts.completed = true
 			ts.doneAt = ev.Slot
-			ts.liveCopies--
 			if phaseDone[ev.Ref.Job] == nil {
 				phaseDone[ev.Ref.Job] = make(map[workload.PhaseID]int)
 				phaseDoneAt[ev.Ref.Job] = make(map[workload.PhaseID]int64)
@@ -111,14 +124,13 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 				phaseDoneAt[ev.Ref.Job][ev.Ref.Phase] = ev.Slot
 			}
 		case sim.TraceKill, sim.TraceLost:
-			if ts.liveCopies == 0 {
-				return fmt.Errorf("verify: kill with no live copy for %v at slot %d", ev.Ref, ev.Slot)
+			if !release(ts, ev.Server) {
+				return fmt.Errorf("verify: kill with no live copy for %v on server %d at slot %d", ev.Ref, ev.Server, ev.Slot)
 			}
 			used[ev.Server] = used[ev.Server].Sub(ev.Demand)
 			if !used[ev.Server].IsValid() {
 				return fmt.Errorf("verify: negative occupancy on server %d at slot %d", ev.Server, ev.Slot)
 			}
-			ts.liveCopies--
 		default:
 			return fmt.Errorf("verify: unknown event kind %d", ev.Kind)
 		}
@@ -139,8 +151,8 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 				if ts == nil || !ts.completed {
 					return fmt.Errorf("verify: task %v never completed", ref)
 				}
-				if ts.liveCopies != 0 {
-					return fmt.Errorf("verify: task %v left %d copies running", ref, ts.liveCopies)
+				if len(ts.on) != 0 {
+					return fmt.Errorf("verify: task %v left %d copies running", ref, len(ts.on))
 				}
 				// A copy must have been placed no later than completion.
 				early := false

@@ -105,16 +105,25 @@ func simpleJob() *workload.Job {
 }
 
 func TestCheckRejectsBadTraces(t *testing.T) {
-	fleet := cluster.Uniform(1, resources.Cores(2, 4))
-	jobs := []*workload.Job{simpleJob()}
+	fleet := cluster.Uniform(2, resources.Cores(2, 4))
 	d := resources.Cores(1, 1)
+	// Job 2's two tasks run side by side from its arrival at slot 10.
+	jobs := []*workload.Job{simpleJob(), workload.Chain(2, "mr", "t", 10, []workload.Phase{
+		{Name: "a", Tasks: 2, Demand: d, MeanDuration: 4},
+	})}
 	a := workload.TaskRef{Job: 1, Phase: 0, Index: 0}
 	b := workload.TaskRef{Job: 1, Phase: 1, Index: 0}
+	p0 := workload.TaskRef{Job: 2, Phase: 0, Index: 0}
+	p1 := workload.TaskRef{Job: 2, Phase: 0, Index: 1}
 	good := []sim.TraceEvent{
 		{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 0, Demand: d},
 		{Slot: 4, Kind: sim.TraceComplete, Ref: a, Server: 0, Demand: d},
 		{Slot: 4, Kind: sim.TracePlace, Ref: b, Server: 0, Demand: d},
 		{Slot: 8, Kind: sim.TraceComplete, Ref: b, Server: 0, Demand: d},
+		{Slot: 10, Kind: sim.TracePlace, Ref: p0, Server: 0, Demand: d},
+		{Slot: 10, Kind: sim.TracePlace, Ref: p1, Server: 1, Demand: d},
+		{Slot: 14, Kind: sim.TraceComplete, Ref: p0, Server: 0, Demand: d},
+		{Slot: 14, Kind: sim.TraceComplete, Ref: p1, Server: 1, Demand: d},
 	}
 	if err := Check(good, fleet, jobs); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
@@ -159,7 +168,7 @@ func TestCheckRejectsBadTraces(t *testing.T) {
 			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 7, Demand: d},
 		}, "unknown server"},
 		{"server at fleet length", []sim.TraceEvent{
-			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 1, Demand: d},
+			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: 2, Demand: d},
 		}, "unknown server"},
 		{"negative server", []sim.TraceEvent{
 			{Slot: 0, Kind: sim.TracePlace, Ref: a, Server: -1, Demand: d},
@@ -172,6 +181,13 @@ func TestCheckRejectsBadTraces(t *testing.T) {
 			{Slot: 4, Kind: sim.TracePlace, Ref: b, Server: 0, Demand: d},
 			{Slot: 8, Kind: sim.TraceComplete, Ref: b, Server: 0, Demand: d},
 		}, "copies running"},
+		{"completions on swapped servers", append(good[:6:6],
+			sim.TraceEvent{Slot: 14, Kind: sim.TraceComplete, Ref: p0, Server: 1, Demand: d},
+			sim.TraceEvent{Slot: 14, Kind: sim.TraceComplete, Ref: p1, Server: 0, Demand: d},
+		), "no live copy on server 1"},
+		{"placement before arrival", []sim.TraceEvent{
+			{Slot: 0, Kind: sim.TracePlace, Ref: p0, Server: 0, Demand: d},
+		}, "before its job arrives"},
 	}
 	for _, c := range cases {
 		err := Check(c.trace, fleet, jobs)

@@ -108,105 +108,47 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	ordered := sched.OrderBy(jobs, func(js *workload.JobState) float64 { return float64(s.prios[js.Job.ID]) })
 
 	ft := sched.NewFitTracker(ctx.Cluster())
-	racks := rackIndex(ctx.Cluster())
+	am := &appMaster{ctx: ctx, ft: ft, racks: rackIndex(ctx.Cluster())}
 	var out []sched.Placement
 
 	// New-task pass: each AM binds its pending ready tasks until the
 	// job's head demand fits nowhere.
 	for _, js := range ordered {
-		am := &appMaster{js: js, ctx: ctx, racks: racks}
 		out = sched.PlaceJob(ft, sched.NewJobCursor(js), func(pt sched.PendingTask) (cluster.ServerID, bool) {
-			return am.bind(ft, pt.Ref, pt.Demand)
+			return am.bind(js, pt.Ref, pt.Demand)
 		}, out)
 	}
 
 	// Clone pass: leftover containers go to running tasks of jobs whose
 	// pending tasks are all placed, priority order, locality preferred,
 	// within the δ budget.
-	out = append(out, s.clonePass(ctx, ft, ordered, racks)...)
-	return out
+	rules := sched.CopyRules{Copies: 1 + s.maxClones(), Delta: s.delta(), Drained: true}
+	return sched.GrantCopies(ctx, ft, ordered, rules, am.bind, out)
 }
 
-// clonePass tops running tasks up to 1+MaxClones copies.
-func (s *Scheduler) clonePass(
-	ctx sched.Context,
-	ft *sched.FitTracker,
-	ordered []*workload.JobState,
-	racks map[int][]*cluster.Server,
-) []sched.Placement {
-	if s.maxClones() == 0 {
-		return nil
-	}
-	total := ctx.Cluster().Total()
-	budget := resources.Vec(
-		int64(s.delta()*float64(total.CPUMilli)),
-		int64(s.delta()*float64(total.MemMiB)),
-	)
-	cloneUse := ctx.CloneUsage()
-	// Clones granted in this call are not yet counted by the job states;
-	// tally them. (A task the new-task pass just placed is still pending
-	// there, so it is never in a running list and needs no entry.)
-	pendingCopies := make(map[workload.TaskRef]int)
-
-	var out []sched.Placement
-	for pass := 1; pass <= s.maxClones(); pass++ {
-		for _, js := range ordered {
-			if _, ok := sched.FirstReadyPendingTask(js); ok {
-				continue // unplaced work waits; no clones for this job
-			}
-			am := &appMaster{js: js, ctx: ctx, racks: racks}
-			for _, k := range js.ReadyPhases() {
-				if js.RunningCount(k) == 0 {
-					continue
-				}
-				demand := js.Job.Phases[k].Demand
-				for _, l := range js.RunningTasks(k) {
-					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: l}
-					copies := js.LiveCopies(k, l) + pendingCopies[ref]
-					if copies == 0 || copies != pass {
-						continue
-					}
-					next := cloneUse.Add(demand)
-					if !next.Fits(budget) {
-						continue
-					}
-					srv, ok := am.bind(ft, ref, demand)
-					if !ok {
-						continue
-					}
-					ft.Place(srv, demand)
-					cloneUse = next
-					pendingCopies[ref]++
-					out = append(out, sched.Placement{Ref: ref, Server: srv})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// appMaster is the per-job second-level scheduler: it knows where the
-// job's data lives and binds tasks to servers accordingly.
+// appMaster is the second-level scheduler of one Schedule call, acting
+// as each job's AM in turn: it knows where a job's data lives and binds
+// the job's tasks to servers accordingly.
 type appMaster struct {
-	js    *workload.JobState
 	ctx   sched.Context
+	ft    *sched.FitTracker
 	racks map[int][]*cluster.Server
 }
 
-// bind picks a server for one task copy: best fit on the preferred rack
-// when possible, best fit anywhere otherwise.
-func (am *appMaster) bind(ft *sched.FitTracker, ref workload.TaskRef, demand resources.Vector) (cluster.ServerID, bool) {
-	if rack, ok := am.preferredRack(ref); ok {
-		if srv, ok := bestFitWithin(ft, am.ctx.Cluster(), am.racks[rack], demand); ok {
+// bind picks a server for one copy of js's task ref: best fit on the
+// preferred rack when possible, best fit anywhere otherwise.
+func (am *appMaster) bind(js *workload.JobState, ref workload.TaskRef, demand resources.Vector) (cluster.ServerID, bool) {
+	if rack, ok := am.preferredRack(js, ref); ok {
+		if srv, ok := bestFitWithin(am.ft, am.ctx.Cluster(), am.racks[rack], demand); ok {
 			return srv, true
 		}
 	}
-	return ft.BestFit(demand)
+	return am.ft.BestFit(demand)
 }
 
 // preferredRack is the §5.2 data-locality preference.
-func (am *appMaster) preferredRack(ref workload.TaskRef) (int, bool) {
-	parents := am.js.Job.Phases[ref.Phase].Parents
+func (am *appMaster) preferredRack(js *workload.JobState, ref workload.TaskRef) (int, bool) {
+	parents := js.Job.Phases[ref.Phase].Parents
 	if len(parents) == 0 {
 		if len(am.racks) <= 1 {
 			return 0, false
@@ -216,7 +158,7 @@ func (am *appMaster) preferredRack(ref workload.TaskRef) (int, bool) {
 	// The first parent with completed outputs decides; parents of a
 	// ready phase are all complete, so this is deterministic.
 	for _, par := range parents {
-		if rack, ok := am.ctx.PhaseOutputRack(am.js.Job.ID, par); ok {
+		if rack, ok := am.ctx.PhaseOutputRack(js.Job.ID, par); ok {
 			return rack, true
 		}
 	}
