@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"dollymp/internal/cluster"
 	"dollymp/internal/core"
+	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
@@ -79,5 +81,43 @@ func TestEngineAllocsPerJob(t *testing.T) {
 	}
 	if math.Abs(cloned-plain) > 1 {
 		t.Fatalf("%.1f objects per job with clones, %.1f without: allocation follows the copy count", cloned, plain)
+	}
+}
+
+// TestPendingArrivalHoldsOnlyItsSpec bounds what an injected job costs
+// while it waits to arrive, beyond the spec the caller built: a full
+// Drain window of 4096 jobs is injected into an idle online engine and
+// the live heap is read before and after.
+func TestPendingArrivalHoldsOnlyItsSpec(t *testing.T) {
+	jobs := trace.DefaultGoogleLike(lookahead, 1.0, 42).Generate()
+	e, err := New(Config{
+		Cluster: cluster.LargeFleet(32, 1), Scheduler: core.MustNew(core.WithClones(2)),
+		Seed: 1, Online: true, CompactJobs: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for _, j := range jobs {
+		if _, err := e.InjectJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(jobs)
+	if got := e.PendingArrivals(); got != len(jobs) {
+		t.Fatalf("%d pending arrivals, want %d", got, len(jobs))
+	}
+	perJob := (float64(after) - float64(before)) / float64(len(jobs))
+	t.Logf("%d pending jobs: %.0f B of engine heap each", len(jobs), perJob)
+	// Measured 583 B: a JobState and a live-job record per pending job.
+	if perJob > 640 {
+		t.Fatalf("%.0f bytes of engine heap per pending job, want at most 640", perJob)
 	}
 }

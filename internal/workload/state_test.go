@@ -155,3 +155,19 @@ func TestMarkRunningIdempotentOnDone(t *testing.T) {
 		t.Fatal("MarkRunning must not override done")
 	}
 }
+
+// stateSink keeps an allocation count's result reachable, so the
+// compiler cannot place it on the stack.
+var stateSink *JobState
+
+// TestNewJobStateAllocs pins what a job's scheduling state costs to
+// make, whatever its phase count.
+func TestNewJobStateAllocs(t *testing.T) {
+	j := mapReduce(1, 0)
+	got := testing.AllocsPerRun(100, func() { stateSink = NewJobState(j) })
+	t.Logf("NewJobState of a %d-phase job: %v allocations", len(j.Phases), got)
+	// Measured 9: the record, six per-phase slices and each phase's cells.
+	if got > 9 {
+		t.Fatalf("NewJobState allocates %v objects, want at most 9", got)
+	}
+}
