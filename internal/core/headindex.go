@@ -29,12 +29,13 @@ const (
 // than one leaf is a root that is a leaf: its query is a linear scan.
 //
 // The tree is built in one go and never restructured. A head that goes
-// away is deleted lazily: its entry is blanked and the live counts on
-// its root path drop, while the boxes keep their build-time extent. A
-// head that appears, or comes back with a different demand, goes to the
-// overflow list, which every query scans beside the tree. Both only
-// ever leave a node's box too wide and its lowest sequence too low,
-// which costs pruning, never the answer.
+// away is deleted in its leaf: the leaf's last live entry moves into its
+// slot, so a leaf's live entries always lead its range and a search
+// scans only those. The live counts on its root path drop, while the
+// boxes keep their build-time extent. A head that appears, or comes back
+// with a different demand, goes to the overflow list, which every query
+// scans beside the tree. Both only ever leave a node's box too wide and
+// its lowest sequence too low, which costs pruning, never the answer.
 type headIndex struct {
 	ents  []headEnt
 	nodes []headNode
@@ -50,7 +51,8 @@ type headIndex struct {
 }
 
 // headEnt is one member's head: the demand it is indexed under and the
-// member's position in ctx.Jobs() order. rec is nil once deleted.
+// member's position in ctx.Jobs() order. A leaf's slots past its live
+// entries are zero.
 type headEnt struct {
 	demand resources.Vector
 	seq    uint32
@@ -229,8 +231,8 @@ func (x *headIndex) remove(r *jobRec) {
 		return
 	case w > 0:
 		i := w - 1
-		x.ents[i].rec = nil
-		for n, lo, hi := 0, 0, len(x.ents); ; {
+		n, lo, hi := 0, 0, len(x.ents)
+		for {
 			x.nodes[n].live--
 			if hi-lo <= leafSize {
 				break
@@ -241,6 +243,13 @@ func (x *headIndex) remove(r *jobRec) {
 				n, lo = 2*n+2, mid
 			}
 		}
+		// The leaf's last live entry fills the hole.
+		last := lo + int(x.nodes[n].live)
+		if last != i {
+			x.ents[i] = x.ents[last]
+			x.ents[i].rec.where = int32(i + 1)
+		}
+		x.ents[last] = headEnt{}
 	default:
 		i, last := -w-1, len(x.over)-1
 		x.over[i] = x.over[last]
@@ -310,11 +319,11 @@ func (x *headIndex) best(free resources.Vector, norm resources.Norm) *jobRec {
 }
 
 // scan is the search's leaf step, and the whole of it for the overflow
-// list: the linear argmax over a run of entries.
+// list: the linear argmax over a run of live entries.
 func (q *headQuery) scan(ents []headEnt) {
 	for i := range ents {
 		e := &ents[i]
-		if e.rec == nil || !e.demand.Fits(q.free) {
+		if !e.demand.Fits(q.free) {
 			continue
 		}
 		if s := q.norm.Dot(e.demand, q.free); s > q.score || (s == q.score && e.seq < q.seq) {
@@ -329,8 +338,9 @@ func (q *headQuery) scan(ents []headEnt) {
 func (x *headIndex) search(q *headQuery, n, lo, hi int) {
 	x.stats.nodes++
 	if hi-lo <= leafSize {
-		x.stats.leaf += uint64(hi - lo)
-		q.scan(x.ents[lo:hi])
+		live := int(x.nodes[n].live)
+		x.stats.leaf += uint64(live)
+		q.scan(x.ents[lo : lo+live])
 		return
 	}
 	mid := lo + (hi-lo)/2

@@ -176,6 +176,7 @@ func runHeadIndexModel(t *testing.T, g *headGen, n int) {
 		if got := x.live; got != live {
 			t.Fatalf("step %d: index counts %d live heads, model %d", step, got, live)
 		}
+		checkLeaves(t, step, &x)
 		switch op := g.rng.Intn(40); {
 		case op < 16: // a server drinks from the class until nothing fits
 			free := g.free(m)
@@ -317,6 +318,33 @@ func buildOver(n int, demand func(i int) resources.Vector) headIndex {
 	}
 	x.build()
 	return x
+}
+
+// checkLeaves checks that every leaf's live entries lead its range,
+// each where its record points, and that the slots after them are zero:
+// what lets a search scan a leaf's live entries only.
+func checkLeaves(t *testing.T, step int, x *headIndex) {
+	t.Helper()
+	var walk func(n, lo, hi int)
+	walk = func(n, lo, hi int) {
+		if hi-lo > leafSize {
+			mid := lo + (hi-lo)/2
+			walk(2*n+1, lo, mid)
+			walk(2*n+2, mid, hi)
+			return
+		}
+		live := lo + int(x.nodes[n].live)
+		for i := lo; i < hi; i++ {
+			e := x.ents[i]
+			if i < live && (e.rec == nil || int(e.rec.where) != i+1) {
+				t.Fatalf("step %d: leaf [%d, %d) with %d live: entry %d is not where its record points", step, lo, hi, live-lo, i)
+			}
+			if i >= live && e != (headEnt{}) {
+				t.Fatalf("step %d: leaf [%d, %d) with %d live: slot %d past them holds an entry", step, lo, hi, live-lo, i)
+			}
+		}
+	}
+	walk(0, 0, len(x.ents))
 }
 
 // checkSplits walks the implicit tree as split laid it out.
