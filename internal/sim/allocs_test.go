@@ -61,12 +61,13 @@ func warmDrainAllocs(t *testing.T, clones int) (objects, copies float64) {
 }
 
 // TestEngineAllocsPerJob pins what a warm drain allocates: a bounded
-// number of objects per completed job — its JobState, its record, the
-// copy table and phase records opened at its first placement, the
-// running lists' growth — and nothing per copy: copies come off the free
-// list, and the heap, the copy table and the records are written in
-// place. So the cloning regime, with twice the copies, allocates what
-// the same drain without clones does.
+// number of objects per completed job — at arrival its record with the
+// JobState inside, the phase array and the task cells; at its first
+// placement the phase records, the copy-table heads, the rack tallies
+// and the running lists' one backing array — and nothing per copy:
+// copies come off the free list, and the heap, the copy table and the
+// records are written in place. So the cloning regime, with twice the
+// copies, allocates what the same drain without clones does.
 func TestEngineAllocsPerJob(t *testing.T) {
 	plain, plainCopies := warmDrainAllocs(t, 0)
 	cloned, clonedCopies := warmDrainAllocs(t, 2)
@@ -75,9 +76,11 @@ func TestEngineAllocsPerJob(t *testing.T) {
 	if clonedCopies < 10 || clonedCopies < 1.8*plainCopies {
 		t.Fatalf("%.1f copies per job against %.1f without clones: not the cloning regime", clonedCopies, plainCopies)
 	}
-	// Measured 28.3 both ways, at 13.2 and 6.3 copies per job.
-	if cloned > 31 {
-		t.Fatalf("%.1f objects allocated per completed job, want at most 31", cloned)
+	// Measured 7.1 both ways, at 13.2 and 6.3 copies per job (28.3 when
+	// the JobState kept six slices per phase and its running lists grew
+	// by appending).
+	if cloned > 8 {
+		t.Fatalf("%.1f objects allocated per completed job, want at most 8", cloned)
 	}
 	if math.Abs(cloned-plain) > 1 {
 		t.Fatalf("%.1f objects per job with clones, %.1f without: allocation follows the copy count", cloned, plain)
@@ -116,8 +119,10 @@ func TestPendingArrivalHoldsOnlyItsSpec(t *testing.T) {
 	}
 	perJob := (float64(after) - float64(before)) / float64(len(jobs))
 	t.Logf("%d pending jobs: %.0f B of engine heap each", len(jobs), perJob)
-	// Measured 583 B: a JobState and a live-job record per pending job.
-	if perJob > 640 {
-		t.Fatalf("%.0f bytes of engine heap per pending job, want at most 640", perJob)
+	// Measured 39 B: the arrival queue's slot and the map entry that
+	// registers the ID (583 B when a pending job had its JobState and
+	// live-job record already).
+	if perJob > 64 {
+		t.Fatalf("%.0f bytes of engine heap per pending job, want at most 64", perJob)
 	}
 }

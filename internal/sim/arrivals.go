@@ -7,7 +7,9 @@ package sim
 // shrinks the backing array when occupancy drops, so the queue's memory
 // is proportional to jobs *pending*, never to jobs ever injected — the
 // property the 100k-inject regression test pins (the previous sorted
-// slice kept its consumed prefix alive for the engine's lifetime).
+// slice kept its consumed prefix alive for the engine's lifetime). It
+// holds each job's spec and nothing else: the engine makes a job's
+// state when the job pops (processArrivals), not while it waits.
 //
 // The key is a total order (IDs are unique), so pop order is exactly the
 // (arrival, ID) order the old sorted slice produced: the heap is
@@ -16,16 +18,16 @@ package sim
 import "dollymp/internal/workload"
 
 // arrivalLess orders two pending jobs by (arrival, ID).
-func arrivalLess(a, b *workload.JobState) bool {
-	if a.Job.Arrival != b.Job.Arrival {
-		return a.Job.Arrival < b.Job.Arrival
+func arrivalLess(a, b *workload.Job) bool {
+	if a.Arrival != b.Arrival {
+		return a.Arrival < b.Arrival
 	}
-	return a.Job.ID < b.Job.ID
+	return a.ID < b.ID
 }
 
 // arrivalQueue is the indexed min-heap. The zero value is ready to use.
 type arrivalQueue struct {
-	h []*workload.JobState
+	h []*workload.Job
 }
 
 // Len returns the number of pending arrivals.
@@ -33,7 +35,7 @@ func (q *arrivalQueue) Len() int { return len(q.h) }
 
 // Peek returns the earliest pending arrival without removing it, or nil
 // when the queue is empty.
-func (q *arrivalQueue) Peek() *workload.JobState {
+func (q *arrivalQueue) Peek() *workload.Job {
 	if len(q.h) == 0 {
 		return nil
 	}
@@ -41,16 +43,16 @@ func (q *arrivalQueue) Peek() *workload.JobState {
 }
 
 // Push inserts one pending arrival.
-func (q *arrivalQueue) Push(js *workload.JobState) {
-	q.h = append(q.h, js)
+func (q *arrivalQueue) Push(j *workload.Job) {
+	q.h = append(q.h, j)
 	q.up(len(q.h) - 1)
 }
 
 // Pop removes and returns the earliest pending arrival. The vacated
-// slot is nilled so the entry is released to the collector, and the
+// slot is nilled so the job is released to the collector, and the
 // backing array shrinks once occupancy falls below a quarter of its
 // capacity — consumed arrivals never pin memory.
-func (q *arrivalQueue) Pop() *workload.JobState {
+func (q *arrivalQueue) Pop() *workload.Job {
 	n := len(q.h)
 	if n == 0 {
 		return nil
@@ -61,7 +63,7 @@ func (q *arrivalQueue) Pop() *workload.JobState {
 	q.h = q.h[:n-1]
 	q.down(0)
 	if c := cap(q.h); c > 64 && len(q.h) < c/4 {
-		shrunk := make([]*workload.JobState, len(q.h), c/2)
+		shrunk := make([]*workload.Job, len(q.h), c/2)
 		copy(shrunk, q.h)
 		q.h = shrunk
 	}
@@ -69,7 +71,7 @@ func (q *arrivalQueue) Pop() *workload.JobState {
 }
 
 // Init heapifies n pre-loaded entries in O(n) (the batch path).
-func (q *arrivalQueue) Init(jobs []*workload.JobState) {
+func (q *arrivalQueue) Init(jobs []*workload.Job) {
 	q.h = jobs
 	for i := len(q.h)/2 - 1; i >= 0; i-- {
 		q.down(i)

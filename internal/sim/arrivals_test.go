@@ -18,22 +18,22 @@ func TestArrivalQueueOrder(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		j := &workload.Job{ID: workload.JobID(i + 1), Arrival: int64(rng.Intn(200))}
-		q.Push(&workload.JobState{Job: j})
+		q.Push(j)
 	}
 	if q.Len() != n {
 		t.Fatalf("len %d, want %d", q.Len(), n)
 	}
-	var prev *workload.JobState
+	var prev *workload.Job
 	for q.Len() > 0 {
 		if p := q.Peek(); p != q.h[0] {
 			t.Fatal("peek disagrees with heap root")
 		}
-		js := q.Pop()
-		if prev != nil && !arrivalLess(prev, js) {
+		j := q.Pop()
+		if prev != nil && !arrivalLess(prev, j) {
 			t.Fatalf("pop order violated: (%d,%d) before (%d,%d)",
-				prev.Job.Arrival, prev.Job.ID, js.Job.Arrival, js.Job.ID)
+				prev.Arrival, prev.ID, j.Arrival, j.ID)
 		}
-		prev = js
+		prev = j
 	}
 	if q.Pop() != nil || q.Peek() != nil {
 		t.Fatal("empty queue must pop/peek nil")
@@ -44,25 +44,25 @@ func TestArrivalQueueOrder(t *testing.T) {
 // heapify) pops the same sequence as incremental pushes.
 func TestArrivalQueueInitMatchesPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	mk := func() []*workload.JobState {
-		out := make([]*workload.JobState, 500)
+	mk := func() []*workload.Job {
+		out := make([]*workload.Job, 500)
 		for i := range out {
-			out[i] = &workload.JobState{Job: &workload.Job{
+			out[i] = &workload.Job{
 				ID: workload.JobID(i + 1), Arrival: int64(rng.Intn(50)),
-			}}
+			}
 		}
 		return out
 	}
 	jobs := mk()
 	var a, b arrivalQueue
-	a.Init(append([]*workload.JobState(nil), jobs...))
-	for _, js := range jobs {
-		b.Push(js)
+	a.Init(append([]*workload.Job(nil), jobs...))
+	for _, j := range jobs {
+		b.Push(j)
 	}
 	for a.Len() > 0 {
 		x, y := a.Pop(), b.Pop()
 		if x != y {
-			t.Fatalf("Init and Push pop different entries: job %d vs %d", x.Job.ID, y.Job.ID)
+			t.Fatalf("Init and Push pop different entries: job %d vs %d", x.ID, y.ID)
 		}
 	}
 	if b.Len() != 0 {

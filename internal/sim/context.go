@@ -27,10 +27,10 @@ func (e *Engine) Jobs() []*workload.JobState { return e.active }
 // Copies returns the running copies of a task, original first.
 func (e *Engine) Copies(ref workload.TaskRef) []sched.CopyStatus {
 	lj := e.live(ref.Job, ref.Phase)
-	if lj == nil || lj.copies == nil || ref.Index < 0 || ref.Index >= len(lj.copies[ref.Phase]) {
+	if lj == nil || lj.phases == nil || ref.Index < 0 || ref.Index >= len(lj.phases[ref.Phase].heads) {
 		return nil
 	}
-	c := lj.copies[ref.Phase][ref.Index]
+	c := lj.phases[ref.Phase].heads[ref.Index]
 	if c == nil {
 		return nil
 	}

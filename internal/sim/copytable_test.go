@@ -92,10 +92,9 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A job's state exists from its arrival on; it is kept here
+			// past the job's release.
 			states := make(map[workload.JobID]*workload.JobState)
-			for id, lj := range e.states {
-				states[id] = lj.JobState
-			}
 			tally := make(map[workload.TaskRef]int)
 			seen, survived, reverted, killed := 0, 0, 0, 0
 			for {
@@ -121,9 +120,29 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 					}
 				}
 				seen = len(e.res.Trace)
+				for _, js := range e.Jobs() {
+					if states[js.Job.ID] == nil {
+						states[js.Job.ID] = js
+					}
+				}
 				total := 0
 				for _, j := range cfg.Jobs {
 					js := states[j.ID]
+					if js == nil {
+						// Not arrived: registered, no record, no copy.
+						if lj, ok := e.states[j.ID]; !ok || lj != nil {
+							t.Fatalf("slot %d job %d: pending, yet registered=%v with a record=%v", e.clock, j.ID, ok, lj != nil)
+						}
+						for k := range j.Phases {
+							for l := 0; l < j.Phases[k].Tasks; l++ {
+								ref := workload.TaskRef{Job: j.ID, Phase: workload.PhaseID(k), Index: l}
+								if tally[ref] != 0 || e.Copies(ref) != nil {
+									t.Fatalf("slot %d %v: pending job, yet the trace counts %d copies and Copies reports %d", e.clock, ref, tally[ref], len(e.Copies(ref)))
+								}
+							}
+						}
+						continue
+					}
 					for k := range j.Phases {
 						for l := 0; l < j.Phases[k].Tasks; l++ {
 							ref := workload.TaskRef{Job: j.ID, Phase: workload.PhaseID(k), Index: l}
@@ -185,8 +204,10 @@ func rackedFleet(t *testing.T) *cluster.Cluster {
 // PhaseOutputRack, Allocation and the copies-per-task summary — with a
 // recomputation from the recorded trace alone, through placement,
 // sibling kill, failures with and without survivors, and release. A job
-// that has placed nothing carries no record and answers with its
-// declared statistics; a released one answers zeros.
+// that has not arrived has no record and answers zeros, as an unknown
+// job does; an arrived job that has placed nothing carries no phase
+// records and answers with its declared statistics; a released one
+// answers zeros.
 func TestPhaseRecordsMatchTrace(t *testing.T) {
 	type phaseID struct {
 		job   workload.JobID
@@ -211,7 +232,7 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 			start := make(map[workload.TaskRef]int64)
 			alloc := make(map[workload.JobID]resources.Vector)
 			want := make(map[phaseID]*phaseWant)
-			seen, queued, released, ties := 0, 0, 0, 0
+			seen, pending, queued, released, ties := 0, 0, 0, 0, 0
 			for {
 				idle, err := e.Step()
 				if err != nil {
@@ -259,7 +280,7 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 				seen = len(e.res.Trace)
 
 				for _, j := range cfg.Jobs {
-					lj := e.states[j.ID]
+					lj, registered := e.states[j.ID]
 					if got := e.Allocation(j.ID); got != alloc[j.ID] {
 						t.Fatalf("slot %d job %d: Allocation %v, trace says %v", e.clock, j.ID, got, alloc[j.ID])
 					}
@@ -273,10 +294,16 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 						kid := workload.PhaseID(k)
 						mean, sd, n := e.PhaseStats(j.ID, kid)
 						rack, ok := e.PhaseOutputRack(j.ID, kid)
-						if lj == nil { // finished and released
-							released++
+						if lj == nil { // not arrived, or finished and released
+							state := "released"
+							if registered {
+								state = "pending"
+								pending++
+							} else {
+								released++
+							}
 							if mean != 0 || sd != 0 || n != 0 || rack != 0 || ok {
-								t.Fatalf("slot %d job %d phase %d: released, yet answers (%v, %v, %d) rack (%d, %v)", e.clock, j.ID, k, mean, sd, n, rack, ok)
+								t.Fatalf("slot %d job %d phase %d: %s, yet answers (%v, %v, %d) rack (%d, %v)", e.clock, j.ID, k, state, mean, sd, n, rack, ok)
 							}
 							continue
 						}
@@ -318,8 +345,8 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 					break
 				}
 			}
-			if queued == 0 || released == 0 || ties == 0 {
-				t.Fatalf("the run did not exercise the record's lifetime: %d queued looks, %d released, %d rack ties", queued, released, ties)
+			if pending == 0 || queued == 0 || released == 0 || ties == 0 {
+				t.Fatalf("the run did not exercise the record's lifetime: %d pending looks, %d queued, %d released, %d rack ties", pending, queued, released, ties)
 			}
 		})
 	}

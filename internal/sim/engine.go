@@ -177,6 +177,12 @@ func (h *copyHeap) pop() *taskCopy {
 
 // phaseRec is what the engine has learned about one phase of a live job.
 type phaseRec struct {
+	// heads is the phase's part of the copy table: heads[l] heads the
+	// list of task l's live copies in placement order — the original
+	// first, clones after — linked through taskCopy.next; the matching
+	// count is JobState.LiveCopies. All phases' heads share one backing
+	// array.
+	heads []*taskCopy
 	// dist is the fitted straggler model durations are drawn from (unset
 	// in Deterministic runs, which draw nothing).
 	dist stats.Pareto
@@ -189,29 +195,29 @@ type phaseRec struct {
 	racks []int32
 }
 
-// liveJob is the engine's record of one unfinished job, and everything a
-// placement or a completion needs is on it: a taskCopy carries the
-// pointer, so neither hashes anything. copies[k][l] heads the list of
-// task (k, l)'s live copies in placement order — the original first,
-// clones after — linked through taskCopy.next; the matching count is
-// JobState.LiveCopies. phases[k] is phase k's record and alloc the
-// resources the job's live copies hold. The copy table and the phase
-// records are allocated at the job's first placement (open) and go away
-// with the record in releaseJob, so a queued job carries neither.
+// liveJob is the engine's record of one arrived, unfinished job, and
+// everything a placement or a completion needs is on it: a taskCopy
+// carries the pointer, so neither hashes anything. The JobState is
+// embedded by value, so record and state are one object. phases[k] is
+// phase k's record, copy table included, and alloc the resources the
+// job's live copies hold. The phase records are allocated at the job's
+// first placement (open) and go away with the record in releaseJob, so
+// a queued job carries none.
 type liveJob struct {
-	*workload.JobState
-	copies [][]*taskCopy
+	workload.JobState
 	phases []phaseRec
 	alloc  resources.Vector
 }
 
 func newLiveJob(j *workload.Job) *liveJob {
-	return &liveJob{JobState: workload.NewJobState(j)}
+	lj := new(liveJob)
+	lj.Init(j)
+	return lj
 }
 
-// open allocates the copy table and the phase records: one backing array
-// each for the task cells and the rack tallies, whatever the phase count.
-// fit asks for the per-phase Pareto models.
+// open allocates the phase records: one backing array each for the
+// records, the copy-table heads and the rack tallies, whatever the phase
+// count. fit asks for the per-phase Pareto models.
 func (lj *liveJob) open(racks int, fit bool) {
 	phases := lj.Job.Phases
 	tasks := 0
@@ -220,12 +226,11 @@ func (lj *liveJob) open(racks int, fit bool) {
 	}
 	cells := make([]*taskCopy, tasks)
 	tally := make([]int32, len(phases)*racks)
-	lj.copies = make([][]*taskCopy, len(phases))
 	lj.phases = make([]phaseRec, len(phases))
 	for k := range phases {
 		n := phases[k].Tasks
-		lj.copies[k], cells = cells[:n:n], cells[n:]
 		rec := &lj.phases[k]
+		rec.heads, cells = cells[:n:n], cells[n:]
 		rec.racks, tally = tally[:racks:racks], tally[racks:]
 		if !fit {
 			continue
@@ -267,7 +272,7 @@ func (c *taskCopy) kill() *taskCopy {
 
 // link appends a copy to its task's list.
 func (lj *liveJob) link(c *taskCopy) {
-	at := &lj.copies[c.ref.Phase][c.ref.Index]
+	at := &lj.phases[c.ref.Phase].heads[c.ref.Index]
 	for *at != nil {
 		at = &(*at).next
 	}
@@ -278,15 +283,18 @@ func (lj *liveJob) link(c *taskCopy) {
 // single-use and confined to one goroutine; run independent simulations
 // in parallel by giving each goroutine its own Engine.
 type Engine struct {
-	cfg    Config
-	clock  int64
+	cfg   Config
+	clock int64
+	// states maps every job the engine holds to its record: nil while
+	// the job waits to arrive, so the map is also the duplicate-ID guard
+	// for pending jobs, and the record from arrival until releaseJob.
 	states map[workload.JobID]*liveJob
 	// done is the paged bitmap of completed-and-released job IDs: the
 	// duplicate-ID guard that replaced per-job nil markers in states
 	// (which pinned a map entry per job ever run).
 	done idSet
-	// arrivals holds not-yet-arrived jobs as an indexed min-heap keyed
-	// (arrival, ID); popped entries are released (see arrivals.go).
+	// arrivals holds not-yet-arrived jobs' specs as an indexed min-heap
+	// keyed (arrival, ID); popped entries are released (see arrivals.go).
 	arrivals arrivalQueue
 	active   []*workload.JobState // arrived, unfinished
 	// finished counts the jobs completeTask has finished (Finish stamped)
@@ -337,7 +345,11 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.Jobs) == 0 && !cfg.Online {
 		return nil, fmt.Errorf("sim: no jobs")
 	}
-	seen := make(map[workload.JobID]bool, len(cfg.Jobs))
+	e := &Engine{
+		cfg:    cfg,
+		states: make(map[workload.JobID]*liveJob, len(cfg.Jobs)),
+		rng:    stats.NewRNG(cfg.Seed),
+	}
 	for _, j := range cfg.Jobs {
 		if err := j.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -345,15 +357,10 @@ func New(cfg Config) (*Engine, error) {
 		if j.Arrival < 0 {
 			return nil, fmt.Errorf("sim: job %d has negative arrival", j.ID)
 		}
-		if seen[j.ID] {
+		if _, dup := e.states[j.ID]; dup {
 			return nil, fmt.Errorf("sim: duplicate job ID %d", j.ID)
 		}
-		seen[j.ID] = true
-	}
-	e := &Engine{
-		cfg:    cfg,
-		states: make(map[workload.JobID]*liveJob, len(cfg.Jobs)),
-		rng:    stats.NewRNG(cfg.Seed),
+		e.states[j.ID] = nil // pending: registered, no record yet
 	}
 	if cfg.CompactJobs {
 		e.res.Digest = &JobDigest{}
@@ -376,13 +383,7 @@ func New(cfg Config) (*Engine, error) {
 			e.rackCount = s.Rack + 1
 		}
 	}
-	pending := make([]*workload.JobState, 0, len(cfg.Jobs))
-	for _, j := range cfg.Jobs {
-		lj := newLiveJob(j)
-		e.states[j.ID] = lj
-		pending = append(pending, lj.JobState)
-	}
-	e.arrivals.Init(pending)
+	e.arrivals.Init(append([]*workload.Job(nil), cfg.Jobs...))
 	return e, nil
 }
 
@@ -427,8 +428,11 @@ func (e *Engine) Step() (idle bool, err error) {
 	if err := e.processEvents(); err != nil {
 		return false, err
 	}
-	for _, js := range e.processArrivals() {
-		if aa, ok := e.cfg.Scheduler.(sched.ArrivalAware); ok {
+	arrived := len(e.active)
+	e.processArrivals()
+	if aa, ok := e.cfg.Scheduler.(sched.ArrivalAware); ok {
+		// The jobs that just arrived are the tail of e.active.
+		for _, js := range e.active[arrived:] {
 			aa.OnJobArrival(e, js)
 		}
 	}
@@ -446,8 +450,8 @@ func (e *Engine) Step() (idle bool, err error) {
 // nextEventTime returns the next slot at which anything can happen.
 func (e *Engine) nextEventTime() (int64, bool) {
 	t := int64(-1)
-	if js := e.arrivals.Peek(); js != nil {
-		t = js.Job.Arrival
+	if j := e.arrivals.Peek(); j != nil {
+		t = j.Arrival
 	}
 	for len(e.running) > 0 && e.running[0].c.killed {
 		e.freeCopy(e.running.pop())
@@ -484,17 +488,18 @@ func (e *Engine) advanceTo(t int64) {
 	}
 }
 
-func (e *Engine) processArrivals() []*workload.JobState {
-	var arrived []*workload.JobState
-	for js := e.arrivals.Peek(); js != nil && js.Job.Arrival <= e.clock; js = e.arrivals.Peek() {
+// processArrivals moves every job due by the clock from the arrival
+// queue to the end of e.active, making its record as it arrives.
+func (e *Engine) processArrivals() {
+	for j := e.arrivals.Peek(); j != nil && j.Arrival <= e.clock; j = e.arrivals.Peek() {
 		e.arrivals.Pop()
-		e.active = append(e.active, js)
-		arrived = append(arrived, js)
+		lj := newLiveJob(j)
+		e.states[j.ID] = lj
+		e.active = append(e.active, &lj.JobState)
 		if e.obs != nil {
-			e.observe(TraceArrive, nil, js.Job.ID, nil)
+			e.observe(TraceArrive, nil, j.ID, nil)
 		}
 	}
-	return arrived
 }
 
 // processCompletions handles every copy finishing at or before the clock,
@@ -580,7 +585,7 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 	rec.racks[e.cfg.Cluster.Server(winner.server).Rack]++
 	rec.copies.Add(float64(js.LiveCopies(ref.Phase, ref.Index)))
 
-	for c := js.copies[ref.Phase][ref.Index]; c != nil; {
+	for c := rec.heads[ref.Index]; c != nil; {
 		if err := e.cfg.Cluster.Release(c.server, c.demand); err != nil {
 			return fmt.Errorf("sim: release %v: %w", c.ref, err)
 		}
@@ -598,7 +603,7 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 	if e.obs != nil {
 		e.observe(TraceComplete, winner, 0, nil)
 	}
-	js.copies[ref.Phase][ref.Index] = nil
+	rec.heads[ref.Index] = nil
 
 	if err := js.MarkDone(ref.Phase, ref.Index); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -607,8 +612,8 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 		// The stamped Finish is the mark compactActive cuts by.
 		js.Finish = e.clock
 		e.finished++
-		e.recordJob(js.JobState)
-		e.releaseJob(js.JobState)
+		e.recordJob(&js.JobState)
+		e.releaseJob(&js.JobState)
 	}
 	return nil
 }
@@ -657,7 +662,7 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		}
 		return fmt.Errorf("sim: placement for unknown job %d", p.Ref.Job)
 	}
-	if js.Job.Arrival > e.clock {
+	if js == nil {
 		return fmt.Errorf("sim: placement for job %d before its arrival", p.Ref.Job)
 	}
 	if int(p.Ref.Phase) < 0 || int(p.Ref.Phase) >= len(js.Job.Phases) {
@@ -684,7 +689,7 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		return fmt.Errorf("sim: placement %v: %w", p.Ref, err)
 	}
 
-	if js.copies == nil {
+	if js.phases == nil {
 		js.open(e.rackCount, !e.cfg.Deterministic)
 	}
 	dur, penalty := e.sampleDuration(js, p.Ref, p.Server)
@@ -805,8 +810,8 @@ func (e *Engine) checkInvariants() error {
 	for _, js := range e.active {
 		lj := e.states[js.Job.ID]
 		var held resources.Vector // zero for a job that holds no copy
-		for k := range lj.copies {
-			for l, c := range lj.copies[k] {
+		for k := range lj.phases {
+			for l, c := range lj.phases[k].heads {
 				n := 0
 				for ; c != nil; c = c.next {
 					if c.killed {

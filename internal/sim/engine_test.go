@@ -381,12 +381,17 @@ func TestPhaseStatsFallbackAndObservation(t *testing.T) {
 	// online engine must not retain them per job ever finished), so the
 	// post-observation check runs at the job's TraceJobDone, while the
 	// job is still live.
-	var hookMean float64
-	var hookN int
+	// The fallback is read at the job's TraceArrive: the job has its
+	// record and has placed nothing. Before that it is not there yet.
+	var hookMean, arriveMean, arriveSD float64
+	var hookN, arriveN int
 	cfg := Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: greedy{}, Deterministic: true}
 	var e *Engine
 	cfg.Observe = func(o *Observation) {
-		if o.Kind == TraceJobDone {
+		switch o.Kind {
+		case TraceArrive:
+			arriveMean, arriveSD, arriveN = e.PhaseStats(1, 0)
+		case TraceJobDone:
 			hookMean, _, hookN = e.PhaseStats(1, 0)
 		}
 	}
@@ -394,12 +399,14 @@ func TestPhaseStatsFallbackAndObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, sd, n := e.PhaseStats(1, 0)
-	if mean != 5 || sd != 2 || n != 0 {
-		t.Fatalf("fallback stats: %v %v %d", mean, sd, n)
+	if mean, sd, n := e.PhaseStats(1, 0); mean != 0 || sd != 0 || n != 0 {
+		t.Fatalf("stats of a job not yet arrived: %v %v %d", mean, sd, n)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if arriveMean != 5 || arriveSD != 2 || arriveN != 0 {
+		t.Fatalf("fallback stats: %v %v %d", arriveMean, arriveSD, arriveN)
 	}
 	if hookN != 2 || hookMean != 5 {
 		t.Fatalf("observed stats at completion: mean=%v n=%d", hookMean, hookN)

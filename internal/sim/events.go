@@ -104,12 +104,13 @@ func (e *Engine) failServer(id cluster.ServerID) error {
 	}
 	for _, js := range e.active {
 		lj := e.states[js.Job.ID]
-		for k := range lj.copies {
-			for l := range lj.copies[k] {
+		for k := range lj.phases {
+			heads := lj.phases[k].heads
+			for l := range heads {
 				// Unlink in place; survivors keep their order and their
 				// clone flags (those only feed budget accounting, which
 				// is adjusted below for the copies that died).
-				for at := &lj.copies[k][l]; *at != nil; {
+				for at := &heads[l]; *at != nil; {
 					c := *at
 					if c.server != id {
 						at = &c.next

@@ -50,14 +50,16 @@ func (e *Engine) InjectJob(j *workload.Job) (int64, error) {
 	if j.Arrival < e.clock {
 		j.Arrival = e.clock
 	}
-	lj := newLiveJob(j)
-	e.states[j.ID] = lj
+	// Registered with no record: the record is made when the job
+	// arrives (processArrivals), so a pending job costs its spec, a heap
+	// slot and this map entry.
+	e.states[j.ID] = nil
 	// O(log pending) heap push; clamping guarantees the entry sorts
 	// after every already-consumed arrival, so history is never
 	// rewritten. The heap holds only pending arrivals — consumed
 	// entries were released at pop — so a long-running daemon's arrival
 	// queue stays proportional to its backlog, not its lifetime intake.
-	e.arrivals.Push(lj.JobState)
+	e.arrivals.Push(j)
 	return j.Arrival, nil
 }
 

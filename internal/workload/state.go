@@ -26,27 +26,43 @@ type taskCell struct {
 	copies int32
 }
 
+// phaseState is one phase's entry in a JobState: its task cells, its
+// running list, its counters, and its place in the critical-path walk.
+type phaseState struct {
+	// tasks[l] is the state of task l and the number of copies of it that
+	// are running; every phase's cells share one backing array.
+	tasks []taskCell
+	// running holds the indices of running tasks in ascending order, so
+	// schedulers iterate running tasks in O(running) instead of O(phase
+	// size). It is nil until the job's first MarkRunning, then a window
+	// of one backing array with capacity exactly the phase's task count:
+	// it never grows, so insertSorted never allocates and never writes
+	// into the next phase's window.
+	running []int
+	// done counts finished tasks, pending tasks with no copy placed;
+	// firstPending is a monotone scan hint for NextPending.
+	done, pending, firstPending int32
+	// order is the phase at this index of the job's topological order
+	// (TopoOrder's order), filled the first time the critical path is
+	// walked.
+	order int32
+	// finish is the critical-path walk's scratch: the phase's remaining
+	// finish time. While the order is being built it counts the phase's
+	// parents not yet ordered.
+	finish   float64
+	complete bool // every task in the phase finished
+}
+
 // JobState is the mutable scheduling view of one job: which tasks are
 // pending/running/done, and the updated volume and processing time of
 // Eqs. (16)–(17). It is owned by the simulator's goroutine.
 type JobState struct {
 	Job *Job
 
-	// task[k][l] is the state of task l in phase k and the number of
-	// copies of it that are running.
-	task [][]taskCell
-	// doneInPhase[k] counts finished tasks in phase k.
-	doneInPhase []int
-	// phaseDone[k] reports whether all tasks in phase k completed.
-	phaseDone []bool
-	// runningList[k] holds the indices of running tasks in phase k in
-	// ascending order, so schedulers iterate running tasks in O(running)
-	// instead of O(phase size).
-	runningList [][]int
-	// pendingCount[k] counts pending tasks in phase k; firstPending[k]
-	// is a monotone scan hint for NextPending.
-	pendingCount []int
-	firstPending []int
+	// phases[k] is phase k's entry; the whole state is three objects —
+	// the JobState, this array and the task cells — plus the running
+	// lists' backing array from the first placement on.
+	phases []phaseState
 
 	// Finish is f_j in slots; -1 while the job is running.
 	Finish int64
@@ -63,36 +79,42 @@ type JobState struct {
 	CopiesLaunched int
 	TasksCloned    int
 
-	// topo caches Job.TopoOrder() — the DAG never changes after
-	// validation, but Eq. (17) walks it at every priority recompute.
-	// finish is the reusable critical-path scratch of the same walk.
-	topo     []PhaseID
-	topoBad  bool
-	topoDone bool
-	// version counts task-state mutations; see Version. It shares the
-	// flags' word, so it does not grow the struct past its size class.
+	// version counts task-state mutations; see Version. The order flags
+	// share its word.
 	version uint32
-	finish  []float64
+	// sorted reports that phases[i].order holds the topological order,
+	// cyclic that the DAG has none (the walk then answers 0).
+	sorted, cyclic bool
 }
 
 // NewJobState initializes tracking for a validated job.
 func NewJobState(j *Job) *JobState {
-	s := &JobState{
-		Job:          j,
-		task:         make([][]taskCell, len(j.Phases)),
-		doneInPhase:  make([]int, len(j.Phases)),
-		phaseDone:    make([]bool, len(j.Phases)),
-		runningList:  make([][]int, len(j.Phases)),
-		pendingCount: make([]int, len(j.Phases)),
-		firstPending: make([]int, len(j.Phases)),
-		Finish:       -1,
-		FirstStart:   -1,
-	}
-	for k := range j.Phases {
-		s.task[k] = make([]taskCell, j.Phases[k].Tasks)
-		s.pendingCount[k] = j.Phases[k].Tasks
-	}
+	s := new(JobState)
+	s.Init(j)
 	return s
+}
+
+// Init sets s up to track a validated job from its start, as
+// NewJobState does, for a caller that keeps the JobState inside a
+// record of its own. Whatever s held before is dropped.
+func (s *JobState) Init(j *Job) {
+	tasks := 0
+	for k := range j.Phases {
+		tasks += j.Phases[k].Tasks
+	}
+	*s = JobState{
+		Job:        j,
+		phases:     make([]phaseState, len(j.Phases)),
+		Finish:     -1,
+		FirstStart: -1,
+	}
+	cells := make([]taskCell, tasks)
+	for k := range s.phases {
+		n := j.Phases[k].Tasks
+		ph := &s.phases[k]
+		ph.tasks, cells = cells[:n:n], cells[n:]
+		ph.pending = int32(n)
+	}
 }
 
 // Version is a mutation stamp: MarkRunning, MarkDone, MarkPending and
@@ -104,23 +126,41 @@ func NewJobState(j *Job) *JobState {
 func (s *JobState) Version() uint32 { return s.version }
 
 // Task returns the state of task (k, l).
-func (s *JobState) Task(k PhaseID, l int) TaskState { return s.task[k][l].state }
+func (s *JobState) Task(k PhaseID, l int) TaskState { return s.phases[k].tasks[l].state }
 
 // MarkRunning records one more placed copy of task (k, l): the first
 // moves the task from pending to running, every later one is a clone.
 // It is a no-op for done tasks.
 func (s *JobState) MarkRunning(k PhaseID, l int) {
 	s.version++
-	t := &s.task[k][l]
+	ph := &s.phases[k]
+	t := &ph.tasks[l]
 	switch t.state {
 	case TaskDone:
 		return
 	case TaskPending:
 		t.state = TaskRunning
-		s.pendingCount[k]--
-		s.runningList[k] = insertSorted(s.runningList[k], l)
+		ph.pending--
+		if ph.running == nil {
+			s.makeRunningLists()
+		}
+		ph.running = insertSorted(ph.running, l)
 	}
 	t.copies++
+}
+
+// makeRunningLists gives every phase its empty running list, each a
+// window of one backing array as long as the phase.
+func (s *JobState) makeRunningLists() {
+	tasks := 0
+	for k := range s.phases {
+		tasks += len(s.phases[k].tasks)
+	}
+	back := make([]int, tasks)
+	for k := range s.phases {
+		n := len(s.phases[k].tasks)
+		s.phases[k].running, back = back[:0:n], back[n:]
+	}
 }
 
 // DropCopy records that one copy of running task (k, l) was lost
@@ -128,7 +168,7 @@ func (s *JobState) MarkRunning(k PhaseID, l int) {
 // reverts the task to pending.
 func (s *JobState) DropCopy(k PhaseID, l int) {
 	s.version++
-	t := &s.task[k][l]
+	t := &s.phases[k].tasks[l]
 	if t.state != TaskRunning {
 		return
 	}
@@ -138,25 +178,26 @@ func (s *JobState) DropCopy(k PhaseID, l int) {
 }
 
 // LiveCopies returns the number of running copies of task (k, l).
-func (s *JobState) LiveCopies(k PhaseID, l int) int { return int(s.task[k][l].copies) }
+func (s *JobState) LiveCopies(k PhaseID, l int) int { return int(s.phases[k].tasks[l].copies) }
 
 // MarkDone records completion of task (k, l). It returns an error on a
 // double completion. Phase and job completion flags update automatically.
 func (s *JobState) MarkDone(k PhaseID, l int) error {
 	s.version++
-	switch s.task[k][l].state {
+	ph := &s.phases[k]
+	switch ph.tasks[l].state {
 	case TaskDone:
 		return fmt.Errorf("workload: task %v already done", TaskRef{s.Job.ID, k, l})
 	case TaskPending:
-		s.pendingCount[k]--
+		ph.pending--
 	case TaskRunning:
-		s.runningList[k] = removeSorted(s.runningList[k], l)
+		ph.running = removeSorted(ph.running, l)
 	}
 	// The winner's siblings die with it.
-	s.task[k][l] = taskCell{state: TaskDone}
-	s.doneInPhase[k]++
-	if s.doneInPhase[k] == s.Job.Phases[k].Tasks {
-		s.phaseDone[k] = true
+	ph.tasks[l] = taskCell{state: TaskDone}
+	ph.done++
+	if int(ph.done) == len(ph.tasks) {
+		ph.complete = true
 	}
 	return nil
 }
@@ -165,15 +206,16 @@ func (s *JobState) MarkDone(k PhaseID, l int) error {
 // server failure forces when every copy of a task is lost. It is a no-op
 // for pending or done tasks.
 func (s *JobState) MarkPending(k PhaseID, l int) {
-	if s.task[k][l].state != TaskRunning {
+	ph := &s.phases[k]
+	if ph.tasks[l].state != TaskRunning {
 		return
 	}
 	s.version++
-	s.task[k][l] = taskCell{state: TaskPending}
-	s.runningList[k] = removeSorted(s.runningList[k], l)
-	s.pendingCount[k]++
-	if l < s.firstPending[k] {
-		s.firstPending[k] = l
+	ph.tasks[l] = taskCell{state: TaskPending}
+	ph.running = removeSorted(ph.running, l)
+	ph.pending++
+	if int32(l) < ph.firstPending {
+		ph.firstPending = int32(l)
 	}
 }
 
@@ -197,7 +239,7 @@ func removeSorted(s []int, v int) []int {
 // constraint (7) allows its tasks to start.
 func (s *JobState) PhaseReady(k PhaseID) bool {
 	for _, par := range s.Job.Phases[k].Parents {
-		if !s.phaseDone[par] {
+		if !s.phases[par].complete {
 			return false
 		}
 	}
@@ -206,8 +248,8 @@ func (s *JobState) PhaseReady(k PhaseID) bool {
 
 // Done reports whether every phase completed.
 func (s *JobState) Done() bool {
-	for _, d := range s.phaseDone {
-		if !d {
+	for k := range s.phases {
+		if !s.phases[k].complete {
 			return false
 		}
 	}
@@ -217,17 +259,18 @@ func (s *JobState) Done() bool {
 // RemainingTasks returns the number of not-yet-finished tasks in phase k
 // (the n_j^k(t) of Eq. 16).
 func (s *JobState) RemainingTasks(k PhaseID) int {
-	return s.Job.Phases[k].Tasks - s.doneInPhase[k]
+	return s.Job.Phases[k].Tasks - int(s.phases[k].done)
 }
 
 // PendingTasks returns the indices of tasks in phase k that are still
 // pending (no copy placed).
 func (s *JobState) PendingTasks(k PhaseID) []int {
-	if s.pendingCount[k] == 0 {
+	ph := &s.phases[k]
+	if ph.pending == 0 {
 		return nil
 	}
-	out := make([]int, 0, s.pendingCount[k])
-	for l, t := range s.task[k] {
+	out := make([]int, 0, ph.pending)
+	for l, t := range ph.tasks {
 		if t.state == TaskPending {
 			out = append(out, l)
 		}
@@ -236,22 +279,23 @@ func (s *JobState) PendingTasks(k PhaseID) []int {
 }
 
 // PendingCount returns the number of pending tasks in phase k in O(1).
-func (s *JobState) PendingCount(k PhaseID) int { return s.pendingCount[k] }
+func (s *JobState) PendingCount(k PhaseID) int { return int(s.phases[k].pending) }
 
 // NextPending returns the first pending task index ≥ from in phase k, or
 // false if none. Amortized O(1) when scanned monotonically.
 func (s *JobState) NextPending(k PhaseID, from int) (int, bool) {
-	if s.pendingCount[k] == 0 {
+	ph := &s.phases[k]
+	if ph.pending == 0 {
 		return 0, false
 	}
-	if from < s.firstPending[k] {
-		from = s.firstPending[k]
+	hint := int(ph.firstPending)
+	if from < hint {
+		from = hint
 	}
-	tasks := s.task[k]
-	for l := from; l < len(tasks); l++ {
-		if tasks[l].state == TaskPending {
-			if from == s.firstPending[k] {
-				s.firstPending[k] = l
+	for l := from; l < len(ph.tasks); l++ {
+		if ph.tasks[l].state == TaskPending {
+			if from == hint {
+				ph.firstPending = int32(l)
 			}
 			return l, true
 		}
@@ -262,11 +306,12 @@ func (s *JobState) NextPending(k PhaseID, from int) (int, bool) {
 // RunningTasks returns the indices of tasks in phase k that are running,
 // in ascending order, in O(running).
 func (s *JobState) RunningTasks(k PhaseID) []int {
-	if len(s.runningList[k]) == 0 {
+	running := s.phases[k].running
+	if len(running) == 0 {
 		return nil
 	}
-	out := make([]int, len(s.runningList[k]))
-	copy(out, s.runningList[k])
+	out := make([]int, len(running))
+	copy(out, running)
 	return out
 }
 
@@ -274,10 +319,10 @@ func (s *JobState) RunningTasks(k PhaseID) []int {
 // JobState's internal storage. Callers must not modify the slice and
 // must not hold it across a Mark* mutation — it is for read-only scans
 // within one scheduling decision.
-func (s *JobState) RunningTasksView(k PhaseID) []int { return s.runningList[k] }
+func (s *JobState) RunningTasksView(k PhaseID) []int { return s.phases[k].running }
 
 // RunningCount returns the number of running tasks in phase k in O(1).
-func (s *JobState) RunningCount(k PhaseID) int { return len(s.runningList[k]) }
+func (s *JobState) RunningCount(k PhaseID) int { return len(s.phases[k].running) }
 
 // ReadyPhases returns the phases whose parents are complete but which are
 // not themselves complete, in index order — the phases Algorithm 2 may
@@ -289,8 +334,8 @@ func (s *JobState) ReadyPhases() []PhaseID {
 // AppendReadyPhases appends the ready phases to dst and returns it —
 // ReadyPhases for callers that reuse a buffer across decisions.
 func (s *JobState) AppendReadyPhases(dst []PhaseID) []PhaseID {
-	for k := range s.Job.Phases {
-		if !s.phaseDone[k] && s.PhaseReady(PhaseID(k)) {
+	for k := range s.phases {
+		if !s.phases[k].complete && s.PhaseReady(PhaseID(k)) {
 			dst = append(dst, PhaseID(k))
 		}
 	}
@@ -334,51 +379,76 @@ func (s *JobState) UpdatedProcessingTime(r float64) float64 {
 // UpdatedProcessingTimeWith is UpdatedProcessingTime with a caller-
 // supplied effective duration per phase.
 func (s *JobState) UpdatedProcessingTimeWith(eff func(PhaseID) float64) float64 {
-	if len(s.Job.Phases) == 1 {
+	phases := s.phases
+	if len(phases) == 1 {
 		// Single-phase jobs (the common trace shape) have a trivial
-		// critical path: no ordering, no finish vector.
-		if s.phaseDone[0] {
+		// critical path: no ordering, no finish times.
+		if phases[0].complete {
 			return 0
 		}
 		return eff(0)
 	}
-	order, ok := s.topoOrder()
-	if !ok {
+	if !s.sorted {
+		s.cyclic = !s.sortPhases()
+		s.sorted = true
+	}
+	if s.cyclic {
 		return 0
 	}
-	if cap(s.finish) < len(s.Job.Phases) {
-		s.finish = make([]float64, len(s.Job.Phases))
-	}
-	finish := s.finish[:len(s.Job.Phases)]
 	longest := 0.0
-	for _, k := range order {
-		if s.phaseDone[k] {
-			finish[k] = 0 // finished phases contribute no remaining length
+	for i := range phases {
+		k := PhaseID(phases[i].order)
+		ph := &phases[k]
+		if ph.complete {
+			ph.finish = 0 // finished phases contribute no remaining length
 			continue
 		}
-		p := &s.Job.Phases[k]
 		start := 0.0
-		for _, par := range p.Parents {
-			if finish[par] > start {
-				start = finish[par]
+		for _, par := range s.Job.Phases[k].Parents {
+			if f := phases[par].finish; f > start {
+				start = f
 			}
 		}
-		finish[k] = start + eff(PhaseID(k))
-		if finish[k] > longest {
-			longest = finish[k]
+		ph.finish = start + eff(k)
+		if ph.finish > longest {
+			longest = ph.finish
 		}
 	}
 	return longest
 }
 
-// topoOrder returns the cached topological order of the job's phases,
-// or ok=false for an invalid (cyclic) DAG.
-func (s *JobState) topoOrder() ([]PhaseID, bool) {
-	if !s.topoDone {
-		order, err := s.Job.TopoOrder()
-		s.topo, s.topoBad, s.topoDone = order, err != nil, true
+// sortPhases writes the job's topological order into phases[i].order
+// and reports false for a cyclic DAG. It is TopoOrder's Kahn walk, in
+// the same order, without its temporaries: the queue is the order
+// itself, each phase's finish counts its parents not yet ordered, and a
+// phase's children are found by scanning every phase's parent list
+// in index order, the order TopoOrder's child lists hold them in.
+func (s *JobState) sortPhases() bool {
+	phases := s.phases
+	tail := 0
+	for k := range phases {
+		n := len(s.Job.Phases[k].Parents)
+		phases[k].finish = float64(n)
+		if n == 0 {
+			phases[tail].order = int32(k)
+			tail++
+		}
 	}
-	return s.topo, !s.topoBad
+	for head := 0; head < tail; head++ {
+		done := PhaseID(phases[head].order)
+		for c := range phases {
+			for _, par := range s.Job.Phases[c].Parents {
+				if par != done {
+					continue
+				}
+				if phases[c].finish--; phases[c].finish == 0 {
+					phases[tail].order = int32(c)
+					tail++
+				}
+			}
+		}
+	}
+	return tail == len(phases)
 }
 
 // Flowtime returns f_j − a_j, or -1 if the job has not finished.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dollymp/internal/resources"
@@ -43,7 +44,7 @@ func TestJobStateLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.phaseDone[0] || !s.PhaseReady(1) {
+	if !s.phases[0].complete || !s.PhaseReady(1) {
 		t.Fatal("map done should unlock reduce")
 	}
 	if s.Done() {
@@ -161,13 +162,78 @@ func TestMarkRunningIdempotentOnDone(t *testing.T) {
 var stateSink *JobState
 
 // TestNewJobStateAllocs pins what a job's scheduling state costs to
-// make, whatever its phase count.
+// make, whatever its phase count: the JobState, its phase array and the
+// task cells. Running the job to completion, critical path included,
+// adds only the running lists' one backing array.
 func TestNewJobStateAllocs(t *testing.T) {
-	j := mapReduce(1, 0)
+	j := dag(1, [][]PhaseID{nil, {0}, {0}, {1, 2}})
 	got := testing.AllocsPerRun(100, func() { stateSink = NewJobState(j) })
 	t.Logf("NewJobState of a %d-phase job: %v allocations", len(j.Phases), got)
-	// Measured 9: the record, six per-phase slices and each phase's cells.
-	if got > 9 {
-		t.Fatalf("NewJobState allocates %v objects, want at most 9", got)
+	// Six per-phase slices and one cell slice per phase made this 11 (a
+	// two-phase job 9).
+	if got > 3 {
+		t.Fatalf("NewJobState allocates %v objects, want at most 3", got)
+	}
+	lifecycle := testing.AllocsPerRun(100, func() {
+		s := NewJobState(j)
+		for _, k := range []PhaseID{0, 2, 1, 3} {
+			s.UpdatedProcessingTime(1.5)
+			s.MarkRunning(k, 0)
+			s.MarkRunning(k, 0)
+			if err := s.MarkDone(k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stateSink = s
+	})
+	if lifecycle > 4 {
+		t.Fatalf("a job's lifecycle allocates %v objects, want at most 4", lifecycle)
+	}
+	if !stateSink.Done() {
+		t.Fatal("the lifecycle did not finish the job")
+	}
+}
+
+// TestPhaseOrderMatchesTopoOrder: the order the critical-path walk
+// builds in place is TopoOrder's, on random DAGs with and without a back
+// edge, so Eq. (17) on a fresh state is CriticalPathLength to the bit.
+func TestPhaseOrderMatchesTopoOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 1000; trial++ {
+		n := 2 + rng.Intn(40)
+		label := rng.Perm(n)
+		parents := make([][]PhaseID, n)
+		for k := 1; k < n; k++ {
+			for e := rng.Intn(4); e > 0; e-- {
+				parents[label[k]] = append(parents[label[k]], PhaseID(label[rng.Intn(k)]))
+			}
+		}
+		if trial%3 == 2 {
+			a := rng.Intn(n - 1)
+			b := a + 1 + rng.Intn(n-1-a)
+			parents[label[a]] = append(parents[label[a]], PhaseID(label[b]))
+		}
+		j := dag(JobID(trial), parents)
+		for k := range j.Phases {
+			j.Phases[k].MeanDuration = 1 + rng.Float64()*20
+			j.Phases[k].SDDuration = rng.Float64() * 5
+		}
+		s := NewJobState(j)
+		got := s.UpdatedProcessingTime(1.5)
+		order, err := j.TopoOrder()
+		if err != nil {
+			if !s.cyclic || got != 0 {
+				t.Fatalf("trial %d: cyclic DAG, yet cyclic=%v and critical path %v", trial, s.cyclic, got)
+			}
+			continue
+		}
+		for i, k := range order {
+			if PhaseID(s.phases[i].order) != k {
+				t.Fatalf("trial %d: order[%d] = %d, TopoOrder has %d", trial, i, s.phases[i].order, k)
+			}
+		}
+		if want := j.CriticalPathLength(1.5); got != want {
+			t.Fatalf("trial %d: critical path %v, CriticalPathLength %v", trial, got, want)
+		}
 	}
 }
