@@ -94,7 +94,7 @@ func (c *Config) defaults() {
 type taskCopy struct {
 	ref workload.TaskRef
 	// job is the owning job's record; next links the task's live copies
-	// in placement order (see liveJob.copies). Both are cleared when the
+	// in placement order (see phaseRec.heads). Both are cleared when the
 	// copy is killed: it may sit in the running heap long after its job
 	// is released, and must not keep the job's state reachable.
 	job    *liveJob

@@ -39,8 +39,8 @@ type phaseState struct {
 	// it never grows, so insertSorted never allocates and never writes
 	// into the next phase's window.
 	running []int
-	// done counts finished tasks, pending tasks with no copy placed;
-	// firstPending is a monotone scan hint for NextPending.
+	// done counts the finished tasks and pending the tasks with no copy
+	// placed; firstPending is a monotone scan hint for NextPending.
 	done, pending, firstPending int32
 	// order is the phase at this index of the job's topological order
 	// (TopoOrder's order), filled the first time the critical path is
