@@ -758,6 +758,7 @@ func (s *Scheduler) speculationPass(
 					continue // δ budget exhausted for this shape
 				}
 				for _, lidx := range js.RunningTasksView(k) {
+					sc.stats.CopyScanned++
 					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: lidx}
 					if !sched.Straggling(ctx, ref, s.specThreshold, s.specMinSample) {
 						continue
@@ -895,6 +896,7 @@ func (s *Scheduler) clonePasses(
 					continue
 				}
 				for _, lidx := range js.RunningTasksView(k) {
+					sc.stats.CopyScanned++
 					copies := js.LiveCopies(k, lidx)
 					if copies < 1 || copies > s.maxClones {
 						continue
@@ -914,6 +916,7 @@ func (s *Scheduler) clonePasses(
 		}
 	}
 	for pass := 2; pass <= s.maxClones; pass++ {
+		sc.stats.CopyScanned += uint64(len(cands))
 		for i := range cands {
 			if c := &cands[i]; c.copies == pass && grant(c.ref, c.demand) {
 				c.copies++

@@ -27,6 +27,10 @@ type Stats struct {
 	// closed before any walk because the demand floor was over the δ
 	// budget or fitted no server.
 	RedundancyOpened, ClosedOnBudget, ClosedOnFit uint64
+	// CopyScanned counts the running tasks the redundancy walk read: one
+	// per task of a phase its first pass served, and one per work-list
+	// entry each later pass swept.
+	CopyScanned uint64
 }
 
 // headStats is the share of Stats one head index counts itself.
