@@ -75,7 +75,10 @@ func runGolden(t *testing.T, s sched.Scheduler, jobs []*workload.Job) goldenRun 
 // tracker learned from its misses; the digests and the arrival runs on
 // the commit before the baselines shared their walks, which is also
 // where the transient rows (Algorithm 1 end to end on the unit cluster
-// of §4.2, under each clone policy) were recorded.
+// of §4.2, under each clone policy) were recorded. dollymp3 is the one
+// built-in policy whose third clone pass grants copies (47 tasks reach
+// four live copies packed, 1 269 arriving); its row was recorded on the
+// commit before DollyMP's clone passes moved onto the baselines' walk.
 func TestBaselinesPackedGolden(t *testing.T) {
 	arriving := trace.DefaultGoogleLike(300, 1.0, 7).Generate()
 	packed := trace.DefaultGoogleLike(300, 1.0, 7).Generate()
@@ -113,6 +116,8 @@ func TestBaselinesPackedGolden(t *testing.T) {
 			goldenRun{13897, 109, 206, 9093512785130245043}, goldenRun{5443, 445, 1152, 7613856677218854345}},
 		{"dollymp2", func() sched.Scheduler { return core.MustNew(core.WithClones(2)) },
 			goldenRun{13839, 115, 203, 5990395173055545809}, goldenRun{5176, 437, 1120, 12919257571042434162}},
+		{"dollymp3", func() sched.Scheduler { return core.MustNew(core.WithClones(3)) },
+			goldenRun{13845, 115, 213, 2361219110420476066}, goldenRun{5113, 441, 1030, 15423026427037780483}},
 		{"dollymp-spec", func() sched.Scheduler { return core.MustNew(core.WithSpeculation(1.5, 3)) },
 			goldenRun{14236, 143, 226, 3683042341588287122}, goldenRun{7041, 478, 811, 3125615583750671187}},
 	} {
