@@ -162,8 +162,10 @@ type scratch struct {
 	orderSpeeds []float64
 	orderBuf    []serverSpeed
 
-	// cloneCands is the clone passes' work list: see clonePasses.
-	cloneCands []cloneCand
+	// copies is the redundancy walk, with its work list; drained is
+	// the cursors Schedule hands it.
+	copies  sched.CopyWalk
+	drained []*sched.JobCursor
 
 	// out backs the slice Schedule returns, which the Scheduler contract
 	// lets it overwrite on the next call.
@@ -171,15 +173,6 @@ type scratch struct {
 
 	// stats counts the work outside the head indexes: see StatsOf.
 	stats Stats
-}
-
-// cloneCand is a running task that a later clone pass may still top
-// up, with the copy count it will have once this call's placements are
-// applied.
-type cloneCand struct {
-	ref    workload.TaskRef
-	demand resources.Vector
-	copies int
 }
 
 type serverSpeed struct {
@@ -418,7 +411,7 @@ func (sc *scratch) regroup(prios []int32) {
 type Option func(*Scheduler)
 
 // WithClones sets the per-task clone limit k (DollyMP^k). k must be in
-// [0, 3].
+// [0, sched.MaxCopies-1].
 func WithClones(k int) Option {
 	return func(s *Scheduler) { s.maxClones = k }
 }
@@ -472,8 +465,8 @@ func New(opts ...Option) (*Scheduler, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.maxClones < 0 || s.maxClones > 3 {
-		return nil, fmt.Errorf("core: clone limit %d out of [0, 3]", s.maxClones)
+	if s.maxClones < 0 || s.maxClones >= sched.MaxCopies {
+		return nil, fmt.Errorf("core: clone limit %d out of [0, %d]", s.maxClones, sched.MaxCopies-1)
 	}
 	if s.speculate {
 		if !(s.specThreshold > 1) {
@@ -697,88 +690,57 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 
 	// Redundancy: clone passes (Step 16) by default; LATE-style backups
 	// when speculation is selected. Both run only after the new-task
-	// pass and both respect the δ budget.
-	switch {
-	case s.speculate:
-		out = s.speculationPass(ctx, ft, sc, out)
-	case s.maxClones > 0:
-		out = s.clonePasses(ctx, ft, sc, out)
+	// pass, within the δ budget, and only for jobs whose new tasks are
+	// all placed (§4.1/§5): a job with pending tasks still waits for
+	// capacity, so racing copies ahead of them would harm the very jobs
+	// the pass is meant to help. The watch lists hold, in class order,
+	// exactly the records whose job holds a running copy (this call's
+	// placements are not applied yet).
+	if (s.speculate || s.maxClones > 0) && s.redundancyRoom(ctx, ft) {
+		drained := sc.drained[:0]
+		for l := 1; l <= sc.maxClass; l++ {
+			for _, r := range sc.classes[l].watch {
+				if r.drained() {
+					drained = append(drained, &r.cur)
+				}
+			}
+		}
+		rules := sched.CopyRules{Copies: 1 + s.maxClones, Delta: s.delta}
+		if s.speculate {
+			// Detection is the Capacity baseline's LATE trigger, but
+			// placement follows DollyMP's priorities.
+			rules = sched.CopyRules{Copies: 2, Delta: s.delta, Due: func(ref workload.TaskRef) bool {
+				return sched.Straggling(ctx, ref, s.specThreshold, s.specMinSample)
+			}}
+		}
+		out = sc.copies.Grant(ctx, ft, drained, rules, nil, out)
+		sc.drained = drained
 	}
 	sc.out = out
 	return out
 }
 
-// redundancyRoom opens a redundancy pass (cloning or speculation): it
-// returns the δ budget, what clone copies already hold of it, and
-// whether the call can grant a copy at all. Every demand of an active
-// job is ≥ scratch.floor, the budget check and BestFit's miss are both
-// monotone in the demand, and within a call cloneUse only grows and
+// redundancyRoom opens a redundancy pass (cloning or speculation) and
+// reports whether the call can grant a copy at all. Every demand of an
+// active job is ≥ scratch.floor, the budget check and BestFit's miss are
+// both monotone in the demand, and within a call cloneUse only grows and
 // free capacity only shrinks — so when the floor is over budget or fits
 // no server, every grant of every pass would be refused and the walk
-// over the watch lists can be skipped.
-func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) (budget, cloneUse resources.Vector, ok bool) {
+// over the watch lists can be skipped. A δ of 0 admits no copy: every
+// demand is non-zero.
+func (s *Scheduler) redundancyRoom(ctx sched.Context, ft *sched.FitTracker) bool {
 	st := &s.scratch.stats
 	st.RedundancyOpened++
-	budget, cloneUse = sched.CloneBudget(ctx.Cluster().Total(), s.delta), ctx.CloneUsage()
-	if !cloneUse.Add(s.scratch.floor).Fits(budget) {
+	budget := sched.CloneBudget(ctx.Cluster().Total(), s.delta)
+	if s.delta == 0 || !ctx.CloneUsage().Add(s.scratch.floor).Fits(budget) {
 		st.ClosedOnBudget++
-		return budget, cloneUse, false
+		return false
 	}
-	if _, ok = ft.BestFit(s.scratch.floor); !ok {
+	if _, ok := ft.BestFit(s.scratch.floor); !ok {
 		st.ClosedOnFit++
+		return false
 	}
-	return budget, cloneUse, ok
-}
-
-// speculationPass launches one backup copy per detected straggler, in
-// priority-class order, within the δ budget. Detection is the Capacity
-// baseline's LATE trigger, sched.Straggling, but placement follows
-// DollyMP's priorities instead of best effort. Like the clone passes it
-// walks the watch lists, the records whose job has a task to back up.
-// Backups are appended to out.
-func (s *Scheduler) speculationPass(
-	ctx sched.Context,
-	ft *sched.FitTracker,
-	sc *scratch,
-	out []sched.Placement,
-) []sched.Placement {
-	budget, cloneUse, ok := s.redundancyRoom(ctx, ft)
-	if !ok {
-		return out
-	}
-	for l := 1; l <= sc.maxClass; l++ {
-		for _, r := range sc.classes[l].watch {
-			if !r.drained() {
-				continue // pending work first, as with cloning
-			}
-			js := r.cur.JS
-			for _, k := range r.cur.Phases() {
-				demand := js.Job.Phases[k].Demand
-				if !cloneUse.Add(demand).Fits(budget) {
-					continue // δ budget exhausted for this shape
-				}
-				for _, lidx := range js.RunningTasksView(k) {
-					sc.stats.CopyScanned++
-					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: lidx}
-					if !sched.Straggling(ctx, ref, s.specThreshold, s.specMinSample) {
-						continue
-					}
-					next := cloneUse.Add(demand)
-					if !next.Fits(budget) {
-						continue
-					}
-					srv, ok := ft.BestFit(demand)
-					if !ok {
-						continue
-					}
-					ft.Place(srv, demand)
-					cloneUse = next
-					out = append(out, sched.Placement{Ref: ref, Server: srv})
-				}
-			}
-		}
-	}
-	return out
+	return true
 }
 
 // serverOrder returns the fleet in placement-visit order: by ID, or —
@@ -832,97 +794,4 @@ func (s *Scheduler) serverOrder(ctx sched.Context) []*cluster.Server {
 		sc.orderSorted = append(sc.orderSorted, e.srv)
 	}
 	return sc.orderSorted
-}
-
-// clonePasses launches up to maxClones extra copies per running task in
-// priority order, keeping total clone-held resources under δ × capacity.
-// Pass p tops tasks holding exactly p copies up to p+1, so a task that
-// pass p turns down (no fit, no budget) is out for the rest of the
-// call. Only pass 1 therefore walks the jobs, and only the watched ones:
-// after sync the watch lists hold exactly the records whose job holds a
-// running copy (this call's placements are not applied yet). It reads
-// each running task's live-copy count off its JobState, grants what it
-// can and leaves, in walk order, the tasks a later pass can still serve
-// — the ones it just topped up and the ones that already hold more than
-// one copy. Passes 2..maxClones are sweeps of that list. Grants are
-// appended to out, the call's placements so far.
-func (s *Scheduler) clonePasses(
-	ctx sched.Context,
-	ft *sched.FitTracker,
-	sc *scratch,
-	out []sched.Placement,
-) []sched.Placement {
-	budget, cloneUse, ok := s.redundancyRoom(ctx, ft)
-	if !ok {
-		return out
-	}
-	cands := sc.cloneCands[:0]
-
-	// grant places one more copy of the task if the δ budget and the
-	// fleet allow it.
-	grant := func(ref workload.TaskRef, demand resources.Vector) bool {
-		next := cloneUse.Add(demand)
-		if !next.Fits(budget) {
-			return false // δ budget exhausted for this shape
-		}
-		srv, ok := ft.BestFit(demand)
-		if !ok {
-			return false
-		}
-		ft.Place(srv, demand)
-		cloneUse = next
-		out = append(out, sched.Placement{Ref: ref, Server: srv})
-		return true
-	}
-
-	for l := 1; l <= sc.maxClass; l++ {
-		for _, r := range sc.classes[l].watch {
-			// §4.1/§5: clones are for jobs whose new tasks are all
-			// placed; a job with pending tasks still waits for
-			// capacity, so racing clones ahead of them would harm
-			// the very jobs the pass is meant to help.
-			if !r.drained() {
-				continue
-			}
-			js := r.cur.JS
-			for _, k := range r.cur.Phases() {
-				if js.RunningCount(k) == 0 {
-					continue
-				}
-				demand := js.Job.Phases[k].Demand
-				if !cloneUse.Add(demand).Fits(budget) {
-					// The budget only tightens within a call, so no
-					// task of this shape can clone anymore.
-					continue
-				}
-				for _, lidx := range js.RunningTasksView(k) {
-					sc.stats.CopyScanned++
-					copies := js.LiveCopies(k, lidx)
-					if copies < 1 || copies > s.maxClones {
-						continue
-					}
-					ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: lidx}
-					if copies == 1 {
-						if !grant(ref, demand) {
-							continue
-						}
-						copies = 2
-					}
-					if copies <= s.maxClones {
-						cands = append(cands, cloneCand{ref: ref, demand: demand, copies: copies})
-					}
-				}
-			}
-		}
-	}
-	for pass := 2; pass <= s.maxClones; pass++ {
-		sc.stats.CopyScanned += uint64(len(cands))
-		for i := range cands {
-			if c := &cands[i]; c.copies == pass && grant(c.ref, c.demand) {
-				c.copies++
-			}
-		}
-	}
-	sc.cloneCands = cands
-	return out
 }

@@ -27,9 +27,8 @@ type Stats struct {
 	// closed before any walk because the demand floor was over the δ
 	// budget or fitted no server.
 	RedundancyOpened, ClosedOnBudget, ClosedOnFit uint64
-	// CopyScanned counts the running tasks the redundancy walk read: one
-	// per task of a phase its first pass served, and one per work-list
-	// entry each later pass swept.
+	// CopyScanned counts the running tasks the redundancy walk read (see
+	// sched.CopyWalk.Scanned).
 	CopyScanned uint64
 }
 
@@ -43,6 +42,7 @@ type headStats struct {
 // counts are for this module's tests and profiles, not SDK surface.
 func StatsOf(s *Scheduler) Stats {
 	st := s.scratch.stats
+	st.CopyScanned = s.scratch.copies.Scanned
 	for l := range s.scratch.classes {
 		h := &s.scratch.classes[l].heads.stats
 		st.Builds += h.builds

@@ -66,10 +66,8 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 	rules := sched.CopyRules{Copies: 2, Due: func(ref workload.TaskRef) bool {
 		return sched.Straggling(ctx, ref, threshold, minSamples)
 	}}
-	bestFit := func(_ *workload.JobState, _ workload.TaskRef, demand resources.Vector) (cluster.ServerID, bool) {
-		return ft.BestFit(demand)
-	}
-	return sched.GrantCopies(ctx, ft, ctx.Jobs(), rules, bestFit, out)
+	var copies sched.CopyWalk
+	return copies.Grant(ctx, ft, sched.Cursors(ctx.Jobs()), rules, nil, out)
 }
 
 // firstFit returns the first server in fleet order that d fits.

@@ -33,21 +33,6 @@ func ReadyPendingTasks(js *workload.JobState) []PendingTask {
 	return out
 }
 
-// FirstReadyPendingTask returns the first schedulable task of a job, or
-// false if none exists.
-func FirstReadyPendingTask(js *workload.JobState) (PendingTask, bool) {
-	for _, k := range js.ReadyPhases() {
-		pend := js.PendingTasks(k)
-		if len(pend) > 0 {
-			return PendingTask{
-				Ref:    workload.TaskRef{Job: js.Job.ID, Phase: k, Index: pend[0]},
-				Demand: js.Job.Phases[k].Demand,
-			}, true
-		}
-	}
-	return PendingTask{}, false
-}
-
 // FitTracker overlays tentative placements on the cluster's free
 // capacities so a scheduler can plan a whole batch without mutating the
 // engine-owned cluster state. It snapshots the free vectors at Reset

@@ -39,14 +39,17 @@ func TestReadyPendingTasks(t *testing.T) {
 	}
 }
 
-func TestFirstReadyPendingTask(t *testing.T) {
+// TestFreshCursorHead: a fresh cursor's head is the job's first pending
+// task of a ready phase, and a done job's fresh cursor is exhausted — the
+// test YARN's clone pass makes of each job.
+func TestFreshCursorHead(t *testing.T) {
 	js := testJob()
-	pt, ok := FirstReadyPendingTask(js)
+	pt, ok := NewJobCursor(js).Peek()
 	if !ok || pt.Ref.Phase != 0 || pt.Ref.Index != 0 {
 		t.Fatalf("first: %+v ok=%v", pt, ok)
 	}
 	js.MarkRunning(0, 0)
-	pt, ok = FirstReadyPendingTask(js)
+	pt, ok = NewJobCursor(js).Peek()
 	if !ok || pt.Ref.Index != 1 {
 		t.Fatalf("after running: %+v", pt)
 	}
@@ -60,7 +63,7 @@ func TestFirstReadyPendingTask(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := FirstReadyPendingTask(js); ok {
+	if !NewJobCursor(js).Exhausted() {
 		t.Fatal("done job should have no pending task")
 	}
 }

@@ -10,7 +10,6 @@ package tetris
 
 import (
 	"dollymp/internal/cluster"
-	"dollymp/internal/resources"
 	"dollymp/internal/sched"
 	"dollymp/internal/workload"
 )
@@ -106,8 +105,9 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 		}
 	}
 
-	bestFit := func(_ *workload.JobState, _ workload.TaskRef, demand resources.Vector) (cluster.ServerID, bool) {
-		return ft.BestFit(demand)
+	if s.MaxClones < 1 {
+		return out
 	}
-	return sched.GrantCopies(ctx, ft, ctx.Jobs(), sched.CopyRules{Copies: 1 + s.MaxClones}, bestFit, out)
+	var copies sched.CopyWalk
+	return copies.Grant(ctx, ft, sched.Cursors(ctx.Jobs()), sched.CopyRules{Copies: 1 + s.MaxClones}, nil, out)
 }

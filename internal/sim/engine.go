@@ -80,10 +80,6 @@ type Config struct {
 	CompactJobs bool
 }
 
-// maxCopiesPerTask caps the concurrent copies of one task, original
-// included: DollyMP's two-clone rule plus the DollyMP³ ablation.
-const maxCopiesPerTask = 4
-
 func (c *Config) defaults() {
 	if c.MaxSlots == 0 {
 		c.MaxSlots = 10_000_000
@@ -679,8 +675,8 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		return fmt.Errorf("sim: placement for task %v whose parents have not finished", p.Ref)
 	}
 	existing := js.LiveCopies(p.Ref.Phase, p.Ref.Index)
-	if existing >= maxCopiesPerTask {
-		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, maxCopiesPerTask)
+	if existing >= sched.MaxCopies {
+		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, sched.MaxCopies)
 	}
 	if !e.cfg.Cluster.Contains(p.Server) {
 		return fmt.Errorf("sim: placement on unknown server %d", p.Server)

@@ -29,11 +29,9 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 	// Re-derive per-server occupancy over time and per-task state.
 	used := make([]resources.Vector, fleet.Len())
 	type taskState struct {
-		placedAt  []int64
 		completed bool
-		doneAt    int64
 		// on holds the server of each live copy: at most the engine's
-		// cap of four.
+		// cap, sched.MaxCopies.
 		on []cluster.ServerID
 	}
 	tasks := make(map[workload.TaskRef]*taskState)
@@ -100,12 +98,13 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 				return fmt.Errorf("verify: server %d over capacity at slot %d: %v > %v",
 					ev.Server, ev.Slot, used[ev.Server], fleet.Server(ev.Server).Capacity)
 			}
-			ts.placedAt = append(ts.placedAt, ev.Slot)
 			ts.on = append(ts.on, ev.Server)
 		case sim.TraceComplete:
 			if ts.completed {
 				return fmt.Errorf("verify: %v completed twice", ev.Ref)
 			}
+			// The live copy a completion ends was started by an earlier
+			// placement in slot order, so no task completes unplaced.
 			if !release(ts, ev.Server) {
 				return fmt.Errorf("verify: %v completed with no live copy on server %d at slot %d", ev.Ref, ev.Server, ev.Slot)
 			}
@@ -114,7 +113,6 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 				return fmt.Errorf("verify: negative occupancy on server %d at slot %d", ev.Server, ev.Slot)
 			}
 			ts.completed = true
-			ts.doneAt = ev.Slot
 			if phaseDone[ev.Ref.Job] == nil {
 				phaseDone[ev.Ref.Job] = make(map[workload.PhaseID]int)
 				phaseDoneAt[ev.Ref.Job] = make(map[workload.PhaseID]int64)
@@ -153,17 +151,6 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 				}
 				if len(ts.on) != 0 {
 					return fmt.Errorf("verify: task %v left %d copies running", ref, len(ts.on))
-				}
-				// A copy must have been placed no later than completion.
-				early := false
-				for _, at := range ts.placedAt {
-					if at <= ts.doneAt {
-						early = true
-						break
-					}
-				}
-				if !early {
-					return fmt.Errorf("verify: task %v completed at %d before any placement", ref, ts.doneAt)
 				}
 			}
 		}

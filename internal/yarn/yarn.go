@@ -119,11 +119,18 @@ func (s *Scheduler) Schedule(ctx sched.Context) []sched.Placement {
 		}, out)
 	}
 
-	// Clone pass: leftover containers go to running tasks of jobs whose
-	// pending tasks are all placed, priority order, locality preferred,
-	// within the δ budget.
-	rules := sched.CopyRules{Copies: 1 + s.maxClones(), Delta: s.delta(), Drained: true}
-	return sched.GrantCopies(ctx, ft, ordered, rules, am.bind, out)
+	// Clone pass: leftover containers go to running tasks of jobs that
+	// had no pending ready task when the call began, priority order,
+	// locality preferred, within the δ budget.
+	var drained []*sched.JobCursor
+	for _, js := range ordered {
+		if cur := sched.NewJobCursor(js); cur.Exhausted() {
+			drained = append(drained, cur)
+		}
+	}
+	var copies sched.CopyWalk
+	rules := sched.CopyRules{Copies: 1 + s.maxClones(), Delta: s.delta()}
+	return copies.Grant(ctx, ft, drained, rules, am.bind, out)
 }
 
 // appMaster is the second-level scheduler of one Schedule call, acting
