@@ -196,9 +196,7 @@ func (c *Client) SubmitBatch(ctx context.Context, jobs []*dollymp.Job) ([]dollym
 			return ids, rerr
 		}
 		if resp.StatusCode == http.StatusAccepted {
-			var sr struct {
-				IDs []dollymp.JobID `json:"ids"`
-			}
+			var sr service.SubmitReply
 			if err := json.Unmarshal(out, &sr); err != nil {
 				return ids, fmt.Errorf("client: decode submit response: %w", err)
 			}
@@ -271,14 +269,9 @@ type JobQuery struct {
 	Offset int
 }
 
-// JobList is one page of lifecycle records.
-type JobList struct {
-	Jobs []dollymp.JobInfo `json:"jobs"`
-	// Total counts jobs matching the filter before pagination.
-	Total  int `json:"total"`
-	Offset int `json:"offset"`
-	Limit  int `json:"limit"`
-}
+// JobList is one page of lifecycle records: the GET /v1/jobs reply,
+// with Total counting the matches before pagination.
+type JobList = service.JobPage
 
 // Jobs lists lifecycle records matching the query, sorted by ID.
 func (c *Client) Jobs(ctx context.Context, q JobQuery) (JobList, error) {
@@ -307,9 +300,7 @@ func (c *Client) Jobs(ctx context.Context, q JobQuery) (JobList, error) {
 // Shards returns the per-shard status table — federated across members
 // when the base URL is a gateway.
 func (c *Client) Shards(ctx context.Context) ([]dollymp.ShardStatus, error) {
-	var sr struct {
-		Shards []dollymp.ShardStatus `json:"shards"`
-	}
+	var sr service.ShardsReply
 	err := c.getJSON(ctx, "/v1/shards", &sr)
 	return sr.Shards, err
 }
@@ -332,7 +323,7 @@ func (c *Client) Admission(ctx context.Context) (dollymp.AdmissionStatus, error)
 // Ready reports whether the deployment is fully serving: nil on a 200
 // /readyz, an *Error with the envelope's code otherwise.
 func (c *Client) Ready(ctx context.Context) error {
-	resp, err := c.get(ctx, c.base+"/readyz")
+	resp, err := c.do(ctx, http.MethodGet, c.base+"/readyz")
 	if err != nil {
 		return err
 	}
@@ -348,8 +339,8 @@ func (c *Client) Ready(ctx context.Context) error {
 
 // --- plumbing ---
 
-func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+func (c *Client) do(ctx context.Context, method, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +364,7 @@ func readBody(resp *http.Response) ([]byte, error) {
 // getJSON GETs base+path and decodes a 200 into out; any other status
 // becomes an *Error.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	resp, err := c.get(ctx, c.base+path)
+	resp, err := c.do(ctx, http.MethodGet, c.base+path)
 	if err != nil {
 		return err
 	}

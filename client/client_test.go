@@ -287,12 +287,12 @@ func TestSubmitRetryClassification(t *testing.T) {
 	})
 }
 
-// TestSubmitThroughGatewayChargesItsPolicy: a client pointed at a
-// federation gateway submits through it, so the gateway's edge policy
-// is charged exactly once per job and every admitted job reaches a
-// member — no submission slips past the front door.
-func TestSubmitThroughGatewayChargesItsPolicy(t *testing.T) {
-	const n = 20
+// newTestFederation boots two started member routers, each owning one
+// of two global shards behind the real member handler, and a gateway
+// over them charging policy (nil for none). It returns the members, the
+// gateway's server and the manifest with the members' URLs filled in.
+func newTestFederation(t *testing.T, policy dollymp.AdmissionPolicy) ([]*dollymp.Router, *httptest.Server, dollymp.FederationManifest) {
+	t.Helper()
 	dir := t.TempDir()
 	man := dollymp.FederationManifest{Shards: 2, Members: []dollymp.FederationMember{
 		{Name: "m0", JournalDir: filepath.Join(dir, "m0"), Residues: []int{0}},
@@ -321,16 +321,26 @@ func TestSubmitThroughGatewayChargesItsPolicy(t *testing.T) {
 		man.Members[i].URL = srv.URL
 		members = append(members, r)
 	}
-	frozen := time.Unix(1000, 0)
-	policy := dollymp.NewTokenBucket(dollymp.TokenBucketConfig{
-		Rate: 1, Burst: n, Now: func() time.Time { return frozen },
-	})
 	gw, err := dollymp.NewGateway(dollymp.GatewayConfig{Manifest: man, Admission: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gsrv := httptest.NewServer(gw.Handler())
-	defer gsrv.Close()
+	t.Cleanup(gsrv.Close)
+	return members, gsrv, man
+}
+
+// TestSubmitThroughGatewayChargesItsPolicy: a client pointed at a
+// federation gateway submits through it, so the gateway's edge policy
+// is charged exactly once per job and every admitted job reaches a
+// member — no submission slips past the front door.
+func TestSubmitThroughGatewayChargesItsPolicy(t *testing.T) {
+	const n = 20
+	frozen := time.Unix(1000, 0)
+	policy := dollymp.NewTokenBucket(dollymp.TokenBucketConfig{
+		Rate: 1, Burst: n, Now: func() time.Time { return frozen },
+	})
+	members, gsrv, _ := newTestFederation(t, policy)
 
 	c := New(gsrv.URL)
 	for i := 0; i < n; i++ {
@@ -344,6 +354,59 @@ func TestSubmitThroughGatewayChargesItsPolicy(t *testing.T) {
 	}
 	if admitted := policy.Stats().Admitted; admitted != n || submitted != n {
 		t.Fatalf("gateway policy admitted %d, members accepted %d; want both %d", admitted, submitted, n)
+	}
+}
+
+// TestFederationViewThroughGateway pins GET /v1/federation's keys on a
+// live gateway: MemberView and FederationView are the gateway's own
+// types, so the raw body is the only witness a renamed tag would fail.
+// The decoded view must match the manifest, every member alive.
+func TestFederationViewThroughGateway(t *testing.T) {
+	_, gsrv, man := newTestFederation(t, nil)
+	ctx := context.Background()
+
+	resp, err := http.Get(gsrv.URL + "/v1/federation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := readBody(resp)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/federation: status %d, err %v", resp.StatusCode, err)
+	}
+	var raw struct {
+		Shards  *int                         `json:"shards"`
+		Members []map[string]json.RawMessage `json:"members"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw.Shards == nil || len(raw.Members) != len(man.Members) {
+		t.Fatalf("body %s: want shards and %d members", body, len(man.Members))
+	}
+	for i, m := range raw.Members {
+		for _, key := range []string{"name", "url", "journal_dir", "residues", "alive", "consecutive_failures"} {
+			if _, ok := m[key]; !ok {
+				t.Errorf("member %d lacks %q: %s", i, key, body)
+			}
+		}
+	}
+
+	fv, err := New(gsrv.URL).Federation(ctx)
+	if err != nil || fv == nil {
+		t.Fatalf("Federation = %v, %v; want a view", fv, err)
+	}
+	if fv.Shards != man.Shards || len(fv.Members) != len(man.Members) {
+		t.Fatalf("Federation = %+v, want %d shards over %d members", fv, man.Shards, len(man.Members))
+	}
+	for i, mv := range fv.Members {
+		want := man.Members[i]
+		if mv.Name != want.Name || mv.URL != want.URL || mv.JournalDir != want.JournalDir ||
+			len(mv.Residues) != 1 || mv.Residues[0] != want.Residues[0] {
+			t.Errorf("member %d = %+v, want manifest row %+v", i, mv.Member, want)
+		}
+		if !mv.Alive || mv.Fails != 0 || mv.AdoptedBy != "" {
+			t.Errorf("member %d = %+v, want alive with no failures and no adopter", i, mv)
+		}
 	}
 }
 

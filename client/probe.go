@@ -8,7 +8,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -63,19 +62,19 @@ func (c *Client) Probe(ctx context.Context, expectShards int) (ProbeReport, erro
 	if _, err := expectEnvelope("malformed submit", resp, err, http.StatusBadRequest, CodeInvalidArgument); err != nil {
 		return rep, err
 	}
-	resp, err = c.get(ctx, c.base+"/v1/jobs/999999999")
+	resp, err = c.do(ctx, http.MethodGet, c.base+"/v1/jobs/999999999")
 	if _, err := expectEnvelope("missing job", resp, err, http.StatusNotFound, CodeNotFound); err != nil {
 		return rep, err
 	}
-	resp, err = c.get(ctx, c.base+"/v1/jobs/xyzzy")
+	resp, err = c.do(ctx, http.MethodGet, c.base+"/v1/jobs/xyzzy")
 	if _, err := expectEnvelope("malformed job id", resp, err, http.StatusBadRequest, CodeInvalidArgument); err != nil {
 		return rep, err
 	}
-	resp, err = c.get(ctx, c.base+"/v1/jobs?state=bogus")
+	resp, err = c.do(ctx, http.MethodGet, c.base+"/v1/jobs?state=bogus")
 	if _, err := expectEnvelope("bad state filter", resp, err, http.StatusBadRequest, CodeInvalidArgument); err != nil {
 		return rep, err
 	}
-	resp, err = c.get(ctx, c.base+"/v2/nope")
+	resp, err = c.do(ctx, http.MethodGet, c.base+"/v2/nope")
 	if _, err := expectEnvelope("unknown route", resp, err, http.StatusNotFound, CodeNotFound); err != nil {
 		return rep, err
 	}
@@ -115,17 +114,9 @@ func (c *Client) Probe(ctx context.Context, expectShards int) (ProbeReport, erro
 	}
 
 	// The happy-path list must paginate.
-	resp, err = c.get(ctx, c.base+"/v1/jobs?limit=1")
-	if err != nil {
-		return rep, fmt.Errorf("list jobs: %w", err)
-	}
-	out, err := readBody(resp)
-	if err != nil {
-		return rep, fmt.Errorf("list jobs: %w", err)
-	}
 	var list JobList
-	if err := json.Unmarshal(out, &list); err != nil || resp.StatusCode != http.StatusOK || list.Limit != 1 {
-		return rep, fmt.Errorf("list jobs: status %d, limit %d, err %v", resp.StatusCode, list.Limit, err)
+	if err := c.getJSON(ctx, "/v1/jobs?limit=1", &list); err != nil || list.Limit != 1 {
+		return rep, fmt.Errorf("list jobs: limit %d, err %v", list.Limit, err)
 	}
 
 	shards, err := c.Shards(ctx)
@@ -145,12 +136,4 @@ func (c *Client) Probe(ctx context.Context, expectShards int) (ProbeReport, erro
 	}
 	rep.Shards = len(shards)
 	return rep, nil
-}
-
-func (c *Client) do(ctx context.Context, method, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.hc.Do(req)
 }

@@ -8,47 +8,31 @@ package client
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
+
+	"dollymp/internal/federation"
 )
 
-// MemberView is one federation member as the gateway reports it.
-type MemberView struct {
-	Name     string `json:"name"`
-	URL      string `json:"url"`
-	Residues []int  `json:"residues"`
-	Alive    bool   `json:"alive"`
-	// AdoptedBy names the survivor that absorbed this member's journal
-	// after its death, if any.
-	AdoptedBy string `json:"adopted_by,omitempty"`
-}
+// MemberView is one federation member as the gateway reports it: its
+// manifest row, liveness, and the survivor that adopted its journal
+// after its death, if any.
+type MemberView = federation.MemberStatus
 
 // FederationView is the GET /v1/federation response: the gateway's
 // membership map and liveness view.
-type FederationView struct {
-	Shards  int          `json:"shards"`
-	Members []MemberView `json:"members"`
-}
+type FederationView = federation.Status
 
 // Federation returns the gateway's membership view, or (nil, nil) when
 // the base URL is a plain daemon (404 on /v1/federation).
 func (c *Client) Federation(ctx context.Context) (*FederationView, error) {
-	resp, err := c.get(ctx, c.base+"/v1/federation")
-	if err != nil {
-		return nil, err
-	}
-	body, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
+	var fv FederationView
+	err := c.getJSON(ctx, "/v1/federation", &fv)
+	var e *Error
+	if errors.As(err, &e) && e.Status == http.StatusNotFound {
 		return nil, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp, body)
-	}
-	var fv FederationView
-	if err := json.Unmarshal(body, &fv); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &fv, nil

@@ -92,7 +92,7 @@ func (c *Client) WaitDrained(ctx context.Context, cfg WaitConfig) (WaitStats, er
 // callers care about the deployment-wide sum. A parse error fails the
 // call, making every poll a format regression test.
 func (c *Client) MetricSums(ctx context.Context) (map[string]float64, error) {
-	resp, err := c.get(ctx, c.base+"/metrics")
+	resp, err := c.do(ctx, http.MethodGet, c.base+"/metrics")
 	if err != nil {
 		return nil, err
 	}

@@ -273,7 +273,7 @@ func (g *Gateway) submit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", ra)
 		}
 		er.Rejected = len(jobs) - len(er.IDs)
-		writeJSON(w, resp.StatusCode, er)
+		service.WriteJSON(w, resp.StatusCode, er)
 	})
 }
 
@@ -372,19 +372,13 @@ func (g *Gateway) federate(w http.ResponseWriter, path string, collect func(body
 // applied per member, so a page can hold up to members×limit records —
 // the listing is a debugging surface, not a pagination contract.
 func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
-	type page struct {
-		Jobs   []service.JobInfo `json:"jobs"`
-		Total  int               `json:"total"`
-		Offset int               `json:"offset"`
-		Limit  int               `json:"limit"`
-	}
-	var merged page
+	merged := service.JobPage{Jobs: []service.JobInfo{}}
 	q := ""
 	if r.URL.RawQuery != "" {
 		q = "?" + r.URL.RawQuery
 	}
 	if !g.federate(w, "/v1/jobs"+q, func(body []byte) error {
-		var p page
+		var p service.JobPage
 		if err := json.Unmarshal(body, &p); err != nil {
 			return err
 		}
@@ -399,35 +393,27 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	if merged.Jobs == nil {
-		merged.Jobs = []service.JobInfo{}
-	}
 	sort.Slice(merged.Jobs, func(i, j int) bool { return merged.Jobs[i].ID < merged.Jobs[j].ID })
-	writeJSON(w, http.StatusOK, merged)
+	service.WriteJSON(w, http.StatusOK, merged)
 }
 
 // shards federates GET /v1/shards: rows are stamped with GLOBAL residue
 // indices by the members, so concatenating and sorting yields the whole
 // deployment's table. Shards owned by a dead member are simply absent.
 func (g *Gateway) shards(w http.ResponseWriter, r *http.Request) {
-	var rows []service.ShardStatus
+	merged := service.ShardsReply{Shards: []service.ShardStatus{}}
 	if !g.federate(w, "/v1/shards", func(body []byte) error {
-		var p struct {
-			Shards []service.ShardStatus `json:"shards"`
-		}
+		var p service.ShardsReply
 		if err := json.Unmarshal(body, &p); err != nil {
 			return err
 		}
-		rows = append(rows, p.Shards...)
+		merged.Shards = append(merged.Shards, p.Shards...)
 		return nil
 	}) {
 		return
 	}
-	if rows == nil {
-		rows = []service.ShardStatus{}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Shard < rows[j].Shard })
-	writeJSON(w, http.StatusOK, map[string][]service.ShardStatus{"shards": rows})
+	sort.Slice(merged.Shards, func(i, j int) bool { return merged.Shards[i].Shard < merged.Shards[j].Shard })
+	service.WriteJSON(w, http.StatusOK, merged)
 }
 
 // cluster federates GET /v1/cluster (and its /v1/status alias) by the
@@ -446,7 +432,7 @@ func (g *Gateway) cluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	agg.Jobs.Denied += g.denied.Load()
-	writeJSON(w, http.StatusOK, agg)
+	service.WriteJSON(w, http.StatusOK, agg)
 }
 
 // admission federates GET /v1/admission: member views are summed
@@ -467,36 +453,40 @@ func (g *Gateway) admission(w http.ResponseWriter, r *http.Request) {
 	}
 	own := service.AdmissionStatusOf(g.cfg.Admission, g.denied.Load())
 	own.Add(agg)
-	writeJSON(w, http.StatusOK, own)
+	service.WriteJSON(w, http.StatusOK, own)
 }
 
-// MemberStatus is one row of GET /v1/federation.
+// Status is the GET /v1/federation reply: the gateway's membership map
+// and its liveness view of every member.
+type Status struct {
+	Shards  int            `json:"shards"`
+	Members []MemberStatus `json:"members"`
+}
+
+// MemberStatus is one row of GET /v1/federation: the manifest's member
+// (the gateway requires its URL, so "url" is always present) and the
+// prober's verdict on it.
 type MemberStatus struct {
-	Name       string `json:"name"`
-	URL        string `json:"url"`
-	JournalDir string `json:"journal_dir"`
-	Residues   []int  `json:"residues"`
-	Alive      bool   `json:"alive"`
-	Fails      int    `json:"consecutive_failures"`
-	AdoptedBy  string `json:"adopted_by,omitempty"`
-	LastError  string `json:"last_error,omitempty"`
+	Member
+	Alive bool `json:"alive"`
+	Fails int  `json:"consecutive_failures"`
+	// AdoptedBy names the survivor that absorbed this member's journal
+	// after its death, if any.
+	AdoptedBy string `json:"adopted_by,omitempty"`
+	LastError string `json:"last_error,omitempty"`
 }
 
 // federation reports the gateway's membership view.
 func (g *Gateway) federation(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
-	out := struct {
-		Shards  int            `json:"shards"`
-		Members []MemberStatus `json:"members"`
-	}{Shards: g.cfg.Manifest.Shards}
+	out := Status{Shards: g.cfg.Manifest.Shards}
 	for _, m := range g.members {
 		out.Members = append(out.Members, MemberStatus{
-			Name: m.Name, URL: m.URL, JournalDir: m.JournalDir, Residues: m.Residues,
-			Alive: m.alive, Fails: m.fails, AdoptedBy: m.adoptedBy, LastError: m.lastErr,
+			Member: m.Member, Alive: m.alive, Fails: m.fails, AdoptedBy: m.adoptedBy, LastError: m.lastErr,
 		})
 	}
 	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // health: the gateway is healthy while it can route anywhere.
@@ -506,7 +496,7 @@ func (g *Gateway) health(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusServiceUnavailable, service.CodeUnavailable, "no live members")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "members": len(g.cfg.Manifest.Members), "alive": alive,
 	})
 }
@@ -532,7 +522,7 @@ func (g *Gateway) ready(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d of %d live members ready", ready, len(live)))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // metrics merges the members' Prometheus expositions at the text level:
@@ -570,10 +560,4 @@ func (g *Gateway) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(out.Bytes())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -40,8 +40,7 @@ func NewMemberHandler(r *shard.Router) http.Handler {
 			rep, err := r.Adopt(ar.Dir)
 			switch {
 			case err == nil:
-				w.Header().Set("Content-Type", "application/json")
-				_ = json.NewEncoder(w).Encode(rep)
+				service.WriteJSON(w, http.StatusOK, rep)
 			case errors.Is(err, shard.ErrLeased):
 				service.WriteError(w, http.StatusConflict, service.CodeConflict, err.Error())
 			case errors.Is(err, shard.ErrStopped):

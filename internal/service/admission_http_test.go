@@ -135,7 +135,7 @@ func TestHTTPJobsTenantFilter(t *testing.T) {
 	submit("globex")
 	submit("acme")
 
-	list := func(query string) jobListResponse {
+	list := func(query string) JobPage {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/jobs" + query)
 		if err != nil {
@@ -145,7 +145,7 @@ func TestHTTPJobsTenantFilter(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("list %s: %d", query, resp.StatusCode)
 		}
-		var out jobListResponse
+		var out JobPage
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

@@ -205,14 +205,18 @@ func MuxFor(routes []Route) http.Handler {
 // Handler returns this service's HTTP API (see Routes).
 func (s *Service) Handler() http.Handler { return NewHandler(s) }
 
-// submitResponse is the POST /v1/jobs success reply.
-type submitResponse struct {
+// The /v1 reply bodies beside the views (JobInfo, ClusterSnapshot,
+// AdmissionStatus). The gateway and the client SDK reuse them, so a tag
+// cannot drift between the sides.
+
+// SubmitReply is the POST /v1/jobs success reply.
+type SubmitReply struct {
 	// IDs are the service-assigned job IDs, in submission order.
 	IDs []workload.JobID `json:"ids"`
 }
 
-// jobListResponse is the GET /v1/jobs reply.
-type jobListResponse struct {
+// JobPage is the GET /v1/jobs reply: one page of lifecycle records.
+type JobPage struct {
 	Jobs []JobInfo `json:"jobs"`
 	// Total counts jobs matching the filter before pagination.
 	Total  int `json:"total"`
@@ -220,8 +224,8 @@ type jobListResponse struct {
 	Limit  int `json:"limit"`
 }
 
-// shardsResponse is the GET /v1/shards reply.
-type shardsResponse struct {
+// ShardsReply is the GET /v1/shards reply.
+type ShardsReply struct {
 	Shards []ShardStatus `json:"shards"`
 }
 
@@ -250,7 +254,10 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON writes v as a JSON reply with the given status. Exported so
+// the federation gateway and member encode their replies exactly as the
+// service's handlers do.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
@@ -260,7 +267,7 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 // federation gateway emits byte-identical envelopes for its own errors
 // (502 unavailable, 409 conflict) without duplicating the shape.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: APIError{Code: code, Message: msg}})
+	WriteJSON(w, status, ErrorResponse{Error: APIError{Code: code, Message: msg}})
 }
 
 // WriteSubmitError maps a failed submission to its envelope and writes
@@ -286,7 +293,7 @@ func WriteSubmitError(w http.ResponseWriter, err error, ids []workload.JobID, re
 	case errors.Is(err, ErrStopped):
 		status, e.Code = http.StatusServiceUnavailable, CodeDraining
 	}
-	writeJSON(w, status, ErrorResponse{Error: e, IDs: ids, Rejected: rejected})
+	WriteJSON(w, status, ErrorResponse{Error: e, IDs: ids, Rejected: rejected})
 }
 
 type handler struct{ api API }
@@ -311,7 +318,7 @@ func (h handler) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		ids = append(ids, id)
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{IDs: ids})
+	WriteJSON(w, http.StatusAccepted, SubmitReply{IDs: ids})
 }
 
 func (h handler) listJobs(w http.ResponseWriter, r *http.Request) {
@@ -348,7 +355,7 @@ func (h handler) listJobs(w http.ResponseWriter, r *http.Request) {
 	if end > total {
 		end = total
 	}
-	writeJSON(w, http.StatusOK, jobListResponse{
+	WriteJSON(w, http.StatusOK, JobPage{
 		Jobs: jobs[offset:end], Total: total, Offset: offset, Limit: limit,
 	})
 }
@@ -371,19 +378,19 @@ func (h handler) job(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no job %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (h handler) shards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, shardsResponse{Shards: h.api.Shards()})
+	WriteJSON(w, http.StatusOK, ShardsReply{Shards: h.api.Shards()})
 }
 
 func (h handler) cluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.api.Snapshot())
+	WriteJSON(w, http.StatusOK, h.api.Snapshot())
 }
 
 func (h handler) admission(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.api.Admission())
+	WriteJSON(w, http.StatusOK, h.api.Admission())
 }
 
 func (h handler) health(w http.ResponseWriter, r *http.Request) {
@@ -395,7 +402,7 @@ func (h handler) health(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (h handler) ready(w http.ResponseWriter, r *http.Request) {
@@ -413,7 +420,7 @@ func (h handler) ready(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, CodeNotReady, "not ready")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (h handler) metrics(w http.ResponseWriter, r *http.Request) {

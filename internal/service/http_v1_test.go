@@ -88,7 +88,7 @@ func TestHTTPListJobsPagination(t *testing.T) {
 		ids = append(ids, int64(id))
 	}
 
-	list := func(query string) jobListResponse {
+	list := func(query string) JobPage {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/jobs" + query)
 		if err != nil {
@@ -98,7 +98,7 @@ func TestHTTPListJobsPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", query, resp.StatusCode)
 		}
-		var lr jobListResponse
+		var lr JobPage
 		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestHTTPShardsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var sr shardsResponse
+	var sr ShardsReply
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ type Config struct {
 	Observe func(*Observation)
 	// Online relaxes the non-empty-workload requirement and enables
 	// InjectJob, for callers that drive the engine incrementally with
-	// Start/Step while jobs stream in (see online.go). Batch runs via
+	// InjectJob/Step while jobs stream in (see online.go). Batch runs via
 	// Run are unaffected.
 	Online bool
 	// CompactJobs folds each finished job into Result.Digest (exact
@@ -386,7 +386,7 @@ func New(cfg Config) (*Engine, error) {
 // Run executes the simulation to completion and returns the collected
 // metrics. The configured cluster is Reset before and left dirty after.
 func (e *Engine) Run() (*Result, error) {
-	e.Start()
+	e.start()
 	for {
 		idle, err := e.Step()
 		if err != nil {
@@ -405,7 +405,7 @@ func (e *Engine) Run() (*Result, error) {
 // are pending — the end of a batch run, or a quiescent point an online
 // caller can resume from by injecting more jobs (see online.go).
 func (e *Engine) Step() (idle bool, err error) {
-	e.Start()
+	e.start()
 	if len(e.active) == 0 && e.arrivals.Len() == 0 {
 		return true, nil
 	}

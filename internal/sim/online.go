@@ -20,9 +20,9 @@ import (
 // of the engine clock.
 const lookahead = 4096
 
-// Start prepares the engine for stepping: resets the cluster ledger and
-// stamps the scheduler name. Idempotent; Run and Step call it implicitly.
-func (e *Engine) Start() {
+// start prepares the engine for stepping: resets the cluster ledger and
+// stamps the scheduler name. Idempotent; Run and Step call it first.
+func (e *Engine) start() {
 	if e.started {
 		return
 	}
