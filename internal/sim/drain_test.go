@@ -135,3 +135,42 @@ func TestDrainRetainsNothingPerJob(t *testing.T) {
 		t.Fatalf("%.1f bytes retained per extra completed job, want at most 32", perJob)
 	}
 }
+
+// TestResultJobsExactSize pins the capacity of the per-job results a
+// drain hands back against the jobs it completed, for an online drain
+// and for a batch run of the same jobs.
+func TestResultJobsExactSize(t *testing.T) {
+	const n = 2500
+	jobs := func() []*workload.Job {
+		out := make([]*workload.Job, n)
+		for i := range out {
+			out[i] = singleTaskJob(workload.JobID(i+1), int64(i/8), 2)
+		}
+		return out
+	}
+	e, err := New(Config{
+		Cluster: cluster.Uniform(8, resources.Cores(4, 8)), Scheduler: greedy{},
+		Seed: 1, Deterministic: true, Online: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, i := jobs(), 0
+	online, err := e.Drain(func() (*workload.Job, error) {
+		if i == len(src) {
+			return nil, io.EOF
+		}
+		i++
+		return src[i-1], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := runDet(t, cluster.Uniform(8, resources.Cores(4, 8)), jobs(), greedy{})
+	for name, res := range map[string]*Result{"online": online, "batch": batch} {
+		// Grown by append: 2594 slots for 2500 records.
+		if len(res.Jobs) != n || cap(res.Jobs) != 2594 {
+			t.Errorf("%s: %d job records in a slice of capacity %d, want %d in %d", name, len(res.Jobs), cap(res.Jobs), n, 2594)
+		}
+	}
+}
