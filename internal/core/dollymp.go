@@ -318,7 +318,6 @@ func (sc *scratch) walk(jobs []*workload.JobState) {
 
 	for i, r := range sc.departed {
 		// Keep the cursor: its phase buffer is the record's one allocation.
-		r.cur.JS = nil
 		*r = jobRec{cur: r.cur}
 		sc.free = append(sc.free, r)
 		sc.departed[i] = nil
@@ -344,7 +343,11 @@ func (sc *scratch) newRec(js *workload.JobState) *jobRec {
 
 // drop takes a record whose job left ctx.Jobs() out of its class's head
 // index and queues it for the full walk to recycle; the caller takes it
-// off the watch list. A record already gone stays as it is.
+// off the watch list. The record lets go of its job at once: watch
+// passes can drop records for many calls before the next full walk, and
+// a departed record that still held its job would keep the finished
+// job, and the engine state it points to, reachable until then. A
+// record already gone stays as it is.
 func (sc *scratch) drop(r *jobRec) {
 	if r.gone {
 		return
@@ -352,7 +355,7 @@ func (sc *scratch) drop(r *jobRec) {
 	if r.class != 0 {
 		sc.classes[r.class].heads.remove(r)
 	}
-	r.gone, r.watched = true, false
+	r.gone, r.watched, r.cur.JS = true, false, nil
 	sc.departed = append(sc.departed, r)
 }
 

@@ -121,3 +121,15 @@ func holdsCopy(js *workload.JobState) bool {
 	}
 	return false
 }
+
+// DepartedOf reports how many of the scheduler's records belong to jobs
+// that left ctx.Jobs() and wait for the next full walk to recycle them,
+// and how many of those still hold a job.
+func DepartedOf(s *Scheduler) (departed, holding int) {
+	for _, r := range s.scratch.departed {
+		if r.cur.JS != nil {
+			holding++
+		}
+	}
+	return len(s.scratch.departed), holding
+}

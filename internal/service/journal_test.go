@@ -172,6 +172,48 @@ func TestServiceJournalNoDuplicateCompleted(t *testing.T) {
 	}
 }
 
+// TestRestoredCompletedCountsAdmitted: a job the journal replays as
+// completed was admitted before it completed, so a restarted service
+// counts it in every stage it passed — submitted, admitted, completed —
+// in Counts and in the exposition alike, and the counts of a drain that
+// follows keep admitted equal to completed.
+func TestRestoredCompletedCountsAdmitted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.wal")
+	a, jnlA, _ := openJournalService(t, path, 16)
+	a.Start()
+	for i := 0; i < 4; i++ {
+		if _, err := a.SubmitNowait(testJob(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopDrained(t, a)
+	if err := jnlA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, jnlB, rep := openJournalService(t, path, 16)
+	if err := b.Restore(journal.Merge(rep), rep.Records, rep.Truncated); err != nil {
+		t.Fatal(err)
+	}
+	if c := b.Counts(); c.Submitted != 4 || c.Admitted != 4 || c.Completed != 4 {
+		t.Fatalf("restored counts: %+v, want 4 submitted, admitted and completed", c)
+	}
+	if m := scrape(t, b); m["dollymp_jobs_admitted_total"].Value != 4 {
+		t.Fatalf("restored admitted counter %v, want 4", m["dollymp_jobs_admitted_total"].Value)
+	}
+	b.Start()
+	if _, err := b.SubmitNowait(testJob(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	stopDrained(t, b)
+	if c := b.Counts(); c.Submitted != 5 || c.Admitted != 5 || c.Completed != 5 {
+		t.Fatalf("counts after the restarted drain: %+v, want 5 each", c)
+	}
+	if err := jnlB.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceJournalStealCrashResurrects covers both crash points of a
 // donation, whose two records are lazy and reach their disks in either
 // order. `stolen` durable and the thief's `injected` lost: the donor's

@@ -26,8 +26,10 @@ import (
 // ID so new submissions never collide. Caller holds mu.
 func (s *Service) replayLocked(rj *journal.ReplayJob) (seq uint64, err error) {
 	if rj.Outcome == journal.OutcomeCompleted {
+		// A completed job passed every stage: count each of them.
 		s.jobs[rj.ID] = completedInfo(rj)
 		s.counts.Submitted++
+		s.counts.Admitted++
 		s.counts.Completed++
 		s.mJCT.Observe(float64(rj.Flowtime))
 	} else {

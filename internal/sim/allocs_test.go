@@ -63,7 +63,7 @@ func warmDrainAllocs(t *testing.T, clones int) (objects, copies float64) {
 // TestEngineAllocsPerJob pins what a warm drain allocates: a bounded
 // number of objects per completed job — at arrival its record with the
 // JobState inside, the phase array and the task cells; at its first
-// placement the phase records, the copy-table heads, the rack tallies
+// placement the phase records, the copy-table heads, the win lists
 // and the running lists' one backing array — and nothing per copy:
 // copies come off the free list, and the heap, the copy table and the
 // records are written in place. So the cloning regime, with twice the

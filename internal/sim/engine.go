@@ -9,7 +9,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"dollymp/internal/cluster"
@@ -187,8 +189,42 @@ type phaseRec struct {
 	// multiplicity delay assignment distributes.
 	observed stats.Summary
 	copies   stats.Summary
-	// racks[r] counts the winning copies that ran on rack r.
-	racks []int32
+	// wins counts the winning copies per rack, for the racks that have
+	// had one, in rack order. A task wins once, so no more racks than
+	// the phase has tasks, or the fleet racks, ever appear: the list is
+	// cut with that capacity and never grows past it.
+	wins []rackWins
+}
+
+// rackWins is one entry of a phase's win list.
+type rackWins struct {
+	rack, n int32
+}
+
+// find returns where rack's entry is on the win list, or would go.
+func (rec *phaseRec) find(rack int32) (int, bool) {
+	return slices.BinarySearchFunc(rec.wins, rack, func(w rackWins, r int32) int { return cmp.Compare(w.rack, r) })
+}
+
+// win counts one more winning copy on rack.
+func (rec *phaseRec) win(rack int) {
+	r := int32(rack)
+	i, found := rec.find(r)
+	if found {
+		rec.wins[i].n++
+		return
+	}
+	rec.wins = rec.wins[:len(rec.wins)+1] // within the capacity open cut
+	copy(rec.wins[i+1:], rec.wins[i:])
+	rec.wins[i] = rackWins{rack: r, n: 1}
+}
+
+// winsOn returns how many winning copies ran on rack.
+func (rec *phaseRec) winsOn(rack int32) int32 {
+	if i, found := rec.find(rack); found {
+		return rec.wins[i].n
+	}
+	return 0
 }
 
 // liveJob is the engine's record of one arrived, unfinished job, and
@@ -212,22 +248,26 @@ func newLiveJob(j *workload.Job) *liveJob {
 }
 
 // open allocates the phase records: one backing array each for the
-// records, the copy-table heads and the rack tallies, whatever the phase
-// count. fit asks for the per-phase Pareto models.
+// records, the copy-table heads and the win lists, whatever the phase
+// count. A phase's win list has room for min(tasks, racks) entries, so
+// the record is sized by the job, not by the fleet. fit asks for the
+// per-phase Pareto models.
 func (lj *liveJob) open(racks int, fit bool) {
 	phases := lj.Job.Phases
-	tasks := 0
+	tasks, slots := 0, 0
 	for k := range phases {
 		tasks += phases[k].Tasks
+		slots += min(phases[k].Tasks, racks)
 	}
 	cells := make([]*taskCopy, tasks)
-	tally := make([]int32, len(phases)*racks)
+	wins := make([]rackWins, slots)
 	lj.phases = make([]phaseRec, len(phases))
 	for k := range phases {
 		n := phases[k].Tasks
+		m := min(n, racks)
 		rec := &lj.phases[k]
 		rec.heads, cells = cells[:n:n], cells[n:]
-		rec.racks, tally = tally[:racks:racks], tally[racks:]
+		rec.wins, wins = wins[:0:m], wins[m:]
 		if !fit {
 			continue
 		}
@@ -242,20 +282,25 @@ func (lj *liveJob) open(racks int, fit bool) {
 }
 
 // majorityRack returns the rack that ran the most winning copies of the
-// given phases taken together, the lowest such rack on a tie (the scan
-// goes upward and replaces only on >); ok is false while none has won.
+// given phases taken together, the lowest such rack on a tie; ok is
+// false while none has won. Every rack on some phase's win list is a
+// candidate, and its total adds its count on the other phases' lists.
 func (lj *liveJob) majorityRack(phases ...workload.PhaseID) (rack int, ok bool) {
-	best := int32(0)
-	for r := range lj.phases[phases[0]].racks {
-		n := int32(0)
-		for _, k := range phases {
-			n += lj.phases[k].racks[r]
-		}
-		if n > best {
-			rack, best = r, n
+	best, at := int32(0), int32(0)
+	for i, k := range phases {
+		for _, w := range lj.phases[k].wins {
+			n := w.n
+			for j, other := range phases {
+				if j != i {
+					n += lj.phases[other].winsOn(w.rack)
+				}
+			}
+			if n > best || n == best && w.rack < at {
+				best, at = n, w.rack
+			}
 		}
 	}
-	return rack, best > 0
+	return int(at), best > 0
 }
 
 // kill marks a copy dead, detaches it from its job, and returns the
@@ -312,8 +357,8 @@ type Engine struct {
 	// speedEst is the per-server online speed estimate (EWMA of
 	// declared-mean / observed-duration over winning copies).
 	speedEst []speedEstimate
-	// rackCount is 1 + the highest rack index in the fleet: the length of
-	// every rack tally.
+	// rackCount is 1 + the highest rack index in the fleet: the most
+	// entries any win list can hold.
 	rackCount int
 
 	// obs is record when Config.RecordTrace is set, else Config.Observe
@@ -323,7 +368,11 @@ type Engine struct {
 	event   Observation
 	doneJob JobMetrics
 
-	res     Result
+	res Result
+	// records holds the JobMetrics recorded since the last
+	// finalizeResult, in blocks of resultBlock; finalizeResult moves
+	// them onto Result.Jobs.
+	records [][]JobMetrics
 	utilCPU float64 // ∫ used dt, for average utilization
 	utilMem float64
 	started bool
@@ -578,7 +627,7 @@ func (e *Engine) completeTask(winner *taskCopy) error {
 			js.Job.Phases[ref.Phase].MeanDuration / float64(dur))
 	}
 
-	rec.racks[e.cfg.Cluster.Server(winner.server).Rack]++
+	rec.win(e.cfg.Cluster.Server(winner.server).Rack)
 	rec.copies.Add(float64(js.LiveCopies(ref.Phase, ref.Index)))
 
 	for c := rec.heads[ref.Index]; c != nil; {

@@ -52,15 +52,22 @@ func drainBytesPerJob(t *testing.T, servers int) float64 {
 
 // TestEngineBytesPerJob pins what a drain allocates per job on a small
 // and on a large fleet. A per-job record sized by the fleet makes the
-// second grow with the server count.
+// second grow with the server count: measured 2205 and 8640 B (3.92x)
+// when each phase kept a tally slot per rack and Result.Jobs grew by
+// append, 1624 and 2269 B (1.40x) with win lists sized by the job and
+// results recorded in blocks. What remains of the gap is the fleet-sized
+// state of the engine and the scheduler, paid once per run.
 func TestEngineBytesPerJob(t *testing.T) {
 	small := drainBytesPerJob(t, 2000)
 	large := drainBytesPerJob(t, 30_000)
 	t.Logf("bytes per job: %.0f on 2000 servers, %.0f on 30000 (%.2fx)", small, large, large/small)
-	if small > 2250 {
-		t.Errorf("%.0f bytes per job on 2000 servers, want at most 2250", small)
+	if small > 1700 {
+		t.Errorf("%.0f bytes per job on 2000 servers, want at most 1700", small)
 	}
-	if large > 8800 {
-		t.Errorf("%.0f bytes per job on 30000 servers, want at most 8800", large)
+	if large > 2400 {
+		t.Errorf("%.0f bytes per job on 30000 servers, want at most 2400", large)
+	}
+	if large > 1.5*small {
+		t.Errorf("%.0f bytes per job on 30000 servers, %.2fx the %.0f on 2000: want at most 1.5x", large, large/small, small)
 	}
 }

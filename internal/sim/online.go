@@ -119,7 +119,8 @@ func (e *Engine) PendingArrivals() int { return e.arrivals.Len() }
 // CompletedJobs returns the number of jobs that have finished so far.
 func (e *Engine) CompletedJobs() int { return e.res.Completed }
 
-// Finalize computes the run-level aggregates (average utilization) and
+// Finalize computes the run-level aggregates (average utilization),
+// moves the job records made since the last call onto Result.Jobs, and
 // returns the result collected so far. Safe to call repeatedly; Run
 // calls it on completion, online callers at shutdown.
 func (e *Engine) Finalize() *Result {

@@ -62,7 +62,10 @@ func (d *JobDigest) observe(m *JobMetrics) {
 // Result is the outcome of one simulation run.
 type Result struct {
 	Scheduler string
-	Jobs      []JobMetrics
+	// Jobs holds one record per finished job, in completion order, as of
+	// the last Finalize (Run and Drain end with one), in a slice exactly
+	// as long as it needs to be.
+	Jobs []JobMetrics
 	// Completed counts finished jobs. It equals len(Jobs) except under
 	// Config.CompactJobs, where Jobs stays empty and Digest aggregates.
 	Completed int
@@ -175,7 +178,11 @@ func (e *Engine) recordJob(js *workload.JobState) {
 	if e.cfg.CompactJobs {
 		e.res.Digest.observe(&m)
 	} else {
-		e.res.Jobs = append(e.res.Jobs, m)
+		if n := len(e.records); n == 0 || len(e.records[n-1]) == resultBlock {
+			e.records = append(e.records, make([]JobMetrics, 0, resultBlock))
+		}
+		last := &e.records[len(e.records)-1]
+		*last = append(*last, m)
 	}
 	if js.Finish > e.res.Makespan {
 		e.res.Makespan = js.Finish
@@ -187,7 +194,28 @@ func (e *Engine) recordJob(js *workload.JobState) {
 	}
 }
 
+// resultBlock is how many JobMetrics one block of recorded results
+// holds.
+const resultBlock = 1024
+
+// finalizeResult computes the run-level aggregates, and moves the job
+// records made since the last call out of their blocks onto the end of
+// Result.Jobs, which it replaces by a slice of exactly the new length.
+// A record is copied once on its way, where growing Result.Jobs by
+// append would copy it at every regrowth.
 func (e *Engine) finalizeResult() {
+	if len(e.records) > 0 {
+		n := len(e.res.Jobs)
+		for _, b := range e.records {
+			n += len(b)
+		}
+		all := append(make([]JobMetrics, 0, n), e.res.Jobs...)
+		for i, b := range e.records {
+			all = append(all, b...)
+			e.records[i] = nil
+		}
+		e.res.Jobs, e.records = all, e.records[:0]
+	}
 	if e.res.Makespan > 0 {
 		total := e.cfg.Cluster.Total()
 		cpuFrac := e.utilCPU / (float64(total.CPUMilli) * float64(e.res.Makespan))

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"dollymp/internal/resources"
 	"dollymp/internal/stats"
@@ -144,23 +145,57 @@ func (g GoogleLike) Generate() []*workload.Job {
 // materializing the list, so a multi-million-job trace can stream to
 // disk in O(1) memory. Generation stops at the first emit error, which
 // is returned.
+//
+// The jobs' records are cut from blocks local to the call (see
+// jobBlocks): one retained job keeps its blocks alive, and a job's
+// Phases and Parents are three-index slices, so an append to one job
+// never writes into another's.
 func (g GoogleLike) Emit(emit func(*workload.Job) error) error {
 	rng := stats.NewRNG(g.Seed)
 	arr := Arrival{Kind: Poisson, MeanGap: g.MeanGap}
+	var blocks jobBlocks
 	var t int64
 	for i := 0; i < g.Jobs; i++ {
 		if i > 0 {
 			t = arr.next(t, rng)
 		}
 		jrng := rng.Split(uint64(i))
-		if err := emit(g.job(workload.JobID(i), t, jrng)); err != nil {
+		if err := emit(g.job(&blocks, workload.JobID(i), t, jrng)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (g GoogleLike) job(id workload.JobID, arrival int64, rng *stats.RNG) *workload.Job {
+// blockJobs is how many jobs one generator block is sized for: a job
+// block holds that many jobs, a phase block that many of two phases
+// each and a parents block that many of one parent each — a
+// Google-like job's mean — so the three run out at about the same
+// pace.
+const blockJobs = 128
+
+// jobBlocks is what remains of the current block of each record kind.
+type jobBlocks struct {
+	jobs    []workload.Job
+	phases  []workload.Phase
+	parents []workload.PhaseID
+}
+
+// cut returns the first n records of *block as a three-index slice,
+// starting a fresh block of size records when *block holds fewer.
+func cut[T any](block *[]T, n, size int) []T {
+	if len(*block) < n {
+		*block = make([]T, size)
+	}
+	s := (*block)[:n:n]
+	*block = (*block)[n:]
+	return s
+}
+
+// phaseNames names a Google-like job's phases, at most three.
+var phaseNames = [...]string{"phase-0", "phase-1", "phase-2"}
+
+func (g GoogleLike) job(blocks *jobBlocks, id workload.JobID, arrival int64, rng *stats.RNG) *workload.Job {
 	// Heavy-tailed job size: Pareto with α≈1.8 truncated to [1, 400].
 	sizeDist := stats.Pareto{Alpha: 1.8, Xm: 2}
 	nTasks := int(sizeDist.Sample(rng))
@@ -172,8 +207,8 @@ func (g GoogleLike) job(id workload.JobID, arrival int64, rng *stats.RNG) *workl
 	}
 	// 1–3 phases, sequential (the trace replay of §6.3 treats DAGs as
 	// phase chains; Graphene-style irregular DAGs are out of scope).
-	nPhases := 1 + rng.Intn(3)
-	phases := make([]workload.Phase, 0, nPhases)
+	nPhases := 1 + rng.Intn(len(phaseNames))
+	phases := cut(&blocks.phases, nPhases, 2*blockJobs)[:0]
 	for k := 0; k < nPhases; k++ {
 		tasks := nTasks
 		if k > 0 {
@@ -201,12 +236,22 @@ func (g GoogleLike) job(id workload.JobID, arrival int64, rng *stats.RNG) *workl
 			sd = mean * rng.Range(0.1, 0.35)
 		}
 		phases = append(phases, workload.Phase{
-			Name:         fmt.Sprintf("phase-%d", k),
+			Name:         phaseNames[k],
 			Tasks:        tasks,
 			Demand:       demand,
 			MeanDuration: mean,
 			SDDuration:   sd,
 		})
 	}
-	return workload.Chain(id, fmt.Sprintf("g-%d", id), "google", arrival, phases)
+	workload.LinkChain(phases, cut(&blocks.parents, nPhases-1, blockJobs))
+	var name [24]byte
+	j := &cut(&blocks.jobs, 1, blockJobs)[0]
+	*j = workload.Job{
+		ID:      id,
+		Name:    string(strconv.AppendInt(append(name[:0], "g-"...), int64(id), 10)),
+		App:     "google",
+		Arrival: arrival,
+		Phases:  phases,
+	}
+	return j
 }

@@ -191,7 +191,11 @@ type Stream struct {
 	br  *bufio.Reader
 	off int64 // bytes consumed so far
 	n   int64 // frames decoded so far
+	// hdr and buf receive a frame's header and payload. hdr is a field
+	// so that handing it to io.ReadFull does not allocate it per frame.
+	hdr [frameHeaderLen]byte
 	buf []byte
+	dec decoder
 	err error // sticky
 }
 
@@ -229,8 +233,8 @@ func (s *Stream) Next() (*workload.Job, error) {
 
 func (s *Stream) next() (*workload.Job, error) {
 	frameOff := s.off
-	var hdr [frameHeaderLen]byte
-	n, err := io.ReadFull(s.br, hdr[:])
+	hdr := s.hdr[:]
+	n, err := io.ReadFull(s.br, hdr)
 	if err == io.EOF && n == 0 {
 		return nil, io.EOF // clean end on a frame boundary
 	}
@@ -254,7 +258,7 @@ func (s *Stream) next() (*workload.Job, error) {
 		return nil, &CorruptError{Offset: frameOff, Frame: s.n,
 			Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
 	}
-	j, err := decodeJob(payload)
+	j, err := s.dec.job(payload)
 	if err != nil {
 		return nil, &CorruptError{Offset: frameOff, Frame: s.n, Reason: "frame payload is not a job", Err: err}
 	}
@@ -309,38 +313,81 @@ var (
 	errPayloadTrailing = errors.New("bytes left over after the last phase")
 )
 
-// decodeJob is appendJob's inverse over one whole payload. It allocates
-// nothing a count asked for until the count has been checked against
-// the bytes that remain.
-func decodeJob(payload []byte) (*workload.Job, error) {
+// Label interning bounds: a stream's labels (App, phase names, Tenant)
+// repeat from job to job, so the decoder keeps up to maxLabels of them,
+// each at most maxLabelBytes long, and hands out the kept string
+// instead of a new copy.
+const (
+	maxLabels     = 64
+	maxLabelBytes = 64
+)
+
+// decoder is appendJob's inverse, kept across a stream's frames: it
+// interns the labels and reuses one scratch list of parent indices.
+type decoder struct {
+	labels  map[string]string
+	parents []workload.PhaseID
+}
+
+// label returns b as a string, the interned copy when there is one. The
+// lookup by string(b) allocates nothing.
+func (dec *decoder) label(b []byte) string {
+	if s, ok := dec.labels[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(b) <= maxLabelBytes && len(dec.labels) < maxLabels {
+		if dec.labels == nil {
+			dec.labels = make(map[string]string)
+		}
+		dec.labels[s] = s
+	}
+	return s
+}
+
+// job decodes one whole payload. It allocates nothing a count asked for
+// until the count has been checked against the bytes that remain. Every
+// phase's Parents is cut from one array per job, by three-index slices.
+func (dec *decoder) job(payload []byte) (*workload.Job, error) {
 	d := payloadReader{b: payload}
 	j := &workload.Job{}
 	j.ID = workload.JobID(d.int())
-	j.Name = d.str()
-	j.App = d.str()
+	j.Name = string(d.bytes())
+	j.App = dec.label(d.bytes())
 	j.Arrival = d.varint()
-	j.Tenant = d.str()
+	j.Tenant = dec.label(d.bytes())
 	j.Phases = make([]workload.Phase, d.count(minPhaseBytes))
+	dec.parents = dec.parents[:0]
 	for k := range j.Phases {
 		p := &j.Phases[k]
-		p.Name = d.str()
+		p.Name = dec.label(d.bytes())
 		p.Tasks = d.int()
 		p.Demand.CPUMilli = d.varint()
 		p.Demand.MemMiB = d.varint()
 		p.MeanDuration = d.f64()
 		p.SDDuration = d.f64()
-		if n := d.count(1); n > 0 {
-			p.Parents = make([]workload.PhaseID, n)
+		n := d.count(1)
+		for i := 0; i < n; i++ {
+			dec.parents = append(dec.parents, workload.PhaseID(d.int()))
 		}
-		for i := range p.Parents {
-			p.Parents[i] = workload.PhaseID(d.int())
-		}
+		// A placeholder of the right length: cut from the job's own
+		// array below, once every phase's count is known.
+		p.Parents = dec.parents[len(dec.parents)-n:]
 	}
 	if d.err == nil && len(d.b) > 0 {
 		d.err = errPayloadTrailing
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	all := append([]workload.PhaseID(nil), dec.parents...)
+	for k := range j.Phases {
+		p := &j.Phases[k]
+		if n := len(p.Parents); n > 0 {
+			p.Parents, all = all[:n:n], all[n:]
+		} else {
+			p.Parents = nil
+		}
 	}
 	return j, nil
 }
@@ -402,11 +449,12 @@ func (d *payloadReader) count(minBytes int) int {
 	return int(n)
 }
 
-func (d *payloadReader) str() string {
+// bytes reads a string's bytes; they alias the payload.
+func (d *payloadReader) bytes() []byte {
 	n := d.count(1)
-	s := string(d.b[:n])
+	b := d.b[:n:n]
 	d.b = d.b[n:]
-	return s
+	return b
 }
 
 func (d *payloadReader) f64() float64 {

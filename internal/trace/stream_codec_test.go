@@ -209,8 +209,9 @@ payloads:
 		var before, after runtime.MemStats
 		grew := uint64(math.MaxUint64)
 		for range 5 {
+			var dec decoder // fresh: its label table and scratch count too
 			runtime.ReadMemStats(&before)
-			_, err := decodeJob(payload)
+			_, err := dec.job(payload)
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Errorf("%s: decoded", name)

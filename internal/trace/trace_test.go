@@ -216,3 +216,54 @@ func TestArrivalUnknownKindPanics(t *testing.T) {
 }
 
 var _ = workload.JobID(0)
+
+// TestJobsOwnTheirSlices: the generator cuts many jobs' records from one
+// block, the templates' Chain cuts a job's Parents from one array, and
+// the stream decoder cuts them from one array per job. Each cut is
+// full to its capacity, so an append to one job's Phases or to one
+// phase's Parents reallocates instead of writing into a neighbour.
+func TestJobsOwnTheirSlices(t *testing.T) {
+	generated := DefaultGoogleLike(600, 1.0, 42).Generate()
+	raw := encodeStream(t, generated)
+	s, err := NewStream(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []*workload.Job
+	for {
+		j, err := s.Next()
+		if err != nil {
+			break
+		}
+		decoded = append(decoded, j)
+	}
+	rng := stats.NewRNG(5)
+	templates := []*workload.Job{
+		WordCount(1, 0, 2, rng), PageRank(2, 0, 2, rng), TeraSort(3, 0, 2, rng),
+	}
+	for name, jobs := range map[string][]*workload.Job{"generated": generated, "decoded": decoded, "templates": templates} {
+		if len(jobs) == 0 {
+			t.Fatalf("%s: no jobs", name)
+		}
+		for _, j := range jobs {
+			if cap(j.Phases) != len(j.Phases) {
+				t.Fatalf("%s: job %d has %d phases in a slice of capacity %d", name, j.ID, len(j.Phases), cap(j.Phases))
+			}
+			for k, p := range j.Phases {
+				if cap(p.Parents) != len(p.Parents) {
+					t.Fatalf("%s: job %d phase %d has %d parents in a slice of capacity %d", name, j.ID, k, len(p.Parents), cap(p.Parents))
+				}
+			}
+		}
+	}
+	// Appending to every job leaves the encoding of all of them as it was.
+	for _, j := range generated {
+		_ = append(j.Phases, workload.Phase{Name: "extra"})
+		for _, p := range j.Phases {
+			_ = append(p.Parents, 99)
+		}
+	}
+	if again := encodeStream(t, generated); !bytes.Equal(again, raw) {
+		t.Fatal("appending to the generated jobs changed their encoding")
+	}
+}

@@ -239,16 +239,28 @@ func (j *Job) CriticalPathLength(r float64) float64 {
 }
 
 // Chain builds a purely sequential job: phase i+1 depends on phase i.
-// Convenient for MapReduce-style jobs and tests.
+// Convenient for MapReduce-style jobs and tests. Every phase's Parents
+// is cut from one array (see LinkChain).
 func Chain(id JobID, name, app string, arrival int64, phases []Phase) *Job {
-	for i := range phases {
-		if i > 0 {
-			phases[i].Parents = []PhaseID{PhaseID(i - 1)}
-		} else {
-			phases[i].Parents = nil
-		}
-	}
+	LinkChain(phases, make([]PhaseID, max(len(phases)-1, 0)))
 	return &Job{ID: id, Name: name, App: app, Arrival: arrival, Phases: phases}
+}
+
+// LinkChain makes phases a chain, each phase's one parent the phase
+// before it, with every Parents cut from parents, which must hold at
+// least len(phases)-1 entries. The cuts are three-index slices, so an
+// append to one phase's Parents cannot write into another's. The first
+// phase gets nil Parents. A builder that carves its records from blocks
+// of its own hands LinkChain a slice of one; Chain hands it a fresh one.
+func LinkChain(phases []Phase, parents []PhaseID) {
+	for i := range phases {
+		if i == 0 {
+			phases[i].Parents = nil
+			continue
+		}
+		parents[i-1] = PhaseID(i - 1)
+		phases[i].Parents = parents[i-1 : i : i]
+	}
 }
 
 // InputRack returns the rack holding a root-phase task's input data —
