@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -210,5 +212,36 @@ func TestCommittedSweepReproduces(t *testing.T) {
 		if g != w {
 			t.Errorf("cell %d:\n got       %+v\n committed %+v", i, g, w)
 		}
+	}
+}
+
+// TestQuickSuiteDigest pins every figure's quick-scale JSON output: the
+// SHA-256 of the whole -format json document, re-encoded with the
+// overhead entry's two wall-clock timings zeroed (they are the only
+// measured values). Any change to a workload, a scheduler or an
+// experiment's parameters moves it; a refactor must not.
+func TestQuickSuiteDigest(t *testing.T) {
+	var buf bytes.Buffer
+	if err := realMain("quick", "", "json", &buf); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&buf)
+	dec.UseNumber()
+	var doc map[string]interface{}
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	overhead, ok := doc["overhead"].(map[string]interface{})
+	if !ok {
+		t.Fatalf("no overhead entry in %v", doc)
+	}
+	overhead["PriorityTime"], overhead["DecisionTime"] = 0, 0
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "4d7deca7e0eefb3083c2e08df816b242f87a1576936737f26faf12d81900f5ea"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Fatalf("quick suite digest %s, want %s", got, want)
 	}
 }
