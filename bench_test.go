@@ -16,10 +16,8 @@ import (
 func benchScale() experiments.Scale { return experiments.Quick() }
 
 func BenchmarkFigure1(b *testing.B) {
-	cfg := experiments.DefaultFigure1()
-	cfg.Repeats = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(cfg); err != nil {
+		if _, err := experiments.Figure1(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,27 +33,24 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 func BenchmarkFigure4(b *testing.B) {
-	cfg := experiments.DefaultFigure4(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure4(cfg); err != nil {
+		if _, err := experiments.Figure4(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFigure5PageRank(b *testing.B) {
-	cfg := experiments.DefaultHeavyLoad(benchScale(), "pagerank")
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HeavyLoad(cfg); err != nil {
+		if _, err := experiments.HeavyLoad(benchScale(), "pagerank"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFigure5WordCount(b *testing.B) {
-	cfg := experiments.DefaultHeavyLoad(benchScale(), "wordcount")
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HeavyLoad(cfg); err != nil {
+		if _, err := experiments.HeavyLoad(benchScale(), "wordcount"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,8 +59,7 @@ func BenchmarkFigure5WordCount(b *testing.B) {
 // Figures 6 and 7 derive from the same heavy-load runs as Figure 5; the
 // dedicated benches below exercise their series extraction end-to-end.
 func BenchmarkFigure6And7Series(b *testing.B) {
-	cfg := experiments.DefaultHeavyLoad(benchScale(), "pagerank")
-	r, err := experiments.HeavyLoad(cfg)
+	r, err := experiments.HeavyLoad(benchScale(), "pagerank")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,37 +72,32 @@ func BenchmarkFigure6And7Series(b *testing.B) {
 }
 
 func BenchmarkFigure8(b *testing.B) {
-	cfg := experiments.DefaultFigure8(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure8(cfg); err != nil {
+		if _, err := experiments.Figure8(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFigure9(b *testing.B) {
-	cfg := experiments.DefaultFigure9(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(cfg); err != nil {
+		if _, err := experiments.Figure9(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFigure10(b *testing.B) {
-	cfg := experiments.DefaultFigure10(benchScale())
-	cfg.Factors = []float64{1, 10}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure10(cfg); err != nil {
+		if _, err := experiments.Figure10(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFigure11(b *testing.B) {
-	cfg := experiments.DefaultFigure11(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure11(cfg); err != nil {
+		if _, err := experiments.Figure11(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,9 +107,8 @@ func BenchmarkFigure11(b *testing.B) {
 // decision (priority recomputation plus a placement round) for 1K jobs
 // on a 30K-machine fleet. The paper reports <50 ms for the decision.
 func BenchmarkSchedulingOverhead(b *testing.B) {
-	cfg := experiments.DefaultOverhead()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Overhead(cfg)
+		r, err := experiments.Overhead(experiments.Paper())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +123,7 @@ func BenchmarkSchedulingOverhead(b *testing.B) {
 
 func BenchmarkAblationCloneBudget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationCloneBudget(benchScale(), []float64{0, 0.05, 0.3, 1})
+		r, err := experiments.AblationCloneBudget(benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +135,7 @@ func BenchmarkAblationCloneBudget(b *testing.B) {
 
 func BenchmarkAblationVarianceFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationVarianceFactor(benchScale(), []float64{0, 1, 1.5, 3}); err != nil {
+		if _, err := experiments.AblationVarianceFactor(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,43 +143,39 @@ func BenchmarkAblationVarianceFactor(b *testing.B) {
 
 func BenchmarkAblationTetrisEpsilon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationTetrisEpsilon(benchScale(), []float64{0.01, 0.1, 1}); err != nil {
+		if _, err := experiments.AblationTetrisEpsilon(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkStragglerAvoidance(b *testing.B) {
-	cfg := experiments.DefaultStragglerAvoidance(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StragglerAvoidance(cfg); err != nil {
+		if _, err := experiments.StragglerAvoidance(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRedundancy(b *testing.B) {
-	cfg := experiments.DefaultRedundancy(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Redundancy(cfg); err != nil {
+		if _, err := experiments.Redundancy(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkEstimation(b *testing.B) {
-	cfg := experiments.DefaultEstimation(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Estimation(cfg); err != nil {
+		if _, err := experiments.Estimation(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLocality(b *testing.B) {
-	cfg := experiments.DefaultLocality(benchScale())
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Locality(cfg); err != nil {
+		if _, err := experiments.Locality(benchScale()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +183,7 @@ func BenchmarkLocality(b *testing.B) {
 
 func BenchmarkCloningAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.CloningAnalysis(20, 2)
+		r := experiments.CloningAnalysis()
 		if !r.Ordered() {
 			b.Fatal("§4.1 ordering regression")
 		}
@@ -208,7 +192,7 @@ func BenchmarkCloningAnalysis(b *testing.B) {
 
 func BenchmarkCompetitiveRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.CompetitiveRatio(50, 10, uint64(i))
+		r, err := experiments.CompetitiveRatio(benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}

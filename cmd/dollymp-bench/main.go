@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"dollymp/internal/experiments"
+	"dollymp/internal/sched/builtin"
 )
 
 // writer is any figure result that can render itself as text; every
@@ -56,77 +57,54 @@ func (g group) Write(w io.Writer) error {
 	return nil
 }
 
+// of adapts an experiment's typed entry point to a figure's run.
+func of[R writer](f func(experiments.Scale) (R, error)) func(experiments.Scale) (writer, error) {
+	return func(sc experiments.Scale) (writer, error) { return f(sc) }
+}
+
 func figures() []figure {
 	return []figure{
-		{"1", "repeated WordCount, cloning efficiency", func(sc experiments.Scale) (writer, error) {
-			cfg := experiments.DefaultFigure1()
-			cfg.Seed = sc.Seed
-			return experiments.Figure1(cfg)
-		}},
+		{"1", "repeated WordCount, cloning efficiency", of(experiments.Figure1)},
 		{"2", "three-job motivating example (§2)", func(experiments.Scale) (writer, error) {
 			return experiments.Figure2(), nil
 		}},
-		{"4", "lightly loaded deployment (flowtime + running CDF)", func(sc experiments.Scale) (writer, error) {
-			return experiments.Figure4(experiments.DefaultFigure4(sc))
-		}},
+		{"4", "lightly loaded deployment (flowtime + running CDF)", of(experiments.Figure4)},
 		{"5-7/pagerank", "heavy-load PageRank (running/flowtime CDFs, cumulative)", func(sc experiments.Scale) (writer, error) {
-			return experiments.HeavyLoad(experiments.DefaultHeavyLoad(sc, "pagerank"))
+			return experiments.HeavyLoad(sc, "pagerank")
 		}},
 		{"5-7/wordcount", "heavy-load WordCount (running/flowtime CDFs, cumulative)", func(sc experiments.Scale) (writer, error) {
-			return experiments.HeavyLoad(experiments.DefaultHeavyLoad(sc, "wordcount"))
+			return experiments.HeavyLoad(sc, "wordcount")
 		}},
-		{"8", "trace-driven: speedup vs Tetris, resources vs DRF", func(sc experiments.Scale) (writer, error) {
-			return experiments.Figure8(experiments.DefaultFigure8(sc))
-		}},
-		{"9", "clone-count sweep", func(sc experiments.Scale) (writer, error) {
-			return experiments.Figure9(experiments.DefaultFigure9(sc))
-		}},
-		{"10", "cloning effect vs cluster load", func(sc experiments.Scale) (writer, error) {
-			return experiments.Figure10(experiments.DefaultFigure10(sc))
-		}},
-		{"11", "DollyMP² vs Carbyne", func(sc experiments.Scale) (writer, error) {
-			return experiments.Figure11(experiments.DefaultFigure11(sc))
-		}},
-		{"overhead", "scheduling overhead (§6.3.3)", func(sc experiments.Scale) (writer, error) {
-			cfg := experiments.DefaultOverhead()
-			if sc.JobFactor < 1 {
-				cfg.Jobs, cfg.Servers = 200, 3000
-			}
-			return experiments.Overhead(cfg)
-		}},
+		{"8", "trace-driven: speedup vs Tetris, resources vs DRF", of(experiments.Figure8)},
+		{"9", "clone-count sweep", of(experiments.Figure9)},
+		{"10", "cloning effect vs cluster load", of(experiments.Figure10)},
+		{"11", "DollyMP² vs Carbyne", of(experiments.Figure11)},
+		{"overhead", "scheduling overhead (§6.3.3)", of(experiments.Overhead)},
 		{"ablations", "design-choice ablations (δ, r, Tetris ε)", func(sc experiments.Scale) (writer, error) {
-			cb, err := experiments.AblationCloneBudget(sc, []float64{0, 0.05, 0.1, 0.3, 0.6, 1})
+			cb, err := experiments.AblationCloneBudget(sc)
 			if err != nil {
 				return nil, err
 			}
-			vf, err := experiments.AblationVarianceFactor(sc, []float64{0, 1, 1.5, 3})
+			vf, err := experiments.AblationVarianceFactor(sc)
 			if err != nil {
 				return nil, err
 			}
-			te, err := experiments.AblationTetrisEpsilon(sc, []float64{0.01, 0.1, 1})
+			te, err := experiments.AblationTetrisEpsilon(sc)
 			if err != nil {
 				return nil, err
 			}
 			return group{cb, vf, te}, nil
 		}},
-		{"redundancy", "cloning vs speculation under identical priorities (§1)", func(sc experiments.Scale) (writer, error) {
-			return experiments.Redundancy(experiments.DefaultRedundancy(sc))
-		}},
-		{"learning", "straggler-avoidance extension (§8 future work)", func(sc experiments.Scale) (writer, error) {
-			return experiments.StragglerAvoidance(experiments.DefaultStragglerAvoidance(sc))
-		}},
-		{"estimation", "AM statistics estimation ablation (§5.2)", func(sc experiments.Scale) (writer, error) {
-			return experiments.Estimation(experiments.DefaultEstimation(sc))
-		}},
-		{"locality", "two-level YARN architecture vs flat (§5.2)", func(sc experiments.Scale) (writer, error) {
-			return experiments.Locality(experiments.DefaultLocality(sc))
-		}},
+		{"redundancy", "cloning vs speculation under identical priorities (§1)", of(experiments.Redundancy)},
+		{"learning", "straggler-avoidance extension (§8 future work)", of(experiments.StragglerAvoidance)},
+		{"estimation", "AM statistics estimation ablation (§5.2)", of(experiments.Estimation)},
+		{"locality", "two-level YARN architecture vs flat (§5.2)", of(experiments.Locality)},
 		{"analysis", "§4.1 cloning analysis + Theorem 1 check", func(sc experiments.Scale) (writer, error) {
-			cr, err := experiments.CompetitiveRatio(200, 10, sc.Seed)
+			cr, err := experiments.CompetitiveRatio(sc)
 			if err != nil {
 				return nil, err
 			}
-			return group{experiments.CloningAnalysis(10, 2), cr}, nil
+			return group{experiments.CloningAnalysis(), cr}, nil
 		}},
 	}
 }
@@ -134,13 +112,13 @@ func figures() []figure {
 func main() {
 	var (
 		scaleName = flag.String("scale", "quick", "quick or paper")
-		fig       = flag.String("fig", "", "run a single figure (1, 2, 4, 5-7/pagerank, 5-7/wordcount, 8, 9, 10, 11, overhead, ablations, learning, estimation, locality, analysis)")
+		fig       = flag.String("fig", "", "run a single figure (1, 2, 4, 5-7/pagerank, 5-7/wordcount, 8, 9, 10, 11, overhead, ablations, redundancy, learning, estimation, locality, analysis)")
 		format    = flag.String("format", "text", "text or json")
 
 		sweepMode = flag.Bool("sweep", false, "run the (scheduler × seed × load) sweep grid instead of figures")
 		opts      sweepOptions
 	)
-	flag.StringVar(&opts.schedulers, "sweep-schedulers", "", "comma-separated scheduler names for -sweep (default capacity,tetris,dollymp2; see internal/experiments.SweepSchedulerNames)")
+	flag.StringVar(&opts.schedulers, "sweep-schedulers", "", "comma-separated scheduler names for -sweep (default capacity,tetris,dollymp2): "+strings.Join(builtin.Names(), ", "))
 	flag.IntVar(&opts.seeds, "sweep-seeds", 0, "number of replication seeds for -sweep (default 8)")
 	flag.Uint64Var(&opts.seedBase, "sweep-seed-base", 0, "first seed of the replication range (default: scale seed)")
 	flag.StringVar(&opts.loads, "sweep-loads", "", "comma-separated target arrival loads for -sweep (default 0.5)")

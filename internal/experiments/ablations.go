@@ -28,17 +28,17 @@ type AblationCloneBudgetResult struct {
 	Points []CloneBudgetPoint
 }
 
-// AblationCloneBudget runs the δ sweep on the trace-driven workload.
-// The shape: flowtime drops steeply for small δ and flattens, while
-// resource overhead keeps growing — the basis for the paper's δ = 0.3.
-func AblationCloneBudget(sc Scale, deltas []float64) (*AblationCloneBudgetResult, error) {
-	fleetFn := func() *cluster.Cluster { return cluster.LargeFleet(sc.Fleet, sc.Seed) }
-	jobs := googleWorkload(sc.jobs(300), fleetFn(), 0.6, sc.Seed)
+// AblationCloneBudget sweeps δ over 0, 0.05, 0.1, 0.3, 0.6 and 1 on 300
+// trace jobs (scaled) at load 0.6. The shape: flowtime drops steeply
+// for small δ and flattens, while resource overhead keeps growing — the
+// basis for §6.1's δ = 0.3.
+func AblationCloneBudget(sc Scale) (*AblationCloneBudgetResult, error) {
+	fleetFn, jobs := sc.traceWorkload(300, 0.6)
 	total := fleetFn().Total()
 
 	res := &AblationCloneBudgetResult{}
 	baseUsage := -1.0
-	for _, d := range deltas {
+	for _, d := range []float64{0, 0.05, 0.1, 0.3, 0.6, 1} {
 		s, err := core.New(core.WithClones(2), core.WithCloneBudget(d))
 		if err != nil {
 			return nil, err
@@ -90,12 +90,12 @@ type AblationVarianceFactorResult struct {
 	Flowtimes []int64
 }
 
-// AblationVarianceFactor runs the r sweep.
-func AblationVarianceFactor(sc Scale, rs []float64) (*AblationVarianceFactorResult, error) {
-	fleetFn := func() *cluster.Cluster { return cluster.LargeFleet(sc.Fleet, sc.Seed) }
-	jobs := googleWorkload(sc.jobs(300), fleetFn(), 0.9, sc.Seed)
-	res := &AblationVarianceFactorResult{Rs: rs}
-	for _, r := range rs {
+// AblationVarianceFactor sweeps r over 0, 1, §6.1's 1.5 and 3 on 300
+// trace jobs (scaled) at load 0.9.
+func AblationVarianceFactor(sc Scale) (*AblationVarianceFactorResult, error) {
+	fleetFn, jobs := sc.traceWorkload(300, 0.9)
+	res := &AblationVarianceFactorResult{Rs: []float64{0, 1, 1.5, 3}}
+	for _, r := range res.Rs {
 		s, err := core.New(core.WithVarianceFactor(r))
 		if err != nil {
 			return nil, err
@@ -128,12 +128,12 @@ type AblationTetrisEpsilonResult struct {
 	Flowtimes []int64
 }
 
-// AblationTetrisEpsilon runs the ε sweep on the heavy-load PageRank
-// workload.
-func AblationTetrisEpsilon(sc Scale, eps []float64) (*AblationTetrisEpsilonResult, error) {
-	jobs := heavyPagerank(sc.jobs(200), 4, sc.Seed)
-	res := &AblationTetrisEpsilonResult{Epsilons: eps}
-	for _, e := range eps {
+// AblationTetrisEpsilon sweeps ε over 0.01, 0.1 and 1 on 200 heavy-load
+// PageRank jobs (scaled).
+func AblationTetrisEpsilon(sc Scale) (*AblationTetrisEpsilonResult, error) {
+	jobs := heavyPagerank(sc.jobs(200), sc.Seed)
+	res := &AblationTetrisEpsilonResult{Epsilons: []float64{0.01, 0.1, 1}}
+	for _, e := range res.Epsilons {
 		var s sched.Scheduler = &tetris.Scheduler{Epsilon: e, R: 1.5}
 		out, err := run(func() *cluster.Cluster { return cluster.Testbed30() }, jobs, s, sc.Seed)
 		if err != nil {

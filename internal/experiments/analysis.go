@@ -32,8 +32,14 @@ type CloningAnalysisResult struct {
 	Flow3 float64
 }
 
-// CloningAnalysis evaluates the three schemes for Pareto shape alpha.
-func CloningAnalysis(n int, alpha float64) *CloningAnalysisResult {
+// CloningAnalysis evaluates the three schemes for N = 10 jobs and
+// Pareto shape α = 2, where both of §4.1's conditions hold:
+// h_j(2^j) < j for j ≥ α/(α−1), and h(2) > N/(N−1) for N > 2α−1.
+func CloningAnalysis() *CloningAnalysisResult {
+	const (
+		n     = 10
+		alpha = 2.0
+	)
 	h := func(r int) float64 { return stats.ParetoSpeedup(alpha, r) }
 	flow1 := float64(n) - 1 + 1/h(2)
 	flow2 := 0.0
@@ -80,20 +86,24 @@ type CompetitiveRatioResult struct {
 	CloneImprovedFrac float64
 }
 
-// CompetitiveRatio runs `instances` random transient instances with up
-// to maxJobs single-task jobs each, using core.TransientSchedule (the
-// exact Algorithm 1 admission loop).
+// CompetitiveRatio runs 200 random transient instances of 2 to 10
+// single-task jobs each, drawn from the scale's seed, using
+// core.TransientSchedule (the exact Algorithm 1 admission loop).
 //
 // The lower bound (core.TransientLowerBound): at most one unit of volume
 // completes per time unit, and no job beats its own duration under the
 // best possible speedup. Both bounds hold for every schedule, OPT
 // included.
-func CompetitiveRatio(instances, maxJobs int, seed uint64) (*CompetitiveRatioResult, error) {
-	const alpha = 2.0
+func CompetitiveRatio(sc Scale) (*CompetitiveRatioResult, error) {
+	const (
+		instances = 200
+		maxJobs   = 10
+		alpha     = 2.0
+	)
 	maxSpeed := alpha / (alpha - 1)
 	h := func(r int) float64 { return stats.ParetoSpeedup(alpha, r) }
 
-	rng := stats.NewRNG(seed)
+	rng := stats.NewRNG(sc.Seed)
 	res := &CompetitiveRatioResult{Instances: instances}
 	var sum float64
 	improved := 0

@@ -21,32 +21,19 @@ type EstimationResult struct {
 	Penalty float64
 }
 
-// EstimationConfig parameterizes the experiment.
-type EstimationConfig struct {
-	Jobs  int
-	Fleet int
-	Load  float64
-	Seed  uint64
-}
-
-// DefaultEstimation uses a recurring-heavy workload (the WordCount/
-// PageRank templates repeat phase names across jobs, so history
-// accumulates quickly).
-func DefaultEstimation(sc Scale) EstimationConfig {
-	return EstimationConfig{Jobs: sc.jobs(300), Fleet: sc.Fleet, Load: 0.8, Seed: sc.Seed}
-}
-
-// Estimation runs the comparison.
-func Estimation(cfg EstimationConfig) (*EstimationResult, error) {
-	jobs := heavyPagerank(cfg.Jobs, 4, cfg.Seed)
+// Estimation runs the comparison on a recurring-heavy workload, 300
+// heavy-load PageRank jobs (scaled) on the 30-node testbed: the template
+// repeats phase names across jobs, so history accumulates quickly.
+func Estimation(sc Scale) (*EstimationResult, error) {
+	jobs := heavyPagerank(sc.jobs(300), sc.Seed)
 	fleetFn := func() *cluster.Cluster { return cluster.Testbed30() }
 
-	oracle, err := run(fleetFn, jobs, core.MustNew(), cfg.Seed)
+	oracle, err := run(fleetFn, jobs, core.MustNew(), sc.Seed)
 	if err != nil {
 		return nil, err
 	}
 	estimated, err := run(fleetFn, jobs,
-		core.MustNew(core.WithEstimation(estimate.Config{})), cfg.Seed)
+		core.MustNew(core.WithEstimation(estimate.Config{})), sc.Seed)
 	if err != nil {
 		return nil, err
 	}

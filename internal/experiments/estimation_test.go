@@ -6,7 +6,7 @@ import (
 )
 
 func TestEstimationPenaltySmall(t *testing.T) {
-	r, err := Estimation(DefaultEstimation(Quick()))
+	r, err := Estimation(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,13 @@
 // relevant schedulers over the relevant workload and returns the same
 // rows/series the paper reports; cmd/dollymp-bench and the root
 // bench_test.go call these.
+//
+// Every experiment is a function of its Scale alone: the parameters the
+// paper fixes (job counts, arrival gaps, loads, the swept values) are
+// constants at their one point of use, named in the function's doc with
+// their paper section, and the Scale only multiplies job counts and
+// picks the fleet and seed. HeavyLoad also takes the application, since
+// Figs. 5–7 run each of the two.
 package experiments
 
 import (
@@ -75,10 +82,13 @@ func dolly(k int) *core.Scheduler {
 	return core.MustNew(core.WithClones(k))
 }
 
+// heavyGap is §6.2.2's inter-arrival gap: 4 slots ≈ 20 s.
+const heavyGap = 4
+
 // heavyPagerank builds the §6.2.2 PageRank experiment workload: n jobs,
-// sizes alternating 10 GB / 1 GB (the suite's PageRank mix), fixed
-// inter-arrival gap.
-func heavyPagerank(n int, gapSlots int64, seed uint64) []*workload.Job {
+// sizes alternating 10 GB / 1 GB (the suite's PageRank mix), heavyGap
+// apart.
+func heavyPagerank(n int, seed uint64) []*workload.Job {
 	rng := stats.NewRNG(seed)
 	jobs := make([]*workload.Job, n)
 	for i := 0; i < n; i++ {
@@ -86,21 +96,14 @@ func heavyPagerank(n int, gapSlots int64, seed uint64) []*workload.Job {
 		if i%2 == 1 {
 			size = 1.0
 		}
-		jobs[i] = trace.PageRank(workload.JobID(i), int64(i)*gapSlots, size, rng.Split(uint64(i)))
+		jobs[i] = trace.PageRank(workload.JobID(i), int64(i)*heavyGap, size, rng.Split(uint64(i)))
 	}
 	return jobs
 }
 
-// heavyWordcount builds the §6.2.2 WordCount experiment workload: n jobs,
-// all 10 GB inputs, fixed inter-arrival gap.
-func heavyWordcount(n int, gapSlots int64, seed uint64) []*workload.Job {
-	rng := stats.NewRNG(seed)
-	jobs := make([]*workload.Job, n)
-	for i := 0; i < n; i++ {
-		jobs[i] = trace.WordCount(workload.JobID(i), int64(i)*gapSlots, 10, rng.Split(uint64(i)))
-	}
-	return jobs
-}
+// heavyArrival spaces trace.Homogeneous's jobs heavyGap apart, as
+// heavyPagerank spaces its own.
+var heavyArrival = trace.Arrival{Kind: trace.FixedInterval, MeanGap: heavyGap}
 
 // googleWorkload builds the §6.3 trace-driven workload and rescales its
 // arrival times so the fleet runs at the target load (expected work
@@ -129,9 +132,12 @@ func googleWorkload(n int, fleet *cluster.Cluster, targetLoad float64, seed uint
 	return jobs
 }
 
-// fleetFor builds the heterogeneous simulation fleet for a scale.
-func (s Scale) fleetFor() func() *cluster.Cluster {
-	return func() *cluster.Cluster { return cluster.LargeFleet(s.Fleet, s.Seed) }
+// traceWorkload returns a builder of the scale's heterogeneous fleet
+// and the §6.3 trace-driven workload on it: paperJobs jobs scaled by
+// JobFactor, arriving at the target load.
+func (s Scale) traceWorkload(paperJobs int, load float64) (func() *cluster.Cluster, []*workload.Job) {
+	fleet := func() *cluster.Cluster { return cluster.LargeFleet(s.Fleet, s.Seed) }
+	return fleet, googleWorkload(s.jobs(paperJobs), fleet(), load, s.Seed)
 }
 
 // pairedFlowtimes extracts the flowtimes of jobs completed by both runs,

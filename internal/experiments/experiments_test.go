@@ -33,7 +33,10 @@ func TestFigure2ExactNumbers(t *testing.T) {
 func TestCloningAnalysisOrdering(t *testing.T) {
 	// §4.1's conditions: h_j(2^j) < j for j ≥ α/(α−1) and
 	// h(2) > N/(N−1) for N > 2α−1. With α = 2, N = 10 both hold.
-	r := CloningAnalysis(10, 2)
+	r := CloningAnalysis()
+	if r.N != 10 || r.Alpha != 2 {
+		t.Fatalf("N=%d α=%v, want 10 and 2", r.N, r.Alpha)
+	}
 	if !r.Ordered() {
 		t.Fatalf("flow3 < flow1 < flow2 must hold: %+v", r)
 	}
@@ -52,7 +55,7 @@ func TestCloningAnalysisOrdering(t *testing.T) {
 }
 
 func TestCompetitiveRatioWithinBound(t *testing.T) {
-	r, err := CompetitiveRatio(200, 10, 7)
+	r, err := CompetitiveRatio(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +72,15 @@ func TestCompetitiveRatioWithinBound(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	cfg := DefaultFigure1()
-	cfg.Repeats = 6
-	r, err := Figure1(cfg)
+	r, err := Figure1(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Schedulers) != 4 || len(r.Runs) != 4 {
 		t.Fatalf("schedulers: %v", r.Schedulers)
+	}
+	if len(r.Runs[0]) != 8 {
+		t.Fatalf("runs: %d, want §2's 8", len(r.Runs[0]))
 	}
 	idx := map[string]int{}
 	for i, s := range r.Schedulers {
@@ -98,7 +102,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	r, err := Figure4(DefaultFigure4(Quick()))
+	r, err := Figure4(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestFigure4Shape(t *testing.T) {
 func TestHeavyLoadShape(t *testing.T) {
 	sc := Quick()
 	for _, app := range []string{"pagerank", "wordcount"} {
-		r, err := HeavyLoad(DefaultHeavyLoad(sc, app))
+		r, err := HeavyLoad(sc, app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,13 +141,13 @@ func TestHeavyLoadShape(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 	}
-	if _, err := HeavyLoad(HeavyLoadConfig{App: "sort", Jobs: 4, GapSlots: 1}); err == nil {
+	if _, err := HeavyLoad(sc, "sort"); err == nil {
 		t.Error("unknown app should error")
 	}
 }
 
 func TestFigure8Shape(t *testing.T) {
-	r, err := Figure8(DefaultFigure8(Quick()))
+	r, err := Figure8(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	r, err := Figure9(DefaultFigure9(Quick()))
+	r, err := Figure9(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +191,14 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	cfg := DefaultFigure10(Quick())
-	cfg.Factors = []float64{1, 5}
-	r, err := Figure10(cfg)
+	r, err := Figure10(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.LoadFactor) != 2 {
+	if len(r.LoadFactor) != 4 {
 		t.Fatalf("points: %+v", r)
 	}
-	// Paper shape: cloning reduces flowtime at both loads, and tasks
+	// Paper shape: cloning reduces flowtime at every load, and tasks
 	// still get cloned at high load.
 	for i := range r.LoadFactor {
 		if r.FlowReduction[i] <= -0.05 {
@@ -213,7 +215,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	r, err := Figure11(DefaultFigure11(Quick()))
+	r, err := Figure11(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +230,12 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestOverheadSmall(t *testing.T) {
-	r, err := Overhead(OverheadConfig{Jobs: 100, Servers: 500, Seed: 1})
+	r, err := Overhead(Quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Jobs != 200 || r.Servers != 3000 {
+		t.Fatalf("below paper scale: %d jobs on %d servers, want 200 on 3000", r.Jobs, r.Servers)
 	}
 	if r.PriorityTime <= 0 || r.DecisionTime <= 0 {
 		t.Fatalf("timings: %+v", r)

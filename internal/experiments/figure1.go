@@ -25,37 +25,30 @@ type Figure1Result struct {
 	SD   []float64
 }
 
-// Figure1Config parameterizes the experiment.
-type Figure1Config struct {
-	Repeats int
-	InputGB float64
-	Seed    uint64
-}
-
-// DefaultFigure1 matches §2: eight repeats of a 4 GB WordCount.
-func DefaultFigure1() Figure1Config {
-	return Figure1Config{Repeats: 8, InputGB: 4, Seed: 42}
-}
-
-// Figure1 runs the experiment: each repeat is a fresh submission to an
-// idle cluster; straggler draws differ per run but are identical across
-// schedulers (same per-run seed).
-func Figure1(cfg Figure1Config) (*Figure1Result, error) {
+// Figure1 runs the experiment as §2 sets it: eight repeats of a 4 GB
+// WordCount, each a fresh submission to an idle cluster; straggler
+// draws differ per run but are identical across schedulers (same
+// per-run seed). Only the scale's seed is read.
+func Figure1(sc Scale) (*Figure1Result, error) {
+	const (
+		repeats = 8
+		inputGB = 4
+	)
 	scheds := []sched.Scheduler{
 		capacity.Default(), dolly(0), dolly(1), dolly(2),
 	}
 	res := &Figure1Result{}
 	for _, s := range scheds {
 		res.Schedulers = append(res.Schedulers, s.Name())
-		runs := make([]float64, 0, cfg.Repeats)
+		runs := make([]float64, 0, repeats)
 		var sum stats.Summary
-		for r := 0; r < cfg.Repeats; r++ {
-			job := trace.WordCount(0, 0, cfg.InputGB, stats.NewRNG(cfg.Seed).Split(uint64(r)))
+		for r := 0; r < repeats; r++ {
+			job := trace.WordCount(0, 0, inputGB, stats.NewRNG(sc.Seed).Split(uint64(r)))
 			out, err := run(
 				func() *cluster.Cluster { return cluster.Testbed30() },
 				[]*workload.Job{job},
 				s,
-				cfg.Seed+uint64(r)*1000,
+				sc.Seed+uint64(r)*1000,
 			)
 			if err != nil {
 				return nil, err

@@ -27,49 +27,28 @@ type Figure10Result struct {
 	JobsImproved20 []float64
 }
 
-// Figure10Config parameterizes the sweep.
-type Figure10Config struct {
-	Jobs      int
-	BaseFleet int
-	// Factors lists the fleet shrink factors to sweep (load ×factor).
-	Factors  []float64
-	BaseLoad float64
-	Seed     uint64
-}
-
-// DefaultFigure10 matches §6.3.1 at the given scale: load from 1× to 10×.
-func DefaultFigure10(sc Scale) Figure10Config {
-	return Figure10Config{
-		Jobs:      sc.jobs(400),
-		BaseFleet: sc.Fleet,
-		Factors:   []float64{1, 2, 5, 10},
-		// 10× the base load pushes the smallest fleet past saturation,
-		// the regime where the paper reports ~10% flowtime gain at ~2%
-		// extra resources.
-		BaseLoad: 0.12,
-		Seed:     sc.Seed,
-	}
-}
-
-// Figure10 runs the sweep.
-func Figure10(cfg Figure10Config) (*Figure10Result, error) {
-	base := cluster.LargeFleet(cfg.BaseFleet, cfg.Seed)
-	jobs := googleWorkload(cfg.Jobs, base, cfg.BaseLoad, cfg.Seed)
+// Figure10 runs the sweep as §6.3.1 sets it, load from 1× to 10×: 400
+// trace jobs (scaled) arrive at load 0.12 of the scale's fleet, which
+// then shrinks by the factors 1, 2, 5 and 10. 10× the base load pushes
+// the smallest fleet past saturation, the regime where the paper
+// reports ~10% flowtime gain at ~2% extra resources.
+func Figure10(sc Scale) (*Figure10Result, error) {
+	_, jobs := sc.traceWorkload(400, 0.12)
 	res := &Figure10Result{}
-	for _, f := range cfg.Factors {
-		servers := int(float64(cfg.BaseFleet)/f + 0.5)
+	for _, f := range []float64{1, 2, 5, 10} {
+		servers := int(float64(sc.Fleet)/f + 0.5)
 		if servers < 4 {
 			servers = 4
 		}
-		fleet := func() *cluster.Cluster { return cluster.LargeFleet(servers, cfg.Seed) }
+		fleet := func() *cluster.Cluster { return cluster.LargeFleet(servers, sc.Seed) }
 		if err := feasible(fleet(), jobs); err != nil {
 			return nil, fmt.Errorf("figure10 at factor %v: %w", f, err)
 		}
-		d0, err := run(fleet, jobs, dolly(0), cfg.Seed)
+		d0, err := run(fleet, jobs, dolly(0), sc.Seed)
 		if err != nil {
 			return nil, err
 		}
-		d2, err := run(fleet, jobs, dolly(2), cfg.Seed)
+		d2, err := run(fleet, jobs, dolly(2), sc.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -23,30 +23,16 @@ type Figure11Result struct {
 	MeanReduction float64
 }
 
-// Figure11Config parameterizes the experiment.
-type Figure11Config struct {
-	Jobs  int
-	Fleet int
-	Load  float64
-	Seed  uint64
-}
+// Figure11 runs the comparison under §6.3.2's heavy load: 600 trace
+// jobs (scaled) at load 1.2.
+func Figure11(sc Scale) (*Figure11Result, error) {
+	fleet, jobs := sc.traceWorkload(600, 1.2)
 
-// DefaultFigure11 matches §6.3.2 (heavy load) at the given scale.
-func DefaultFigure11(sc Scale) Figure11Config {
-	return Figure11Config{Jobs: sc.jobs(600), Fleet: sc.Fleet, Load: 1.2, Seed: sc.Seed}
-}
-
-// Figure11 runs the comparison.
-func Figure11(cfg Figure11Config) (*Figure11Result, error) {
-	sc := Scale{Fleet: cfg.Fleet, Seed: cfg.Seed}
-	fleet := sc.fleetFor()
-	jobs := googleWorkload(cfg.Jobs, fleet(), cfg.Load, cfg.Seed)
-
-	d2, err := run(fleet, jobs, dolly(2), cfg.Seed)
+	d2, err := run(fleet, jobs, dolly(2), sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	carb, err := run(fleet, jobs, &carbyne.Scheduler{R: 1.5}, cfg.Seed)
+	carb, err := run(fleet, jobs, &carbyne.Scheduler{R: 1.5}, sc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -27,22 +27,11 @@ type Figure4Result struct {
 	Order      []string
 }
 
-// Figure4Config parameterizes the experiment.
-type Figure4Config struct {
-	Jobs     int
-	GapSlots int64 // inter-arrival gap; 40 slots ≈ 200 s at 5 s slots
-	Seed     uint64
-}
-
-// DefaultFigure4 matches §6.2.1 at the given scale.
-func DefaultFigure4(sc Scale) Figure4Config {
-	return Figure4Config{Jobs: sc.jobs(100), GapSlots: 40, Seed: sc.Seed}
-}
-
-// Figure4 runs the experiment.
-func Figure4(cfg Figure4Config) (*Figure4Result, error) {
-	jobs := trace.MixedDeployment(cfg.Jobs,
-		trace.Arrival{Kind: trace.FixedInterval, MeanGap: float64(cfg.GapSlots)}, cfg.Seed)
+// Figure4 runs the experiment as §6.2.1 sets it: 100 jobs (scaled),
+// 40 slots ≈ 200 s apart at 5 s slots.
+func Figure4(sc Scale) (*Figure4Result, error) {
+	jobs := trace.MixedDeployment(sc.jobs(100),
+		trace.Arrival{Kind: trace.FixedInterval, MeanGap: 40}, sc.Seed)
 	scheds := []sched.Scheduler{
 		capacity.Default(),
 		&tetris.Scheduler{R: 1.5},
@@ -53,7 +42,7 @@ func Figure4(cfg Figure4Config) (*Figure4Result, error) {
 		TotalFlowtime: make(map[string]float64),
 		MeanFlowtime:  make(map[string]float64),
 	}
-	outs, err := runAll(func() *cluster.Cluster { return cluster.Testbed30() }, jobs, scheds, cfg.Seed)
+	outs, err := runAll(func() *cluster.Cluster { return cluster.Testbed30() }, jobs, scheds, sc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"dollymp/internal/sched/capacity"
 	"dollymp/internal/sched/tetris"
 	"dollymp/internal/stats"
+	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
@@ -31,30 +32,22 @@ type HeavyLoadResult struct {
 	TotalFlowtime map[string]float64
 }
 
-// HeavyLoadConfig parameterizes the experiment.
-type HeavyLoadConfig struct {
-	App      string // "pagerank" or "wordcount"
-	Jobs     int
-	GapSlots int64 // 4 slots ≈ 20 s
-	Seed     uint64
-}
-
-// DefaultHeavyLoad matches §6.2.2 for the given application.
-func DefaultHeavyLoad(sc Scale, app string) HeavyLoadConfig {
-	return HeavyLoadConfig{App: app, Jobs: sc.jobs(500), GapSlots: 4, Seed: sc.Seed}
-}
-
-// HeavyLoad runs one heavy-load experiment under Capacity, Tetris and
-// DollyMP² (the schedulers Figs. 5–7 plot).
-func HeavyLoad(cfg HeavyLoadConfig) (*HeavyLoadResult, error) {
+// HeavyLoad runs one heavy-load experiment of app ("pagerank" or
+// "wordcount") as §6.2.2 sets it — 500 jobs (scaled), heavyGap ≈ 20 s
+// apart — under Capacity, Tetris and DollyMP² (the schedulers Figs. 5–7
+// plot). PageRank jobs alternate 10 GB and 1 GB inputs, WordCount jobs
+// read 10 GB.
+func HeavyLoad(sc Scale, app string) (*HeavyLoadResult, error) {
+	n := sc.jobs(500)
 	var jobs []*workload.Job
-	switch cfg.App {
-	case "pagerank":
-		jobs = heavyPagerank(cfg.Jobs, cfg.GapSlots, cfg.Seed)
-	case "wordcount":
-		jobs = heavyWordcount(cfg.Jobs, cfg.GapSlots, cfg.Seed)
-	default:
-		return nil, errUnknownApp(cfg.App)
+	if app == "pagerank" {
+		jobs = heavyPagerank(n, sc.Seed)
+	} else {
+		// Homogeneous refuses every application but these two.
+		var err error
+		if jobs, err = trace.Homogeneous(app, n, 10, heavyArrival, sc.Seed); err != nil {
+			return nil, err
+		}
 	}
 	scheds := []sched.Scheduler{
 		capacity.Default(),
@@ -62,10 +55,10 @@ func HeavyLoad(cfg HeavyLoadConfig) (*HeavyLoadResult, error) {
 		dolly(2),
 	}
 	res := &HeavyLoadResult{
-		App:           cfg.App,
+		App:           app,
 		TotalFlowtime: make(map[string]float64),
 	}
-	outs, err := runAll(func() *cluster.Cluster { return cluster.Testbed30() }, jobs, scheds, cfg.Seed)
+	outs, err := runAll(func() *cluster.Cluster { return cluster.Testbed30() }, jobs, scheds, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -99,10 +92,6 @@ func sampleCumulative(pts []stats.Point, n int) []stats.Point {
 	}
 	return out
 }
-
-type errUnknownApp string
-
-func (e errUnknownApp) Error() string { return "experiments: unknown application " + string(e) }
 
 // Write renders Figs. 5, 6 and 7 for this application.
 func (r *HeavyLoadResult) Write(w io.Writer) error {

@@ -33,30 +33,15 @@ type Figure8Result struct {
 	MakespanReduction float64
 }
 
-// Figure8Config parameterizes the experiment.
-type Figure8Config struct {
-	Jobs  int
-	Fleet int
-	// Load is the target arrival load (fraction of fleet capacity);
-	// §6.3.1 notes "the cluster load is not high".
-	Load float64
-	Seed uint64
-}
-
-// DefaultFigure8 matches §6.3.1 at the given scale.
-func DefaultFigure8(sc Scale) Figure8Config {
-	return Figure8Config{Jobs: sc.jobs(600), Fleet: sc.Fleet, Load: 0.5, Seed: sc.Seed}
-}
-
-// Figure8 runs the experiment.
-func Figure8(cfg Figure8Config) (*Figure8Result, error) {
-	sc := Scale{Fleet: cfg.Fleet, Seed: cfg.Seed}
-	fleet := sc.fleetFor()
-	jobs := googleWorkload(cfg.Jobs, fleet(), cfg.Load, cfg.Seed)
+// Figure8 runs the experiment as §6.3.1 sets it: 600 trace jobs
+// (scaled) at load 0.5 of the fleet's capacity — "the cluster load is
+// not high".
+func Figure8(sc Scale) (*Figure8Result, error) {
+	fleet, jobs := sc.traceWorkload(600, 0.5)
 
 	outs, err := runAll(fleet, jobs, []sched.Scheduler{
 		dolly(2), &tetris.Scheduler{R: 1.5}, &drf.Scheduler{},
-	}, cfg.Seed)
+	}, sc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -25,31 +25,17 @@ type Figure9Result struct {
 	TotalUsage []float64
 }
 
-// Figure9Config parameterizes the sweep.
-type Figure9Config struct {
-	Jobs  int
-	Fleet int
-	Load  float64
-	Seed  uint64
-}
-
-// DefaultFigure9 matches §6.3.1 at the given scale.
-func DefaultFigure9(sc Scale) Figure9Config {
-	return Figure9Config{Jobs: sc.jobs(600), Fleet: sc.Fleet, Load: 0.5, Seed: sc.Seed}
-}
-
-// Figure9 runs DollyMP⁰..³ over the same workload.
-func Figure9(cfg Figure9Config) (*Figure9Result, error) {
-	sc := Scale{Fleet: cfg.Fleet, Seed: cfg.Seed}
-	fleet := sc.fleetFor()
-	jobs := googleWorkload(cfg.Jobs, fleet(), cfg.Load, cfg.Seed)
+// Figure9 runs DollyMP⁰..³ over Fig. 8's workload (§6.3.1): 600 trace
+// jobs (scaled) at load 0.5.
+func Figure9(sc Scale) (*Figure9Result, error) {
+	fleet, jobs := sc.traceWorkload(600, 0.5)
 	total := fleet().Total()
 
 	scheds := make([]sched.Scheduler, 4)
 	for k := 0; k <= 3; k++ {
 		scheds[k] = dolly(k)
 	}
-	results, err := runAll(fleet, jobs, scheds, cfg.Seed)
+	results, err := runAll(fleet, jobs, scheds, sc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -16,13 +16,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	})
 
 	t.Run("heavyload-quick", func(t *testing.T) {
-		r, err := HeavyLoad(DefaultHeavyLoad(Quick(), "pagerank"))
+		r, err := HeavyLoad(Quick(), "pagerank")
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Same seed, same engine, same schedulers → identical totals
 		// run over run.
-		again, err := HeavyLoad(DefaultHeavyLoad(Quick(), "pagerank"))
+		again, err := HeavyLoad(Quick(), "pagerank")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	})
 
 	t.Run("cloning-analysis", func(t *testing.T) {
-		r := CloningAnalysis(10, 2)
+		r := CloningAnalysis()
 		const eps = 1e-9
 		if d := r.Flow1 - (9 + 2.0/3); d > eps || d < -eps {
 			t.Fatalf("flow1 drifted: %v", r.Flow1)

@@ -22,44 +22,23 @@ type StragglerAvoidanceResult struct {
 	Reduction float64
 }
 
-// StragglerAvoidanceConfig parameterizes the experiment.
-type StragglerAvoidanceConfig struct {
-	Jobs  int
-	Fleet int
-	// SlowFraction of servers run at SlowFactor speed from slot 0.
-	SlowFraction float64
-	SlowFactor   float64
-	Seed         uint64
-}
-
-// DefaultStragglerAvoidance slows a quarter of the fleet to 30%.
-func DefaultStragglerAvoidance(sc Scale) StragglerAvoidanceConfig {
-	return StragglerAvoidanceConfig{
-		Jobs:         sc.jobs(300),
-		Fleet:        sc.Fleet,
-		SlowFraction: 0.25,
-		SlowFactor:   0.3,
-		Seed:         sc.Seed,
-	}
-}
-
-// StragglerAvoidance runs the comparison.
-func StragglerAvoidance(cfg StragglerAvoidanceConfig) (*StragglerAvoidanceResult, error) {
-	fleetFn := func() *cluster.Cluster { return cluster.LargeFleet(cfg.Fleet, cfg.Seed) }
-	jobs := googleWorkload(cfg.Jobs, fleetFn(), 0.4, cfg.Seed)
+// StragglerAvoidance runs the comparison on 300 trace jobs (scaled) at
+// load 0.4, with a quarter of the fleet slowed to 30% speed from slot 0.
+func StragglerAvoidance(sc Scale) (*StragglerAvoidanceResult, error) {
+	fleetFn, jobs := sc.traceWorkload(300, 0.4)
 
 	var events []sim.Event
-	slow := int(float64(cfg.Fleet) * cfg.SlowFraction)
+	slow := sc.Fleet / 4
 	for i := 0; i < slow; i++ {
 		events = append(events, sim.Event{
-			At: 0, Server: cluster.ServerID(i * cfg.Fleet / max(slow, 1)),
-			Kind: sim.EventSlowdown, Factor: cfg.SlowFactor,
+			At: 0, Server: cluster.ServerID(i * sc.Fleet / max(slow, 1)),
+			Kind: sim.EventSlowdown, Factor: 0.3,
 		})
 	}
 
 	runOne := func(s *core.Scheduler) (*sim.Result, error) {
 		e, err := sim.New(sim.Config{
-			Cluster: fleetFn(), Jobs: jobs, Scheduler: s, Seed: cfg.Seed,
+			Cluster: fleetFn(), Jobs: jobs, Scheduler: s, Seed: sc.Seed,
 			Events: events,
 		})
 		if err != nil {
@@ -85,13 +64,6 @@ func StragglerAvoidance(cfg StragglerAvoidanceConfig) (*StragglerAvoidanceResult
 		res.Reduction = 1 - float64(learned.TotalFlowtime())/float64(base.TotalFlowtime())
 	}
 	return res, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Write renders the comparison.

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestStragglerAvoidanceHelps(t *testing.T) {
-	r, err := StragglerAvoidance(DefaultStragglerAvoidance(Quick()))
+	r, err := StragglerAvoidance(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,7 @@ import (
 	"dollymp/internal/metrics"
 	"dollymp/internal/sched"
 	"dollymp/internal/sim"
-	"dollymp/internal/stats"
 	"dollymp/internal/trace"
-	"dollymp/internal/workload"
 	"dollymp/internal/yarn"
 )
 
@@ -27,37 +25,22 @@ type LocalityResult struct {
 	YARNFlowtime []int64
 }
 
-// LocalityConfig parameterizes the sweep.
-type LocalityConfig struct {
-	Jobs      int
-	Penalties []int64
-	Seed      uint64
-}
-
-// DefaultLocality sweeps penalties 0–6 slots on the two-rack testbed.
-func DefaultLocality(sc Scale) LocalityConfig {
-	return LocalityConfig{
-		Jobs:      sc.jobs(200),
-		Penalties: []int64{0, 2, 4, 6},
-		Seed:      sc.Seed,
+// Locality runs the sweep on the two-rack testbed: 200 heavy-load
+// WordCount jobs (scaled) under transfer penalties of 0, 2, 4 and 6
+// slots.
+func Locality(sc Scale) (*LocalityResult, error) {
+	jobs, err := trace.Homogeneous("wordcount", sc.jobs(200), 10, heavyArrival, sc.Seed)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// Locality runs the sweep.
-func Locality(cfg LocalityConfig) (*LocalityResult, error) {
-	rng := stats.NewRNG(cfg.Seed)
-	jobs := make([]*workload.Job, cfg.Jobs)
-	for i := range jobs {
-		jobs[i] = trace.WordCount(workload.JobID(i), int64(i*4), 10, rng.Split(uint64(i)))
-	}
-	res := &LocalityResult{Penalties: cfg.Penalties}
-	for _, pen := range cfg.Penalties {
+	res := &LocalityResult{Penalties: []int64{0, 2, 4, 6}}
+	for _, pen := range res.Penalties {
 		runOne := func(s sched.Scheduler) (int64, error) {
 			e, err := sim.New(sim.Config{
 				Cluster:         cluster.Testbed30(),
 				Jobs:            jobs,
 				Scheduler:       s,
-				Seed:            cfg.Seed,
+				Seed:            sc.Seed,
 				TransferPenalty: pen,
 			})
 			if err != nil {

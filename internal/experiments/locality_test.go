@@ -6,7 +6,7 @@ import (
 )
 
 func TestLocalitySweep(t *testing.T) {
-	r, err := Locality(DefaultLocality(Quick()))
+	r, err := Locality(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

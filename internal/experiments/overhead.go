@@ -29,18 +29,6 @@ type OverheadResult struct {
 	Placements int
 }
 
-// OverheadConfig parameterizes the measurement.
-type OverheadConfig struct {
-	Jobs    int
-	Servers int
-	Seed    uint64
-}
-
-// DefaultOverhead matches §6.3.3: 1K jobs, 30K machines.
-func DefaultOverhead() OverheadConfig {
-	return OverheadConfig{Jobs: 1000, Servers: 30000, Seed: 42}
-}
-
 // staticContext is a frozen decision point over a queued workload: the
 // state the Resource Manager sees when it recomputes priorities.
 type staticContext struct {
@@ -70,11 +58,17 @@ func (s *staticContext) PhaseStats(id workload.JobID, k workload.PhaseID) (float
 	return 0, 0, 0
 }
 
-// Overhead measures the decision cost.
-func Overhead(cfg OverheadConfig) (*OverheadResult, error) {
-	fleet := cluster.LargeFleet(cfg.Servers, cfg.Seed)
-	rng := stats.NewRNG(cfg.Seed)
-	jobs := make([]*workload.JobState, cfg.Jobs)
+// Overhead measures the decision cost §6.3.3 reports, 1K jobs on 30K
+// machines; a scale below the paper's job counts (JobFactor < 1)
+// measures 200 jobs on 3 000 servers.
+func Overhead(sc Scale) (*OverheadResult, error) {
+	nJobs, servers := 1000, 30000
+	if sc.JobFactor < 1 {
+		nJobs, servers = 200, 3000
+	}
+	fleet := cluster.LargeFleet(servers, sc.Seed)
+	rng := stats.NewRNG(sc.Seed)
+	jobs := make([]*workload.JobState, nJobs)
 	for i := range jobs {
 		j := &workload.Job{
 			ID: workload.JobID(i), Name: fmt.Sprintf("q-%d", i), App: "bench",
@@ -106,8 +100,8 @@ func Overhead(cfg OverheadConfig) (*OverheadResult, error) {
 	decide := time.Since(start)
 
 	return &OverheadResult{
-		Jobs:         cfg.Jobs,
-		Servers:      cfg.Servers,
+		Jobs:         nJobs,
+		Servers:      servers,
 		PriorityTime: prio,
 		DecisionTime: decide,
 		Placements:   len(placements),

@@ -27,32 +27,18 @@ type RedundancyResult struct {
 	ExtraCopies map[string]int
 }
 
-// RedundancyConfig parameterizes the comparison.
-type RedundancyConfig struct {
-	Jobs  int
-	Fleet int
-	Load  float64
-	Seed  uint64
-}
-
-// DefaultRedundancy uses the trace-driven workload at moderate load,
-// where both mechanisms have room to launch copies.
-func DefaultRedundancy(sc Scale) RedundancyConfig {
-	return RedundancyConfig{Jobs: sc.jobs(400), Fleet: sc.Fleet, Load: 0.5, Seed: sc.Seed}
-}
-
-// Redundancy runs the three variants.
-func Redundancy(cfg RedundancyConfig) (*RedundancyResult, error) {
-	sc := Scale{Fleet: cfg.Fleet, Seed: cfg.Seed}
-	fleet := sc.fleetFor()
-	jobs := googleWorkload(cfg.Jobs, fleet(), cfg.Load, cfg.Seed)
+// Redundancy runs the three variants on 400 trace jobs (scaled) at
+// §6.3.1's moderate load 0.5, where both mechanisms have room to launch
+// copies.
+func Redundancy(sc Scale) (*RedundancyResult, error) {
+	fleet, jobs := sc.traceWorkload(400, 0.5)
 
 	variants := []sched.Scheduler{
 		core.MustNew(core.WithClones(0)),
 		core.MustNew(core.WithSpeculation(1.5, 3)),
 		core.MustNew(core.WithClones(2)),
 	}
-	outs, err := runAll(fleet, jobs, variants, cfg.Seed)
+	outs, err := runAll(fleet, jobs, variants, sc.Seed)
 	if err != nil {
 		return nil, err
 	}

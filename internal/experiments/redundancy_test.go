@@ -6,7 +6,7 @@ import (
 )
 
 func TestRedundancyCloningBeatsSpeculation(t *testing.T) {
-	r, err := Redundancy(DefaultRedundancy(Quick()))
+	r, err := Redundancy(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestPaperScaleSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale soak skipped in short mode")
 	}
-	r, err := HeavyLoad(DefaultHeavyLoad(Paper(), "pagerank"))
+	r, err := HeavyLoad(Paper(), "pagerank")
 	if err != nil {
 		t.Fatal(err)
 	}

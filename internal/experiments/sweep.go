@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/sched/builtin"
@@ -9,18 +10,14 @@ import (
 	"dollymp/internal/workload"
 )
 
-// SweepSchedulerNames lists every scheduler the sweep grid accepts, for
-// CLI help and validation.
-func SweepSchedulerNames() []string { return builtin.Names() }
-
 // SchedulerVariant resolves a scheduler name to a sweep axis point.
 // The variant hands the cell seed to the constructor, so stochastic
 // schedulers stay deterministic per cell.
 func SchedulerVariant(name string) (sweep.Variant, error) {
 	build, ok := builtin.Lookup(name)
 	if !ok {
-		return sweep.Variant{}, fmt.Errorf("experiments: unknown scheduler %q (have %v)",
-			name, SweepSchedulerNames())
+		return sweep.Variant{}, fmt.Errorf("experiments: unknown scheduler %q (valid: %s)",
+			name, strings.Join(builtin.Names(), ", "))
 	}
 	return sweep.Variant{Name: name, New: build}, nil
 }

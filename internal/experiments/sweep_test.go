@@ -3,6 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
+
+	"dollymp/internal/sched/builtin"
 )
 
 func TestRunSweepSmallGrid(t *testing.T) {
@@ -55,7 +57,7 @@ func TestRunSweepSmallGrid(t *testing.T) {
 }
 
 func TestSchedulerVariantRegistry(t *testing.T) {
-	for _, name := range SweepSchedulerNames() {
+	for _, name := range builtin.Names() {
 		v, err := SchedulerVariant(name)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
 
 	"dollymp/internal/resources"
 	"dollymp/internal/stats"
@@ -244,11 +243,10 @@ func (g GoogleLike) job(blocks *jobBlocks, id workload.JobID, arrival int64, rng
 		})
 	}
 	workload.LinkChain(phases, cut(&blocks.parents, nPhases-1, blockJobs))
-	var name [24]byte
 	j := &cut(&blocks.jobs, 1, blockJobs)[0]
 	*j = workload.Job{
 		ID:      id,
-		Name:    string(strconv.AppendInt(append(name[:0], "g-"...), int64(id), 10)),
+		Name:    jobName("g", id),
 		App:     "google",
 		Arrival: arrival,
 		Phases:  phases,

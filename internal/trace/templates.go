@@ -7,7 +7,7 @@
 package trace
 
 import (
-	"fmt"
+	"strconv"
 
 	"dollymp/internal/resources"
 	"dollymp/internal/stats"
@@ -32,7 +32,7 @@ func WordCount(id workload.JobID, arrival int64, inputGB float64, rng *stats.RNG
 	}
 	mapMean := rng.Range(8, 14)    // 40–70 s of map work
 	reduceMean := rng.Range(6, 10) // 30–50 s of reduce work
-	return workload.Chain(id, fmt.Sprintf("wordcount-%d", id), "wordcount", arrival, []workload.Phase{
+	return workload.Chain(id, jobName("wordcount", id), "wordcount", arrival, []workload.Phase{
 		{
 			Name:         "map",
 			Tasks:        mapTasks,
@@ -50,6 +50,9 @@ func WordCount(id workload.JobID, arrival int64, inputGB float64, rng *stats.RNG
 	})
 }
 
+// iterNames names PageRank's rank iterations.
+var iterNames = [...]string{"iter-0", "iter-1", "iter-2"}
+
 // PageRank builds the iterative PageRank job of §6.2: an init phase, a
 // few rank iterations each depending on the previous one, and a finalize
 // phase. Half the evaluation's PageRank jobs use 10 GB inputs and half
@@ -59,8 +62,7 @@ func PageRank(id workload.JobID, arrival int64, inputGB float64, rng *stats.RNG)
 	if tasksPerIter < 1 {
 		tasksPerIter = 1
 	}
-	iters := 3
-	phases := make([]workload.Phase, 0, iters+2)
+	phases := make([]workload.Phase, 0, len(iterNames)+2)
 	initMean := rng.Range(6, 10)
 	phases = append(phases, workload.Phase{
 		Name:         "init",
@@ -69,10 +71,10 @@ func PageRank(id workload.JobID, arrival int64, inputGB float64, rng *stats.RNG)
 		MeanDuration: initMean,
 		SDDuration:   initMean * rng.Range(0.2, 0.5),
 	})
-	for i := 0; i < iters; i++ {
+	for _, name := range iterNames {
 		m := rng.Range(10, 16)
 		phases = append(phases, workload.Phase{
-			Name:         fmt.Sprintf("iter-%d", i),
+			Name:         name,
 			Tasks:        tasksPerIter,
 			Demand:       resources.Vec(2000, 4096), // 2 cores, 4 GiB
 			MeanDuration: m,
@@ -87,7 +89,7 @@ func PageRank(id workload.JobID, arrival int64, inputGB float64, rng *stats.RNG)
 		MeanDuration: finMean,
 		SDDuration:   finMean * rng.Range(0.2, 0.4),
 	})
-	return workload.Chain(id, fmt.Sprintf("pagerank-%d", id), "pagerank", arrival, phases)
+	return workload.Chain(id, jobName("pagerank", id), "pagerank", arrival, phases)
 }
 
 // TeraSort builds a three-phase sort job: sample (tiny, estimates the
@@ -103,7 +105,7 @@ func TeraSort(id workload.JobID, arrival int64, inputGB float64, rng *stats.RNG)
 	sampleMean := rng.Range(2, 4)
 	partMean := rng.Range(8, 14)
 	sortMean := rng.Range(10, 18)
-	return workload.Chain(id, fmt.Sprintf("terasort-%d", id), "terasort", arrival, []workload.Phase{
+	return workload.Chain(id, jobName("terasort", id), "terasort", arrival, []workload.Phase{
 		{
 			Name:         "sample",
 			Tasks:        max(1, widthTasks/16),
@@ -141,7 +143,7 @@ func MLIteration(id workload.JobID, arrival int64, scale float64, rng *stats.RNG
 	aggMean := rng.Range(3, 6)
 	return &workload.Job{
 		ID:      id,
-		Name:    fmt.Sprintf("mliter-%d", id),
+		Name:    jobName("mliter", id),
 		App:     "mliter",
 		Arrival: arrival,
 		Phases: []workload.Phase{
@@ -180,9 +182,9 @@ func MLIteration(id workload.JobID, arrival int64, scale float64, rng *stats.RNG
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// jobName is app-id, the name every generator gives its job (GoogleLike
+// passes "g").
+func jobName(app string, id workload.JobID) string {
+	var b [32]byte
+	return string(strconv.AppendInt(append(append(b[:0], app...), '-'), int64(id), 10))
 }
