@@ -190,21 +190,6 @@ func (c *Cluster) SetBackground(id ServerID, f float64) error {
 	return nil
 }
 
-// CheckInvariants verifies the allocation ledger: every server's free
-// capacity is within [0, capacity]. Tests and the simulator's paranoid
-// mode call this after every slot.
-func (c *Cluster) CheckInvariants() error {
-	for _, s := range c.servers {
-		if !s.free.IsValid() {
-			return fmt.Errorf("cluster: server %s has negative free %v", s.Name, s.free)
-		}
-		if !s.free.Fits(s.Capacity) {
-			return fmt.Errorf("cluster: server %s free %v exceeds capacity %v", s.Name, s.free, s.Capacity)
-		}
-	}
-	return nil
-}
-
 // Reset returns every server to fully free and online with no
 // background load.
 func (c *Cluster) Reset() {

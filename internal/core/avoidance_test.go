@@ -8,6 +8,7 @@ import (
 	"dollymp/internal/resources"
 	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -77,15 +78,17 @@ func TestAvoidanceEndToEndOnDegradedFleet(t *testing.T) {
 		if avoid {
 			opts = append(opts, core.WithStragglerAvoidance(true))
 		}
-		e, err := sim.New(sim.Config{
+		e, cert, err := verify.New(sim.Config{
 			Cluster: fleet, Jobs: jobs, Scheduler: core.MustNew(opts...), Seed: 3,
-			Paranoid: true,
-			Events:   []sim.Event{{At: 0, Server: 0, Kind: sim.EventSlowdown, Factor: 0.15}},
+			Events: []sim.Event{{At: 0, Server: 0, Kind: sim.EventSlowdown, Factor: 0.15}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"dollymp/internal/sched"
 	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -55,14 +56,17 @@ func TestMustNewPanics(t *testing.T) {
 
 func run(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, s *core.Scheduler, det bool, seed uint64) *sim.Result {
 	t.Helper()
-	e, err := sim.New(sim.Config{
+	e, cert, err := verify.New(sim.Config{
 		Cluster: c, Jobs: jobs, Scheduler: s, Seed: seed,
-		Deterministic: det, Paranoid: true,
+		Deterministic: det,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

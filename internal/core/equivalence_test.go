@@ -24,6 +24,7 @@ import (
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
 	"dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -587,12 +588,11 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 				if c.packing {
 					jobs = packingJobs(c.seed, c.jobs)
 				}
-				e, err := sim.New(sim.Config{
+				e, cert, err := verify.New(sim.Config{
 					Cluster:     cluster.LargeFleet(c.servers, c.seed),
 					Jobs:        jobs,
 					Scheduler:   s,
 					Seed:        c.seed,
-					Paranoid:    true,
 					RecordTrace: true,
 					Events:      c.events,
 				})
@@ -600,6 +600,9 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				res, err := e.Run()
+				if err == nil {
+					err = cert.Close()
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 	"dollymp/internal/sim"
 	"dollymp/internal/stats"
 	"dollymp/internal/trace"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -22,13 +23,16 @@ func TestEstimationModeCompletesRecurringWorkload(t *testing.T) {
 		jobs[i] = trace.WordCount(workload.JobID(i), int64(i*6), 5, stats.NewRNG(rng+uint64(i)))
 	}
 	s := core.MustNew(core.WithEstimation(estimate.Config{MinSamples: 2}))
-	e, err := sim.New(sim.Config{
-		Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: 3, Paranoid: true,
+	e, cert, err := verify.New(sim.Config{
+		Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"dollymp/internal/core"
 	"dollymp/internal/sim"
 	"dollymp/internal/sim/simtest"
+	"dollymp/internal/verify"
 )
 
 // TestWatchListMatchesFullWalk drains runs whose Schedule calls mostly
@@ -51,18 +52,20 @@ func TestWatchListMatchesFullWalk(t *testing.T) {
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
-			e, err := sim.New(sim.Config{
+			e, cert, err := verify.New(sim.Config{
 				Cluster:   cluster.LargeFleet(c.servers, c.seed),
 				Jobs:      packingJobs(c.seed, c.jobs),
 				Scheduler: core.WatchChecked(t, core.MustNew()),
 				Seed:      c.seed,
-				Paranoid:  true,
 				Events:    c.events,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := e.Run()
+			if err == nil {
+				err = cert.Close()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,8 +2,8 @@ package sched_test
 
 // Cross-scheduler integration tests: every policy — the baselines, the
 // two pure priority schedulers, and all DollyMP variants — must drive
-// identical workloads to completion on the paper's 30-node testbed under
-// paranoid ledger checking, and must exhibit its defining behaviour.
+// identical workloads to completion on the paper's 30-node testbed,
+// certified by verify.Stream, and must exhibit its defining behaviour.
 
 import (
 	"testing"
@@ -23,6 +23,7 @@ import (
 	"dollymp/internal/sim"
 	"dollymp/internal/stats"
 	"dollymp/internal/trace"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -46,17 +47,19 @@ func allSchedulers() []sched.Scheduler {
 
 func runWorkload(t *testing.T, s sched.Scheduler, jobs []*workload.Job, seed uint64) *sim.Result {
 	t.Helper()
-	e, err := sim.New(sim.Config{
+	e, cert, err := verify.New(sim.Config{
 		Cluster:   cluster.Testbed30(),
 		Jobs:      jobs,
 		Scheduler: s,
 		Seed:      seed,
-		Paranoid:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"dollymp/internal/sim"
 	"dollymp/internal/stats"
 	"dollymp/internal/trace"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 	"dollymp/internal/yarn"
 )
@@ -33,14 +34,14 @@ type goldenRun struct {
 	digest             uint64
 }
 
-// runGolden drains jobs on the 30-node testbed under paranoid ledger
-// checking and returns the run's pins.
+// runGolden drains jobs on the 30-node testbed, certified by
+// verify.Stream, and returns the run's pins.
 func runGolden(t *testing.T, s sched.Scheduler, jobs []*workload.Job) goldenRun {
 	t.Helper()
 	h := fnv.New64a()
 	var buf [40]byte
-	e, err := sim.New(sim.Config{
-		Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: 7, Paranoid: true,
+	e, cert, err := verify.New(sim.Config{
+		Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: 7,
 		Observe: func(o *sim.Observation) {
 			if o.Kind != sim.TracePlace {
 				return
@@ -55,6 +56,9 @@ func runGolden(t *testing.T, s sched.Scheduler, jobs []*workload.Job) goldenRun 
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/sim"
 	"dollymp/internal/trace"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -35,13 +36,16 @@ func TestPlacesEverythingThatFits(t *testing.T) {
 
 func exec(t *testing.T, jobs []*workload.Job, s sched.Scheduler, seed uint64) int64 {
 	t.Helper()
-	e, err := sim.New(sim.Config{
-		Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: seed, Paranoid: true,
+	e, cert, err := verify.New(sim.Config{
+		Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

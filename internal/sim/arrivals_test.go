@@ -78,7 +78,7 @@ func TestArrivalQueueInitMatchesPush(t *testing.T) {
 // storage must track the pending backlog, not lifetime intake.
 func TestOnlineArrivalQueueMemoryBounded(t *testing.T) {
 	e, err := New(Config{
-		Cluster: cluster.Uniform(8, resources.Cores(16, 32)), Scheduler: greedy{},
+		Cluster: cluster.Uniform(8, resources.Cores(16, 32)), Scheduler: Greedy{},
 		Seed: 1, Deterministic: true, Online: true,
 	})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestOnlineArrivalQueueMemoryBounded(t *testing.T) {
 	capHighWater := 0
 	for w := 0; w < waves; w++ {
 		for i := 0; i < waveSize; i++ {
-			j := singleTaskJob(id, e.Clock(), 2)
+			j := SingleTaskJob(id, e.Clock(), 2)
 			id++
 			if _, err := e.InjectJob(j); err != nil {
 				t.Fatal(err)

@@ -23,7 +23,7 @@ func BenchmarkEngineSingleJobs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, err := New(Config{
-			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: greedy{}, Seed: uint64(i),
+			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: Greedy{}, Seed: uint64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -45,7 +45,7 @@ func BenchmarkEngineWithClones(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, err := New(Config{
-			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: cloner{}, Seed: uint64(i),
+			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: Cloner{}, Seed: uint64(i),
 		})
 		if err != nil {
 			b.Fatal(err)

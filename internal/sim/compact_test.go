@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
@@ -8,6 +8,8 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -46,14 +48,17 @@ func compactTestJobs(seed int64, n int) []*workload.Job {
 func TestCompactJobsEquivalence(t *testing.T) {
 	const seed = 4
 	run := func(compact bool) *Result {
-		eng, err := New(Config{
+		eng, cert, err := verify.New(Config{
 			Cluster: cluster.LargeFleet(12, seed), Jobs: compactTestJobs(seed, 80),
-			Scheduler: cloner{}, Seed: seed, Paranoid: true, CompactJobs: compact,
+			Scheduler: Cloner{}, Seed: seed, CompactJobs: compact,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +146,7 @@ func TestFinalizeIdempotent(t *testing.T) {
 
 	batchEng, err := New(Config{
 		Cluster: cluster.LargeFleet(12, seed), Jobs: compactTestJobs(seed, 40),
-		Scheduler: cloner{}, Seed: seed,
+		Scheduler: Cloner{}, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +157,7 @@ func TestFinalizeIdempotent(t *testing.T) {
 	}
 
 	e, err := New(Config{
-		Cluster: cluster.LargeFleet(12, seed), Scheduler: cloner{},
+		Cluster: cluster.LargeFleet(12, seed), Scheduler: Cloner{},
 		Seed: seed, Online: true,
 	})
 	if err != nil {
@@ -206,13 +211,13 @@ func TestFinalizeIdempotent(t *testing.T) {
 // map tombstones.
 func TestCompletedIDRejection(t *testing.T) {
 	e, err := New(Config{
-		Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: greedy{},
+		Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: Greedy{},
 		Seed: 1, Deterministic: true, Online: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.InjectJob(singleTaskJob(7, 0, 2)); err != nil {
+	if _, err := e.InjectJob(SingleTaskJob(7, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -227,11 +232,11 @@ func TestCompletedIDRejection(t *testing.T) {
 	if e.CompletedJobs() != 1 {
 		t.Fatalf("completed %d, want 1", e.CompletedJobs())
 	}
-	if _, err := e.InjectJob(singleTaskJob(7, 0, 2)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := e.InjectJob(SingleTaskJob(7, 0, 2)); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("re-use of a completed ID must be rejected as duplicate, got %v", err)
 	}
 	place := func(id workload.JobID) error {
-		return e.applyPlacement(sched.Placement{Ref: workload.TaskRef{Job: id}})
+		return e.ApplyPlacement(sched.Placement{Ref: workload.TaskRef{Job: id}})
 	}
 	if err := place(7); err == nil || !strings.Contains(err.Error(), "completed job") {
 		t.Fatalf("placement for a completed job must say so, got %v", err)
@@ -244,7 +249,7 @@ func TestCompletedIDRejection(t *testing.T) {
 // TestIDSet unit-tests the paged bitmap, including sparse and negative
 // IDs and page-boundary neighbors.
 func TestIDSet(t *testing.T) {
-	var s idSet
+	var s IDSet
 	ids := []workload.JobID{0, 1, 63, 64, 4095, 4096, 4097, 1 << 20, -1, -4096}
 	for _, id := range ids {
 		if s.Has(id) {

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"reflect"
@@ -7,7 +7,9 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
 	"dollymp/internal/stats"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -24,7 +26,7 @@ func failureScenario(s sched.Scheduler) Config {
 	}
 	return Config{
 		Cluster: cluster.Uniform(8, resources.Cores(8, 16)), Jobs: jobs, Scheduler: s,
-		Seed: 7, Paranoid: true, RecordTrace: true,
+		Seed: 7, RecordTrace: true,
 		Events: []Event{
 			{At: 6, Server: 0, Kind: EventFail},
 			{At: 9, Server: 3, Kind: EventFail},
@@ -39,11 +41,14 @@ func failureScenario(s sched.Scheduler) Config {
 // not follow map iteration order.
 func TestFailureTraceReproducible(t *testing.T) {
 	run := func() *Result {
-		e, err := New(failureScenario(cloner{}))
+		e, cert, err := verify.New(failureScenario(Cloner{}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +81,7 @@ func TestFailureTraceReproducible(t *testing.T) {
 // survivors (cloner) and failures that take the last copy (greedy), and
 // the release of a finished job.
 func TestCopyTableMatchesTrace(t *testing.T) {
-	for _, s := range []sched.Scheduler{cloner{}, greedy{}} {
+	for _, s := range []sched.Scheduler{Cloner{}, Greedy{}} {
 		t.Run(s.Name(), func(t *testing.T) {
 			cfg := failureScenario(s)
 			running := 0
@@ -88,7 +93,7 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 					running--
 				}
 			}
-			e, err := New(cfg)
+			e, cert, err := verify.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +107,7 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ev := range e.res.Trace[seen:] {
+				for _, ev := range e.Trace()[seen:] {
 					switch ev.Kind {
 					case TracePlace:
 						tally[ev.Ref]++
@@ -119,7 +124,7 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 						}
 					}
 				}
-				seen = len(e.res.Trace)
+				seen = len(e.Trace())
 				for _, js := range e.Jobs() {
 					if states[js.Job.ID] == nil {
 						states[js.Job.ID] = js
@@ -130,14 +135,14 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 					js := states[j.ID]
 					if js == nil {
 						// Not arrived: registered, no record, no copy.
-						if lj, ok := e.states[j.ID]; !ok || lj != nil {
-							t.Fatalf("slot %d job %d: pending, yet registered=%v with a record=%v", e.clock, j.ID, ok, lj != nil)
+						if lj, ok := e.Record(j.ID); !ok || lj != nil {
+							t.Fatalf("slot %d job %d: pending, yet registered=%v with a record=%v", e.Now(), j.ID, ok, lj != nil)
 						}
 						for k := range j.Phases {
 							for l := 0; l < j.Phases[k].Tasks; l++ {
 								ref := workload.TaskRef{Job: j.ID, Phase: workload.PhaseID(k), Index: l}
 								if tally[ref] != 0 || e.Copies(ref) != nil {
-									t.Fatalf("slot %d %v: pending job, yet the trace counts %d copies and Copies reports %d", e.clock, ref, tally[ref], len(e.Copies(ref)))
+									t.Fatalf("slot %d %v: pending job, yet the trace counts %d copies and Copies reports %d", e.Now(), ref, tally[ref], len(e.Copies(ref)))
 								}
 							}
 						}
@@ -150,29 +155,32 @@ func TestCopyTableMatchesTrace(t *testing.T) {
 							total += want
 							copies := e.Copies(ref)
 							if len(copies) != want {
-								t.Fatalf("slot %d %v: Copies reports %d, trace says %d", e.clock, ref, len(copies), want)
+								t.Fatalf("slot %d %v: Copies reports %d, trace says %d", e.Now(), ref, len(copies), want)
 							}
 							if got := js.LiveCopies(ref.Phase, ref.Index); got != want {
-								t.Fatalf("slot %d %v: JobState counts %d, trace says %d", e.clock, ref, got, want)
+								t.Fatalf("slot %d %v: JobState counts %d, trace says %d", e.Now(), ref, got, want)
 							}
 							if want == 0 && js.Task(ref.Phase, ref.Index) == workload.TaskRunning {
-								t.Fatalf("slot %d %v: running with no copy", e.clock, ref)
+								t.Fatalf("slot %d %v: running with no copy", e.Now(), ref)
 							}
 						}
 					}
-					if _, live := e.states[j.ID]; live == js.Done() {
-						t.Fatalf("slot %d job %d: done=%v but record present=%v", e.clock, j.ID, js.Done(), live)
+					if _, live := e.Record(j.ID); live == js.Done() {
+						t.Fatalf("slot %d job %d: done=%v but record present=%v", e.Now(), j.ID, js.Done(), live)
 					}
 				}
 				if total != running {
-					t.Fatalf("slot %d: the observer counts %d live copies, trace says %d", e.clock, running, total)
+					t.Fatalf("slot %d: the observer counts %d live copies, trace says %d", e.Now(), running, total)
 				}
 				if idle {
 					break
 				}
 			}
-			if running != 0 || len(e.states) != 0 {
-				t.Fatalf("after the run: %d live copies, %d job records", running, len(e.states))
+			if err := cert.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if running != 0 || e.Records() != 0 {
+				t.Fatalf("after the run: %d live copies, %d job records", running, e.Records())
 			}
 			if reverted == 0 {
 				t.Fatal("no failure took a task's last copy")
@@ -217,11 +225,11 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 		observed, copies stats.Summary
 		racks            [3]int
 	}
-	for _, s := range []sched.Scheduler{cloner{}, greedy{}} {
+	for _, s := range []sched.Scheduler{Cloner{}, Greedy{}} {
 		t.Run(s.Name(), func(t *testing.T) {
 			cfg := failureScenario(s)
 			cfg.Cluster = rackedFleet(t)
-			e, err := New(cfg)
+			e, cert, err := verify.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +246,7 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ev := range e.res.Trace[seen:] {
+				for _, ev := range e.Trace()[seen:] {
 					id := phaseID{ev.Ref.Job, ev.Ref.Phase}
 					switch ev.Kind {
 					case TracePlace:
@@ -266,28 +274,28 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 				// The copies-per-task count is the task's live copies as its
 				// winner finishes: the kills recorded in the same slot plus
 				// the winner.
-				for i := seen; i < len(e.res.Trace); i++ {
-					ev := e.res.Trace[i]
+				for i := seen; i < len(e.Trace()); i++ {
+					ev := e.Trace()[i]
 					if ev.Kind != TraceComplete {
 						continue
 					}
 					n := 1
-					for j := i - 1; j >= seen && e.res.Trace[j].Kind == TraceKill && e.res.Trace[j].Ref == ev.Ref; j-- {
+					for j := i - 1; j >= seen && e.Trace()[j].Kind == TraceKill && e.Trace()[j].Ref == ev.Ref; j-- {
 						n++
 					}
 					want[phaseID{ev.Ref.Job, ev.Ref.Phase}].copies.Add(float64(n))
 				}
-				seen = len(e.res.Trace)
+				seen = len(e.Trace())
 
 				for _, j := range cfg.Jobs {
-					lj, registered := e.states[j.ID]
+					lj, registered := e.Record(j.ID)
 					if got := e.Allocation(j.ID); got != alloc[j.ID] {
-						t.Fatalf("slot %d job %d: Allocation %v, trace says %v", e.clock, j.ID, got, alloc[j.ID])
+						t.Fatalf("slot %d job %d: Allocation %v, trace says %v", e.Now(), j.ID, got, alloc[j.ID])
 					}
-					if lj != nil && (lj.phases == nil) != (lj.FirstStart < 0) {
-						t.Fatalf("slot %d job %d: record present=%v, first start %d", e.clock, j.ID, lj.phases != nil, lj.FirstStart)
+					if lj != nil && !lj.Opened() != (lj.FirstStart < 0) {
+						t.Fatalf("slot %d job %d: record present=%v, first start %d", e.Now(), j.ID, lj.Opened(), lj.FirstStart)
 					}
-					if lj != nil && lj.phases == nil {
+					if lj != nil && !lj.Opened() {
 						queued++
 					}
 					for k := range j.Phases {
@@ -303,7 +311,7 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 								released++
 							}
 							if mean != 0 || sd != 0 || n != 0 || rack != 0 || ok {
-								t.Fatalf("slot %d job %d phase %d: %s, yet answers (%v, %v, %d) rack (%d, %v)", e.clock, j.ID, k, state, mean, sd, n, rack, ok)
+								t.Fatalf("slot %d job %d phase %d: %s, yet answers (%v, %v, %d) rack (%d, %v)", e.Now(), j.ID, k, state, mean, sd, n, rack, ok)
 							}
 							continue
 						}
@@ -313,13 +321,13 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 						}
 						if w.observed.N() == 0 {
 							if mean != j.Phases[k].MeanDuration || sd != j.Phases[k].SDDuration || n != 0 || ok {
-								t.Fatalf("slot %d job %d phase %d: nothing finished, yet answers (%v, %v, %d) rack ok=%v", e.clock, j.ID, k, mean, sd, n, ok)
+								t.Fatalf("slot %d job %d phase %d: nothing finished, yet answers (%v, %v, %d) rack ok=%v", e.Now(), j.ID, k, mean, sd, n, ok)
 							}
 							continue
 						}
 						if mean != w.observed.Mean() || sd != w.observed.SD() || n != w.observed.N() {
 							t.Fatalf("slot %d job %d phase %d: PhaseStats (%v, %v, %d), trace says (%v, %v, %d)",
-								e.clock, j.ID, k, mean, sd, n, w.observed.Mean(), w.observed.SD(), w.observed.N())
+								e.Now(), j.ID, k, mean, sd, n, w.observed.Mean(), w.observed.SD(), w.observed.N())
 						}
 						best := 0
 						for r, c := range w.racks {
@@ -333,17 +341,20 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 							}
 						}
 						if !ok || rack != best {
-							t.Fatalf("slot %d job %d phase %d: output rack (%d, %v), trace tally %v", e.clock, j.ID, k, rack, ok, w.racks)
+							t.Fatalf("slot %d job %d phase %d: output rack (%d, %v), trace tally %v", e.Now(), j.ID, k, rack, ok, w.racks)
 						}
-						if got := &lj.phases[k].copies; got.N() != w.copies.N() || got.Mean() != w.copies.Mean() {
+						if got := lj.CopiesPerTask(k); got.N() != w.copies.N() || got.Mean() != w.copies.Mean() {
 							t.Fatalf("slot %d job %d phase %d: copies per task n=%d mean %v, trace says n=%d mean %v",
-								e.clock, j.ID, k, got.N(), got.Mean(), w.copies.N(), w.copies.Mean())
+								e.Now(), j.ID, k, got.N(), got.Mean(), w.copies.N(), w.copies.Mean())
 						}
 					}
 				}
 				if idle {
 					break
 				}
+			}
+			if err := cert.Close(); err != nil {
+				t.Fatal(err)
 			}
 			if pending == 0 || queued == 0 || released == 0 || ties == 0 {
 				t.Fatalf("the run did not exercise the record's lifetime: %d pending looks, %d queued, %d released, %d rack ties", pending, queued, released, ties)
@@ -357,16 +368,16 @@ func TestPhaseRecordsMatchTrace(t *testing.T) {
 // whose arrivals were already delivered. Finished jobs must still be cut
 // out, and the survivors must keep the order they were delivered in.
 func TestRemoveActiveOutOfIDOrder(t *testing.T) {
-	e, err := New(Config{
-		Cluster: cluster.Uniform(1, resources.Cores(4, 4)), Scheduler: greedy{},
-		Deterministic: true, Online: true, Paranoid: true,
+	e, cert, err := verify.New(Config{
+		Cluster: cluster.Uniform(1, resources.Cores(4, 4)), Scheduler: Greedy{},
+		Deterministic: true, Online: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inject := func(id workload.JobID, mean float64) {
 		t.Helper()
-		if _, err := e.InjectJob(singleTaskJob(id, 0, mean)); err != nil {
+		if _, err := e.InjectJob(SingleTaskJob(id, 0, mean)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,20 +396,23 @@ func TestRemoveActiveOutOfIDOrder(t *testing.T) {
 		next := 0
 		for i, js := range e.Jobs() {
 			if js.Done() {
-				t.Fatalf("slot %d: finished job %d still active at %d", e.clock, js.Job.ID, i)
+				t.Fatalf("slot %d: finished job %d still active at %d", e.Now(), js.Job.ID, i)
 			}
 			for next < len(delivered) && delivered[next] != js.Job.ID {
 				next++
 			}
 			if next == len(delivered) {
-				t.Fatalf("slot %d: job %d at %d is out of delivery order %v", e.clock, js.Job.ID, i, delivered)
+				t.Fatalf("slot %d: job %d at %d is out of delivery order %v", e.Now(), js.Job.ID, i, delivered)
 			}
 		}
 		if idle {
 			break
 		}
 	}
-	if got := e.res.Completed; got != 3 {
+	if err := cert.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CompletedJobs(); got != 3 {
 		t.Fatalf("completed %d of 3", got)
 	}
 }

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"testing"
@@ -6,6 +6,8 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -69,7 +71,7 @@ func delayJob() *workload.Job {
 
 func runDelay(t *testing.T, mapCopies int, delay bool) int64 {
 	t.Helper()
-	e, err := New(Config{
+	e, cert, err := verify.New(Config{
 		Cluster:         delayFleet(t),
 		Jobs:            []*workload.Job{delayJob()},
 		Scheduler:       &directed{mapCopies: mapCopies},
@@ -77,12 +79,14 @@ func runDelay(t *testing.T, mapCopies int, delay bool) int64 {
 		Deterministic:   true,
 		TransferPenalty: 3,
 		DelayAssignment: delay,
-		Paranoid:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"errors"
@@ -10,6 +10,7 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/core"
 	"dollymp/internal/resources"
+	. "dollymp/internal/sim"
 	"dollymp/internal/sim/simtest"
 	"dollymp/internal/trace"
 	"dollymp/internal/workload"
@@ -31,7 +32,7 @@ func TestDrainBoundsLookahead(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e, err := New(Config{
-				Cluster: cluster.Uniform(8, resources.Cores(4, 8)), Scheduler: greedy{},
+				Cluster: cluster.Uniform(8, resources.Cores(4, 8)), Scheduler: Greedy{},
 				Seed: 1, Deterministic: true, Online: true,
 			})
 			if err != nil {
@@ -48,13 +49,13 @@ func TestDrainBoundsLookahead(t *testing.T) {
 				if c.perSlot > 0 {
 					arrival = int64(pulled / c.perSlot)
 				}
-				return singleTaskJob(workload.JobID(pulled), arrival, 2), nil
+				return SingleTaskJob(workload.JobID(pulled), arrival, 2), nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if peak != lookahead-1 {
-				t.Fatalf("source saw up to %d pending arrivals, want the pull that fills the window of %d and none beyond", peak, lookahead)
+			if peak != Lookahead-1 {
+				t.Fatalf("source saw up to %d pending arrivals, want the pull that fills the window of %d and none beyond", peak, Lookahead)
 			}
 			if res.Completed != c.jobs || len(res.Jobs) != c.jobs || !e.Idle() || res.Makespan <= 0 {
 				t.Fatalf("completed %d (%d records) of %d jobs, idle %v, makespan %d", res.Completed, len(res.Jobs), c.jobs, e.Idle(), res.Makespan)
@@ -69,7 +70,7 @@ func TestDrainBoundsLookahead(t *testing.T) {
 func TestDrainReturnsErrorsAsIs(t *testing.T) {
 	online := func() *Engine {
 		e, err := New(Config{
-			Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: greedy{},
+			Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: Greedy{},
 			Seed: 1, Deterministic: true, Online: true,
 		})
 		if err != nil {
@@ -84,7 +85,7 @@ func TestDrainReturnsErrorsAsIs(t *testing.T) {
 		if n++; n > 3 {
 			return nil, torn
 		}
-		return singleTaskJob(workload.JobID(n), 0, 2), nil
+		return SingleTaskJob(workload.JobID(n), 0, 2), nil
 	})
 	var ce *trace.CorruptError
 	if !errors.As(err, &ce) || ce.Offset != 77 || ce.Frame != 3 {
@@ -92,7 +93,7 @@ func TestDrainReturnsErrorsAsIs(t *testing.T) {
 	}
 
 	// The same ID twice: InjectJob's refusal ends the drain.
-	_, err = online().Drain(simtest.SliceSource([]*workload.Job{singleTaskJob(1, 0, 2), singleTaskJob(1, 1, 2)}))
+	_, err = online().Drain(simtest.SliceSource([]*workload.Job{SingleTaskJob(1, 0, 2), SingleTaskJob(1, 1, 2)}))
 	if err == nil || !strings.Contains(err.Error(), "duplicate job ID 1") {
 		t.Fatalf("duplicate ID: %v", err)
 	}
@@ -145,12 +146,12 @@ func TestResultJobsExactSize(t *testing.T) {
 	jobs := func() []*workload.Job {
 		out := make([]*workload.Job, n)
 		for i := range out {
-			out[i] = singleTaskJob(workload.JobID(i+1), int64(i/8), 2)
+			out[i] = SingleTaskJob(workload.JobID(i+1), int64(i/8), 2)
 		}
 		return out
 	}
 	e, err := New(Config{
-		Cluster: cluster.Uniform(8, resources.Cores(4, 8)), Scheduler: greedy{},
+		Cluster: cluster.Uniform(8, resources.Cores(4, 8)), Scheduler: Greedy{},
 		Seed: 1, Deterministic: true, Online: true,
 	})
 	if err != nil {
@@ -167,7 +168,7 @@ func TestResultJobsExactSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := runDet(t, cluster.Uniform(8, resources.Cores(4, 8)), jobs(), greedy{})
+	batch := runDet(t, cluster.Uniform(8, resources.Cores(4, 8)), jobs(), Greedy{})
 	for name, res := range map[string]*Result{"online": online, "batch": batch} {
 		// Grown by append, the slice had 2594 slots for 2500 records.
 		if len(res.Jobs) != n || cap(res.Jobs) != n {

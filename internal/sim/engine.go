@@ -37,8 +37,6 @@ type Config struct {
 	// Deterministic disables duration noise: every copy runs exactly
 	// ceil(mean/speed) slots. Used by the analytic examples and tests.
 	Deterministic bool
-	// Paranoid re-verifies ledger invariants after every event.
-	Paranoid bool
 	// TransferPenalty adds this many slots to a copy that must fetch
 	// its input remotely: a copy off the rack holding the task's input
 	// data, or a downstream clone contending for a shared upstream
@@ -484,11 +482,6 @@ func (e *Engine) Step() (idle bool, err error) {
 	if err := e.scheduleLoop(); err != nil {
 		return false, err
 	}
-	if e.cfg.Paranoid {
-		if err := e.checkInvariants(); err != nil {
-			return false, err
-		}
-	}
 	return len(e.active) == 0 && e.arrivals.Len() == 0, nil
 }
 
@@ -843,49 +836,4 @@ func (e *Engine) crossRack(js *liveJob, ref workload.TaskRef, server cluster.Ser
 	}
 	want, ok := js.majorityRack(parents...)
 	return ok && e.cfg.Cluster.Server(server).Rack != want
-}
-
-// checkInvariants cross-checks the ledger against the live copies.
-func (e *Engine) checkInvariants() error {
-	if err := e.cfg.Cluster.CheckInvariants(); err != nil {
-		return err
-	}
-	perServer := make(map[cluster.ServerID]resources.Vector)
-	var cloneUse resources.Vector
-	for _, js := range e.active {
-		lj := e.states[js.Job.ID]
-		var held resources.Vector // zero for a job that holds no copy
-		for k := range lj.phases {
-			for l, c := range lj.phases[k].heads {
-				n := 0
-				for ; c != nil; c = c.next {
-					if c.killed {
-						return fmt.Errorf("sim: killed copy of %v still in the copy table", c.ref)
-					}
-					n++
-					perServer[c.server] = perServer[c.server].Add(c.demand)
-					held = held.Add(c.demand)
-					if c.clone {
-						cloneUse = cloneUse.Add(c.demand)
-					}
-				}
-				if got := js.LiveCopies(workload.PhaseID(k), l); got != n {
-					return fmt.Errorf("sim: live-copy count drift for %v: state says %d, table holds %d",
-						workload.TaskRef{Job: js.Job.ID, Phase: workload.PhaseID(k), Index: l}, got, n)
-				}
-			}
-		}
-		if lj.alloc != held {
-			return fmt.Errorf("sim: allocation drift for job %d: tracked %v, actual %v", js.Job.ID, lj.alloc, held)
-		}
-	}
-	for _, s := range e.cfg.Cluster.Servers() {
-		if got, want := s.Used(), perServer[s.ID]; got != want {
-			return fmt.Errorf("sim: ledger drift on %s: used %v, copies hold %v", s.Name, got, want)
-		}
-	}
-	if cloneUse != e.cloneUse {
-		return fmt.Errorf("sim: clone usage drift: tracked %v, actual %v", e.cloneUse, cloneUse)
-	}
-	return nil
 }

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"reflect"
@@ -8,64 +8,21 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
-// greedy is a FIFO first-fit test scheduler with no cloning.
-type greedy struct{}
-
-func (greedy) Name() string { return "greedy" }
-
-func (greedy) Schedule(ctx sched.Context) []sched.Placement {
-	var out []sched.Placement
-	ft := sched.NewFitTracker(ctx.Cluster())
-	for _, js := range ctx.Jobs() {
-		for _, pt := range sched.ReadyPendingTasks(js) {
-			for _, s := range ctx.Cluster().Servers() {
-				if ft.Place(s.ID, pt.Demand) {
-					out = append(out, sched.Placement{Ref: pt.Ref, Server: s.ID})
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// cloner places every pending task and immediately adds one clone when
-// capacity allows.
-type cloner struct{}
-
-func (cloner) Name() string { return "cloner" }
-
-func (cloner) Schedule(ctx sched.Context) []sched.Placement {
-	var out []sched.Placement
-	ft := sched.NewFitTracker(ctx.Cluster())
-	for _, js := range ctx.Jobs() {
-		for _, pt := range sched.ReadyPendingTasks(js) {
-			placed := 0
-			for _, s := range ctx.Cluster().Servers() {
-				for placed < 2 && ft.Place(s.ID, pt.Demand) {
-					out = append(out, sched.Placement{Ref: pt.Ref, Server: s.ID})
-					placed++
-				}
-			}
-		}
-	}
-	return out
-}
-
-func singleTaskJob(id workload.JobID, arrival int64, mean float64) *workload.Job {
-	return workload.SingleTask(id, arrival, resources.Cores(1, 1), mean, 0)
-}
-
 func runDet(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, s sched.Scheduler) *Result {
 	t.Helper()
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: s, Seed: 1, Deterministic: true, Paranoid: true})
+	e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: s, Seed: 1, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +31,7 @@ func runDet(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, s sched.Sche
 
 func TestSingleTaskDeterministic(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(4, 8))
-	res := runDet(t, c, []*workload.Job{singleTaskJob(1, 10, 5)}, greedy{})
+	res := runDet(t, c, []*workload.Job{SingleTaskJob(1, 10, 5)}, Greedy{})
 	if len(res.Jobs) != 1 {
 		t.Fatalf("jobs: %d", len(res.Jobs))
 	}
@@ -104,7 +61,7 @@ func TestServerSpeedScalesDuration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runDet(t, c, []*workload.Job{singleTaskJob(1, 0, 10)}, greedy{})
+	res := runDet(t, c, []*workload.Job{SingleTaskJob(1, 0, 10)}, Greedy{})
 	// 10 slots of work at speed 2 → 5 slots.
 	if res.Jobs[0].Flowtime != 5 {
 		t.Fatalf("flowtime: %d", res.Jobs[0].Flowtime)
@@ -117,7 +74,7 @@ func TestChainDependency(t *testing.T) {
 		{Name: "map", Tasks: 3, Demand: resources.Cores(1, 1), MeanDuration: 4},
 		{Name: "reduce", Tasks: 1, Demand: resources.Cores(1, 1), MeanDuration: 3},
 	})
-	res := runDet(t, c, []*workload.Job{j}, greedy{})
+	res := runDet(t, c, []*workload.Job{j}, Greedy{})
 	// Maps run in parallel, done at 4; reduce 4→7.
 	if res.Jobs[0].Finish != 7 {
 		t.Fatalf("finish: %d", res.Jobs[0].Finish)
@@ -128,8 +85,8 @@ func TestSerializationOnSmallCluster(t *testing.T) {
 	// One 1-core server, two 1-core jobs arriving together: they must
 	// serialize.
 	c := cluster.Uniform(1, resources.Cores(1, 2))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 4), singleTaskJob(2, 0, 4)}
-	res := runDet(t, c, jobs, greedy{})
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 4), SingleTaskJob(2, 0, 4)}
+	res := runDet(t, c, jobs, Greedy{})
 	if res.Makespan != 8 {
 		t.Fatalf("makespan: %d", res.Makespan)
 	}
@@ -140,7 +97,7 @@ func TestSerializationOnSmallCluster(t *testing.T) {
 
 func TestCloneSemantics(t *testing.T) {
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	res := runDet(t, c, []*workload.Job{singleTaskJob(1, 0, 6)}, cloner{})
+	res := runDet(t, c, []*workload.Job{SingleTaskJob(1, 0, 6)}, Cloner{})
 	j := res.Jobs[0]
 	if j.CopiesLaunched != 2 || j.TasksCloned != 1 {
 		t.Fatalf("copies: %+v", j)
@@ -162,8 +119,8 @@ func TestCloneWinnerFreesResourcesForNextJob(t *testing.T) {
 	// Cluster fits 2 copies. Job 1 gets original+clone; job 2 must wait
 	// until job 1 completes and BOTH copies release.
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 5), singleTaskJob(2, 0, 5)}
-	res := runDet(t, c, jobs, cloner{})
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 5), SingleTaskJob(2, 0, 5)}
+	res := runDet(t, c, jobs, Cloner{})
 	by := res.ByJobID()
 	if by[1].Finish != 5 {
 		t.Fatalf("job1 finish: %d", by[1].Finish)
@@ -196,8 +153,8 @@ func TestStochasticCloningHelps(t *testing.T) {
 		}
 		return res
 	}
-	noClone := eng(greedy{})
-	withClone := eng(cloner{})
+	noClone := eng(Greedy{})
+	withClone := eng(Cloner{})
 	if withClone.MeanFlowtime() >= noClone.MeanFlowtime() {
 		t.Fatalf("cloning should reduce mean flowtime under heavy tails: %v vs %v",
 			withClone.MeanFlowtime(), noClone.MeanFlowtime())
@@ -211,11 +168,14 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = workload.SingleTask(workload.JobID(i), int64(i*3), resources.Cores(2, 4), 8, 6)
 		}
-		e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Seed: 5, Paranoid: true})
+		e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +191,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestStuckDetection(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
 	j := workload.SingleTask(1, 0, resources.Cores(8, 8), 5, 0) // never fits
-	e, err := New(Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: greedy{}, Deterministic: true})
+	e, err := New(Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: Greedy{}, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,26 +202,26 @@ func TestStuckDetection(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	good := singleTaskJob(1, 0, 1)
-	if _, err := New(Config{Jobs: []*workload.Job{good}, Scheduler: greedy{}}); err == nil {
+	good := SingleTaskJob(1, 0, 1)
+	if _, err := New(Config{Jobs: []*workload.Job{good}, Scheduler: Greedy{}}); err == nil {
 		t.Error("nil cluster should error")
 	}
 	if _, err := New(Config{Cluster: c, Jobs: []*workload.Job{good}}); err == nil {
 		t.Error("nil scheduler should error")
 	}
-	if _, err := New(Config{Cluster: c, Scheduler: greedy{}}); err == nil {
+	if _, err := New(Config{Cluster: c, Scheduler: Greedy{}}); err == nil {
 		t.Error("no jobs should error")
 	}
-	dup := []*workload.Job{singleTaskJob(1, 0, 1), singleTaskJob(1, 0, 1)}
-	if _, err := New(Config{Cluster: c, Jobs: dup, Scheduler: greedy{}}); err == nil {
+	dup := []*workload.Job{SingleTaskJob(1, 0, 1), SingleTaskJob(1, 0, 1)}
+	if _, err := New(Config{Cluster: c, Jobs: dup, Scheduler: Greedy{}}); err == nil {
 		t.Error("duplicate IDs should error")
 	}
-	neg := singleTaskJob(2, -1, 1)
-	if _, err := New(Config{Cluster: c, Jobs: []*workload.Job{neg}, Scheduler: greedy{}}); err == nil {
+	neg := SingleTaskJob(2, -1, 1)
+	if _, err := New(Config{Cluster: c, Jobs: []*workload.Job{neg}, Scheduler: Greedy{}}); err == nil {
 		t.Error("negative arrival should error")
 	}
 	invalid := &workload.Job{ID: 3}
-	if _, err := New(Config{Cluster: c, Jobs: []*workload.Job{invalid}, Scheduler: greedy{}}); err == nil {
+	if _, err := New(Config{Cluster: c, Jobs: []*workload.Job{invalid}, Scheduler: Greedy{}}); err == nil {
 		t.Error("invalid job should error")
 	}
 	// Rack tallies are indexed by rack.
@@ -269,7 +229,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Cluster: offRack, Jobs: []*workload.Job{good}, Scheduler: greedy{}}); err == nil {
+	if _, err := New(Config{Cluster: offRack, Jobs: []*workload.Job{good}, Scheduler: Greedy{}}); err == nil {
 		t.Error("negative rack should error")
 	}
 }
@@ -358,7 +318,7 @@ func (s *copyCapScheduler) Schedule(ctx sched.Context) []sched.Placement {
 
 func TestMaxCopiesEnforced(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(8, 8))
-	j := singleTaskJob(1, 0, 5)
+	j := SingleTaskJob(1, 0, 5)
 	e, err := New(Config{
 		Cluster: c, Jobs: []*workload.Job{j}, Scheduler: &copyCapScheduler{},
 		Deterministic: true,
@@ -385,7 +345,7 @@ func TestPhaseStatsFallbackAndObservation(t *testing.T) {
 	// record and has placed nothing. Before that it is not there yet.
 	var hookMean, arriveMean, arriveSD float64
 	var hookN, arriveN int
-	cfg := Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: greedy{}, Deterministic: true}
+	cfg := Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: Greedy{}, Deterministic: true}
 	var e *Engine
 	cfg.Observe = func(o *Observation) {
 		switch o.Kind {
@@ -441,7 +401,7 @@ func TestTransferPenaltyCrossRack(t *testing.T) {
 	}
 	// greedy places both phases on server 0 (first fit): same rack, no
 	// penalty.
-	e1, err := New(Config{Cluster: mk(), Jobs: []*workload.Job{job()}, Scheduler: greedy{},
+	e1, err := New(Config{Cluster: mk(), Jobs: []*workload.Job{job()}, Scheduler: Greedy{},
 		Deterministic: true, TransferPenalty: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -489,8 +449,8 @@ func (rackForcer) Schedule(ctx sched.Context) []sched.Placement {
 
 func TestResultHelpers(t *testing.T) {
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 2), singleTaskJob(2, 1, 4)}
-	res := runDet(t, c, jobs, greedy{})
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 2), SingleTaskJob(2, 1, 4)}
+	res := runDet(t, c, jobs, Greedy{})
 	if got := res.Flowtimes(); len(got) != 2 {
 		t.Fatal("flowtimes")
 	}
@@ -520,8 +480,8 @@ func TestResultHelpers(t *testing.T) {
 
 func TestMaxSlotsGuard(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	j := singleTaskJob(1, 0, 100)
-	e, err := New(Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: greedy{},
+	j := SingleTaskJob(1, 0, 100)
+	e, err := New(Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: Greedy{},
 		Deterministic: true, MaxSlots: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -535,8 +495,8 @@ func TestMaxSlotsGuard(t *testing.T) {
 // point per interval between events, in slot order.
 func TestTimelineRecording(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 4), singleTaskJob(2, 0, 4)}
-	_, tl := runTimeline(t, Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true})
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 4), SingleTaskJob(2, 0, 4)}
+	_, tl := runTimeline(t, Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true})
 	// [0, 4) holds two active jobs, one running copy and the whole CPU;
 	// [4, 8) the second job alone.
 	want := []timelinePoint{

@@ -1,83 +1,60 @@
 //go:build !race
 
-package sim
+package sim_test
 
 import (
 	"testing"
 
 	"dollymp/internal/core"
+	. "dollymp/internal/sim"
 	"dollymp/internal/sim/simtest"
+	"dollymp/internal/verify"
 )
 
-// eventCounts is what a counting observer tallies over one drain.
-type eventCounts struct {
-	arrive, jobStart, jobDone, lost       int
-	place, clonePlace, complete, cloneWin int
-	kill, advance                         int
-}
-
-// TestEngineEventCounts drains each simtest row once with an
-// observer that counts every event kind, and pins the counts: the
-// engine's work per row, exact and a pure function of the seed. Each job
-// arrives, starts and finishes once; no server fails, so no copy is
-// lost; place, complete and kill (with the clone share of the first two)
-// and clock advances are the row's. The counts were first read from
-// Result.Trace and one sample per clock advance, so a seam that drops or
-// duplicates an event fails here. Without the race detector: the four
-// drains take about 4 s, under it minutes.
+// TestEngineEventCounts drains each simtest row once with a verify.Stream
+// attached, which certifies the drain event by event, and pins the
+// counts its Ledger keeps: the engine's work per row, exact and a pure
+// function of the seed. Each job arrives, starts and finishes once; no
+// server fails, so no copy is lost; place, complete and kill (with the
+// clone share of the first two) and clock advances are the row's. The
+// counts were first read from Result.Trace and one sample per clock
+// advance, so a seam that drops or duplicates an event fails here. No
+// row keeps a trace, and replay-32 streams its jobs from disk, so the
+// stream certifies it with no job list held. Without the race detector:
+// the four drains take about 8 s, under it minutes.
 func TestEngineEventCounts(t *testing.T) {
-	pins := map[string]eventCounts{
-		"cloning-300": {place: 76_206, clonePlace: 39_394, complete: 36_812, cloneWin: 16_380, kill: 39_394, advance: 343},
-		"paced-2k":    {place: 765_675, clonePlace: 389_303, complete: 376_372, cloneWin: 182_834, kill: 389_303, advance: 511},
-		"backlog-200": {place: 96_965, clonePlace: 5_295, complete: 91_670, cloneWin: 1_694, kill: 5_295, advance: 571},
-		"replay-32":   {place: 1_819_634, clonePlace: 1_198_894, complete: 620_740, cloneWin: 353_594, kill: 1_198_894, advance: 133_194},
+	pins := map[string]verify.Ledger{
+		"cloning-300": {Placed: 76_206, Clones: 39_394, Completed: 36_812, CloneWins: 16_380, Killed: 39_394, Advances: 343},
+		"paced-2k":    {Placed: 765_675, Clones: 389_303, Completed: 376_372, CloneWins: 182_834, Killed: 389_303, Advances: 511},
+		"backlog-200": {Placed: 96_965, Clones: 5_295, Completed: 91_670, CloneWins: 1_694, Killed: 5_295, Advances: 571},
+		"replay-32":   {Placed: 1_819_634, Clones: 1_198_894, Completed: 620_740, CloneWins: 353_594, Killed: 1_198_894, Advances: 133_194},
 	}
 	for _, r := range simtest.Rows {
 		t.Run(r.Name, func(t *testing.T) {
 			fleet, source := r.Source(t)
-			var n eventCounts
-			e, err := New(Config{
+			e, cert, err := verify.New(Config{
 				Cluster: fleet, Scheduler: core.MustNew(core.WithClones(2)),
 				Seed: 1, Online: true, CompactJobs: true,
-				Observe: func(o *Observation) {
-					switch o.Kind {
-					case TraceArrive:
-						n.arrive++
-					case TraceJobStart:
-						n.jobStart++
-					case TraceJobDone:
-						n.jobDone++
-					case TraceLost:
-						n.lost++
-					case TracePlace:
-						n.place++
-						if o.Clone {
-							n.clonePlace++
-						}
-					case TraceComplete:
-						n.complete++
-						if o.Clone {
-							n.cloneWin++
-						}
-					case TraceKill:
-						n.kill++
-					case TraceAdvance:
-						n.advance++
-					}
-				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := e.Drain(source)
+			if err == nil {
+				err = cert.Close()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.Check(t, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
-			want := pins[r.Name]
-			want.arrive, want.jobStart, want.jobDone = r.Jobs, r.Jobs, r.Jobs
+			n, want := cert.Ledger(), pins[r.Name]
+			want.Arrived, want.Started, want.Finished = r.Jobs, r.Jobs, r.Jobs
+			want.Wasted = n.Wasted
 			if n != want {
 				t.Fatalf("counted %+v\nwant    %+v", n, want)
+			}
+			if int64(n.Placed) != res.Digest.CopiesLaunched {
+				t.Fatalf("the ledger counts %d copies placed, the digest %d", n.Placed, res.Digest.CopiesLaunched)
 			}
 		})
 	}

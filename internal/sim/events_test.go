@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"strings"
@@ -6,14 +6,16 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
 func TestEventValidation(t *testing.T) {
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	j := singleTaskJob(1, 0, 5)
+	j := SingleTaskJob(1, 0, 5)
 	mk := func(ev Event) error {
-		_, err := New(Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: greedy{},
+		_, err := New(Config{Cluster: c, Jobs: []*workload.Job{j}, Scheduler: Greedy{},
 			Deterministic: true, Events: []Event{ev}})
 		return err
 	}
@@ -44,8 +46,8 @@ func TestSlowdownAffectsLaterPlacements(t *testing.T) {
 	// Two sequential jobs on one server; the slowdown lands between
 	// them, so job 1 runs at full speed and job 2 at half.
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 10), singleTaskJob(2, 10, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 10), SingleTaskJob(2, 10, 10)}
+	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
 		Events: []Event{{At: 5, Server: 0, Kind: EventSlowdown, Factor: 0.5}}})
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +67,8 @@ func TestSlowdownAffectsLaterPlacements(t *testing.T) {
 
 func TestRecoverRestoresSpeed(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 10, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
+	jobs := []*workload.Job{SingleTaskJob(1, 10, 10)}
+	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
 		Events: []Event{
 			{At: 0, Server: 0, Kind: EventSlowdown, Factor: 0.5},
 			{At: 5, Server: 0, Kind: EventRecover},
@@ -87,14 +89,16 @@ func TestFailKillsLastCopyAndReschedules(t *testing.T) {
 	// One job running on server 0; server 0 fails mid-run; the task
 	// must restart on server 1.
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
-		Paranoid: true,
-		Events:   []Event{{At: 4, Server: 0, Kind: EventFail}}})
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 10)}
+	e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
+		Events: []Event{{At: 4, Server: 0, Kind: EventFail}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +116,16 @@ func TestCloneSurvivesFailure(t *testing.T) {
 	// With a clone on the other server, the failure costs nothing: the
 	// surviving copy finishes on time — cloning as fault tolerance.
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: cloner{}, Deterministic: true,
-		Paranoid: true,
-		Events:   []Event{{At: 4, Server: 0, Kind: EventFail}}})
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 10)}
+	e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: Cloner{}, Deterministic: true,
+		Events: []Event{{At: 4, Server: 0, Kind: EventFail}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +141,16 @@ func TestFailedServerRejectsPlacements(t *testing.T) {
 	// Server 0 fails before the job arrives; everything must run on
 	// server 1.
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 5, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
-		Paranoid: true,
-		Events:   []Event{{At: 0, Server: 0, Kind: EventFail}}})
+	jobs := []*workload.Job{SingleTaskJob(1, 5, 10)}
+	e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
+		Events: []Event{{At: 0, Server: 0, Kind: EventFail}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
+	if err == nil {
+		err = cert.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +163,8 @@ func TestRestoreUnblocksCluster(t *testing.T) {
 	// The only server fails, then restores; the waiting job runs after
 	// the restore rather than deadlocking the simulation.
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 5)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 5)}
+	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
 		Events: []Event{
 			{At: 0, Server: 0, Kind: EventFail},
 			{At: 20, Server: 0, Kind: EventRestore},
@@ -175,8 +183,8 @@ func TestRestoreUnblocksCluster(t *testing.T) {
 
 func TestPermanentFailureIsStuck(t *testing.T) {
 	c := cluster.Uniform(1, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 5)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 5)}
+	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
 		Events: []Event{{At: 0, Server: 0, Kind: EventFail}}})
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +196,8 @@ func TestPermanentFailureIsStuck(t *testing.T) {
 
 func TestDoubleFailIsIdempotent(t *testing.T) {
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
-		Paranoid: true,
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 10)}
+	e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
 		Events: []Event{
 			{At: 2, Server: 0, Kind: EventFail},
 			{At: 3, Server: 0, Kind: EventFail},
@@ -201,13 +208,16 @@ func TestDoubleFailIsIdempotent(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if err := cert.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFailureUsageStillCharged(t *testing.T) {
 	// The killed copy's partial runtime is charged to the job.
 	c := cluster.Uniform(2, resources.Cores(1, 1))
-	jobs := []*workload.Job{singleTaskJob(1, 0, 10)}
-	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true,
+	jobs := []*workload.Job{SingleTaskJob(1, 0, 10)}
+	e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true,
 		Events: []Event{{At: 4, Server: 0, Kind: EventFail}}})
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"testing"
@@ -6,14 +6,16 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
 	"dollymp/internal/stats"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
 // chaos makes random-but-valid scheduling decisions: each call places a
 // random subset of schedulable tasks and random clones on random fitting
-// servers. Under paranoid checking, any engine bookkeeping bug surfaces
-// as an invariant violation regardless of policy quality.
+// servers. Under verify.Stream, any engine bookkeeping bug surfaces as
+// a certification failure regardless of policy quality.
 type chaos struct {
 	rng *stats.RNG
 }
@@ -107,12 +109,11 @@ func TestChaosSchedulerInvariants(t *testing.T) {
 		// matching restore for every fail so the run can always finish.
 		events = append(events, Event{At: 70, Server: events[1].Server, Kind: EventRestore})
 
-		e, err := New(Config{
+		e, cert, err := verify.New(Config{
 			Cluster:     fleet,
 			Jobs:        jobs,
 			Scheduler:   &chaos{rng: stats.NewRNG(seed * 7)},
 			Seed:        seed,
-			Paranoid:    true,
 			Events:      events,
 			RecordTrace: true,
 		})
@@ -120,6 +121,9 @@ func TestChaosSchedulerInvariants(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,12 +1,15 @@
-package sim
+package sim_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -39,13 +42,13 @@ func TestRunningTimeLowerBoundProperty(t *testing.T) {
 			}
 			jobs[i] = workload.Chain(workload.JobID(i), "p", "t", int64(i), phases)
 		}
-		e, err := New(Config{Cluster: c, Jobs: jobs, Scheduler: greedy{},
-			Deterministic: true, Paranoid: true})
+		e, cert, err := verify.New(Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{},
+			Deterministic: true})
 		if err != nil {
 			return false
 		}
 		res, err := e.Run()
-		if err != nil {
+		if err != nil || cert.Close() != nil {
 			return false
 		}
 		by := res.ByJobID()
@@ -71,11 +74,11 @@ func TestRunningTimeLowerBoundProperty(t *testing.T) {
 func TestUtilizationMatchesTimeline(t *testing.T) {
 	c := cluster.Uniform(2, resources.Cores(2, 4))
 	jobs := []*workload.Job{
-		singleTaskJob(1, 0, 4),
-		singleTaskJob(2, 3, 6),
-		singleTaskJob(3, 5, 2),
+		SingleTaskJob(1, 0, 4),
+		SingleTaskJob(2, 3, 6),
+		SingleTaskJob(3, 5, 2),
 	}
-	res, tl := runTimeline(t, Config{Cluster: c, Jobs: jobs, Scheduler: greedy{}, Deterministic: true})
+	res, tl := runTimeline(t, Config{Cluster: c, Jobs: jobs, Scheduler: Greedy{}, Deterministic: true})
 	// Step-integrate the timeline over [0, makespan].
 	var cpuInt, memInt float64
 	for i, p := range tl {
@@ -93,32 +96,75 @@ func TestUtilizationMatchesTimeline(t *testing.T) {
 	}
 }
 
-// A job that holds no copy must be tracked as holding nothing. The check
-// used to compare tracked allocations only for jobs it found live copies
-// of, so a leak on a job whose copies were all gone went unseen.
-func TestParanoidCatchesLeakOnCopylessJob(t *testing.T) {
-	// One core: job 1 runs, job 2 has arrived and waits without a copy.
-	e, err := New(Config{
-		Cluster: cluster.Uniform(1, resources.Cores(1, 1)), Scheduler: greedy{},
-		Jobs:          []*workload.Job{singleTaskJob(1, 0, 5), singleTaskJob(2, 0, 5)},
-		Deterministic: true, Paranoid: true,
+// requireDrift runs a cloned workload on one server to slot 3, where
+// three jobs wait without a copy, lets plant make the engine's state
+// drift from its copies, and requires the stream to report want at the
+// next clock advance, which leaves slot 3.
+func requireDrift(t *testing.T, plant func(e *Engine), want string) {
+	t.Helper()
+	jobs := make([]*workload.Job, 6)
+	for i := range jobs {
+		jobs[i] = SingleTaskJob(workload.JobID(i+1), int64(i), 4)
+	}
+	e, cert, err := verify.New(Config{
+		Cluster: cluster.Uniform(1, resources.Cores(2, 8)), Scheduler: Cloner{},
+		Jobs: jobs, Deterministic: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for e.Now() < 3 {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cert.Close(); err != nil {
+		t.Fatalf("clean state rejected: %v", err)
+	}
+	plant(e)
 	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Allocation(2); !got.IsZero() {
-		t.Fatalf("job 2 waits without a copy but holds %v", got)
+	if err := cert.Close(); err == nil || !strings.Contains(err.Error(), "at slot 3: "+want) {
+		t.Fatalf("got %v, want the drift reported at slot 3 naming %q", err, want)
 	}
-	if err := e.checkInvariants(); err != nil {
-		t.Fatalf("clean state rejected: %v", err)
-	}
-	if !e.SetTrackedAllocation(2, resources.Cores(1, 1)) {
-		t.Fatal("job 2 is not live")
-	}
-	if err := e.checkInvariants(); err == nil {
-		t.Fatal("a leaked allocation on a job without copies passed the invariant check")
-	}
+}
+
+// TestStreamCatchesDrift plants drift mid-run in each quantity the
+// stream compares with the engine: a server's use, the clone use and a
+// task's live-copy count.
+func TestStreamCatchesDrift(t *testing.T) {
+	t.Run("server use", func(t *testing.T) {
+		requireDrift(t, func(e *Engine) {
+			if err := e.Cluster().Allocate(0, resources.Cores(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}, "server 0")
+	})
+	t.Run("clone use", func(t *testing.T) {
+		requireDrift(t, func(e *Engine) { e.SetCloneUsage(resources.Cores(2, 2)) }, "the engine reports clone use")
+	})
+	t.Run("live copies", func(t *testing.T) {
+		requireDrift(t, func(e *Engine) {
+			js := e.Jobs()[1]
+			if js.Job.ID != 2 || js.Task(0, 0) != workload.TaskPending {
+				t.Fatalf("job %d is not job 2 waiting", js.Job.ID)
+			}
+			js.MarkRunning(0, 0)
+		}, "task j2/p0/t0")
+	})
+}
+
+// A job that holds no copy must be tracked as holding nothing. The check
+// used to compare tracked allocations only for jobs it found live copies
+// of, so a leak on a job whose copies were all gone went unseen.
+func TestParanoidCatchesLeakOnCopylessJob(t *testing.T) {
+	requireDrift(t, func(e *Engine) {
+		if got := e.Allocation(2); !got.IsZero() {
+			t.Fatalf("job 2 waits without a copy but holds %v", got)
+		}
+		if !e.SetTrackedAllocation(2, resources.Cores(1, 1)) {
+			t.Fatal("job 2 is not live")
+		}
+	}, "job 2")
 }

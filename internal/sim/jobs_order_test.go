@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"testing"
@@ -6,6 +6,8 @@ import (
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -100,14 +102,14 @@ func (c *snapshotChecker) Schedule(ctx sched.Context) []sched.Placement {
 // calls (core.Scheduler) rely on it.
 func TestJobsSnapshotsOnlyAppendAndCut(t *testing.T) {
 	chk := &snapshotChecker{
-		Scheduler: greedy{}, t: t,
+		Scheduler: Greedy{}, t: t,
 		stamp:   map[*workload.JobState]uint32{},
 		running: map[*workload.JobState]bool{},
 		placed:  map[workload.JobID]bool{},
 	}
-	e, err := New(Config{
+	e, cert, err := verify.New(Config{
 		Cluster: cluster.Uniform(2, resources.Cores(2, 2)), Scheduler: chk,
-		Deterministic: true, Online: true, Paranoid: true,
+		Deterministic: true, Online: true,
 		Events: []Event{{At: 2, Server: 0, Kind: EventFail}, {At: 6, Server: 0, Kind: EventRestore}},
 	})
 	if err != nil {
@@ -115,7 +117,7 @@ func TestJobsSnapshotsOnlyAppendAndCut(t *testing.T) {
 	}
 	inject := func(id workload.JobID, arrival int64, mean float64) {
 		t.Helper()
-		if _, err := e.InjectJob(singleTaskJob(id, arrival, mean)); err != nil {
+		if _, err := e.InjectJob(SingleTaskJob(id, arrival, mean)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +142,10 @@ func TestJobsSnapshotsOnlyAppendAndCut(t *testing.T) {
 			inject(1, 0, 1) // clamped to the clock, behind everything active
 		}
 	}
-	if got := e.res.Completed; got != 10 {
+	if err := cert.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CompletedJobs(); got != 10 {
 		t.Fatalf("completed %d of 10", got)
 	}
 	if chk.grew < 3 || chk.shed < 3 || chk.moved < 3 {

@@ -1,10 +1,12 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -68,7 +70,7 @@ func runTimeline(t *testing.T, cfg Config) (*Result, []timelinePoint) {
 // right after its last completion, slots never go back, and an advance
 // leaves the slot every event since the previous one carried.
 func TestObserverAdvanceMatchesStream(t *testing.T) {
-	for _, s := range []sched.Scheduler{cloner{}, greedy{}} {
+	for _, s := range []sched.Scheduler{Cloner{}, Greedy{}} {
 		t.Run(s.Name(), func(t *testing.T) {
 			cfg := failureScenario(s)
 			var e *Engine
@@ -132,11 +134,14 @@ func TestObserverAdvanceMatchesStream(t *testing.T) {
 				}
 				prev = *o
 			}
-			e, err := New(cfg)
+			e, cert, err := verify.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := e.Run()
+			if err == nil {
+				err = cert.Close()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

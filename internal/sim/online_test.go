@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
@@ -8,7 +8,9 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
+	. "dollymp/internal/sim"
 	"dollymp/internal/sim/simtest"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -25,12 +27,12 @@ func TestOnlineMatchesBatch(t *testing.T) {
 		return jobs
 	}
 
-	batch := runDet(t, cluster.Uniform(3, resources.Cores(4, 8)), mkJobs(), greedy{})
+	batch := runDet(t, cluster.Uniform(3, resources.Cores(4, 8)), mkJobs(), Greedy{})
 
 	jobs := mkJobs()
-	e, err := New(Config{
-		Cluster: cluster.Uniform(3, resources.Cores(4, 8)), Scheduler: greedy{},
-		Seed: 1, Deterministic: true, Paranoid: true, Online: true,
+	e, cert, err := verify.New(Config{
+		Cluster: cluster.Uniform(3, resources.Cores(4, 8)), Scheduler: Greedy{},
+		Seed: 1, Deterministic: true, Online: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +66,9 @@ func TestOnlineMatchesBatch(t *testing.T) {
 		}
 	}
 	online := e.Finalize()
+	if err := cert.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if len(online.Jobs) != len(batch.Jobs) {
 		t.Fatalf("online completed %d jobs, batch %d", len(online.Jobs), len(batch.Jobs))
@@ -90,8 +95,8 @@ func TestOnlineMatchesBatch(t *testing.T) {
 // injected just before its arrival slot, and again all of them through
 // Drain — must be bit-for-bit identical to a batch run handed the same
 // jobs up front. Durations are stochastic (shared engine RNG), the
-// scheduler clones aggressively, and Paranoid re-verifies ledger
-// invariants after every event, so any divergence in arrival order,
+// scheduler clones aggressively, and a verify.Stream certifies each run
+// event by event, so any divergence in arrival order,
 // placement order, or RNG draw sequence between the paths fails the
 // test.
 func TestOnlineBatchEquivalenceProperty(t *testing.T) {
@@ -129,22 +134,25 @@ func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 			}
 
 			fleet := func() *cluster.Cluster { return cluster.LargeFleet(12, seed) }
-			batchEng, err := New(Config{
-				Cluster: fleet(), Jobs: mkJobs(), Scheduler: cloner{},
-				Seed: seed, Paranoid: true,
+			batchEng, batchCert, err := verify.New(Config{
+				Cluster: fleet(), Jobs: mkJobs(), Scheduler: Cloner{},
+				Seed: seed,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			batch, err := batchEng.Run()
+			if err == nil {
+				err = batchCert.Close()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			jobs := mkJobs()
-			e, err := New(Config{
-				Cluster: fleet(), Scheduler: cloner{},
-				Seed: seed, Paranoid: true, Online: true,
+			e, cert, err := verify.New(Config{
+				Cluster: fleet(), Scheduler: Cloner{},
+				Seed: seed, Online: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -170,18 +178,24 @@ func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 				}
 			}
 			byHand := e.Finalize()
+			if err := cert.Close(); err != nil {
+				t.Fatal(err)
+			}
 
 			// Drain over the same sorted jobs is the other way to drive
 			// the online engine: the whole workload sits inside its
 			// lookahead from the first step.
-			d, err := New(Config{
-				Cluster: fleet(), Scheduler: cloner{},
-				Seed: seed, Paranoid: true, Online: true,
+			d, drainCert, err := verify.New(Config{
+				Cluster: fleet(), Scheduler: Cloner{},
+				Seed: seed, Online: true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			drained, err := d.Drain(simtest.SliceSource(mkJobs()))
+			if err == nil {
+				err = drainCert.Close()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +230,7 @@ func TestOnlineBatchEquivalenceProperty(t *testing.T) {
 // TestOnlineIdleResume injects a second wave after the engine drains.
 func TestOnlineIdleResume(t *testing.T) {
 	e, err := New(Config{
-		Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: greedy{},
+		Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: Greedy{},
 		Seed: 1, Deterministic: true, Online: true,
 	})
 	if err != nil {
@@ -227,7 +241,7 @@ func TestOnlineIdleResume(t *testing.T) {
 	}
 	run := func(n int, base workload.JobID) {
 		for i := 0; i < n; i++ {
-			if _, err := e.InjectJob(singleTaskJob(base+workload.JobID(i), 0, 4)); err != nil {
+			if _, err := e.InjectJob(SingleTaskJob(base+workload.JobID(i), 0, 4)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -265,14 +279,14 @@ func TestOnlineIdleResume(t *testing.T) {
 
 func TestInjectValidation(t *testing.T) {
 	e, err := New(Config{
-		Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: greedy{},
+		Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: Greedy{},
 		Seed: 1, Deterministic: true, Online: true,
-		Jobs: []*workload.Job{singleTaskJob(1, 0, 2)},
+		Jobs: []*workload.Job{SingleTaskJob(1, 0, 2)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.InjectJob(singleTaskJob(1, 0, 2)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := e.InjectJob(SingleTaskJob(1, 0, 2)); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate ID must be rejected, got %v", err)
 	}
 	if _, err := e.InjectJob(&workload.Job{ID: 9}); err == nil {
@@ -280,17 +294,17 @@ func TestInjectValidation(t *testing.T) {
 	}
 
 	batch, err := New(Config{
-		Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: greedy{},
-		Seed: 1, Jobs: []*workload.Job{singleTaskJob(1, 0, 2)},
+		Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: Greedy{},
+		Seed: 1, Jobs: []*workload.Job{SingleTaskJob(1, 0, 2)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch.InjectJob(singleTaskJob(2, 0, 2)); err == nil {
+	if _, err := batch.InjectJob(SingleTaskJob(2, 0, 2)); err == nil {
 		t.Fatal("InjectJob without Config.Online must be rejected")
 	}
 
-	if _, err := New(Config{Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: greedy{}, Seed: 1}); err == nil {
+	if _, err := New(Config{Cluster: cluster.Uniform(1, resources.Cores(4, 8)), Scheduler: Greedy{}, Seed: 1}); err == nil {
 		t.Fatal("batch engine with no jobs must be rejected")
 	}
 }
@@ -301,7 +315,7 @@ func TestOnlineHooks(t *testing.T) {
 	starts := map[workload.JobID]int64{}
 	completes := map[workload.JobID]JobMetrics{}
 	cfg := Config{
-		Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: greedy{},
+		Cluster: cluster.Uniform(2, resources.Cores(4, 8)), Scheduler: Greedy{},
 		Seed: 1, Deterministic: true, Online: true,
 		Observe: func(o *Observation) {
 			switch o.Kind {
@@ -323,7 +337,7 @@ func TestOnlineHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		if _, err := e.InjectJob(singleTaskJob(workload.JobID(i), int64(i), 3)); err != nil {
+		if _, err := e.InjectJob(SingleTaskJob(workload.JobID(i), int64(i), 3)); err != nil {
 			t.Fatal(err)
 		}
 	}

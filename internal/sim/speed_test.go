@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
+	. "dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -43,19 +45,21 @@ func TestSpeedEstimateUnbiasedByTransferPenalty(t *testing.T) {
 	}
 	runWith := func(p int64) (*Engine, *Result) {
 		t.Helper()
-		e, err := New(Config{
+		e, cert, err := verify.New(Config{
 			Cluster:         twoRackUniform(t, 6),
 			Jobs:            jobs,
-			Scheduler:       greedy{},
+			Scheduler:       Greedy{},
 			Seed:            7,
 			Deterministic:   true,
-			Paranoid:        true,
 			TransferPenalty: p,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +103,7 @@ func TestTransferPenaltyStillDelaysCompletion(t *testing.T) {
 		e, err := New(Config{
 			Cluster:         twoRackUniform(t, 2),
 			Jobs:            jobs,
-			Scheduler:       greedy{},
+			Scheduler:       Greedy{},
 			Seed:            1,
 			Deterministic:   true,
 			TransferPenalty: p,

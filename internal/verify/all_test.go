@@ -17,9 +17,11 @@ import (
 
 // TestCertifyEverySchedulersTrace certifies one mixed-workload run of
 // every scheduling policy, with servers failing under it and coming
-// back, against the §3.1 model constraints. A user observer in the same
+// back, against the §3.1 model constraints: as it runs, with a Stream,
+// and from its recorded trace, with Check. A user observer in the same
 // run, keeping the copy kinds, must see exactly Result.Trace: the trace
-// recorder is one more consumer of the engine's one event stream.
+// recorder is one more consumer of the engine's one event stream. The
+// stream's Ledger must count what the trace holds.
 func TestCertifyEverySchedulersTrace(t *testing.T) {
 	var events []sim.Event
 	for s := cluster.ServerID(0); s < 4; s++ {
@@ -46,7 +48,7 @@ func TestCertifyEverySchedulersTrace(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			var seen []sim.TraceEvent
-			e, err := sim.New(sim.Config{
+			e, stream, err := New(sim.Config{
 				Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: s, Seed: 31,
 				RecordTrace: true, Events: events,
 				Observe: func(o *sim.Observation) {
@@ -59,6 +61,9 @@ func TestCertifyEverySchedulersTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := e.Run()
+			if err == nil {
+				err = stream.Close()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,6 +75,33 @@ func TestCertifyEverySchedulersTrace(t *testing.T) {
 			}
 			if err := Check(res.Trace, cluster.Testbed30(), jobs); err != nil {
 				t.Fatalf("certification failed: %v", err)
+			}
+			want := Ledger{Arrived: len(jobs), Started: len(jobs), Finished: len(jobs), Advances: stream.Ledger().Advances}
+			for _, ev := range res.Trace {
+				switch ev.Kind {
+				case sim.TracePlace:
+					want.Placed++
+					if ev.Clone {
+						want.Clones++
+					}
+				case sim.TraceComplete:
+					want.Completed++
+					if ev.Clone {
+						want.CloneWins++
+					}
+				case sim.TraceKill:
+					want.Killed++
+				case sim.TraceLost:
+					want.Lost++
+				}
+			}
+			got := stream.Ledger()
+			want.Wasted = got.Wasted
+			if got != want {
+				t.Fatalf("ledger %+v\ntrace  %+v", got, want)
+			}
+			if want.Killed > 0 && got.Wasted.CPUMilliSlots <= 0 {
+				t.Fatalf("%d siblings killed, yet no resource·slots wasted", want.Killed)
 			}
 		})
 	}

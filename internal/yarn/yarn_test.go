@@ -9,6 +9,7 @@ import (
 	"dollymp/internal/sched"
 	"dollymp/internal/sched/schedtest"
 	"dollymp/internal/sim"
+	"dollymp/internal/verify"
 	"dollymp/internal/workload"
 )
 
@@ -147,13 +148,16 @@ func TestEndToEndCompletesAndMatchesFlat(t *testing.T) {
 		})
 	}
 	runOne := func(sch sched.Scheduler) int64 {
-		e, err := sim.New(sim.Config{
-			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: sch, Seed: 5, Paranoid: true,
+		e, cert, err := verify.New(sim.Config{
+			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: sch, Seed: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +185,17 @@ func TestLocalityBeatsFlatUnderTransferPenalty(t *testing.T) {
 		})
 	}
 	runOne := func(sch sched.Scheduler) int64 {
-		e, err := sim.New(sim.Config{
+		e, cert, err := verify.New(sim.Config{
 			Cluster: cluster.Testbed30(), Jobs: jobs, Scheduler: sch, Seed: 7,
-			TransferPenalty: 4, Paranoid: true,
+			TransferPenalty: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run()
+		if err == nil {
+			err = cert.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
