@@ -6,6 +6,7 @@ package sim
 // test packages use.
 
 import (
+	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
 	"dollymp/internal/sched"
 	"dollymp/internal/stats"
@@ -59,6 +60,17 @@ const Lookahead = lookahead
 // SetCloneUsage overwrites the clone use the engine tracks, so a test
 // can plant drift.
 func (e *Engine) SetCloneUsage(v resources.Vector) { e.cloneUse = v }
+
+// LinkKilledCopy links a killed copy of task ref on server id into the
+// task's copy list, where a completion that kills a sibling but leaves
+// it linked would leave it. It reports whether the job is live.
+func (e *Engine) LinkKilledCopy(ref workload.TaskRef, id cluster.ServerID) bool {
+	lj := e.states[ref.Job]
+	if lj != nil {
+		lj.phases[ref.Phase].heads[ref.Index] = &taskCopy{ref: ref, server: id, start: e.clock, killed: true}
+	}
+	return lj != nil
+}
 
 // Greedy is a FIFO first-fit test scheduler with no cloning.
 type Greedy struct{}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -106,6 +107,14 @@ func requireDrift(t *testing.T, plant func(e *Engine), want string) {
 	for i := range jobs {
 		jobs[i] = SingleTaskJob(workload.JobID(i+1), int64(i), 4)
 	}
+	requireDriftAt(t, jobs, 3, plant, want)
+}
+
+// requireDriftAt runs jobs cloned on one server of two cores to slot
+// at, lets plant make the engine's state drift, and requires the stream
+// to report want at the clock advance that leaves slot at.
+func requireDriftAt(t *testing.T, jobs []*workload.Job, at int64, plant func(e *Engine), want string) {
+	t.Helper()
 	e, cert, err := verify.New(Config{
 		Cluster: cluster.Uniform(1, resources.Cores(2, 8)), Scheduler: Cloner{},
 		Jobs: jobs, Deterministic: true,
@@ -113,7 +122,7 @@ func requireDrift(t *testing.T, plant func(e *Engine), want string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e.Now() < 3 {
+	for e.Now() < at {
 		if _, err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -125,14 +134,14 @@ func requireDrift(t *testing.T, plant func(e *Engine), want string) {
 	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cert.Close(); err == nil || !strings.Contains(err.Error(), "at slot 3: "+want) {
-		t.Fatalf("got %v, want the drift reported at slot 3 naming %q", err, want)
+	if err := cert.Close(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at slot %d: %s", at, want)) {
+		t.Fatalf("got %v, want the drift reported at slot %d naming %q", err, at, want)
 	}
 }
 
 // TestStreamCatchesDrift plants drift mid-run in each quantity the
-// stream compares with the engine: a server's use, the clone use and a
-// task's live-copy count.
+// stream compares with the engine: a server's use, the clone use, a
+// task's live-copy count and its copy list.
 func TestStreamCatchesDrift(t *testing.T) {
 	t.Run("server use", func(t *testing.T) {
 		requireDrift(t, func(e *Engine) {
@@ -152,6 +161,21 @@ func TestStreamCatchesDrift(t *testing.T) {
 			}
 			js.MarkRunning(0, 0)
 		}, "task j2/p0/t0")
+	})
+	t.Run("killed sibling linked", func(t *testing.T) {
+		// Task 0 runs twice from slot 0 and wins at slot 4, killing its
+		// sibling; task 1 then takes both cores, so the job stays live.
+		// MarkRunning is a no-op on the done task that moves the job's
+		// Version, as the completion that left the sibling linked did.
+		job := SingleTaskJob(1, 0, 4)
+		job.Phases[0].Tasks = 2
+		requireDriftAt(t, []*workload.Job{job}, 4, func(e *Engine) {
+			ref := workload.TaskRef{Job: 1, Phase: 0, Index: 0}
+			if e.Copies(ref) != nil || !e.LinkKilledCopy(ref, 0) {
+				t.Fatal("task j1/p0/t0 is not done in a live job")
+			}
+			e.Jobs()[0].MarkRunning(0, 0)
+		}, "task j1/p0/t0: the engine lists copies")
 	})
 }
 

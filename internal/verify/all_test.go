@@ -13,6 +13,7 @@ import (
 	"dollymp/internal/sched/tetris"
 	"dollymp/internal/sim"
 	"dollymp/internal/trace"
+	"dollymp/internal/workload"
 )
 
 // TestCertifyEverySchedulersTrace certifies one mixed-workload run of
@@ -76,10 +77,23 @@ func TestCertifyEverySchedulersTrace(t *testing.T) {
 			if err := Check(res.Trace, cluster.Testbed30(), jobs); err != nil {
 				t.Fatalf("certification failed: %v", err)
 			}
+			// The start slots of the live copies of each task, server and
+			// clone flag, oldest first: an ending copy is the oldest.
+			type live struct {
+				ref    workload.TaskRef
+				server cluster.ServerID
+				clone  bool
+			}
+			starts := map[live][]int64{}
 			want := Ledger{Arrived: len(jobs), Started: len(jobs), Finished: len(jobs), Advances: stream.Ledger().Advances}
 			for _, ev := range res.Trace {
+				k, start := live{ev.Ref, ev.Server, ev.Clone}, int64(0)
+				if ev.Kind != sim.TracePlace {
+					start, starts[k] = starts[k][0], starts[k][1:]
+				}
 				switch ev.Kind {
 				case sim.TracePlace:
+					starts[k] = append(starts[k], ev.Slot)
 					want.Placed++
 					if ev.Clone {
 						want.Clones++
@@ -91,12 +105,12 @@ func TestCertifyEverySchedulersTrace(t *testing.T) {
 					}
 				case sim.TraceKill:
 					want.Killed++
+					want.Wasted.AddFor(ev.Demand, ev.Slot-start)
 				case sim.TraceLost:
 					want.Lost++
 				}
 			}
 			got := stream.Ledger()
-			want.Wasted = got.Wasted
 			if got != want {
 				t.Fatalf("ledger %+v\ntrace  %+v", got, want)
 			}

@@ -9,9 +9,10 @@
 // holds only the live jobs, so a run of any length is certified with no
 // trace kept. It compares what it re-derived with what the engine
 // reports through sched.Context: the server's use, the job's allocation
-// and the clone use at every copy event, and all of it at every clock
-// advance. Its by-product is the run's Ledger. Check certifies a
-// recorded trace through a Stream.
+// and the clone use at every copy event, and at every clock advance
+// every server's use, the clone use, every live job's allocation and its
+// tasks' live-copy counts and copy lists. Its by-product is the run's
+// Ledger. Check certifies a recorded trace through a Stream.
 package verify
 
 import (
@@ -44,20 +45,18 @@ type Stream struct {
 	used   []resources.Vector
 	clones resources.Vector // what clone copies hold
 	jobs   map[workload.JobID]*liveJob
-	order  []*liveJob // the live jobs in the engine's Jobs order
 	ledger Ledger
 	err    error
 }
 
 // liveJob is what the stream knows of one arrived, unfinished job.
 type liveJob struct {
-	job     *workload.Job
-	phases  []struct{ first, done int } // phase's first index in tasks; tasks completed
-	tasks   []task
-	left    int // tasks not yet completed
-	alloc   resources.Vector
-	started bool
-	end     int64 // slot of the last completion
+	job    *workload.Job
+	phases []struct{ first, done int } // phase's first index in tasks; tasks completed
+	tasks  []task
+	left   int // tasks not yet completed
+	alloc  resources.Vector
+	end    int64 // slot of the last completion
 	// moved marks a copy event since the last clock advance; version is
 	// the job state's Version when compare last walked its tasks.
 	moved   bool
@@ -65,12 +64,11 @@ type liveJob struct {
 }
 
 // task holds its live copies in placement order, as Copies lists them.
-// moved marks a copy event since the last clock advance.
 type task struct {
-	ref         workload.TaskRef
-	done, moved bool
-	n           int
-	copies      [sched.MaxCopies]sched.CopyStatus
+	ref    workload.TaskRef
+	done   bool
+	n      int
+	copies [sched.MaxCopies]sched.CopyStatus
 }
 
 func violation(rule string, slot int64, format string, args ...any) error {
@@ -124,10 +122,6 @@ func (s *Stream) observe(o *sim.Observation) error {
 		}
 		s.arrive(jobs[len(jobs)-1].Job)
 	case sim.TraceJobStart:
-		if j == nil || j.started {
-			return violation("job start", o.Slot, "job %d starts, but is not live or started before", o.Ref.Job)
-		}
-		j.started = true
 		s.ledger.Started++
 	case sim.TraceJobDone:
 		// Eq. (8): a job finishes in the slot of its last completion.
@@ -166,7 +160,6 @@ func (s *Stream) arrive(j *workload.Job) {
 		}
 	}
 	s.jobs[j.ID] = lj
-	s.order = append(s.order, lj)
 	s.ledger.Arrived++
 }
 
@@ -186,7 +179,7 @@ func (s *Stream) copyEvent(j *liveJob, ev *sim.TraceEvent) error {
 		return violation("copy", slot, "%v event of unknown kind %d", ref, ev.Kind)
 	}
 	ph, t := &j.job.Phases[ref.Phase], &j.tasks[j.phases[ref.Phase].first+ref.Index]
-	t.moved, j.moved = true, true
+	j.moved = true
 	if ev.Kind == sim.TracePlace {
 		if err := s.place(j, t, ev); err != nil {
 			return err
@@ -271,7 +264,7 @@ func (s *Stream) place(j *liveJob, t *task, ev *sim.TraceEvent) error {
 
 // compare checks what the stream re-derived against what the engine
 // reports: each server's use, the clone use, and each live job's
-// allocation, live-copy counts, and the copies of each task that moved.
+// allocation, and each of its tasks' live-copy count and copy list.
 func (s *Stream) compare(slot int64) error {
 	e := s.engine
 	for i, srv := range e.Cluster().Servers() {
@@ -282,20 +275,19 @@ func (s *Stream) compare(slot int64) error {
 	if got := e.CloneUsage(); got != s.clones {
 		return violation("engine ledger", slot, "the engine reports clone use %v, the clones hold %v", got, s.clones)
 	}
-	s.order = slices.DeleteFunc(s.order, func(j *liveJob) bool { return j.left == 0 })
 	jobs := e.Jobs()
-	if len(jobs) != len(s.order) {
-		return violation("engine ledger", slot, "the engine holds %d live jobs, the stream %d", len(jobs), len(s.order))
+	if len(jobs) != len(s.jobs) {
+		return violation("engine ledger", slot, "the engine holds %d live jobs, the stream %d", len(jobs), len(s.jobs))
 	}
-	for i, js := range jobs {
-		id, j := js.Job.ID, s.order[i]
-		if j.job.ID != id {
-			return violation("engine ledger", slot, "job %d is live in the engine where the stream holds job %d", id, j.job.ID)
+	for _, js := range jobs {
+		id, j := js.Job.ID, s.jobs[js.Job.ID]
+		if j == nil {
+			return violation("engine ledger", slot, "job %d is live in the engine, not in the stream", id)
 		}
 		if got := e.Allocation(id); got != j.alloc {
 			return violation("engine ledger", slot, "job %d: the engine reports allocation %v, its copies hold %v", id, got, j.alloc)
 		}
-		// A job's copy counts are unchanged while its Version is (the
+		// A job's copies are unchanged while its Version is (the
 		// JobState.Version contract), and the stream's without an event.
 		if !j.moved && js.Version() == j.version {
 			continue
@@ -306,11 +298,9 @@ func (s *Stream) compare(slot int64) error {
 			if n := js.LiveCopies(t.ref.Phase, t.ref.Index); n != t.n {
 				return violation("engine ledger", slot, "task %v: the engine counts %d live copies, the stream holds %d", t.ref, n, t.n)
 			}
-			// Only a copy event changes the copies a task lists.
-			if listed := t.copies[:t.n]; t.moved && t.n > 0 && !slices.Equal(e.Copies(t.ref), listed) {
-				return violation("engine ledger", slot, "task %v: the engine lists copies %v, the stream holds %v", t.ref, e.Copies(t.ref), listed)
+			if got, listed := e.Copies(t.ref), t.copies[:t.n]; !slices.Equal(got, listed) {
+				return violation("engine ledger", slot, "task %v: the engine lists copies %v, the stream holds %v", t.ref, got, listed)
 			}
-			t.moved = false
 		}
 	}
 	return nil
@@ -336,7 +326,8 @@ func Check(trace []sim.TraceEvent, fleet *cluster.Cluster, jobs []*workload.Job)
 		}
 		end = trace[i].Slot
 	}
-	for _, j := range s.order {
+	for _, job := range jobs {
+		j := s.jobs[job.ID]
 		if i := slices.IndexFunc(j.tasks, func(t task) bool { return !t.done }); i >= 0 {
 			return violation("Eq. 6 completion", end, "task %v never completed", j.tasks[i].ref)
 		}
