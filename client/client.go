@@ -53,6 +53,7 @@ const (
 	CodeNotReady         = service.CodeNotReady
 	CodeUnavailable      = service.CodeUnavailable
 	CodeConflict         = service.CodeConflict
+	CodeGone             = service.CodeGone
 )
 
 // Defaults.
@@ -249,8 +250,10 @@ func encodeBatch(jobs []*dollymp.Job) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Job returns one job's lifecycle record; a missing ID is an *Error
-// with CodeNotFound.
+// Job returns one job's lifecycle record; an ID never issued is an
+// *Error with CodeNotFound, and one whose record the deployment no
+// longer holds (a completed job past its shard's newest 1 024) is an
+// *Error with CodeGone.
 func (c *Client) Job(ctx context.Context, id dollymp.JobID) (dollymp.JobInfo, error) {
 	var info dollymp.JobInfo
 	err := c.getJSON(ctx, "/v1/jobs/"+strconv.FormatInt(int64(id), 10), &info)

@@ -426,3 +426,53 @@ func TestErrorRetryAfterPreference(t *testing.T) {
 		t.Error("queue_full must be retryable")
 	}
 }
+
+// TestJobGoneThroughGateway: a member keeps the records of each shard's
+// newest completed jobs only. Through the gateway, an ID whose record
+// its member no longer holds is an *Error with CodeGone (410), one it
+// holds reads back, and one never issued stays CodeNotFound.
+func TestJobGoneThroughGateway(t *testing.T) {
+	members, gsrv, _ := newTestFederation(t, nil)
+	c := New(gsrv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const batch, n = 128, 2560 // about 1280 jobs on each member's one shard
+	var ids []dollymp.JobID
+	for at := 0; at < n; at += batch {
+		jobs := make([]*dollymp.Job, batch)
+		for i := range jobs {
+			jobs[i] = testJob("")
+		}
+		got, err := c.SubmitBatch(ctx, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, got...)
+	}
+	if _, err := c.WaitDrained(ctx, WaitConfig{Jobs: n, Poll: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	var gone, held dollymp.JobID
+	for _, id := range ids {
+		// Member k owns global residue k of 2.
+		switch info, ok := members[(id-1)%2].Job(id); {
+		case ok:
+			held = id
+		case info.State == service.StateGone:
+			gone = id
+		}
+	}
+	if gone == 0 || held == 0 {
+		t.Fatalf("want a held and a gone job among %d, got held %d, gone %d", n, held, gone)
+	}
+	var apiErr *Error
+	if _, err := c.Job(ctx, gone); !errors.As(err, &apiErr) || apiErr.Code != CodeGone || apiErr.Status != http.StatusGone {
+		t.Errorf("Job(%d) error = %v, want *Error with code gone and status 410", gone, err)
+	}
+	if info, err := c.Job(ctx, held); err != nil || info.ID != held {
+		t.Errorf("Job(%d) = %+v, %v; want the held record", held, info, err)
+	}
+	if _, err := c.Job(ctx, 999999); !errors.As(err, &apiErr) || apiErr.Code != CodeNotFound {
+		t.Errorf("Job(999999) error = %v, want *Error with code not_found", err)
+	}
+}

@@ -62,6 +62,7 @@ import (
 
 	"dollymp"
 	"dollymp/internal/service"
+	"dollymp/internal/stats"
 )
 
 func main() {
@@ -285,24 +286,19 @@ func serveRouter(addr, schedName, fleetSpec string, router *dollymp.Router, cfg 
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
+	// The shards' engines fold every job they finished into their
+	// digests; the listing holds only each shard's newest ones.
 	var makespan int64
+	var flow stats.LogHist
 	for _, res := range results {
-		if res.Makespan > makespan {
-			makespan = res.Makespan
-		}
+		makespan = max(makespan, res.Makespan)
+		flow.Merge(&res.Digest.Flowtime)
 	}
 	fmt.Printf("dollympd: drained: %d submitted, %d completed, %d rejected, %d denied, %d stolen, makespan %d slots\n",
 		c.Submitted, c.Completed, c.Rejected, c.Denied, router.Stolen(), makespan)
-	if done := router.Jobs(dollymp.JobFilter{State: service.StateCompleted}); len(done) > 0 {
-		flows := make([]float64, len(done))
-		var sum float64
-		for i, j := range done {
-			flows[i] = float64(j.Flowtime)
-			sum += flows[i]
-		}
-		ecdf := dollymp.NewECDF(flows)
-		fmt.Printf("dollympd: mean flowtime %.1f slots, p95 %.0f slots\n",
-			sum/float64(len(done)), ecdf.Quantile(0.95))
+	if flow.Count() > 0 {
+		fmt.Printf("dollympd: mean flowtime %.1f slots, p95 at most %d slots (over the %d jobs this process ran)\n",
+			flow.Mean(), flow.Quantile(0.95), flow.Count())
 	}
 	return nil
 }

@@ -298,7 +298,8 @@ func (g *Gateway) forward(w http.ResponseWriter, body []byte, answer func(http.R
 // job routes GET /v1/jobs/{id} by residue-class arithmetic: the owner
 // of ID n is the member owning residue (n-1) mod P. A takeover moves
 // jobs off their residue class, so a miss (or a dead owner) falls back
-// to scanning the other live members.
+// to scanning the other live members. A member's 410 gone is final, as
+// a 200 is: the job was issued and ran there, and its record is gone.
 func (g *Gateway) job(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil || id < 1 {
@@ -311,7 +312,7 @@ func (g *Gateway) job(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		if resp.StatusCode == http.StatusOK {
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusGone {
 			passThrough(w, resp)
 			return
 		}

@@ -45,9 +45,11 @@ type Context interface {
 	// re-read only the jobs that held a running copy, on the strength of
 	// this; the slice itself is only valid for the call.
 	Jobs() []*workload.JobState
-	// Copies returns the running copies of a task (empty if none). A
-	// policy that needs only their number reads it off the job instead:
-	// JobState.LiveCopies.
+	// Copies returns the running copies of a task (empty if none). The
+	// slice may be the implementation's own buffer: it is valid until
+	// the next Copies call, so a caller that needs two tasks' lists at
+	// once copies the first. A policy that needs only their number
+	// reads it off the job instead: JobState.LiveCopies.
 	Copies(ref workload.TaskRef) []CopyStatus
 	// CloneUsage returns the resources currently held by clone copies,
 	// the quantity DollyMP's cloning budget (δ) constrains.

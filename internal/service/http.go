@@ -54,6 +54,10 @@ const (
 	// adoption attempt against a journal segment still leased by a
 	// live writer (409).
 	CodeConflict = "conflict"
+	// CodeGone: the job ID was issued, but its record is no longer held
+	// (410) — a service keeps the records of its newest completed jobs
+	// only. Every job's JCT is in dollymp_job_completion_slots.
+	CodeGone = "gone"
 )
 
 // APIError is the machine-readable error payload inside the envelope.
@@ -87,9 +91,12 @@ type API interface {
 	// SubmitNowait enqueues one job with immediate backpressure
 	// (ErrQueueFull → 429, ErrStopped → 503).
 	SubmitNowait(j *workload.Job) (workload.JobID, error)
-	// Job returns one job's lifecycle record.
+	// Job returns one job's lifecycle record. When ok is false the
+	// record is Gone(id) for an ID that was issued but is no longer
+	// held (410 gone), and the zero JobInfo otherwise (404).
 	Job(id workload.JobID) (JobInfo, bool)
-	// Jobs lists lifecycle records matching the filter, sorted by ID.
+	// Jobs lists the held lifecycle records matching the filter,
+	// sorted by ID: every unfinished job and the newest completed ones.
 	Jobs(f JobFilter) []JobInfo
 	// Counts returns aggregated job accounting.
 	Counts() Counts
@@ -131,8 +138,8 @@ type Route struct {
 // Routes returns the API's route table:
 //
 //	POST /v1/jobs      submit one job, or a v1 trace file of jobs
-//	GET  /v1/jobs      list jobs (?state=, ?tenant=, ?limit=, ?offset=)
-//	GET  /v1/jobs/{id} one job's lifecycle record
+//	GET  /v1/jobs      list held jobs (?state=, ?tenant=, ?limit=, ?offset=)
+//	GET  /v1/jobs/{id} one job's lifecycle record (410 once no longer held)
 //	GET  /v1/shards    per-shard queue/clock/accounting status
 //	GET  /v1/cluster   aggregated cluster + queue snapshot
 //	GET  /v1/status    alias of /v1/cluster (federated by the gateway)
@@ -215,10 +222,13 @@ type SubmitReply struct {
 	IDs []workload.JobID `json:"ids"`
 }
 
-// JobPage is the GET /v1/jobs reply: one page of lifecycle records.
+// JobPage is the GET /v1/jobs reply: one page of the lifecycle records
+// the deployment holds — every unfinished job and, per service, the
+// newest completed ones. Counts, not the listing, say how many jobs
+// ever ran.
 type JobPage struct {
 	Jobs []JobInfo `json:"jobs"`
-	// Total counts jobs matching the filter before pagination.
+	// Total counts held jobs matching the filter before pagination.
 	Total  int `json:"total"`
 	Offset int `json:"offset"`
 	Limit  int `json:"limit"`
@@ -374,7 +384,11 @@ func (h handler) job(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, ok := h.api.Job(workload.JobID(id))
-	if !ok {
+	switch {
+	case !ok && info.State == StateGone:
+		WriteError(w, http.StatusGone, CodeGone, fmt.Sprintf("job %d is no longer held", id))
+		return
+	case !ok:
 		WriteError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no job %d", id))
 		return
 	}

@@ -9,6 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"dollymp/internal/journal"
+	"dollymp/internal/workload"
 )
 
 // decodeEnvelope asserts a response is envelope-shaped with the given
@@ -178,5 +182,101 @@ func TestHTTPShardsEndpoint(t *testing.T) {
 	}
 	if st.Jobs.Submitted != 1 {
 		t.Fatalf("shard accounting: %+v", st.Jobs)
+	}
+}
+
+// TestHTTPJobGone: a service keeps the records of its newest
+// finishedKept completed jobs. An older ID it issued answers 410 gone,
+// an ID it never issued 404 not_found, and GET /v1/jobs pages over what
+// is held while the counts keep every job.
+func TestHTTPJobGone(t *testing.T) {
+	n := finishedKept + 10
+	s, srv := newTestServer(t, n)
+	gone, held := runPastTheRing(t, s, n)
+	get := func(id workload.JobID) *http.Response {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", srv.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	decodeEnvelope(t, get(gone), http.StatusGone, CodeGone)
+	decodeEnvelope(t, get(workload.JobID(n+1)), http.StatusNotFound, CodeNotFound)
+	resp := get(held)
+	var info JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusOK || info.State != StateCompleted {
+		t.Fatalf("held job %d: status %d, %+v (%v)", held, resp.StatusCode, info, err)
+	}
+	resp.Body.Close()
+
+	resp, err := http.Get(srv.URL + "/v1/jobs?state=completed&limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page JobPage
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if page.Total != finishedKept || s.Counts().Completed != int64(n) {
+		t.Fatalf("listing totals %d completed of %+v, want the %d held", page.Total, s.Counts(), finishedKept)
+	}
+}
+
+// runPastTheRing runs n one-task jobs through the started service s,
+// n > finishedKept, and returns an ID it no longer holds and one it
+// does; every ID it issued must be one or the other.
+func runPastTheRing(t *testing.T, s *Service, n int) (gone, held workload.JobID) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := s.SubmitNowait(testJob(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Counts().Completed < int64(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs never completed: %+v", s.Counts())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for id := workload.JobID(1); id <= workload.JobID(n); id++ {
+		switch info, ok := s.Job(id); {
+		case ok:
+			held = id
+		case info == Gone(id):
+			gone = id
+		default:
+			t.Fatalf("job %d: neither held nor gone: %+v", id, info)
+		}
+	}
+	if gone == 0 || held == 0 {
+		t.Fatalf("want a held and a gone job among %d, got held %d, gone %d", n, held, gone)
+	}
+	return gone, held
+}
+
+// TestAbsorbSkipsGoneJobs: a journal adopted later that names a job
+// this service ran and has since forgotten does not bring it back — it
+// is skipped like a job the service still holds.
+func TestAbsorbSkipsGoneJobs(t *testing.T) {
+	n := finishedKept + 10
+	s, _ := newTestServer(t, n)
+	gone, held := runPastTheRing(t, s, n)
+	before := s.Counts()
+	for _, replayed := range [][]*journal.ReplayJob{
+		{
+			{ID: gone, Outcome: journal.OutcomeCompleted, Finish: 9, Flowtime: 1},
+			{ID: held, Outcome: journal.OutcomeCompleted, Finish: 9, Flowtime: 1},
+		},
+		{{ID: gone, Outcome: journal.OutcomePending, Job: testJob(1, 1)}},
+	} {
+		absorbed, err := s.Absorb(replayed)
+		if err != nil || absorbed != 0 || s.Counts() != before {
+			t.Fatalf("absorbed %d (%v), counts %+v, want none absorbed and %+v", absorbed, err, s.Counts(), before)
+		}
+	}
+	if info, ok := s.Job(gone); ok || info != Gone(gone) {
+		t.Fatalf("job %d came back: %+v", gone, info)
 	}
 }

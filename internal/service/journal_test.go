@@ -354,8 +354,8 @@ func TestResultNotDrained(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("Result after drain: %v, %v", res, err)
 	}
-	if int64(len(res.Jobs)) != s.Counts().Completed {
-		t.Fatalf("result has %d jobs, counts %+v", len(res.Jobs), s.Counts())
+	if int64(res.Completed) != s.Counts().Completed {
+		t.Fatalf("result has %d completed jobs, counts %+v", res.Completed, s.Counts())
 	}
 }
 

@@ -26,8 +26,10 @@ import (
 // ID so new submissions never collide. Caller holds mu.
 func (s *Service) replayLocked(rj *journal.ReplayJob) (seq uint64, err error) {
 	if rj.Outcome == journal.OutcomeCompleted {
-		// A completed job passed every stage: count each of them.
+		// A completed job passed every stage: count each of them. Its
+		// record enters the finished ring like a job finishing here.
 		s.jobs[rj.ID] = completedInfo(rj)
+		s.retireLocked(rj.ID)
 		s.counts.Submitted++
 		s.counts.Admitted++
 		s.counts.Completed++
@@ -49,11 +51,14 @@ func (s *Service) replayLocked(rj *journal.ReplayJob) (seq uint64, err error) {
 }
 
 // Restore seeds the service from replayed journal state; it must run
-// after New and before Start. Every job goes through replayLocked, and
+// after New and before Start. jobs come in ascending ID order, as
+// journal.Merge returns them. Every job goes through replayLocked, and
 // the re-enqueued ones are synced before Restore returns, so a segment
 // inherited from a different shard topology can be retired: the job's
-// spec now lives in this shard's own segment. records and truncated are
-// the segment-scan stats for status reporting.
+// spec now lives in this shard's own segment. A restart over a long
+// journal keeps the records of the newest completed jobs only, as the
+// finished ring would have; the counts fold every one. records and
+// truncated are the segment-scan stats for status reporting.
 func (s *Service) Restore(jobs []*journal.ReplayJob, records, truncated int64) error {
 	if s.started.Load() {
 		return errors.New("service: Restore after Start")
@@ -62,7 +67,7 @@ func (s *Service) Restore(jobs []*journal.ReplayJob, records, truncated int64) e
 	var seq uint64
 	var err error
 	for _, rj := range jobs {
-		if rj.ID < 1 || s.jobs[rj.ID] != nil {
+		if rj.ID < 1 || s.knownLocked(rj.ID) {
 			err = fmt.Errorf("service: replayed job %d is invalid or duplicated", rj.ID)
 			break
 		}
@@ -100,8 +105,9 @@ func (s *Service) Restore(jobs []*journal.ReplayJob, records, truncated int64) e
 // so the adopted segments can be retired: this journal now replays
 // alone.
 //
-// Jobs already known to this service are skipped (a chained takeover
-// may replay work that migrated here earlier). The whole batch is
+// Jobs this service holds or issued are skipped (a chained takeover
+// may replay work that migrated here earlier, and a completed job may
+// have left the finished ring since). The whole batch is
 // validated and capacity-checked first: if the pending subset does not
 // fit the free queue space, nothing is absorbed and the caller can
 // retry elsewhere — a half-adopted journal must not be retired.
@@ -137,7 +143,7 @@ func (s *Service) absorbLocked(jobs []*journal.ReplayJob) (absorbed int, seq uin
 		if rj.ID < 1 {
 			return 0, 0, fmt.Errorf("service: absorb: invalid job id %d", rj.ID)
 		}
-		if s.jobs[rj.ID] != nil || rj.Outcome == journal.OutcomeCompleted {
+		if s.knownLocked(rj.ID) || rj.Outcome == journal.OutcomeCompleted {
 			continue
 		}
 		if rj.Job == nil {
@@ -149,7 +155,7 @@ func (s *Service) absorbLocked(jobs []*journal.ReplayJob) (absorbed int, seq uin
 		return 0, 0, fmt.Errorf("service: absorb: %d pending jobs exceed free queue space %d: %w", need, free, ErrQueueFull)
 	}
 	for _, rj := range jobs {
-		if s.jobs[rj.ID] != nil {
+		if s.knownLocked(rj.ID) {
 			continue
 		}
 		sq, err := s.replayLocked(rj)

@@ -125,7 +125,11 @@ type Service struct {
 
 	mu       sync.RWMutex
 	stopping bool // guarded by mu: serializes SubmitNowait against drain exit
+	// jobs holds every queued, admitted and running job's record and the
+	// completed ones the finished ring still names (retireLocked).
 	jobs     map[workload.JobID]*jobRecord
+	finished []workload.JobID // ring of the newest completed IDs in jobs
+	finOld   int              // index of the oldest entry once the ring is full
 	nextID   workload.JobID
 	counts   Counts
 	tasksOut int64           // outstanding task volume of accepted, unfinished jobs
@@ -235,6 +239,9 @@ func New(cfg Config) (*Service, error) {
 		MaxSlots:      maxSlots,
 		Online:        true,
 		Observe:       s.observe,
+		// Finished jobs fold into Result.Digest: the engine keeps no
+		// record per job, as the service keeps only its ring.
+		CompactJobs: true,
 	})
 	if err != nil {
 		return nil, err
@@ -297,10 +304,13 @@ func (s *Service) Stop(ctx context.Context) error {
 	}
 }
 
-// Result finalizes and returns the engine's accumulated metrics. It is
-// only valid once the scheduling loop has exited (Stop returned nil);
-// while the loop still runs — e.g. Stop gave up on an expired context —
-// it returns ErrNotDrained instead of touching the live engine.
+// Result finalizes and returns the engine's accumulated metrics. The
+// engine runs with sim.Config.CompactJobs, so the finished jobs are in
+// Completed and Digest (exact flowtime count, sum, min and max, and
+// log-bucket histograms) and Jobs is empty. It is only valid once the
+// scheduling loop has exited (Stop returned nil); while the loop still
+// runs — e.g. Stop gave up on an expired context — it returns
+// ErrNotDrained instead of touching the live engine.
 func (s *Service) Result() (*sim.Result, error) {
 	select {
 	case <-s.doneCh:
@@ -412,6 +422,7 @@ func (s *Service) observe(o *sim.Observation) {
 			rec.Flowtime = m.Flowtime
 			s.tasksOut -= int64(rec.Tasks)
 			s.leaveStage(rec, s.mStartToComplete)
+			s.retireLocked(m.ID)
 		}
 		s.counts.Completed++
 		s.mJCT.Observe(float64(m.Flowtime))
@@ -422,6 +433,26 @@ func (s *Service) observe(o *sim.Observation) {
 		_, _ = s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: m.ID, Finish: m.Finish, Flowtime: m.Flowtime})
 		s.mu.Unlock()
 	}
+}
+
+// finishedKept is how many completed jobs' records a service keeps. The
+// counts and the JCT histogram fold every job; a lookup of an older
+// one answers StateGone.
+const finishedKept = 1024
+
+// retireLocked enters a completed job, whose record is in jobs, into
+// the finished ring, and once the ring is full forgets the record of
+// the oldest completed job it names. Only completed jobs enter it, so
+// a queued, admitted or running record is never forgotten. Caller
+// holds mu.
+func (s *Service) retireLocked(id workload.JobID) {
+	if len(s.finished) < finishedKept {
+		s.finished = append(s.finished, id)
+		return
+	}
+	delete(s.jobs, s.finished[s.finOld])
+	s.finished[s.finOld] = id
+	s.finOld = (s.finOld + 1) % finishedKept
 }
 
 // publish refreshes the shared snapshot from engine state, in place: a

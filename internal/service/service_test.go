@@ -227,8 +227,8 @@ func TestServiceRejectsAfterStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Jobs) != 1 {
-		t.Fatalf("result jobs: %d", len(res.Jobs))
+	if res.Completed != 1 {
+		t.Fatalf("result completed: %d", res.Completed)
 	}
 }
 

@@ -26,8 +26,15 @@ const (
 	StateCompleted JobState = "completed"
 )
 
+// StateGone is not a lifecycle state: Job stamps it on the record of an
+// ID this service issued but no longer holds — a completed job that
+// fell out of the finished ring, or a job donated to another service.
+// No listed record carries it.
+const StateGone JobState = "gone"
+
 // ValidState reports whether s names a lifecycle state (the HTTP layer
-// validates ?state= filters with it). The empty string is not valid.
+// validates ?state= filters with it). The empty string is not valid,
+// and neither is StateGone.
 func ValidState(s JobState) bool {
 	switch s {
 	case StateQueued, StateAdmitted, StateRunning, StateCompleted:
@@ -340,18 +347,41 @@ func (a *AdmissionStatus) Add(other AdmissionStatus) {
 	}
 }
 
-// Job returns the lifecycle record for one job.
+// Job returns the lifecycle record for one job. ok is false when the
+// service does not hold the job; the record is then the zero JobInfo,
+// or Gone(id) for an ID this service issued.
 func (s *Service) Job(id workload.JobID) (JobInfo, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return JobInfo{}, false
+	if rec, ok := s.jobs[id]; ok {
+		return rec.JobInfo, true
 	}
-	return rec.JobInfo, true
+	if s.issuedLocked(id) {
+		return Gone(id), false
+	}
+	return JobInfo{}, false
 }
 
-// Jobs returns the lifecycle records matching the filter, sorted by ID.
+// Gone is the record a lookup returns for an ID that was issued but is
+// no longer held: its ID, State StateGone, and nothing else.
+func Gone(id workload.JobID) JobInfo { return JobInfo{ID: id, State: StateGone} }
+
+// issuedLocked reports whether this service allocated id (or restored
+// it into its own class): id is in its residue class and below the
+// allocator. Caller holds mu.
+func (s *Service) issuedLocked(id workload.JobID) bool {
+	return id >= s.cfg.IDBase && id < s.nextID && (id-s.cfg.IDBase)%workload.JobID(s.cfg.IDStride) == 0
+}
+
+// knownLocked reports whether this service holds id or issued it.
+// Caller holds mu.
+func (s *Service) knownLocked(id workload.JobID) bool {
+	return s.jobs[id] != nil || s.issuedLocked(id)
+}
+
+// Jobs returns the lifecycle records matching the filter, sorted by ID:
+// every queued, admitted and running job, and the completed ones the
+// finished ring still holds.
 func (s *Service) Jobs(f JobFilter) []JobInfo {
 	s.mu.RLock()
 	out := make([]JobInfo, 0, len(s.jobs))

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"dollymp/internal/journal"
+	"dollymp/internal/service"
 )
 
 // ErrLeased is re-exported so adoption callers need not import the
@@ -98,7 +99,9 @@ func (r *Router) Adopt(dir string) (AdoptReport, error) {
 		}
 		k, home := r.homeShard(rj.ID)
 		if home {
-			if _, ok := r.shards[k].Job(rj.ID); ok {
+			// Held, or issued there and since forgotten: either way the
+			// shard has had the job.
+			if info, held := r.shards[k].Job(rj.ID); held || info.State == service.StateGone {
 				rep.Skipped++
 				continue
 			}

@@ -186,6 +186,7 @@ type Router struct {
 	// so it exists regardless of Config.Steal.
 	migMu     sync.RWMutex
 	owned     map[workload.JobID]int // off-residue job -> current shard; guarded by migMu
+	pruneAt   int                    // owned's size at which migrate prunes it; guarded by migMu
 	stolen    atomic.Int64           // total jobs migrated off their submission shard
 	mStolen   []*metrics.Counter     // jobs stolen from shard k
 	mInjected []*metrics.Counter     // jobs migrated into shard k
@@ -264,6 +265,7 @@ func New(cfg Config) (*Router, error) {
 		reg:        metrics.NewRegistry(),
 		rng:        stats.NewRNG(cfg.Seed).Split(0x5a5a),
 		owned:      make(map[workload.JobID]int),
+		pruneAt:    minPruneAt,
 		stealStop:  make(chan struct{}),
 		stealDone:  make(chan struct{}),
 	}
@@ -547,24 +549,31 @@ func (r *Router) SubmitNowait(j *workload.Job) (workload.JobID, error) {
 // consulted first — a migrated or adopted job lives on the shard that
 // took it, not in its ID's residue class — and the residue-class shard
 // is the fallback for never-moved jobs, so exactly one loop is
-// consulted either way. An ID whose residue class belongs to a sibling
-// federation member (and was never adopted here) is simply not found.
-// Holding migMu across the lookup means a job mid-migration is seen at
-// its old home or its new one, never at neither.
+// consulted either way. An owned job its shard no longer holds (it
+// left that shard's finished ring) is service.Gone, as is one its
+// residue-class shard issued and no longer holds; an ID whose residue
+// class belongs to a sibling federation member (and was never adopted
+// here) is simply not found. Holding migMu across the lookup means a
+// job mid-migration is seen at its old home or its new one, never at
+// neither.
 func (r *Router) Job(id workload.JobID) (service.JobInfo, bool) {
 	if id < 1 {
 		return service.JobInfo{}, false
 	}
 	r.migMu.RLock()
 	defer r.migMu.RUnlock()
-	k, ok := r.owned[id]
-	if !ok {
-		res := (int(id) - 1) % r.total
-		if k, ok = r.residueIdx[res]; !ok {
+	k, moved := r.owned[id]
+	if !moved {
+		var ok bool
+		if k, ok = r.residueIdx[(int(id)-1)%r.total]; !ok {
 			return service.JobInfo{}, false
 		}
 	}
-	return r.shards[k].Job(id)
+	info, ok := r.shards[k].Job(id)
+	if !ok && moved {
+		return service.Gone(id), false
+	}
+	return info, ok
 }
 
 // Jobs merges every shard's filtered lifecycle records, sorted by ID.
@@ -760,11 +769,38 @@ func (r *Router) migrate(victim, thief, n int) int {
 			r.owned[id] = thief
 		}
 	}
+	if len(r.owned) >= r.pruneAt {
+		r.pruneStolen()
+	}
 	r.mStolen[victim].Add(float64(len(ids)))
 	r.mInjected[thief].Add(float64(len(ids)))
 	r.stolen.Add(int64(len(ids)))
 	return len(ids)
 }
+
+// pruneStolen drops the ownership entries of stolen jobs their thief no
+// longer holds: the job completed and left the thief's finished ring.
+// Its residue-class shard, which issued it, then answers service.Gone
+// for it. An entry of a job from a class no local shard owns (re-homed
+// from a stale segment, or adopted) stays: no shard here could answer
+// for it. migrate calls it once the map has doubled since the last
+// pass (or reached minPruneAt), so the map stays within twice what a
+// pass keeps, and a pass costs a constant per steal since the one
+// before. Caller holds migMu for writing.
+func (r *Router) pruneStolen() {
+	for id, k := range r.owned {
+		if _, local := r.residueIdx[(int(id)-1)%r.total]; !local {
+			continue
+		}
+		if _, held := r.shards[k].Job(id); !held {
+			delete(r.owned, id)
+		}
+	}
+	r.pruneAt = max(2*len(r.owned), minPruneAt)
+}
+
+// minPruneAt is the ownership-map size below which migrate never prunes.
+const minPruneAt = 1024
 
 // Stop drains every shard concurrently: each loop refuses new work,
 // finishes everything accepted, and only when all P loops have drained

@@ -182,3 +182,62 @@ func TestRouterStealStress(t *testing.T) {
 		}
 	}
 }
+
+// TestStolenHistoryPruned: a stolen job's ownership entry outlives its
+// record on the thief only until the next prune. 4000 jobs pinned to
+// shard 0 are split in one scan, so shard 1 runs 2000 stolen jobs and
+// keeps the records of only its newest ones. A stolen job the thief has
+// forgotten answers service.Gone before the prune, through its entry,
+// and after it, from the shard that issued it; the prune leaves exactly
+// the entries of the jobs the thief still holds.
+func TestStolenHistoryPruned(t *testing.T) {
+	const n = 4000
+	r := newStealRouter(t, 2, n, RouteSingle)
+	ids := make([]workload.JobID, 0, n)
+	for i := 0; i < n; i++ {
+		id, err := r.SubmitNowait(testJob(1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if moved := r.rebalanceOnce(); moved != n/2 {
+		t.Fatalf("rebalance moved %d jobs, want %d", moved, n/2)
+	}
+	// The loops only, so no rebalancer tick prunes behind the test.
+	r.Shard(0).Start()
+	r.Shard(1).Start()
+	stopDrained(t, r)
+	held := len(r.Jobs(service.JobFilter{}))
+	thiefHeld := len(r.Shard(1).Jobs(service.JobFilter{}))
+	if thiefHeld == 0 || thiefHeld >= n/2 {
+		t.Fatalf("the thief holds %d of its %d jobs; the test needs some, not all", thiefHeld, n/2)
+	}
+
+	lookups := func(when string) {
+		t.Helper()
+		gone := 0
+		for _, id := range ids {
+			info, ok := r.Job(id)
+			switch {
+			case ok && info.State == service.StateCompleted:
+			case !ok && info == service.Gone(id):
+				gone++
+			default:
+				t.Fatalf("%s: job %d: ok=%v info=%+v", when, id, ok, info)
+			}
+		}
+		if gone != n-held {
+			t.Fatalf("%s: %d jobs gone, want %d", when, gone, n-held)
+		}
+	}
+	lookups("before the prune")
+	r.migMu.Lock()
+	r.pruneStolen()
+	owned := len(r.owned)
+	r.migMu.Unlock()
+	if owned != thiefHeld {
+		t.Fatalf("%d ownership entries after the prune, want the thief's %d", owned, thiefHeld)
+	}
+	lookups("after the prune")
+}

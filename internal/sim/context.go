@@ -24,7 +24,9 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cfg.Cluster }
 // smaller ID into a slot whose arrivals were already delivered.
 func (e *Engine) Jobs() []*workload.JobState { return e.active }
 
-// Copies returns the running copies of a task, original first.
+// Copies returns the running copies of a task, original first, in a
+// buffer the engine reuses: the slice is valid until the next Copies
+// call (the sched.Context contract).
 func (e *Engine) Copies(ref workload.TaskRef) []sched.CopyStatus {
 	lj := e.live(ref.Job, ref.Phase)
 	if lj == nil || lj.phases == nil || ref.Index < 0 || ref.Index >= len(lj.phases[ref.Phase].heads) {
@@ -34,10 +36,11 @@ func (e *Engine) Copies(ref workload.TaskRef) []sched.CopyStatus {
 	if c == nil {
 		return nil
 	}
-	out := make([]sched.CopyStatus, 0, lj.LiveCopies(ref.Phase, ref.Index))
+	out := e.copies[:0]
 	for ; c != nil; c = c.next {
 		out = append(out, sched.CopyStatus{Server: c.server, Start: c.start, Clone: c.clone})
 	}
+	e.copies = out
 	return out
 }
 

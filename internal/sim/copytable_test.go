@@ -416,3 +416,27 @@ func TestRemoveActiveOutOfIDOrder(t *testing.T) {
 		t.Fatalf("completed %d of 3", got)
 	}
 }
+
+// TestCopiesDoesNotAllocate: Copies answers in a buffer the engine
+// keeps, so a warm call allocates nothing and still lists the task's
+// copies, original first.
+func TestCopiesDoesNotAllocate(t *testing.T) {
+	e, err := New(Config{
+		Cluster: cluster.Uniform(2, resources.Cores(8, 16)), Scheduler: Cloner{},
+		Jobs: []*workload.Job{SingleTaskJob(1, 0, 50)}, Seed: 1, Deterministic: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	ref := workload.TaskRef{Job: 1}
+	want := []sched.CopyStatus{{Server: 0}, {Server: 0, Clone: true}}
+	if got := e.Copies(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Copies = %+v, want %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Copies(ref) }); allocs != 0 {
+		t.Fatalf("Copies allocates %v objects per warm call, want 0", allocs)
+	}
+}

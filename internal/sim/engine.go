@@ -346,6 +346,8 @@ type Engine struct {
 	// copy returns to the list only once it is out of both its job's
 	// copy table and the running heap.
 	copyFree []*taskCopy
+	// copies is the buffer Copies answers in.
+	copies   []sched.CopyStatus
 	rng      *stats.RNG
 	cloneUse resources.Vector
 

@@ -63,6 +63,9 @@ const (
 	JobAdmitted  = service.StateAdmitted
 	JobRunning   = service.StateRunning
 	JobCompleted = service.StateCompleted
+	// JobGone is not a lifecycle state: Router.Job returns it, with ok
+	// false, for a job that ran but whose record is no longer held.
+	JobGone = service.StateGone
 )
 
 // Routing policies.
