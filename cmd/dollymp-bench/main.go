@@ -32,87 +32,17 @@ import (
 	"dollymp/internal/sched/builtin"
 )
 
-// writer is any figure result that can render itself as text; every
-// result struct is also plain data, so -format json marshals it.
-type writer interface {
-	Write(io.Writer) error
-}
-
-type figure struct {
-	id   string
-	desc string
-	run  func(experiments.Scale) (writer, error)
-}
-
-// group bundles several results under one figure id (the ablations).
-type group []writer
-
-// Write renders each member in order.
-func (g group) Write(w io.Writer) error {
-	for _, r := range g {
-		if err := r.Write(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// of adapts an experiment's typed entry point to a figure's run.
-func of[R writer](f func(experiments.Scale) (R, error)) func(experiments.Scale) (writer, error) {
-	return func(sc experiments.Scale) (writer, error) { return f(sc) }
-}
-
-func figures() []figure {
-	return []figure{
-		{"1", "repeated WordCount, cloning efficiency", of(experiments.Figure1)},
-		{"2", "three-job motivating example (§2)", func(experiments.Scale) (writer, error) {
-			return experiments.Figure2(), nil
-		}},
-		{"4", "lightly loaded deployment (flowtime + running CDF)", of(experiments.Figure4)},
-		{"5-7/pagerank", "heavy-load PageRank (running/flowtime CDFs, cumulative)", func(sc experiments.Scale) (writer, error) {
-			return experiments.HeavyLoad(sc, "pagerank")
-		}},
-		{"5-7/wordcount", "heavy-load WordCount (running/flowtime CDFs, cumulative)", func(sc experiments.Scale) (writer, error) {
-			return experiments.HeavyLoad(sc, "wordcount")
-		}},
-		{"8", "trace-driven: speedup vs Tetris, resources vs DRF", of(experiments.Figure8)},
-		{"9", "clone-count sweep", of(experiments.Figure9)},
-		{"10", "cloning effect vs cluster load", of(experiments.Figure10)},
-		{"11", "DollyMP² vs Carbyne", of(experiments.Figure11)},
-		{"overhead", "scheduling overhead (§6.3.3)", of(experiments.Overhead)},
-		{"ablations", "design-choice ablations (δ, r, Tetris ε)", func(sc experiments.Scale) (writer, error) {
-			cb, err := experiments.AblationCloneBudget(sc)
-			if err != nil {
-				return nil, err
-			}
-			vf, err := experiments.AblationVarianceFactor(sc)
-			if err != nil {
-				return nil, err
-			}
-			te, err := experiments.AblationTetrisEpsilon(sc)
-			if err != nil {
-				return nil, err
-			}
-			return group{cb, vf, te}, nil
-		}},
-		{"redundancy", "cloning vs speculation under identical priorities (§1)", of(experiments.Redundancy)},
-		{"learning", "straggler-avoidance extension (§8 future work)", of(experiments.StragglerAvoidance)},
-		{"estimation", "AM statistics estimation ablation (§5.2)", of(experiments.Estimation)},
-		{"locality", "two-level YARN architecture vs flat (§5.2)", of(experiments.Locality)},
-		{"analysis", "§4.1 cloning analysis + Theorem 1 check", func(sc experiments.Scale) (writer, error) {
-			cr, err := experiments.CompetitiveRatio(sc)
-			if err != nil {
-				return nil, err
-			}
-			return group{experiments.CloningAnalysis(), cr}, nil
-		}},
-	}
-}
+// scales names the two sizes -scale takes.
+var scales = map[string]func() experiments.Scale{"quick": experiments.Quick, "paper": experiments.Paper}
 
 func main() {
+	ids := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		ids[i] = fmt.Sprintf("%s (%s)", e.ID, e.Section)
+	}
 	var (
 		scaleName = flag.String("scale", "quick", "quick or paper")
-		fig       = flag.String("fig", "", "run a single figure (1, 2, 4, 5-7/pagerank, 5-7/wordcount, 8, 9, 10, 11, overhead, ablations, redundancy, learning, estimation, locality, analysis)")
+		fig       = flag.String("fig", "", "run one experiment, or every id under a group prefix such as 5-7: "+strings.Join(ids, ", "))
 		format    = flag.String("format", "text", "text or json")
 
 		sweepMode = flag.Bool("sweep", false, "run the (scheduler × seed × load) sweep grid instead of figures")
@@ -144,13 +74,8 @@ func main() {
 }
 
 func realMain(scaleName, fig, format string, out io.Writer) error {
-	var sc experiments.Scale
-	switch scaleName {
-	case "quick":
-		sc = experiments.Quick()
-	case "paper":
-		sc = experiments.Paper()
-	default:
+	scale, ok := scales[scaleName]
+	if !ok {
 		return fmt.Errorf("unknown -scale %q", scaleName)
 	}
 	if format != "text" && format != "json" {
@@ -159,20 +84,20 @@ func realMain(scaleName, fig, format string, out io.Writer) error {
 
 	jsonOut := make(map[string]interface{})
 	ran := 0
-	for _, f := range figures() {
-		if fig != "" && !strings.HasPrefix(f.id, fig) {
+	for _, e := range experiments.All {
+		if fig != "" && e.ID != fig && !strings.HasPrefix(e.ID, fig+"/") {
 			continue
 		}
-		res, err := f.run(sc)
+		res, err := e.Run(scale())
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", f.id, err)
+			return fmt.Errorf("figure %s: %w", e.ID, err)
 		}
 		ran++
 		if format == "json" {
-			jsonOut[f.id] = res
+			jsonOut[e.ID] = res
 			continue
 		}
-		if _, err := fmt.Fprintf(out, "=== Figure %s — %s ===\n", f.id, f.desc); err != nil {
+		if _, err := fmt.Fprintf(out, "=== Figure %s — %s ===\n", e.ID, e.Desc); err != nil {
 			return err
 		}
 		if err := res.Write(out); err != nil {

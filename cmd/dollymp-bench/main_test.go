@@ -8,30 +8,43 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"dollymp/internal/experiments"
 )
 
 func TestFigureListCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{"1", "2", "4", "5-7/pagerank", "5-7/wordcount", "8", "9", "10", "11",
 		"overhead", "ablations", "redundancy", "learning", "estimation", "locality", "analysis"}
-	figs := figures()
+	figs := experiments.All
 	if len(figs) != len(want) {
 		t.Fatalf("figure count: %d, want %d", len(figs), len(want))
 	}
 	for i, w := range want {
-		if figs[i].id != w {
-			t.Errorf("figure %d: %q, want %q", i, figs[i].id, w)
+		if figs[i].ID != w {
+			t.Errorf("figure %d: %q, want %q", i, figs[i].ID, w)
 		}
 	}
 }
 
+// TestRealMainTextSingleFigure holds -fig to one id, or to the ids of
+// one group: -fig 1 must not also run Figures 10 and 11.
 func TestRealMainTextSingleFigure(t *testing.T) {
-	var buf bytes.Buffer
-	if err := realMain("quick", "2", "text", &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "=== Figure 2") || !strings.Contains(out, "46") {
-		t.Fatalf("unexpected output:\n%s", out)
+	for _, c := range []struct {
+		fig, want string
+		headers   int
+	}{
+		{"2", "46", 1},
+		{"1", "=== Figure 1 —", 1},
+		{"5-7", "=== Figure 5-7/wordcount", 2},
+	} {
+		var buf bytes.Buffer
+		if err := realMain("quick", c.fig, "text", &buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if n := strings.Count(out, "=== Figure"); n != c.headers || !strings.Contains(out, c.want) {
+			t.Errorf("-fig %s: %d headers, want %d and %q:\n%s", c.fig, n, c.headers, c.want, out)
+		}
 	}
 }
 
@@ -57,8 +70,10 @@ func TestRealMainErrors(t *testing.T) {
 	if err := realMain("huge", "", "text", &buf); err == nil {
 		t.Error("bad scale accepted")
 	}
-	if err := realMain("quick", "nosuch", "text", &buf); err == nil {
-		t.Error("unknown figure accepted")
+	for _, fig := range []string{"nosuch", "5-", "overhead/"} {
+		if err := realMain("quick", fig, "text", &buf); err == nil {
+			t.Errorf("unknown figure %q accepted", fig)
+		}
 	}
 	if err := realMain("quick", "2", "xml", &buf); err == nil {
 		t.Error("bad format accepted")
@@ -186,7 +201,7 @@ func TestSweepProfiles(t *testing.T) {
 
 func TestGroupWrite(t *testing.T) {
 	var buf bytes.Buffer
-	g := group{}
+	g := experiments.Group{}
 	if err := g.Write(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -76,15 +76,11 @@ func parseLoads(s string) ([]float64, error) {
 }
 
 func sweepConfigFor(opts sweepOptions) (experiments.SweepConfig, error) {
-	var sc experiments.Scale
-	switch opts.scale {
-	case "quick":
-		sc = experiments.Quick()
-	case "paper":
-		sc = experiments.Paper()
-	default:
+	scale, ok := scales[opts.scale]
+	if !ok {
 		return experiments.SweepConfig{}, fmt.Errorf("unknown -scale %q", opts.scale)
 	}
+	sc := scale()
 	cfg := experiments.DefaultSweep(sc)
 	if opts.schedulers != "" {
 		cfg.Schedulers = nil

@@ -3,8 +3,8 @@
 // scheduling-overhead measurement, plus the §4.1 cloning analysis and a
 // Theorem-1 competitive-ratio check). Each FigureN function runs the
 // relevant schedulers over the relevant workload and returns the same
-// rows/series the paper reports; cmd/dollymp-bench and the root
-// bench_test.go call these.
+// rows/series the paper reports. All lists them once; dollymp-bench and
+// the root package's BenchmarkFigures run that list.
 //
 // Every experiment is a function of its Scale alone: the parameters the
 // paper fixes (job counts, arrival gaps, loads, the swept values) are

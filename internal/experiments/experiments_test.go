@@ -136,6 +136,9 @@ func TestHeavyLoadShape(t *testing.T) {
 			t.Errorf("%s: DollyMP2 %v should beat Tetris %v", app,
 				r.TotalFlowtime["dollymp2"], r.TotalFlowtime["tetris"])
 		}
+		if len(r.FlowtimeCDF) == 0 || len(r.Cumulative) == 0 {
+			t.Errorf("%s: missing the Fig. 6/7 series", app)
+		}
 		var buf bytes.Buffer
 		if err := r.Write(&buf); err != nil || buf.Len() == 0 {
 			t.Errorf("write: %v", err)
