@@ -38,12 +38,9 @@ func TestCommittedPaperReproduces(t *testing.T) {
 // maskTiming drops the measured value of the overhead's two wall-clock
 // lines, keeping their label (and the placement count it carries).
 func maskTiming(line string) string {
-	trimmed := strings.TrimSpace(line)
-	if !strings.HasPrefix(trimmed, "priority recomputation") && !strings.HasPrefix(trimmed, "full placement round") {
-		return line
-	}
-	if i := strings.LastIndex(line, ": "); i >= 0 {
-		return line[:i+1]
+	t := strings.TrimSpace(line)
+	if strings.HasPrefix(t, "priority recomputation") || strings.HasPrefix(t, "full placement round") {
+		return line[:strings.LastIndex(line, ": ")+1]
 	}
 	return line
 }
