@@ -538,6 +538,7 @@ func (s *Scheduler) recompute(ctx sched.Context) {
 	infos := s.scratch.infos[:0]
 	floor := resources.Vec(math.MaxInt64, math.MaxInt64)
 	for _, js := range jobs {
+		s.scratch.stats.Infos++
 		infos = append(infos, s.jobInfo(ctx, js, total))
 		for k := range js.Job.Phases {
 			floor = floor.Min(js.Job.Phases[k].Demand)

@@ -64,7 +64,8 @@ func TestFitTrackerWorkCounts(t *testing.T) {
 
 // TestSchedulerWorkCounts drains each simtest row once and pins the
 // scheduler's own work counts (core.StatsOf): the records sync walked and
-// revalidated, the recomputes, the head-index builds and searches, and
+// revalidated, the recomputes and the job infos they evaluated, the
+// head-index builds and searches, and
 // the redundancy passes with the running tasks they read. Like
 // TestFitTrackerWorkCounts, the counts are exact, and a change that
 // moves a placement fails the row's schedule before it reaches them. While every call walked all of ctx.Jobs(),
@@ -75,16 +76,16 @@ func TestFitTrackerWorkCounts(t *testing.T) {
 // leaf's last live entry moved into the hole they scan 5 546 058.
 func TestSchedulerWorkCounts(t *testing.T) {
 	pins := map[string]core.Stats{
-		"cloning-300": {Calls: 716, Walks: 300, Walked: 135_818, Watched: 146_994, Revalidations: 50_540, Recomputes: 300,
+		"cloning-300": {Calls: 716, Walks: 300, Walked: 135_818, Watched: 146_994, Revalidations: 50_540, Recomputes: 300, Infos: 130_274,
 			Builds: 2_866, Built: 11_675, Queries: 275_757, Nodes: 42_743, LeafScanned: 217_689, OverflowScanned: 3_234,
 			RedundancyOpened: 715, ClosedOnBudget: 301, ClosedOnFit: 1, CopyScanned: 559_684},
-		"paced-2k": {Calls: 1_048, Walks: 462, Walked: 1_379_667, Watched: 1_421_357, Revalidations: 497_422, Recomputes: 462,
+		"paced-2k": {Calls: 1_048, Walks: 462, Walked: 1_379_667, Watched: 1_421_357, Revalidations: 497_422, Recomputes: 462, Infos: 1_322_582,
 			Builds: 5_222, Built: 144_926, Queries: 2_941_102, Nodes: 1_176_637, LeafScanned: 5_546_058, OverflowScanned: 48_983,
 			RedundancyOpened: 1_047, ClosedOnBudget: 465, CopyScanned: 6_096_920},
-		"backlog-200": {Calls: 1_136, Walks: 4, Walked: 39_576, Watched: 1_183_595, Revalidations: 121_230, Recomputes: 4,
+		"backlog-200": {Calls: 1_136, Walks: 4, Walked: 39_576, Watched: 1_183_595, Revalidations: 121_230, Recomputes: 4, Infos: 39_576,
 			Builds: 130, Built: 62_668, Queries: 2_308_820, Nodes: 1_326_479, LeafScanned: 4_539_155, OverflowScanned: 5_123_742,
 			RedundancyOpened: 1_135, ClosedOnBudget: 43, ClosedOnFit: 689, CopyScanned: 622_828},
-		"replay-32": {Calls: 363_252, Walks: 100_000, Walked: 1_349_512, Watched: 3_234_343, Revalidations: 793_269, Recomputes: 100_000,
+		"replay-32": {Calls: 363_252, Walks: 100_000, Walked: 1_349_512, Watched: 3_234_343, Revalidations: 793_269, Recomputes: 100_000, Infos: 1_249_525,
 			Builds: 997_298, Built: 174_246, Queries: 2_267_782, Nodes: 569_394, LeafScanned: 637_919, OverflowScanned: 63_373,
 			RedundancyOpened: 363_251, ClosedOnBudget: 12_887, ClosedOnFit: 103, CopyScanned: 11_753_121},
 	}

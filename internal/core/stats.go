@@ -10,9 +10,10 @@ type Stats struct {
 	// records they visited, the departed ones included. Watched counts
 	// the records the watch passes between them visited.
 	Walks, Walked, Watched uint64
-	// Revalidations counts records re-read from their job, and
-	// Recomputes the Algorithm 1 recomputations.
-	Revalidations, Recomputes uint64
+	// Revalidations counts records re-read from their job, Recomputes
+	// the Algorithm 1 recomputations, and Infos the JobInfoOf
+	// evaluations they made.
+	Revalidations, Recomputes, Infos uint64
 	// Builds counts head-index builds, Built the entries they arranged,
 	// and Sorted the tree levels whose median selection fell back to a
 	// sort (see selectNth).

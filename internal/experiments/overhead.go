@@ -58,10 +58,11 @@ func (s *staticContext) PhaseStats(id workload.JobID, k workload.PhaseID) (float
 	return 0, 0, 0
 }
 
-// Overhead measures the decision cost §6.3.3 reports, 1K jobs on 30K
-// machines; a scale below the paper's job counts (JobFactor < 1)
-// measures 200 jobs on 3 000 servers.
-func Overhead(sc Scale) (*OverheadResult, error) {
+// OverheadContext builds the decision point §6.3.3 measures: 1K queued
+// jobs on a 30K-machine LargeFleet, or 200 on 3 000 servers at a scale
+// below the paper's job counts (JobFactor < 1). Nothing runs and nothing
+// is placed: every task is pending.
+func OverheadContext(sc Scale) (sched.Context, error) {
 	nJobs, servers := 1000, 30000
 	if sc.JobFactor < 1 {
 		nJobs, servers = 200, 3000
@@ -86,7 +87,16 @@ func Overhead(sc Scale) (*OverheadResult, error) {
 		}
 		jobs[i] = workload.NewJobState(j)
 	}
-	ctx := &staticContext{fleet: fleet, jobs: jobs}
+	return &staticContext{fleet: fleet, jobs: jobs}, nil
+}
+
+// Overhead measures the decision cost §6.3.3 reports on OverheadContext's
+// decision point: one priority recomputation, then one placement round.
+func Overhead(sc Scale) (*OverheadResult, error) {
+	ctx, err := OverheadContext(sc)
+	if err != nil {
+		return nil, err
+	}
 	s := core.MustNew()
 
 	// Priority recomputation (the per-arrival cost the paper reports).
@@ -100,8 +110,8 @@ func Overhead(sc Scale) (*OverheadResult, error) {
 	decide := time.Since(start)
 
 	return &OverheadResult{
-		Jobs:         nJobs,
-		Servers:      servers,
+		Jobs:         len(ctx.Jobs()),
+		Servers:      len(ctx.Cluster().Servers()),
 		PriorityTime: prio,
 		DecisionTime: decide,
 		Placements:   len(placements),
