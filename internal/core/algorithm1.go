@@ -63,7 +63,10 @@ type prioScratch struct {
 	// (Volume, index) — shared by every class, since the unit-profit
 	// oracle always selects smallest-weight-first. The key is a total
 	// order, so every correct sort produces the same permutation.
-	byWeight []weightKey
+	// swap is the other half of sortByWeight's double buffer, and
+	// digits its per-byte histograms.
+	byWeight, swap []weightKey
+	digits         [8][256]int32
 	// entering[l] counts the jobs whose first candidate class is l.
 	entering [classCap + 2]int32
 }
@@ -117,12 +120,7 @@ func prioritiesInto(jobs []JobInfo, buf *prioScratch) []int32 {
 		buf.byWeight = append(buf.byWeight, weightKey{jobs[i].Volume, int32(i)})
 		buf.entering[firstClass(jobs[i].Time)]++
 	}
-	slices.SortFunc(buf.byWeight, func(a, b weightKey) int {
-		if c := cmp.Compare(a.volume, b.volume); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.index, b.index)
-	})
+	buf.sortByWeight()
 
 	unassigned := n
 	candidates := 0 // unassigned jobs with Time ≤ the current budget
@@ -154,6 +152,73 @@ func prioritiesInto(jobs []JobInfo, buf *prioScratch) []int32 {
 		}
 	}
 	return classes
+}
+
+// radixMin is the job count from which sortByWeight runs its radix
+// sort; below it slices.SortFunc's comparisons cost less than eight
+// histogram passes.
+const radixMin = 256
+
+// sortByWeight orders byWeight, filled in index order, by ascending
+// (volume, index). Large inputs take a stable LSD radix sort over
+// volumeKey, one pass per byte in which the keys differ: stability keeps
+// equal volumes in index order.
+func (buf *prioScratch) sortByWeight() {
+	ws := buf.byWeight
+	if len(ws) < radixMin {
+		slices.SortFunc(ws, func(a, b weightKey) int {
+			if c := cmp.Compare(a.volume, b.volume); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.index, b.index)
+		})
+		return
+	}
+	digits := &buf.digits
+	*digits = [8][256]int32{}
+	for _, w := range ws {
+		k := volumeKey(w.volume)
+		for d := range digits {
+			digits[d][byte(k>>(8*d))]++
+		}
+	}
+	swap := slices.Grow(buf.swap[:0], len(ws))[:len(ws)]
+	first := volumeKey(ws[0].volume)
+	for d := range digits {
+		count := &digits[d]
+		shift := 8 * d
+		if count[byte(first>>shift)] == int32(len(ws)) {
+			continue // every key has this byte
+		}
+		at := int32(0)
+		for b, c := range count {
+			count[b], at = at, at+c
+		}
+		for _, w := range ws {
+			b := byte(volumeKey(w.volume) >> shift)
+			swap[count[b]] = w
+			count[b]++
+		}
+		ws, swap = swap, ws
+	}
+	buf.byWeight, buf.swap = ws, swap
+}
+
+// volumeKey maps a volume to a key whose unsigned order is
+// cmp.Compare's order on float64: every NaN first, then −Inf to +Inf,
+// with −0 equal to +0.
+func volumeKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	if v == 0 {
+		v = 0 // −0 becomes +0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b // negative: a larger magnitude is smaller
+	}
+	return b | 1<<63
 }
 
 // classCap bounds the number of geometric classes: 2^64 slots of

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +292,45 @@ func TestClassesMatchPriorities(t *testing.T) {
 	prioritiesInto(jobs, &buf)
 	if allocs := testing.AllocsPerRun(20, func() { prioritiesInto(jobs, &buf) }); allocs != 0 {
 		t.Errorf("%v allocations per warm prioritiesInto, want 0", allocs)
+	}
+}
+
+// TestSortByWeightMatchesSortFunc checks the knapsack order's radix sort
+// against the comparison sort it replaced: the same permutation of
+// (volume, index) under cmp.Compare, on volumes drawn from a pool where
+// every value repeats and that holds both NaNs, both zeros, both
+// infinities, negatives and subnormals. The sizes straddle radixMin, so
+// both sides of the switch-over are checked.
+func TestSortByWeightMatchesSortFunc(t *testing.T) {
+	pool := []float64{
+		math.NaN(), math.Float64frombits(0xfff8_0000_0000_0001), // a NaN with the sign bit set
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		-1, -0.5, -math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+		0.25, 0.25 + 1e-16, 1, 3, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := stats.NewRNG(7)
+	for _, n := range []int{1, 2, radixMin - 1, radixMin, radixMin + 1, 3000} {
+		for _, mix := range []string{"pool", "pool+random"} {
+			t.Run(fmt.Sprintf("n=%d/%s", n, mix), func(t *testing.T) {
+				var buf prioScratch
+				for i := 0; i < n; i++ {
+					v := pool[rng.Intn(len(pool))]
+					if mix == "pool+random" && rng.Intn(2) == 0 {
+						v = rng.Range(-2, 2)
+					}
+					buf.byWeight = append(buf.byWeight, weightKey{v, int32(i)})
+				}
+				want := slices.Clone(buf.byWeight)
+				slices.SortFunc(want, func(a, b weightKey) int {
+					return cmp.Or(cmp.Compare(a.volume, b.volume), cmp.Compare(a.index, b.index))
+				})
+				buf.sortByWeight()
+				for i, w := range buf.byWeight {
+					if w.index != want[i].index || math.Float64bits(w.volume) != math.Float64bits(want[i].volume) {
+						t.Fatalf("position %d: %v at index %d, want %v at index %d", i, w.volume, w.index, want[i].volume, want[i].index)
+					}
+				}
+			})
+		}
 	}
 }

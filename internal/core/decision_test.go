@@ -38,7 +38,9 @@ func decide(ctx sched.Context) (*core.Scheduler, int) {
 // fit index's (core.FitStatsOf) are exact on any host. Seed 42 is the
 // decision `dollymp-bench -scale paper` times (its "full placement
 // round"); seed 1 is a second draw. Every task is pending, so the one
-// BestFit is the redundancy probe, which finds room left on the fleet.
+// BestFit is the redundancy probe, which finds room left on the fleet:
+// it entered 14 422 and 14 388 nodes of the near-tied fleet before the
+// fit index's tie dominance, 16 since.
 func TestScheduleDecision30000Counts(t *testing.T) {
 	for _, row := range []struct {
 		seed   uint64
@@ -49,11 +51,11 @@ func TestScheduleDecision30000Counts(t *testing.T) {
 		{42, 25_218,
 			core.Stats{Calls: 1, Walks: 1, Walked: 1_000, Revalidations: 1_000, Recomputes: 1, Infos: 1_000,
 				Builds: 8, Built: 1_000, Queries: 43_047, Nodes: 374_934, LeafScanned: 1_365_628, RedundancyOpened: 1},
-			sched.FitStats{Calls: 1, Searches: 1, Hits: 1, Nodes: 14_422}},
+			sched.FitStats{Calls: 1, Searches: 1, Hits: 1, Nodes: 16}},
 		{1, 25_642,
 			core.Stats{Calls: 1, Walks: 1, Walked: 1_000, Revalidations: 1_000, Recomputes: 1, Infos: 1_000,
 				Builds: 8, Built: 1_000, Queries: 43_849, Nodes: 365_769, LeafScanned: 1_311_496, RedundancyOpened: 1},
-			sched.FitStats{Calls: 1, Searches: 1, Hits: 1, Nodes: 14_388}},
+			sched.FitStats{Calls: 1, Searches: 1, Hits: 1, Nodes: 16}},
 	} {
 		t.Run(fmt.Sprintf("seed=%d", row.seed), func(t *testing.T) {
 			s, placed := decide(decisionPoint(t, row.seed))

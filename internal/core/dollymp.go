@@ -83,6 +83,10 @@ type jobRec struct {
 	// watched marks a record on its class's watch list or in
 	// scratch.joined.
 	watched bool
+	// infoSeen is cur.JS.Version() as of the last evaluation of info, the
+	// job's Algorithm 1 input; see recompute.
+	infoSeen uint32
+	info     JobInfo
 	// cur is the task cursor; cur.JS is the record's job.
 	cur sched.JobCursor
 }
@@ -147,7 +151,10 @@ type scratch struct {
 	joined, spare []*jobRec
 
 	infos []JobInfo
-	prio  prioScratch
+	// infoTotal is the cluster total the records' cached infos were
+	// evaluated against.
+	infoTotal resources.Vector
+	prio      prioScratch
 	// floor is the component-wise minimum demand over every phase of
 	// the jobs the last recompute saw: no task of an active job asks for
 	// less, in either dimension. Jobs that have left since only make it
@@ -337,6 +344,7 @@ func (sc *scratch) newRec(js *workload.JobState) *jobRec {
 	}
 	r.cur.JS = js
 	r.invalidate()
+	r.infoSeen = r.seen
 	sc.fresh = true
 	return r
 }
@@ -531,21 +539,34 @@ func (s *Scheduler) RecomputePriorities(ctx sched.Context) {
 
 // recompute reruns Algorithm 1 over ctx.Jobs(), which the records must
 // already mirror, and regroups them by the new priorities.
+//
+// A job's info is evaluated again only when its stamp or the cluster
+// total moved since the record last evaluated it. JobInfoOf reads the
+// job's done counts and nothing else that changes, and those move only
+// through MarkDone, which advances the stamp. Under estimation the
+// effective durations follow PhaseStats, which move without a stamp, so
+// every job is evaluated on every recompute.
 func (s *Scheduler) recompute(ctx sched.Context) {
-	s.scratch.stats.Recomputes++
+	sc := &s.scratch
+	sc.stats.Recomputes++
 	total := ctx.Cluster().Total()
-	jobs := ctx.Jobs()
-	infos := s.scratch.infos[:0]
+	cached := s.estimator == nil && total == sc.infoTotal
+	sc.infoTotal = total
+	infos := sc.infos[:0]
 	floor := resources.Vec(math.MaxInt64, math.MaxInt64)
-	for _, js := range jobs {
-		s.scratch.stats.Infos++
-		infos = append(infos, s.jobInfo(ctx, js, total))
+	for _, r := range sc.recs {
+		js := r.cur.JS
+		if v := js.Version(); !cached || r.infoSeen != v {
+			sc.stats.Infos++
+			r.info, r.infoSeen = s.jobInfo(ctx, js, total), v
+		}
+		infos = append(infos, r.info)
 		for k := range js.Job.Phases {
 			floor = floor.Min(js.Job.Phases[k].Demand)
 		}
 	}
-	s.scratch.infos, s.scratch.floor = infos, floor
-	s.scratch.regroup(prioritiesInto(infos, &s.scratch.prio))
+	sc.infos, sc.floor = infos, floor
+	sc.regroup(prioritiesInto(infos, &sc.prio))
 }
 
 func (s *Scheduler) jobInfo(ctx sched.Context, js *workload.JobState, total resources.Vector) JobInfo {

@@ -38,15 +38,16 @@ func drainRow(tb testing.TB, r simtest.Row) *core.Scheduler {
 // the seed, so a change to the bound or the search order shows here as a
 // number on any host, and a change that moves a placement fails the
 // row's schedule first. With the component-wise maximum as the only
-// bound, paced-2k's searches entered 42 158 292 nodes, 108.1 per hit.
+// bound, paced-2k's searches entered 42 158 292 nodes, 108.1 per hit;
+// with the score bound but no tie dominance, 19 624 403 (50.3 per hit).
 // Without the race detector: the four drains take about 5 s, under it
 // minutes.
 func TestFitTrackerWorkCounts(t *testing.T) {
 	pins := map[string]sched.FitStats{
-		"cloning-300": {Calls: 42_188, Frontier: 2_291, RootMisses: 10, Searches: 39_887, Hits: 39_807, Nodes: 702_694},
-		"paced-2k":    {Calls: 389_885, Searches: 389_885, Hits: 389_885, Nodes: 19_624_403},
-		"backlog-200": {Calls: 570_295, Frontier: 556_351, RootMisses: 112, Searches: 13_832, Hits: 5_698, Nodes: 292_808},
-		"replay-32":   {Calls: 1_650_511, Frontier: 98_601, RootMisses: 2_281, Searches: 1_549_629, Hits: 1_549_155, Nodes: 10_712_457},
+		"cloning-300": {Calls: 42_188, Frontier: 2_291, RootMisses: 10, Searches: 39_887, Hits: 39_807, Nodes: 613_832},
+		"paced-2k":    {Calls: 389_885, Searches: 389_885, Hits: 389_885, Nodes: 13_943_732},
+		"backlog-200": {Calls: 570_295, Frontier: 556_351, RootMisses: 112, Searches: 13_832, Hits: 5_698, Nodes: 292_217},
+		"replay-32":   {Calls: 1_650_511, Frontier: 98_601, RootMisses: 2_281, Searches: 1_549_629, Hits: 1_549_155, Nodes: 9_985_452},
 	}
 	for _, r := range simtest.Rows {
 		t.Run(r.Name, func(t *testing.T) {
@@ -74,20 +75,25 @@ func TestFitTrackerWorkCounts(t *testing.T) {
 // While a deleted head left a blank in its leaf, paced-2k's searches
 // scanned 12 051 016 leaf entries, 6 504 958 of them blanks; with the
 // leaf's last live entry moved into the hole they scan 5 546 058.
+// While every recompute evaluated every job's info, paced-2k made
+// 1 322 582 evaluations; keyed on the job's stamp it makes 480 831. While
+// the redundancy walk read every phase with a running task, replay-32's
+// read 11 753 121 tasks; skipping phases whose tasks all hold the copy
+// cap, it reads 2 144 266.
 func TestSchedulerWorkCounts(t *testing.T) {
 	pins := map[string]core.Stats{
-		"cloning-300": {Calls: 716, Walks: 300, Walked: 135_818, Watched: 146_994, Revalidations: 50_540, Recomputes: 300, Infos: 130_274,
+		"cloning-300": {Calls: 716, Walks: 300, Walked: 135_818, Watched: 146_994, Revalidations: 50_540, Recomputes: 300, Infos: 47_606,
 			Builds: 2_866, Built: 11_675, Queries: 275_757, Nodes: 42_743, LeafScanned: 217_689, OverflowScanned: 3_234,
-			RedundancyOpened: 715, ClosedOnBudget: 301, ClosedOnFit: 1, CopyScanned: 559_684},
-		"paced-2k": {Calls: 1_048, Walks: 462, Walked: 1_379_667, Watched: 1_421_357, Revalidations: 497_422, Recomputes: 462, Infos: 1_322_582,
+			RedundancyOpened: 715, ClosedOnBudget: 301, ClosedOnFit: 1, CopyScanned: 528_617},
+		"paced-2k": {Calls: 1_048, Walks: 462, Walked: 1_379_667, Watched: 1_421_357, Revalidations: 497_422, Recomputes: 462, Infos: 480_831,
 			Builds: 5_222, Built: 144_926, Queries: 2_941_102, Nodes: 1_176_637, LeafScanned: 5_546_058, OverflowScanned: 48_983,
-			RedundancyOpened: 1_047, ClosedOnBudget: 465, CopyScanned: 6_096_920},
-		"backlog-200": {Calls: 1_136, Walks: 4, Walked: 39_576, Watched: 1_183_595, Revalidations: 121_230, Recomputes: 4, Infos: 39_576,
+			RedundancyOpened: 1_047, ClosedOnBudget: 465, CopyScanned: 5_900_990},
+		"backlog-200": {Calls: 1_136, Walks: 4, Walked: 39_576, Watched: 1_183_595, Revalidations: 121_230, Recomputes: 4, Infos: 15_568,
 			Builds: 130, Built: 62_668, Queries: 2_308_820, Nodes: 1_326_479, LeafScanned: 4_539_155, OverflowScanned: 5_123_742,
-			RedundancyOpened: 1_135, ClosedOnBudget: 43, ClosedOnFit: 689, CopyScanned: 622_828},
-		"replay-32": {Calls: 363_252, Walks: 100_000, Walked: 1_349_512, Watched: 3_234_343, Revalidations: 793_269, Recomputes: 100_000, Infos: 1_249_525,
+			RedundancyOpened: 1_135, ClosedOnBudget: 43, ClosedOnFit: 689, CopyScanned: 613_241},
+		"replay-32": {Calls: 363_252, Walks: 100_000, Walked: 1_349_512, Watched: 3_234_343, Revalidations: 793_269, Recomputes: 100_000, Infos: 528_441,
 			Builds: 997_298, Built: 174_246, Queries: 2_267_782, Nodes: 569_394, LeafScanned: 637_919, OverflowScanned: 63_373,
-			RedundancyOpened: 363_251, ClosedOnBudget: 12_887, ClosedOnFit: 103, CopyScanned: 11_753_121},
+			RedundancyOpened: 363_251, ClosedOnBudget: 12_887, ClosedOnFit: 103, CopyScanned: 2_144_266},
 	}
 	for _, r := range simtest.Rows {
 		t.Run(r.Name, func(t *testing.T) {

@@ -417,3 +417,57 @@ func TestFitTrackerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%v allocs per Reset+BestFit+Place cycle, want 0", allocs)
 	}
 }
+
+// TestFitTrackerTieDominance pins what the dominance test in visit saves
+// and what it must keep. On an empty fleet of identical servers every
+// score ties, so the bound admits every subtree: the search entered all
+// 8 191 nodes of a 4 096-server tree, 1 051 on an empty LargeFleet(2000).
+// Dominance leaves the dive alone, one path from the root to a leaf.
+//
+// The tie row is the case a dominance test that ignored position would
+// get wrong. Position 3's CPU-rich server raises the right child's bound
+// above the left's, so the dive goes right and finds position 2; the
+// left child's maximum is ≤ position 2's free vector, yet position 0
+// ties it and wins on position.
+func TestFitTrackerTieDominance(t *testing.T) {
+	tied := func() *cluster.Cluster {
+		specs := make([]cluster.Spec, 4)
+		for i := range specs {
+			specs[i] = cluster.Spec{Name: fmt.Sprintf("s%d", i), Capacity: resources.Cores(8, 16), Speed: 1}
+		}
+		specs[3].Capacity = resources.Cores(16, 2)
+		c, err := cluster.New(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, row := range []struct {
+		name   string
+		fleet  *cluster.Cluster
+		demand resources.Vector
+		want   cluster.ServerID
+		nodes  uint64
+	}{
+		{"uniform-4096", cluster.Uniform(4096, resources.Cores(8, 16)), resources.Cores(1, 2), 0, 13},
+		{"large-2000", cluster.LargeFleet(2000, 1), resources.Cores(1, 2), 0, 12},
+		{"tie-left-of-dive", tied(), resources.Cores(1, 1), 0, 5},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ft := NewFitTracker(row.fleet)
+			ref := &scanFit{}
+			ref.reset(row.fleet)
+			id, ok := ft.BestFit(row.demand)
+			pos, wantOK := ref.bestFit(row.demand)
+			if !ok || !wantOK || int(id) != pos {
+				t.Fatalf("BestFit(%v): tracker %d/%v, scan %d/%v", row.demand, id, ok, pos, wantOK)
+			}
+			if id != row.want {
+				t.Fatalf("BestFit(%v) = %d, want %d", row.demand, id, row.want)
+			}
+			if got := FitStatsOf(ft).Nodes; got != row.nodes {
+				t.Fatalf("the search entered %d nodes, want %d", got, row.nodes)
+			}
+		})
+	}
+}

@@ -296,9 +296,19 @@ func (f *FitTracker) search(s *fitSearch, n, span int) {
 }
 
 // visit enters node n, spanning `span` leaves, if its bound ub admits
-// it. A leaf replaces the best in hand only on its exact score.
+// it and the best in hand does not dominate it. A leaf replaces the best
+// in hand only on its exact score.
+//
+// Dominance settles the near-ties the bound cannot: on a fleet of
+// identical servers every subtree's bound is the best leaf's score plus
+// the slack, so the bound alone admits the whole tree. A subtree whose
+// component-wise maximum is ≤ the best leaf's free vector holds no leaf
+// that scores higher (demand·free is monotone in free for a non-negative
+// demand, and so is its rounding), and when its leftmost leaf lies right
+// of the best, a tie loses on position too.
 func (f *FitTracker) visit(s *fitSearch, n, span int, ub float64) {
-	if !s.admits(n*span, ub) {
+	first := n * span
+	if !s.admits(first, ub) || s.best != 0 && first > s.best && f.tree[n].Fits(f.tree[s.best]) {
 		return
 	}
 	if span == 1 {

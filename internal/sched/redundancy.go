@@ -6,10 +6,9 @@ import (
 	"dollymp/internal/workload"
 )
 
-// MaxCopies caps a task's live copies, the original included: DollyMP's
-// two-clone rule plus the DollyMP³ ablation. The engine refuses a
-// placement past it, and no policy may be configured to ask for more.
-const MaxCopies = 4
+// MaxCopies caps a task's live copies, the original included; see
+// workload.MaxCopies.
+const MaxCopies = workload.MaxCopies
 
 // CopyRules is a policy's redundancy rule: which running tasks may get
 // one more copy in a Schedule call.
@@ -62,7 +61,8 @@ type copyCand struct {
 // copy and keeps, in walk order, the ones a later pass can still serve:
 // those it just topped up and those already holding more than one copy.
 // Passes 2.. sweep that list. The budget only tightens within a call, so
-// pass 1 skips a phase whose demand it no longer fits.
+// pass 1 skips a phase whose demand it no longer fits, and it skips a
+// phase whose running tasks all hold rules.Copies already.
 func (w *CopyWalk) Grant(ctx Context, ft *FitTracker, jobs []*JobCursor, rules CopyRules,
 	bind func(*workload.JobState, workload.TaskRef, resources.Vector) (cluster.ServerID, bool), out []Placement) []Placement {
 	if rules.Copies < 2 {
@@ -95,7 +95,7 @@ func (w *CopyWalk) Grant(ctx Context, ft *FitTracker, jobs []*JobCursor, rules C
 		js := cur.JS
 		for _, k := range cur.Phases() {
 			demand := js.Job.Phases[k].Demand
-			if !room(demand) {
+			if !room(demand) || js.RunningBelow(k, rules.Copies) == 0 {
 				continue
 			}
 			for _, l := range js.RunningTasksView(k) {

@@ -18,6 +18,11 @@ const (
 	TaskDone                     // first copy finished
 )
 
+// MaxCopies caps a task's live copies, the original included: DollyMP's
+// two-clone rule plus the DollyMP³ ablation. The engine refuses a
+// placement past it, and no policy may be configured to ask for more.
+const MaxCopies = 4
+
 // taskCell packs a task's lifecycle state with its live-copy count
 // (original included) into the eight bytes the state alone would take,
 // so the count costs a queued job nothing.
@@ -42,6 +47,10 @@ type phaseState struct {
 	// done counts the finished tasks and pending the tasks with no copy
 	// placed; firstPending is a monotone scan hint for NextPending.
 	done, pending, firstPending int32
+	// holding[c-1] counts the running tasks holding exactly c live
+	// copies, for c below MaxCopies; the running tasks no entry counts
+	// hold MaxCopies or more.
+	holding [MaxCopies - 1]int32
 	// order is the phase at this index of the job's topological order
 	// (TopoOrder's order), filled the first time the critical path is
 	// walked.
@@ -146,7 +155,17 @@ func (s *JobState) MarkRunning(k PhaseID, l int) {
 		}
 		ph.running = insertSorted(ph.running, l)
 	}
+	ph.hold(t.copies, -1)
 	t.copies++
+	ph.hold(t.copies, 1)
+}
+
+// hold moves the tally of the running tasks holding `copies` live copies
+// by delta.
+func (ph *phaseState) hold(copies, delta int32) {
+	if copies >= 1 && copies < MaxCopies {
+		ph.holding[copies-1] += delta
+	}
 }
 
 // makeRunningLists gives every phase its empty running list, each a
@@ -168,17 +187,38 @@ func (s *JobState) makeRunningLists() {
 // reverts the task to pending.
 func (s *JobState) DropCopy(k PhaseID, l int) {
 	s.version++
-	t := &s.phases[k].tasks[l]
+	ph := &s.phases[k]
+	t := &ph.tasks[l]
 	if t.state != TaskRunning {
 		return
 	}
-	if t.copies--; t.copies <= 0 {
+	if t.copies == 1 {
 		s.MarkPending(k, l)
+		return
 	}
+	ph.hold(t.copies, -1)
+	t.copies--
+	ph.hold(t.copies, 1)
 }
 
 // LiveCopies returns the number of running copies of task (k, l).
 func (s *JobState) LiveCopies(k PhaseID, l int) int { return int(s.phases[k].tasks[l].copies) }
+
+// RunningBelow returns, in O(MaxCopies), the number of running tasks in
+// phase k holding fewer than `copies` live copies. Above MaxCopies it
+// counts every running task, which is exact while no task holds more
+// than MaxCopies, as the engine guarantees.
+func (s *JobState) RunningBelow(k PhaseID, copies int) int {
+	ph := &s.phases[k]
+	if copies > MaxCopies {
+		return len(ph.running)
+	}
+	n := 0
+	for _, c := range ph.holding[:max(copies-1, 0)] {
+		n += int(c)
+	}
+	return n
+}
 
 // MarkDone records completion of task (k, l). It returns an error on a
 // double completion. Phase and job completion flags update automatically.
@@ -192,6 +232,7 @@ func (s *JobState) MarkDone(k PhaseID, l int) error {
 		ph.pending--
 	case TaskRunning:
 		ph.running = removeSorted(ph.running, l)
+		ph.hold(ph.tasks[l].copies, -1)
 	}
 	// The winner's siblings die with it.
 	ph.tasks[l] = taskCell{state: TaskDone}
@@ -211,6 +252,7 @@ func (s *JobState) MarkPending(k PhaseID, l int) {
 		return
 	}
 	s.version++
+	ph.hold(ph.tasks[l].copies, -1)
 	ph.tasks[l] = taskCell{state: TaskPending}
 	ph.running = removeSorted(ph.running, l)
 	ph.pending++

@@ -204,3 +204,60 @@ func TestCountsMatchScanProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: RunningBelow agrees with a recount of LiveCopies through
+// random sequences of MarkRunning (up to two copies past MaxCopies),
+// DropCopy (down to zero copies, which reverts the task), MarkDone and
+// MarkPending on two phases of four tasks, for every threshold from 0 to
+// MaxCopies. Above MaxCopies it counts every running task.
+func TestRunningBelowMatchesRecountProperty(t *testing.T) {
+	const tasks = 4
+	f := func(ops []uint8) bool {
+		j := &Job{ID: 1, Name: "c", App: "t", Phases: []Phase{
+			{Name: "a", Tasks: tasks, Demand: resources.Cores(1, 1), MeanDuration: 5},
+			{Name: "b", Tasks: tasks, Demand: resources.Cores(1, 1), MeanDuration: 5},
+		}}
+		s := NewJobState(j)
+		for _, op := range ops {
+			k, l := PhaseID(op%2), int(op/2)%tasks
+			switch (op / (2 * tasks)) % 5 {
+			case 0, 1:
+				if s.LiveCopies(k, l) < MaxCopies+2 {
+					s.MarkRunning(k, l)
+				}
+			case 2:
+				s.DropCopy(k, l)
+			case 3:
+				if s.Task(k, l) != TaskDone {
+					if err := s.MarkDone(k, l); err != nil {
+						return false
+					}
+				}
+			case 4:
+				s.MarkPending(k, l)
+			}
+			for k := PhaseID(0); k < 2; k++ {
+				for copies := 0; copies <= MaxCopies; copies++ {
+					want := 0
+					for _, i := range s.RunningTasksView(k) {
+						if s.LiveCopies(k, i) < copies {
+							want++
+						}
+					}
+					if got := s.RunningBelow(k, copies); got != want {
+						t.Logf("phase %d: %d running tasks below %d copies, recount %d", k, got, copies, want)
+						return false
+					}
+				}
+				if got, want := s.RunningBelow(k, MaxCopies+1), s.RunningCount(k); got != want {
+					t.Logf("phase %d: %d running tasks below %d copies, want all %d", k, got, MaxCopies+1, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
