@@ -83,10 +83,11 @@ type jobRec struct {
 	// watched marks a record on its class's watch list or in
 	// scratch.joined.
 	watched bool
-	// infoSeen is cur.JS.Version() as of the last evaluation of info, the
-	// job's Algorithm 1 input; see recompute.
-	infoSeen uint32
-	info     JobInfo
+	// infoSeen is cur.JS.Version() as of the last evaluation of the
+	// job's Algorithm 1 input, whose volume, time and dominant share
+	// follow (its ID is the job's); see recompute.
+	infoSeen               uint32
+	volume, time, dominant float64
 	// cur is the task cursor; cur.JS is the record's job.
 	cur sched.JobCursor
 }
@@ -169,7 +170,7 @@ type scratch struct {
 	orderSpeeds []float64
 	orderBuf    []serverSpeed
 
-	// copies is the redundancy walk, with its work list; drained is
+	// copies is the redundancy walk, with its phase list; drained is
 	// the cursors Schedule hands it.
 	copies  sched.CopyWalk
 	drained []*sched.JobCursor
@@ -558,9 +559,10 @@ func (s *Scheduler) recompute(ctx sched.Context) {
 		js := r.cur.JS
 		if v := js.Version(); !cached || r.infoSeen != v {
 			sc.stats.Infos++
-			r.info, r.infoSeen = s.jobInfo(ctx, js, total), v
+			info := s.jobInfo(ctx, js, total)
+			r.volume, r.time, r.dominant, r.infoSeen = info.Volume, info.Time, info.Dominant, v
 		}
-		infos = append(infos, r.info)
+		infos = append(infos, JobInfo{ID: js.Job.ID, Volume: r.volume, Time: r.time, Dominant: r.dominant})
 		for k := range js.Job.Phases {
 			floor = floor.Min(js.Job.Phases[k].Demand)
 		}

@@ -28,23 +28,22 @@ func CloneBudget(total resources.Vector, delta float64) resources.Vector {
 	return resources.Vec(int64(delta*float64(total.CPUMilli)), int64(delta*float64(total.MemMiB)))
 }
 
-// CopyWalk is the copy-granting walk, with the work list it reuses
+// CopyWalk is the copy-granting walk, with the phase list it reuses
 // between calls. The zero value is ready to use.
 type CopyWalk struct {
-	// Scanned counts the running tasks the walk has read: one per task
-	// of a phase its first pass served, and one per work-list entry each
-	// later pass swept.
+	// Scanned counts the running tasks the walk has read: one per running
+	// task of a phase a pass scanned.
 	Scanned uint64
-	cands   []copyCand
+	phases  []copyPhase
 }
 
-// copyCand is a running task a later pass may still top up, with the
-// copy count it will have once this call's grants are applied.
-type copyCand struct {
-	js     *workload.JobState
-	ref    workload.TaskRef
-	demand resources.Vector
-	copies int
+// copyPhase is a ready phase with a running task under the copy cap, and
+// the range out[from:to] of the grants the last pass made in it.
+type copyPhase struct {
+	js       *workload.JobState
+	k        workload.PhaseID
+	demand   resources.Vector
+	from, to int
 }
 
 // Grant tops up the running tasks of the ready phases of the jobs, as
@@ -56,13 +55,14 @@ type copyCand struct {
 // nil) picks a server; the copy is placed on ft and appended to out,
 // which is returned.
 //
-// A task that pass p turns down holds p copies for the rest of the
-// call, so only pass 1 walks the jobs. It grants the tasks holding one
-// copy and keeps, in walk order, the ones a later pass can still serve:
-// those it just topped up and those already holding more than one copy.
-// Passes 2.. sweep that list. The budget only tightens within a call, so
-// pass 1 skips a phase whose demand it no longer fits, and it skips a
-// phase whose running tasks all hold rules.Copies already.
+// At pass p a task holds p copies exactly when the job state gives it p
+// or pass p-1 granted it one: a pass grants a task at most once, a grant
+// at pass q leaves it at q+1, and a task a pass does not grant keeps its
+// count. So Grant lists the phases once, and pass p scans a phase only
+// when the job state counts a task at p copies there (RunningBelow) or
+// pass p-1 granted in it. It reads those grants off out, where pass p-1
+// appended them together and in running order. The budget only tightens
+// within a call, so a pass skips a phase whose demand it no longer fits.
 func (w *CopyWalk) Grant(ctx Context, ft *FitTracker, jobs []*JobCursor, rules CopyRules,
 	bind func(*workload.JobState, workload.TaskRef, resources.Vector) (cluster.ServerID, bool), out []Placement) []Placement {
 	if rules.Copies < 2 {
@@ -70,63 +70,57 @@ func (w *CopyWalk) Grant(ctx Context, ft *FitTracker, jobs []*JobCursor, rules C
 	}
 	budget, use := CloneBudget(ctx.Cluster().Total(), rules.Delta), ctx.CloneUsage()
 	room := func(demand resources.Vector) bool { return rules.Delta <= 0 || use.Add(demand).Fits(budget) }
-	grant := func(js *workload.JobState, ref workload.TaskRef, demand resources.Vector) bool {
-		if rules.Due != nil && !rules.Due(ref) || !room(demand) {
-			return false
-		}
-		var srv cluster.ServerID
-		var ok bool
-		if bind == nil {
-			srv, ok = ft.BestFit(demand)
-		} else {
-			srv, ok = bind(js, ref, demand)
-		}
-		if !ok {
-			return false
-		}
-		ft.Place(srv, demand)
-		use = use.Add(demand)
-		out = append(out, Placement{Ref: ref, Server: srv})
-		return true
-	}
 
-	cands := w.cands[:0]
+	phases := w.phases[:0]
 	for _, cur := range jobs {
-		js := cur.JS
 		for _, k := range cur.Phases() {
-			demand := js.Job.Phases[k].Demand
-			if !room(demand) || js.RunningBelow(k, rules.Copies) == 0 {
+			if cur.JS.RunningBelow(k, rules.Copies) > 0 {
+				phases = append(phases, copyPhase{js: cur.JS, k: k, demand: cur.JS.Job.Phases[k].Demand})
+			}
+		}
+	}
+	for pass := 1; pass < rules.Copies; pass++ {
+		for i := range phases {
+			ph := &phases[i]
+			js, k := ph.js, ph.k
+			last := out[ph.from:ph.to]
+			ph.from = len(out)
+			ph.to = ph.from
+			if !room(ph.demand) || len(last) == 0 && js.RunningBelow(k, pass+1) == js.RunningBelow(k, pass) {
 				continue
 			}
 			for _, l := range js.RunningTasksView(k) {
 				w.Scanned++
 				copies := js.LiveCopies(k, l)
-				if copies >= rules.Copies {
+				if len(last) > 0 && last[0].Ref.Index == l {
+					copies, last = pass, last[1:]
+				}
+				if copies != pass {
 					continue
 				}
 				ref := workload.TaskRef{Job: js.Job.ID, Phase: k, Index: l}
-				if copies == 1 {
-					if !grant(js, ref, demand) {
-						continue
-					}
-					copies++
+				if rules.Due != nil && !rules.Due(ref) || !room(ph.demand) {
+					continue
 				}
-				if copies < rules.Copies {
-					cands = append(cands, copyCand{js: js, ref: ref, demand: demand, copies: copies})
+				var srv cluster.ServerID
+				var ok bool
+				if bind == nil {
+					srv, ok = ft.BestFit(ph.demand)
+				} else {
+					srv, ok = bind(js, ref, ph.demand)
 				}
+				if !ok {
+					continue
+				}
+				ft.Place(srv, ph.demand)
+				use = use.Add(ph.demand)
+				out = append(out, Placement{Ref: ref, Server: srv})
 			}
+			ph.to = len(out)
 		}
 	}
-	for pass := 2; pass < rules.Copies; pass++ {
-		w.Scanned += uint64(len(cands))
-		for i := range cands {
-			if c := &cands[i]; c.copies == pass && grant(c.js, c.ref, c.demand) {
-				c.copies++
-			}
-		}
-	}
-	clear(cands)
-	w.cands = cands[:0]
+	clear(phases)
+	w.phases = phases[:0]
 	return out
 }
 

@@ -44,21 +44,22 @@ type phaseState struct {
 	// it never grows, so insertSorted never allocates and never writes
 	// into the next phase's window.
 	running []int
+	// finish is the critical-path walk's scratch: the phase's remaining
+	// finish time. While the order is being built it counts the phase's
+	// parents not yet ordered.
+	finish float64
 	// done counts the finished tasks and pending the tasks with no copy
 	// placed; firstPending is a monotone scan hint for NextPending.
 	done, pending, firstPending int32
-	// holding[c-1] counts the running tasks holding exactly c live
-	// copies, for c below MaxCopies; the running tasks no entry counts
-	// hold MaxCopies or more.
-	holding [MaxCopies - 1]int32
 	// order is the phase at this index of the job's topological order
 	// (TopoOrder's order), filled the first time the critical path is
 	// walked.
 	order int32
-	// finish is the critical-path walk's scratch: the phase's remaining
-	// finish time. While the order is being built it counts the phase's
-	// parents not yet ordered.
-	finish   float64
+	// holding[c-1] counts the running tasks holding exactly c live
+	// copies, for c below MaxCopies; the running tasks no entry counts
+	// hold MaxCopies or more. With the int32s above and complete it
+	// fills the 32 bytes after finish.
+	holding  [MaxCopies - 1]int32
 	complete bool // every task in the phase finished
 }
 
