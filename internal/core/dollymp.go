@@ -423,7 +423,7 @@ func (sc *scratch) regroup(prios []int32) {
 type Option func(*Scheduler)
 
 // WithClones sets the per-task clone limit k (DollyMP^k). k must be in
-// [0, sched.MaxCopies-1].
+// [0, workload.MaxCopies-1].
 func WithClones(k int) Option {
 	return func(s *Scheduler) { s.maxClones = k }
 }
@@ -477,8 +477,8 @@ func New(opts ...Option) (*Scheduler, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.maxClones < 0 || s.maxClones >= sched.MaxCopies {
-		return nil, fmt.Errorf("core: clone limit %d out of [0, %d]", s.maxClones, sched.MaxCopies-1)
+	if s.maxClones < 0 || s.maxClones >= workload.MaxCopies {
+		return nil, fmt.Errorf("core: clone limit %d out of [0, %d]", s.maxClones, workload.MaxCopies-1)
 	}
 	if s.speculate {
 		if !(s.specThreshold > 1) {

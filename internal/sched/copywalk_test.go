@@ -93,14 +93,14 @@ func TestCopyWalkMatchesNestedPasses(t *testing.T) {
 							t.Fatal(err)
 						}
 					default:
-						for c := 1 + rng.Intn(sched.MaxCopies); c > 0; c-- {
+						for c := 1 + rng.Intn(workload.MaxCopies); c > 0; c-- {
 							js.MarkRunning(workload.PhaseID(k), l)
 						}
 					}
 				}
 			}
 		}
-		rules := sched.CopyRules{Copies: 2 + rng.Intn(sched.MaxCopies-1), Delta: []float64{0, 0.05, 0.2, 1}[rng.Intn(4)]}
+		rules := sched.CopyRules{Copies: 2 + rng.Intn(workload.MaxCopies-1), Delta: []float64{0, 0.05, 0.2, 1}[rng.Intn(4)]}
 		salt := rng.Int()
 		refuse := func(ref workload.TaskRef) bool { return (ref.Index*7+int(ref.Job)*13+int(ref.Phase)*5+salt)%3 == 0 }
 		if rng.Intn(4) == 0 {

@@ -6,10 +6,6 @@ import (
 	"dollymp/internal/workload"
 )
 
-// MaxCopies caps a task's live copies, the original included; see
-// workload.MaxCopies.
-const MaxCopies = workload.MaxCopies
-
 // CopyRules is a policy's redundancy rule: which running tasks may get
 // one more copy in a Schedule call.
 type CopyRules struct {

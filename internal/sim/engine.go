@@ -719,8 +719,8 @@ func (e *Engine) applyPlacement(p sched.Placement) error {
 		return fmt.Errorf("sim: placement for task %v whose parents have not finished", p.Ref)
 	}
 	existing := js.LiveCopies(p.Ref.Phase, p.Ref.Index)
-	if existing >= sched.MaxCopies {
-		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, sched.MaxCopies)
+	if existing >= workload.MaxCopies {
+		return fmt.Errorf("sim: task %v already has %d copies (cap %d)", p.Ref, existing, workload.MaxCopies)
 	}
 	if !e.cfg.Cluster.Contains(p.Server) {
 		return fmt.Errorf("sim: placement on unknown server %d", p.Server)

@@ -310,7 +310,7 @@ func (s *copyCapScheduler) Schedule(ctx sched.Context) []sched.Placement {
 	s.fired = true
 	ref := workload.TaskRef{Job: 1, Phase: 0, Index: 0}
 	var out []sched.Placement
-	for i := 0; i < sched.MaxCopies+1; i++ {
+	for i := 0; i < workload.MaxCopies+1; i++ {
 		out = append(out, sched.Placement{Ref: ref, Server: 0})
 	}
 	return out

@@ -68,7 +68,7 @@ type task struct {
 	ref    workload.TaskRef
 	done   bool
 	n      int
-	copies [sched.MaxCopies]sched.CopyStatus
+	copies [workload.MaxCopies]sched.CopyStatus
 }
 
 func violation(rule string, slot int64, format string, args ...any) error {
@@ -244,7 +244,7 @@ func (s *Stream) place(j *liveJob, t *task, ev *sim.TraceEvent) error {
 				ref, par, done, j.job.Phases[par].Tasks)
 		}
 	}
-	if t.n == sched.MaxCopies {
+	if t.n == workload.MaxCopies {
 		return violation("copy cap", slot, "%v placed with %d copies live", ref, t.n)
 	}
 	u, capacity := &s.used[ev.Server], s.fleet.Server(ev.Server).Capacity
