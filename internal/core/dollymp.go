@@ -334,7 +334,7 @@ func (sc *scratch) walk(jobs []*workload.JobState) {
 }
 
 // newRec returns a record for a job sync has not seen before, stale so
-// that sync validates it.
+// that sync validates it and recompute evaluates its info.
 func (sc *scratch) newRec(js *workload.JobState) *jobRec {
 	var r *jobRec
 	if n := len(sc.free); n > 0 {

@@ -34,8 +34,11 @@ func nestedGrant(ctx sched.Context, ft *sched.FitTracker, jobs []*workload.JobSt
 					if rules.Due != nil && !rules.Due(ref) || rules.Delta > 0 && !use.Add(demand).Fits(budget) {
 						continue
 					}
-					srv, ok := ft.BestFit(demand)
-					if bind != nil {
+					var srv cluster.ServerID
+					var ok bool
+					if bind == nil {
+						srv, ok = ft.BestFit(demand)
+					} else {
 						srv, ok = bind(js, ref, demand)
 					}
 					if !ok {
@@ -106,8 +109,7 @@ func TestCopyWalkMatchesNestedPasses(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			rules.Due = func(ref workload.TaskRef) bool { return !refuse(ref) }
 		}
-		var ft, refFT *sched.FitTracker
-		bindOf := func(ft **sched.FitTracker) func(*workload.JobState, workload.TaskRef, resources.Vector) (cluster.ServerID, bool) {
+		bindOf := func(ft *sched.FitTracker) func(*workload.JobState, workload.TaskRef, resources.Vector) (cluster.ServerID, bool) {
 			if salt%4 != 0 {
 				return nil
 			}
@@ -116,13 +118,13 @@ func TestCopyWalkMatchesNestedPasses(t *testing.T) {
 				if calls++; refuse(ref) || (calls+salt)%5 == 0 {
 					return 0, false
 				}
-				return (*ft).BestFit(d)
+				return ft.BestFit(d)
 			}
 		}
-		ft, refFT = sched.NewFitTracker(fleet), sched.NewFitTracker(fleet)
+		ft, refFT := sched.NewFitTracker(fleet), sched.NewFitTracker(fleet)
 		jobs := ctx.Jobs()
-		got := walk.Grant(ctx, ft, sched.Cursors(jobs), rules, bindOf(&ft), nil)
-		want := nestedGrant(ctx, refFT, jobs, rules, bindOf(&refFT))
+		got := walk.Grant(ctx, ft, sched.Cursors(jobs), rules, bindOf(ft), nil)
+		want := nestedGrant(ctx, refFT, jobs, rules, bindOf(refFT))
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d, rules %+v:\nGrant  %v\nnested %v", trial, rules, got, want)
 		}
