@@ -8,7 +8,6 @@ import (
 	"dollymp/internal/core"
 	"dollymp/internal/resources"
 	"dollymp/internal/sim/simtest"
-	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
@@ -72,24 +71,7 @@ func cloningDrain(n int) (*cluster.Cluster, []*workload.Job) {
 func BenchmarkEngineDrain(b *testing.B) {
 	for _, r := range simtest.Rows {
 		b.Run(r.Name, func(b *testing.B) {
-			var fleet *cluster.Cluster
-			var source func() func() (*workload.Job, error)
-			if r.Replay {
-				fleet = cluster.LargeFleet(r.Servers, 1)
-				path := r.WriteTrace(b)
-				source = func() func() (*workload.Job, error) {
-					s, err := trace.OpenStream(path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { s.Close() })
-					return s.Next
-				}
-			} else {
-				var jobs []*workload.Job
-				fleet, jobs = r.Build()
-				source = func() func() (*workload.Job, error) { return simtest.SliceSource(jobs) }
-			}
+			fleet, open := r.Source(b)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			copies := int64(0)
@@ -103,7 +85,7 @@ func BenchmarkEngineDrain(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := e.Drain(source())
+				res, err := e.Drain(open())
 				if err != nil {
 					b.Fatal(err)
 				}

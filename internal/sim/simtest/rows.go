@@ -1,8 +1,7 @@
 // Package simtest holds the engine drain rows that sim's
-// BenchmarkEngineDrain and the exact count pins of sim and core
-// (TestEngineEventCounts, TestFitTrackerWorkCounts,
-// TestSchedulerWorkCounts) drain, so each row's schedule is pinned in
-// one place. It imports neither sim nor core, so sim's own tests can
+// BenchmarkEngineDrain and core's TestRowWorkCounts drain, so each row's
+// schedule is pinned in one place; TestRowWorkCounts holds the rows'
+// work pins. It imports neither sim nor core, so sim's own tests can
 // use it.
 package simtest
 
@@ -59,10 +58,15 @@ func (r Row) Build() (*cluster.Cluster, []*workload.Job) {
 	return cluster.LargeFleet(r.Servers, 1), jobs
 }
 
-// WriteTrace streams a replay row's jobs, arrivals as generated, to a
-// trace file in tb's temporary directory as they are drawn and returns
-// its path.
-func (r Row) WriteTrace(tb testing.TB) string {
+// Source returns the row's fleet and an opener whose every call returns
+// a fresh source of one drain: the jobs from Build, or a stream of a
+// replay row's jobs, arrivals as generated, from a trace written once to
+// tb's temporary directory as they are drawn and closed when tb ends.
+func (r Row) Source(tb testing.TB) (*cluster.Cluster, func() func() (*workload.Job, error)) {
+	if !r.Replay {
+		fleet, jobs := r.Build()
+		return fleet, func() func() (*workload.Job, error) { return SliceSource(jobs) }
+	}
 	path := filepath.Join(tb.TempDir(), "replay.trace")
 	w, err := trace.CreateStream(path)
 	if err != nil {
@@ -74,23 +78,14 @@ func (r Row) WriteTrace(tb testing.TB) string {
 	if err := w.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return path
-}
-
-// Source returns the row's fleet and the source of one drain of it: the
-// jobs from Build, or a replay row's trace from WriteTrace, closed when
-// tb ends.
-func (r Row) Source(tb testing.TB) (*cluster.Cluster, func() (*workload.Job, error)) {
-	if !r.Replay {
-		fleet, jobs := r.Build()
-		return fleet, SliceSource(jobs)
+	return cluster.LargeFleet(r.Servers, 1), func() func() (*workload.Job, error) {
+		s, err := trace.OpenStream(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { s.Close() })
+		return s.Next
 	}
-	s, err := trace.OpenStream(r.WriteTrace(tb))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { s.Close() })
-	return cluster.LargeFleet(r.Servers, 1), s.Next
 }
 
 // Check fails tb unless a drain completed the row's jobs with the row's
