@@ -59,81 +59,131 @@ var workPins = map[string]rowPins{
 	},
 }
 
-// TestRowWorkCounts drains each simtest row once under DollyMP² with a
-// verify.Stream attached, which certifies the drain event by event, and
-// checks the row's schedule and the exact work of three layers:
-//   - the engine's, in the stream's Ledger: each job arrives, starts and
-//     finishes once; no server fails, so no copy is lost; copies placed
-//     (as many as the digest launched), completed and killed, with the
-//     clone share of the first two; clock advances; and the
-//     resource·slots the killed siblings held. A seam that drops or
-//     duplicates an event moves these;
-//   - the scheduler's, in core.StatsOf: the records sync walked, watched
-//     and revalidated, the recomputes and the job infos they evaluated,
-//     the head-index builds and searches with the nodes and entries they
-//     scanned, and the redundancy passes, how many closed before any
-//     walk, and the running tasks the walk read. There is one count per
-//     Schedule call, and a pass closes at most once;
-//   - the fit index's, in core.FitStatsOf: BestFit calls, answered once
-//     each by the miss frontier, a root miss or a search; the hits, which
-//     only a search finds; and the tree nodes the searches entered. Core
-//     grants copies with no bind, so every hit is a granted clone or the
-//     entry probe of a redundancy pass that closed on neither budget nor
-//     fit.
+// rowDrain is what one drain of a simtest row leaves for the work tests:
+// the copies its digest launched and the counts of each layer.
+type rowDrain struct {
+	launched int64
+	ledger   verify.Ledger
+	stats    core.Stats
+	fit      sched.FitStats
+}
+
+// drained holds each row's drain, made by the first test that asks for
+// it; the work tests do not run in parallel, so no lock guards it.
+var drained = map[string]*rowDrain{}
+
+// drainRow drains r under DollyMP² with a verify.Stream attached, which
+// certifies the drain event by event, and fails t unless the drain
+// reproduces the row's schedule. It drains each row once per test
+// binary: the counts are a pure function of the seed, so the three work
+// tests read one drain.
+func drainRow(t *testing.T, r simtest.Row) *rowDrain {
+	t.Helper()
+	if d := drained[r.Name]; d != nil {
+		return d
+	}
+	fleet, open := r.Source(t)
+	s := core.MustNew(core.WithClones(2))
+	e, cert, err := verify.New(sim.Config{
+		Cluster: fleet, Scheduler: s,
+		Seed: 1, Online: true, CompactJobs: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Drain(open())
+	if err == nil {
+		err = cert.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Check(t, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
+	d := &rowDrain{res.Digest.CopiesLaunched, cert.Ledger(), core.StatsOf(s), core.FitStatsOf(s)}
+	drained[r.Name] = d
+	return d
+}
+
+// TestRowWorkCounts checks the engine's work on each simtest row, in
+// the stream's Ledger: each job arrives, starts and finishes once; no
+// server fails, so no copy is lost; copies placed (as many as the
+// digest launched), completed and killed, with the clone share of the
+// first two; clock advances; and the resource·slots the killed siblings
+// held. A seam that drops or duplicates an event moves these. It also
+// checks the one identity that needs all three layers' counts: core
+// grants copies with no bind, so every BestFit hit is a granted clone
+// or the entry probe of a redundancy pass that closed on neither budget
+// nor fit.
 //
-// The counts are a pure function of the seed, so a change to the
-// engine's events, sync, the head index, the fit bound or the search
-// order shows as a number on any host, and a change that moves a
-// placement fails the row's schedule first. The stream is an observer
-// and never calls the scheduler, so attaching it moves no count. No row
-// keeps a trace, and replay-32 streams its jobs from disk, so the stream
-// certifies it with no job list held. Without the race detector: the
-// four drains take about 6 s, under it minutes.
+// With TestSchedulerWorkCounts and TestFitTrackerWorkCounts it reads
+// one drain per row (drainRow) and one pin table (workPins). The counts
+// are a pure function of the seed, so a change to the engine's events,
+// sync, the head index, the fit bound or the search order shows as a
+// number on any host, and a change that moves a placement fails the
+// row's schedule first. The stream is an observer and never calls the
+// scheduler, so attaching it moves no count. No row keeps a trace, and
+// replay-32 streams its jobs from disk, so the stream certifies it with
+// no job list held. Without the race detector: the four drains take
+// about 6 s, under it minutes.
 func TestRowWorkCounts(t *testing.T) {
 	for _, r := range simtest.Rows {
 		t.Run(r.Name, func(t *testing.T) {
-			fleet, open := r.Source(t)
-			s := core.MustNew(core.WithClones(2))
-			e, cert, err := verify.New(sim.Config{
-				Cluster: fleet, Scheduler: s,
-				Seed: 1, Online: true, CompactJobs: true,
-			})
-			if err != nil {
-				t.Fatal(err)
+			d, want := drainRow(t, r), workPins[r.Name].ledger
+			n, st := d.ledger, d.stats
+			t.Logf("%+v", n)
+			if int64(n.Placed) != d.launched {
+				t.Errorf("the ledger counts %d copies placed, the digest %d", n.Placed, d.launched)
 			}
-			res, err := e.Drain(open())
-			if err == nil {
-				err = cert.Close()
+			if probes := st.RedundancyOpened - st.ClosedOnBudget - st.ClosedOnFit; d.fit.Hits != uint64(n.Clones)+probes {
+				t.Errorf("%d BestFit hits, but %d clones granted and %d redundancy passes past the entry probe",
+					d.fit.Hits, n.Clones, probes)
 			}
-			if err != nil {
-				t.Fatal(err)
+			want.Arrived, want.Started, want.Finished = r.Jobs, r.Jobs, r.Jobs
+			if n != want {
+				t.Errorf("ledger %+v\nwant   %+v", n, want)
 			}
-			r.Check(t, res.Completed, res.TotalFlowtime(), res.Makespan, res.SchedCalls)
+		})
+	}
+}
 
-			n, st, fit, want := cert.Ledger(), core.StatsOf(s), core.FitStatsOf(s), workPins[r.Name]
-			t.Logf("%+v\n%+v\n%+v, %.1f nodes per hit", n, st, fit, float64(fit.Nodes)/float64(fit.Hits))
-			if int64(n.Placed) != res.Digest.CopiesLaunched {
-				t.Errorf("the ledger counts %d copies placed, the digest %d", n.Placed, res.Digest.CopiesLaunched)
-			}
+// TestSchedulerWorkCounts checks the scheduler's work on each simtest
+// row, in core.StatsOf: the records sync walked, watched and
+// revalidated, the recomputes and the job infos they evaluated, the
+// head-index builds and searches with the nodes and entries they
+// scanned, and the redundancy passes, how many closed before any walk,
+// and the running tasks the walk read. There is one count per Schedule
+// call, and a pass closes at most once. It reads TestRowWorkCounts'
+// drain.
+func TestSchedulerWorkCounts(t *testing.T) {
+	for _, r := range simtest.Rows {
+		t.Run(r.Name, func(t *testing.T) {
+			st, want := drainRow(t, r).stats, workPins[r.Name].stats
+			t.Logf("%+v", st)
 			if st.Calls != uint64(r.Calls) || st.ClosedOnBudget+st.ClosedOnFit > st.RedundancyOpened {
 				t.Errorf("%+v: one count per Schedule call, and a pass closes at most once", st)
 			}
+			if st != want {
+				t.Errorf("stats %+v\nwant  %+v", st, want)
+			}
+		})
+	}
+}
+
+// TestFitTrackerWorkCounts checks the fit index's work on each simtest
+// row, in core.FitStatsOf: BestFit calls, answered once each by the miss
+// frontier, a root miss or a search; the hits, which only a search
+// finds; and the tree nodes the searches entered. It reads
+// TestRowWorkCounts' drain.
+func TestFitTrackerWorkCounts(t *testing.T) {
+	for _, r := range simtest.Rows {
+		t.Run(r.Name, func(t *testing.T) {
+			fit, want := drainRow(t, r).fit, workPins[r.Name].fit
+			t.Logf("%+v, %.1f nodes per hit", fit, float64(fit.Nodes)/float64(fit.Hits))
 			if fit.Frontier+fit.RootMisses+fit.Searches != fit.Calls || fit.Hits > fit.Searches {
 				t.Errorf("%+v: every call is answered once, and only a search hits", fit)
 			}
-			if probes := st.RedundancyOpened - st.ClosedOnBudget - st.ClosedOnFit; fit.Hits != uint64(n.Clones)+probes {
-				t.Errorf("%d BestFit hits, but %d clones granted and %d redundancy passes past the entry probe",
-					fit.Hits, n.Clones, probes)
-			}
-			want.ledger.Arrived, want.ledger.Started, want.ledger.Finished = r.Jobs, r.Jobs, r.Jobs
-			if n != want.ledger {
-				t.Errorf("ledger %+v\nwant   %+v", n, want.ledger)
-			}
-			if st != want.stats {
-				t.Errorf("stats %+v\nwant  %+v", st, want.stats)
-			}
-			if fit != want.fit {
-				t.Errorf("fit %+v\nwant %+v", fit, want.fit)
+			if fit != want {
+				t.Errorf("fit %+v\nwant %+v", fit, want)
 			}
 		})
 	}

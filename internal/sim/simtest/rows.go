@@ -1,8 +1,8 @@
 // Package simtest holds the engine drain rows that sim's
-// BenchmarkEngineDrain and core's TestRowWorkCounts drain, so each row's
-// schedule is pinned in one place; TestRowWorkCounts holds the rows'
-// work pins. It imports neither sim nor core, so sim's own tests can
-// use it.
+// BenchmarkEngineDrain and TestEngineEventCounts and core's work tests
+// drain, so each row's schedule is pinned in one place; core's
+// workcount_test.go holds the rows' work pins. It imports neither sim
+// nor core, so sim's own tests can use it.
 package simtest
 
 import (
